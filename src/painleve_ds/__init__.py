@@ -15,10 +15,6 @@ from .heisenberg import (
     verify_heisenberg,
 )
 from .lax import (
-    GAUGE_NAMES,
-    KAPPA_COUNT,
-    RHO_COUNT,
-    SUPPORTED,
     canonical_to_ds,
     constraint_residuals,
     ds_to_canonical,
@@ -31,7 +27,6 @@ from .lax import (
     zero_curvature_residual,
 )
 from .painleve import (
-    REDUCTION_TARGET,
     SystemParameters,
     check_normalization,
     gauge_log_derivatives,
@@ -40,6 +35,7 @@ from .painleve import (
     reduction_parameters,
     vector_field,
 )
+from .reductions import REDUCTIONS, Reduction, reduction
 from .scalars import QQ, Dual, ExtScalar, Extension, PoleError
 from .weyl import (
     apply_generator,
@@ -58,10 +54,6 @@ __all__ = [
     "compute_N",
     "gradation_type",
     "verify_heisenberg",
-    "GAUGE_NAMES",
-    "KAPPA_COUNT",
-    "RHO_COUNT",
-    "SUPPORTED",
     "canonical_to_ds",
     "constraint_residuals",
     "ds_to_canonical",
@@ -72,7 +64,9 @@ __all__ = [
     "sample_point",
     "verify_partition",
     "zero_curvature_residual",
-    "REDUCTION_TARGET",
+    "REDUCTIONS",
+    "Reduction",
+    "reduction",
     "SystemParameters",
     "check_normalization",
     "gauge_log_derivatives",

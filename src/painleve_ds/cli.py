@@ -10,29 +10,21 @@ produce byte-identical reports.
 A config file may supply any long option as a `key = value` line with
 `#` comments; explicit command-line flags override it, duplicate keys
 warn and keep the last value, and malformed lines are reported with
-their line number.  The environment variable PAINLEVE_DS_THREADS caps
-sample-level parallelism (verification work only; results are assembled
-in sample order either way).
+their line number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import flow
 from .heisenberg import Partition, build_heisenberg, compute_N, gradation_type, verify_heisenberg
-from .lax import GAUGE_NAMES, KAPPA_COUNT, RHO_COUNT, SUPPORTED, verify_partition
-from .painleve import (
-    REDUCTION_TARGET,
-    SYSTEM_PAIRS,
-    SystemParameters,
-    check_normalization,
-    reduction_parameters,
-)
+from .lax import verify_partition
+from .painleve import SystemParameters, check_normalization, reduction_parameters
+from .reductions import REDUCTIONS, reduction
 from .reporting import jsonable
 from .scalars import PoleError
 from .weyl import (
@@ -56,66 +48,28 @@ class ConfigError(Exception):
 # -- value parsing -------------------------------------------------------
 
 
-def _rational(text, what):
+_EXPECTED = {Fraction: "a rational like 3/4", float: "a number", int: "an integer"}
+
+
+def _number(text, what, kind=float):
     try:
-        return Fraction(text.strip())
+        return kind(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{what}: expected a rational like 3/4, got {text!r}")
+        raise UsageError(f"{what}: expected {_EXPECTED[kind]}, got {text!r}")
 
 
-def _rational_tuple(text, what, count=None):
-    pieces = [p for p in text.split(",")]
-    if count is not None and len(pieces) != count:
-        raise UsageError(f"{what}: expected {count} comma-separated rationals, got {len(pieces)}")
-    return tuple(_rational(p, what) for p in pieces)
-
-
-def _float(text, what):
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{what}: expected a number, got {text!r}")
-
-
-def _float_tuple(text, what, count=None):
+def _numbers(text, what, kind=float, count=None):
     pieces = text.split(",")
     if count is not None and len(pieces) != count:
-        raise UsageError(f"{what}: expected {count} comma-separated numbers, got {len(pieces)}")
-    return tuple(_float(p, what) for p in pieces)
+        raise UsageError(f"{what}: expected {count} comma-separated values, got {len(pieces)}")
+    return tuple(_number(p, what, kind) for p in pieces)
 
 
-def _int(text, what):
+def _supported_reduction(text):
     try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{what}: expected an integer, got {text!r}")
-
-
-def _bool(text, what):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"{what}: expected true/false, got {text!r}")
-
-
-def _partition(text):
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"--partition: expected integers like 2,2,1, got {text!r}")
-    if not parts or any(p < 1 for p in parts):
-        raise UsageError(f"--partition: not a partition: {text!r}")
-    return parts
-
-
-def _supported_partition(text):
-    parts = _partition(text)
-    if parts not in SUPPORTED:
-        supported = "; ".join(",".join(str(p) for p in s) for s in SUPPORTED)
-        raise UsageError(f"--partition: {text!r} is not one of: {supported}")
-    return parts
+        return reduction(Partition.parse(text))
+    except ValueError as exc:
+        raise UsageError(f"--partition: {exc}")
 
 
 def _word(text):
@@ -177,23 +131,6 @@ def _emit_json(document, stream=None):
     print(json.dumps(document, sort_keys=True, indent=2), file=stream or sys.stdout)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("PAINLEVE_DS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(
-            f"warning: ignoring PAINLEVE_DS_THREADS={raw!r} (want a positive integer)",
-            file=sys.stderr,
-        )
-        return 1
-    return cap
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -201,9 +138,8 @@ def _cmd_heisenberg(args) -> int:
     raw = _resolved(args, "partition")
     if raw is None:
         raise UsageError("heisenberg: --partition is required")
-    parts = _partition(raw) if isinstance(raw, str) else raw
     try:
-        partition = Partition(parts)
+        partition = Partition.parse(raw)
     except ValueError as exc:
         raise UsageError(f"--partition: {exc}")
     data = build_heisenberg(partition)
@@ -211,7 +147,7 @@ def _cmd_heisenberg(args) -> int:
     generators = [(f"lambda_{i + 1}", lam) for i, lam in enumerate(data.lambdas)]
     generators += [(f"h_{j + 1}", h) for j, h in enumerate(data.h_elements)]
     document = {
-        "partition": list(parts),
+        "partition": list(partition.parts),
         "N": compute_N(partition),
         "s": list(gradation_type(data)),
         "generators": [{"name": name, "matrix": g.render()} for name, g in generators],
@@ -234,13 +170,13 @@ def _cmd_verify_lax(args) -> int:
     raw = _resolved(args, "partition")
     if raw is None:
         raise UsageError("verify-lax: --partition is required")
-    parts = _supported_partition(raw) if isinstance(raw, str) else raw
-    samples = _int(str(_resolved(args, "samples", 100)), "--samples")
-    seed = _int(str(_resolved(args, "seed", 0)), "--seed")
-    report = verify_partition(parts, samples=samples, seed=seed, threads=_thread_cap())
+    record = _supported_reduction(raw)
+    samples = _number(str(_resolved(args, "samples", 100)), "--samples", int)
+    seed = _number(str(_resolved(args, "seed", 0)), "--seed", int)
+    report = verify_partition(record.parts, samples=samples, seed=seed)
     body = report.to_json_dict()
     document = {
-        "partition": list(parts),
+        "partition": list(record.parts),
         "samples": samples,
         "passed": body["passed"],
         "failures": body["failures"],
@@ -249,7 +185,7 @@ def _cmd_verify_lax(args) -> int:
         _emit_json(document)
     else:
         count = samples - len(document["failures"])
-        print(f"partition {','.join(str(p) for p in parts)}: {count}/{samples} samples exact")
+        print(f"partition {record.label}: {count}/{samples} samples exact")
         for failure in document["failures"]:
             print(f"  sample {failure['sample_index']}: entry {failure['entry']} residual {failure['residual']}")
     return 0 if document["passed"] else 1
@@ -275,11 +211,11 @@ def _cmd_weyl(args) -> int:
     if missing:
         raise UsageError("weyl: missing " + ", ".join(missing))
     word = _word(raw_word)
-    coords = _rational_tuple(raw_point, "--point", count=4)
+    coords = _numbers(raw_point, "--point", Fraction, count=4)
     pairs = ((coords[0], coords[1]), (coords[2], coords[3]))
-    t = _rational(raw_t, "--t")
-    alphas = _rational_tuple(raw_alphas, "--alphas", count=6)
-    eta = _rational(raw_eta, "--eta")
+    t = _number(raw_t, "--t", Fraction)
+    alphas = _numbers(raw_alphas, "--alphas", Fraction, count=6)
+    eta = _number(raw_eta, "--eta", Fraction)
     params = SystemParameters(alpha=alphas, eta=eta)
     try:
         image_pairs, image_params = apply_word(word, pairs, params, t)
@@ -314,9 +250,9 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_weyl_check(args) -> int:
-    samples = _int(str(_resolved(args, "samples", 100)), "--samples")
-    seed = _int(str(_resolved(args, "seed", 0)), "--seed")
-    bridge = _int(str(_resolved(args, "bridge_samples", 25)), "--bridge-samples")
+    samples = _number(str(_resolved(args, "samples", 100)), "--samples", int)
+    seed = _number(str(_resolved(args, "seed", 0)), "--seed", int)
+    bridge = _number(str(_resolved(args, "bridge_samples", 25)), "--bridge-samples", int)
     reports = {
         "relations": check_relations(samples=samples, seed=seed),
         "equivariance": check_equivariance(samples=samples, seed=seed),
@@ -337,23 +273,21 @@ def _cmd_weyl_check(args) -> int:
     return 0 if passed else 1
 
 
-def _trajectory_params(args, parts):
+def _trajectory_params(args, record):
     raw_kappas = _resolved(args, "kappas")
     raw_rhos = _resolved(args, "rhos")
     raw_alphas = _resolved(args, "alphas")
     raw_eta = _resolved(args, "eta")
     if raw_kappas is not None:
-        kappas = _rational_tuple(raw_kappas, "--kappas", count=KAPPA_COUNT[parts])
+        kappas = _numbers(raw_kappas, "--kappas", Fraction, count=record.kappa_count)
         if raw_rhos is None:
             raise UsageError("integrate: --kappas needs --rhos")
-        rhos = _rational_tuple(raw_rhos, "--rhos", count=RHO_COUNT[parts])
-        return reduction_parameters(parts, kappas, rhos)
+        rhos = _numbers(raw_rhos, "--rhos", Fraction, count=record.rho_count)
+        return reduction_parameters(record.parts, kappas, rhos)
     if raw_alphas is not None:
-        system = REDUCTION_TARGET[parts]
-        weight_count = {"p6": 5, "a4": 5, "a5": 6, "cp6": 6}[system]
-        alphas = _rational_tuple(raw_alphas, "--alphas", count=weight_count)
-        eta = _rational(raw_eta, "--eta") if raw_eta is not None else None
-        if system == "cp6" and eta is None:
+        alphas = _numbers(raw_alphas, "--alphas", Fraction, count=record.weight_count)
+        eta = _number(raw_eta, "--eta", Fraction) if raw_eta is not None else None
+        if record.eta is not None and eta is None:
             raise UsageError("integrate: the coupled sixth system needs --eta")
         return SystemParameters(alpha=alphas, eta=eta)
     raise UsageError("integrate: supply --kappas/--rhos or --alphas [--eta]")
@@ -364,41 +298,41 @@ def _cmd_integrate(args) -> int:
     if raw_system is None:
         raise UsageError("integrate: --system (or --partition) is required")
     try:
-        parts = flow.resolve_partition(raw_system)
+        record = reduction(flow.resolve_partition(raw_system))
     except ValueError as exc:
         raise UsageError(f"integrate: {exc}")
-    params = _trajectory_params(args, parts)
+    params = _trajectory_params(args, record)
 
     raw_point = _resolved(args, "point")
     if raw_point is None:
         raise UsageError("integrate: --point is required")
-    pair_count = SYSTEM_PAIRS[REDUCTION_TARGET[parts]]
-    coords = _float_tuple(raw_point, "--point", count=2 * pair_count)
+    pair_count = record.pair_count
+    coords = _numbers(raw_point, "--point", count=2 * pair_count)
     pairs = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(pair_count))
 
-    names = GAUGE_NAMES[parts]
+    names = record.gauge_names
     raw_gauges = _resolved(args, "gauges")
     if raw_gauges is None:
         gauges = {name: 1.0 for name in names}
     else:
-        values = _float_tuple(raw_gauges, "--gauges", count=len(names))
+        values = _numbers(raw_gauges, "--gauges", count=len(names))
         gauges = dict(zip(names, values))
 
-    t0 = _float(str(_resolved(args, "t0")), "--t0") if _resolved(args, "t0") is not None else None
-    t1 = _float(str(_resolved(args, "t1")), "--t1") if _resolved(args, "t1") is not None else None
+    t0 = _number(str(_resolved(args, "t0")), "--t0") if _resolved(args, "t0") is not None else None
+    t1 = _number(str(_resolved(args, "t1")), "--t1") if _resolved(args, "t1") is not None else None
     if t0 is None or t1 is None:
         raise UsageError("integrate: --t0 and --t1 are required")
-    rel_tol = _float(str(_resolved(args, "rel_tol", 1e-8)), "--rel-tol")
-    abs_tol = _float(str(_resolved(args, "abs_tol", 1e-10)), "--abs-tol")
+    rel_tol = _number(str(_resolved(args, "rel_tol", 1e-8)), "--rel-tol")
+    abs_tol = _number(str(_resolved(args, "abs_tol", 1e-10)), "--abs-tol")
     raw_fixed = _resolved(args, "fixed_step")
-    fixed = _float(str(raw_fixed), "--fixed-step") if raw_fixed is not None else None
+    fixed = _number(str(raw_fixed), "--fixed-step") if raw_fixed is not None else None
     raw_grid = _resolved(args, "sample_at")
-    grid = list(_float_tuple(raw_grid, "--sample-at")) if raw_grid is not None else None
+    grid = list(_numbers(raw_grid, "--sample-at")) if raw_grid is not None else None
     as_json = _resolved(args, "json", False)
 
     try:
         trajectory = flow.integrate(
-            parts, pairs, gauges, params, t0, t1,
+            record.parts, pairs, gauges, params, t0, t1,
             rel_tol=rel_tol, abs_tol=abs_tol, fixed_step=fixed,
         )
         rows = list(flow.csv_rows(trajectory, times=grid))
@@ -411,8 +345,11 @@ def _cmd_integrate(args) -> int:
 
     meta = flow.metadata(trajectory)
     failures = 0
+    if trajectory.termination == flow.STEP_BUDGET:
+        print(f"error: {flow.STEP_BUDGET} before t1", file=sys.stderr)
+        failures += 1
     if _resolved(args, "residual", False):
-        tolerance = _float(str(_resolved(args, "residual_tol", 1e-6)), "--residual-tol")
+        tolerance = _number(str(_resolved(args, "residual_tol", 1e-6)), "--residual-tol")
         try:
             monitor = flow.residual_along(trajectory)
         except ValueError as exc:
@@ -453,13 +390,13 @@ def _cmd_integrate(args) -> int:
 def _report_numerics(seed) -> dict:
     order = flow.order_check()
     trajectories = {}
-    for parts in SUPPORTED:
-        kappas = tuple(Fraction(2 * k + 1, 7) for k in range(KAPPA_COUNT[parts]))
-        rhos = tuple(Fraction(3 + k, 5) for k in range(RHO_COUNT[parts]))
+    for record in REDUCTIONS.values():
+        parts = record.parts
+        kappas = tuple(Fraction(2 * k + 1, 7) for k in range(record.kappa_count))
+        rhos = tuple(Fraction(3 + k, 5) for k in range(record.rho_count))
         params = reduction_parameters(parts, kappas, rhos)
-        pair_count = SYSTEM_PAIRS[REDUCTION_TARGET[parts]]
-        pairs = ((0.4, 0.3),) if pair_count == 1 else ((0.4, 0.3), (0.7, -0.2))
-        gauges = {name: 1.0 + 0.25 * k for k, name in enumerate(GAUGE_NAMES[parts])}
+        pairs = ((0.4, 0.3), (0.7, -0.2))[: record.pair_count]
+        gauges = {name: 1.0 + 0.25 * k for k, name in enumerate(record.gauge_names)}
         forward = flow.integrate(parts, pairs, gauges, params, 2.0, 3.0, rel_tol=1e-10, abs_tol=1e-12)
         backward = flow.integrate(
             parts, forward.final.pairs, forward.final.gauges, params, 3.0, 2.0,
@@ -471,8 +408,7 @@ def _report_numerics(seed) -> dict:
             for a, b in zip(qp0, qp1)
         )
         monitor = flow.residual_along(forward)
-        label = ",".join(str(p) for p in parts)
-        trajectories[label] = {
+        trajectories[record.label] = {
             "termination": forward.termination,
             "round_trip": round_trip,
             "max_residual": monitor["max_residual"],
@@ -491,30 +427,27 @@ def _report_numerics(seed) -> dict:
 
 
 def _cmd_report(args) -> int:
-    samples = _int(str(_resolved(args, "samples", 100)), "--samples")
-    seed = _int(str(_resolved(args, "seed", 0)), "--seed")
-    bridge = _int(str(_resolved(args, "bridge_samples", 25)), "--bridge-samples")
-    norm_samples = _int(str(_resolved(args, "normalization_samples", 1000)), "--normalization-samples")
-    threads = _thread_cap()
+    samples = _number(str(_resolved(args, "samples", 100)), "--samples", int)
+    seed = _number(str(_resolved(args, "seed", 0)), "--seed", int)
+    bridge = _number(str(_resolved(args, "bridge_samples", 25)), "--bridge-samples", int)
+    norm_samples = _number(str(_resolved(args, "normalization_samples", 1000)), "--normalization-samples", int)
 
     heisenberg_block = {}
-    for parts in SUPPORTED:
-        label = ",".join(str(p) for p in parts)
-        partition = Partition(parts)
+    for record in REDUCTIONS.values():
+        partition = Partition(record.parts)
         data = build_heisenberg(partition)
         report = verify_heisenberg(partition)
-        heisenberg_block[label] = {
+        heisenberg_block[record.label] = {
             "N": compute_N(partition),
             "s": list(gradation_type(data)),
             "pass": report.passed,
         }
 
     lax_block = {}
-    for parts in SUPPORTED:
-        label = ",".join(str(p) for p in parts)
-        report = verify_partition(parts, samples=samples, seed=seed, threads=threads)
+    for record in REDUCTIONS.values():
+        report = verify_partition(record.parts, samples=samples, seed=seed)
         body = report.to_json_dict()
-        lax_block[label] = {
+        lax_block[record.label] = {
             "samples": samples,
             "passed": body["passed"],
             "failures": body["failures"],
@@ -577,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lax", help="exact zero-curvature suite for one partition")
     common(p)
-    p.add_argument("--partition", help="one of " + "; ".join(",".join(str(x) for x in s) for s in SUPPORTED))
+    p.add_argument("--partition", help="one of " + "; ".join(r.label for r in REDUCTIONS.values()))
     p.add_argument("--samples", help="sample count (default 100)")
     p.add_argument("--seed", help="sampling seed (default 0)")
     p.set_defaults(handler=_cmd_verify_lax)

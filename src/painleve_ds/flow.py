@@ -11,9 +11,10 @@ zero-curvature residual is the correctness monitor (the Hamiltonian is
 not conserved, so there is nothing energy-based to check).
 
 Near a singularity the trajectory stops and says why: fixed singular
-times are rejected up front, movable poles are flagged when a
-denominator falls below 1e-12 or the state leaves the 1e12 ball, and a
-step size collapsing without either is reported as underflow.
+times and non-finite times are rejected up front, movable poles are
+flagged when a denominator falls below 1e-12 or the state leaves the
+1e12 ball, a step size collapsing without either is reported as
+underflow, and a run that uses up its step budget says so.
 """
 
 from __future__ import annotations
@@ -21,34 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .lax import (
-    GAUGE_NAMES,
-    numeric_frame,
-    residual_magnitude,
-    zero_curvature_residual,
-)
+from .heisenberg import Partition
+from .lax import numeric_frame, residual_magnitude, zero_curvature_residual
 from .painleve import (
-    REDUCTION_TARGET,
-    SYSTEM_PAIRS,
     SystemParameters,
     gauge_log_derivatives,
     reduction_constants,
     vector_field,
 )
+from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
-
-# fixed singular times of each partition's Painleve time
-SINGULAR_TIMES = {
-    (2, 2): (0.0, 1.0),
-    (3, 1): (0.0,),
-    (4, 1): (0.0,),
-    (2, 2, 1): (0.0, 1.0),
-    (3, 3): (0.0, 1.0),
-}
-
-# default partition realizing each system id, for callers that speak
-# system language; cp6 maps to its two-gauge-free (3,3) realization
-DEFAULT_PARTITION = {"p6": (2, 2), "a4": (3, 1), "a5": (4, 1), "cp6": (3, 3)}
 
 DENOMINATOR_FLOOR = 1e-12
 STATE_CEILING = 1e12
@@ -57,6 +40,7 @@ LOG_GAUGE_CEILING = 690.0  # exp overflows just above this; a gauge there is gon
 REACHED_END = "reached_end"
 POLE_DETECTED = "pole_detected"
 STEP_UNDERFLOW = "step_underflow"
+STEP_BUDGET = "step_budget_exhausted"
 
 # Dormand-Prince 5(4) tableau; E = b5 - b4 gives the error weights
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -110,16 +94,17 @@ class Trajectory:
 
 
 def resolve_partition(system) -> tuple:
-    """Partition tuple from a partition or a system id."""
+    """Partition tuple from a partition or a system id.
+
+    A system id names the first partition in report order that reduces
+    to it, so cp6 means (3,3).
+    """
     if isinstance(system, str):
-        if system in DEFAULT_PARTITION:
-            return DEFAULT_PARTITION[system]
-        parts = tuple(int(piece) for piece in system.split(","))
-    else:
-        parts = tuple(system)
-    if parts not in SINGULAR_TIMES:
-        raise ValueError(f"no integrable system for {system!r}")
-    return parts
+        for record in REDUCTIONS.values():
+            if record.system == system:
+                return record.parts
+        system = Partition.parse(system)
+    return reduction(system).parts
 
 
 # -- generic embedded stepper ------------------------------------------
@@ -139,7 +124,8 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
     records is a list of (t, y, slope, error_norm); guard(t, y) returns a
     termination string when the state has left the admissible region.
     f may raise (pole inside a stage); adaptive mode shrinks the step and
-    retries, fixed mode gives up with the pole flag.
+    retries, fixed mode gives up with the pole flag.  After max_steps
+    attempted steps the run stops with the step-budget flag.
     """
     records = []
     direction = 1.0 if t_end >= t0 else -1.0
@@ -216,15 +202,18 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
             factor = _SAFETY * floor ** (-_PI_ALPHA) * error_prev ** _PI_BETA
             h *= min(_GROW_CAP, max(_SHRINK_CAP, factor))
             error_prev = floor
-    raise RuntimeError(f"step budget {max_steps} exhausted at t = {t}")
+    return records, STEP_BUDGET
 
 
 # -- the five systems ---------------------------------------------------
 
 
-def _check_interval(parts, t0, t_end):
+def _check_interval(record, t0, t_end):
+    for name, value in (("t0", t0), ("t1", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"integration time {name} = {value} is not finite")
     lo, hi = min(t0, t_end), max(t0, t_end)
-    for s in SINGULAR_TIMES[parts]:
+    for s in record.singular_times:
         if lo <= s <= hi:
             raise PoleError(
                 f"integration interval [{lo}, {hi}] contains the fixed "
@@ -232,8 +221,9 @@ def _check_interval(parts, t0, t_end):
             )
 
 
-def _system_guard(parts):
-    singular = SINGULAR_TIMES[parts]
+def _system_guard(record):
+    singular = record.singular_times
+    gauge_count = len(record.gauge_names)
 
     def guard(t, y):
         if min(abs(t - s) for s in singular) < DENOMINATOR_FLOOR:
@@ -242,7 +232,6 @@ def _system_guard(parts):
             return POLE_DETECTED
         if max(abs(v) for v in y) > STATE_CEILING:
             return POLE_DETECTED
-        gauge_count = len(GAUGE_NAMES[parts])
         if gauge_count and max(abs(v) for v in y[-gauge_count:]) > LOG_GAUGE_CEILING:
             return POLE_DETECTED
         return None
@@ -266,14 +255,14 @@ def integrate(
 
     system is a partition tuple or a system id (cp6 means its (3,3)
     realization).  gauges maps each of the partition's gauge names to a
-    nonzero starting value.  The interval [t0, t_end] must avoid the
-    fixed singular times; movable poles terminate the trajectory with a
-    flag rather than an exception.
+    nonzero starting value.  The interval [t0, t_end] must be finite and
+    avoid the fixed singular times; movable poles and an exhausted step
+    budget terminate the trajectory with a flag rather than an exception.
     """
-    parts = resolve_partition(system)
-    system_id = REDUCTION_TARGET[parts]
-    _check_interval(parts, t0, t_end)
-    names = GAUGE_NAMES[parts]
+    record = reduction(resolve_partition(system))
+    parts = record.parts
+    _check_interval(record, t0, t_end)
+    names = record.gauge_names
     gauge_start = []
     for name in names:
         if name not in gauges:
@@ -282,7 +271,7 @@ def integrate(
         if value == 0.0:
             raise PoleError(f"gauge {name} must start nonzero")
         gauge_start.append(value)
-    pair_count = SYSTEM_PAIRS[system_id]
+    pair_count = record.pair_count
     if len(pairs) != pair_count:
         raise ValueError(f"{parts} carries {pair_count} canonical pair(s)")
 
@@ -294,7 +283,7 @@ def integrate(
         points = tuple(
             (y[2 * i], y[2 * i + 1]) for i in range(pair_count)
         )
-        flows = vector_field(system_id, points, t, params)
+        flows = vector_field(record.system, points, t, params)
         out = [float(c) for qp in flows for c in qp]
         if names:
             dlogs = gauge_log_derivatives(parts, points, t, params)
@@ -302,12 +291,12 @@ def integrate(
         return out
 
     records, termination = _advance(
-        f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, _system_guard(parts), max_steps
+        f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, _system_guard(record), max_steps
     )
 
     trajectory = Trajectory(
         partition=parts,
-        system=system_id,
+        system=record.system,
         params=params,
         gauge_names=names,
         rel_tol=rel_tol,
@@ -323,7 +312,7 @@ def integrate(
 
 
 def _sample_from_state(trajectory, t, y, error) -> TrajectorySample:
-    pair_count = SYSTEM_PAIRS[trajectory.system]
+    pair_count = reduction(trajectory.partition).pair_count
     points = tuple((y[2 * i], y[2 * i + 1]) for i in range(pair_count))
     gauges = {
         name: start * math.exp(y[2 * pair_count + k])
@@ -393,7 +382,7 @@ def dense_samples(trajectory: Trajectory, times) -> list:
 
 
 def csv_header(trajectory: Trajectory) -> str:
-    pair_count = SYSTEM_PAIRS[trajectory.system]
+    pair_count = reduction(trajectory.partition).pair_count
     columns = ["t"]
     for i in range(1, pair_count + 1):
         columns += [f"q{i}", f"p{i}"]
@@ -435,7 +424,7 @@ def metadata(trajectory: Trajectory) -> dict:
 # -- correctness monitors -------------------------------------------------
 
 
-def residual_along(trajectory: Trajectory, partition=None) -> dict:
+def residual_along(trajectory: Trajectory) -> dict:
     """Max zero-curvature residual magnitude over the trajectory samples.
 
     The float image of the exact identity, evaluated with the stored
@@ -443,9 +432,9 @@ def residual_along(trajectory: Trajectory, partition=None) -> dict:
     that the stored states and stored rates satisfy the flow-coupled
     identity together, so a corrupted sample shows up immediately.
     """
-    parts = resolve_partition(partition if partition is not None else trajectory.partition)
+    parts = trajectory.partition
     kappas, rhos = reduction_constants(parts, trajectory.params)
-    pair_count = SYSTEM_PAIRS[trajectory.system]
+    pair_count = reduction(parts).pair_count
     worst = 0.0
     worst_t = trajectory.samples[0].t
     for s, slope in zip(trajectory.samples, trajectory._slopes):

@@ -16,7 +16,9 @@ the multiplier flows of the gauge variables.
 This module assembles M and B from the reduced-variable presentation,
 converts between canonical and reduced coordinates, and evaluates the
 compatibility residual either exactly (rational points, root symbols
-adjoined) or in floating point (along numeric trajectories).
+adjoined) or in floating point (along numeric trajectories).  The
+partition-specific formulas live in each partition's record in
+``reductions``; the functions here dispatch through it once.
 """
 
 from __future__ import annotations
@@ -26,16 +28,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec, LoopElement, apply_theta, bracket
-from .painleve import (
-    REDUCTION_TARGET,
-    gauge_log_derivatives,
-    reduction_parameters,
-    vector_field,
-)
+from .painleve import gauge_log_derivatives, reduction_parameters, vector_field
+from .reductions import reduction
 from .reporting import SampleReport, jsonable
 from .sampling import nonzero_rational, random_rational, rational_satisfying
 from .scalars import (
@@ -48,30 +45,6 @@ from .scalars import (
     to_numeric,
     value_of,
 )
-
-SUPPORTED = ((3, 3), (2, 2, 1), (2, 2), (3, 1), (4, 1))
-
-# Multiplier variables that are not determined by the canonical point and
-# must be supplied (any nonzero value; only their log-derivative is fixed).
-GAUGE_NAMES = {
-    (3, 3): ("w3",),
-    (2, 2): ("w1",),
-    (2, 2, 1): ("phi3", "phi34"),
-    (3, 1): ("phi12",),
-    (4, 1): ("phi12",),
-}
-
-# How many kappa constants each reduction carries (one per row of the
-# underlying matrix); every reduction has one rho, except (2,2,1) with two.
-KAPPA_COUNT = {(3, 3): 6, (2, 2): 4, (2, 2, 1): 5, (3, 1): 4, (4, 1): 5}
-RHO_COUNT = {(3, 3): 1, (2, 2): 1, (2, 2, 1): 2, (3, 1): 1, (4, 1): 1}
-
-
-def _parts_tuple(partition) -> tuple:
-    parts = tuple(partition.parts) if isinstance(partition, Partition) else tuple(partition)
-    if parts not in SUPPORTED:
-        raise ValueError("no Lax pair implemented for partition %r" % (parts,))
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -94,53 +67,40 @@ class TimeFrame:
     root_tangent: object
 
 
-def tau_of_root(parts: tuple, t, root):
-    """Hierarchy time tau in terms of the Painleve time and the root symbol."""
-    if parts == (3, 1):
-        return -t * root / 3
-    return root
-
-
 def exact_frame(parts: tuple, t: Fraction) -> TimeFrame:
-    """Adjoin the partition's root symbol over QQ at rational time t."""
-    parts = _parts_tuple(parts)
+    """Adjoin the partition's root symbol over QQ at rational time t.
+
+    The root satisfies root**power = base(t); its t-derivative follows
+    from the relation by implicit differentiation.
+    """
+    record = reduction(parts)
+    relation = record.root
     t = QQ(t)
-    if parts == (3, 3):
-        if t == 0:
-            raise PoleError("(3,3) frame needs t != 0")
-        ext = Extension([("u", 3, 1 / t)])  # u = t^(-1/3), so tau = u
-        return TimeFrame(parts, ext, ext.symbol("u"), ext.symbol_tangent("u", -1 / (t * t)))
-    if parts in ((2, 2), (2, 2, 1)):
-        if t == 0:
-            raise PoleError("square-root frame needs t != 0")
-        ext = Extension([("s", 2, t)])  # s = sqrt(t) = tau
-        return TimeFrame(parts, ext, ext.symbol("s"), ext.symbol_tangent("s", QQ(1)))
-    if parts == (3, 1):
-        ext = Extension([("r", 2, QQ(6))])  # r = sqrt(6); tau = -t r/3
-        return TimeFrame(parts, ext, ext.symbol("r"), ext.lift(0))
-    if parts == (4, 1):
-        if t == 0:
-            raise PoleError("(4,1) frame needs t != 0")
-        ext = Extension([("v", 2, -2 * t)])  # v = sqrt(-2t) = tau
-        return TimeFrame(parts, ext, ext.symbol("v"), ext.symbol_tangent("v", QQ(-2)))
-    raise ValueError(parts)
+    try:
+        base = relation.base(t)
+    except ZeroDivisionError:
+        base = 0
+    if base == 0:
+        raise PoleError(f"{record.parts} frame needs a finite nonzero root base at t = {t}")
+    ext = Extension([(relation.symbol, relation.power, base)])
+    tangent = ext.symbol_tangent(relation.symbol, relation.base_rate(t))
+    return TimeFrame(record.parts, ext, ext.symbol(relation.symbol), tangent)
 
 
 def numeric_frame(parts: tuple, t) -> TimeFrame:
-    """Float (or complex, where the root is imaginary) counterpart of exact_frame."""
-    parts = _parts_tuple(parts)
-    if parts == (3, 3):
-        root = t ** (-1 / 3) if t > 0 else -((-t) ** (-1 / 3))
-        return TimeFrame(parts, None, root, -root / (3 * t))
-    if parts in ((2, 2), (2, 2, 1)):
-        root = math.sqrt(t) if t > 0 else cmath.sqrt(complex(t))
-        return TimeFrame(parts, None, root, root / (2 * t))
-    if parts == (3, 1):
-        return TimeFrame(parts, None, math.sqrt(6.0), 0.0)
-    if parts == (4, 1):
-        root = cmath.sqrt(complex(-2 * t))
-        return TimeFrame(parts, None, root, root / (2 * t))
-    raise ValueError(parts)
+    """Float (or complex, where the root is imaginary) counterpart of exact_frame.
+
+    The root is the real root of base(t), or the principal square root of
+    a negative base; its tangent is root * base'(t) / (power * base(t)).
+    """
+    record = reduction(parts)
+    power = record.root.power
+    base = record.root.base(t)
+    if power == 2:
+        root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
+    else:  # odd power: the real root
+        root = math.copysign(abs(base) ** (1 / power), base)
+    return TimeFrame(record.parts, None, root, root * record.root.base_rate(t) / (power * base))
 
 
 def _dual_frame(frame: TimeFrame) -> TimeFrame:
@@ -177,161 +137,28 @@ def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, frame=None) -> DS
     Variables not fixed by the canonical point are recovered from the
     constraint identities, so the output satisfies them exactly.
     """
-    parts = _parts_tuple(partition)
-    for name in GAUGE_NAMES[parts]:
+    record = reduction(partition)
+    for name in record.gauge_names:
         if is_zero_scalar(value_of(gauges[name])):
             raise PoleError(f"gauge variable {name} = 0")
-    if parts == (3, 3) and is_zero_scalar(value_of(t) - 1):
-        raise PoleError("(3,3) coordinate map excludes t = 1 (cubed time root)")
     if frame is None:
-        frame = exact_frame(parts, t)
+        frame = exact_frame(record.parts, t)
     root = frame.root
-    tau = tau_of_root(parts, t, root)
+    tau = record.tau(t, root)
     kappas = tuple(kappas)
     rhos = tuple(rhos)
-    v: dict = {}
-
-    if parts == (3, 3):
-        (q1, p1), (q2, p2) = pairs
-        w3 = gauges["w3"]
-        k0, k1, k2, k3, k4, k5 = kappas
-        (rho1,) = rhos
-        v["w3"] = w3
-        v["w1"] = q1 * tau * tau * w3
-        v["w5"] = q2 * tau * w3
-        v["phi1"] = 3 * p1 / (tau * tau * w3)
-        v["phi5"] = 3 * p2 / (tau * w3)
-        ksum = k0 - k1 + k2 - k3 + k4 - k5
-        v["phi3"] = -(v["w1"] * v["phi1"] + v["w5"] * v["phi5"] + ksum + 3 * rho1) / w3
-    elif parts == (2, 2):
-        ((q, p),) = pairs
-        w1 = gauges["w1"]
-        k0, k1, k2, k3 = kappas
-        (rho1,) = rhos
-        v["w1"] = w1
-        v["w3"] = q * w1 / tau
-        v["phi3"] = 2 * tau * p / w1
-        ksum = k0 - k1 + k2 - k3 + 2 * rho1
-        v["phi1"] = -(v["w3"] * v["phi3"] + ksum) / w1
-    elif parts == (2, 2, 1):
-        (q1, p1), (q2, p2) = pairs
-        phi3 = gauges["phi3"]
-        phi34 = gauges["phi34"]
-        k0, k1, k2, k3, k4 = kappas
-        rho1, rho2 = rhos
-        v["phi3"] = phi3
-        v["phi34"] = phi34
-        v["w4"] = -q1 * phi3 / (t * phi34)
-        v["phi4"] = -4 * t * phi34 * p1 / phi3
-        v["w1"] = -q2 * phi3 / (tau * phi34)
-        v["phi1"] = -4 * tau * phi34 * p2 / phi3
-        ladder = v["w1"] * v["phi1"] + v["w4"] * v["phi4"]
-        v["phi12"] = 2 * tau * (ladder + k0 - k1 + k3 - k4 + 2 * rho1) / phi3
-        v["phi2"] = -2 * (ladder + k0 - k1 + k2 - k4 + 2 * rho2) / phi34
-    elif parts == (3, 1):
-        (q1, p1), (q2, p2) = pairs
-        phi12 = gauges["phi12"]
-        k0, k1, k2, k3 = kappas
-        (rho1,) = rhos
-        v["phi12"] = phi12
-        v["w2"] = -root * q1 / phi12
-        v["phi2"] = -root * phi12 * p1 / 2
-        v["phi1"] = root * q2
-        v["phi0"] = -root * p2
-        v["phi23"] = 3 * tau - v["phi0"] - v["phi1"]
-        v["phi3"] = (2 * v["w2"] * v["phi2"] - 2 * (k2 - k3 - 3 * rho1)) / phi12
-    elif parts == (4, 1):
-        (q1, p1), (q2, p2) = pairs
-        phi12 = gauges["phi12"]
-        k0, k1, k2, k3, k4 = kappas
-        (rho1,) = rhos
-        v["phi12"] = phi12
-        v["phi0"] = 4 * tau * q1
-        v["phi1"] = 8 * p1 / tau
-        v["phi2"] = tau * phi12 * (q2 - q1)
-        v["phi34"] = 32 * p2 / (tau * phi12)
-        v["phi23"] = 4 * tau - v["phi0"]
-        v["phi4"] = 4 * tau - v["phi1"] - phi12 * v["phi34"] / 4
-        v["phi3"] = (
-            16 * (-k2 + k3 + 4 * rho1)
-            - (v["phi0"] - 4 * tau) * phi12 * v["phi34"]
-            - 4 * v["phi2"] * v["phi34"]
-        ) / (4 * phi12)
-    return DSState(parts, v, t, tau, root, kappas, rhos)
+    variables = record.to_ds(pairs, gauges, t, tau, root, kappas, rhos)
+    return DSState(record.parts, variables, t, tau, root, kappas, rhos)
 
 
 def ds_to_canonical(state: DSState):
     """Recover the canonical pairs and gauge values from reduced coordinates."""
-    parts = state.partition
-    v = state.variables
-    tau = state.tau
-    if parts == (3, 3):
-        pairs = (
-            (v["w1"] / (tau * tau * v["w3"]), tau * tau * v["w3"] * v["phi1"] / 3),
-            (v["w5"] / (tau * v["w3"]), tau * v["w3"] * v["phi5"] / 3),
-        )
-        gauges = {"w3": v["w3"]}
-    elif parts == (2, 2):
-        pairs = ((tau * v["w3"] / v["w1"], v["w1"] * v["phi3"] / (2 * tau)),)
-        gauges = {"w1": v["w1"]}
-    elif parts == (2, 2, 1):
-        pairs = (
-            (-state.t * v["phi34"] * v["w4"] / v["phi3"], -v["phi3"] * v["phi4"] / (4 * state.t * v["phi34"])),
-            (-tau * v["phi34"] * v["w1"] / v["phi3"], -v["phi3"] * v["phi1"] / (4 * tau * v["phi34"])),
-        )
-        gauges = {"phi3": v["phi3"], "phi34": v["phi34"]}
-    elif parts == (3, 1):
-        root = state.root
-        pairs = (
-            (-v["w2"] * v["phi12"] / root, -2 * v["phi2"] / (root * v["phi12"])),
-            (v["phi1"] / root, -v["phi0"] / root),
-        )
-        gauges = {"phi12": v["phi12"]}
-    elif parts == (4, 1):
-        q1 = v["phi0"] / (4 * tau)
-        pairs = (
-            (q1, tau * v["phi1"] / 8),
-            (q1 + v["phi2"] / (tau * v["phi12"]), tau * v["phi12"] * v["phi34"] / 32),
-        )
-        gauges = {"phi12": v["phi12"]}
-    else:
-        raise ValueError(parts)
-    return pairs, gauges
+    return reduction(state.partition).from_ds(state)
 
 
 def constraint_residuals(state: DSState) -> dict:
     """Left minus right of each constraint identity; zero on valid states."""
-    parts = state.partition
-    v = state.variables
-    tau = state.tau
-    k = state.kappas
-    out: dict = {}
-    if parts == (3, 3):
-        ksum = k[0] - k[1] + k[2] - k[3] + k[4] - k[5]
-        out["ladder"] = (
-            v["w1"] * v["phi1"] + v["w3"] * v["phi3"] + v["w5"] * v["phi5"] + ksum + 3 * state.rhos[0]
-        )
-    elif parts == (2, 2):
-        ksum = k[0] - k[1] + k[2] - k[3] + 2 * state.rhos[0]
-        out["ladder"] = v["w1"] * v["phi1"] + v["w3"] * v["phi3"] + ksum
-    elif parts == (2, 2, 1):
-        rho1, rho2 = state.rhos
-        ladder = v["w1"] * v["phi1"] + v["w4"] * v["phi4"]
-        out["short_ladder"] = v["phi2"] * v["phi34"] + 2 * (ladder + k[0] - k[1] + k[2] - k[4] + 2 * rho2)
-        out["long_ladder"] = v["phi3"] * v["phi12"] - 2 * tau * (ladder + k[0] - k[1] + k[3] - k[4] + 2 * rho1)
-    elif parts == (3, 1):
-        out["ladder"] = 2 * v["w2"] * v["phi2"] - v["phi3"] * v["phi12"] - 2 * (k[2] - k[3] - 3 * state.rhos[0])
-        out["trace"] = v["phi0"] + v["phi1"] + v["phi23"] - 3 * tau
-    elif parts == (4, 1):
-        out["ladder"] = (
-            (v["phi0"] - 4 * tau) * v["phi12"] * v["phi34"]
-            + 4 * v["phi3"] * v["phi12"]
-            + 4 * v["phi2"] * v["phi34"]
-            - 16 * (-k[2] + k[3] + 4 * state.rhos[0])
-        )
-        out["trace_even"] = 4 * v["phi1"] + 4 * v["phi4"] + v["phi12"] * v["phi34"] - 16 * tau
-        out["trace_odd"] = v["phi0"] + v["phi23"] - 4 * tau
-    return out
+    return reduction(state.partition).constraints(state)
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +174,13 @@ class LaxPair:
     system: str
 
 
-def _loop(rank: int, entries: dict, diag=None, c_k=0) -> LoopElement:
+def _loop(rank: int, entries: dict, diag, c_k=0) -> LoopElement:
     parts: dict = {}
     for (deg, row, col), value in entries.items():
         parts.setdefault(deg, {})[(row, col)] = value
-    if diag is not None:
-        block = parts.setdefault(0, {})
-        for index, value in enumerate(diag):
-            block[(index, index)] = value
+    block = parts.setdefault(0, {})
+    for index, value in enumerate(diag):
+        block[(index, index)] = value
     return LoopElement(rank, parts, c_k=c_k)
 
 
@@ -363,177 +189,19 @@ def _kappa_diagonal(kappas) -> list:
     return [kappas[(i + 1) % n] - kappas[i] for i in range(n)]
 
 
-def _coroot_diagonal(coeffs) -> list:
-    # Diagonal of sum c_i alpha_i^vee over the non-affine simple coroots.
-    diag = [coeffs[0]]
-    for left, right in zip(coeffs, coeffs[1:]):
-        diag.append(right - left)
-    diag.append(-coeffs[-1])
-    return diag
-
-
 def lax_matrices(state: DSState) -> LaxPair:
-    """Assemble (M, B) from a reduced state."""
-    parts = state.partition
-    v = state.variables
-    tau = state.tau
-    k = state.kappas
-    rank = sum(parts) - 1
-    kdiag = _kappa_diagonal(k)
+    """Assemble (M, B) from a reduced state.
 
-    if parts == (3, 3):
-        w1, w3, w5 = v["w1"], v["w3"], v["w5"]
-        f1, f3, f5 = v["phi1"], v["phi3"], v["phi5"]
-        (rho1,) = state.rhos
-        m = _loop(
-            rank,
-            {
-                (0, 0, 1): f1, (0, 1, 2): w3 - tau * w1, (0, 2, 3): f3,
-                (0, 3, 4): w5 - tau * w3, (0, 4, 5): f5, (1, 5, 0): w1 - tau * w5,
-                (0, 0, 2): tau, (0, 2, 4): tau, (1, 4, 0): tau,
-                (0, 1, 3): 1, (0, 3, 5): 1, (1, 5, 1): 1,
-            },
-            diag=kdiag,
-            c_k=k[0],
-        )
-        u1 = (w3 * f3 + w5 * f5 - 2 * w1 * f1 - 2 * k[0] + 2 * k[1] + k[2] - k[3] + k[4] - k[5]) / (3 * tau)
-        u2 = -(w1 * f1 + k[0] - k[1] + rho1) / tau
-        u3 = (2 * w5 * f5 - w1 * f1 - w3 * f3 - k[0] + k[1] - k[2] + k[3] + 2 * k[4] - 2 * k[5]) / (3 * tau)
-        u4 = (w5 * f5 + k[4] - k[5] + rho1) / tau
-        denom = tau * tau * tau - 1
-        x1 = (tau * tau * f1 + tau * f5 + f3) / denom
-        x3 = (tau * tau * f3 + tau * f1 + f5) / denom
-        x5 = (tau * tau * f5 + tau * f3 + f1) / denom
-        b = _loop(
-            rank,
-            {
-                (0, 0, 1): x1, (0, 1, 2): -w1, (0, 2, 3): x3, (0, 3, 4): -w3,
-                (0, 4, 5): x5, (1, 5, 0): -w5,
-                (0, 0, 2): 1, (0, 2, 4): 1, (1, 4, 0): 1,
-            },
-            diag=_coroot_diagonal([u1 + w1 * x1, u2, u3 + w3 * x3, u4, w5 * x5]),
-        )
-    elif parts == (2, 2):
-        w1, w3 = v["w1"], v["w3"]
-        f1, f3 = v["phi1"], v["phi3"]
-        (rho1,) = state.rhos
-        m = _loop(
-            rank,
-            {
-                (0, 0, 1): f1, (0, 1, 2): w3 - tau * w1, (0, 2, 3): f3,
-                (1, 3, 0): w1 - tau * w3,
-                (0, 0, 2): tau, (1, 2, 0): tau, (0, 1, 3): 1, (1, 3, 1): 1,
-            },
-            diag=kdiag,
-            c_k=k[0],
-        )
-        ksum = k[0] - k[1] + k[2] - k[3] + 2 * rho1
-        denom = (tau * tau - 1) * w1
-        x1 = ((w1 - tau * w3) * f3 - ksum * tau) / denom
-        x3 = ((tau * w1 - w3) * f3 - ksum) / denom
-        u1 = (w1 * x3 - (k[0] - k[1] + rho1)) / tau
-        u2 = (w3 * f3 + k[2] - k[3] + rho1) / tau
-        b = _loop(
-            rank,
-            {
-                (0, 0, 1): x1, (0, 1, 2): -w1, (0, 2, 3): x3, (1, 3, 0): -w3,
-                (0, 0, 2): 1, (1, 2, 0): 1,
-            },
-            diag=_coroot_diagonal([u1, u2, w3 * x3]),
-        )
-    elif parts == (2, 2, 1):
-        w1, w4 = v["w1"], v["w4"]
-        f1, f2, f3, f4 = v["phi1"], v["phi2"], v["phi3"], v["phi4"]
-        f12, f34 = v["phi12"], v["phi34"]
-        rho1, rho2 = state.rhos
-        m = _loop(
-            rank,
-            {
-                (0, 0, 1): f1, (0, 1, 2): f2 - w1 * f12, (0, 2, 3): f3 + w4 * f34,
-                (0, 3, 4): f4, (1, 4, 0): 2 * (w1 - tau * w4),
-                (0, 0, 2): f12, (0, 1, 3): 2 * (w4 - tau * w1), (0, 2, 4): f34,
-                (0, 0, 3): 2 * tau, (1, 3, 0): 2 * tau,
-                (0, 1, 4): 2, (1, 4, 1): 2,
-            },
-            diag=kdiag,
-            c_k=k[0],
-        )
-        ladder = w1 * f1 + w4 * f4 + k[0] - k[1] + k[3] - k[4] + 2 * rho1
-        u2 = -(w1 * f1 + k[0] - k[1] + rho1) / (2 * tau)
-        u3 = (w4 * f4 + k[3] - k[4] + rho1) / (2 * tau)
-        denom = 2 * (tau * tau - 1) * f3
-        x1 = ((tau * f1 + f4) * f3 + ladder * f34) / denom
-        x4 = ((f1 + tau * f4) * f3 + tau * ladder * f34) / denom
-        x12 = ladder / f3
-        b = _loop(
-            rank,
-            {
-                (0, 0, 1): x1, (0, 1, 2): -w1 * x12, (0, 2, 3): f3 / (2 * tau),
-                (0, 3, 4): x4, (1, 4, 0): -w4,
-                (0, 0, 2): x12, (0, 1, 3): -w1,
-                (0, 0, 3): 1, (1, 3, 0): 1,
-            },
-            diag=_coroot_diagonal([u2 + w1 * x1, u2, u3, w4 * x4]),
-        )
-    elif parts == (3, 1):
-        w2 = v["w2"]
-        f0, f1, f2, f3 = v["phi0"], v["phi1"], v["phi2"], v["phi3"]
-        f12, f23 = v["phi12"], v["phi23"]
-        m = _loop(
-            rank,
-            {
-                (0, 0, 1): f1 + w2 * f12, (0, 1, 2): f2, (0, 2, 3): f3 - w2 * f23,
-                (1, 3, 0): f0,
-                (0, 0, 2): f12, (0, 1, 3): f23, (1, 2, 0): -2 * w2,
-                (0, 0, 3): 2, (1, 1, 0): 2, (1, 3, 1): 2,
-            },
-            diag=kdiag,
-            c_k=k[0],
-        )
-        a0 = -(f1 - tau) / 2
-        a1 = (f0 - tau) / 2
-        a2 = w2 * f12 / 2
-        b = _loop(
-            rank,
-            {
-                (0, 1, 2): f12 / 2, (0, 2, 3): -w2,
-                (0, 0, 1): 1, (0, 1, 3): 1, (1, 3, 0): 1,
-            },
-            diag=[a1 - a0, a2 - a1, -a2, a0],
-        )
-    elif parts == (4, 1):
-        f0, f1, f2, f3, f4 = v["phi0"], v["phi1"], v["phi2"], v["phi3"], v["phi4"]
-        f12, f23, f34 = v["phi12"], v["phi23"], v["phi34"]
-        (rho1,) = state.rhos
-        m = _loop(
-            rank,
-            {
-                (0, 0, 1): f1, (0, 1, 2): f2, (0, 2, 3): f3, (0, 3, 4): f4,
-                (1, 4, 0): f0,
-                (0, 0, 2): f12, (0, 1, 3): f23, (0, 2, 4): f34,
-                (0, 0, 3): 4, (0, 1, 4): 4, (1, 3, 0): 4, (1, 4, 1): 4,
-            },
-            diag=kdiag,
-            c_k=k[0],
-        )
-        c = 16 * (k[0] - k[1] + k[2] - k[4] - 2 * rho1)
-        core = f0 * (4 * f1 + f12 * f34)
-        u0 = ((f0 - 4 * tau) * (4 * f1 + f12 * f34) + 4 * f2 * f34 + 16 * tau * tau + c) / (64 * tau)
-        u2 = (core + 4 * (f2 - tau * f12) * f34 - 16 * tau * tau + c) / (64 * tau)
-        u3 = (core + 4 * f2 * f34 - 16 * tau * tau + c) / (64 * tau)
-        a1 = (f0 - 2 * tau) / 4
-        b = _loop(
-            rank,
-            {
-                (0, 1, 2): f12 / 4, (0, 2, 3): f34 / 4,
-                (0, 0, 1): 1, (0, 1, 3): 1, (0, 3, 4): 1, (1, 4, 0): 1,
-            },
-            diag=[a1 - u0, u2 - a1, u3 - u2, -u3, u0],
-        )
-    else:
-        raise ValueError(parts)
-    theta = build_heisenberg(Partition(parts)).gradation
-    return LaxPair(parts, m, b, theta, REDUCTION_TARGET[parts])
+    Every M carries the kappa differences on its diagonal and kappa_0 as
+    its central coefficient; the record supplies the other entries.
+    """
+    record = reduction(state.partition)
+    rank = sum(record.parts) - 1
+    k = state.kappas
+    m_entries, b_entries, b_diagonal = record.matrices(state)
+    m = _loop(rank, m_entries, _kappa_diagonal(k), c_k=k[0])
+    b = _loop(rank, b_entries, b_diagonal)
+    return LaxPair(record.parts, m, b, record.gradation, record.system)
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +224,13 @@ def zero_curvature_residual(
     residual then measures how far the stored data is from satisfying
     the flow-coupled identity.
     """
-    parts = _parts_tuple(partition)
+    record = reduction(partition)
+    parts = record.parts
     if frame is None:
         frame = exact_frame(parts, t)
     params = reduction_parameters(parts, kappas, rhos)
-    system = REDUCTION_TARGET[parts]
     if pair_rates is None:
-        pair_rates = vector_field(system, pairs, t, params)
+        pair_rates = vector_field(record.system, pairs, t, params)
     if gauge_rates is None:
         dlogs = gauge_log_derivatives(parts, pairs, t, params)
         gauge_rates = {name: g * dlogs[name] for name, g in gauges.items()}
@@ -608,20 +276,19 @@ def _worst_entry(element: LoopElement):
 
 def sample_point(partition, rng: random.Random) -> dict:
     """Random admissible rational data for one verification sample."""
-    parts = _parts_tuple(partition)
+    record = reduction(partition)
     t = rational_satisfying(rng, lambda x: x not in (0, 1))
-    pair_count = 1 if parts == (2, 2) else 2
     pairs = []
-    for _ in range(pair_count):
+    for _ in range(record.pair_count):
         q = random_rational(rng)
         p = nonzero_rational(rng)
         pairs.append((q, p))
-    if pair_count == 2:
+    if record.pair_count == 2:
         while pairs[1][0] == pairs[0][0]:
             pairs[1] = (random_rational(rng), pairs[1][1])
-    gauges = {name: nonzero_rational(rng) for name in GAUGE_NAMES[parts]}
-    kappas = tuple(random_rational(rng) for _ in range(KAPPA_COUNT[parts]))
-    rhos = tuple(random_rational(rng) for _ in range(RHO_COUNT[parts]))
+    gauges = {name: nonzero_rational(rng) for name in record.gauge_names}
+    kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
+    rhos = tuple(random_rational(rng) for _ in range(record.rho_count))
     return {
         "pairs": tuple(pairs),
         "t": t,
@@ -647,28 +314,14 @@ def _examine_point(parts, point):
     return None
 
 
-def verify_partition(partition, samples: int = 100, seed: int = 0, threads: int = 1) -> SampleReport:
-    """Exact zero-curvature plus constraint check at random rational points.
-
-    Points are drawn sequentially from the seed, so the report does not
-    depend on threads; with threads > 1 the per-point work fans out over
-    a pool and is folded back in sample order.
-    """
-    parts = _parts_tuple(partition)
-    label = "zero-curvature %s" % ",".join(str(p) for p in parts)
+def verify_partition(partition, samples: int = 100, seed: int = 0) -> SampleReport:
+    """Exact zero-curvature plus constraint check at random rational points."""
+    record = reduction(partition)
     rng = random.Random(seed)
-    points = [sample_point(parts, rng) for _ in range(samples)]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda pt: _examine_point(parts, pt), points))
-    else:
-        outcomes = [_examine_point(parts, point) for point in points]
-
-    report = SampleReport(label)
-    for index, (point, bad) in enumerate(zip(points, outcomes)):
+    report = SampleReport("zero-curvature " + record.label)
+    for index in range(samples):
+        point = sample_point(record.parts, rng)
+        bad = _examine_point(record.parts, point)
         if bad is None:
             report.record_pass()
         else:

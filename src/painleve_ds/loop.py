@@ -68,14 +68,6 @@ def _mat_trace_mul(a: Matrix, b: Matrix):
     return total
 
 
-def _mat_trace(a: Matrix):
-    total = 0
-    for (i, j), v in a.items():
-        if i == j:
-            total = total + v
-    return total
-
-
 class LoopElement:
     """z-graded matrix element with central and scaling coordinates."""
 
@@ -112,9 +104,6 @@ class LoopElement:
 
     def matrix_is_zero(self) -> bool:
         return not self.parts
-
-    def trace(self, deg: int):
-        return _mat_trace(self.parts.get(deg, {}))
 
     def _check_same(self, other: "LoopElement"):
         if self.rank != other.rank:
@@ -212,27 +201,12 @@ class LoopElement:
         return f"LoopElement(rank={self.rank}, degrees={list(self.support())})"
 
 
-def zero(rank: int) -> LoopElement:
-    return LoopElement(rank)
-
 def identity(rank: int) -> LoopElement:
     return LoopElement(rank, {0: {(i, i): Fraction(1) for i in range(rank + 1)}})
 
 
 def single_entry(rank: int, deg: int, i: int, j: int, value=Fraction(1)) -> LoopElement:
     return LoopElement(rank, {deg: {(i, j): value}})
-
-
-def diagonal(rank: int, values) -> LoopElement:
-    return LoopElement(rank, {0: {(i, i): v for i, v in enumerate(values)}})
-
-
-def scaling_element(rank: int) -> LoopElement:
-    return LoopElement(rank, c_d=Fraction(1))
-
-
-def central_element(rank: int) -> LoopElement:
-    return LoopElement(rank, c_k=Fraction(1))
 
 
 def chevalley(rank: int, i: int, kind: str) -> LoopElement:
@@ -277,29 +251,6 @@ def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
     return out
 
 
-def invariant_form(a: LoopElement, b: LoopElement):
-    """Standard invariant symmetric form: trace pairing plus K-d coupling."""
-    a._check_same(b)
-    total = 0
-    for deg, mat in a.parts.items():
-        other = b.parts.get(-deg)
-        if other:
-            total = total + _mat_trace_mul(mat, other)
-    return total + a.c_k * b.c_d + a.c_d * b.c_k
-
-
-def ad_word(rank: int, indices, kind: str = "e") -> LoopElement:
-    """Nested bracket of generators: indices (i1,..,im) give
-    ad g_{i1} ... ad g_{i_{m-1}} (g_{im})."""
-    indices = list(indices)
-    if not indices:
-        raise ValueError("empty generator word")
-    out = chevalley(rank, indices[-1], kind)
-    for i in reversed(indices[:-1]):
-        out = bracket(chevalley(rank, i, kind), out)
-    return out
-
-
 @dataclass
 class GradationSpec:
     """Gradation data: the derivation acts as scale * (z d/dz + ad eta)."""
@@ -307,9 +258,6 @@ class GradationSpec:
     rank: int
     scale: int
     eta: LoopElement
-
-    def apply(self, x: LoopElement) -> LoopElement:
-        return apply_theta(self, x)
 
 
 def apply_theta(spec: GradationSpec, x: LoopElement) -> LoopElement:

@@ -3,15 +3,14 @@
 Each supported partition produces one of four canonical Hamiltonian systems:
 a single sixth-Painleve equation, a coupled fourth-Painleve pair, a coupled
 fifth-Painleve pair, or a coupled sixth-Painleve pair carrying an extra
-weight eta.  The seven-parameter coupled sixth system with one more pair of
-mixing terms is included as well for reference, although no partition here
-reduces to it.
+weight eta.
 
 Parameters enter twice: the reduction produces integration constants
 (kappas and rhos), and the Hamiltonians are written in affine weights
 (alphas, plus eta where applicable).  The bridge is an explicit linear map
-per partition, kept as exact coefficient tables so identities between the
-weights can be checked symbolically and not merely at sampled points.
+per partition, kept in its record as exact coefficient rows so identities
+between the weights can be checked symbolically and not merely at sampled
+points.
 """
 
 from __future__ import annotations
@@ -19,24 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
-from .scalars import QQ, Dual, solve_rational_system
-
-# target system per partition, by parts tuple
-REDUCTION_TARGET = {
-    (2, 2): "p6",
-    (3, 1): "a4",
-    (4, 1): "a5",
-    (2, 2, 1): "cp6",
-    (3, 3): "cp6",
-}
-
-# number of canonical pairs each system carries
-SYSTEM_PAIRS = {"p6": 1, "a4": 2, "a5": 2, "cp6": 2, "d6": 2}
-
-# number of affine weights (alphas) each system carries
-SYSTEM_WEIGHTS = {"p6": 5, "a4": 5, "a5": 6, "cp6": 6, "d6": 7}
-
+from .scalars import QQ, Dual, PoleError, solve_rational_system
 
 def h4(q, p, t, a, b):
     """Fourth-Painleve building block."""
@@ -63,12 +47,6 @@ class SystemParameters:
 
     alpha: tuple
     eta: object = None
-
-    def weight_sum(self):
-        acc = self.alpha[0]
-        for a in self.alpha[1:]:
-            acc = acc + a
-        return acc
 
 
 def hamiltonian(system: str, pairs, t, params: SystemParameters):
@@ -98,13 +76,6 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
             + h6(q2, p2, t, a[0] + a[2], a[4], a[1] + a[3] - eta, eta * a[5])
             + (q1 - t) * (q2 - 1) * ((q1 * p1 + a[1]) * p2 + p1 * (p2 * q2 + a[5]))
         ) / (t * (t - 1))
-    if system == "d6":
-        (q1, p1), (q2, p2) = pairs
-        return (
-            h6(q1, p1, t, a[0], a[3] + a[5], a[3] + a[6], a[2] * (a[1] + a[2]))
-            + h6(q2, p2, t, a[0] + a[3], a[5], a[6], a[4] * (a[1] + 2 * a[2] + a[3] + a[4]))
-            + 2 * (q1 - t) * p1 * q2 * ((q2 - 1) * p2 + a[4])
-        ) / (t * (t - 1))
     raise ValueError(f"unknown system {system!r}")
 
 
@@ -128,112 +99,36 @@ def vector_field(system: str, pairs, t, params: SystemParameters):
     return tuple(flows)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Exact affine-linear expression in the integration constants."""
-
-    const: Fraction
-    kappa: tuple[Fraction, ...]
-    rho: tuple[Fraction, ...]
-
-    def __call__(self, kappas, rhos):
-        acc = self.const
-        for c, k in zip(self.kappa, kappas):
-            acc = acc + c * k
-        for c, r in zip(self.rho, rhos):
-            acc = acc + c * r
-        return acc
-
-
-def _form(const, kappa, rho):
-    return LinearForm(QQ(const), tuple(QQ(c) for c in kappa), tuple(QQ(c) for c in rho))
-
-
-_th = QQ(1, 3)
-_qu = QQ(1, 4)
-_ha = QQ(1, 2)
-_ei = QQ(1, 8)
-
-# alpha0 rows for the fourth/fifth coupled systems complete the leftover
-# weight so that the weight sum below is identically one
-PARAMETER_FORMS = {
-    (3, 3): {
-        "alpha": (
-            _form(_th, (-2 * _th, _th, 0, 0, 0, _th), (0,)),
-            _form(0, (_th, -2 * _th, _th, 0, 0, 0), (0,)),
-            _form(_th, (0, _th, -2 * _th, _th, 0, 0), (0,)),
-            _form(0, (0, 0, _th, -2 * _th, _th, 0), (0,)),
-            _form(_th, (0, 0, 0, _th, -2 * _th, _th), (0,)),
-            _form(0, (_th, 0, 0, 0, _th, -2 * _th), (0,)),
-        ),
-        # eta = rho + half the sum of the odd weights
-        "eta": _form(0, (_th, -_th, _th, -_th, _th, -_th), (QQ(1),)),
-    },
-    (2, 2, 1): {
-        "alpha": (
-            _form(_ha, (-2 * _qu, _qu, 0, 0, _qu), (0, 0)),
-            _form(0, (_qu, 0, 0, _qu, -2 * _qu), (0, 0)),
-            _form(_qu, (0, 0, _qu, -2 * _qu, _qu), (0, 0)),
-            _form(0, (0, 0, -_qu, _qu, 0), (_ha, -_ha)),
-            _form(_qu, (0, _qu, -_qu, 0, 0), (-_ha, _ha)),
-            _form(0, (_qu, -2 * _qu, _qu, 0, 0), (0, 0)),
-        ),
-        "eta": _form(0, (_qu, -_qu, 0, _qu, -_qu), (_ha, 0)),
-    },
-    (2, 2): {
-        "alpha": (
-            _form(_ha, (0, _ha, -2 * _ha, _ha), (0,)),
-            _form(0, (0, -_ha, 0, _ha), (QQ(1),)),
-            _form(0, (_ha, 0, _ha, -2 * _ha), (0,)),
-            _form(_ha, (-2 * _ha, _ha, 0, _ha), (0,)),
-            _form(0, (0, -_ha, 0, _ha), (QQ(-1),)),
-        ),
-    },
-    (3, 1): {
-        "alpha": (
-            _form(_th, (_th, 0, 0, -_th), (QQ(1),)),
-            _form(0, (0, 0, _th, -_th), (QQ(-1),)),
-            _form(0, (0, _th, -2 * _th, _th), (0,)),
-            _form(_th, (_th, -2 * _th, _th, 0), (0,)),
-            _form(_th, (-2 * _th, _th, 0, _th), (0,)),
-        ),
-    },
-    (4, 1): {
-        "alpha": (
-            _form(2 * _ei, (_ei, 0, 0, _ei, -2 * _ei), (0,)),
-            _form(2 * _ei, (-2 * _ei, _ei, 0, 0, _ei), (0,)),
-            _form(2 * _ei, (_ei, -2 * _ei, _ei, 0, 0), (0,)),
-            _form(_ei, (0, _ei, -2 * _ei, _ei, 0), (0,)),
-            _form(0, (0, 0, _ei, -_ei, 0), (-_ha,)),
-            _form(_ei, (0, 0, 0, -_ei, _ei), (_ha,)),
-        ),
-    },
-}
-
-
 def reduction_parameters(parts: tuple, kappas, rhos) -> SystemParameters:
     """Affine weights of the target system from the integration constants."""
-    forms = PARAMETER_FORMS[tuple(parts)]
-    alpha = tuple(f(kappas, rhos) for f in forms["alpha"])
-    eta = forms["eta"](kappas, rhos) if "eta" in forms else None
+    record = reduction(parts)
+    alpha = tuple(f(kappas, rhos) for f in record.alpha)
+    eta = record.eta(kappas, rhos) if record.eta is not None else None
     return SystemParameters(alpha, eta)
 
 
-def weight_sum_form(parts: tuple) -> LinearForm:
-    """The weight sum as a symbolic linear form; doubled middle weight for
-    the single sixth-Painleve case, plain sum otherwise."""
-    forms = PARAMETER_FORMS[tuple(parts)]["alpha"]
-    mult = [1] * len(forms)
-    if REDUCTION_TARGET[tuple(parts)] == "p6":
+def _weight_multiplicity(record) -> list:
+    """How often each weight enters the weight sum: the single sixth
+    Painleve system writes its doubled middle weight once."""
+    mult = [1] * record.weight_count
+    if record.system == "p6":
         mult[2] = 2
+    return mult
+
+
+def weight_sum_form(parts: tuple) -> LinearForm:
+    """The weight sum as a symbolic linear form."""
+    record = reduction(parts)
+    forms = record.alpha
+    mult = _weight_multiplicity(record)
     const = sum(m * f.const for m, f in zip(mult, forms))
     kappa = tuple(
         sum(m * f.kappa[j] for m, f in zip(mult, forms))
-        for j in range(len(forms[0].kappa))
+        for j in range(record.kappa_count)
     )
     rho = tuple(
         sum(m * f.rho[j] for m, f in zip(mult, forms))
-        for j in range(len(forms[0].rho))
+        for j in range(record.rho_count)
     )
     return LinearForm(const, kappa, rho)
 
@@ -244,14 +139,13 @@ def reduction_constants(parts: tuple, params: SystemParameters):
     Only rational inputs are supported; raises if the weights are not
     consistent with a reduction (their sum must match the normalization).
     """
-    parts = tuple(parts)
-    forms = PARAMETER_FORMS[parts]
-    n_kappa = len(forms["alpha"][0].kappa)
-    n_rho = len(forms["alpha"][0].rho)
-    targets = list(forms["alpha"])
+    record = reduction(parts)
+    n_kappa = record.kappa_count
+    n_rho = record.rho_count
+    targets = list(record.alpha)
     values = [QQ(a) for a in params.alpha]
-    if "eta" in forms:
-        targets.append(forms["eta"])
+    if record.eta is not None:
+        targets.append(record.eta)
         values.append(QQ(params.eta))
 
     rows = [[QQ(1)] * n_kappa + [QQ(0)] * n_rho]
@@ -260,40 +154,18 @@ def reduction_constants(parts: tuple, params: SystemParameters):
         rows.append(list(f.kappa) + list(f.rho))
         rhs.append(v - f.const)
 
-    unknowns = n_kappa + n_rho
-    # pick a maximal independent square subsystem, then check the rest
-    chosen, basis = [], []
-    for i, row in enumerate(rows):
-        trial = basis + [row]
-        if _rank(trial) == len(trial):
-            chosen.append(i)
-            basis.append(row)
-        if len(chosen) == unknowns:
-            break
-    if len(chosen) < unknowns:
-        raise ValueError("parameter map is degenerate")
-    sol = solve_rational_system([rows[i] for i in chosen], [rhs[i] for i in chosen])
+    # rows has full column rank exactly when the normal matrix is
+    # invertible; the solution then satisfies every row or none fits
+    columns = list(zip(*rows))
+    normal = [[sum(a * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
+    try:
+        sol = solve_rational_system(normal, [sum(a * v for a, v in zip(ci, rhs)) for ci in columns])
+    except PoleError:
+        raise ValueError("parameter map is degenerate") from None
     for row, value in zip(rows, rhs):
         if sum(c * x for c, x in zip(row, sol)) != value:
             raise ValueError("weights are not in the image of the parameter map")
     return tuple(sol[:n_kappa]), tuple(sol[n_kappa:])
-
-
-def _rank(rows):
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / mat[rank][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def gauge_log_derivatives(parts: tuple, pairs, t, params: SystemParameters):
@@ -303,59 +175,7 @@ def gauge_log_derivatives(parts: tuple, pairs, t, params: SystemParameters):
     determine the gauge functions only up to these compatible first order
     equations, which are part of the package's verified claims.
     """
-    parts = tuple(parts)
-    a = params.alpha
-    if parts == (3, 3):
-        (q1, p1), (q2, p2) = pairs
-        eta = params.eta
-        value = (
-            -(q1 - 1) * (q1 - t) * p1
-            - (q2 - 1) * (q2 - t) * p2
-            - a[1] * q1
-            - a[5] * q2
-            + QQ(1, 3) * (a[1] + a[2] - a[3] - a[4] + 2 * eta) * t
-            - QQ(1, 3) * (a[1] + a[2] + 2 * a[3] - a[4] - 4 * eta)
-        )
-        return {"w3": value / (t * (t - 1))}
-    if parts == (2, 2):
-        ((q, p),) = pairs
-        value = (
-            -(q - 1) * (q - t) * p
-            - a[2] * q
-            + QQ(1, 4) * (1 + 2 * a[1] - 2 * a[3] - 4 * a[4]) * t
-            - QQ(1, 4) * (1 - 2 * a[1] - 4 * a[2] - 2 * a[3])
-        )
-        return {"w1": value / (t * (t - 1))}
-    if parts == (2, 2, 1):
-        (q1, p1), (q2, p2) = pairs
-        eta = params.eta
-        first = (
-            -q1 * (q1 - t) * p1
-            - q2 * (q2 - t) * p2
-            - a[1] * q1
-            - a[5] * q2
-            + QQ(1, 4) * (1 + 2 * a[2] - 2 * a[3] - 2 * a[4] - 2 * a[5] + 6 * eta) * t
-            - QQ(1, 4) * (1 + 2 * a[2] + 2 * a[3] - 2 * a[4] - 2 * a[5] + 2 * eta)
-        )
-        second = -(q1 - t) * p1 - (q2 - t) * p2 - eta
-        return {
-            "phi3": first / (t * (t - 1)),
-            "phi34": second / (t * (t - 1)),
-        }
-    if parts == (3, 1):
-        (q1, p1), (q2, p2) = pairs
-        return {"phi12": p1 + p2 - QQ(2, 3) * t}
-    if parts == (4, 1):
-        (q1, p1), (q2, p2) = pairs
-        value = (
-            -q1 * p1
-            - q2 * p2
-            - t * q2
-            + QQ(3, 4) * t
-            - QQ(1, 4) * (1 - 2 * a[1] - 2 * a[3] - 2 * a[5])
-        )
-        return {"phi12": value / t}
-    raise ValueError(f"no gauge data for partition {parts}")
+    return reduction(parts).gauge_log_derivatives(pairs, t, params)
 
 
 def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:
@@ -371,9 +191,9 @@ def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:
 
     report = CheckReport("weight-normalization")
     rng = random.Random(seed)
-    for parts, forms in PARAMETER_FORMS.items():
-        label = ",".join(str(p) for p in parts)
-        form = weight_sum_form(parts)
+    for record in REDUCTIONS.values():
+        label = record.label
+        form = weight_sum_form(record.parts)
         symbolic = (
             form.const == 1
             and all(c == 0 for c in form.kappa)
@@ -384,16 +204,12 @@ def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:
             symbolic,
             None if symbolic else {"const": form.const, "kappa": form.kappa, "rho": form.rho},
         )
-        n_kappa = len(forms["alpha"][0].kappa)
-        n_rho = len(forms["alpha"][0].rho)
-        multiplicity = [1] * len(forms["alpha"])
-        if REDUCTION_TARGET[parts] == "p6":
-            multiplicity[2] = 2
+        multiplicity = _weight_multiplicity(record)
         witness = None
         for index in range(samples):
-            kappas = tuple(random_rational(rng) for _ in range(n_kappa))
-            rhos = tuple(random_rational(rng) for _ in range(n_rho))
-            params = reduction_parameters(parts, kappas, rhos)
+            kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
+            rhos = tuple(random_rational(rng) for _ in range(record.rho_count))
+            params = reduction_parameters(record.parts, kappas, rhos)
             total = sum(m * a for m, a in zip(multiplicity, params.alpha))
             if total != 1:
                 witness = {"sample_index": index, "kappas": kappas, "rhos": rhos, "sum": total}

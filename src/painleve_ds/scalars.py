@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 QQ = Fraction
 
@@ -21,34 +21,6 @@ Scalar = Union[Fraction, int, "ExtScalar", "Dual", float, complex]
 
 class PoleError(ArithmeticError):
     """Division by a value that is zero (or a zero divisor) in its ring."""
-
-
-def rational_arith(op: str, a: Fraction, b: Fraction) -> Fraction:
-    """Apply one of ``+ - * /`` to two rationals.
-
-    Division by zero raises :class:`PoleError` instead of propagating a bare
-    ``ZeroDivisionError`` from the interior of a formula.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise PoleError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational from a ``p/q`` or integer string."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
@@ -123,9 +95,6 @@ class Extension:
     def __repr__(self):
         rels = ", ".join(f"{n}^{k}={b}" for n, k, b in self.symbols)
         return f"Extension({rels})"
-
-
-RATIONAL_EXTENSION = Extension([])
 
 
 class ExtScalar:
@@ -304,14 +273,6 @@ class ExtScalar:
         return " + ".join(parts)
 
 
-def ext_reduce(x: ExtScalar) -> ExtScalar:
-    """Return the canonical reduced form (exponents below each relation power)."""
-    out = x.ext.lift(0)
-    for exps, c in x.coeffs.items():
-        out = out + ExtScalar(x.ext, dict([x._reduce_monomial(exps, c)]))
-    return out
-
-
 @dataclass
 class Dual:
     """Forward-mode pair (value, tangent); tangent follows the chain rule.
@@ -398,20 +359,6 @@ def _checked_div(a, b):
         return a / b
     except ZeroDivisionError:
         raise PoleError("division by zero") from None
-
-
-def dual_lift(f: Callable, point: Sequence[tuple]) -> tuple:
-    """Evaluate ``f`` at dual arguments given as (value, tangent) pairs.
-
-    Returns the (value, tangent) of the result; a pole inside ``f`` surfaces
-    as :class:`PoleError` naming nothing more than the failing division, so
-    callers should attach their own context.
-    """
-    args = [Dual(v, t) for v, t in point]
-    result = f(*args)
-    if isinstance(result, Dual):
-        return (result.value, result.tangent)
-    return (result, 0)
 
 
 def value_of(x):

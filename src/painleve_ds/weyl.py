@@ -21,8 +21,9 @@ from __future__ import annotations
 import random
 
 from .lax import canonical_to_ds, exact_frame, lax_matrices
-from .loop import LoopElement, apply_theta, bracket, chevalley, identity
+from .loop import LoopElement, apply_theta, bracket, chevalley
 from .painleve import SystemParameters, reduction_parameters, vector_field
+from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import (
     RETRY_CAP,
@@ -40,6 +41,9 @@ from .scalars import (
 )
 
 GENERATORS = (0, 1, 2, 3, 4, 5)
+
+# the reduction whose Lax pair carries the gauge picture of the reflections
+CP6 = reduction((3, 3))
 
 # pairs (i, j) with i < j that are not neighbours on the 6-cycle
 NON_ADJACENT = tuple(
@@ -160,15 +164,19 @@ def sample_weyl_point(rng: random.Random):
     return ((q1, p1), (q2, p2)), SystemParameters(alpha=alpha, eta=eta), t
 
 
-def _admissible_sample(rng, word):
+def _bounded_draw(rng, draw, evaluate, what):
+    """Draw points until evaluate(point) raises no PoleError.
+
+    Returns (point, value).  Every draw comes from rng, so seeded runs
+    repeat; after RETRY_CAP consecutive poles it fails loudly.
+    """
     for _ in range(RETRY_CAP):
-        pairs, params, t = sample_weyl_point(rng)
+        point = draw(rng)
         try:
-            image = apply_word(word, pairs, params, t)
+            return point, evaluate(point)
         except PoleError:
             continue
-        return (pairs, params, t), image
-    raise RuntimeError(f"no admissible point for word {word} in {RETRY_CAP} draws")
+    raise RuntimeError(f"no admissible point for {what} in {RETRY_CAP} draws")
 
 
 def check_relations(samples: int = 100, seed: int = 0) -> CheckReport:
@@ -177,8 +185,11 @@ def check_relations(samples: int = 100, seed: int = 0) -> CheckReport:
     report = CheckReport("weyl-relations")
     for name, word in relation_words():
         witness = None
+        what = f"word {word}"
         for k in range(samples):
-            (pairs, params, t), (img_pairs, img_params) = _admissible_sample(rng, word)
+            (pairs, params, t), (img_pairs, img_params) = _bounded_draw(
+                rng, sample_weyl_point, lambda point: apply_word(word, *point), what
+            )
             if (
                 img_pairs != pairs
                 or img_params.alpha != params.alpha
@@ -235,22 +246,21 @@ def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
     report = CheckReport("weyl-equivariance")
     for index in GENERATORS:
         witness = None
-        count = 0
-        while count < samples and witness is None:
-            pairs, params, t = sample_weyl_point(rng)
-            try:
-                residual = equivariance_residual(index, pairs, params, t)
-            except PoleError:
-                continue
-            count += 1
+        for count in range(samples):
+            (pairs, params, t), residual = _bounded_draw(
+                rng, sample_weyl_point,
+                lambda point: equivariance_residual(index, *point),
+                f"reflection r{index}",
+            )
             if any(not is_zero_scalar(r) for r in residual):
                 witness = {
-                    "sample_index": count - 1,
+                    "sample_index": count,
                     "point": {"pairs": pairs, "t": t},
                     "alpha": params.alpha,
                     "eta": params.eta,
                     "residual": residual,
                 }
+                break
         report.add(f"flow equivariance of r{index}", witness is None, witness)
     return report
 
@@ -258,7 +268,7 @@ def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
 # -- gauge picture for the coupled sixth Lax pair ----------------------
 
 
-def gauge_function(index, pairs, t, w3, params: SystemParameters, frame=None):
+def gauge_function(index, pairs, t, w3, params: SystemParameters, frame):
     """Denominator of the unipotent gauge coefficient for one reflection.
 
     Lives in the cube-root time frame of the coupled sixth reduction; the
@@ -266,8 +276,6 @@ def gauge_function(index, pairs, t, w3, params: SystemParameters, frame=None):
     """
     if index not in GENERATORS:
         raise ValueError(f"generator index out of range: {index}")
-    if frame is None:
-        frame = exact_frame((3, 3), t)
     lift = frame.extension.lift
     u = frame.root
     third = lift(t) * u * u  # t^(1/3)
@@ -285,18 +293,6 @@ def gauge_function(index, pairs, t, w3, params: SystemParameters, frame=None):
     if index == 4:
         return w3 * lift(1 - q2) / (3 * third)
     return -third * lift(p2) / w3
-
-
-def gauge_factor(index, pairs, t, w3, params: SystemParameters, frame=None) -> LoopElement:
-    """The unipotent matrix 1 + (alpha_i/phi_i) f_i realizing a reflection."""
-    if frame is None:
-        frame = exact_frame((3, 3), t)
-    phi = gauge_function(index, pairs, t, w3, params, frame)
-    if is_zero_scalar(value_of(phi)):
-        raise PoleError(f"gauge function phi_{index} = 0")
-    lift = frame.extension.lift
-    coefficient = lift(params.alpha[index]) / phi
-    return identity(5) + chevalley(5, index, "f").scale(coefficient)
 
 
 def reflected_gauge(index, pairs, params: SystemParameters, w3):
@@ -323,9 +319,9 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, frame=None) -> LoopE
     the kappa_i -> kappa_i + 3 alpha_i shift of the constants.
     """
     if frame is None:
-        frame = exact_frame((3, 3), t)
-    params = reduction_parameters((3, 3), kappas, rhos)
-    state = canonical_to_ds((3, 3), pairs, t, {"w3": w3}, kappas, rhos, frame=frame)
+        frame = exact_frame(CP6.parts, t)
+    params = reduction_parameters(CP6.parts, kappas, rhos)
+    state = canonical_to_ds(CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, frame=frame)
     pair = lax_matrices(state)
     phi = gauge_function(index, pairs, t, w3, params, frame)
     if is_zero_scalar(value_of(phi)):
@@ -347,7 +343,7 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, frame=None) -> LoopE
     )
     new_w3 = reflected_gauge(index, pairs, params, w3)
     new_state = canonical_to_ds(
-        (3, 3), new_pairs, t, {"w3": new_w3}, new_kappas, rhos, frame=frame
+        CP6.parts, new_pairs, t, {"w3": new_w3}, new_kappas, rhos, frame=frame
     )
     return lax_matrices(new_state).m_matrix - bridge
 
@@ -360,25 +356,29 @@ def check_conjugation(samples: int = 25, seed: int = 0) -> CheckReport:
     the comparison includes the central coefficients."""
     rng = random.Random(seed)
     report = CheckReport("gauge-conjugation")
+
+    def draw(rng):
+        pairs, _, t = sample_weyl_point(rng)
+        w3 = nonzero_rational(rng)
+        kappas = tuple(random_rational(rng) for _ in range(CP6.kappa_count))
+        rhos = tuple(random_rational(rng) for _ in range(CP6.rho_count))
+        return pairs, t, w3, kappas, rhos
+
     for index in GENERATORS:
         witness = None
-        count = 0
-        while count < samples and witness is None:
-            pairs, _, t = sample_weyl_point(rng)
-            w3 = nonzero_rational(rng)
-            kappas = tuple(random_rational(rng) for _ in range(6))
-            rhos = (random_rational(rng),)
-            try:
-                residual = conjugation_residual(index, pairs, t, w3, kappas, rhos)
-            except PoleError:
-                continue
-            count += 1
+        for count in range(samples):
+            (pairs, t, w3, kappas, rhos), residual = _bounded_draw(
+                rng, draw,
+                lambda point: conjugation_residual(index, *point),
+                f"the r{index} bridge",
+            )
             if not residual.is_zero():
                 witness = {
-                    "sample_index": count - 1,
+                    "sample_index": count,
                     "point": {"pairs": pairs, "t": t, "w3": w3},
                     "kappas": kappas,
                     "rhos": rhos,
                 }
+                break
         report.add(f"conjugation bridge of r{index}", witness is None, witness)
     return report

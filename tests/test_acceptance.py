@@ -20,16 +20,13 @@ from painleve_ds.heisenberg import (
     verify_heisenberg,
 )
 from painleve_ds.lax import (
-    GAUGE_NAMES,
-    KAPPA_COUNT,
-    RHO_COUNT,
-    SUPPORTED,
     canonical_to_ds,
     constraint_residuals,
     sample_point,
     verify_partition,
 )
 from painleve_ds.painleve import check_normalization, reduction_parameters
+from painleve_ds.reductions import reduction
 from painleve_ds.scalars import is_zero_scalar
 from painleve_ds.weyl import check_conjugation, check_equivariance, check_relations
 
@@ -130,11 +127,12 @@ def test_criterion_8_numerics():
     order = order_check()
     assert abs(order["slope"] - 5.0) <= 0.3, order
     for parts in FIVE:
-        kappas = tuple(QQ(2 * k + 1, 7) for k in range(KAPPA_COUNT[parts]))
-        rhos = tuple(QQ(3 + k, 5) for k in range(RHO_COUNT[parts]))
+        record = reduction(parts)
+        kappas = tuple(QQ(2 * k + 1, 7) for k in range(record.kappa_count))
+        rhos = tuple(QQ(3 + k, 5) for k in range(record.rho_count))
         params = reduction_parameters(parts, kappas, rhos)
-        pairs = [(0.4, 0.3), (0.7, -0.2)][: 1 if parts == (2, 2) else 2]
-        gauges = {n: 1.0 + 0.25 * k for k, n in enumerate(GAUGE_NAMES[parts])}
+        pairs = [(0.4, 0.3), (0.7, -0.2)][: record.pair_count]
+        gauges = {n: 1.0 + 0.25 * k for k, n in enumerate(record.gauge_names)}
         forward = integrate(parts, pairs, gauges, params, 2.0, 3.0,
                             rel_tol=1e-10, abs_tol=1e-12)
         assert forward.termination == "reached_end", parts

@@ -1,9 +1,11 @@
 """Command-line driver: exit codes, JSON shapes, config handling."""
 
+import functools
 import json
 
 import pytest
 
+from painleve_ds import flow
 from painleve_ds.cli import load_config, main
 
 
@@ -143,6 +145,21 @@ class TestIntegrate:
         assert code == 1
         assert "error" in _json_out(capsys)
 
+    def test_exhausted_step_budget_exits_one_with_the_flag(self, capsys, monkeypatch):
+        # a run that needs more steps than its budget allows, as
+        # --fixed-step 1e-6 on [2, 3] does against the default budget
+        monkeypatch.setattr(flow, "integrate", functools.partial(flow.integrate, max_steps=3))
+        code = main(self.BASE + ["--json", "--fixed-step", "1e-6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["metadata"]["termination"] == flow.STEP_BUDGET
+        assert flow.STEP_BUDGET in captured.err
+
+    def test_non_finite_time_exits_one(self, capsys):
+        code = main(self.BASE[:-2] + ["--t1", "nan", "--json"])
+        assert code == 1
+        assert "not finite" in _json_out(capsys)["error"]
+
     def test_weights_for_coupled_sixth_need_eta(self, capsys):
         code = main([
             "integrate", "--system", "cp6", "--point", "0.4,0.3,0.7,-0.2",
@@ -197,26 +214,6 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bridge-samples = 4\n")
         assert load_config(str(cfg)) == {"bridge_samples": "4"}
-
-
-class TestThreads:
-    def test_malformed_cap_warns_and_runs_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("PAINLEVE_DS_THREADS", "lots")
-        code = main([
-            "verify-lax", "--partition", "2,2", "--samples", "2", "--json",
-        ])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "PAINLEVE_DS_THREADS" in captured.err
-
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.setenv("PAINLEVE_DS_THREADS", "1")
-        main(["verify-lax", "--partition", "3,1", "--samples", "6", "--json"])
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("PAINLEVE_DS_THREADS", "4")
-        main(["verify-lax", "--partition", "3,1", "--samples", "6", "--json"])
-        fanned = capsys.readouterr().out
-        assert serial == fanned
 
 
 class TestParsing:

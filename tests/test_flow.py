@@ -7,22 +7,23 @@ from fractions import Fraction as QQ
 import pytest
 
 from painleve_ds import flow
-from painleve_ds.lax import GAUGE_NAMES, KAPPA_COUNT, RHO_COUNT, SUPPORTED
 from painleve_ds.painleve import reduction_parameters
+from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.scalars import PoleError
 
-FIVE = list(SUPPORTED)
+FIVE = list(REDUCTIONS)
 
 
 def _params(parts):
-    kappas = tuple(QQ(2 * k + 1, 7) for k in range(KAPPA_COUNT[parts]))
-    rhos = tuple(QQ(3 + k, 5) for k in range(RHO_COUNT[parts]))
+    kappas = tuple(QQ(2 * k + 1, 7) for k in range(reduction(parts).kappa_count))
+    rhos = tuple(QQ(3 + k, 5) for k in range(reduction(parts).rho_count))
     return reduction_parameters(parts, kappas, rhos)
 
 
 def _start(parts):
-    pairs = [(0.4, 0.3), (0.7, -0.2)][: 1 if parts == (2, 2) else 2]
-    gauges = {name: 1.0 + 0.25 * k for k, name in enumerate(GAUGE_NAMES[parts])}
+    record = reduction(parts)
+    pairs = [(0.4, 0.3), (0.7, -0.2)][: record.pair_count]
+    gauges = {name: 1.0 + 0.25 * k for k, name in enumerate(record.gauge_names)}
     return pairs, gauges
 
 
@@ -46,6 +47,10 @@ class TestResolution:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             flow.resolve_partition("q6")
+
+    def test_unsupported_partition_rejected(self):
+        with pytest.raises(ValueError, match="no Lax pair"):
+            flow.resolve_partition("5,2")
 
 
 class TestIntegration:
@@ -80,6 +85,23 @@ class TestIntegration:
     def test_interval_through_fixed_singularity_rejected(self):
         with pytest.raises(PoleError, match="fixed singular time"):
             _run((3, 3), t0=0.5, t1=2.0)
+
+    @pytest.mark.parametrize("t1", [math.nan, math.inf])
+    def test_non_finite_end_time_rejected(self, t1):
+        # nan would otherwise slip past the singular-time check and inf
+        # would integrate towards a movable pole
+        with pytest.raises(ValueError, match="t1 = .* is not finite"):
+            _run((2, 2), t1=t1)
+
+    def test_non_finite_start_time_rejected(self):
+        with pytest.raises(ValueError, match="t0 = .* is not finite"):
+            _run((3, 1), t0=-math.inf)
+
+    def test_step_budget_ends_with_a_flag(self):
+        traj = _run((2, 2), max_steps=3)
+        assert traj.termination == flow.STEP_BUDGET
+        assert len(traj.samples) <= 4
+        assert traj.final.t < 3.0
 
     def test_movable_pole_flagged(self):
         kappas = tuple(QQ(k * k, 3) for k in range(4))

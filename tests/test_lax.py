@@ -6,10 +6,6 @@ from fractions import Fraction as QQ
 import pytest
 
 from painleve_ds.lax import (
-    GAUGE_NAMES,
-    KAPPA_COUNT,
-    RHO_COUNT,
-    SUPPORTED,
     canonical_to_ds,
     constraint_residuals,
     ds_to_canonical,
@@ -18,13 +14,19 @@ from painleve_ds.lax import (
     numeric_frame,
     residual_magnitude,
     sample_point,
-    tau_of_root,
     verify_partition,
     zero_curvature_residual,
 )
+from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.scalars import PoleError, is_zero_scalar
 
-FIVE = list(SUPPORTED)
+FIVE = list(REDUCTIONS)
+
+# rational times on every admissible side of each record's singular times
+SIDES = {
+    parts: [t for t in (QQ(-3, 2), QQ(1, 2), QQ(5, 2)) if t not in record.singular_times]
+    for parts, record in REDUCTIONS.items()
+}
 
 
 def _clean_point(parts, seed=0):
@@ -45,7 +47,7 @@ class TestFrames:
         frame = exact_frame((3, 1), QQ(5))
         assert frame.root * frame.root == frame.extension.lift(QQ(6))
         # tau scales linearly with t for this partition
-        assert tau_of_root((3, 1), QQ(5), frame.root) == QQ(-5, 3) * frame.root
+        assert reduction((3, 1)).tau(QQ(5), frame.root) == QQ(-5, 3) * frame.root
 
     def test_negative_double_frame(self):
         frame = exact_frame((4, 1), QQ(3))
@@ -60,15 +62,28 @@ class TestFrames:
         "parts,t", [((3, 3), 8.0), ((2, 2), 9.0), ((3, 1), 2.0), ((4, 1), -2.0)]
     )
     def test_numeric_frame_matches_relations(self, parts, t):
+        relation = reduction(parts).root
         frame = numeric_frame(parts, t)
-        power = 3 if parts == (3, 3) else 2
-        target = {
-            (3, 3): 1 / t,
-            (2, 2): t,
-            (3, 1): 6.0,
-            (4, 1): -2 * t,
-        }[parts]
-        assert abs(frame.root**power - target) < 1e-12
+        assert abs(frame.root**relation.power - float(relation.base(QQ(t)))) < 1e-12
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_frames_match_relations_on_every_side(self, parts):
+        # on each side of the singular times, the float root satisfies the
+        # exact frame's relation root^k = base, and both tangents satisfy
+        # k root^(k-1) root' = base'
+        relation = reduction(parts).root
+        k = relation.power
+        for t in SIDES[parts]:
+            exact = exact_frame(parts, t)
+            lift = exact.extension.lift
+            assert exact.root ** k == lift(relation.base(t))
+            assert k * exact.root ** (k - 1) * exact.root_tangent == lift(relation.base_rate(t))
+            frame = numeric_frame(parts, float(t))
+            assert abs(frame.root**k - float(relation.base(t))) < 1e-12
+            assert abs(k * frame.root ** (k - 1) * frame.root_tangent - float(relation.base_rate(t))) < 1e-12
+            # the exact tangent, evaluated at the float root, is the float tangent
+            at_root = exact.root_tangent.evaluate({relation.symbol: frame.root})
+            assert abs(at_root - frame.root_tangent) < 1e-12
 
 
 class TestCoordinateMaps:
@@ -133,7 +148,7 @@ class TestCoordinateMaps:
     def test_vanishing_gauge_is_a_pole(self, parts):
         point = _clean_point(parts, seed=2)
         gauges = dict(point["gauges"])
-        gauges[GAUGE_NAMES[parts][0]] = QQ(0)
+        gauges[reduction(parts).gauge_names[0]] = QQ(0)
         with pytest.raises(PoleError):
             canonical_to_ds(
                 parts, point["pairs"], point["t"], gauges,
@@ -209,8 +224,3 @@ class TestVerification:
         assert report.passed
         assert report.attempted == 5
         assert report.failures == []
-
-    def test_thread_fanout_matches_serial(self):
-        serial = verify_partition((3, 1), samples=8, seed=23, threads=1)
-        fanned = verify_partition((3, 1), samples=8, seed=23, threads=4)
-        assert serial.to_json_dict() == fanned.to_json_dict()

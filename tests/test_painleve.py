@@ -5,10 +5,8 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from painleve_ds.lax import GAUGE_NAMES, KAPPA_COUNT, RHO_COUNT, SUPPORTED
+from painleve_ds.flow import resolve_partition
 from painleve_ds.painleve import (
-    SYSTEM_PAIRS,
-    SYSTEM_WEIGHTS,
     SystemParameters,
     check_normalization,
     gauge_log_derivatives,
@@ -21,10 +19,11 @@ from painleve_ds.painleve import (
     vector_field,
     weight_sum_form,
 )
+from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import random_rational, rational_avoiding
 
-FIVE = list(SUPPORTED)
-SYSTEMS = list(SYSTEM_PAIRS)
+FIVE = list(REDUCTIONS)
+SYSTEMS = ["p6", "a4", "a5", "cp6"]
 
 # seven-node Lagrange differentiation at 0: exact for polynomials of degree <= 6
 STENCIL = (
@@ -38,8 +37,9 @@ STENCIL = (
 
 
 def _random_params(rng, system):
-    alpha = tuple(random_rational(rng) for _ in range(SYSTEM_WEIGHTS[system]))
-    eta = random_rational(rng) if system == "cp6" else None
+    record = reduction(resolve_partition(system))
+    alpha = tuple(random_rational(rng) for _ in range(record.weight_count))
+    eta = random_rational(rng) if record.eta is not None else None
     return SystemParameters(alpha, eta)
 
 
@@ -73,7 +73,7 @@ class TestCanonicalEquations:
         for _ in range(5):
             pairs = tuple(
                 (random_rational(rng), random_rational(rng))
-                for _ in range(SYSTEM_PAIRS[system])
+                for _ in range(reduction(resolve_partition(system)).pair_count)
             )
             t = rational_avoiding(rng, (0, 1))
             params = _random_params(rng, system)
@@ -101,8 +101,8 @@ class TestParameterMaps:
     def test_round_trip_through_constants(self, parts):
         rng = random.Random(7)
         for _ in range(10):
-            kappas = tuple(random_rational(rng) for _ in range(KAPPA_COUNT[parts]))
-            rhos = tuple(random_rational(rng) for _ in range(RHO_COUNT[parts]))
+            kappas = tuple(random_rational(rng) for _ in range(reduction(parts).kappa_count))
+            rhos = tuple(random_rational(rng) for _ in range(reduction(parts).rho_count))
             params = reduction_parameters(parts, kappas, rhos)
             kap2, rho2 = reduction_constants(parts, params)
             assert sum(kap2) == 0
@@ -115,8 +115,8 @@ class TestParameterMaps:
         # the parameter map factors through kappa differences, which is what
         # makes the zero-sum gauge fixing in the inverse legitimate
         rng = random.Random(13)
-        kappas = [random_rational(rng) for _ in range(KAPPA_COUNT[parts])]
-        rhos = [random_rational(rng) for _ in range(RHO_COUNT[parts])]
+        kappas = [random_rational(rng) for _ in range(reduction(parts).kappa_count)]
+        rhos = [random_rational(rng) for _ in range(reduction(parts).rho_count)]
         shift = random_rational(rng)
         base = reduction_parameters(parts, kappas, rhos)
         moved = reduction_parameters(parts, [k + shift for k in kappas], rhos)
@@ -141,13 +141,13 @@ class TestGaugeLogDerivatives:
     @pytest.mark.parametrize("parts", FIVE)
     def test_keys_match_gauge_names(self, parts):
         rng = random.Random(3)
-        kappas = tuple(random_rational(rng) for _ in range(KAPPA_COUNT[parts]))
-        rhos = tuple(random_rational(rng) for _ in range(RHO_COUNT[parts]))
+        kappas = tuple(random_rational(rng) for _ in range(reduction(parts).kappa_count))
+        rhos = tuple(random_rational(rng) for _ in range(reduction(parts).rho_count))
         params = reduction_parameters(parts, kappas, rhos)
-        pair_count = 1 if parts == (2, 2) else 2
         pairs = tuple(
-            (random_rational(rng), random_rational(rng)) for _ in range(pair_count)
+            (random_rational(rng), random_rational(rng))
+            for _ in range(reduction(parts).pair_count)
         )
         t = rational_avoiding(rng, (0, 1))
         logs = gauge_log_derivatives(parts, pairs, t, params)
-        assert set(logs) == set(GAUGE_NAMES[parts])
+        assert set(logs) == set(reduction(parts).gauge_names)
