@@ -345,8 +345,8 @@ def _cmd_integrate(args) -> int:
 
     meta = flow.metadata(trajectory)
     failures = 0
-    if trajectory.termination == flow.STEP_BUDGET:
-        print(f"error: {flow.STEP_BUDGET} before t1", file=sys.stderr)
+    if trajectory.termination != flow.REACHED_END:
+        print(f"error: {trajectory.termination} before t1", file=sys.stderr)
         failures += 1
     if _resolved(args, "residual", False):
         tolerance = _number(str(_resolved(args, "residual_tol", 1e-6)), "--residual-tol")

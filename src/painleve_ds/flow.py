@@ -226,7 +226,7 @@ def _system_guard(record):
     gauge_count = len(record.gauge_names)
 
     def guard(t, y):
-        if min(abs(t - s) for s in singular) < DENOMINATOR_FLOOR:
+        if any(abs(t - s) < DENOMINATOR_FLOOR for s in singular):
             return POLE_DETECTED
         if any(not math.isfinite(v) for v in y):
             return POLE_DETECTED
@@ -278,16 +278,21 @@ def integrate(
     t0 = float(t0)
     t_end = float(t_end)
     y0 = [float(c) for qp in pairs for c in qp] + [0.0] * len(names)
+    # converted once, so the right-hand side does float work only
+    float_params = SystemParameters(
+        tuple(float(a) for a in params.alpha),
+        None if params.eta is None else float(params.eta),
+    )
 
     def f(t, y):
         points = tuple(
             (y[2 * i], y[2 * i + 1]) for i in range(pair_count)
         )
-        flows = vector_field(record.system, points, t, params)
-        out = [float(c) for qp in flows for c in qp]
+        flows = vector_field(record.system, points, t, float_params)
+        out = [c for qp in flows for c in qp]
         if names:
-            dlogs = gauge_log_derivatives(parts, points, t, params)
-            out.extend(float(dlogs[name]) for name in names)
+            dlogs = gauge_log_derivatives(parts, points, t, float_params)
+            out.extend(dlogs[name] for name in names)
         return out
 
     records, termination = _advance(

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
-from .scalars import QQ, Dual, PoleError, solve_rational_system
+from .scalars import QQ, Gradient, PoleError, solve_rational_system
 
 def h4(q, p, t, a, b):
     """Fourth-Painleve building block."""
@@ -80,23 +80,19 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
 
 
 def vector_field(system: str, pairs, t, params: SystemParameters):
-    """Canonical equations dq_i/dt, dp_i/dt via one forward pass per seed."""
+    """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i.
 
-    def tangent_with_seed(seed_pair, seed_slot):
-        lifted = []
-        for k, (q, p) in enumerate(pairs):
-            dq = 1 if (k == seed_pair and seed_slot == 0) else 0
-            dp = 1 if (k == seed_pair and seed_slot == 1) else 0
-            lifted.append((Dual(q, QQ(dq)), Dual(p, QQ(dp))))
-        value = hamiltonian(system, lifted, t, params)
-        return value.tangent if isinstance(value, Dual) else 0
-
-    flows = []
-    for k in range(len(pairs)):
-        dq = tangent_with_seed(k, 1)
-        dp = tangent_with_seed(k, 0)
-        flows.append((dq, -dp))
-    return tuple(flows)
+    One forward pass: each phase coordinate is seeded with its unit
+    vector, so the Hamiltonian comes back with its whole gradient.
+    """
+    size = 2 * len(pairs)
+    unit = [tuple([int(i == j) for j in range(size)]) for i in range(size)]
+    seeded = tuple(
+        (Gradient(q, unit[2 * k]), Gradient(p, unit[2 * k + 1]))
+        for k, (q, p) in enumerate(pairs)
+    )
+    grad = hamiltonian(system, seeded, t, params).grad
+    return tuple((grad[2 * k + 1], -grad[2 * k]) for k in range(len(pairs)))
 
 
 def reduction_parameters(parts: tuple, kappas, rhos) -> SystemParameters:

@@ -231,8 +231,8 @@ class _CoupledSixth33(Reduction):
             - (q2 - 1) * (q2 - t) * p2
             - a[1] * q1
             - a[5] * q2
-            + QQ(1, 3) * (a[1] + a[2] - a[3] - a[4] + 2 * eta) * t
-            - QQ(1, 3) * (a[1] + a[2] + 2 * a[3] - a[4] - 4 * eta)
+            + (a[1] + a[2] - a[3] - a[4] + 2 * eta) * t / 3
+            - (a[1] + a[2] + 2 * a[3] - a[4] - 4 * eta) / 3
         )
         return {"w3": value / (t * (t - 1))}
 
@@ -327,8 +327,8 @@ class _CoupledSixth221(Reduction):
             - q2 * (q2 - t) * p2
             - a[1] * q1
             - a[5] * q2
-            + QQ(1, 4) * (1 + 2 * a[2] - 2 * a[3] - 2 * a[4] - 2 * a[5] + 6 * eta) * t
-            - QQ(1, 4) * (1 + 2 * a[2] + 2 * a[3] - 2 * a[4] - 2 * a[5] + 2 * eta)
+            + (1 + 2 * a[2] - 2 * a[3] - 2 * a[4] - 2 * a[5] + 6 * eta) * t / 4
+            - (1 + 2 * a[2] + 2 * a[3] - 2 * a[4] - 2 * a[5] + 2 * eta) / 4
         )
         second = -(q1 - t) * p1 - (q2 - t) * p2 - eta
         return {
@@ -404,8 +404,8 @@ class _Sixth22(Reduction):
         value = (
             -(q - 1) * (q - t) * p
             - a[2] * q
-            + QQ(1, 4) * (1 + 2 * a[1] - 2 * a[3] - 4 * a[4]) * t
-            - QQ(1, 4) * (1 - 2 * a[1] - 4 * a[2] - 2 * a[3])
+            + (1 + 2 * a[1] - 2 * a[3] - 4 * a[4]) * t / 4
+            - (1 - 2 * a[1] - 4 * a[2] - 2 * a[3]) / 4
         )
         return {"w1": value / (t * (t - 1))}
 
@@ -417,7 +417,7 @@ class _CoupledFourth31(Reduction):
     system = "a4"
     gauge_names = ("phi12",)
     pair_count = 2
-    singular_times = (0.0,)
+    singular_times = ()
     root = RootRelation("r", 2, lambda t: QQ(6), lambda t: 0)
     alpha = (
         _form(_th, (_th, 0, 0, -_th), (QQ(1),)),
@@ -482,7 +482,8 @@ class _CoupledFourth31(Reduction):
 
     def gauge_log_derivatives(self, pairs, t, params):
         (q1, p1), (q2, p2) = pairs
-        return {"phi12": p1 + p2 - QQ(2, 3) * t}
+        # one division, last, so an integer t beside rational pairs stays exact
+        return {"phi12": (3 * (p1 + p2) - 2 * t) / 3}
 
 
 class _CoupledFifth41(Reduction):
@@ -575,8 +576,7 @@ class _CoupledFifth41(Reduction):
             -q1 * p1
             - q2 * p2
             - t * q2
-            + QQ(3, 4) * t
-            - QQ(1, 4) * (1 - 2 * a[1] - 2 * a[3] - 2 * a[5])
+            + (3 * t - 1 + 2 * a[1] + 2 * a[3] + 2 * a[5]) / 4
         )
         return {"phi12": value / t}
 

@@ -3,7 +3,8 @@
 All higher layers are generic over the scalar type.  Formula code written
 with ordinary ``+ - * /`` runs unchanged over ``Fraction``, ``ExtScalar``
 (rationals extended by root symbols such as ``s**2 = t``), ``Dual`` pairs
-carrying a derivative, and plain ``float``/``complex`` for the numeric
+carrying a derivative, ``Gradient`` values carrying every partial of a
+phase point at once, and plain ``float``/``complex`` for the numeric
 backend.
 """
 
@@ -12,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
+from operator import add, sub
 from typing import Sequence, Union
 
 QQ = Fraction
 
-Scalar = Union[Fraction, int, "ExtScalar", "Dual", float, complex]
+Scalar = Union[Fraction, int, "ExtScalar", "Dual", "Gradient", float, complex]
 
 
 class PoleError(ArithmeticError):
@@ -352,6 +354,61 @@ class Dual:
         if other is None:
             return NotImplemented
         return bool(self.value == other.value) and bool(self.tangent == other.tangent)
+
+
+class Gradient:
+    """A value with its partial derivatives along a fixed set of coordinates.
+
+    ``grad`` holds one partial per seeded coordinate, so a single forward
+    pass through a formula yields its whole gradient.  Components may be
+    any scalar; the gradient follows the scalar type of the values it is
+    combined with, so float inputs give float partials and rational
+    inputs exact ones.  Division is by scalars that carry no gradient,
+    which is all a polynomial over a rational function of t needs.
+    """
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad: tuple):
+        self.value = value
+        self.grad = grad
+
+    def __add__(self, other):
+        if isinstance(other, Gradient):
+            return Gradient(
+                self.value + other.value, tuple(map(add, self.grad, other.grad))
+            )
+        return Gradient(self.value + other, self.grad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Gradient(-self.value, tuple([-g for g in self.grad]))
+
+    def __sub__(self, other):
+        if isinstance(other, Gradient):
+            return Gradient(
+                self.value - other.value, tuple(map(sub, self.grad, other.grad))
+            )
+        return Gradient(self.value - other, self.grad)
+
+    def __rsub__(self, other):
+        return Gradient(other - self.value, tuple([-g for g in self.grad]))
+
+    def __mul__(self, other):
+        if isinstance(other, Gradient):
+            u, v = self.value, other.value
+            return Gradient(
+                u * v, tuple([u * b + a * v for a, b in zip(self.grad, other.grad)])
+            )
+        return Gradient(self.value * other, tuple([g * other for g in self.grad]))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # a zero divisor fails on the value, before any partial
+        value = _checked_div(self.value, other)
+        return Gradient(value, tuple([g / other for g in self.grad]))
 
 
 def _checked_div(a, b):

@@ -155,6 +155,17 @@ class TestIntegrate:
         assert json.loads(captured.out)["metadata"]["termination"] == flow.STEP_BUDGET
         assert flow.STEP_BUDGET in captured.err
 
+    def test_movable_pole_exits_one_with_the_flag(self, capsys):
+        code = main([
+            "integrate", "--partition", "2,2", "--point", "0.5,3.0",
+            "--kappas", "0,1/3,4/3,3", "--rhos", "5/2",
+            "--t0", "2", "--t1", "3", "--json",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["metadata"]["termination"] == flow.POLE_DETECTED
+        assert flow.POLE_DETECTED in captured.err
+
     def test_non_finite_time_exits_one(self, capsys):
         code = main(self.BASE[:-2] + ["--t1", "nan", "--json"])
         assert code == 1

@@ -33,6 +33,23 @@ def _run(parts, t0=2.0, t1=3.0, rel_tol=1e-10, abs_tol=1e-12, **kw):
                           rel_tol=rel_tol, abs_tol=abs_tol, **kw)
 
 
+def _round_trip_error(parts, t0, t1):
+    """Largest coordinate or gauge error after running t0 -> t1 -> t0."""
+    out = _run(parts, t0=t0, t1=t1)
+    back = flow.integrate(
+        parts, out.final.pairs, out.final.gauges, _params(parts),
+        t1, t0, rel_tol=1e-10, abs_tol=1e-12,
+    )
+    assert back.termination == flow.REACHED_END
+    start_pairs, start_gauges = _start(parts)
+    worst = 0.0
+    for (q, p), (q0, p0) in zip(back.final.pairs, start_pairs):
+        worst = max(worst, abs(q - q0), abs(p - p0))
+    for name, g0 in start_gauges.items():
+        worst = max(worst, abs(back.final.gauges[name] - g0))
+    return worst
+
+
 class TestResolution:
     def test_system_ids_map_to_default_partitions(self):
         assert flow.resolve_partition("cp6") == (3, 3)
@@ -62,25 +79,43 @@ class TestIntegration:
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_round_trip_returns_to_start(self, parts):
-        out = _run(parts)
-        back = flow.integrate(
-            parts, out.final.pairs, out.final.gauges, _params(parts),
-            3.0, 2.0, rel_tol=1e-10, abs_tol=1e-12,
-        )
-        assert back.termination == flow.REACHED_END
-        start_pairs, start_gauges = _start(parts)
-        worst = 0.0
-        for (q, p), (q0, p0) in zip(back.final.pairs, start_pairs):
-            worst = max(worst, abs(q - q0), abs(p - p0))
-        for name, g0 in start_gauges.items():
-            worst = max(worst, abs(back.final.gauges[name] - g0))
-        assert worst <= 1e-6
+        assert _round_trip_error(parts, 2.0, 3.0) <= 1e-6
 
     def test_degenerate_interval_is_a_single_sample(self):
         traj = _run((2, 2), t0=2.0, t1=2.0)
         assert traj.termination == flow.REACHED_END
         assert len(traj.samples) == 1
         assert traj.samples[0].t == 2.0
+
+    def test_coupled_fourth_system_crosses_zero(self):
+        # (3,1) divides by neither t nor tau, so t = 0 is a regular time
+        out = _run((3, 1), t0=-0.5, t1=0.5)
+        assert out.termination == flow.REACHED_END
+        assert flow.residual_along(out)["max_residual"] <= 1e-6
+        assert _round_trip_error((3, 1), -0.5, 0.5) <= 1e-6
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_steps_do_no_fraction_arithmetic(self, parts, monkeypatch):
+        # the exact weights become floats once per trajectory; after that
+        # no step, stage or gauge rate touches Fraction arithmetic
+        params = _params(parts)
+        pairs, gauges = _start(parts)
+        calls = []
+        for name in (
+            "__add__", "__radd__", "__sub__", "__rsub__",
+            "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+        ):
+            original = getattr(QQ, name)
+
+            def counted(self, other, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, other)
+
+            monkeypatch.setattr(QQ, name, counted)
+        traj = flow.integrate(parts, pairs, gauges, params, 2.0, 3.0)
+        monkeypatch.undo()
+        assert traj.termination == flow.REACHED_END
+        assert calls == []
 
     def test_interval_through_fixed_singularity_rejected(self):
         with pytest.raises(PoleError, match="fixed singular time"):

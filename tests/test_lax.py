@@ -176,6 +176,15 @@ class TestZeroCurvature:
             assert residual.is_zero()
 
     @pytest.mark.parametrize("parts", FIVE)
+    def test_integer_time_stays_exact(self, parts):
+        # an int t beside rational data must not turn a rate into a float
+        point = _clean_point(parts)
+        residual = zero_curvature_residual(
+            parts, point["pairs"], 2, point["gauges"], point["kappas"], point["rhos"],
+        )
+        assert residual.is_zero()
+
+    @pytest.mark.parametrize("parts", FIVE)
     def test_float_shadow_is_small(self, parts):
         # moderate float points shadow the exact identity to roundoff
         point = _clean_point(parts, seed=4)

@@ -84,6 +84,30 @@ class TestCanonicalEquations:
                 assert flow[k][0] == dh_dp
                 assert flow[k][1] == -dh_dq
 
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_float_lane_matches_the_exact_flow(self, system):
+        # the same one-pass gradient on float pairs and float weights
+        # agrees with the exact flow and yields plain floats
+        rng = random.Random(23)
+        for _ in range(5):
+            pairs = tuple(
+                (random_rational(rng), random_rational(rng))
+                for _ in range(reduction(resolve_partition(system)).pair_count)
+            )
+            t = rational_avoiding(rng, (0, 1))
+            params = _random_params(rng, system)
+            exact = vector_field(system, pairs, t, params)
+            float_params = SystemParameters(
+                tuple(float(a) for a in params.alpha),
+                None if params.eta is None else float(params.eta),
+            )
+            float_pairs = tuple((float(q), float(p)) for q, p in pairs)
+            approx = vector_field(system, float_pairs, float(t), float_params)
+            for exact_pair, float_pair in zip(exact, approx):
+                for e, f in zip(exact_pair, float_pair):
+                    assert type(f) is float
+                    assert f == pytest.approx(float(e), rel=1e-12)
+
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             hamiltonian("p7", ((QQ(1), QQ(1)),), QQ(2), SystemParameters((QQ(1),) * 5))

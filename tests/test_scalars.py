@@ -10,6 +10,7 @@ from painleve_ds.scalars import (
     QQ,
     Dual,
     Extension,
+    Gradient,
     PoleError,
     format_rational,
     is_zero_scalar,
@@ -166,6 +167,41 @@ class TestDual:
         z = x * y
         assert z.value == a * b
         assert z.tangent == a * db + da * b
+
+
+class TestGradient:
+    def test_difference_and_negation(self):
+        x = Gradient(QQ(3), (QQ(1), QQ(0)))
+        y = Gradient(QQ(5), (QQ(0), QQ(1)))
+        difference = x - y
+        assert (difference.value, difference.grad) == (-2, (1, -1))
+        shifted = x - QQ(1, 2)
+        assert (shifted.value, shifted.grad) == (QQ(5, 2), (1, 0))
+        reversed_ = 7 - x
+        assert (reversed_.value, reversed_.grad) == (4, (-1, 0))
+        negated = -y
+        assert (negated.value, negated.grad) == (-5, (0, -1))
+
+    def test_one_pass_matches_a_dual_pass_per_coordinate(self):
+        # f(x, y) = (x^2 y - 3 x + 1 - y) / 4 at (2, -5)
+        def f(x, y):
+            return (x * x * y - 3 * x + 1 - y) / 4
+
+        out = f(Gradient(QQ(2), (1, 0)), Gradient(QQ(-5), (0, 1)))
+        assert out.value == f(QQ(2), QQ(-5))
+        assert out.grad[0] == f(Dual(QQ(2), QQ(1)), Dual(QQ(-5), QQ(0))).tangent
+        assert out.grad[1] == f(Dual(QQ(2), QQ(0)), Dual(QQ(-5), QQ(1))).tangent
+        assert out.grad == (QQ(-23, 4), QQ(3, 4))
+
+    @pytest.mark.parametrize("zero", [QQ(0), 0.0])
+    def test_division_by_zero_is_a_pole(self, zero):
+        with pytest.raises(PoleError):
+            Gradient(QQ(1), (QQ(1), QQ(0))) / zero
+
+    def test_division_by_a_gradient_is_not_defined(self):
+        x = Gradient(QQ(1), (QQ(1),))
+        with pytest.raises(TypeError):
+            x / x
 
 
 class TestSolve:
