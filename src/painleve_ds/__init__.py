@@ -36,7 +36,7 @@ from .painleve import (
     vector_field,
 )
 from .reductions import REDUCTIONS, Reduction, reduction
-from .scalars import QQ, Dual, ExtScalar, Extension, PoleError
+from .scalars import QQ, ExtScalar, Extension, PoleError
 from .weyl import (
     apply_generator,
     apply_word,
@@ -75,7 +75,6 @@ __all__ = [
     "reduction_parameters",
     "vector_field",
     "QQ",
-    "Dual",
     "ExtScalar",
     "Extension",
     "PoleError",

@@ -36,13 +36,12 @@ from .reductions import reduction
 from .reporting import SampleReport, jsonable
 from .sampling import nonzero_rational, random_rational, rational_satisfying
 from .scalars import (
-    Dual,
     Extension,
+    Gradient,
     PoleError,
     QQ,
     is_zero_scalar,
     tangent_of,
-    to_numeric,
     value_of,
 )
 
@@ -58,11 +57,10 @@ class TimeFrame:
 
     root_tangent is d(root)/dt in the same scalar ring as root.  For the
     exact frames the ring is a rational root extension; numeric frames use
-    float or complex values and no extension.
+    float or complex values.
     """
 
     parts: tuple
-    extension: Extension | None
     root: object
     root_tangent: object
 
@@ -82,9 +80,8 @@ def exact_frame(parts: tuple, t: Fraction) -> TimeFrame:
         base = 0
     if base == 0:
         raise PoleError(f"{record.parts} frame needs a finite nonzero root base at t = {t}")
-    ext = Extension([(relation.symbol, relation.power, base)])
-    tangent = ext.symbol_tangent(relation.symbol, relation.base_rate(t))
-    return TimeFrame(record.parts, ext, ext.symbol(relation.symbol), tangent)
+    ext = Extension(relation.symbol, relation.power, base)
+    return TimeFrame(record.parts, ext.root(), ext.root_tangent(relation.base_rate(t)))
 
 
 def numeric_frame(parts: tuple, t) -> TimeFrame:
@@ -100,12 +97,7 @@ def numeric_frame(parts: tuple, t) -> TimeFrame:
         root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
     else:  # odd power: the real root
         root = math.copysign(abs(base) ** (1 / power), base)
-    return TimeFrame(record.parts, None, root, root * record.root.base_rate(t) / (power * base))
-
-
-def _dual_frame(frame: TimeFrame) -> TimeFrame:
-    """Frame whose root carries its own t-derivative as a dual tangent."""
-    return TimeFrame(frame.parts, frame.extension, Dual(frame.root, frame.root_tangent), None)
+    return TimeFrame(record.parts, root, root * record.root.base_rate(t) / (power * base))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +206,11 @@ def zero_curvature_residual(
 ) -> LoopElement:
     """R = dM/dt - theta(B_t) + [M, B_t]; identically zero on valid data.
 
-    One dual pass computes dM/dt exactly: the canonical pair tangents are
-    seeded with the Hamiltonian vector field, each gauge tangent with
-    gauge times its multiplier log-derivative, t with 1 and the root
-    symbol with its derivative through the defining relation.
+    One forward pass along the single direction d/dt computes dM/dt
+    exactly: the canonical pair tangents are seeded with the Hamiltonian
+    vector field, each gauge tangent with gauge times its multiplier
+    log-derivative, t with 1 and the root symbol with its derivative
+    through the defining relation.
 
     pair_rates and gauge_rates override the flow-derived tangents, which
     lets stored trajectory slopes stand in for the vector field; the
@@ -235,12 +228,15 @@ def zero_curvature_residual(
         dlogs = gauge_log_derivatives(parts, pairs, t, params)
         gauge_rates = {name: g * dlogs[name] for name, g in gauges.items()}
 
-    pair_duals = tuple(
-        (Dual(q, dq), Dual(p, dp)) for (q, p), (dq, dp) in zip(pairs, pair_rates)
+    seeded_pairs = tuple(
+        (Gradient(q, (dq,)), Gradient(p, (dp,))) for (q, p), (dq, dp) in zip(pairs, pair_rates)
     )
-    gauge_duals = {name: Dual(g, gauge_rates[name]) for name, g in gauges.items()}
+    seeded_gauges = {name: Gradient(g, (gauge_rates[name],)) for name, g in gauges.items()}
+    # the root carries its own t-derivative as its one partial
+    seeded_root = Gradient(frame.root, (frame.root_tangent,))
     state = canonical_to_ds(
-        parts, pair_duals, Dual(t, 1), gauge_duals, kappas, rhos, frame=_dual_frame(frame)
+        parts, seeded_pairs, Gradient(t, (1,)), seeded_gauges, kappas, rhos,
+        frame=TimeFrame(parts, seeded_root, None),
     )
     pair = lax_matrices(state)
 
@@ -251,14 +247,10 @@ def zero_curvature_residual(
     return m_dot - apply_theta(pair.theta, b_t) + bracket(m_matrix, b_t)
 
 
-def residual_magnitude(element: LoopElement, symbol_values: dict | None = None) -> float:
-    """Max absolute value over all coefficients; floats/complex pass through."""
-    worst = 0.0
-    for deg, i, j, value in element.matrix_entries():
-        worst = max(worst, abs(complex(to_numeric(value, symbol_values))))
-    for part in (element.c_k, element.c_d):
-        worst = max(worst, abs(complex(to_numeric(part, symbol_values))))
-    return worst
+def residual_magnitude(element: LoopElement) -> float:
+    """Max absolute value over all coefficients: rational, float or complex."""
+    values = [value for *_, value in element.matrix_entries()]
+    return max(abs(complex(v)) for v in values + [element.c_k, element.c_d])
 
 
 def _worst_entry(element: LoopElement):

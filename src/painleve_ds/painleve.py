@@ -41,15 +41,31 @@ def h6(q, p, t, a, b, c, d):
     )
 
 
+def _exact(x):
+    """An int as a Fraction, so that int/int true division stays in Q."""
+    return Fraction(x) if type(x) is int else x
+
+
 @dataclass(frozen=True)
 class SystemParameters:
-    """Affine weights of a system; eta only for the coupled sixth system."""
+    """Affine weights of a system; eta only for the coupled sixth system.
+
+    Integer weights are held as Fractions: the formulas divide sums of
+    weights by 3 or 4.
+    """
 
     alpha: tuple
     eta: object = None
 
+    def __post_init__(self):
+        if int in map(type, (*self.alpha, self.eta)):
+            object.__setattr__(self, "alpha", tuple(map(_exact, self.alpha)))
+            object.__setattr__(self, "eta", _exact(self.eta))
+
 
 def hamiltonian(system: str, pairs, t, params: SystemParameters):
+    # every division meets t, so an exact t keeps int pairs exact
+    t = _exact(t)
     a = params.alpha
     if system == "p6":
         ((q, p),) = pairs
@@ -171,7 +187,7 @@ def gauge_log_derivatives(parts: tuple, pairs, t, params: SystemParameters):
     determine the gauge functions only up to these compatible first order
     equations, which are part of the package's verified claims.
     """
-    return reduction(parts).gauge_log_derivatives(pairs, t, params)
+    return reduction(parts).gauge_log_derivatives(pairs, _exact(t), params)
 
 
 def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:

@@ -12,7 +12,7 @@ coordinates, its inverse, the constraint identities, the entries of the
 Lax matrices (M, B) and the gauge log-derivatives.
 
 Formula blocks run over any scalar type: rationals, root extensions,
-duals and floats.  The registry lists the records in ``report`` order.
+gradients and floats.  The registry lists the records in ``report`` order.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""Exact scalar tower: rationals, algebraic root extensions, forward-mode duals.
+"""Exact scalar tower: rationals, one adjoined root, forward-mode gradients.
 
 All higher layers are generic over the scalar type.  Formula code written
 with ordinary ``+ - * /`` runs unchanged over ``Fraction``, ``ExtScalar``
-(rationals extended by root symbols such as ``s**2 = t``), ``Dual`` pairs
-carrying a derivative, ``Gradient`` values carrying every partial of a
-phase point at once, and plain ``float``/``complex`` for the numeric
-backend.
+(rationals with one root symbol adjoined, such as ``s**2 = t``),
+``Gradient`` values carrying their partials along seeded directions, and
+plain ``float``/``complex`` for the numeric backend.
 """
 
 from __future__ import annotations
@@ -14,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 from operator import add, sub
-from typing import Sequence, Union
 
 QQ = Fraction
 
-Scalar = Union[Fraction, int, "ExtScalar", "Dual", "Gradient", float, complex]
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class PoleError(ArithmeticError):
@@ -34,337 +33,178 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, _RationalABC)) and not isinstance(x, bool)
 
 
+@dataclass(frozen=True)
 class Extension:
-    """A commutative ring Q[s_1,..,s_m] with relations ``s_i**k_i = base_i``.
+    """The ring Q[s]/(s**power - base): one root symbol adjoined to Q.
 
-    Base values are nonzero rationals fixed at construction time (the sample
-    value of ``t`` enters through them).  The ring has Q-dimension
-    ``prod(k_i)``; inversion is a linear solve in that basis, and a singular
-    multiplication map means the element is a genuine zero divisor, reported
-    as a :class:`PoleError`.
+    The base is a nonzero rational fixed at construction time (the sample
+    value of ``t`` enters through it).  The ring is a field only when
+    ``s**power - base`` is irreducible: ``s**2 = 4`` has zero divisors, and
+    inverting one raises :class:`PoleError`.
     """
 
-    def __init__(self, symbols: Sequence[tuple[str, int, Fraction]]):
-        names = [name for name, _, _ in symbols]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate symbol names")
-        for name, power, base in symbols:
-            if power < 2:
-                raise ValueError(f"symbol {name}: power must be >= 2")
-            if Fraction(base) == 0:
-                raise ValueError(f"symbol {name}: base must be nonzero")
-        self.symbols = tuple((name, int(power), Fraction(base)) for name, power, base in symbols)
-        self.names = tuple(names)
-        self.powers = tuple(power for _, power, _ in self.symbols)
-        self.bases = tuple(base for _, _, base in self.symbols)
-        self.dimension = 1
-        for k in self.powers:
-            self.dimension *= k
+    symbol: str
+    power: int
+    base: Fraction
 
-    def zero_exps(self) -> tuple[int, ...]:
-        return (0,) * len(self.symbols)
+    def __post_init__(self):
+        object.__setattr__(self, "base", Fraction(self.base))
+        if self.power < 2:
+            raise ValueError(f"symbol {self.symbol}: power must be >= 2")
+        if self.base == 0:
+            raise ValueError(f"symbol {self.symbol}: base must be nonzero")
 
-    def lift(self, value) -> "ExtScalar":
-        value = Fraction(value)
-        coeffs = {} if value == 0 else {self.zero_exps(): value}
-        return ExtScalar(self, coeffs)
+    def root(self) -> "ExtScalar":
+        """The adjoined symbol s."""
+        return ExtScalar(self, (_ZERO, _ONE) + (_ZERO,) * (self.power - 2))
 
-    def symbol(self, name: str) -> "ExtScalar":
-        i = self.names.index(name)
-        exps = [0] * len(self.symbols)
-        exps[i] = 1
-        return ExtScalar(self, {tuple(exps): Fraction(1)})
-
-    def symbol_tangent(self, name: str, base_tangent) -> "ExtScalar":
-        """d(s)/dt from the defining relation s**k = base(t).
+    def root_tangent(self, base_rate) -> "ExtScalar":
+        """d(s)/dt from the defining relation s**power = base(t).
 
         Implicit differentiation: k s**(k-1) s' = base', so
         s' = base' * s / (k * base).
         """
-        i = self.names.index(name)
-        k, base = self.powers[i], self.bases[i]
-        return self.symbol(name) * base_tangent / (k * base)
-
-    def basis_exponents(self) -> list[tuple[int, ...]]:
-        exps = [()]
-        for k in self.powers:
-            exps = [e + (j,) for e in exps for j in range(k)]
-        return exps
-
-    def __eq__(self, other):
-        return isinstance(other, Extension) and self.symbols == other.symbols
-
-    def __repr__(self):
-        rels = ", ".join(f"{n}^{k}={b}" for n, k, b in self.symbols)
-        return f"Extension({rels})"
+        return self.root() * (Fraction(base_rate) / (self.power * self.base))
 
 
 class ExtScalar:
-    """Element of an :class:`Extension`, stored as reduced monomial coefficients."""
+    """Element of an :class:`Extension`: the tuple of rational coefficients
+    of 1, s, ..., s**(power-1)."""
 
     __slots__ = ("ext", "coeffs")
 
-    def __init__(self, ext: Extension, coeffs: dict):
+    def __init__(self, ext: Extension, coeffs: tuple):
         self.ext = ext
         self.coeffs = coeffs
 
-    # -- construction and normal form ------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, ExtScalar):
-            if other.ext != self.ext:
-                raise ValueError("mixed extensions")
-            return other
-        if is_rational(other):
-            return self.ext.lift(other)
-        return None
+    def _check_ring(self, other: "ExtScalar"):
+        if other.ext is not self.ext and other.ext != self.ext:
+            raise ValueError("mixed extensions")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.coeffs)
 
     def is_rational_value(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.coeffs)
+        return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        if not self.is_rational_value():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[self.ext.zero_exps()]
-
-    def _reduce_monomial(self, exps: tuple[int, ...], coeff: Fraction):
-        out_exps = []
-        for e, k, base in zip(exps, self.ext.powers, self.ext.bases):
-            q, r = divmod(e, k)
-            if q:
-                coeff *= base**q
-            out_exps.append(r)
-        return tuple(out_exps), coeff
-
-    # -- ring operations --------------------------------------------------
+    # -- ring operations: zero slots are skipped, not added ----------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            s = coeffs.get(exps, 0) + c
-            if s:
-                coeffs[exps] = s
-            else:
-                coeffs.pop(exps, None)
-        return ExtScalar(self.ext, coeffs)
+        if isinstance(other, ExtScalar):
+            self._check_ring(other)
+            return ExtScalar(self.ext, tuple([
+                (a + b if a else b) if b else a for a, b in zip(self.coeffs, other.coeffs)
+            ]))
+        if is_rational(other):
+            return ExtScalar(self.ext, (self.coeffs[0] + other,) + self.coeffs[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(self.ext, {e: -c for e, c in self.coeffs.items()})
+        return ExtScalar(self.ext, tuple([-c if c else c for c in self.coeffs]))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, ExtScalar):
+            self._check_ring(other)
+            return ExtScalar(self.ext, tuple([
+                (a - b if a else -b) if b else a for a, b in zip(self.coeffs, other.coeffs)
+            ]))
+        if is_rational(other):
+            return ExtScalar(self.ext, (self.coeffs[0] - other,) + self.coeffs[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        coeffs: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exps, c = self._reduce_monomial(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                s = coeffs.get(exps, 0) + c
-                if s:
-                    coeffs[exps] = s
-                else:
-                    coeffs.pop(exps, None)
-        return ExtScalar(self.ext, coeffs)
+        if isinstance(other, ExtScalar):
+            self._check_ring(other)
+            return ExtScalar(self.ext, self._product(other.coeffs))
+        if is_rational(other):
+            return ExtScalar(self.ext, tuple([c * other if c else c for c in self.coeffs]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
+    def _product(self, other: tuple) -> tuple:
+        k = self.ext.power
+        wide = [None] * (2 * k - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other):
+                    if b:
+                        term = a * b
+                        acc = wide[i + j]
+                        wide[i + j] = term if acc is None else acc + term
+        # s**(k+m) = base * s**m: one base multiply per wrapped slot
+        low = wide[:k]
+        for m, high in enumerate(wide[k:]):
+            if high is not None:
+                high = high * self.ext.base
+                low[m] = high if low[m] is None else low[m] + high
+        return tuple([_ZERO if c is None else c for c in low])
+
     def inverse(self) -> "ExtScalar":
-        """Multiplicative inverse by solving ``self * x = 1`` over Q."""
-        if self.is_zero():
-            raise PoleError("division by zero in extension")
-        if self.is_rational_value():
-            return self.ext.lift(1 / self.rational_value())
-        basis = self.ext.basis_exponents()
-        index = {e: i for i, e in enumerate(basis)}
-        n = len(basis)
-        # column j of the multiplication matrix is self * basis[j]
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for j, bexp in enumerate(basis):
-            prod = self * ExtScalar(self.ext, {bexp: Fraction(1)})
-            for exps, c in prod.coeffs.items():
-                mat[index[exps]][j] = c
-        rhs = [Fraction(0)] * n
-        rhs[index[self.ext.zero_exps()]] = Fraction(1)
+        """Multiplicative inverse by solving ``self * x = 1`` over Q.
+
+        Column j of the multiplication matrix is ``self * s**j``: the
+        coefficients shifted j places, the wrapped ones times the base.
+        """
+        c = self.coeffs
+        if not any(c[1:]):
+            if not c[0]:
+                raise PoleError("division by zero in extension")
+            return ExtScalar(self.ext, (1 / c[0],) + c[1:])
+        k, base = self.ext.power, self.ext.base
+        matrix = [
+            [c[i - j] if i >= j else base * c[i - j + k] for j in range(k)]
+            for i in range(k)
+        ]
         try:
-            sol = solve_rational_system(mat, rhs)
+            solution = solve_rational_system(matrix, [_ONE] + [_ZERO] * (k - 1))
         except PoleError:
             raise PoleError(f"{self!r} is a zero divisor in {self.ext!r}") from None
-        coeffs = {e: c for e, c in zip(basis, sol) if c}
-        return ExtScalar(self.ext, coeffs)
+        return ExtScalar(self.ext, tuple(solution))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        if isinstance(other, ExtScalar):
+            return self * other.inverse()
+        if is_rational(other):
+            if not other:
+                raise PoleError("division by zero in extension")
+            return self * (_ONE / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.ext.lift(1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return self.inverse() * other
 
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if isinstance(other, ExtScalar):
+            self._check_ring(other)
+            return self.coeffs == other.coeffs
+        if is_rational(other):
+            return self.is_rational_value() and self.coeffs[0] == other
+        return NotImplemented
 
     __hash__ = None
 
-    def evaluate(self, symbol_values: dict):
-        """Numeric image under an assignment of symbol values (float or complex)."""
-        total = 0
-        for exps, c in self.coeffs.items():
-            term = float(c)
-            for name, e in zip(self.ext.names, exps):
-                if e:
-                    term = term * symbol_values[name] ** e
-            total = total + term
-        return total
-
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for exps in sorted(self.coeffs):
-            c = self.coeffs[exps]
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(self.ext.names, exps) if e
-            )
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(parts)
-
-
-@dataclass
-class Dual:
-    """Forward-mode pair (value, tangent); tangent follows the chain rule.
-
-    Components may themselves be any scalar, nested duals included.
-    """
-
-    value: Scalar
-    tangent: Scalar
-
-    def _coerce(self, other):
-        if isinstance(other, Dual):
-            return other
-        if other is NotImplemented or other is None:
-            return None
-        return Dual(other, 0)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dual(self.value + other.value, self.tangent + other.tangent)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.value, -self.tangent)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dual(self.value - other.value, self.tangent - other.tangent)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dual(other.value - self.value, other.tangent - self.tangent)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Dual(
-            self.value * other.value,
-            self.value * other.tangent + self.tangent * other.value,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        q = _checked_div(self.value, other.value)
-        return Dual(q, _checked_div(self.tangent - q * other.tangent, other.value))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__truediv__(self)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (Dual(1, 0) / self) ** (-n)
-        result = Dual(1, 0)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return bool(self.value == other.value) and bool(self.tangent == other.tangent)
+        terms = [f"{c}*{self.ext.symbol}^{e}" if e else f"{c}" for e, c in enumerate(self.coeffs) if c]
+        return " + ".join(terms) or "0"
 
 
 class Gradient:
-    """A value with its partial derivatives along a fixed set of coordinates.
+    """A value with its partial derivatives along a fixed set of directions.
 
-    ``grad`` holds one partial per seeded coordinate, so a single forward
-    pass through a formula yields its whole gradient.  Components may be
-    any scalar; the gradient follows the scalar type of the values it is
-    combined with, so float inputs give float partials and rational
-    inputs exact ones.  Division is by scalars that carry no gradient,
-    which is all a polynomial over a rational function of t needs.
+    ``grad`` holds one partial per seeded direction.  One direction is a
+    dual number: the derivative along a curve, such as d/dt along a flow.
+    The 2n unit directions of a phase space give a whole gradient in one
+    forward pass.  Components may be any scalar; the gradient follows the
+    scalar type of the values it is combined with, so float inputs give
+    float partials and rational or root-extension inputs exact ones.
     """
 
     __slots__ = ("value", "grad")
@@ -375,9 +215,7 @@ class Gradient:
 
     def __add__(self, other):
         if isinstance(other, Gradient):
-            return Gradient(
-                self.value + other.value, tuple(map(add, self.grad, other.grad))
-            )
+            return Gradient(self.value + other.value, tuple(map(add, self.grad, other.grad)))
         return Gradient(self.value + other, self.grad)
 
     __radd__ = __add__
@@ -387,9 +225,7 @@ class Gradient:
 
     def __sub__(self, other):
         if isinstance(other, Gradient):
-            return Gradient(
-                self.value - other.value, tuple(map(sub, self.grad, other.grad))
-            )
+            return Gradient(self.value - other.value, tuple(map(sub, self.grad, other.grad)))
         return Gradient(self.value - other, self.grad)
 
     def __rsub__(self, other):
@@ -398,17 +234,28 @@ class Gradient:
     def __mul__(self, other):
         if isinstance(other, Gradient):
             u, v = self.value, other.value
-            return Gradient(
-                u * v, tuple([u * b + a * v for a, b in zip(self.grad, other.grad)])
-            )
+            return Gradient(u * v, tuple([u * b + a * v for a, b in zip(self.grad, other.grad)]))
         return Gradient(self.value * other, tuple([g * other for g in self.grad]))
 
     __rmul__ = __mul__
 
+    # a zero divisor fails on the value, before any partial is computed
+
     def __truediv__(self, other):
-        # a zero divisor fails on the value, before any partial
+        if isinstance(other, Gradient):
+            # quotient rule (a/v)' = (a' - (a/v) v') / v, one reciprocal
+            inv = _checked_div(1, other.value)
+            value = self.value * inv
+            return Gradient(
+                value, tuple([(a - value * b) * inv for a, b in zip(self.grad, other.grad)])
+            )
         value = _checked_div(self.value, other)
         return Gradient(value, tuple([g / other for g in self.grad]))
+
+    def __rtruediv__(self, other):
+        inv = _checked_div(1, self.value)
+        value = other * inv
+        return Gradient(value, tuple([-(value * b) * inv for b in self.grad]))
 
 
 def _checked_div(a, b):
@@ -419,31 +266,21 @@ def _checked_div(a, b):
 
 
 def value_of(x):
-    """Strip one Dual layer if present."""
-    return x.value if isinstance(x, Dual) else x
+    """The value of a Gradient; any other scalar is its own value."""
+    return x.value if isinstance(x, Gradient) else x
 
 
 def tangent_of(x):
-    return x.tangent if isinstance(x, Dual) else 0
+    """The partial along the first seeded direction; 0 for a constant."""
+    return x.grad[0] if isinstance(x, Gradient) else 0
 
 
 def is_zero_scalar(x) -> bool:
-    if isinstance(x, Dual):
-        return is_zero_scalar(x.value) and is_zero_scalar(x.tangent)
+    if isinstance(x, Gradient):
+        return is_zero_scalar(x.value) and all(is_zero_scalar(g) for g in x.grad)
     if isinstance(x, ExtScalar):
         return x.is_zero()
     return x == 0
-
-
-def to_numeric(x, symbol_values: dict | None = None):
-    """Map an exact scalar to float/complex; Duals map componentwise."""
-    if isinstance(x, Dual):
-        return Dual(to_numeric(x.value, symbol_values), to_numeric(x.tangent, symbol_values))
-    if isinstance(x, ExtScalar):
-        return x.evaluate(symbol_values or {})
-    if is_rational(x):
-        return float(x)
-    return x
 
 
 def solve_rational_system(matrix: list[list[Fraction]], rhs: list) -> list:

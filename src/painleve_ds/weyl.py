@@ -33,7 +33,7 @@ from .sampling import (
 )
 from .scalars import (
     QQ,
-    Dual,
+    Gradient,
     PoleError,
     is_zero_scalar,
     tangent_of,
@@ -72,7 +72,7 @@ def _shifted_weights(alpha, index):
 def apply_generator(index, pairs, params: SystemParameters, t):
     """One reflection on (pairs, params); t never moves.
 
-    Scalars pass through generically, so dual numbers can ride along for
+    Scalars pass through generically, so gradients can ride along for
     Jacobian-vector products.  Vanishing reflection denominators raise
     :class:`PoleError` naming the denominator.
     """
@@ -215,21 +215,19 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     flow at the image: identically zero exactly when the reflection maps
     solutions to solutions.
 
-    One dual pass: phase coordinates are seeded with the Hamiltonian
-    vector field and the time coordinate with 1, so reflections whose
-    formulas mention t explicitly contribute their time derivative.
+    One forward pass along d/dt: phase coordinates are seeded with the
+    Hamiltonian vector field and the time coordinate with 1, so
+    reflections whose formulas mention t explicitly contribute their time
+    derivative.
     """
     flows = vector_field("cp6", pairs, t, params)
     lifted = tuple(
-        (Dual(q, fq), Dual(p, fp)) for (q, p), (fq, fp) in zip(pairs, flows)
+        (Gradient(q, (fq,)), Gradient(p, (fp,))) for (q, p), (fq, fp) in zip(pairs, flows)
     )
-    out_pairs, out_params = apply_generator(index, lifted, params, Dual(t, QQ(1)))
+    out_pairs, out_params = apply_generator(index, lifted, params, Gradient(t, (QQ(1),)))
+    # the weights never carry a partial, so out_params is already plain
     image = tuple((value_of(q), value_of(p)) for q, p in out_pairs)
-    image_params = SystemParameters(
-        alpha=tuple(value_of(a) for a in out_params.alpha),
-        eta=value_of(out_params.eta),
-    )
-    target = vector_field("cp6", image, t, image_params)
+    target = vector_field("cp6", image, t, out_params)
     residual = []
     for (q, p), (fq, fp) in zip(out_pairs, target):
         residual.append(tangent_of(q) - fq)
@@ -271,28 +269,27 @@ def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
 def gauge_function(index, pairs, t, w3, params: SystemParameters, frame):
     """Denominator of the unipotent gauge coefficient for one reflection.
 
-    Lives in the cube-root time frame of the coupled sixth reduction; the
-    returned scalar is an extension-field element.
+    Lives in the cube-root time frame of the coupled sixth reduction: the
+    returned scalar is an element of the frame's ring, and a plain
+    rational for r2 and r3, whose formulas need no root.
     """
     if index not in GENERATORS:
         raise ValueError(f"generator index out of range: {index}")
-    lift = frame.extension.lift
     u = frame.root
-    third = lift(t) * u * u  # t^(1/3)
-    two_thirds = lift(t) * u  # t^(2/3)
+    third = u * u * t  # t^(1/3)
+    two_thirds = u * t  # t^(2/3)
     (q1, p1), (q2, p2) = pairs
-    w3 = lift(w3) if not hasattr(w3, "ext") else w3
     if index == 0:
-        return w3 * lift(q2 - q1) / (3 * two_thirds)
+        return w3 * (q2 - q1) / (3 * two_thirds)
     if index == 1:
-        return -two_thirds * lift(p1) / w3
+        return -two_thirds * p1 / w3
     if index == 2:
-        return w3 * lift((q1 - t) / (3 * t))
+        return w3 * (q1 - t) / (3 * t)
     if index == 3:
-        return lift(q1 * p1 + q2 * p2 + params.eta) / w3
+        return (q1 * p1 + q2 * p2 + params.eta) / w3
     if index == 4:
-        return w3 * lift(1 - q2) / (3 * third)
-    return -third * lift(p2) / w3
+        return w3 * (1 - q2) / (3 * third)
+    return -third * p2 / w3
 
 
 def reflected_gauge(index, pairs, params: SystemParameters, w3):
@@ -326,9 +323,7 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, frame=None) -> LoopE
     phi = gauge_function(index, pairs, t, w3, params, frame)
     if is_zero_scalar(value_of(phi)):
         raise PoleError(f"gauge function phi_{index} = 0")
-    x = chevalley(5, index, "f").scale(
-        frame.extension.lift(params.alpha[index]) / phi
-    )
+    x = chevalley(5, index, "f").scale(params.alpha[index] / phi)
     m = pair.m_matrix
     bridge = (
         m

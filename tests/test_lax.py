@@ -33,25 +33,38 @@ def _clean_point(parts, seed=0):
     return sample_point(parts, random.Random(seed))
 
 
+def _power(x, k):
+    # x^k written out as a product, for k >= 1
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+def _evaluate(x, root):
+    """Numeric image of an extension element at a float or complex root."""
+    return sum(float(c) * root**e for e, c in enumerate(x.coeffs))
+
+
 class TestFrames:
     def test_cube_root_frame(self):
         frame = exact_frame((3, 3), QQ(2))
-        assert frame.root * frame.root * frame.root == frame.extension.lift(QQ(1, 2))
+        assert frame.root * frame.root * frame.root == QQ(1, 2)
 
     @pytest.mark.parametrize("parts", [(2, 2), (2, 2, 1)])
     def test_square_root_frame(self, parts):
         frame = exact_frame(parts, QQ(3))
-        assert frame.root * frame.root == frame.extension.lift(QQ(3))
+        assert frame.root * frame.root == 3
 
     def test_constant_root_frame(self):
         frame = exact_frame((3, 1), QQ(5))
-        assert frame.root * frame.root == frame.extension.lift(QQ(6))
+        assert frame.root * frame.root == 6
         # tau scales linearly with t for this partition
         assert reduction((3, 1)).tau(QQ(5), frame.root) == QQ(-5, 3) * frame.root
 
     def test_negative_double_frame(self):
         frame = exact_frame((4, 1), QQ(3))
-        assert frame.root * frame.root == frame.extension.lift(QQ(-6))
+        assert frame.root * frame.root == -6
 
     @pytest.mark.parametrize("parts", [(3, 3), (2, 2), (2, 2, 1), (4, 1)])
     def test_zero_time_excluded(self, parts):
@@ -75,14 +88,13 @@ class TestFrames:
         k = relation.power
         for t in SIDES[parts]:
             exact = exact_frame(parts, t)
-            lift = exact.extension.lift
-            assert exact.root ** k == lift(relation.base(t))
-            assert k * exact.root ** (k - 1) * exact.root_tangent == lift(relation.base_rate(t))
+            assert _power(exact.root, k) == relation.base(t)
+            assert k * _power(exact.root, k - 1) * exact.root_tangent == relation.base_rate(t)
             frame = numeric_frame(parts, float(t))
             assert abs(frame.root**k - float(relation.base(t))) < 1e-12
             assert abs(k * frame.root ** (k - 1) * frame.root_tangent - float(relation.base_rate(t))) < 1e-12
             # the exact tangent, evaluated at the float root, is the float tangent
-            at_root = exact.root_tangent.evaluate({relation.symbol: frame.root})
+            at_root = _evaluate(exact.root_tangent, frame.root)
             assert abs(at_root - frame.root_tangent) < 1e-12
 
 

@@ -55,6 +55,23 @@ def _stencil_partial(system, pairs, t, params, pair_index, slot):
     return total
 
 
+def _integer_point(record):
+    # t = 5 with integer pairs and weights: every division in the
+    # Hamiltonians and gauge blocks is then int by int
+    pairs = tuple((2 + k, 3 + k) for k in range(record.pair_count))
+    alpha = tuple(range(1, record.weight_count + 1))
+    return pairs, 5, SystemParameters(alpha, 7 if record.eta is not None else None)
+
+
+def _as_fractions(pairs, t, params):
+    eta = None if params.eta is None else QQ(params.eta)
+    return (
+        tuple((QQ(q), QQ(p)) for q, p in pairs),
+        QQ(t),
+        SystemParameters(tuple(map(QQ, params.alpha)), eta),
+    )
+
+
 class TestBuildingBlocks:
     def test_h4_frozen_value(self):
         assert h4(2, 3, 5, QQ(1, 2), QQ(1, 3)) == -26
@@ -107,6 +124,16 @@ class TestCanonicalEquations:
                 for e, f in zip(exact_pair, float_pair):
                     assert type(f) is float
                     assert f == pytest.approx(float(e), rel=1e-12)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_integer_inputs_stay_exact(self, system):
+        point = _integer_point(reduction(resolve_partition(system)))
+        energy = hamiltonian(system, *point)
+        assert type(energy) is QQ
+        assert energy == hamiltonian(system, *_as_fractions(*point))
+        flow = vector_field(system, *point)
+        assert all(type(v) is QQ for pair in flow for v in pair)
+        assert flow == vector_field(system, *_as_fractions(*point))
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
@@ -175,3 +202,10 @@ class TestGaugeLogDerivatives:
         t = rational_avoiding(rng, (0, 1))
         logs = gauge_log_derivatives(parts, pairs, t, params)
         assert set(logs) == set(reduction(parts).gauge_names)
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_integer_inputs_stay_exact(self, parts):
+        point = _integer_point(reduction(parts))
+        logs = gauge_log_derivatives(parts, *point)
+        assert all(type(v) is QQ for v in logs.values())
+        assert logs == gauge_log_derivatives(parts, *_as_fractions(*point))
