@@ -436,9 +436,14 @@ def residual_along(trajectory: Trajectory) -> dict:
     step slopes standing in for the vector field: small values certify
     that the stored states and stored rates satisfy the flow-coupled
     identity together, so a corrupted sample shows up immediately.
+    The stored slopes supply every rate, so no sample runs the parameter
+    map.
     """
     parts = trajectory.partition
     kappas, rhos = reduction_constants(parts, trajectory.params)
+    # found exactly once, then floats, as integrate treats the weights
+    kappas = tuple(float(k) for k in kappas)
+    rhos = tuple(float(r) for r in rhos)
     pair_count = reduction(parts).pair_count
     worst = 0.0
     worst_t = trajectory.samples[0].t

@@ -215,13 +215,15 @@ def zero_curvature_residual(
     pair_rates and gauge_rates override the flow-derived tangents, which
     lets stored trajectory slopes stand in for the vector field; the
     residual then measures how far the stored data is from satisfying
-    the flow-coupled identity.
+    the flow-coupled identity.  The parameter map runs only when one of
+    them is missing.
     """
     record = reduction(partition)
     parts = record.parts
     if frame is None:
         frame = exact_frame(parts, t)
-    params = reduction_parameters(parts, kappas, rhos)
+    if pair_rates is None or gauge_rates is None:
+        params = reduction_parameters(parts, kappas, rhos)
     if pair_rates is None:
         pair_rates = vector_field(record.system, pairs, t, params)
     if gauge_rates is None:

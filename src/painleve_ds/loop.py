@@ -12,7 +12,7 @@ stored sparsely and the scalar type is generic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import is_zero_scalar
@@ -42,20 +42,24 @@ def _mat_scale(a: Matrix, c) -> Matrix:
     return out
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def _accumulate_product(out: Matrix, a: Matrix, b: Matrix, subtract: bool = False):
+    """out += a @ b, or out -= a @ b; entries that cancel stay as zeros."""
     rows_of_b: dict = {}
     for (i, j), v in b.items():
         rows_of_b.setdefault(i, []).append((j, v))
-    out: dict = {}
     for (i, k), u in a.items():
         for j, v in rows_of_b.get(k, ()):
             key = (i, j)
-            s = out[key] + u * v if key in out else u * v
-            if is_zero_scalar(s):
-                out.pop(key, None)
+            if subtract:
+                out[key] = out[key] - u * v if key in out else -(u * v)
             else:
-                out[key] = s
-    return out
+                out[key] = out[key] + u * v if key in out else u * v
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    out: Matrix = {}
+    _accumulate_product(out, a, b)
+    return {key: v for key, v in out.items() if not is_zero_scalar(v)}
 
 
 def _mat_trace_mul(a: Matrix, b: Matrix):
@@ -232,15 +236,20 @@ def chevalley(rank: int, i: int, kind: str) -> LoopElement:
 
 
 def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
-    """Lie bracket with central term and scaling-element action."""
+    """Lie bracket with central term and scaling-element action.
+
+    The commutator of each pair of degree blocks is accumulated in one
+    pass, +m1 m2 and -m2 m1 into the same block; the constructor prunes
+    the entries that cancel.
+    """
     a._check_same(b)
     parts: dict = {}
     c_k = 0
     for d1, m1 in a.parts.items():
         for d2, m2 in b.parts.items():
-            comm = _mat_add(_mat_mul(m1, m2), _mat_scale(_mat_mul(m2, m1), -1))
-            if comm:
-                parts[d1 + d2] = _mat_add(parts.get(d1 + d2, {}), comm)
+            out = parts.setdefault(d1 + d2, {})
+            _accumulate_product(out, m1, m2)
+            _accumulate_product(out, m2, m1, subtract=True)
             if d1 + d2 == 0 and d1 != 0:
                 c_k = c_k + d1 * _mat_trace_mul(m1, m2)
     out = LoopElement(a.rank, parts, c_k)
@@ -253,16 +262,56 @@ def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
 
 @dataclass
 class GradationSpec:
-    """Gradation data: the derivation acts as scale * (z d/dz + ad eta)."""
+    """Gradation data: the derivation acts as scale * (z d/dz + ad eta).
+
+    eta must be diagonal and of degree 0, with no central or scaling
+    coordinate, so that every matrix unit z^k E_ij is an eigenvector.
+    ``offsets[i, j]`` is scale * (eta_i - eta_j), held as an int when it is
+    integral (it is for every Heisenberg gradation), so that scaling a
+    float entry stays float arithmetic.
+    """
 
     rank: int
     scale: int
     eta: LoopElement
+    offsets: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eta = self.eta
+        diagonal = set(eta.parts) <= {0} and all(i == j for i, j in eta.parts.get(0, {}))
+        if not (diagonal and is_zero_scalar(eta.c_k) and is_zero_scalar(eta.c_d)):
+            raise ValueError("gradation eta must be diagonal of degree 0 with c_k = c_d = 0")
+        values = [eta.entry(0, i, i) for i in range(self.rank + 1)]
+        self.offsets = {}
+        for i, a in enumerate(values):
+            for j, b in enumerate(values):
+                offset = Fraction(self.scale * (a - b))
+                self.offsets[i, j] = int(offset) if offset.denominator == 1 else offset
 
 
 def apply_theta(spec: GradationSpec, x: LoopElement) -> LoopElement:
-    """Gradation derivation: scale * (z dx/dz + [eta, x])."""
-    return (x.z_derivative() + bracket(spec.eta, x)).scale(Fraction(spec.scale))
+    """Gradation derivation scale * (z dx/dz + [eta, x]), applied entrywise.
+
+    With eta = diag(eta_0, ..., eta_n) in degree 0, z d/dz multiplies
+    z^k E_ij by k and ad eta multiplies it by eta_i - eta_j, so
+
+        theta(z^k E_ij) = scale * (k + eta_i - eta_j) * z^k E_ij.
+
+    Both terms kill K and d: z d/dz does by definition, and [eta, x] has
+    no central term because eta sits in degree 0 and no scaling term
+    because eta has no d coordinate.  The image therefore has
+    c_k = c_d = 0.
+    """
+    offsets = spec.offsets
+    parts = {}
+    for deg, mat in x.parts.items():
+        block = {}
+        for key, v in mat.items():
+            weight = spec.scale * deg + offsets[key]
+            if weight:
+                block[key] = weight * v
+        parts[deg] = block
+    return LoopElement(x.rank, parts)
 
 
 def theta_eigenvalue(spec: GradationSpec, x: LoopElement):
@@ -270,8 +319,8 @@ def theta_eigenvalue(spec: GradationSpec, x: LoopElement):
     if x.matrix_is_zero():
         raise ValueError("zero element has no degree")
     image = apply_theta(spec, x)
-    deg, i, j, v = next(x.matrix_entries())
-    lam = image.entry(deg, i, j) / v
+    deg, i, j, _ = next(x.matrix_entries())
+    lam = spec.scale * deg + spec.offsets[i, j]  # the weight of that entry
     if image != x.scale(lam):
         raise ValueError("element is not theta-homogeneous")
     return lam

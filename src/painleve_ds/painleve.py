@@ -145,37 +145,45 @@ def weight_sum_form(parts: tuple) -> LinearForm:
     return LinearForm(const, kappa, rho)
 
 
+# how far float weights may sit off the image, relative to the largest weight
+IMAGE_TOLERANCE = 1e-12
+
+
 def reduction_constants(parts: tuple, params: SystemParameters):
     """Invert the parameter map, gauge-fixing the kappa sum to zero.
 
-    Only rational inputs are supported; raises if the weights are not
-    consistent with a reduction (their sum must match the normalization).
+    The inverse is solved exactly, so the constants come back as
+    rationals.  Rational weights must lie exactly in the image of the
+    parameter map.  Weights that hold a float are taken at their binary
+    value, and each equation of the map must hold to within
+    IMAGE_TOLERANCE times the largest weight magnitude.  Raises
+    ValueError when the map is degenerate or the weights are off its
+    image.
     """
     record = reduction(parts)
     n_kappa = record.kappa_count
     n_rho = record.rho_count
     targets = list(record.alpha)
-    values = [QQ(a) for a in params.alpha]
+    weights = list(params.alpha)
     if record.eta is not None:
         targets.append(record.eta)
-        values.append(QQ(params.eta))
+        weights.append(params.eta)
 
     rows = [[QQ(1)] * n_kappa + [QQ(0)] * n_rho]
     rhs = [QQ(0)]
-    for f, v in zip(targets, values):
+    for f, w in zip(targets, weights):
         rows.append(list(f.kappa) + list(f.rho))
-        rhs.append(v - f.const)
+        rhs.append(QQ(w) - f.const)
 
-    # rows has full column rank exactly when the normal matrix is
-    # invertible; the solution then satisfies every row or none fits
-    columns = list(zip(*rows))
-    normal = [[sum(a * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
     try:
-        sol = solve_rational_system(normal, [sum(a * v for a, v in zip(ci, rhs)) for ci in columns])
+        sol = solve_rational_system(rows, rhs)
     except PoleError:
         raise ValueError("parameter map is degenerate") from None
+    tolerance = 0
+    if any(isinstance(w, float) for w in weights):
+        tolerance = IMAGE_TOLERANCE * max(abs(w) for w in weights)
     for row, value in zip(rows, rhs):
-        if sum(c * x for c, x in zip(row, sol)) != value:
+        if abs(sum(c * x for c, x in zip(row, sol)) - value) > tolerance:
             raise ValueError("weights are not in the image of the parameter map")
     return tuple(sol[:n_kappa]), tuple(sol[n_kappa:])
 

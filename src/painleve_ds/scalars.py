@@ -287,14 +287,18 @@ def solve_rational_system(matrix: list[list[Fraction]], rhs: list) -> list:
     """Solve ``matrix @ x = rhs`` exactly; the matrix must be rational.
 
     The right-hand side may hold any scalar type that supports arithmetic
-    with rationals, so parameter reconstructions stay generic.  A singular
-    matrix raises :class:`PoleError`.
+    with rationals, so parameter reconstructions stay generic.  A tall
+    system (more rows than unknowns) is eliminated as it stands, pivoting
+    over all rows; the solution then satisfies the pivot rows, and the
+    caller checks the others.  A matrix without full column rank raises
+    :class:`PoleError`.
     """
-    n = len(matrix)
+    rows = len(matrix)
+    n = len(matrix[0])
     a = [[Fraction(v) for v in row] for row in matrix]
     b = list(rhs)
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, rows) if a[r][col] != 0), None)
         if pivot_row is None:
             raise PoleError("singular rational system")
         if pivot_row != col:
@@ -303,9 +307,9 @@ def solve_rational_system(matrix: list[list[Fraction]], rhs: list) -> list:
         inv = 1 / a[col][col]
         a[col] = [v * inv for v in a[col]]
         b[col] = b[col] * inv
-        for r in range(n):
+        for r in range(rows):
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
                 b[r] = b[r] - factor * b[col]
-    return b
+    return b[:n]

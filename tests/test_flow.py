@@ -6,7 +6,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from painleve_ds import flow
+from painleve_ds import flow, lax, painleve
 from painleve_ds.painleve import reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.scalars import PoleError
@@ -252,6 +252,41 @@ class TestCorrectnessMonitors:
     def test_residual_stays_small_along_trajectories(self, parts):
         report = flow.residual_along(_run(parts))
         assert report["max_residual"] <= 1e-6
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_parameter_work_is_once_per_trajectory(self, parts, monkeypatch):
+        # the constants are found once; the stored slopes supply every
+        # rate, so no sample runs the parameter map
+        traj = _run(parts)
+        calls = {"reduction_parameters": 0, "reduction_constants": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(lax, "reduction_parameters")
+        counting(painleve, "reduction_parameters")
+        counting(flow, "reduction_constants")
+        report = flow.residual_along(traj)
+        monkeypatch.undo()
+        assert report["max_residual"] <= 1e-6
+        assert calls == {"reduction_parameters": 0, "reduction_constants": 1}
+
+    @pytest.mark.parametrize("parts, kappas, rhos, pairs, gauges", [
+        ((2, 2), (0.1, 0.2, 0.3, -0.6), (0.7,), ((0.4, 0.3),), {"w1": 1.0}),
+        ((3, 3), (0.1, 0.2, 0.3, -0.6, 0.15, -0.15), (0.7,),
+         ((0.4, 0.3), (0.7, -0.2)), {"w3": 1.0}),
+    ])
+    def test_float_weights_are_monitored(self, parts, kappas, rhos, pairs, gauges):
+        params = reduction_parameters(parts, kappas, rhos)
+        traj = flow.integrate(parts, pairs, gauges, params, 2.0, 2.5)
+        assert traj.termination == flow.REACHED_END
+        assert flow.residual_along(traj)["max_residual"] <= 1e-6
 
     def test_corrupted_sample_is_flagged(self):
         traj = _run((2, 2))

@@ -17,6 +17,7 @@ from painleve_ds.lax import (
     verify_partition,
     zero_curvature_residual,
 )
+from painleve_ds.painleve import gauge_log_derivatives, reduction_parameters, vector_field
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.scalars import PoleError, is_zero_scalar
 
@@ -209,6 +210,25 @@ class TestZeroCurvature:
             parts, pairs, t, gauges, kappas, rhos, frame=numeric_frame(parts, t)
         )
         assert residual_magnitude(residual) < 1e-9
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_supplied_flow_rates_match_derived_ones(self, parts):
+        # passing the flow's own rates skips the parameter map and must
+        # give the same element as deriving them: zero
+        record = reduction(parts)
+        for seed in range(3):
+            point = _clean_point(parts, seed=seed)
+            args = (parts, point["pairs"], point["t"], point["gauges"],
+                    point["kappas"], point["rhos"])
+            params = reduction_parameters(parts, point["kappas"], point["rhos"])
+            dlogs = gauge_log_derivatives(parts, point["pairs"], point["t"], params)
+            supplied = zero_curvature_residual(
+                *args,
+                pair_rates=vector_field(record.system, point["pairs"], point["t"], params),
+                gauge_rates={name: g * dlogs[name] for name, g in point["gauges"].items()},
+            )
+            assert supplied == zero_curvature_residual(*args)
+            assert supplied.is_zero()
 
     def test_rates_off_the_flow_are_detected(self):
         # the identity couples states to the canonical flow: feeding any

@@ -5,6 +5,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from painleve_ds.lax import residual_magnitude
 from painleve_ds.loop import (
     GradationSpec,
     LoopElement,
@@ -15,6 +16,7 @@ from painleve_ds.loop import (
     single_entry,
     theta_eigenvalue,
 )
+from painleve_ds.reductions import REDUCTIONS
 
 
 def invariant_form(a, b):
@@ -26,7 +28,16 @@ def invariant_form(a, b):
     return total + a.c_k * b.c_d + a.c_d * b.c_k
 
 
-def random_element(rank, rng, degrees=(-2, -1, 0, 1, 2), density=0.4):
+def reference_theta(spec, x):
+    """The gradation derivation in its defining form, scale * (z d/dz + ad eta)."""
+    return (x.z_derivative() + bracket(spec.eta, x)).scale(QQ(spec.scale))
+
+
+def _rational(rng):
+    return QQ(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def random_element(rank, rng, degrees=(-2, -1, 0, 1, 2), density=0.4, value=_rational):
     parts = {}
     n = rank + 1
     for deg in degrees:
@@ -34,7 +45,7 @@ def random_element(rank, rng, degrees=(-2, -1, 0, 1, 2), density=0.4):
         for i in range(n):
             for j in range(n):
                 if rng.random() < density:
-                    mat[(i, j)] = QQ(rng.randint(-9, 9), rng.randint(1, 4))
+                    mat[(i, j)] = value(rng)
         if mat:
             parts[deg] = mat
     return LoopElement(
@@ -152,6 +163,30 @@ class TestGradation:
             lhs = apply_theta(spec, bracket(a, b))
             rhs = bracket(apply_theta(spec, a), b) + bracket(a, apply_theta(spec, b))
             assert lhs == rhs
+
+    def test_entrywise_theta_matches_the_definition(self):
+        # every gradation in use, on Fraction and on float entries; the
+        # float entries are rounded in another order, hence the tolerance
+        specs = [self.spec()] + [record.gradation for record in REDUCTIONS.values()]
+        rng = random.Random(19)
+        for spec in specs:
+            for _ in range(6):
+                exact = random_element(spec.rank, rng)
+                assert apply_theta(spec, exact) == reference_theta(spec, exact)
+                real = random_element(spec.rank, rng, value=lambda r: r.uniform(-9, 9))
+                reference = reference_theta(spec, real)
+                gap = residual_magnitude(apply_theta(spec, real) - reference)
+                assert gap <= 1e-12 * residual_magnitude(reference)
+
+    def test_eta_off_the_diagonal_is_refused(self):
+        for eta in (
+            single_entry(1, 0, 0, 1),
+            single_entry(1, 1, 0, 0),
+            LoopElement(1, c_k=QQ(1)),
+            LoopElement(1, c_d=QQ(1)),
+        ):
+            with pytest.raises(ValueError, match="diagonal of degree 0"):
+                GradationSpec(1, 2, eta)
 
     def test_inhomogeneous_element_rejected(self):
         spec = self.spec()

@@ -179,6 +179,20 @@ class TestParameterMaps:
         with pytest.raises(ValueError):
             reduction_constants((2, 2), bad)
 
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_float_weights_are_checked_to_a_tolerance(self, parts):
+        # float weights on the image are accepted; moved 1e-6 off it,
+        # they are still refused
+        rng = random.Random(5)
+        kappas = tuple(float(random_rational(rng)) for _ in range(reduction(parts).kappa_count))
+        rhos = tuple(float(random_rational(rng)) for _ in range(reduction(parts).rho_count))
+        params = reduction_parameters(parts, kappas, rhos)
+        again = reduction_parameters(parts, *reduction_constants(parts, params))
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(again.alpha, params.alpha))
+        moved = SystemParameters((params.alpha[0] + 1e-6,) + params.alpha[1:], params.eta)
+        with pytest.raises(ValueError, match="not in the image"):
+            reduction_constants(parts, moved)
+
     def test_normalization_report(self):
         report = check_normalization(samples=50, seed=1)
         assert report.passed
