@@ -7,16 +7,17 @@ as integration initial data and tolerances.  JSON output is emitted with
 sorted keys and fixed indentation, so identical configuration and seed
 produce byte-identical reports.
 
-A config file may supply any long option as a `key = value` line with
-`#` comments; explicit command-line flags override it, duplicate keys
-warn and keep the last value, and malformed lines are reported with
-their line number.
+A config file gives long options of the chosen subcommand as `key = value`
+lines with `#` comments.  They become that subcommand's defaults for a
+second parse, so they pass the same argparse `type=` as flags, and flags
+override them.  Unknown keys are refused; a duplicate key warns and wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -40,52 +41,61 @@ class UsageError(Exception):
     """Bad arguments or config values; maps to exit code 2."""
 
 
-class ConfigError(Exception):
-    def __init__(self, path, lineno, message):
-        super().__init__(f"{path}:{lineno}: {message}")
+# -- value parsing (argparse `type=` functions) ----------------------------
 
 
-# -- value parsing -------------------------------------------------------
+def _checked(convert, expected=None):
+    """A `type=` function; its message is ``expected`` or else ``convert``'s own."""
+
+    def parse(text):
+        try:
+            return convert(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            message = f"expected {expected}, got {text!r}" if expected else str(exc)
+            raise argparse.ArgumentTypeError(message)
+
+    return parse
 
 
-_EXPECTED = {Fraction: "a rational like 3/4", float: "a number", int: "an integer"}
+_integer = _checked(int, "an integer")
+_rational = _checked(Fraction, "a rational like 3/4")
+_real = _checked(float, "a number")
 
 
-def _number(text, what, kind=float):
-    try:
-        return kind(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{what}: expected {_EXPECTED[kind]}, got {text!r}")
+def _numbers(one, count=None):
+    """Comma-separated values for the `type=` function ``one``; ``count`` fixes how many."""
 
+    def parse(text):
+        pieces = text.split(",")
+        if count is not None and len(pieces) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated values, got {len(pieces)}")
+        return tuple(one(p) for p in pieces)
 
-def _numbers(text, what, kind=float, count=None):
-    pieces = text.split(",")
-    if count is not None and len(pieces) != count:
-        raise UsageError(f"{what}: expected {count} comma-separated values, got {len(pieces)}")
-    return tuple(_number(p, what, kind) for p in pieces)
-
-
-def _supported_reduction(text):
-    try:
-        return reduction(Partition.parse(text))
-    except ValueError as exc:
-        raise UsageError(f"--partition: {exc}")
+    return parse
 
 
 def _word(text):
     try:
         letters = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"--word: expected generator indices like 0,1,0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected generator indices like 0,1,0, got {text!r}")
     for letter in letters:
         if letter not in GENERATORS:
-            raise UsageError(f"--word: generator index out of range: {letter}")
-    if not letters:
-        raise UsageError("--word: empty word")
+            raise argparse.ArgumentTypeError(f"generator index out of range: {letter}")
     return letters
 
 
+def _counted(values, flag, count):
+    """Check a list whose length depends on the chosen record."""
+    if values is not None and len(values) != count:
+        raise UsageError(f"{flag}: expected {count} comma-separated values, got {len(values)}")
+    return values
+
+
 # -- config files --------------------------------------------------------
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def load_config(path) -> dict:
@@ -101,12 +111,12 @@ def load_config(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(path, lineno, f"expected `key = value`, got {raw.strip()!r}")
+            raise UsageError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
         if not key:
-            raise ConfigError(path, lineno, "empty key")
+            raise UsageError(f"{path}:{lineno}: empty key")
         if key in values:
             print(
                 f"warning: {path}:{lineno}: duplicate key {key!r} overrides earlier value",
@@ -116,47 +126,74 @@ def load_config(path) -> dict:
     return values
 
 
-def _resolved(args, key, fallback=None):
-    """CLI flag if given, else config value, else the fallback."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return fallback
+def _config_defaults(command, subparser, path) -> dict:
+    """The file's values by destination; a key is a long option of ``command``.
+
+    Flags get their boolean here, as argparse converts only typed defaults.
+    """
+    defaults = {}
+    for key, value in load_config(path).items():
+        action = subparser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"{path}: unknown key {key!r} for {command}")
+        if action.nargs == 0:
+            if value.lower() not in _BOOLEANS:
+                raise UsageError(f"{path}: {key}: expected true/false/yes/no/1/0, got {value!r}")
+            value = _BOOLEANS[value.lower()]
+        defaults[action.dest] = value
+    return defaults
 
 
-def _emit_json(document, stream=None):
-    print(json.dumps(document, sort_keys=True, indent=2), file=stream or sys.stdout)
+def _emit_json(document):
+    print(json.dumps(document, sort_keys=True, indent=2))
+
+
+def _fail(args, exc, prefix="error", **extra) -> int:
+    """A computation that failed: JSON on stdout or a line on stderr, exit code 1."""
+    if args.json:
+        _emit_json({"error": str(exc), **extra})
+    else:
+        print(f"{prefix}: {exc}", file=sys.stderr)
+    return 1
+
+
+def _heisenberg_suite(partition):
+    """The subalgebra, its check report, and its N and gradation type s."""
+    data = build_heisenberg(partition)
+    report = verify_heisenberg(partition)
+    return data, report, {"N": compute_N(partition), "s": list(gradation_type(data))}
+
+
+def _lax_block(record, samples, seed) -> dict:
+    body = verify_partition(record.parts, samples=samples, seed=seed).to_json_dict()
+    return {"samples": samples, "passed": body["passed"], "failures": body["failures"]}
+
+
+def _weyl_reports(samples, seed, bridge) -> dict:
+    return {
+        "relations": check_relations(samples=samples, seed=seed),
+        "equivariance": check_equivariance(samples=samples, seed=seed),
+        "conjugation": check_conjugation(samples=bridge, seed=seed),
+    }
 
 
 # -- subcommands ---------------------------------------------------------
 
 
 def _cmd_heisenberg(args) -> int:
-    raw = _resolved(args, "partition")
-    if raw is None:
-        raise UsageError("heisenberg: --partition is required")
-    try:
-        partition = Partition.parse(raw)
-    except ValueError as exc:
-        raise UsageError(f"--partition: {exc}")
-    data = build_heisenberg(partition)
-    report = verify_heisenberg(partition)
+    data, report, block = _heisenberg_suite(args.partition)
     generators = [(f"lambda_{i + 1}", lam) for i, lam in enumerate(data.lambdas)]
     generators += [(f"h_{j + 1}", h) for j, h in enumerate(data.h_elements)]
     document = {
-        "partition": list(partition.parts),
-        "N": compute_N(partition),
-        "s": list(gradation_type(data)),
+        "partition": list(args.partition.parts),
+        **block,
         "generators": [{"name": name, "matrix": g.render()} for name, g in generators],
         "checks": report.to_json_dict()["checks"],
     }
-    if _resolved(args, "json", False):
+    if args.json:
         _emit_json(document)
     else:
-        print(f"partition {raw}: N = {document['N']}, s = ({', '.join(str(v) for v in document['s'])})")
+        print(f"partition {args.partition}: N = {document['N']}, s = ({', '.join(str(v) for v in document['s'])})")
         for entry in document["generators"]:
             print(f"{entry['name']}:")
             for line in entry["matrix"].splitlines():
@@ -167,71 +204,32 @@ def _cmd_heisenberg(args) -> int:
 
 
 def _cmd_verify_lax(args) -> int:
-    raw = _resolved(args, "partition")
-    if raw is None:
-        raise UsageError("verify-lax: --partition is required")
-    record = _supported_reduction(raw)
-    samples = _number(str(_resolved(args, "samples", 100)), "--samples", int)
-    seed = _number(str(_resolved(args, "seed", 0)), "--seed", int)
-    report = verify_partition(record.parts, samples=samples, seed=seed)
-    body = report.to_json_dict()
-    document = {
-        "partition": list(record.parts),
-        "samples": samples,
-        "passed": body["passed"],
-        "failures": body["failures"],
-    }
-    if _resolved(args, "json", False):
+    record = args.partition
+    document = {"partition": list(record.parts), **_lax_block(record, args.samples, args.seed)}
+    if args.json:
         _emit_json(document)
     else:
-        count = samples - len(document["failures"])
-        print(f"partition {record.label}: {count}/{samples} samples exact")
+        count = args.samples - len(document["failures"])
+        print(f"partition {record.label}: {count}/{args.samples} samples exact")
         for failure in document["failures"]:
             print(f"  sample {failure['sample_index']}: entry {failure['entry']} residual {failure['residual']}")
     return 0 if document["passed"] else 1
 
 
 def _cmd_weyl(args) -> int:
-    raw_word = _resolved(args, "word")
-    raw_point = _resolved(args, "point")
-    raw_t = _resolved(args, "t")
-    raw_alphas = _resolved(args, "alphas")
-    raw_eta = _resolved(args, "eta")
-    missing = [
-        flag
-        for flag, value in (
-            ("--word", raw_word),
-            ("--point", raw_point),
-            ("--t", raw_t),
-            ("--alphas", raw_alphas),
-            ("--eta", raw_eta),
-        )
-        if value is None
-    ]
-    if missing:
-        raise UsageError("weyl: missing " + ", ".join(missing))
-    word = _word(raw_word)
-    coords = _numbers(raw_point, "--point", Fraction, count=4)
-    pairs = ((coords[0], coords[1]), (coords[2], coords[3]))
-    t = _number(raw_t, "--t", Fraction)
-    alphas = _numbers(raw_alphas, "--alphas", Fraction, count=6)
-    eta = _number(raw_eta, "--eta", Fraction)
-    params = SystemParameters(alpha=alphas, eta=eta)
+    pairs = tuple(zip(args.point[::2], args.point[1::2]))
+    params = SystemParameters(alpha=args.alphas, eta=args.eta)
     try:
-        image_pairs, image_params = apply_word(word, pairs, params, t)
+        image_pairs, image_params = apply_word(args.word, pairs, params, args.t)
     except PoleError as exc:
-        if _resolved(args, "json", False):
-            _emit_json({"error": str(exc), "word": list(word)})
-        else:
-            print(f"singular: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, exc, "singular", word=list(args.word))
     document = {
-        "word": list(word),
+        "word": list(args.word),
         "input": {
-            "point": jsonable([c for qp in pairs for c in qp]),
-            "t": jsonable(t),
-            "alphas": jsonable(alphas),
-            "eta": jsonable(eta),
+            "point": jsonable(list(args.point)),
+            "t": jsonable(args.t),
+            "alphas": jsonable(args.alphas),
+            "eta": jsonable(args.eta),
         },
         "image": {
             "point": jsonable([c for qp in image_pairs for c in qp]),
@@ -239,7 +237,7 @@ def _cmd_weyl(args) -> int:
             "eta": jsonable(image_params.eta),
         },
     }
-    if _resolved(args, "json", False):
+    if args.json:
         _emit_json(document)
     else:
         img = document["image"]
@@ -250,18 +248,10 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_weyl_check(args) -> int:
-    samples = _number(str(_resolved(args, "samples", 100)), "--samples", int)
-    seed = _number(str(_resolved(args, "seed", 0)), "--seed", int)
-    bridge = _number(str(_resolved(args, "bridge_samples", 25)), "--bridge-samples", int)
-    reports = {
-        "relations": check_relations(samples=samples, seed=seed),
-        "equivariance": check_equivariance(samples=samples, seed=seed),
-        "conjugation": check_conjugation(samples=bridge, seed=seed),
-    }
-    passed = all(report.passed for report in reports.values())
+    reports = _weyl_reports(args.samples, args.seed, args.bridge_samples)
     document = {name: report.to_json_dict() for name, report in reports.items()}
-    document["pass"] = passed
-    if _resolved(args, "json", False):
+    document["pass"] = all(report.passed for report in reports.values())
+    if args.json:
         _emit_json(document)
     else:
         for name, report in reports.items():
@@ -270,124 +260,78 @@ def _cmd_weyl_check(args) -> int:
             for check in report.checks:
                 if not check.passed:
                     print(f"  FAIL {check.name}")
-    return 0 if passed else 1
+    return 0 if document["pass"] else 1
 
 
 def _trajectory_params(args, record):
-    raw_kappas = _resolved(args, "kappas")
-    raw_rhos = _resolved(args, "rhos")
-    raw_alphas = _resolved(args, "alphas")
-    raw_eta = _resolved(args, "eta")
-    if raw_kappas is not None:
-        kappas = _numbers(raw_kappas, "--kappas", Fraction, count=record.kappa_count)
-        if raw_rhos is None:
+    if args.kappas is not None:
+        kappas = _counted(args.kappas, "--kappas", record.kappa_count)
+        if args.rhos is None:
             raise UsageError("integrate: --kappas needs --rhos")
-        rhos = _numbers(raw_rhos, "--rhos", Fraction, count=record.rho_count)
+        rhos = _counted(args.rhos, "--rhos", record.rho_count)
         return reduction_parameters(record.parts, kappas, rhos)
-    if raw_alphas is not None:
-        alphas = _numbers(raw_alphas, "--alphas", Fraction, count=record.weight_count)
-        eta = _number(raw_eta, "--eta", Fraction) if raw_eta is not None else None
-        if record.eta is not None and eta is None:
+    if args.alphas is not None:
+        alphas = _counted(args.alphas, "--alphas", record.weight_count)
+        if record.eta is not None and args.eta is None:
             raise UsageError("integrate: the coupled sixth system needs --eta")
-        return SystemParameters(alpha=alphas, eta=eta)
+        return SystemParameters(alpha=alphas, eta=args.eta)
     raise UsageError("integrate: supply --kappas/--rhos or --alphas [--eta]")
 
 
 def _cmd_integrate(args) -> int:
-    raw_system = _resolved(args, "partition") or _resolved(args, "system")
-    if raw_system is None:
-        raise UsageError("integrate: --system (or --partition) is required")
-    try:
-        record = reduction(flow.resolve_partition(raw_system))
-    except ValueError as exc:
-        raise UsageError(f"integrate: {exc}")
+    record = args.system
     params = _trajectory_params(args, record)
-
-    raw_point = _resolved(args, "point")
-    if raw_point is None:
-        raise UsageError("integrate: --point is required")
-    pair_count = record.pair_count
-    coords = _numbers(raw_point, "--point", count=2 * pair_count)
-    pairs = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(pair_count))
-
+    coords = _counted(args.point, "--point", 2 * record.pair_count)
+    pairs = tuple(zip(coords[::2], coords[1::2]))
     names = record.gauge_names
-    raw_gauges = _resolved(args, "gauges")
-    if raw_gauges is None:
-        gauges = {name: 1.0 for name in names}
-    else:
-        values = _numbers(raw_gauges, "--gauges", count=len(names))
-        gauges = dict(zip(names, values))
-
-    t0 = _number(str(_resolved(args, "t0")), "--t0") if _resolved(args, "t0") is not None else None
-    t1 = _number(str(_resolved(args, "t1")), "--t1") if _resolved(args, "t1") is not None else None
-    if t0 is None or t1 is None:
-        raise UsageError("integrate: --t0 and --t1 are required")
-    rel_tol = _number(str(_resolved(args, "rel_tol", 1e-8)), "--rel-tol")
-    abs_tol = _number(str(_resolved(args, "abs_tol", 1e-10)), "--abs-tol")
-    raw_fixed = _resolved(args, "fixed_step")
-    fixed = _number(str(raw_fixed), "--fixed-step") if raw_fixed is not None else None
-    raw_grid = _resolved(args, "sample_at")
-    grid = list(_numbers(raw_grid, "--sample-at")) if raw_grid is not None else None
-    as_json = _resolved(args, "json", False)
+    values = _counted(args.gauges, "--gauges", len(names)) or [1.0] * len(names)
+    gauges = dict(zip(names, values))
 
     try:
         trajectory = flow.integrate(
-            record.parts, pairs, gauges, params, t0, t1,
-            rel_tol=rel_tol, abs_tol=abs_tol, fixed_step=fixed,
+            record.parts, pairs, gauges, params, args.t0, args.t1,
+            rel_tol=args.rel_tol, abs_tol=args.abs_tol, fixed_step=args.fixed_step,
         )
-        rows = list(flow.csv_rows(trajectory, times=grid))
+        rows = list(flow.csv_rows(trajectory, times=args.sample_at))
     except (PoleError, ValueError) as exc:
-        if as_json:
-            _emit_json({"error": str(exc)})
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, exc)
 
     meta = flow.metadata(trajectory)
-    failures = 0
-    if trajectory.termination != flow.REACHED_END:
+    failed = trajectory.termination != flow.REACHED_END
+    if failed:
         print(f"error: {trajectory.termination} before t1", file=sys.stderr)
-        failures += 1
-    if _resolved(args, "residual", False):
-        tolerance = _number(str(_resolved(args, "residual_tol", 1e-6)), "--residual-tol")
+    if args.residual:
         try:
             monitor = flow.residual_along(trajectory)
         except ValueError as exc:
-            if as_json:
-                _emit_json({"error": str(exc)})
-            else:
-                print(f"error: {exc}", file=sys.stderr)
-            return 1
-        meta["residual"] = monitor
-        meta["residual"]["tolerance"] = tolerance
-        meta["residual"]["pass"] = monitor["max_residual"] <= tolerance
-        if not meta["residual"]["pass"]:
-            failures += 1
+            return _fail(args, exc)
+        passed = monitor["max_residual"] <= args.residual_tol
+        meta["residual"] = {**monitor, "tolerance": args.residual_tol, "pass": passed}
+        failed = failed or not passed
 
-    out_path = _resolved(args, "out")
-    if as_json:
+    if args.json:
         header, *body = rows
         _emit_json({
             "metadata": meta,
             "header": header.split(","),
             "rows": [row.split(",") for row in body],
         })
-    elif out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    elif args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(rows) + "\n")
-        with open(out_path + ".json", "w", encoding="utf-8") as handle:
+        with open(args.out + ".json", "w", encoding="utf-8") as handle:
             json.dump(meta, handle, sort_keys=True, indent=2)
             handle.write("\n")
-        print(f"wrote {len(rows) - 1} rows to {out_path} (metadata: {out_path}.json)")
+        print(f"wrote {len(rows) - 1} rows to {args.out} (metadata: {args.out}.json)")
     else:
         for row in rows:
             print(row)
         if meta.get("residual"):
             print(f"max Lax residual: {meta['residual']['max_residual']:.3e}", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
-def _report_numerics(seed) -> dict:
+def _report_numerics() -> dict:
     order = flow.order_check()
     trajectories = {}
     for record in REDUCTIONS.values():
@@ -427,39 +371,18 @@ def _report_numerics(seed) -> dict:
 
 
 def _cmd_report(args) -> int:
-    samples = _number(str(_resolved(args, "samples", 100)), "--samples", int)
-    seed = _number(str(_resolved(args, "seed", 0)), "--seed", int)
-    bridge = _number(str(_resolved(args, "bridge_samples", 25)), "--bridge-samples", int)
-    norm_samples = _number(str(_resolved(args, "normalization_samples", 1000)), "--normalization-samples", int)
-
+    samples, seed = args.samples, args.seed
     heisenberg_block = {}
     for record in REDUCTIONS.values():
-        partition = Partition(record.parts)
-        data = build_heisenberg(partition)
-        report = verify_heisenberg(partition)
-        heisenberg_block[record.label] = {
-            "N": compute_N(partition),
-            "s": list(gradation_type(data)),
-            "pass": report.passed,
-        }
-
-    lax_block = {}
-    for record in REDUCTIONS.values():
-        report = verify_partition(record.parts, samples=samples, seed=seed)
-        body = report.to_json_dict()
-        lax_block[record.label] = {
-            "samples": samples,
-            "passed": body["passed"],
-            "failures": body["failures"],
-        }
-
+        _, report, block = _heisenberg_suite(Partition(record.parts))
+        heisenberg_block[record.label] = {**block, "pass": report.passed}
+    lax_block = {record.label: _lax_block(record, samples, seed) for record in REDUCTIONS.values()}
     weyl_block = {
-        "relations": check_relations(samples=samples, seed=seed).to_json_dict(),
-        "equivariance": check_equivariance(samples=samples, seed=seed).to_json_dict(),
-        "conjugation": check_conjugation(samples=bridge, seed=seed).to_json_dict(),
+        name: report.to_json_dict()
+        for name, report in _weyl_reports(samples, seed, args.bridge_samples).items()
     }
-    normalization = check_normalization(samples=norm_samples, seed=seed).to_json_dict()
-    numerics = _report_numerics(seed)
+    normalization = check_normalization(samples=args.normalization_samples, seed=seed).to_json_dict()
+    numerics = _report_numerics()
 
     passed = (
         all(block["pass"] for block in heisenberg_block.values())
@@ -478,12 +401,11 @@ def _cmd_report(args) -> int:
         "numerics": numerics,
         "pass": passed,
     }
-    out_path = _resolved(args, "out")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, sort_keys=True, indent=2)
             handle.write("\n")
-        print(("PASS" if passed else "FAIL") + f": report written to {out_path}")
+        print(("PASS" if passed else "FAIL") + f": report written to {args.out}")
     else:
         _emit_json(document)
     return 0 if passed else 1
@@ -492,96 +414,106 @@ def _cmd_report(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and its subcommand parsers by name.
+
+    The config file may supply a required option, so each subcommand lists
+    those in its ``required`` default rather than as ``required=True``.
+    """
     parser = argparse.ArgumentParser(
         prog="painleve-ds",
         description="Exact verification and numerics for loop-algebra Painleve reductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary, required=(), json_flag=True):
+        p = sub.add_parser(name, help=summary, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help="key = value file; flags given here override it")
-        p.add_argument("--json", action="store_true", default=None, help="machine-readable output")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(handler=handler, required=required)
+        return p
 
-    p = sub.add_parser("heisenberg", help="construct and verify one partition's subalgebra")
-    common(p)
-    p.add_argument("--partition", help="partition such as 2,2,1")
-    p.set_defaults(handler=_cmd_heisenberg)
+    def suite_size(p, samples_help):
+        p.add_argument("--samples", type=_integer, default=100, help=samples_help)
+        p.add_argument("--seed", type=_integer, default=0, help="sampling seed")
 
-    p = sub.add_parser("verify-lax", help="exact zero-curvature suite for one partition")
-    common(p)
-    p.add_argument("--partition", help="one of " + "; ".join(r.label for r in REDUCTIONS.values()))
-    p.add_argument("--samples", help="sample count (default 100)")
-    p.add_argument("--seed", help="sampling seed (default 0)")
-    p.set_defaults(handler=_cmd_verify_lax)
+    p = command("heisenberg", _cmd_heisenberg, "construct and verify one partition's subalgebra",
+                required=("--partition",))
+    p.add_argument("--partition", type=_checked(Partition.parse), help="partition such as 2,2,1")
 
-    p = sub.add_parser("weyl", help="apply a reflection word to a point")
-    common(p)
-    p.add_argument("--word", help="generator indices, e.g. 0,1,0")
-    p.add_argument("--point", help="q1,p1,q2,p2 as rationals")
-    p.add_argument("--t", help="time as a rational")
-    p.add_argument("--alphas", help="six weights a0,...,a5 as rationals")
-    p.add_argument("--eta", help="extra weight as a rational")
-    p.set_defaults(handler=_cmd_weyl)
+    p = command("verify-lax", _cmd_verify_lax, "exact zero-curvature suite for one partition",
+                required=("--partition",))
+    p.add_argument("--partition", type=_checked(lambda text: reduction(Partition.parse(text))),
+                   help="one of " + "; ".join(r.label for r in REDUCTIONS.values()))
+    suite_size(p, "sample count")
 
-    p = sub.add_parser("weyl-check", help="exact symmetry-group verification")
-    common(p)
-    p.add_argument("--samples", help="points per relation/generator (default 100)")
-    p.add_argument("--seed", help="sampling seed (default 0)")
-    p.add_argument("--bridge-samples", dest="bridge_samples", help="conjugation points (default 25)")
-    p.set_defaults(handler=_cmd_weyl_check)
+    p = command("weyl", _cmd_weyl, "apply a reflection word to a point",
+                required=("--word", "--point", "--t", "--alphas", "--eta"))
+    p.add_argument("--word", type=_word, help="generator indices, e.g. 0,1,0")
+    p.add_argument("--point", type=_numbers(_rational, count=4), help="q1,p1,q2,p2 as rationals")
+    p.add_argument("--t", type=_rational, help="time as a rational")
+    p.add_argument("--alphas", type=_numbers(_rational, count=6), help="six weights a0,...,a5 as rationals")
+    p.add_argument("--eta", type=_rational, help="extra weight as a rational")
 
-    p = sub.add_parser("integrate", help="float trajectory of one system")
-    common(p)
-    p.add_argument("--system", help="p6, a4, a5, cp6, or a partition like 2,2,1")
-    p.add_argument("--partition", help="partition (overrides --system)")
-    p.add_argument("--point", help="initial q,p per pair, comma-separated floats")
-    p.add_argument("--gauges", help="initial gauge values in declared order (default all 1)")
-    p.add_argument("--kappas", help="integration constants as rationals (with --rhos)")
-    p.add_argument("--rhos", help="residual-grade constants as rationals")
-    p.add_argument("--alphas", help="weights as rationals (alternative to --kappas)")
-    p.add_argument("--eta", help="extra weight, needed by the coupled sixth system")
-    p.add_argument("--t0", help="start time")
-    p.add_argument("--t1", help="end time")
-    p.add_argument("--rel-tol", dest="rel_tol", help="relative tolerance (default 1e-8)")
-    p.add_argument("--abs-tol", dest="abs_tol", help="absolute tolerance (default 1e-10)")
-    p.add_argument("--fixed-step", dest="fixed_step", help="disable adaptivity, use this step")
-    p.add_argument("--sample-at", dest="sample_at", help="dense-output times, comma-separated")
+    p = command("weyl-check", _cmd_weyl_check, "exact symmetry-group verification")
+    suite_size(p, "points per relation/generator")
+    p.add_argument("--bridge-samples", type=_integer, default=25, help="conjugation points")
+
+    p = command("integrate", _cmd_integrate, "float trajectory of one system",
+                required=("--system", "--point", "--t0", "--t1"))
+    p.add_argument("--system", "--partition",
+                   type=_checked(lambda text: reduction(flow.resolve_partition(text))),
+                   help="p6, a4, a5, cp6, or a partition like 2,2,1")
+    p.add_argument("--point", type=_numbers(_real), help="initial q,p per pair, comma-separated floats")
+    p.add_argument("--gauges", type=_numbers(_real),
+                   help="initial gauge values in declared order; all 1 when omitted")
+    p.add_argument("--kappas", type=_numbers(_rational), help="integration constants as rationals (with --rhos)")
+    p.add_argument("--rhos", type=_numbers(_rational), help="residual-grade constants as rationals")
+    p.add_argument("--alphas", type=_numbers(_rational), help="weights as rationals (alternative to --kappas)")
+    p.add_argument("--eta", type=_rational, help="extra weight, needed by the coupled sixth system")
+    p.add_argument("--t0", type=_real, help="start time")
+    p.add_argument("--t1", type=_real, help="end time")
+    p.add_argument("--rel-tol", type=_real, default=1e-8, help="relative tolerance")
+    p.add_argument("--abs-tol", type=_real, default=1e-10, help="absolute tolerance")
+    p.add_argument("--fixed-step", type=_real, help="disable adaptivity, use this step")
+    p.add_argument("--sample-at", type=_numbers(_real), help="dense-output times, comma-separated")
     p.add_argument("--out", help="CSV path; writes a .json metadata sidecar next to it")
-    p.add_argument("--residual", action="store_true", default=None,
-                   help="monitor the along-trajectory Lax residual")
-    p.add_argument("--residual-tol", dest="residual_tol", help="failure threshold (default 1e-6)")
-    p.set_defaults(handler=_cmd_integrate)
+    p.add_argument("--residual", action="store_true", help="monitor the along-trajectory Lax residual")
+    p.add_argument("--residual-tol", type=_real, default=1e-6, help="failure threshold")
 
-    p = sub.add_parser("report", help="run every suite, emit one JSON document")
-    common(p)
-    p.add_argument("--samples", help="samples per exact suite (default 100)")
-    p.add_argument("--seed", help="sampling seed (default 0)")
-    p.add_argument("--bridge-samples", dest="bridge_samples", help="conjugation points (default 25)")
-    p.add_argument("--normalization-samples", dest="normalization_samples",
-                   help="weight-sum samples (default 1000)")
+    p = command("report", _cmd_report, "run every suite, emit one JSON document", json_flag=False)
+    suite_size(p, "samples per exact suite")
+    p.add_argument("--bridge-samples", type=_integer, default=25, help="conjugation points")
+    p.add_argument("--normalization-samples", type=_integer, default=1000, help="weight-sum samples")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(handler=_cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        config_path = getattr(args, "config", None)
-        args._config = load_config(config_path) if config_path else {}
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.config:
+            subparser = commands[args.command]
+            subparser.set_defaults(**_config_defaults(args.command, subparser, args.config))
+            args = parser.parse_args(argv)
+        missing = [flag for flag in args.required if getattr(args, flag[2:].replace("-", "_")) is None]
+        if missing:
+            raise UsageError(f"{args.command}: missing " + ", ".join(missing))
+        code = args.handler(args)
+        sys.stdout.flush()
+    except SystemExit as exc:  # argparse has printed help or a usage error
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -2,11 +2,17 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import painleve_ds
 from painleve_ds import flow
 from painleve_ds.cli import load_config, main
+from painleve_ds.reductions import REDUCTIONS
 
 
 def _json_out(capsys):
@@ -49,6 +55,12 @@ class TestVerifyLax:
     def test_unsupported_partition_rejected(self, capsys):
         assert main(["verify-lax", "--partition", "5,2"]) == 2
         assert capsys.readouterr().err
+
+    def test_unsupported_partition_lists_the_supported_ones(self, capsys):
+        assert main(["verify-lax", "--partition", "5,2"]) == 2
+        err = capsys.readouterr().err
+        assert "no Lax pair implemented" in err
+        assert all(record.label in err for record in REDUCTIONS.values())
 
 
 class TestWeyl:
@@ -226,6 +238,64 @@ class TestConfig:
         cfg.write_text("bridge-samples = 4\n")
         assert load_config(str(cfg)) == {"bridge_samples": "4"}
 
+    def test_file_alone_supplies_a_required_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("partition = 2,2\nsamples = 2\n")
+        assert main(["verify-lax", "--config", str(cfg), "--json"]) == 0
+        assert _json_out(capsys)["partition"] == [2, 2]
+
+    def test_file_value_is_parsed_like_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = abc\n")
+        code = main(["verify-lax", "--partition", "2,2", "--config", str(cfg)])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "no", "0"])
+    def test_false_boolean_leaves_the_flag_off(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"json = {value}\n")
+        code = main(["verify-lax", "--partition", "2,2", "--samples", "2", "--config", str(cfg)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("partition 2,2: 2/2 samples exact")
+        cfg.write_text(f"residual = {value}\n")
+        assert main(TestIntegrate.BASE + ["--json", "--config", str(cfg)]) == 0
+        assert "residual" not in _json_out(capsys)["metadata"]
+
+    def test_true_boolean_turns_the_flag_on(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("json = yes\n")
+        code = main(["verify-lax", "--partition", "2,2", "--samples", "2", "--config", str(cfg)])
+        assert code == 0
+        assert _json_out(capsys)["samples"] == 2
+
+    def test_boolean_must_read_as_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("json = maybe\n")
+        code = main(["verify-lax", "--partition", "2,2", "--samples", "2", "--config", str(cfg)])
+        assert code == 2
+        assert "maybe" in capsys.readouterr().err
+
+    # `bridge_samples` is a key of weyl-check and report, not of verify-lax
+    @pytest.mark.parametrize("key", ["frobnicate", "bridge_samples"])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code = main(["verify-lax", "--partition", "2,2", "--samples", "2", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(cfg) in err and key in err
+
+    def test_partition_key_names_the_system(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("partition = 3,3\n")
+        code = main([
+            "integrate", "--config", str(cfg), "--point", "0.4,0.3,0.7,-0.2",
+            "--kappas", "1/7,3/7,5/7,1,9/7,11/7", "--rhos", "3/5", "--t0", "2", "--t1", "2.1", "--json",
+        ])
+        assert code == 0
+        assert _json_out(capsys)["metadata"]["system"] == "cp6"
+
 
 class TestParsing:
     def test_unknown_command_exits_two(self, capsys):
@@ -233,6 +303,31 @@ class TestParsing:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["heisenberg", "--partition", "2,2", "--frob"]) == 2
+
+    @pytest.mark.parametrize(
+        "command", ["heisenberg", "verify-lax", "weyl", "weyl-check", "integrate", "report"]
+    )
+    def test_help_exits_zero(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert "default" in capsys.readouterr().out
+
+    def test_report_always_writes_json(self, capsys):
+        assert main(["report", "--json"]) == 2
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        src = str(Path(painleve_ds.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "painleve_ds", "verify-lax", "--partition", "2,2",
+             "--samples", "2", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # closed before the child has even imported the package
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
 
 
 class TestReport:
