@@ -18,11 +18,10 @@ from .lax import (
     canonical_to_ds,
     constraint_residuals,
     ds_to_canonical,
-    exact_frame,
     lax_matrices,
-    numeric_frame,
     residual_magnitude,
     sample_point,
+    time_root,
     verify_partition,
     zero_curvature_residual,
 )
@@ -57,11 +56,10 @@ __all__ = [
     "canonical_to_ds",
     "constraint_residuals",
     "ds_to_canonical",
-    "exact_frame",
     "lax_matrices",
-    "numeric_frame",
     "residual_magnitude",
     "sample_point",
+    "time_root",
     "verify_partition",
     "zero_curvature_residual",
     "REDUCTIONS",

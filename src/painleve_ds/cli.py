@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import flow
-from .heisenberg import Partition, build_heisenberg, compute_N, gradation_type, verify_heisenberg
+from .heisenberg import Partition, build_heisenberg, verify_heisenberg
 from .lax import verify_partition
 from .painleve import SystemParameters, check_normalization, reduction_parameters
 from .reductions import REDUCTIONS, reduction
@@ -161,7 +161,7 @@ def _heisenberg_suite(partition):
     """The subalgebra, its check report, and its N and gradation type s."""
     data = build_heisenberg(partition)
     report = verify_heisenberg(partition)
-    return data, report, {"N": compute_N(partition), "s": list(gradation_type(data))}
+    return data, report, {"N": data.scale, "s": list(data.s_vector)}
 
 
 def _lax_block(record, samples, seed) -> dict:
@@ -264,6 +264,10 @@ def _cmd_weyl_check(args) -> int:
 
 
 def _trajectory_params(args, record):
+    constants = [flag for flag in ("--kappas", "--rhos") if getattr(args, flag[2:]) is not None]
+    weights = [flag for flag in ("--alphas", "--eta") if getattr(args, flag[2:]) is not None]
+    if constants and weights:
+        raise UsageError(f"integrate: give {'/'.join(constants)} or {'/'.join(weights)}, not both")
     if args.kappas is not None:
         kappas = _counted(args.kappas, "--kappas", record.kappa_count)
         if args.rhos is None:
@@ -279,6 +283,8 @@ def _trajectory_params(args, record):
 
 
 def _cmd_integrate(args) -> int:
+    if args.json and args.out:
+        raise UsageError("integrate: --json and --out cannot be combined")
     record = args.system
     params = _trajectory_params(args, record)
     coords = _counted(args.point, "--point", 2 * record.pair_count)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .heisenberg import Partition
-from .lax import numeric_frame, residual_magnitude, zero_curvature_residual
+from .lax import residual_magnitude, zero_curvature_residual
 from .painleve import (
     SystemParameters,
     gauge_log_derivatives,
@@ -262,6 +262,10 @@ def integrate(
     record = reduction(resolve_partition(system))
     parts = record.parts
     _check_interval(record, t0, t_end)
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"relative tolerance rel_tol = {rel_tol} must be finite and >= 0")
+    if not (math.isfinite(abs_tol) and abs_tol > 0):
+        raise ValueError(f"absolute tolerance abs_tol = {abs_tol} must be finite and > 0")
     names = record.gauge_names
     gauge_start = []
     for name in names:
@@ -450,7 +454,6 @@ def residual_along(trajectory: Trajectory) -> dict:
     for s, slope in zip(trajectory.samples, trajectory._slopes):
         if slope is None:
             continue
-        frame = numeric_frame(parts, s.t)
         pair_rates = tuple(
             (slope[2 * i], slope[2 * i + 1]) for i in range(pair_count)
         )
@@ -459,7 +462,7 @@ def residual_along(trajectory: Trajectory) -> dict:
             for k, name in enumerate(trajectory.gauge_names)
         }
         element = zero_curvature_residual(
-            parts, s.pairs, s.t, s.gauges, kappas, rhos, frame=frame,
+            parts, s.pairs, s.t, s.gauges, kappas, rhos,
             pair_rates=pair_rates, gauge_rates=gauge_rates,
         )
         magnitude = residual_magnitude(element)

@@ -27,10 +27,9 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from .loop import GradationSpec, LoopElement, apply_theta, bracket
+from .loop import LoopElement, apply_theta, bracket
 from .painleve import gauge_log_derivatives, reduction_parameters, vector_field
 from .reductions import reduction
 from .reporting import SampleReport, jsonable
@@ -40,6 +39,7 @@ from .scalars import (
     Gradient,
     PoleError,
     QQ,
+    is_rational,
     is_zero_scalar,
     tangent_of,
     value_of,
@@ -47,57 +47,38 @@ from .scalars import (
 
 
 # ---------------------------------------------------------------------------
-# Time frames: the hierarchy time tau is an algebraic function of t, realised
-# through a single adjoined root symbol per partition.
+# Hierarchy time: tau is an algebraic function of t, realised through one
+# root symbol per partition.
 
 
-@dataclass(frozen=True)
-class TimeFrame:
-    """Carries the root symbol linking Painleve time t to hierarchy time tau.
+def time_root(parts, t) -> Gradient:
+    """The partition's root symbol at time t, with d(root)/dt as its one partial.
 
-    root_tangent is d(root)/dt in the same scalar ring as root.  For the
-    exact frames the ring is a rational root extension; numeric frames use
-    float or complex values.
-    """
-
-    parts: tuple
-    root: object
-    root_tangent: object
-
-
-def exact_frame(parts: tuple, t: Fraction) -> TimeFrame:
-    """Adjoin the partition's root symbol over QQ at rational time t.
-
-    The root satisfies root**power = base(t); its t-derivative follows
-    from the relation by implicit differentiation.
+    The root satisfies root**power = base(t).  At rational t it is adjoined
+    exactly over QQ; at float t it is the real root, or the principal
+    square root of a negative base.  Implicit differentiation of the
+    relation gives the tangent root * base'(t) / (power * base(t)) in
+    either ring.
     """
     record = reduction(parts)
     relation = record.root
-    t = QQ(t)
+    power = relation.power
+    exact = is_rational(t)
+    if exact:
+        t = QQ(t)
     try:
         base = relation.base(t)
     except ZeroDivisionError:
         base = 0
-    if base == 0:
-        raise PoleError(f"{record.parts} frame needs a finite nonzero root base at t = {t}")
-    ext = Extension(relation.symbol, relation.power, base)
-    return TimeFrame(record.parts, ext.root(), ext.root_tangent(relation.base_rate(t)))
-
-
-def numeric_frame(parts: tuple, t) -> TimeFrame:
-    """Float (or complex, where the root is imaginary) counterpart of exact_frame.
-
-    The root is the real root of base(t), or the principal square root of
-    a negative base; its tangent is root * base'(t) / (power * base(t)).
-    """
-    record = reduction(parts)
-    power = record.root.power
-    base = record.root.base(t)
-    if power == 2:
+    if not 0 < abs(base) < math.inf:
+        raise PoleError(f"{record.parts} root needs a finite nonzero base at t = {t}")
+    if exact:
+        root = Extension(relation.symbol, power, base).root()
+    elif power == 2:
         root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
     else:  # odd power: the real root
         root = math.copysign(abs(base) ** (1 / power), base)
-    return TimeFrame(record.parts, root, root * record.root.base_rate(t) / (power * base))
+    return Gradient(root, (root * relation.base_rate(t) / (power * base),))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +90,8 @@ class DSState:
     """Reduced (dressing) coordinates of one partition at fixed time.
 
     variables holds the w/phi coordinates named as in the reduced
-    presentation; tau and root are the hierarchy-time scalars of the frame
-    used to build the state.  kappas and rhos are the first integrals of
+    presentation; tau and root are the hierarchy-time scalars the state
+    was built with.  kappas and rhos are the first integrals of
     the reduction (plain constants).
     """
 
@@ -123,19 +104,19 @@ class DSState:
     rhos: tuple
 
 
-def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, frame=None) -> DSState:
+def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, root=None) -> DSState:
     """Invert the canonical coordinate maps; gauge variables must be supplied.
 
     Variables not fixed by the canonical point are recovered from the
-    constraint identities, so the output satisfies them exactly.
+    constraint identities, so the output satisfies them exactly.  root
+    defaults to the value of ``time_root(partition, t)``.
     """
     record = reduction(partition)
     for name in record.gauge_names:
         if is_zero_scalar(value_of(gauges[name])):
             raise PoleError(f"gauge variable {name} = 0")
-    if frame is None:
-        frame = exact_frame(record.parts, t)
-    root = frame.root
+    if root is None:
+        root = time_root(record.parts, t).value
     tau = record.tau(t, root)
     kappas = tuple(kappas)
     rhos = tuple(rhos)
@@ -157,15 +138,6 @@ def constraint_residuals(state: DSState) -> dict:
 # Matrix assembly.
 
 
-@dataclass(frozen=True)
-class LaxPair:
-    partition: tuple
-    m_matrix: LoopElement
-    b_matrix: LoopElement
-    theta: GradationSpec
-    system: str
-
-
 def _loop(rank: int, entries: dict, diag, c_k=0) -> LoopElement:
     parts: dict = {}
     for (deg, row, col), value in entries.items():
@@ -181,7 +153,7 @@ def _kappa_diagonal(kappas) -> list:
     return [kappas[(i + 1) % n] - kappas[i] for i in range(n)]
 
 
-def lax_matrices(state: DSState) -> LaxPair:
+def lax_matrices(state: DSState) -> tuple:
     """Assemble (M, B) from a reduced state.
 
     Every M carries the kappa differences on its diagonal and kappa_0 as
@@ -193,7 +165,7 @@ def lax_matrices(state: DSState) -> LaxPair:
     m_entries, b_entries, b_diagonal = record.matrices(state)
     m = _loop(rank, m_entries, _kappa_diagonal(k), c_k=k[0])
     b = _loop(rank, b_entries, b_diagonal)
-    return LaxPair(record.parts, m, b, record.gradation, record.system)
+    return m, b
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +173,7 @@ def lax_matrices(state: DSState) -> LaxPair:
 
 
 def zero_curvature_residual(
-    partition, pairs, t, gauges, kappas, rhos, frame=None,
+    partition, pairs, t, gauges, kappas, rhos, root=None,
     pair_rates=None, gauge_rates=None,
 ) -> LoopElement:
     """R = dM/dt - theta(B_t) + [M, B_t]; identically zero on valid data.
@@ -209,8 +181,8 @@ def zero_curvature_residual(
     One forward pass along the single direction d/dt computes dM/dt
     exactly: the canonical pair tangents are seeded with the Hamiltonian
     vector field, each gauge tangent with gauge times its multiplier
-    log-derivative, t with 1 and the root symbol with its derivative
-    through the defining relation.
+    log-derivative, t with 1, and the root is ``time_root(partition, t)``
+    unless given as a one-direction Gradient.
 
     pair_rates and gauge_rates override the flow-derived tangents, which
     lets stored trajectory slopes stand in for the vector field; the
@@ -220,8 +192,8 @@ def zero_curvature_residual(
     """
     record = reduction(partition)
     parts = record.parts
-    if frame is None:
-        frame = exact_frame(parts, t)
+    if root is None:
+        root = time_root(parts, t)
     if pair_rates is None or gauge_rates is None:
         params = reduction_parameters(parts, kappas, rhos)
     if pair_rates is None:
@@ -234,19 +206,15 @@ def zero_curvature_residual(
         (Gradient(q, (dq,)), Gradient(p, (dp,))) for (q, p), (dq, dp) in zip(pairs, pair_rates)
     )
     seeded_gauges = {name: Gradient(g, (gauge_rates[name],)) for name, g in gauges.items()}
-    # the root carries its own t-derivative as its one partial
-    seeded_root = Gradient(frame.root, (frame.root_tangent,))
     state = canonical_to_ds(
-        parts, seeded_pairs, Gradient(t, (1,)), seeded_gauges, kappas, rhos,
-        frame=TimeFrame(parts, seeded_root, None),
+        parts, seeded_pairs, Gradient(t, (1,)), seeded_gauges, kappas, rhos, root=root
     )
-    pair = lax_matrices(state)
+    m, b = lax_matrices(state)
 
-    m_matrix = pair.m_matrix.map_scalars(value_of)
-    m_dot = pair.m_matrix.map_scalars(tangent_of)
-    tau_rate = tangent_of(state.tau)
-    b_t = pair.b_matrix.map_scalars(value_of).scale(tau_rate)
-    return m_dot - apply_theta(pair.theta, b_t) + bracket(m_matrix, b_t)
+    m_value = m.map_scalars(value_of)
+    m_dot = m.map_scalars(tangent_of)
+    b_t = b.map_scalars(value_of).scale(tangent_of(state.tau))
+    return m_dot - apply_theta(record.gradation, b_t) + bracket(m_value, b_t)
 
 
 def residual_magnitude(element: LoopElement) -> float:

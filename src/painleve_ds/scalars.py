@@ -58,14 +58,6 @@ class Extension:
         """The adjoined symbol s."""
         return ExtScalar(self, (_ZERO, _ONE) + (_ZERO,) * (self.power - 2))
 
-    def root_tangent(self, base_rate) -> "ExtScalar":
-        """d(s)/dt from the defining relation s**power = base(t).
-
-        Implicit differentiation: k s**(k-1) s' = base', so
-        s' = base' * s / (k * base).
-        """
-        return self.root() * (Fraction(base_rate) / (self.power * self.base))
-
 
 class ExtScalar:
     """Element of an :class:`Extension`: the tuple of rational coefficients

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .lax import canonical_to_ds, exact_frame, lax_matrices
+from .lax import canonical_to_ds, lax_matrices, time_root
 from .loop import LoopElement, apply_theta, bracket, chevalley
 from .painleve import SystemParameters, reduction_parameters, vector_field
 from .reductions import reduction
@@ -266,16 +266,15 @@ def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
 # -- gauge picture for the coupled sixth Lax pair ----------------------
 
 
-def gauge_function(index, pairs, t, w3, params: SystemParameters, frame):
+def gauge_function(index, pairs, t, w3, params: SystemParameters, u):
     """Denominator of the unipotent gauge coefficient for one reflection.
 
-    Lives in the cube-root time frame of the coupled sixth reduction: the
-    returned scalar is an element of the frame's ring, and a plain
-    rational for r2 and r3, whose formulas need no root.
+    u is the coupled sixth reduction's cube root, u**3 = 1/t: the returned
+    scalar is an element of u's ring, and a plain rational for r2 and r3,
+    whose formulas need no root.
     """
     if index not in GENERATORS:
         raise ValueError(f"generator index out of range: {index}")
-    u = frame.root
     third = u * u * t  # t^(1/3)
     two_thirds = u * t  # t^(2/3)
     (q1, p1), (q2, p2) = pairs
@@ -306,7 +305,7 @@ def reflected_gauge(index, pairs, params: SystemParameters, w3):
     return w3 * (d_p - params.alpha[3]) / d_p
 
 
-def conjugation_residual(index, pairs, t, w3, kappas, rhos, frame=None) -> LoopElement:
+def conjugation_residual(index, pairs, t, w3, kappas, rhos) -> LoopElement:
     """Gauge-conjugated M minus M at the reflected point; exactly zero.
 
     The conjugation is by exp(x) with x = (alpha_i/phi_i) f_i; x squares
@@ -315,21 +314,19 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, frame=None) -> LoopE
     The central coefficient moves through the bracket cocycle, matching
     the kappa_i -> kappa_i + 3 alpha_i shift of the constants.
     """
-    if frame is None:
-        frame = exact_frame(CP6.parts, t)
+    u = time_root(CP6.parts, t).value
     params = reduction_parameters(CP6.parts, kappas, rhos)
-    state = canonical_to_ds(CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, frame=frame)
-    pair = lax_matrices(state)
-    phi = gauge_function(index, pairs, t, w3, params, frame)
+    state = canonical_to_ds(CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, root=u)
+    m, _ = lax_matrices(state)
+    phi = gauge_function(index, pairs, t, w3, params, u)
     if is_zero_scalar(value_of(phi)):
         raise PoleError(f"gauge function phi_{index} = 0")
     x = chevalley(5, index, "f").scale(params.alpha[index] / phi)
-    m = pair.m_matrix
     bridge = (
         m
         + bracket(x, m)
         + bracket(x, bracket(x, m)).scale(QQ(1, 2))
-        + apply_theta(pair.theta, x)
+        + apply_theta(CP6.gradation, x)
     )
     new_pairs, _ = apply_generator(index, pairs, params, t)
     new_kappas = tuple(
@@ -338,9 +335,9 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, frame=None) -> LoopE
     )
     new_w3 = reflected_gauge(index, pairs, params, w3)
     new_state = canonical_to_ds(
-        CP6.parts, new_pairs, t, {"w3": new_w3}, new_kappas, rhos, frame=frame
+        CP6.parts, new_pairs, t, {"w3": new_w3}, new_kappas, rhos, root=u
     )
-    return lax_matrices(new_state).m_matrix - bridge
+    return lax_matrices(new_state)[0] - bridge
 
 
 def check_conjugation(samples: int = 25, seed: int = 0) -> CheckReport:

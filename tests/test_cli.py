@@ -183,6 +183,43 @@ class TestIntegrate:
         assert code == 1
         assert "not finite" in _json_out(capsys)["error"]
 
+    def test_json_with_out_is_refused(self, tmp_path, capsys):
+        target = tmp_path / "run.csv"
+        assert main(self.BASE + ["--json", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert "--json" in captured.err and "--out" in captured.err
+        assert captured.out == ""
+        assert not target.exists() and not (tmp_path / "run.csv.json").exists()
+
+    def test_json_from_the_config_with_out_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("json = true\n")
+        target = tmp_path / "run.csv"
+        assert main(self.BASE + ["--config", str(cfg), "--out", str(target)]) == 2
+        assert "--json" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("route,named", [
+        (["--kappas", "1/7,3/7,5/7,1", "--rhos", "3/5", "--alphas", "1,2"], ["--kappas/--rhos", "--alphas"]),
+        (["--kappas", "1/7,3/7,5/7,1", "--rhos", "3/5", "--eta", "1/2"], ["--kappas/--rhos", "--eta"]),
+        (["--alphas", "1,2,3,4,5", "--rhos", "3/5"], ["--rhos", "--alphas"]),
+    ])
+    def test_mixed_parameter_routes_are_refused(self, capsys, route, named):
+        argv = ["integrate", "--system", "p6", "--point", "0.4,0.3", "--t0", "2", "--t1", "3"]
+        assert main(argv + route) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named)
+
+    @pytest.mark.parametrize("tols,named", [
+        (["--rel-tol", "0", "--abs-tol", "0"], "abs_tol"),
+        (["--rel-tol", "-1"], "rel_tol"),
+        (["--abs-tol", "inf"], "abs_tol"),
+    ])
+    def test_bad_tolerance_exits_one(self, capsys, tols, named):
+        # main returns rather than raising, so no traceback reaches the user
+        assert main(self.BASE + tols) == 1
+        assert named in capsys.readouterr().err
+
     def test_weights_for_coupled_sixth_need_eta(self, capsys):
         code = main([
             "integrate", "--system", "cp6", "--point", "0.4,0.3,0.7,-0.2",

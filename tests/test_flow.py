@@ -132,6 +132,22 @@ class TestIntegration:
         with pytest.raises(ValueError, match="t0 = .* is not finite"):
             _run((3, 1), t0=-math.inf)
 
+    @pytest.mark.parametrize("tols,named", [
+        ((0.0, 0.0), "abs_tol"),
+        ((1e-8, -1e-10), "abs_tol"),
+        ((-1.0, 1e-10), "rel_tol"),
+        ((math.nan, 1e-10), "rel_tol"),
+        ((1e-8, math.inf), "abs_tol"),
+    ])
+    def test_bad_tolerances_rejected_before_any_step(self, tols, named, monkeypatch):
+        monkeypatch.setattr(flow, "_advance", lambda *a: pytest.fail("stepped"))
+        rel_tol, abs_tol = tols
+        with pytest.raises(ValueError, match=named):
+            _run((2, 2), rel_tol=rel_tol, abs_tol=abs_tol)
+
+    def test_zero_relative_tolerance_is_pure_absolute_control(self):
+        assert _run((2, 2), rel_tol=0.0, abs_tol=1e-10).termination == flow.REACHED_END
+
     def test_step_budget_ends_with_a_flag(self):
         traj = _run((2, 2), max_steps=3)
         assert traj.termination == flow.STEP_BUDGET

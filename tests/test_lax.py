@@ -1,5 +1,6 @@
 """Exact zero-curvature and constraint checks for the five reductions."""
 
+import math
 import random
 from fractions import Fraction as QQ
 
@@ -9,17 +10,16 @@ from painleve_ds.lax import (
     canonical_to_ds,
     constraint_residuals,
     ds_to_canonical,
-    exact_frame,
     lax_matrices,
-    numeric_frame,
     residual_magnitude,
     sample_point,
+    time_root,
     verify_partition,
     zero_curvature_residual,
 )
 from painleve_ds.painleve import gauge_log_derivatives, reduction_parameters, vector_field
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.scalars import PoleError, is_zero_scalar
+from painleve_ds.scalars import ExtScalar, PoleError, is_zero_scalar
 
 FIVE = list(REDUCTIONS)
 
@@ -48,55 +48,77 @@ def _evaluate(x, root):
 
 
 class TestFrames:
+    """time_root: the root symbol and its t-derivative as one dual number."""
+
     def test_cube_root_frame(self):
-        frame = exact_frame((3, 3), QQ(2))
-        assert frame.root * frame.root * frame.root == QQ(1, 2)
+        u = time_root((3, 3), QQ(2)).value
+        assert u * u * u == QQ(1, 2)
 
     @pytest.mark.parametrize("parts", [(2, 2), (2, 2, 1)])
     def test_square_root_frame(self, parts):
-        frame = exact_frame(parts, QQ(3))
-        assert frame.root * frame.root == 3
+        s = time_root(parts, QQ(3)).value
+        assert s * s == 3
 
     def test_constant_root_frame(self):
-        frame = exact_frame((3, 1), QQ(5))
-        assert frame.root * frame.root == 6
+        root = time_root((3, 1), QQ(5))
+        assert root.value * root.value == 6
+        assert root.grad == (0,)
         # tau scales linearly with t for this partition
-        assert reduction((3, 1)).tau(QQ(5), frame.root) == QQ(-5, 3) * frame.root
+        assert reduction((3, 1)).tau(QQ(5), root.value) == QQ(-5, 3) * root.value
 
     def test_negative_double_frame(self):
-        frame = exact_frame((4, 1), QQ(3))
-        assert frame.root * frame.root == -6
+        v = time_root((4, 1), QQ(3)).value
+        assert v * v == -6
+
+    def test_lane_follows_the_time(self):
+        # rational t (int included) adjoins the root; float t takes a number
+        assert isinstance(time_root((2, 2), 3).value, ExtScalar)
+        assert isinstance(time_root((2, 2), QQ(3)).grad[0], ExtScalar)
+        assert time_root((2, 2), 9.0).value == 3.0
+        assert isinstance(time_root((4, 1), 2.0).value, complex)
 
     @pytest.mark.parametrize("parts", [(3, 3), (2, 2), (2, 2, 1), (4, 1)])
     def test_zero_time_excluded(self, parts):
         with pytest.raises(PoleError):
-            exact_frame(parts, QQ(0))
+            time_root(parts, QQ(0))
+
+    @pytest.mark.parametrize("parts", [(3, 3), (2, 2), (2, 2, 1), (4, 1)])
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    def test_float_zero_time_excluded(self, parts, t):
+        # a zero (or, for (3,3), infinite) base is a pole in the float lane too
+        with pytest.raises(PoleError, match="finite nonzero base"):
+            time_root(parts, t)
+
+    def test_float_infinite_base_excluded(self):
+        with pytest.raises(PoleError):
+            time_root((2, 2), math.inf)
 
     @pytest.mark.parametrize(
         "parts,t", [((3, 3), 8.0), ((2, 2), 9.0), ((3, 1), 2.0), ((4, 1), -2.0)]
     )
     def test_numeric_frame_matches_relations(self, parts, t):
         relation = reduction(parts).root
-        frame = numeric_frame(parts, t)
-        assert abs(frame.root**relation.power - float(relation.base(QQ(t)))) < 1e-12
+        root = time_root(parts, t).value
+        assert abs(root**relation.power - float(relation.base(QQ(t)))) < 1e-12
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_frames_match_relations_on_every_side(self, parts):
         # on each side of the singular times, the float root satisfies the
-        # exact frame's relation root^k = base, and both tangents satisfy
+        # exact root's relation root^k = base, and both tangents satisfy
         # k root^(k-1) root' = base'
         relation = reduction(parts).root
         k = relation.power
         for t in SIDES[parts]:
-            exact = exact_frame(parts, t)
-            assert _power(exact.root, k) == relation.base(t)
-            assert k * _power(exact.root, k - 1) * exact.root_tangent == relation.base_rate(t)
-            frame = numeric_frame(parts, float(t))
-            assert abs(frame.root**k - float(relation.base(t))) < 1e-12
-            assert abs(k * frame.root ** (k - 1) * frame.root_tangent - float(relation.base_rate(t))) < 1e-12
+            exact = time_root(parts, t)
+            (exact_tangent,) = exact.grad
+            assert _power(exact.value, k) == relation.base(t)
+            assert k * _power(exact.value, k - 1) * exact_tangent == relation.base_rate(t)
+            numeric = time_root(parts, float(t))
+            (tangent,) = numeric.grad
+            assert abs(numeric.value**k - float(relation.base(t))) < 1e-12
+            assert abs(k * numeric.value ** (k - 1) * tangent - float(relation.base_rate(t))) < 1e-12
             # the exact tangent, evaluated at the float root, is the float tangent
-            at_root = _evaluate(exact.root_tangent, frame.root)
-            assert abs(at_root - frame.root_tangent) < 1e-12
+            assert abs(_evaluate(exact_tangent, numeric.value) - tangent) < 1e-12
 
 
 class TestCoordinateMaps:
@@ -114,10 +136,9 @@ class TestCoordinateMaps:
     def test_recovered_scale_variable_matches_inverse_map(self):
         # the first canonical coordinate is w1/(tau^2 w3), so the inverse
         # map must produce w1 = q1 tau^2 w3 = 1 * 4 * 1 at tau = 2
-        frame = numeric_frame((3, 3), 0.125)
         state = canonical_to_ds(
             (3, 3), ((1.0, 0.5), (2.0, 0.25)), 0.125, {"w3": 1.0},
-            tuple(float(k + 1) for k in range(6)), (1.0,), frame=frame,
+            tuple(float(k + 1) for k in range(6)), (1.0,),
         )
         assert abs(state.variables["w1"] - 4.0) < 1e-12
 
@@ -206,9 +227,7 @@ class TestZeroCurvature:
         gauges = {k: float(v) for k, v in point["gauges"].items()}
         kappas = tuple(float(k) for k in point["kappas"])
         rhos = tuple(float(r) for r in point["rhos"])
-        residual = zero_curvature_residual(
-            parts, pairs, t, gauges, kappas, rhos, frame=numeric_frame(parts, t)
-        )
+        residual = zero_curvature_residual(parts, pairs, t, gauges, kappas, rhos)
         assert residual_magnitude(residual) < 1e-9
 
     @pytest.mark.parametrize("parts", FIVE)
@@ -252,10 +271,10 @@ class TestLaxMatrices:
             parts, point["pairs"], point["t"], point["gauges"],
             point["kappas"], point["rhos"],
         )
-        pair = lax_matrices(state)
+        m, b = lax_matrices(state)
         n = sum(parts)
-        assert pair.m_matrix.size == n
-        assert pair.b_matrix.size == n
+        assert m.size == n
+        assert b.size == n
 
 
 class TestVerification:

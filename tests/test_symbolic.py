@@ -12,8 +12,9 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from painleve_ds.lax import TimeFrame, zero_curvature_residual  # noqa: E402
+from painleve_ds.lax import zero_curvature_residual  # noqa: E402
 from painleve_ds.reductions import REDUCTIONS  # noqa: E402
+from painleve_ds.scalars import Gradient  # noqa: E402
 
 t = sp.Symbol("t", positive=True)
 
@@ -28,7 +29,6 @@ ROOTS = {
 
 def _residual(record, pair_rates=None):
     root = ROOTS[record.parts]
-    frame = TimeFrame(record.parts, root, sp.diff(root, t))
     pairs = tuple(
         (sp.Symbol(f"q{i}"), sp.Symbol(f"p{i}")) for i in range(1, record.pair_count + 1)
     )
@@ -36,7 +36,8 @@ def _residual(record, pair_rates=None):
     kappas = sp.symbols(f"kappa0:{record.kappa_count}")
     rhos = sp.symbols(f"rho1:{record.rho_count + 1}")
     residual = zero_curvature_residual(
-        record.parts, pairs, t, gauges, kappas, rhos, frame=frame, pair_rates=pair_rates
+        record.parts, pairs, t, gauges, kappas, rhos,
+        root=Gradient(root, (sp.diff(root, t),)), pair_rates=pair_rates,
     )
     return [value for *_, value in residual.matrix_entries()] + [residual.c_k, residual.c_d]
 
