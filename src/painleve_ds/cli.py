@@ -58,6 +58,16 @@ def _checked(convert, expected=None):
 
 
 _integer = _checked(int, "an integer")
+
+
+def _positive(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} < 1")
+    return value
+
+
+_count = _checked(_positive, "a positive integer")
 _rational = _checked(Fraction, "a rational like 3/4")
 _real = _checked(float, "a number")
 
@@ -278,6 +288,8 @@ def _trajectory_params(args, record):
         alphas = _counted(args.alphas, "--alphas", record.weight_count)
         if record.eta is not None and args.eta is None:
             raise UsageError("integrate: the coupled sixth system needs --eta")
+        if record.eta is None and args.eta is not None:
+            raise UsageError(f"integrate: the {record.system} system takes no --eta")
         return SystemParameters(alpha=alphas, eta=args.eta)
     raise UsageError("integrate: supply --kappas/--rhos or --alphas [--eta]")
 
@@ -441,7 +453,7 @@ def build_parser():
         return p
 
     def suite_size(p, samples_help):
-        p.add_argument("--samples", type=_integer, default=100, help=samples_help)
+        p.add_argument("--samples", type=_count, default=100, help=samples_help)
         p.add_argument("--seed", type=_integer, default=0, help="sampling seed")
 
     p = command("heisenberg", _cmd_heisenberg, "construct and verify one partition's subalgebra",
@@ -464,7 +476,7 @@ def build_parser():
 
     p = command("weyl-check", _cmd_weyl_check, "exact symmetry-group verification")
     suite_size(p, "points per relation/generator")
-    p.add_argument("--bridge-samples", type=_integer, default=25, help="conjugation points")
+    p.add_argument("--bridge-samples", type=_count, default=25, help="conjugation points")
 
     p = command("integrate", _cmd_integrate, "float trajectory of one system",
                 required=("--system", "--point", "--t0", "--t1"))
@@ -490,8 +502,8 @@ def build_parser():
 
     p = command("report", _cmd_report, "run every suite, emit one JSON document", json_flag=False)
     suite_size(p, "samples per exact suite")
-    p.add_argument("--bridge-samples", type=_integer, default=25, help="conjugation points")
-    p.add_argument("--normalization-samples", type=_integer, default=1000, help="weight-sum samples")
+    p.add_argument("--bridge-samples", type=_count, default=25, help="conjugation points")
+    p.add_argument("--normalization-samples", type=_count, default=1000, help="weight-sum samples")
     p.add_argument("--out", help="write the report here instead of stdout")
 
     return parser, sub.choices

@@ -266,6 +266,8 @@ def integrate(
         raise ValueError(f"relative tolerance rel_tol = {rel_tol} must be finite and >= 0")
     if not (math.isfinite(abs_tol) and abs_tol > 0):
         raise ValueError(f"absolute tolerance abs_tol = {abs_tol} must be finite and > 0")
+    if fixed_step is not None and not (math.isfinite(fixed_step) and fixed_step != 0):
+        raise ValueError(f"step fixed_step = {fixed_step} must be finite and nonzero")
     names = record.gauge_names
     gauge_start = []
     for name in names:

@@ -85,15 +85,13 @@ def _block_starts(partition: Partition) -> list[int]:
 
 
 def _block_cycle(rank: int, start: int, size: int) -> LoopElement:
-    entries0 = {(start + r, start + r + 1): Fraction(1) for r in range(size - 1)}
-    parts = {1: {(start + size - 1, start): Fraction(1)}}
-    if entries0:
-        parts[0] = entries0
-    return LoopElement(rank, parts)
+    entries = {(1, start + size - 1, start): Fraction(1)}
+    entries.update({(0, start + r, start + r + 1): Fraction(1) for r in range(size - 1)})
+    return LoopElement(rank, entries)
 
 
 def _block_identity(rank: int, start: int, size: int) -> LoopElement:
-    return LoopElement(rank, {0: {(start + r, start + r): Fraction(1) for r in range(size)}})
+    return LoopElement(rank, {(0, start + r, start + r): Fraction(1) for r in range(size)})
 
 
 def _eta_prime_diagonal(partition: Partition) -> list[Fraction]:
@@ -114,11 +112,10 @@ def sorting_permutation(partition: Partition) -> tuple[int, ...]:
 
 
 def _permute(element: LoopElement, new_of_old: tuple[int, ...]) -> LoopElement:
-    parts = {
-        deg: {(new_of_old[i], new_of_old[j]): v for (i, j), v in mat.items()}
-        for deg, mat in element.parts.items()
+    entries = {
+        (deg, new_of_old[i], new_of_old[j]): v for (deg, i, j), v in element.entries.items()
     }
-    return LoopElement(element.rank, parts, element.c_k, element.c_d)
+    return LoopElement(element.rank, entries, element.c_k, element.c_d)
 
 
 def compute_N(partition: Partition) -> int:
@@ -154,9 +151,7 @@ def build_heisenberg(partition: Partition) -> HeisenbergData:
         h_elements.append(_permute(h, sigma))
 
     eta_diag = _eta_prime_diagonal(partition)
-    eta = _permute(
-        LoopElement(rank, {0: {(i, i): v for i, v in enumerate(eta_diag) if v}}), sigma
-    )
+    eta = _permute(LoopElement(rank, {(0, i, i): v for i, v in enumerate(eta_diag)}), sigma)
     scale = compute_N(partition)
     data = HeisenbergData(partition, lambdas, h_elements, eta, scale, (), sigma)
     data.s_vector = gradation_type(data)
@@ -198,7 +193,7 @@ def verify_heisenberg(partition: Partition) -> CheckReport:
     for a, (name_a, ga) in enumerate(generators):
         for name_b, gb in generators[a:]:
             br = bracket(ga, gb)
-            if not br.matrix_is_zero():
+            if br.entries:
                 commute = False
                 witness = f"[{name_a}, {name_b}] has nonzero matrix part"
                 break
@@ -234,7 +229,7 @@ def verify_heisenberg(partition: Partition) -> CheckReport:
                 if pw != expected:
                     powers_ok = False
                     witness = f"lambda_{i + 1}^{k} is not the shifted block identity"
-            elif pw.matrix_is_zero():
+            elif not pw.entries:
                 powers_ok = False
                 witness = f"lambda_{i + 1}^{k} vanished"
     report.add("cycle powers behave like block roots of z", powers_ok, witness)

@@ -138,19 +138,8 @@ def constraint_residuals(state: DSState) -> dict:
 # Matrix assembly.
 
 
-def _loop(rank: int, entries: dict, diag, c_k=0) -> LoopElement:
-    parts: dict = {}
-    for (deg, row, col), value in entries.items():
-        parts.setdefault(deg, {})[(row, col)] = value
-    block = parts.setdefault(0, {})
-    for index, value in enumerate(diag):
-        block[(index, index)] = value
-    return LoopElement(rank, parts, c_k=c_k)
-
-
-def _kappa_diagonal(kappas) -> list:
-    n = len(kappas)
-    return [kappas[(i + 1) % n] - kappas[i] for i in range(n)]
+def _diagonal(values) -> dict:
+    return {(0, i, i): value for i, value in enumerate(values)}
 
 
 def lax_matrices(state: DSState) -> tuple:
@@ -163,8 +152,9 @@ def lax_matrices(state: DSState) -> tuple:
     rank = sum(record.parts) - 1
     k = state.kappas
     m_entries, b_entries, b_diagonal = record.matrices(state)
-    m = _loop(rank, m_entries, _kappa_diagonal(k), c_k=k[0])
-    b = _loop(rank, b_entries, b_diagonal)
+    kappa_steps = [k[(i + 1) % len(k)] - k[i] for i in range(len(k))]
+    m = LoopElement(rank, {**m_entries, **_diagonal(kappa_steps)}, c_k=k[0])
+    b = LoopElement(rank, {**b_entries, **_diagonal(b_diagonal)})
     return m, b
 
 
@@ -219,14 +209,14 @@ def zero_curvature_residual(
 
 def residual_magnitude(element: LoopElement) -> float:
     """Max absolute value over all coefficients: rational, float or complex."""
-    values = [value for *_, value in element.matrix_entries()]
-    return max(abs(complex(v)) for v in values + [element.c_k, element.c_d])
+    values = [*element.entries.values(), element.c_k, element.c_d]
+    return max(abs(complex(v)) for v in values)
 
 
 def _worst_entry(element: LoopElement):
-    for deg, i, j, value in element.matrix_entries():
-        if not is_zero_scalar(value):
-            return [i, j, deg], repr(value)
+    if element.entries:
+        (deg, i, j), value = next(iter(element.entries.items()))
+        return [i, j, deg], repr(value)
     if not is_zero_scalar(element.c_k):
         return ["K"], repr(element.c_k)
     return ["d"], repr(element.c_d)

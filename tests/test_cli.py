@@ -214,11 +214,26 @@ class TestIntegrate:
         (["--rel-tol", "0", "--abs-tol", "0"], "abs_tol"),
         (["--rel-tol", "-1"], "rel_tol"),
         (["--abs-tol", "inf"], "abs_tol"),
+        (["--fixed-step", "nan"], "fixed_step = nan must be finite and nonzero"),
+        (["--fixed-step", "0"], "fixed_step = 0.0 must be finite and nonzero"),
     ])
     def test_bad_tolerance_exits_one(self, capsys, tols, named):
         # main returns rather than raising, so no traceback reaches the user
         assert main(self.BASE + tols) == 1
         assert named in capsys.readouterr().err
+
+    def test_eta_is_refused_without_an_extra_weight(self, tmp_path, capsys):
+        argv = [
+            "integrate", "--system", "p6", "--point", "0.4,0.3",
+            "--alphas", "1/2,1/5,1/10,1/10,0", "--t0", "2", "--t1", "2.2", "--json",
+        ]
+        assert main(argv + ["--eta", "5"]) == 2
+        assert "p6 system takes no --eta" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta = 5\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "--eta" in capsys.readouterr().err
+        assert main(argv) == 0
 
     def test_weights_for_coupled_sixth_need_eta(self, capsys):
         code = main([
@@ -228,6 +243,27 @@ class TestIntegrate:
         ])
         assert code == 2
         assert "eta" in capsys.readouterr().err
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify-lax", "--partition", "3,3", "--samples", "-5"], "--samples"),
+        (["weyl-check", "--samples", "-1"], "--samples"),
+        (["weyl-check", "--bridge-samples", "0"], "--bridge-samples"),
+        (["report", "--normalization-samples", "0"], "--normalization-samples"),
+    ])
+    def test_count_below_one_is_a_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 2
+        assert f"{flag}: expected a positive integer" in capsys.readouterr().err
+
+    def test_count_from_the_file_is_checked_too(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 0\n")
+        assert main(["verify-lax", "--partition", "2,2", "--config", str(cfg)]) == 2
+        assert "--samples: expected a positive integer" in capsys.readouterr().err
+
+    def test_negative_seed_is_still_a_seed(self, capsys):
+        assert main(["verify-lax", "--partition", "2,2", "--samples", "1", "--seed", "-3"]) == 0
 
 
 class TestConfig:

@@ -145,6 +145,12 @@ class TestIntegration:
         with pytest.raises(ValueError, match=named):
             _run((2, 2), rel_tol=rel_tol, abs_tol=abs_tol)
 
+    @pytest.mark.parametrize("step", [math.nan, 0.0, -0.0, math.inf, -math.inf])
+    def test_bad_fixed_step_rejected_before_any_step(self, step, monkeypatch):
+        monkeypatch.setattr(flow, "_advance", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="fixed_step"):
+            _run((2, 2), fixed_step=step)
+
     def test_zero_relative_tolerance_is_pure_absolute_control(self):
         assert _run((2, 2), rel_tol=0.0, abs_tol=1e-10).termination == flow.REACHED_END
 

@@ -21,7 +21,7 @@ FIVE = [(2, 2), (3, 1), (4, 1), (2, 2, 1), (3, 3)]
 
 def _trace0(element):
     """Trace of the z^0 coefficient."""
-    return sum(v for (i, j), v in element.parts.get(0, {}).items() if i == j)
+    return sum(v for (deg, i, j), v in element.entries.items() if deg == 0 and i == j)
 
 # scale and generator degrees, known independently for the five cases
 KNOWN = {

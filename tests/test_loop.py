@@ -17,14 +17,14 @@ from painleve_ds.loop import (
     theta_eigenvalue,
 )
 from painleve_ds.reductions import REDUCTIONS
+from painleve_ds.scalars import is_zero_scalar
 
 
 def invariant_form(a, b):
     """Standard invariant symmetric form: trace pairing plus K-d coupling."""
     total = 0
-    for deg, mat in a.parts.items():
-        for (i, j), u in mat.items():
-            total = total + u * b.entry(-deg, j, i)
+    for (deg, i, j), u in a.entries.items():
+        total = total + u * b.entry(-deg, j, i)
     return total + a.c_k * b.c_d + a.c_d * b.c_k
 
 
@@ -38,19 +38,16 @@ def _rational(rng):
 
 
 def random_element(rank, rng, degrees=(-2, -1, 0, 1, 2), density=0.4, value=_rational):
-    parts = {}
+    entries = {}
     n = rank + 1
     for deg in degrees:
-        mat = {}
         for i in range(n):
             for j in range(n):
                 if rng.random() < density:
-                    mat[(i, j)] = value(rng)
-        if mat:
-            parts[deg] = mat
+                    entries[deg, i, j] = value(rng)
     return LoopElement(
         rank,
-        parts,
+        entries,
         c_k=QQ(rng.randint(-3, 3)),
         c_d=QQ(rng.randint(-3, 3)),
     )
@@ -142,10 +139,36 @@ class TestLieAxioms:
         assert bracket(a.scale(s) + b, c) == bracket(a, c).scale(s) + bracket(b, c)
 
 
+class TestStorage:
+    def test_no_result_stores_a_zero_coefficient(self):
+        # the constructor is the only place that drops zeros, so every
+        # operation must hand its cancellations to it
+        spec = REDUCTIONS[(2, 2)].gradation
+        x = single_entry(3, 0, 0, 0) + single_entry(3, 0, 0, 1)
+        y = single_entry(3, 0, 0, 0) - single_entry(3, 0, 1, 0)
+        assert x.mat_mul(y).entry(0, 0, 0) == 0  # E00 E00 - E01 E10 cancels
+        rng = random.Random(29)
+        for _ in range(8):
+            a = random_element(3, rng)
+            b = random_element(3, rng)
+            # b minus half of a: the sum a + half cancels entries pairwise
+            half = LoopElement(3, {key: -v for key, v in list(a.entries.items())[::2]})
+            plain_a, plain_b = LoopElement(3, a.entries), LoopElement(3, b.entries)
+            results = [
+                a + b, a + half, a - a, a - b, a.scale(0), a.scale(QQ(-2, 3)),
+                a.z_shift(2), bracket(a, b), bracket(a, a), bracket(a, half),
+                plain_a.mat_mul(plain_b), x.mat_mul(y), apply_theta(spec, a),
+                apply_theta(spec, identity(3)),
+            ]
+            for result in results:
+                assert not any(is_zero_scalar(v) for v in result.entries.values())
+            assert not (a - a).entries and not a.scale(0).entries
+
+
 class TestGradation:
     def spec(self):
         # principal-type eta for 2x2: diag(1/4, -1/4), scale 2
-        eta = LoopElement(1, {0: {(0, 0): QQ(1, 4), (1, 1): QQ(-1, 4)}})
+        eta = LoopElement(1, {(0, 0, 0): QQ(1, 4), (0, 1, 1): QQ(-1, 4)})
         return GradationSpec(1, 2, eta)
 
     def test_theta_on_generators(self):

@@ -39,7 +39,7 @@ def _residual(record, pair_rates=None):
         record.parts, pairs, t, gauges, kappas, rhos,
         root=Gradient(root, (sp.diff(root, t),)), pair_rates=pair_rates,
     )
-    return [value for *_, value in residual.matrix_entries()] + [residual.c_k, residual.c_d]
+    return [*residual.entries.values(), residual.c_k, residual.c_d]
 
 
 def _vanishes(value) -> bool:
