@@ -114,7 +114,7 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"--config: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -156,6 +156,15 @@ def _config_defaults(command, subparser, path) -> dict:
 
 def _emit_json(document):
     print(json.dumps(document, sort_keys=True, indent=2))
+
+
+def _write(path, text):
+    """Write one output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}")
 
 
 def _fail(args, exc, prefix="error", **extra) -> int:
@@ -323,7 +332,7 @@ def _cmd_integrate(args) -> int:
             monitor = flow.residual_along(trajectory)
         except ValueError as exc:
             return _fail(args, exc)
-        passed = monitor["max_residual"] <= args.residual_tol
+        passed = monitor["samples"] >= 1 and monitor["max_residual"] <= args.residual_tol
         meta["residual"] = {**monitor, "tolerance": args.residual_tol, "pass": passed}
         failed = failed or not passed
 
@@ -335,11 +344,8 @@ def _cmd_integrate(args) -> int:
             "rows": [row.split(",") for row in body],
         })
     elif args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(rows) + "\n")
-        with open(args.out + ".json", "w", encoding="utf-8") as handle:
-            json.dump(meta, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write(args.out, "\n".join(rows) + "\n")
+        _write(args.out + ".json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
         print(f"wrote {len(rows) - 1} rows to {args.out} (metadata: {args.out}.json)")
     else:
         for row in rows:
@@ -420,9 +426,7 @@ def _cmd_report(args) -> int:
         "pass": passed,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write(args.out, json.dumps(document, sort_keys=True, indent=2) + "\n")
         print(("PASS" if passed else "FAIL") + f": report written to {args.out}")
     else:
         _emit_json(document)

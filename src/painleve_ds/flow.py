@@ -443,7 +443,8 @@ def residual_along(trajectory: Trajectory) -> dict:
     that the stored states and stored rates satisfy the flow-coupled
     identity together, so a corrupted sample shows up immediately.
     The stored slopes supply every rate, so no sample runs the parameter
-    map.
+    map.  A sample without a slope (a start that is already singular) is
+    skipped, and "samples" counts only the samples evaluated.
     """
     parts = trajectory.partition
     kappas, rhos = reduction_constants(parts, trajectory.params)
@@ -453,9 +454,11 @@ def residual_along(trajectory: Trajectory) -> dict:
     pair_count = reduction(parts).pair_count
     worst = 0.0
     worst_t = trajectory.samples[0].t
+    evaluated = 0
     for s, slope in zip(trajectory.samples, trajectory._slopes):
         if slope is None:
             continue
+        evaluated += 1
         pair_rates = tuple(
             (slope[2 * i], slope[2 * i + 1]) for i in range(pair_count)
         )
@@ -472,7 +475,7 @@ def residual_along(trajectory: Trajectory) -> dict:
             worst, worst_t = magnitude, s.t
     return {
         "partition": list(parts),
-        "samples": len(trajectory.samples),
+        "samples": evaluated,
         "max_residual": worst,
         "at_t": worst_t,
     }

@@ -33,7 +33,7 @@ from .loop import LoopElement, apply_theta, bracket
 from .painleve import gauge_log_derivatives, reduction_parameters, vector_field
 from .reductions import reduction
 from .reporting import SampleReport, jsonable
-from .sampling import nonzero_rational, random_rational, rational_satisfying
+from .sampling import nonzero_rational, random_rational, rational_avoiding, rational_satisfying
 from .scalars import (
     Extension,
     Gradient,
@@ -213,13 +213,13 @@ def residual_magnitude(element: LoopElement) -> float:
     return max(abs(complex(v)) for v in values)
 
 
-def _worst_entry(element: LoopElement):
+def _worst_entry(element: LoopElement) -> dict:
     if element.entries:
         (deg, i, j), value = next(iter(element.entries.items()))
-        return [i, j, deg], repr(value)
+        return {"entry": [i, j, deg], "residual": repr(value)}
     if not is_zero_scalar(element.c_k):
-        return ["K"], repr(element.c_k)
-    return ["d"], repr(element.c_d)
+        return {"entry": ["K"], "residual": repr(element.c_k)}
+    return {"entry": ["d"], "residual": repr(element.c_d)}
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,8 @@ def sample_point(partition, rng: random.Random) -> dict:
         q = random_rational(rng)
         p = nonzero_rational(rng)
         pairs.append((q, p))
-    if record.pair_count == 2:
-        while pairs[1][0] == pairs[0][0]:
-            pairs[1] = (random_rational(rng), pairs[1][1])
+    if record.pair_count == 2 and pairs[1][0] == pairs[0][0]:
+        pairs[1] = (rational_avoiding(rng, (pairs[0][0],)), pairs[1][1])
     gauges = {name: nonzero_rational(rng) for name in record.gauge_names}
     kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
     rhos = tuple(random_rational(rng) for _ in range(record.rho_count))
@@ -251,16 +250,11 @@ def sample_point(partition, rng: random.Random) -> dict:
 
 
 def _examine_point(parts, point):
-    """Constraint residuals then the zero-curvature element; None when clean."""
-    state = canonical_to_ds(
-        parts, point["pairs"], point["t"], point["gauges"], point["kappas"], point["rhos"]
-    )
-    for name, residual in constraint_residuals(state).items():
+    """The failing constraint or zero-curvature entry and its residual; None when clean."""
+    for name, residual in constraint_residuals(canonical_to_ds(parts, **point)).items():
         if not is_zero_scalar(residual):
-            return (["constraint", name], repr(residual))
-    residual = zero_curvature_residual(
-        parts, point["pairs"], point["t"], point["gauges"], point["kappas"], point["rhos"]
-    )
+            return {"entry": ["constraint", name], "residual": repr(residual)}
+    residual = zero_curvature_residual(parts, **point)
     if not residual.is_zero():
         return _worst_entry(residual)
     return None
@@ -270,13 +264,10 @@ def verify_partition(partition, samples: int = 100, seed: int = 0) -> SampleRepo
     """Exact zero-curvature plus constraint check at random rational points."""
     record = reduction(partition)
     rng = random.Random(seed)
-    report = SampleReport("zero-curvature " + record.label)
+    report = SampleReport("zero-curvature " + record.label, samples)
     for index in range(samples):
         point = sample_point(record.parts, rng)
         bad = _examine_point(record.parts, point)
-        if bad is None:
-            report.record_pass()
-        else:
-            location, witness = bad
-            report.record_failure(index, {k: jsonable(val) for k, val in point.items()}, location, witness)
+        if bad is not None:
+            report.failures.append({"sample_index": index, **jsonable({"point": point, **bad})})
     return report

@@ -15,11 +15,13 @@ points.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
+from .sampling import first_witness, random_rational
 from .scalars import QQ, Gradient, PoleError, solve_rational_system
 
 def h4(q, p, t, a, b):
@@ -205,10 +207,6 @@ def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:
     rows of the linear forms (constant one, every kappa and rho column
     zero), and by evaluating the full map at random rational constants.
     """
-    import random
-
-    from .sampling import random_rational
-
     report = CheckReport("weight-normalization")
     rng = random.Random(seed)
     for record in REDUCTIONS.values():
@@ -225,14 +223,16 @@ def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:
             None if symbolic else {"const": form.const, "kappa": form.kappa, "rho": form.rho},
         )
         multiplicity = _weight_multiplicity(record)
-        witness = None
-        for index in range(samples):
+
+        def draw(rng):
             kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
-            rhos = tuple(random_rational(rng) for _ in range(record.rho_count))
-            params = reduction_parameters(record.parts, kappas, rhos)
+            return kappas, tuple(random_rational(rng) for _ in range(record.rho_count))
+
+        def examine(point):
+            params = reduction_parameters(record.parts, *point)
             total = sum(m * a for m, a in zip(multiplicity, params.alpha))
-            if total != 1:
-                witness = {"sample_index": index, "kappas": kappas, "rhos": rhos, "sum": total}
-                break
+            return None if total == 1 else {"kappas": point[0], "rhos": point[1], "sum": total}
+
+        witness = first_witness(rng, samples, draw, examine, f"({label}) weight sum")
         report.add(f"({label}) sampled weight sum", witness is None, witness)
     return report

@@ -55,44 +55,21 @@ class CheckReport:
 
 
 @dataclass
-class SampleFailure:
-    sample_index: int
-    point: dict
-    location: object
-    residual: object
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sample_index": self.sample_index,
-            "point": jsonable(self.point),
-            "entry": jsonable(self.location),
-            "residual": jsonable(self.residual),
-        }
-
-
-@dataclass
 class SampleReport:
+    """A sampled suite: how many points it drew and the JSON-ready failures."""
+
     label: str
     attempted: int = 0
-    passed_count: int = 0
     failures: list = field(default_factory=list)
-
-    def record_pass(self):
-        self.attempted += 1
-        self.passed_count += 1
-
-    def record_failure(self, sample_index: int, point: dict, location, residual):
-        self.attempted += 1
-        self.failures.append(SampleFailure(sample_index, point, location, residual))
 
     @property
     def passed(self) -> bool:
-        return self.attempted == self.passed_count and not self.failures
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
             "samples": self.attempted,
             "passed": self.passed,
-            "failures": [f.to_json_dict() for f in self.failures],
+            "failures": self.failures,
         }

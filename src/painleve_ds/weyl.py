@@ -26,7 +26,7 @@ from .painleve import SystemParameters, reduction_parameters, vector_field
 from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import (
-    RETRY_CAP,
+    first_witness,
     nonzero_rational,
     random_rational,
     rational_avoiding,
@@ -164,19 +164,10 @@ def sample_weyl_point(rng: random.Random):
     return ((q1, p1), (q2, p2)), SystemParameters(alpha=alpha, eta=eta), t
 
 
-def _bounded_draw(rng, draw, evaluate, what):
-    """Draw points until evaluate(point) raises no PoleError.
-
-    Returns (point, value).  Every draw comes from rng, so seeded runs
-    repeat; after RETRY_CAP consecutive poles it fails loudly.
-    """
-    for _ in range(RETRY_CAP):
-        point = draw(rng)
-        try:
-            return point, evaluate(point)
-        except PoleError:
-            continue
-    raise RuntimeError(f"no admissible point for {what} in {RETRY_CAP} draws")
+def _witness(point, **failed):
+    """A failing Weyl point as a report witness: where, at which weights, and what failed."""
+    pairs, params, t = point
+    return {"point": {"pairs": pairs, "t": t}, "alpha": params.alpha, "eta": params.eta, **failed}
 
 
 def check_relations(samples: int = 100, seed: int = 0) -> CheckReport:
@@ -184,25 +175,14 @@ def check_relations(samples: int = 100, seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     report = CheckReport("weyl-relations")
     for name, word in relation_words():
-        witness = None
-        what = f"word {word}"
-        for k in range(samples):
-            (pairs, params, t), (img_pairs, img_params) = _bounded_draw(
-                rng, sample_weyl_point, lambda point: apply_word(word, *point), what
-            )
-            if (
-                img_pairs != pairs
-                or img_params.alpha != params.alpha
-                or img_params.eta != params.eta
-            ):
-                witness = {
-                    "sample_index": k,
-                    "point": {"pairs": pairs, "t": t},
-                    "alpha": params.alpha,
-                    "eta": params.eta,
-                    "image_pairs": img_pairs,
-                }
-                break
+
+        def examine(point):
+            img_pairs, img_params = apply_word(word, *point)
+            if img_pairs == point[0] and img_params == point[1]:
+                return None
+            return _witness(point, image_pairs=img_pairs)
+
+        witness = first_witness(rng, samples, sample_weyl_point, examine, f"word {word}")
         report.add(name, witness is None, witness)
     return report
 
@@ -243,22 +223,14 @@ def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     report = CheckReport("weyl-equivariance")
     for index in GENERATORS:
-        witness = None
-        for count in range(samples):
-            (pairs, params, t), residual = _bounded_draw(
-                rng, sample_weyl_point,
-                lambda point: equivariance_residual(index, *point),
-                f"reflection r{index}",
-            )
-            if any(not is_zero_scalar(r) for r in residual):
-                witness = {
-                    "sample_index": count,
-                    "point": {"pairs": pairs, "t": t},
-                    "alpha": params.alpha,
-                    "eta": params.eta,
-                    "residual": residual,
-                }
-                break
+
+        def examine(point):
+            residual = equivariance_residual(index, *point)
+            if all(is_zero_scalar(r) for r in residual):
+                return None
+            return _witness(point, residual=residual)
+
+        witness = first_witness(rng, samples, sample_weyl_point, examine, f"reflection r{index}")
         report.add(f"flow equivariance of r{index}", witness is None, witness)
     return report
 
@@ -357,20 +329,13 @@ def check_conjugation(samples: int = 25, seed: int = 0) -> CheckReport:
         return pairs, t, w3, kappas, rhos
 
     for index in GENERATORS:
-        witness = None
-        for count in range(samples):
-            (pairs, t, w3, kappas, rhos), residual = _bounded_draw(
-                rng, draw,
-                lambda point: conjugation_residual(index, *point),
-                f"the r{index} bridge",
-            )
-            if not residual.is_zero():
-                witness = {
-                    "sample_index": count,
-                    "point": {"pairs": pairs, "t": t, "w3": w3},
-                    "kappas": kappas,
-                    "rhos": rhos,
-                }
-                break
+
+        def examine(point):
+            pairs, t, w3, kappas, rhos = point
+            if conjugation_residual(index, pairs, t, w3, kappas, rhos).is_zero():
+                return None
+            return {"point": {"pairs": pairs, "t": t, "w3": w3}, "kappas": kappas, "rhos": rhos}
+
+        witness = first_witness(rng, samples, draw, examine, f"the r{index} bridge")
         report.add(f"conjugation bridge of r{index}", witness is None, witness)
     return report

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import painleve_ds
-from painleve_ds import flow
+from painleve_ds import flow, lax
 from painleve_ds.cli import load_config, main
+from painleve_ds.loop import LoopElement
 from painleve_ds.reductions import REDUCTIONS
 
 
@@ -51,6 +52,15 @@ class TestVerifyLax:
         assert doc["samples"] == 4
         assert doc["passed"] is True
         assert doc["failures"] == []
+
+    def test_failing_samples_are_counted(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            lax, "zero_curvature_residual", lambda parts, *a, **k: LoopElement(3, {(0, 0, 1): 1})
+        )
+        assert main(["verify-lax", "--partition", "2,2", "--samples", "3"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "partition 2,2: 0/3 samples exact"
+        assert [line.split(":")[0].strip() for line in out[1:]] == ["sample 0", "sample 1", "sample 2"]
 
     def test_unsupported_partition_rejected(self, capsys):
         assert main(["verify-lax", "--partition", "5,2"]) == 2
@@ -147,6 +157,26 @@ class TestIntegrate:
         sidecar = json.loads((tmp_path / "run.csv.json").read_text())
         assert sidecar["system"] == "p6"
         assert sidecar["termination"] == "reached_end"
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "run.csv"
+        assert main(self.BASE + ["--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_monitor_with_nothing_evaluated_fails(self, capsys):
+        # the start is already singular, so no sample has a slope
+        code = main([
+            "integrate", "--system", "p6", "--point", "2e12,0.3",
+            "--kappas", "1/7,3/7,5/7,1", "--rhos", "3/5",
+            "--t0", "2", "--t1", "2.2", "--residual", "--json",
+        ])
+        assert code == 1
+        meta = _json_out(capsys)["metadata"]
+        assert meta["termination"] == flow.POLE_DETECTED
+        assert meta["residual"]["samples"] == 0
+        assert meta["residual"]["pass"] is False
 
     def test_interval_through_singularity_exits_one(self, capsys):
         code = main([
@@ -306,6 +336,13 @@ class TestConfig:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"samples = \xff\xfe\n")
+        assert main(["verify-lax", "--partition", "2,2", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config: ") and err.count("\n") == 1
+
     def test_loader_normalizes_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bridge-samples = 4\n")
@@ -417,3 +454,13 @@ class TestReport:
         doc = json.loads(first.read_text())
         assert doc["pass"] is True
         assert set(doc) >= {"heisenberg", "lax", "weyl", "normalization", "numerics"}
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        args = [
+            "report", "--samples", "1", "--bridge-samples", "1",
+            "--normalization-samples", "1", "--out", str(tmp_path / "missing" / "r.json"),
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
+        assert captured.out == ""

@@ -310,6 +310,15 @@ class TestCorrectnessMonitors:
         assert traj.termination == flow.REACHED_END
         assert flow.residual_along(traj)["max_residual"] <= 1e-6
 
+    def test_samples_counts_what_was_evaluated(self):
+        traj = _run((2, 2))
+        assert flow.residual_along(traj)["samples"] == len(traj.samples)
+        # a start that is already singular stops with no slope to check
+        params = _params((2, 2))
+        stuck = flow.integrate((2, 2), [(2e12, 0.3)], {"w1": 1.0}, params, 2.0, 2.2)
+        assert stuck.termination == flow.POLE_DETECTED
+        assert flow.residual_along(stuck)["samples"] == 0
+
     def test_corrupted_sample_is_flagged(self):
         traj = _run((2, 2))
         bad = copy.deepcopy(traj)

@@ -6,6 +6,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from painleve_ds import lax
 from painleve_ds.lax import (
     canonical_to_ds,
     constraint_residuals,
@@ -18,7 +19,9 @@ from painleve_ds.lax import (
     zero_curvature_residual,
 )
 from painleve_ds.painleve import gauge_log_derivatives, reduction_parameters, vector_field
+from painleve_ds.loop import LoopElement
 from painleve_ds.reductions import REDUCTIONS, reduction
+from painleve_ds.sampling import RETRY_CAP
 from painleve_ds.scalars import ExtScalar, PoleError, is_zero_scalar
 
 FIVE = list(REDUCTIONS)
@@ -284,3 +287,53 @@ class TestVerification:
         assert report.passed
         assert report.attempted == 5
         assert report.failures == []
+
+    def test_every_failing_sample_is_listed(self, monkeypatch):
+        calls = []
+
+        def broken(parts, *args, **kwargs):
+            calls.append(parts)
+            return LoopElement(sum(parts) - 1, {(0, 0, 1): QQ(1)})
+
+        monkeypatch.setattr(lax, "zero_curvature_residual", broken)
+        report = verify_partition((2, 2), samples=3, seed=0)
+        assert not report.passed
+        assert report.attempted == 3 == len(calls)
+        body = report.to_json_dict()
+        assert body["samples"] == 3 and body["passed"] is False
+        assert [f["sample_index"] for f in body["failures"]] == [0, 1, 2]
+        for failure in body["failures"]:
+            assert set(failure) == {"sample_index", "point", "entry", "residual"}
+            assert failure["entry"] == ["0", "1", "0"]  # (row, col, degree), JSON-ready
+            assert failure["residual"] == repr(QQ(1))
+
+    def test_a_pole_at_a_sample_is_an_error(self, monkeypatch):
+        # sample_point draws only admissible data, so a pole is a defect
+        def singular(*args, **kwargs):
+            raise PoleError("forced pole")
+
+        monkeypatch.setattr(lax, "zero_curvature_residual", singular)
+        with pytest.raises(PoleError, match="forced pole"):
+            verify_partition((2, 2), samples=1, seed=0)
+
+
+class StuckRandom(random.Random):
+    """Every randint gives its upper bound, so every draw is the same rational."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.calls = 0
+
+    def randint(self, a, b):
+        self.calls += 1
+        if self.calls > 10 * RETRY_CAP:
+            raise AssertionError("sample_point kept drawing past the retry cap")
+        return b
+
+
+class TestSampling:
+    def test_colliding_q_values_are_redrawn_a_bounded_number_of_times(self):
+        # t = 2 is admissible, but q2 always equals q1
+        parts = next(p for p, record in REDUCTIONS.items() if record.pair_count == 2)
+        with pytest.raises(RuntimeError, match=str(RETRY_CAP)):
+            sample_point(parts, StuckRandom())

@@ -5,6 +5,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from painleve_ds import painleve
 from painleve_ds.flow import resolve_partition
 from painleve_ds.painleve import (
     SystemParameters,
@@ -192,6 +193,27 @@ class TestParameterMaps:
         moved = SystemParameters((params.alpha[0] + 1e-6,) + params.alpha[1:], params.eta)
         with pytest.raises(ValueError, match="not in the image"):
             reduction_constants(parts, moved)
+
+    def test_a_wrong_weight_sum_is_witnessed(self, monkeypatch):
+        # weights doubled sum to 2: each sampled claim fails at its first point
+        original = painleve.reduction_parameters
+        calls = []
+
+        def doubled(parts, kappas, rhos):
+            calls.append(parts)
+            params = original(parts, kappas, rhos)
+            return SystemParameters(tuple(2 * a for a in params.alpha), params.eta)
+
+        monkeypatch.setattr(painleve, "reduction_parameters", doubled)
+        report = check_normalization(samples=3, seed=0)
+        sampled = [c for c in report.checks if "sampled" in c.name]
+        assert len(sampled) == len(FIVE) == len(calls)
+        assert all(c.passed for c in report.checks if c not in sampled)
+        for claim in sampled:
+            assert not claim.passed
+            assert set(claim.witness) == {"sample_index", "kappas", "rhos", "sum"}
+            assert claim.witness["sample_index"] == 0
+            assert claim.witness["sum"] == 2
 
     def test_normalization_report(self):
         report = check_normalization(samples=50, seed=1)

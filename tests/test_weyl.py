@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from painleve_ds import weyl
+from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.scalars import PoleError, is_zero_scalar
 from painleve_ds.weyl import (
@@ -156,6 +157,44 @@ class TestBoundedRetries:
         monkeypatch.setattr(weyl, target, always_singular)
         with pytest.raises(RuntimeError, match="no admissible point .* in 1000 draws"):
             check(samples=1, seed=0)
+
+
+class TestWitnesses:
+    """A claim broken on purpose fails at its first point, with the report's witness keys."""
+
+    def _moved_q1(word, pairs, params, t):
+        (q1, p1), second = pairs
+        return ((q1 + 1, p1), second), params
+
+    @pytest.mark.parametrize(
+        "target,broken,check,keys",
+        [
+            ("apply_word", _moved_q1, check_relations,
+             {"sample_index", "point", "alpha", "eta", "image_pairs"}),
+            ("equivariance_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)),
+             check_equivariance, {"sample_index", "point", "alpha", "eta", "residual"}),
+            ("conjugation_residual", lambda *args: LoopElement(5, {(0, 0, 1): QQ(1)}),
+             check_conjugation, {"sample_index", "point", "kappas", "rhos"}),
+        ],
+    )
+    def test_a_broken_claim_fails_at_its_first_point(self, monkeypatch, target, broken, check, keys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return broken(*args)
+
+        monkeypatch.setattr(weyl, target, counted)
+        report = check(samples=3, seed=0)
+        assert not report.passed
+        assert len(calls) == len(report.checks)
+        point_keys = {"pairs", "t", "w3"} if check is check_conjugation else {"pairs", "t"}
+        for claim in report.checks:
+            assert not claim.passed
+            assert set(claim.witness) == keys
+            assert claim.witness["sample_index"] == 0
+            assert set(claim.witness["point"]) == point_keys
+            assert set(claim.to_json_dict()["witness"]) == keys
 
 
 class TestSampler:
