@@ -17,7 +17,6 @@ from .heisenberg import (
 from .lax import (
     canonical_to_ds,
     constraint_residuals,
-    ds_to_canonical,
     lax_matrices,
     residual_magnitude,
     sample_point,
@@ -55,7 +54,6 @@ __all__ = [
     "verify_heisenberg",
     "canonical_to_ds",
     "constraint_residuals",
-    "ds_to_canonical",
     "lax_matrices",
     "residual_magnitude",
     "sample_point",

@@ -158,13 +158,22 @@ def _emit_json(document):
     print(json.dumps(document, sort_keys=True, indent=2))
 
 
-def _write(path, text):
+def _write(path, text, mode="w"):
     """Write one output file; a path that cannot be written is a usage error."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, mode, encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise UsageError(f"--out: {exc}")
+
+
+def _check_writable(*paths):
+    """Fail before any work if an output cannot be written; change no file."""
+    for path in paths:
+        existed = os.path.exists(path)
+        _write(path, "", mode="a")  # append mode truncates nothing
+        if not existed:
+            os.remove(path)
 
 
 def _fail(args, exc, prefix="error", **extra) -> int:
@@ -306,6 +315,8 @@ def _trajectory_params(args, record):
 def _cmd_integrate(args) -> int:
     if args.json and args.out:
         raise UsageError("integrate: --json and --out cannot be combined")
+    if args.out:
+        _check_writable(args.out, args.out + ".json")
     record = args.system
     params = _trajectory_params(args, record)
     coords = _counted(args.point, "--point", 2 * record.pair_count)
@@ -395,6 +406,8 @@ def _report_numerics() -> dict:
 
 
 def _cmd_report(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     samples, seed = args.samples, args.seed
     heisenberg_block = {}
     for record in REDUCTIONS.values():

@@ -42,6 +42,8 @@ POLE_DETECTED = "pole_detected"
 STEP_UNDERFLOW = "step_underflow"
 STEP_BUDGET = "step_budget_exhausted"
 
+ORDER_STEP_SIZES = (1e-2, 5e-3, 2.5e-3)  # the fixed steps of order_check
+
 # Dormand-Prince 5(4) tableau; E = b5 - b4 gives the error weights
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
@@ -280,6 +282,9 @@ def integrate(
     pair_count = record.pair_count
     if len(pairs) != pair_count:
         raise ValueError(f"{parts} carries {pair_count} canonical pair(s)")
+    if len(params.alpha) != record.weight_count or (params.eta is None) != (record.eta is None):
+        eta = "and eta" if record.eta is not None else "and no eta"
+        raise ValueError(f"the {record.system} system takes {record.weight_count} weights {eta}")
 
     t0 = float(t0)
     t_end = float(t_end)
@@ -481,12 +486,12 @@ def residual_along(trajectory: Trajectory) -> dict:
     }
 
 
-def order_check(step_sizes=(1e-2, 5e-3, 2.5e-3)) -> dict:
+def order_check() -> dict:
     """Observed convergence order on a problem with a known solution.
 
     A frequency-8 rotation: y = (cos 8t, -sin 8t) on [2, 3].  The
     frequency puts the global errors squarely between the float floor
-    and the coarse-step regime for the three stated steps, so the
+    and the coarse-step regime for the three ORDER_STEP_SIZES, so the
     log-log fit reads off the genuine asymptotic order.  Returns the
     fitted slope together with the raw errors.
     """
@@ -497,18 +502,18 @@ def order_check(step_sizes=(1e-2, 5e-3, 2.5e-3)) -> dict:
     start = [math.cos(16.0), -math.sin(16.0)]
     exact = [math.cos(24.0), -math.sin(24.0)]
     errors = []
-    for h in step_sizes:
+    for h in ORDER_STEP_SIZES:
         records, termination = _advance(
             f, 2.0, start, 3.0, 1e-12, 1e-12, h, lambda t, y: None, 10_000_000
         )
         assert termination == REACHED_END
         errors.append(max(abs(a - b) for a, b in zip(records[-1][1], exact)))
-    logs_h = [math.log(h) for h in step_sizes]
+    logs_h = [math.log(h) for h in ORDER_STEP_SIZES]
     logs_e = [math.log(e) for e in errors]
-    n = len(step_sizes)
+    n = len(ORDER_STEP_SIZES)
     mean_h = sum(logs_h) / n
     mean_e = sum(logs_e) / n
     slope = sum((a - mean_h) * (b - mean_e) for a, b in zip(logs_h, logs_e)) / sum(
         (a - mean_h) ** 2 for a in logs_h
     )
-    return {"step_sizes": list(step_sizes), "errors": errors, "slope": slope}
+    return {"step_sizes": list(ORDER_STEP_SIZES), "errors": errors, "slope": slope}

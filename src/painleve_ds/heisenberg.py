@@ -115,7 +115,7 @@ def _permute(element: LoopElement, new_of_old: tuple[int, ...]) -> LoopElement:
     entries = {
         (deg, new_of_old[i], new_of_old[j]): v for (deg, i, j), v in element.entries.items()
     }
-    return LoopElement(element.rank, entries, element.c_k, element.c_d)
+    return LoopElement(element.rank, entries, element.c_k)
 
 
 def compute_N(partition: Partition) -> int:

@@ -14,11 +14,11 @@ dM/dt is the total derivative along the Hamiltonian flow together with
 the multiplier flows of the gauge variables.
 
 This module assembles M and B from the reduced-variable presentation,
-converts between canonical and reduced coordinates, and evaluates the
-compatibility residual either exactly (rational points, root symbols
-adjoined) or in floating point (along numeric trajectories).  The
-partition-specific formulas live in each partition's record in
-``reductions``; the functions here dispatch through it once.
+maps canonical to reduced coordinates, and evaluates the compatibility
+residual either exactly (rational points, root symbols adjoined) or in
+floating point (along numeric trajectories).  The partition-specific
+formulas live in each partition's record in ``reductions``; the
+functions here dispatch through it once.
 """
 
 from __future__ import annotations
@@ -90,22 +90,20 @@ class DSState:
     """Reduced (dressing) coordinates of one partition at fixed time.
 
     variables holds the w/phi coordinates named as in the reduced
-    presentation; tau and root are the hierarchy-time scalars the state
-    was built with.  kappas and rhos are the first integrals of
-    the reduction (plain constants).
+    presentation; tau is the hierarchy time the state was built with.
+    kappas and rhos are the first integrals of the reduction (plain
+    constants).
     """
 
     partition: tuple
     variables: Mapping[str, object]
-    t: object
     tau: object
-    root: object
     kappas: tuple
     rhos: tuple
 
 
 def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, root=None) -> DSState:
-    """Invert the canonical coordinate maps; gauge variables must be supplied.
+    """Reduced coordinates of a canonical point; gauge variables must be supplied.
 
     Variables not fixed by the canonical point are recovered from the
     constraint identities, so the output satisfies them exactly.  root
@@ -121,12 +119,7 @@ def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, root=None) -> DSS
     kappas = tuple(kappas)
     rhos = tuple(rhos)
     variables = record.to_ds(pairs, gauges, t, tau, root, kappas, rhos)
-    return DSState(record.parts, variables, t, tau, root, kappas, rhos)
-
-
-def ds_to_canonical(state: DSState):
-    """Recover the canonical pairs and gauge values from reduced coordinates."""
-    return reduction(state.partition).from_ds(state)
+    return DSState(record.parts, variables, tau, kappas, rhos)
 
 
 def constraint_residuals(state: DSState) -> dict:
@@ -209,7 +202,7 @@ def zero_curvature_residual(
 
 def residual_magnitude(element: LoopElement) -> float:
     """Max absolute value over all coefficients: rational, float or complex."""
-    values = [*element.entries.values(), element.c_k, element.c_d]
+    values = [*element.entries.values(), element.c_k]
     return max(abs(complex(v)) for v in values)
 
 
@@ -217,9 +210,7 @@ def _worst_entry(element: LoopElement) -> dict:
     if element.entries:
         (deg, i, j), value = next(iter(element.entries.items()))
         return {"entry": [i, j, deg], "residual": repr(value)}
-    if not is_zero_scalar(element.c_k):
-        return {"entry": ["K"], "residual": repr(element.c_k)}
-    return {"entry": ["d"], "residual": repr(element.c_d)}
+    return {"entry": ["K"], "residual": repr(element.c_k)}
 
 
 # ---------------------------------------------------------------------------

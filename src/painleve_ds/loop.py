@@ -1,16 +1,17 @@
 """Loop-algebra realization of the rank-n affine Lie algebra of type A.
 
 Elements are Laurent polynomials in z with (n+1)x(n+1) matrix coefficients,
-plus a central coordinate ``c_k`` and a scaling coordinate ``c_d``.  The
-bracket is
+plus a central coordinate ``c_k``: the loop algebra with its central
+extension, whose bracket is
 
-    [z^k X, z^l Y] = z^(k+l) (XY - YX) + k delta(k+l, 0) tr(XY) K
+    [z^k X, z^l Y] = z^(k+l) (XY - YX) + k delta(k+l, 0) tr(XY) K.
 
-extended by the scaling element acting as z d/dz.  The matrix part is one
-flat map ``entries`` from ``(degree, row, col)`` to the coefficient of
-z^degree E_row,col, the key the reduction records write.  The scalar type
-is generic.  The constructor is the only place that drops zero
-coefficients: every operation hands it raw sums and products.
+The scaling element d is not stored; the one derivation in use is the
+gradation derivation theta, applied by ``apply_theta``.  The matrix part
+is one flat map ``entries`` from ``(degree, row, col)`` to the
+coefficient of z^degree E_row,col, the key the reduction records write.
+The scalar type is generic.  The constructor is the only place that drops
+zero coefficients: every operation hands it raw sums and products.
 """
 
 from __future__ import annotations
@@ -36,17 +37,16 @@ def _accumulate_product(out: dict, a: dict, b: dict, subtract: bool = False):
 
 
 class LoopElement:
-    """z-graded matrix element with central and scaling coordinates."""
+    """z-graded matrix element with a central coordinate."""
 
-    __slots__ = ("rank", "entries", "c_k", "c_d")
+    __slots__ = ("rank", "entries", "c_k")
 
-    def __init__(self, rank: int, entries: dict | None = None, c_k=0, c_d=0):
+    def __init__(self, rank: int, entries: dict | None = None, c_k=0):
         self.rank = rank
         self.entries = {
             key: v for key, v in (entries or {}).items() if not is_zero_scalar(v)
         }
         self.c_k = c_k
-        self.c_d = c_d
 
     @property
     def size(self) -> int:
@@ -59,7 +59,7 @@ class LoopElement:
         return self.entries.get((deg, i, j), 0)
 
     def is_zero(self) -> bool:
-        return not self.entries and is_zero_scalar(self.c_k) and is_zero_scalar(self.c_d)
+        return not self.entries and is_zero_scalar(self.c_k)
 
     def _check_same(self, other: "LoopElement"):
         if self.rank != other.rank:
@@ -70,7 +70,7 @@ class LoopElement:
         entries = dict(self.entries)
         for key, v in other.entries.items():
             entries[key] = entries[key] + v if key in entries else v
-        return LoopElement(self.rank, entries, self.c_k + other.c_k, self.c_d + other.c_d)
+        return LoopElement(self.rank, entries, self.c_k + other.c_k)
 
     def __neg__(self) -> "LoopElement":
         return self.scale(-1)
@@ -80,21 +80,15 @@ class LoopElement:
 
     def scale(self, c) -> "LoopElement":
         entries = {key: c * v for key, v in self.entries.items()}
-        return LoopElement(self.rank, entries, c * self.c_k, c * self.c_d)
+        return LoopElement(self.rank, entries, c * self.c_k)
 
     def z_shift(self, shift: int) -> "LoopElement":
         entries = {(deg + shift, i, j): v for (deg, i, j), v in self.entries.items()}
-        return LoopElement(self.rank, entries, self.c_k, self.c_d)
-
-    def z_derivative(self) -> "LoopElement":
-        """z d/dz on the matrix part; kills K and d."""
-        return LoopElement(self.rank, {key: key[0] * v for key, v in self.entries.items()})
+        return LoopElement(self.rank, entries, self.c_k)
 
     def mat_mul(self, other: "LoopElement") -> "LoopElement":
         """Associative matrix product (valid for evaluation-representation work)."""
         self._check_same(other)
-        if not (is_zero_scalar(self.c_d) and is_zero_scalar(other.c_d)):
-            raise ValueError("matrix product undefined with scaling coordinate")
         entries: dict = {}
         _accumulate_product(entries, self.entries, other.entries)
         return LoopElement(self.rank, entries)
@@ -117,7 +111,7 @@ class LoopElement:
 
     def map_scalars(self, fn) -> "LoopElement":
         entries = {key: fn(v) for key, v in self.entries.items()}
-        return LoopElement(self.rank, entries, fn(self.c_k), fn(self.c_d))
+        return LoopElement(self.rank, entries, fn(self.c_k))
 
     def render(self) -> str:
         """Plain-text dump, one z-degree block per line."""
@@ -135,8 +129,6 @@ class LoopElement:
             lines.append(f"z^{deg}: {body}")
         if not is_zero_scalar(self.c_k):
             lines.append(f"K: {self.c_k}")
-        if not is_zero_scalar(self.c_d):
-            lines.append(f"d: {self.c_d}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -147,12 +139,12 @@ def identity(rank: int) -> LoopElement:
     return LoopElement(rank, {(0, i, i): Fraction(1) for i in range(rank + 1)})
 
 
-def single_entry(rank: int, deg: int, i: int, j: int, value=Fraction(1)) -> LoopElement:
-    return LoopElement(rank, {(deg, i, j): value})
+def single_entry(rank: int, deg: int, i: int, j: int) -> LoopElement:
+    return LoopElement(rank, {(deg, i, j): Fraction(1)})
 
 
 def chevalley(rank: int, i: int, kind: str) -> LoopElement:
-    """Chevalley generator: kind 'e', 'f', or 'h' (the coroot), index 0..rank."""
+    """Chevalley generator: kind 'e' or 'f', index 0..rank."""
     n = rank
     if not 0 <= i <= n:
         raise ValueError(f"index {i} out of range for rank {n}")
@@ -164,15 +156,11 @@ def chevalley(rank: int, i: int, kind: str) -> LoopElement:
         if i == 0:
             return single_entry(n, -1, 0, n)
         return single_entry(n, 0, i, i - 1)
-    if kind == "h":
-        if i == 0:
-            return LoopElement(n, {(0, n, n): Fraction(1), (0, 0, 0): Fraction(-1)}, Fraction(1))
-        return LoopElement(n, {(0, i - 1, i - 1): Fraction(1), (0, i, i): Fraction(-1)})
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
-    """Lie bracket with central term and scaling-element action.
+    """Lie bracket with central term.
 
     The commutator is accumulated in one pass, +ab and -ba into the same
     entries; the constructor prunes the entries that cancel.  The central
@@ -186,20 +174,15 @@ def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
     for (deg, i, j), u in a.entries.items():
         if deg and (-deg, j, i) in b.entries:
             c_k = c_k + deg * u * b.entries[-deg, j, i]
-    out = LoopElement(a.rank, entries, c_k)
-    if not is_zero_scalar(a.c_d):
-        out = out + b.z_derivative().scale(a.c_d)
-    if not is_zero_scalar(b.c_d):
-        out = out - a.z_derivative().scale(b.c_d)
-    return out
+    return LoopElement(a.rank, entries, c_k)
 
 
 @dataclass
 class GradationSpec:
     """Gradation data: the derivation acts as scale * (z d/dz + ad eta).
 
-    eta must be diagonal and of degree 0, with no central or scaling
-    coordinate, so that every matrix unit z^k E_ij is an eigenvector.
+    eta must be diagonal and of degree 0, with no central coordinate, so
+    that every matrix unit z^k E_ij is an eigenvector.
     ``offsets[i, j]`` is scale * (eta_i - eta_j), held as an int when it is
     integral (it is for every Heisenberg gradation), so that scaling a
     float entry stays float arithmetic.
@@ -213,8 +196,8 @@ class GradationSpec:
     def __post_init__(self):
         eta = self.eta
         diagonal = all(deg == 0 and i == j for deg, i, j in eta.entries)
-        if not (diagonal and is_zero_scalar(eta.c_k) and is_zero_scalar(eta.c_d)):
-            raise ValueError("gradation eta must be diagonal of degree 0 with c_k = c_d = 0")
+        if not (diagonal and is_zero_scalar(eta.c_k)):
+            raise ValueError("gradation eta must be diagonal of degree 0 with c_k = 0")
         values = [eta.entry(0, i, i) for i in range(self.rank + 1)]
         self.offsets = {}
         for i, a in enumerate(values):
@@ -232,10 +215,10 @@ def apply_theta(spec: GradationSpec, x: LoopElement) -> LoopElement:
 
         theta(z^k E_ij) = scale * (k + eta_i - eta_j) * z^k E_ij.
 
-    Both terms kill K and d: z d/dz does by definition, and [eta, x] has
-    no central term because eta sits in degree 0 and no scaling term
-    because eta has no d coordinate.  The image therefore has
-    c_k = c_d = 0.
+    Both terms kill K: z d/dz does by definition, and [eta, x] has no
+    central term because eta sits in degree 0.  The image therefore has
+    c_k = 0.  Theta is the one derivation in use, so no element stores a
+    coordinate for it.
     """
     scale, offsets = spec.scale, spec.offsets
     entries = {

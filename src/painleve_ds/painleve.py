@@ -116,6 +116,11 @@ def vector_field(system: str, pairs, t, params: SystemParameters):
 def reduction_parameters(parts: tuple, kappas, rhos) -> SystemParameters:
     """Affine weights of the target system from the integration constants."""
     record = reduction(parts)
+    if len(kappas) != record.kappa_count or len(rhos) != record.rho_count:
+        raise ValueError(
+            f"{record.label} takes {record.kappa_count} kappas and {record.rho_count} rhos,"
+            f" got {len(kappas)} and {len(rhos)}"
+        )
     alpha = tuple(f(kappas, rhos) for f in record.alpha)
     eta = record.eta(kappas, rhos) if record.eta is not None else None
     return SystemParameters(alpha, eta)

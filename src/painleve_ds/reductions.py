@@ -6,10 +6,10 @@ hierarchy, and yields one Painleve system.  Its :class:`Reduction` holds
 the target system, the gauge variables, the pair count and the fixed
 singular times; the root relation that links the Painleve time t to the
 hierarchy time tau; the parameter map from integration constants to
-affine weights; and the five formula blocks the generic entry points in
+affine weights; and the four formula blocks the generic entry points in
 ``lax`` and ``painleve`` dispatch through: the map to reduced
-coordinates, its inverse, the constraint identities, the entries of the
-Lax matrices (M, B) and the gauge log-derivatives.
+coordinates, the constraint identities, the entries of the Lax matrices
+(M, B) and the gauge log-derivatives.
 
 Formula blocks run over any scalar type: rationals, root extensions,
 gradients and floats.  The registry lists the records in ``report`` order.
@@ -107,10 +107,6 @@ class Reduction:
         """Reduced variables at a canonical point, gauges supplied."""
         raise NotImplementedError
 
-    def from_ds(self, state):
-        """Canonical pairs and gauge values of a reduced state."""
-        raise NotImplementedError
-
     def constraints(self, state) -> dict:
         """Left minus right of each constraint identity, by name."""
         raise NotImplementedError
@@ -179,14 +175,6 @@ class _CoupledSixth33(Reduction):
         ksum = k0 - k1 + k2 - k3 + k4 - k5
         v["phi3"] = -(v["w1"] * v["phi1"] + v["w5"] * v["phi5"] + ksum + 3 * rho1) / w3
         return v
-
-    def from_ds(self, state):
-        v, tau = state.variables, state.tau
-        pairs = (
-            (v["w1"] / (tau * tau * v["w3"]), tau * tau * v["w3"] * v["phi1"] / 3),
-            (v["w5"] / (tau * v["w3"]), tau * v["w3"] * v["phi5"] / 3),
-        )
-        return pairs, {"w3": v["w3"]}
 
     def constraints(self, state):
         v, k = state.variables, state.kappas
@@ -274,14 +262,6 @@ class _CoupledSixth221(Reduction):
         v["phi2"] = -2 * (ladder + k0 - k1 + k2 - k4 + 2 * rho2) / phi34
         return v
 
-    def from_ds(self, state):
-        v, tau = state.variables, state.tau
-        pairs = (
-            (-state.t * v["phi34"] * v["w4"] / v["phi3"], -v["phi3"] * v["phi4"] / (4 * state.t * v["phi34"])),
-            (-tau * v["phi34"] * v["w1"] / v["phi3"], -v["phi3"] * v["phi1"] / (4 * tau * v["phi34"])),
-        )
-        return pairs, {"phi3": v["phi3"], "phi34": v["phi34"]}
-
     def constraints(self, state):
         v, tau, k = state.variables, state.tau, state.kappas
         rho1, rho2 = state.rhos
@@ -367,10 +347,6 @@ class _Sixth22(Reduction):
         v["phi1"] = -(v["w3"] * v["phi3"] + ksum) / w1
         return v
 
-    def from_ds(self, state):
-        v, tau = state.variables, state.tau
-        return ((tau * v["w3"] / v["w1"], v["w1"] * v["phi3"] / (2 * tau)),), {"w1": v["w1"]}
-
     def constraints(self, state):
         v, k = state.variables, state.kappas
         ksum = k[0] - k[1] + k[2] - k[3] + 2 * state.rhos[0]
@@ -445,14 +421,6 @@ class _CoupledFourth31(Reduction):
         v["phi3"] = (2 * v["w2"] * v["phi2"] - 2 * (k2 - k3 - 3 * rho1)) / phi12
         return v
 
-    def from_ds(self, state):
-        v, root = state.variables, state.root
-        pairs = (
-            (-v["w2"] * v["phi12"] / root, -2 * v["phi2"] / (root * v["phi12"])),
-            (v["phi1"] / root, -v["phi0"] / root),
-        )
-        return pairs, {"phi12": v["phi12"]}
-
     def constraints(self, state):
         v, tau, k = state.variables, state.tau, state.kappas
         return {
@@ -523,15 +491,6 @@ class _CoupledFifth41(Reduction):
             - 4 * v["phi2"] * v["phi34"]
         ) / (4 * phi12)
         return v
-
-    def from_ds(self, state):
-        v, tau = state.variables, state.tau
-        q1 = v["phi0"] / (4 * tau)
-        pairs = (
-            (q1, tau * v["phi1"] / 8),
-            (q1 + v["phi2"] / (tau * v["phi12"]), tau * v["phi12"] * v["phi34"] / 32),
-        )
-        return pairs, {"phi12": v["phi12"]}
 
     def constraints(self, state):
         v, tau, k = state.variables, state.tau, state.kappas

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import painleve_ds
-from painleve_ds import flow, lax
+from painleve_ds import cli, flow, lax
 from painleve_ds.cli import load_config, main
 from painleve_ds.loop import LoopElement
 from painleve_ds.reductions import REDUCTIONS
@@ -164,6 +164,13 @@ class TestIntegrate:
         err = capsys.readouterr().err
         assert err.startswith("error: --out: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unwritable_sidecar_leaves_no_csv(self, tmp_path, capsys):
+        target = tmp_path / "run.csv"
+        (tmp_path / "run.csv.json").mkdir()
+        assert main(self.BASE + ["--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        assert not target.exists()
 
     def test_monitor_with_nothing_evaluated_fails(self, capsys):
         # the start is already singular, so no sample has a slope
@@ -455,12 +462,23 @@ class TestReport:
         assert doc["pass"] is True
         assert set(doc) >= {"heisenberg", "lax", "weyl", "normalization", "numerics"}
 
-    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
-        args = [
-            "report", "--samples", "1", "--bridge-samples", "1",
-            "--normalization-samples", "1", "--out", str(tmp_path / "missing" / "r.json"),
-        ]
-        assert main(args) == 2
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the path is checked before any suite runs
+        for suite in ("_heisenberg_suite", "_lax_block", "_weyl_reports", "check_normalization", "_report_numerics"):
+            monkeypatch.setattr(cli, suite, lambda *a, **k: pytest.fail("a suite ran"))
+        assert main(["report", "--out", str(tmp_path / "missing" / "r.json")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    def test_out_check_changes_no_file(self, tmp_path, monkeypatch):
+        # a run that stops after the check leaves an old report whole and
+        # creates no new one
+        monkeypatch.setattr(cli, "_heisenberg_suite", lambda *a: pytest.fail("stop"))
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text("previous report\n")
+        for target in (old, new):
+            with pytest.raises(pytest.fail.Exception):
+                main(["report", "--out", str(target)])
+        assert old.read_text() == "previous report\n"
+        assert not new.exists()

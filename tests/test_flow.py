@@ -7,7 +7,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from painleve_ds import flow, lax, painleve
-from painleve_ds.painleve import reduction_parameters
+from painleve_ds.painleve import SystemParameters, reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.scalars import PoleError
 
@@ -201,6 +201,18 @@ class TestIntegration:
             flow.integrate(
                 (3, 3), [(0.4, 0.3)], {"w3": 1.0}, _params((3, 3)), 2.0, 3.0
             )
+
+    @pytest.mark.parametrize("parts,alpha,eta", [
+        ((2, 2), (QQ(1, 6),) * 6, None),  # one weight too many
+        ((3, 3), (QQ(1, 6),) * 6, None),  # the coupled sixth system without eta
+        ((3, 1), (QQ(1, 2),) * 2, None),  # too few weights
+        ((2, 2), (QQ(1, 5),) * 5, QQ(1)),  # an eta the system does not take
+    ])
+    def test_weights_that_do_not_fit_rejected_before_any_step(self, parts, alpha, eta, monkeypatch):
+        monkeypatch.setattr(flow, "_advance", lambda *a: pytest.fail("stepped"))
+        pairs, gauges = _start(parts)
+        with pytest.raises(ValueError, match=f"takes {reduction(parts).weight_count} weights"):
+            flow.integrate(parts, pairs, gauges, SystemParameters(alpha, eta), 2.0, 3.0)
 
     def test_fixed_step_grid(self):
         traj = _run((2, 2), fixed_step=0.125, rel_tol=1e-8, abs_tol=1e-10)

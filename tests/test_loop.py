@@ -21,16 +21,21 @@ from painleve_ds.scalars import is_zero_scalar
 
 
 def invariant_form(a, b):
-    """Standard invariant symmetric form: trace pairing plus K-d coupling."""
+    """Standard invariant symmetric form: the trace pairing of residues.
+
+    K pairs only with the scaling element d, which the algebra leaves out,
+    so the central coordinate does not enter.
+    """
     total = 0
     for (deg, i, j), u in a.entries.items():
         total = total + u * b.entry(-deg, j, i)
-    return total + a.c_k * b.c_d + a.c_d * b.c_k
+    return total
 
 
 def reference_theta(spec, x):
     """The gradation derivation in its defining form, scale * (z d/dz + ad eta)."""
-    return (x.z_derivative() + bracket(spec.eta, x)).scale(QQ(spec.scale))
+    z_derivative = LoopElement(x.rank, {key: key[0] * v for key, v in x.entries.items()})
+    return (z_derivative + bracket(spec.eta, x)).scale(QQ(spec.scale))
 
 
 def _rational(rng):
@@ -45,12 +50,7 @@ def random_element(rank, rng, degrees=(-2, -1, 0, 1, 2), density=0.4, value=_rat
             for j in range(n):
                 if rng.random() < density:
                     entries[deg, i, j] = value(rng)
-    return LoopElement(
-        rank,
-        entries,
-        c_k=QQ(rng.randint(-3, 3)),
-        c_d=QQ(rng.randint(-3, 3)),
-    )
+    return LoopElement(rank, entries, c_k=QQ(rng.randint(-3, 3)))
 
 
 class TestStructure:
@@ -60,14 +60,11 @@ class TestStructure:
         for i in range(n + 1):
             e = chevalley(n, i, "e")
             f = chevalley(n, i, "f")
-            h = chevalley(n, i, "h")
+            if i == 0:
+                h = LoopElement(n, {(0, n, n): QQ(1), (0, 0, 0): QQ(-1)}, c_k=QQ(1))
+            else:
+                h = LoopElement(n, {(0, i - 1, i - 1): QQ(1), (0, i, i): QQ(-1)})
             assert bracket(e, f) == h
-
-    def test_affine_node_coroot_carries_center(self):
-        h0 = chevalley(3, 0, "h")
-        assert h0.c_k == 1
-        assert h0.entry(0, 0, 0) == -1
-        assert h0.entry(0, 3, 3) == 1
 
     def test_nested_ad_word(self):
         # [e_2, e_3] lands on a single matrix unit
@@ -85,15 +82,8 @@ class TestStructure:
         b = single_entry(2, -2, 1, 0)
         assert invariant_form(a, b) == 1
         assert invariant_form(a, single_entry(2, -1, 1, 0)) == 0
-        central, scaling = LoopElement(2, c_k=QQ(1)), LoopElement(2, c_d=QQ(1))
-        assert invariant_form(central, scaling) == 1
+        central = LoopElement(2, c_k=QQ(1))
         assert invariant_form(central, central) == 0
-
-    def test_derivation_grades_by_degree(self):
-        d = LoopElement(3, c_d=QQ(1))
-        x = single_entry(3, 5, 1, 2)
-        assert bracket(d, x) == x.scale(QQ(5))
-        assert bracket(x, d) == x.scale(QQ(-5))
 
     def test_central_extension_cocycle(self):
         # [z X, z^-1 Y] picks up tr(XY) K
@@ -206,7 +196,6 @@ class TestGradation:
             single_entry(1, 0, 0, 1),
             single_entry(1, 1, 0, 0),
             LoopElement(1, c_k=QQ(1)),
-            LoopElement(1, c_d=QQ(1)),
         ):
             with pytest.raises(ValueError, match="diagonal of degree 0"):
                 GradationSpec(1, 2, eta)

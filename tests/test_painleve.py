@@ -175,6 +175,20 @@ class TestParameterMaps:
         assert moved.alpha == base.alpha
         assert moved.eta == base.eta
 
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_wrong_constant_counts_are_refused(self, parts):
+        # a short list must not read as zeros, nor a long one lose its tail
+        record = reduction(parts)
+        kappas = [QQ(k + 1, 7) for k in range(record.kappa_count)]
+        rhos = [QQ(k + 3, 5) for k in range(record.rho_count)]
+        expected = f"{record.kappa_count} kappas and {record.rho_count} rhos"
+        for bad in (
+            (kappas[:-1], rhos), (kappas + [QQ(1)], rhos),
+            (kappas, rhos[:-1]), (kappas, rhos + [QQ(1)]),
+        ):
+            with pytest.raises(ValueError, match=expected):
+                reduction_parameters(parts, *bad)
+
     def test_rejects_weights_off_the_image(self):
         bad = SystemParameters((QQ(1), QQ(1), QQ(1), QQ(1), QQ(1)))
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 The exact suites check the identity at random rational points.  Here the
 same formula code runs over sympy expressions: symbols for the pairs,
 gauges, kappas and rhos, and the root written out as a function of a
-positive time t.  Every matrix entry and both central coordinates of the
+positive time t.  Every matrix entry and the central coordinate of the
 residual then reduce to 0, so the identity holds for all data, not only
 at the sampled points.
 """
@@ -39,7 +39,7 @@ def _residual(record, pair_rates=None):
         record.parts, pairs, t, gauges, kappas, rhos,
         root=Gradient(root, (sp.diff(root, t),)), pair_rates=pair_rates,
     )
-    return [*residual.entries.values(), residual.c_k, residual.c_d]
+    return [*residual.entries.values(), residual.c_k]
 
 
 def _vanishes(value) -> bool:
