@@ -125,9 +125,10 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
 
     records is a list of (t, y, slope, error_norm); guard(t, y) returns a
     termination string when the state has left the admissible region.
-    f may raise (pole inside a stage); adaptive mode shrinks the step and
-    retries, fixed mode gives up with the pole flag.  After max_steps
-    attempted steps the run stops with the step-budget flag.
+    f may raise (pole inside a stage), and the error estimate may overflow;
+    adaptive mode shrinks the step and retries, fixed mode gives up with
+    the pole flag.  After max_steps attempted steps the run stops with the
+    step-budget flag.
     """
     records = []
     direction = 1.0 if t_end >= t0 else -1.0
@@ -173,6 +174,11 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
                 if i == 6:
                     y_new = state
                 stages.append(evaluate(t + _C[i] * h, state))
+            error_vector = [
+                h * sum(ei * kj[j] for ei, kj in zip(_E, stages))
+                for j in range(len(y))
+            ]
+            error = _norm(error_vector, y, y_new, rel_tol, abs_tol)
         except (PoleError, ZeroDivisionError, OverflowError):
             failed = True
         if failed:
@@ -180,12 +186,6 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
                 return records, POLE_DETECTED
             h *= 0.5
             continue
-
-        error_vector = [
-            h * sum(ei * kj[j] for ei, kj in zip(_E, stages))
-            for j in range(len(y))
-        ]
-        error = _norm(error_vector, y, y_new, rel_tol, abs_tol)
 
         if fixed_step is None and error > 1.0:
             factor = max(_SHRINK_CAP, _SAFETY * error ** (-_PI_ALPHA))

@@ -8,17 +8,17 @@ compatibility condition
     dM/dt - theta(B_t) + [M, B_t] = 0,      B_t = (d tau/dt) B
 
 is an exact identity, where t is the Painleve time, tau the hierarchy
-time (an algebraic function of t, adjoined as a root symbol), and theta
+time (an algebraic function of t, carried by one root symbol), and theta
 the gradation derivation of the partition's Heisenberg subalgebra.
 dM/dt is the total derivative along the Hamiltonian flow together with
 the multiplier flows of the gauge variables.
 
 This module assembles M and B from the reduced-variable presentation,
 maps canonical to reduced coordinates, and evaluates the compatibility
-residual either exactly (rational points, root symbols adjoined) or in
-floating point (along numeric trajectories).  The partition-specific
-formulas live in each partition's record in ``reductions``; the
-functions here dispatch through it once.
+residual either exactly (rational points and roots, sqrt(6) adjoined
+for (3,1)) or in floating point (along numeric trajectories).  The
+partition-specific formulas live in each partition's record in
+``reductions``; the functions here dispatch through it once.
 """
 
 from __future__ import annotations
@@ -54,11 +54,9 @@ from .scalars import (
 def time_root(parts, t) -> Gradient:
     """The partition's root symbol at time t, with d(root)/dt as its one partial.
 
-    The root satisfies root**power = base(t).  At rational t it is adjoined
-    exactly over QQ; at float t it is the real root, or the principal
-    square root of a negative base.  Implicit differentiation of the
-    relation gives the tangent root * base'(t) / (power * base(t)) in
-    either ring.
+    root**power = base(t).  At rational t a square root is adjoined over QQ
+    and a cube root refused: exact samples draw it and pass ``root=``.  At
+    float t it is the real root, or the principal root of a negative base.
     """
     record = reduction(parts)
     relation = record.root
@@ -73,12 +71,15 @@ def time_root(parts, t) -> Gradient:
     if not 0 < abs(base) < math.inf:
         raise PoleError(f"{record.parts} root needs a finite nonzero base at t = {t}")
     if exact:
-        root = Extension(relation.symbol, power, base).root()
+        if power != 2:
+            raise ValueError(f"{record.label} adjoins no exact root of power {power} at rational"
+                             f" t = {t}: draw {relation.symbol}, compute t from it and pass root=")
+        root = Extension(relation.symbol, base).root()
     elif power == 2:
         root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
     else:  # odd power: the real root
         root = math.copysign(abs(base) ** (1 / power), base)
-    return Gradient(root, (root * relation.base_rate(t) / (power * base),))
+    return relation.along_t(root, t)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +219,17 @@ def _worst_entry(element: LoopElement) -> dict:
 
 
 def sample_point(partition, rng: random.Random) -> dict:
-    """Random admissible rational data for one verification sample."""
+    """Random admissible rational data for one verification sample: the root
+    is drawn and t computed from it, or a constant root adjoined to a drawn t."""
     record = reduction(partition)
-    t = rational_satisfying(rng, lambda x: x not in (0, 1))
-    pairs = []
-    for _ in range(record.pair_count):
-        q = random_rational(rng)
-        p = nonzero_rational(rng)
-        pairs.append((q, p))
+    time = record.root.time
+    if time is None:
+        t = rational_satisfying(rng, lambda x: x not in (0, 1))
+        root = time_root(record.parts, t).value
+    else:
+        root = rational_satisfying(rng, lambda x: x != 0 and time(x) not in (0, 1))
+        t = time(root)
+    pairs = [(random_rational(rng), nonzero_rational(rng)) for _ in range(record.pair_count)]
     if record.pair_count == 2 and pairs[1][0] == pairs[0][0]:
         pairs[1] = (rational_avoiding(rng, (pairs[0][0],)), pairs[1][1])
     gauges = {name: nonzero_rational(rng) for name in record.gauge_names}
@@ -234,18 +238,20 @@ def sample_point(partition, rng: random.Random) -> dict:
     return {
         "pairs": tuple(pairs),
         "t": t,
+        "root": root,
         "gauges": gauges,
         "kappas": kappas,
         "rhos": rhos,
     }
 
 
-def _examine_point(parts, point):
+def _examine_point(record, point):
     """The failing constraint or zero-curvature entry and its residual; None when clean."""
-    for name, residual in constraint_residuals(canonical_to_ds(parts, **point)).items():
+    for name, residual in constraint_residuals(canonical_to_ds(record.parts, **point)).items():
         if not is_zero_scalar(residual):
             return {"entry": ["constraint", name], "residual": repr(residual)}
-    residual = zero_curvature_residual(parts, **point)
+    root = record.root.along_t(point["root"], point["t"])
+    residual = zero_curvature_residual(record.parts, **{**point, "root": root})
     if not residual.is_zero():
         return _worst_entry(residual)
     return None
@@ -258,7 +264,7 @@ def verify_partition(partition, samples: int = 100, seed: int = 0) -> SampleRepo
     report = SampleReport("zero-curvature " + record.label, samples)
     for index in range(samples):
         point = sample_point(record.parts, rng)
-        bad = _examine_point(record.parts, point)
+        bad = _examine_point(record, point)
         if bad is not None:
             report.failures.append({"sample_index": index, **jsonable({"point": point, **bad})})
     return report

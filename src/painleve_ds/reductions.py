@@ -24,7 +24,7 @@ from typing import Callable, ClassVar
 
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
-from .scalars import QQ, PoleError, is_zero_scalar, value_of
+from .scalars import QQ, Gradient, PoleError, is_zero_scalar, value_of
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,18 @@ def _form(const, kappa, rho):
 
 @dataclass(frozen=True)
 class RootRelation:
-    """root**power = base(t): the adjoined symbol carrying hierarchy time."""
+    """root**power = base(t): the symbol carrying hierarchy time."""
 
     symbol: str
     power: int
     base: Callable
     base_rate: Callable  # d base / dt
+    time: Callable | None = None  # t from the root; None for a constant root
+
+    def along_t(self, root, t) -> Gradient:
+        """The root with d(root)/dt = root * base'(t) / (power * base(t)), from
+        implicit differentiation of the relation, as its one partial."""
+        return Gradient(root, (root * self.base_rate(t) / (self.power * self.base(t)),))
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,14 @@ class Reduction:
 
     Each partition below is one subclass: it sets the facts as class
     attributes and overrides the formula blocks, so everything about a
-    partition sits in one class body.  Formula blocks that read a reduced
-    state take a ``lax.DSState``.  Counts that follow from the partition
-    are derived, not stored.
+    partition sits in one class body.  Counts that follow from the
+    partition are derived, not stored.  Every record defines four formula
+    blocks: ``to_ds(pairs, gauges, t, tau, root, kappas, rhos)``, the
+    reduced variables by name; ``constraints(state)``, each identity's
+    left minus right by name; ``matrices(state)``, the M and B entries
+    keyed (degree, row, col) and the B diagonal; and
+    ``gauge_log_derivatives(pairs, t, params)``, d log(gauge)/dt by name.
+    A state is a ``lax.DSState``.
     """
 
     parts: ClassVar[tuple]
@@ -103,23 +114,6 @@ class Reduction:
         """Hierarchy time in terms of the Painleve time and the root symbol."""
         return root
 
-    def to_ds(self, pairs, gauges, t, tau, root, kappas, rhos) -> dict:
-        """Reduced variables at a canonical point, gauges supplied."""
-        raise NotImplementedError
-
-    def constraints(self, state) -> dict:
-        """Left minus right of each constraint identity, by name."""
-        raise NotImplementedError
-
-    def matrices(self, state):
-        """(M entries, B entries, B diagonal), entries keyed (degree, row,
-        col); M's diagonal and central part come from the kappas alone."""
-        raise NotImplementedError
-
-    def gauge_log_derivatives(self, pairs, t, params) -> dict:
-        """d log(gauge) / dt for each gauge variable, by name."""
-        raise NotImplementedError
-
 
 def _coroot_diagonal(coeffs) -> list:
     # Diagonal of sum c_i alpha_i^vee over the non-affine simple coroots.
@@ -147,7 +141,7 @@ class _CoupledSixth33(Reduction):
     gauge_names = ("w3",)
     pair_count = 2
     singular_times = (0.0, 1.0)
-    root = RootRelation("u", 3, lambda t: 1 / t, lambda t: -1 / (t * t))
+    root = RootRelation("u", 3, lambda t: 1 / t, lambda t: -1 / (t * t), lambda u: 1 / (u * u * u))
     alpha = (
         _form(_th, (-2 * _th, _th, 0, 0, 0, _th), (0,)),
         _form(0, (_th, -2 * _th, _th, 0, 0, 0), (0,)),
@@ -233,7 +227,7 @@ class _CoupledSixth221(Reduction):
     gauge_names = ("phi3", "phi34")
     pair_count = 2
     singular_times = (0.0, 1.0)
-    root = RootRelation("s", 2, lambda t: t, lambda t: QQ(1))
+    root = RootRelation("s", 2, lambda t: t, lambda t: QQ(1), lambda s: s * s)
     alpha = (
         _form(_ha, (-2 * _qu, _qu, 0, 0, _qu), (0, 0)),
         _form(0, (_qu, 0, 0, _qu, -2 * _qu), (0, 0)),
@@ -325,7 +319,7 @@ class _Sixth22(Reduction):
     gauge_names = ("w1",)
     pair_count = 1
     singular_times = (0.0, 1.0)
-    root = RootRelation("s", 2, lambda t: t, lambda t: QQ(1))
+    root = RootRelation("s", 2, lambda t: t, lambda t: QQ(1), lambda s: s * s)
     alpha = (
         _form(_ha, (0, _ha, -2 * _ha, _ha), (0,)),
         _form(0, (0, -_ha, 0, _ha), (QQ(1),)),
@@ -462,7 +456,7 @@ class _CoupledFifth41(Reduction):
     gauge_names = ("phi12",)
     pair_count = 2
     singular_times = (0.0,)
-    root = RootRelation("v", 2, lambda t: -2 * t, lambda t: QQ(-2))
+    root = RootRelation("v", 2, lambda t: -2 * t, lambda t: QQ(-2), lambda v: -v * v / 2)
     alpha = (
         _form(2 * _ei, (_ei, 0, 0, _ei, -2 * _ei), (0,)),
         _form(2 * _ei, (-2 * _ei, _ei, 0, 0, _ei), (0,)),

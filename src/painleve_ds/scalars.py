@@ -1,4 +1,4 @@
-"""Exact scalar tower: rationals, one adjoined root, forward-mode gradients.
+"""Exact scalar tower: rationals, one adjoined square root, forward-mode gradients.
 
 All higher layers are generic over the scalar type.  Formula code written
 with ordinary ``+ - * /`` runs unchanged over ``Fraction``, ``ExtScalar``
@@ -35,33 +35,28 @@ def is_rational(x) -> bool:
 
 @dataclass(frozen=True)
 class Extension:
-    """The ring Q[s]/(s**power - base): one root symbol adjoined to Q.
+    """The ring Q[s]/(s**2 - base): one square root adjoined to Q.
 
-    The base is a nonzero rational fixed at construction time (the sample
-    value of ``t`` enters through it).  The ring is a field only when
-    ``s**power - base`` is irreducible: ``s**2 = 4`` has zero divisors, and
-    inverting one raises :class:`PoleError`.
+    The base is a nonzero rational fixed at construction time.  The ring
+    is a field only when the base is not a square: ``s**2 = 4`` has zero
+    divisors, and inverting one raises :class:`PoleError`.
     """
 
     symbol: str
-    power: int
     base: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "base", Fraction(self.base))
-        if self.power < 2:
-            raise ValueError(f"symbol {self.symbol}: power must be >= 2")
         if self.base == 0:
             raise ValueError(f"symbol {self.symbol}: base must be nonzero")
 
     def root(self) -> "ExtScalar":
         """The adjoined symbol s."""
-        return ExtScalar(self, (_ZERO, _ONE) + (_ZERO,) * (self.power - 2))
+        return ExtScalar(self, (_ZERO, _ONE))
 
 
 class ExtScalar:
-    """Element of an :class:`Extension`: the tuple of rational coefficients
-    of 1, s, ..., s**(power-1)."""
+    """Element a + b*s of an :class:`Extension`, stored as the pair (a, b)."""
 
     __slots__ = ("ext", "coeffs")
 
@@ -77,87 +72,66 @@ class ExtScalar:
         return not any(self.coeffs)
 
     def is_rational_value(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not self.coeffs[1]
 
-    # -- ring operations: zero slots are skipped, not added ----------------
+    # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
+        a, b = self.coeffs
         if isinstance(other, ExtScalar):
             self._check_ring(other)
-            return ExtScalar(self.ext, tuple([
-                (a + b if a else b) if b else a for a, b in zip(self.coeffs, other.coeffs)
-            ]))
+            c, d = other.coeffs
+            return ExtScalar(self.ext, (a + c, b + d))
         if is_rational(other):
-            return ExtScalar(self.ext, (self.coeffs[0] + other,) + self.coeffs[1:])
+            return ExtScalar(self.ext, (a + other, b))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(self.ext, tuple([-c if c else c for c in self.coeffs]))
+        a, b = self.coeffs
+        return ExtScalar(self.ext, (-a, -b))
 
     def __sub__(self, other):
+        a, b = self.coeffs
         if isinstance(other, ExtScalar):
             self._check_ring(other)
-            return ExtScalar(self.ext, tuple([
-                (a - b if a else -b) if b else a for a, b in zip(self.coeffs, other.coeffs)
-            ]))
+            c, d = other.coeffs
+            return ExtScalar(self.ext, (a - c, b - d))
         if is_rational(other):
-            return ExtScalar(self.ext, (self.coeffs[0] - other,) + self.coeffs[1:])
+            return ExtScalar(self.ext, (a - other, b))
         return NotImplemented
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
+        a, b = self.coeffs
         if isinstance(other, ExtScalar):
             self._check_ring(other)
-            return ExtScalar(self.ext, self._product(other.coeffs))
+            # (a + b s)(c + d s) = (a c + b d base) + (a d + b c) s; most
+            # factors are rational or a multiple of s, so zero slots are skipped
+            c, d = other.coeffs
+            if not d:
+                return self * c
+            if not b:
+                return other * a
+            if not a and not c:
+                return ExtScalar(self.ext, (b * d * self.ext.base, _ZERO))
+            return ExtScalar(self.ext, (a * c + b * d * self.ext.base, a * d + b * c))
         if is_rational(other):
-            return ExtScalar(self.ext, tuple([c * other if c else c for c in self.coeffs]))
+            return ExtScalar(self.ext, (a * other if a else a, b * other if b else b))
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _product(self, other: tuple) -> tuple:
-        k = self.ext.power
-        wide = [None] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other):
-                    if b:
-                        term = a * b
-                        acc = wide[i + j]
-                        wide[i + j] = term if acc is None else acc + term
-        # s**(k+m) = base * s**m: one base multiply per wrapped slot
-        low = wide[:k]
-        for m, high in enumerate(wide[k:]):
-            if high is not None:
-                high = high * self.ext.base
-                low[m] = high if low[m] is None else low[m] + high
-        return tuple([_ZERO if c is None else c for c in low])
-
     def inverse(self) -> "ExtScalar":
-        """Multiplicative inverse by solving ``self * x = 1`` over Q.
-
-        Column j of the multiplication matrix is ``self * s**j``: the
-        coefficients shifted j places, the wrapped ones times the base.
-        """
-        c = self.coeffs
-        if not any(c[1:]):
-            if not c[0]:
-                raise PoleError("division by zero in extension")
-            return ExtScalar(self.ext, (1 / c[0],) + c[1:])
-        k, base = self.ext.power, self.ext.base
-        matrix = [
-            [c[i - j] if i >= j else base * c[i - j + k] for j in range(k)]
-            for i in range(k)
-        ]
-        try:
-            solution = solve_rational_system(matrix, [_ONE] + [_ZERO] * (k - 1))
-        except PoleError:
-            raise PoleError(f"{self!r} is a zero divisor in {self.ext!r}") from None
-        return ExtScalar(self.ext, tuple(solution))
+        """(a + b s)**-1 = (a - b s) / (a**2 - b**2 base); a zero norm is a pole."""
+        a, b = self.coeffs
+        norm = a * a - b * b * self.ext.base
+        if not norm:
+            raise PoleError(f"{self!r} is zero or a zero divisor in {self.ext!r}")
+        return ExtScalar(self.ext, (a / norm, -b / norm))
 
     def __truediv__(self, other):
         if isinstance(other, ExtScalar):

@@ -30,6 +30,7 @@ from .sampling import (
     nonzero_rational,
     random_rational,
     rational_avoiding,
+    rational_satisfying,
 )
 from .scalars import (
     QQ,
@@ -241,9 +242,9 @@ def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
 def gauge_function(index, pairs, t, w3, params: SystemParameters, u):
     """Denominator of the unipotent gauge coefficient for one reflection.
 
-    u is the coupled sixth reduction's cube root, u**3 = 1/t: the returned
-    scalar is an element of u's ring, and a plain rational for r2 and r3,
-    whose formulas need no root.
+    u is the coupled sixth reduction's root, u**3 = 1/t.  The exact suite
+    draws u as a rational and sets t = u**-3, so the returned scalar is a
+    rational; r2 and r3 need no root at all.
     """
     if index not in GENERATORS:
         raise ValueError(f"generator index out of range: {index}")
@@ -277,16 +278,17 @@ def reflected_gauge(index, pairs, params: SystemParameters, w3):
     return w3 * (d_p - params.alpha[3]) / d_p
 
 
-def conjugation_residual(index, pairs, t, w3, kappas, rhos) -> LoopElement:
+def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopElement:
     """Gauge-conjugated M minus M at the reflected point; exactly zero.
 
     The conjugation is by exp(x) with x = (alpha_i/phi_i) f_i; x squares
     to zero in the evaluation representation, so the adjoint series stops
     at second order, and the grade-operator inhomogeneity is theta(x).
     The central coefficient moves through the bracket cocycle, matching
-    the kappa_i -> kappa_i + 3 alpha_i shift of the constants.
+    the kappa_i -> kappa_i + 3 alpha_i shift of the constants.  root is
+    the value of u, u**3 = 1/t, and defaults to ``time_root``'s.
     """
-    u = time_root(CP6.parts, t).value
+    u = time_root(CP6.parts, t).value if root is None else root
     params = reduction_parameters(CP6.parts, kappas, rhos)
     state = canonical_to_ds(CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, root=u)
     m, _ = lax_matrices(state)
@@ -322,17 +324,18 @@ def check_conjugation(samples: int = 25, seed: int = 0) -> CheckReport:
     report = CheckReport("gauge-conjugation")
 
     def draw(rng):
-        pairs, _, t = sample_weyl_point(rng)
+        pairs, _, _ = sample_weyl_point(rng)
+        u = rational_satisfying(rng, lambda x: x != 0 and CP6.root.time(x) not in (1, pairs[0][0]))
         w3 = nonzero_rational(rng)
         kappas = tuple(random_rational(rng) for _ in range(CP6.kappa_count))
         rhos = tuple(random_rational(rng) for _ in range(CP6.rho_count))
-        return pairs, t, w3, kappas, rhos
+        return pairs, CP6.root.time(u), u, w3, kappas, rhos
 
     for index in GENERATORS:
 
         def examine(point):
-            pairs, t, w3, kappas, rhos = point
-            if conjugation_residual(index, pairs, t, w3, kappas, rhos).is_zero():
+            pairs, t, u, w3, kappas, rhos = point
+            if conjugation_residual(index, pairs, t, w3, kappas, rhos, root=u).is_zero():
                 return None
             return {"point": {"pairs": pairs, "t": t, "w3": w3}, "kappas": kappas, "rhos": rhos}
 

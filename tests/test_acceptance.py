@@ -77,7 +77,7 @@ def test_criterion_2_constraint_identities_on_100_states():
             point = sample_point(parts, rng)
             state = canonical_to_ds(
                 parts, point["pairs"], point["t"], point["gauges"],
-                point["kappas"], point["rhos"],
+                point["kappas"], point["rhos"], root=point["root"],
             )
             for name, residual in constraint_residuals(state).items():
                 assert is_zero_scalar(residual), (parts, name)

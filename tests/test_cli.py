@@ -215,6 +215,17 @@ class TestIntegrate:
         assert json.loads(captured.out)["metadata"]["termination"] == flow.POLE_DETECTED
         assert flow.POLE_DETECTED in captured.err
 
+    def test_overflowing_error_estimate_is_a_pole(self, capsys):
+        # the step error of this start overflows a float when squared
+        code = main([
+            "integrate", "--system", "p6", "--point=-734.585450170943,-6.918785230230817",
+            "--kappas", "1/7,3/7,5/7,1", "--rhos", "3/5", "--t0", "2", "--t1", "1.6",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {flow.POLE_DETECTED} before t1" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_non_finite_time_exits_one(self, capsys):
         code = main(self.BASE[:-2] + ["--t1", "nan", "--json"])
         assert code == 1

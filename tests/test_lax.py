@@ -45,16 +45,38 @@ def _power(x, k):
 
 
 def _evaluate(x, root):
-    """Numeric image of an extension element at a float or complex root."""
-    return sum(float(c) * root**e for e, c in enumerate(x.coeffs))
+    """Numeric image of an exact value at a float or complex root."""
+    if isinstance(x, ExtScalar):
+        a, b = x.coeffs
+        return float(a) + float(b) * root
+    return float(x)
+
+
+def _root(parts, point):
+    """The sampled root as the one-direction Gradient the residual takes."""
+    return reduction(parts).root.along_t(point["root"], point["t"])
+
+
+def _exact_frames(parts):
+    """(t, exact frame) on every admissible side of the singular times.
+
+    A square root is adjoined at each t of SIDES; the (3,3) cube root is
+    drawn, not adjoined, so its t = u**-3 comes from one rational u per side.
+    """
+    relation = reduction(parts).root
+    if relation.power == 2:
+        return [(t, time_root(parts, t)) for t in SIDES[parts]]
+    roots = (QQ(-2, 3), QQ(3, 2), QQ(2, 3))  # t = -27/8, 8/27, 27/8
+    return [(relation.time(u), relation.along_t(u, relation.time(u))) for u in roots]
 
 
 class TestFrames:
     """time_root: the root symbol and its t-derivative as one dual number."""
 
     def test_cube_root_frame(self):
-        u = time_root((3, 3), QQ(2)).value
-        assert u * u * u == QQ(1, 2)
+        # the exact lane adjoins square roots only; a (3,3) sample draws u
+        with pytest.raises(ValueError, match="draw u, compute t from it and pass root="):
+            time_root((3, 3), QQ(2))
 
     @pytest.mark.parametrize("parts", [(2, 2), (2, 2, 1)])
     def test_square_root_frame(self, parts):
@@ -110,8 +132,7 @@ class TestFrames:
         # k root^(k-1) root' = base'
         relation = reduction(parts).root
         k = relation.power
-        for t in SIDES[parts]:
-            exact = time_root(parts, t)
+        for t, exact in _exact_frames(parts):
             (exact_tangent,) = exact.grad
             assert _power(exact.value, k) == relation.base(t)
             assert k * _power(exact.value, k - 1) * exact_tangent == relation.base_rate(t)
@@ -137,10 +158,7 @@ class TestCoordinateMaps:
     def test_constructed_states_satisfy_constraints(self, parts):
         for seed in range(5):
             point = _clean_point(parts, seed=seed)
-            state = canonical_to_ds(
-                parts, point["pairs"], point["t"], point["gauges"],
-                point["kappas"], point["rhos"],
-            )
+            state = canonical_to_ds(parts, **point)
             for name, residual in constraint_residuals(state).items():
                 assert is_zero_scalar(residual), (parts, name)
 
@@ -149,10 +167,7 @@ class TestCoordinateMaps:
         from painleve_ds.lax import DSState
 
         point = _clean_point(parts, seed=31)
-        state = canonical_to_ds(
-            parts, point["pairs"], point["t"], point["gauges"],
-            point["kappas"], point["rhos"],
-        )
+        state = canonical_to_ds(parts, **point)
         baseline = constraint_residuals(state)
         disturbed = set()
         for name in state.variables:
@@ -174,18 +189,13 @@ class TestCoordinateMaps:
         gauges = dict(point["gauges"])
         gauges[reduction(parts).gauge_names[0]] = QQ(0)
         with pytest.raises(PoleError):
-            canonical_to_ds(
-                parts, point["pairs"], point["t"], gauges,
-                point["kappas"], point["rhos"],
-            )
+            canonical_to_ds(parts, **{**point, "gauges": gauges})
 
     def test_cubed_root_at_one_is_a_pole(self):
+        # u = 1 is the root of t = u**-3 = 1
         point = _clean_point((3, 3), seed=2)
         with pytest.raises(PoleError):
-            canonical_to_ds(
-                (3, 3), point["pairs"], QQ(1), point["gauges"],
-                point["kappas"], point["rhos"],
-            )
+            canonical_to_ds((3, 3), **{**point, "t": QQ(1), "root": QQ(1)})
 
 
 class TestZeroCurvature:
@@ -193,18 +203,18 @@ class TestZeroCurvature:
     def test_exact_residual_vanishes(self, parts):
         for seed in range(3):
             point = _clean_point(parts, seed=seed)
-            residual = zero_curvature_residual(
-                parts, point["pairs"], point["t"], point["gauges"],
-                point["kappas"], point["rhos"],
-            )
+            residual = zero_curvature_residual(parts, **{**point, "root": _root(parts, point)})
             assert residual.is_zero()
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_integer_time_stays_exact(self, parts):
-        # an int t beside rational data must not turn a rate into a float
+        # an int t beside rational data must not turn a rate into a float;
+        # t = 8 has the rational (3,3) root u = 1/2, which that record is given
         point = _clean_point(parts)
+        relation = reduction(parts).root
+        root = relation.along_t(QQ(1, 2), QQ(8)) if relation.power == 3 else None
         residual = zero_curvature_residual(
-            parts, point["pairs"], 2, point["gauges"], point["kappas"], point["rhos"],
+            parts, point["pairs"], 8, point["gauges"], point["kappas"], point["rhos"], root=root,
         )
         assert residual.is_zero()
 
@@ -228,7 +238,7 @@ class TestZeroCurvature:
         for seed in range(3):
             point = _clean_point(parts, seed=seed)
             args = (parts, point["pairs"], point["t"], point["gauges"],
-                    point["kappas"], point["rhos"])
+                    point["kappas"], point["rhos"], _root(parts, point))
             params = reduction_parameters(parts, point["kappas"], point["rhos"])
             dlogs = gauge_log_derivatives(parts, point["pairs"], point["t"], params)
             supplied = zero_curvature_residual(
@@ -246,7 +256,7 @@ class TestZeroCurvature:
         ((q, p),) = point["pairs"]
         residual = zero_curvature_residual(
             (2, 2), point["pairs"], point["t"], point["gauges"],
-            point["kappas"], point["rhos"],
+            point["kappas"], point["rhos"], _root((2, 2), point),
             pair_rates=((QQ(1), QQ(0)),),
             gauge_rates={"w1": QQ(0)},
         )
@@ -257,10 +267,7 @@ class TestLaxMatrices:
     @pytest.mark.parametrize("parts", FIVE)
     def test_matrix_shapes(self, parts):
         point = _clean_point(parts, seed=9)
-        state = canonical_to_ds(
-            parts, point["pairs"], point["t"], point["gauges"],
-            point["kappas"], point["rhos"],
-        )
+        state = canonical_to_ds(parts, **point)
         m, b = lax_matrices(state)
         n = sum(parts)
         assert m.size == n
@@ -293,6 +300,22 @@ class TestVerification:
             assert set(failure) == {"sample_index", "point", "entry", "residual"}
             assert failure["entry"] == ["0", "1", "0"]  # (row, col, degree), JSON-ready
             assert failure["residual"] == repr(QQ(1))
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_a_flipped_m_entry_fails_every_sample(self, monkeypatch, parts):
+        # negative control: points drawn through the root still catch a
+        # wrong sign in one entry of M at every sample
+        record_type = type(reduction(parts))
+        honest = record_type.matrices
+
+        def flipped(self, state):
+            m, b, b_diagonal = honest(self, state)
+            key = next(iter(m))
+            return {**m, key: -m[key]}, b, b_diagonal
+
+        monkeypatch.setattr(record_type, "matrices", flipped)
+        report = verify_partition(parts, samples=20, seed=0)
+        assert [f["sample_index"] for f in report.failures] == list(range(20))
 
     def test_a_pole_at_a_sample_is_an_error(self, monkeypatch):
         # sample_point draws only admissible data, so a pole is a defect

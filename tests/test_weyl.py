@@ -140,6 +140,22 @@ class TestGaugeBridge:
     def test_conjugation_check_passes(self):
         assert check_conjugation(samples=2, seed=11).passed
 
+    def test_a_broken_bridge_fails_at_its_first_point(self, monkeypatch):
+        # negative control: with u drawn and t = u**-3, doubling the r0
+        # gauge coefficient breaks that bridge alone, at its first point
+        honest = weyl.gauge_function
+
+        def doubled_r0(index, *args):
+            value = honest(index, *args)
+            return 2 * value if index == 0 else value
+
+        monkeypatch.setattr(weyl, "gauge_function", doubled_r0)
+        report = check_conjugation(samples=3, seed=0)
+        broken = report.checks[0]
+        assert broken.name == "conjugation bridge of r0"
+        assert not broken.passed and broken.witness["sample_index"] == 0
+        assert all(claim.passed for claim in report.checks[1:])
+
 
 class TestBoundedRetries:
     @pytest.mark.parametrize(
@@ -151,7 +167,7 @@ class TestBoundedRetries:
         ],
     )
     def test_a_residual_that_always_raises_fails_loudly(self, monkeypatch, target, check):
-        def always_singular(*args):
+        def always_singular(*args, **kwargs):
             raise PoleError("forced pole")
 
         monkeypatch.setattr(weyl, target, always_singular)
@@ -173,16 +189,16 @@ class TestWitnesses:
              {"sample_index", "point", "alpha", "eta", "image_pairs"}),
             ("equivariance_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)),
              check_equivariance, {"sample_index", "point", "alpha", "eta", "residual"}),
-            ("conjugation_residual", lambda *args: LoopElement(5, {(0, 0, 1): QQ(1)}),
+            ("conjugation_residual", lambda *args, root: LoopElement(5, {(0, 0, 1): QQ(1)}),
              check_conjugation, {"sample_index", "point", "kappas", "rhos"}),
         ],
     )
     def test_a_broken_claim_fails_at_its_first_point(self, monkeypatch, target, broken, check, keys):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return broken(*args)
+            return broken(*args, **kwargs)
 
         monkeypatch.setattr(weyl, target, counted)
         report = check(samples=3, seed=0)
