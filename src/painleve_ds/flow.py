@@ -56,6 +56,9 @@ _A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# (stage, weight) for the nonzero weights of each row; _A[6] and _E hold a zero
+_A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in _A)
+_E_TERMS = tuple((j, e) for j, e in enumerate(_E) if e)
 
 _SAFETY = 0.9
 _PI_ALPHA = 0.17  # proportional exponent for order 5
@@ -120,6 +123,15 @@ def _norm(error_vector, y_old, y_new, rel_tol, abs_tol):
     return math.sqrt(total / len(error_vector))
 
 
+def _combine(terms, stages):
+    """sum(w * stages[j]) componentwise, one pass per (j, w) term."""
+    (j, w), *rest = terms
+    acc = [w * k for k in stages[j]]
+    for j, w in rest:
+        acc = [s + w * k for s, k in zip(acc, stages[j])]
+    return acc
+
+
 def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
     """Drive y' = f(t, y) from t0 to t_end; returns (records, termination).
 
@@ -167,17 +179,11 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
         failed = False
         try:
             for i in range(1, 7):
-                state = [
-                    yj + h * sum(aij * kj[j] for aij, kj in zip(_A[i], stages))
-                    for j, yj in enumerate(y)
-                ]
+                state = [yj + h * s for yj, s in zip(y, _combine(_A_TERMS[i], stages))]
                 if i == 6:
                     y_new = state
                 stages.append(evaluate(t + _C[i] * h, state))
-            error_vector = [
-                h * sum(ei * kj[j] for ei, kj in zip(_E, stages))
-                for j in range(len(y))
-            ]
+            error_vector = [h * s for s in _combine(_E_TERMS, stages)]
             error = _norm(error_vector, y, y_new, rel_tol, abs_tol)
         except (PoleError, ZeroDivisionError, OverflowError):
             failed = True

@@ -15,6 +15,7 @@ points.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
 from .sampling import first_witness, random_rational
-from .scalars import QQ, Gradient, PoleError, solve_rational_system
+from .scalars import QQ, PoleError, solve_rational_system
 
 def h4(q, p, t, a, b):
     """Fourth-Painleve building block."""
@@ -97,20 +98,105 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
     raise ValueError(f"unknown system {system!r}")
 
 
-def vector_field(system: str, pairs, t, params: SystemParameters):
-    """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i.
+class _Traced:
+    """A recording scalar: each operation on it is one line of a tape.
 
-    One forward pass: each phase coordinate is seeded with its unit
-    vector, so the Hamiltonian comes back with its whole gradient.
+    The tape maps (op, operand names) to the node that op made, so a
+    repeated subexpression is recorded once.  Ints enter as literals, -x
+    is 0 - x, and 0 + x and 1 * x record nothing.  ``varies`` marks the
+    values that depend on a phase coordinate, the only ones that get an
+    adjoint.
     """
-    size = 2 * len(pairs)
-    unit = [tuple([int(i == j) for j in range(size)]) for i in range(size)]
-    seeded = tuple(
-        (Gradient(q, unit[2 * k]), Gradient(p, unit[2 * k + 1]))
-        for k, (q, p) in enumerate(pairs)
-    )
-    grad = hamiltonian(system, seeded, t, params).grad
-    return tuple((grad[2 * k + 1], -grad[2 * k]) for k in range(len(pairs)))
+
+    __slots__ = ("tape", "name", "varies", "op", "args")
+
+    def __init__(self, tape, name, varies=False, op=None, args=()):
+        self.tape, self.name, self.varies, self.op, self.args = tape, name, varies, op, args
+
+    def _record(self, op, *args):
+        if not all(isinstance(v, (_Traced, int)) for v in args):
+            return NotImplemented
+        x, y = (v if isinstance(v, _Traced) else _Traced(self.tape, repr(v)) for v in args)
+        if (op, x.name) in (("+", "0"), ("*", "1")):
+            return y
+        key = (op, x.name, y.name)
+        if key not in self.tape:
+            varies = x.varies or y.varies
+            self.tape[key] = _Traced(self.tape, f"v{len(self.tape)}", varies, op, (x, y))
+        return self.tape[key]
+
+    __add__ = lambda self, other: self._record("+", self, other)
+    __radd__ = lambda self, other: self._record("+", other, self)
+    __sub__ = lambda self, other: self._record("-", self, other)
+    __rsub__ = lambda self, other: self._record("-", other, self)
+    __mul__ = lambda self, other: self._record("*", self, other)
+    __rmul__ = lambda self, other: self._record("*", other, self)
+    __truediv__ = lambda self, other: self._record("/", self, other)
+    __rtruediv__ = lambda self, other: self._record("/", other, self)
+    __neg__ = lambda self: self._record("-", 0, self)
+
+
+@functools.cache
+def _traced_field(system: str, pair_count: int, weight_count: int):
+    """Straight-line code for one system's canonical equations.
+
+    ``hamiltonian`` runs once on recording scalars, and one reverse sweep
+    over its tape records every partial on the same tape.  The lines the
+    partials need are compiled.  The weights and eta stay arguments, so
+    one compile serves every parameter set and every scalar type.
+    """
+    tape = {}
+    leaf = functools.partial(_Traced, tape)
+    coords = [(leaf(f"q{k}", True), leaf(f"p{k}", True)) for k in range(pair_count)]
+    weights = tuple(leaf(f"a[{i}]") for i in range(weight_count))
+    energy = hamiltonian(system, coords, leaf("t"), SystemParameters(weights, leaf("eta")))
+
+    adjoint = {energy: leaf("1")}
+
+    def push(node, term, negate=False):
+        if node.varies:
+            prior = adjoint.get(node, 0)
+            adjoint[node] = prior - term if negate else prior + term
+
+    for node in reversed(list(tape.values())):
+        bar = adjoint.get(node)
+        if bar is None:
+            continue
+        x, y = node.args
+        if node.op == "*":
+            push(x, bar * y)
+            push(y, bar * x)
+        elif node.op == "/":
+            push(x, bar / y)
+            push(y, bar * node / y, True)
+        else:
+            push(x, bar)
+            push(y, bar, node.op == "-")
+
+    # written bottom-up: the return line first, then each line a later one reads
+    rates = [(adjoint[p], adjoint[q]) for q, p in coords]
+    lines = ["    return (" + "".join(f"({dp.name}, -{dq.name}), " for dp, dq in rates) + ")"]
+    needed = {node for pair in rates for node in pair}
+    for node in reversed(list(tape.values())):
+        if node in needed:
+            x, y = node.args
+            needed.update((x, y))
+            lines.append(f"    {node.name} = {x.name} {node.op} {y.name}")
+    unpack = "".join(f"(q{k}, p{k}), " for k in range(pair_count))
+    lines += [f"    ({unpack}) = pairs", "def field(pairs, t, a, eta):"]
+    namespace = {}
+    exec(compile("\n".join(reversed(lines)), f"<vector field of {system}>", "exec"), namespace)
+    return namespace["field"]
+
+
+def vector_field(system: str, pairs, t, params: SystemParameters):
+    """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i, by the code
+    generated once per system; an exact zero divisor raises PoleError."""
+    field = _traced_field(system, len(pairs), len(params.alpha))
+    try:
+        return field(pairs, _exact(t), params.alpha, params.eta)
+    except ZeroDivisionError:
+        raise PoleError("division by zero in the vector field") from None
 
 
 def reduction_parameters(parts: tuple, kappas, rhos) -> SystemParameters:

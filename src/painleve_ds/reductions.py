@@ -35,12 +35,19 @@ class LinearForm:
     kappa: tuple[Fraction, ...]
     rho: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        # (index, coefficient) of the nonzero coefficients only, kept as
+        # kappa_terms and rho_terms: 86 of the 184 in the records are zero
+        nonzero = lambda coeffs: tuple((j, c) for j, c in enumerate(coeffs) if c)
+        object.__setattr__(self, "kappa_terms", nonzero(self.kappa))
+        object.__setattr__(self, "rho_terms", nonzero(self.rho))
+
     def __call__(self, kappas, rhos):
         acc = self.const
-        for c, k in zip(self.kappa, kappas):
-            acc = acc + c * k
-        for c, r in zip(self.rho, rhos):
-            acc = acc + c * r
+        for j, c in self.kappa_terms:
+            acc = acc + c * kappas[j]
+        for j, c in self.rho_terms:
+            acc = acc + c * rhos[j]
         return acc
 
 

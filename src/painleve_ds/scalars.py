@@ -167,10 +167,9 @@ class Gradient:
 
     ``grad`` holds one partial per seeded direction.  One direction is a
     dual number: the derivative along a curve, such as d/dt along a flow.
-    The 2n unit directions of a phase space give a whole gradient in one
-    forward pass.  Components may be any scalar; the gradient follows the
-    scalar type of the values it is combined with, so float inputs give
-    float partials and rational or root-extension inputs exact ones.
+    Components may be any scalar; the gradient follows the scalar type of
+    the values it is combined with, so float inputs give float partials
+    and rational or root-extension inputs exact ones.
     """
 
     __slots__ = ("value", "grad")

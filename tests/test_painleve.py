@@ -22,6 +22,7 @@ from painleve_ds.painleve import (
 )
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import random_rational, rational_avoiding
+from painleve_ds.scalars import Gradient, PoleError, tangent_of, value_of
 
 FIVE = list(REDUCTIONS)
 SYSTEMS = ["p6", "a4", "a5", "cp6"]
@@ -139,6 +140,114 @@ class TestCanonicalEquations:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             hamiltonian("p7", ((QQ(1), QQ(1)),), QQ(2), SystemParameters((QQ(1),) * 5))
+
+
+def _gradient_pass(system, pairs, t, params, energy=hamiltonian):
+    # the reference: every phase coordinate seeded with its unit vector,
+    # so one forward pass through the energy carries the whole gradient
+    size = 2 * len(pairs)
+    unit = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    seeded = tuple(
+        (Gradient(q, unit[2 * k]), Gradient(p, unit[2 * k + 1]))
+        for k, (q, p) in enumerate(pairs)
+    )
+    grad = energy(system, seeded, t, params).grad
+    return tuple((grad[2 * k + 1], -grad[2 * k]) for k in range(len(pairs)))
+
+
+def _random_point(rng, system):
+    pairs = tuple(
+        (random_rational(rng), random_rational(rng))
+        for _ in range(reduction(resolve_partition(system)).pair_count)
+    )
+    return pairs, rational_avoiding(rng, (0, 1)), _random_params(rng, system)
+
+
+class TestGeneratedGradient:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_equals_a_gradient_pass_at_exact_points(self, system):
+        rng = random.Random(31)
+        for _ in range(5):
+            point = _random_point(rng, system)
+            assert vector_field(system, *point) == _gradient_pass(system, *point)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_equals_a_gradient_pass_along_one_direction(self, system):
+        # the shape equivariance_residual passes: Gradient(Fraction) pairs
+        rng = random.Random(37)
+        for _ in range(5):
+            pairs, t, params = _random_point(rng, system)
+            lifted = tuple(
+                (Gradient(q, (random_rational(rng),)), Gradient(p, (random_rational(rng),)))
+                for q, p in pairs
+            )
+            got = vector_field(system, lifted, t, params)
+            want = _gradient_pass(system, lifted, t, params)
+            for got_pair, want_pair in zip(got, want):
+                for g, w in zip(got_pair, want_pair):
+                    assert (value_of(g), tangent_of(g)) == (value_of(w), tangent_of(w))
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_matches_a_gradient_pass_at_float_points(self, system):
+        rng = random.Random(41)
+        for _ in range(5):
+            pairs, t, params = _random_point(rng, system)
+            pairs = tuple((float(q), float(p)) for q, p in pairs)
+            params = SystemParameters(
+                tuple(map(float, params.alpha)),
+                None if params.eta is None else float(params.eta),
+            )
+            got = vector_field(system, pairs, float(t), params)
+            want = _gradient_pass(system, pairs, float(t), params)
+            for got_pair, want_pair in zip(got, want):
+                for g, w in zip(got_pair, want_pair):
+                    assert type(g) is float
+                    assert g == pytest.approx(w, rel=1e-12)
+
+    def test_a_divisor_that_varies(self, monkeypatch):
+        # no shipped Hamiltonian divides by a phase coordinate or negates
+        # one, so the sweep's quotient and negation rules run on a toy
+        def toy(system, pairs, t, params):
+            ((q, p),) = pairs
+            return (q * p - params.alpha[0]) / (q - t * p) + 3 / p - -q * t
+
+        monkeypatch.setattr(painleve, "hamiltonian", toy)
+        painleve._traced_field.cache_clear()
+        try:
+            rng = random.Random(53)
+            for _ in range(5):
+                point = _random_point(rng, "p6")
+                assert vector_field("p6", *point) == _gradient_pass("p6", *point, toy)
+        finally:
+            painleve._traced_field.cache_clear()
+
+    def test_a_second_call_does_not_trace_again(self, monkeypatch):
+        calls = []
+        original = painleve.hamiltonian
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(painleve, "hamiltonian", counted)
+        painleve._traced_field.cache_clear()
+        point = _random_point(random.Random(43), "cp6")
+        first = vector_field("cp6", *point)
+        assert calls == ["cp6"]
+        assert vector_field("cp6", *point) == first
+        assert calls == ["cp6"]
+
+
+class TestPoleContract:
+    @pytest.mark.parametrize("system, t", [("p6", 1), ("cp6", 1), ("a5", 0)])
+    def test_exact_zero_divisor_is_a_pole(self, system, t):
+        pairs, _, params = _random_point(random.Random(47), system)
+        with pytest.raises(PoleError):
+            vector_field(system, pairs, QQ(t), params)
+
+    def test_unknown_system_rejected(self):
+        with pytest.raises(ValueError):
+            vector_field("p7", ((QQ(1), QQ(1)),), QQ(2), SystemParameters((QQ(1),) * 5))
 
 
 class TestParameterMaps:
