@@ -148,7 +148,7 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
 
     def evaluate(at, state):
         slope = f(at, state)
-        if any(not math.isfinite(v) for v in slope):
+        if not all(map(math.isfinite, slope)):
             raise PoleError("non-finite derivative")
         return slope
 
@@ -236,7 +236,7 @@ def _system_guard(record):
     def guard(t, y):
         if any(abs(t - s) < DENOMINATOR_FLOOR for s in singular):
             return POLE_DETECTED
-        if any(not math.isfinite(v) for v in y):
+        if not all(map(math.isfinite, y)):
             return POLE_DETECTED
         if max(abs(v) for v in y) > STATE_CEILING:
             return POLE_DETECTED

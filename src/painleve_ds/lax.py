@@ -24,6 +24,7 @@ partition-specific formulas live in each partition's record in
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from .scalars import (
     tangent_of,
     value_of,
 )
+from .tracing import Traced, compile_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,16 @@ class DSState:
     rhos: tuple
 
 
+def _check_poles(record, t, gauges):
+    """Refuse a zero gauge, and a time the record's coordinate map excludes."""
+    for name in record.gauge_names:
+        if is_zero_scalar(value_of(gauges[name])):
+            raise PoleError(f"gauge variable {name} = 0")
+    for excluded in record.excluded_times:
+        if is_zero_scalar(value_of(t) - excluded):
+            raise PoleError(f"{record.label} coordinate map excludes t = {excluded}")
+
+
 def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, root=None) -> DSState:
     """Reduced coordinates of a canonical point; gauge variables must be supplied.
 
@@ -111,9 +123,7 @@ def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, root=None) -> DSS
     defaults to the value of ``time_root(partition, t)``.
     """
     record = reduction(partition)
-    for name in record.gauge_names:
-        if is_zero_scalar(value_of(gauges[name])):
-            raise PoleError(f"gauge variable {name} = 0")
+    _check_poles(record, t, gauges)
     if root is None:
         root = time_root(record.parts, t).value
     tau = record.tau(t, root)
@@ -156,23 +166,61 @@ def lax_matrices(state: DSState) -> tuple:
 # Zero-curvature residual.
 
 
+def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> LoopElement:
+    """R from one-direction Gradient inputs: the code the kernel is traced from."""
+    state = canonical_to_ds(parts, pairs, t, gauges, kappas, rhos, root=root)
+    m, b = lax_matrices(state)
+    b_t = b.map_scalars(value_of).scale(tangent_of(state.tau))
+    theta = apply_theta(reduction(parts).gradation, b_t)
+    return m.map_scalars(tangent_of) - theta + bracket(m.map_scalars(value_of), b_t)
+
+
+@functools.cache
+def _residual_kernel(parts, *blocks):
+    """(entry keys, kernel) from one trace of the generic assembly.  The
+    leaves are the pairs, gauges and root with their rates as the one
+    partial, t with partial 1, the kappas and the rhos; the kernel returns
+    R's entries in key order, then K.  The record's formula blocks are in
+    the cache key, so a replaced block is traced afresh."""
+    record = reduction(parts)
+    leaf = functools.partial(Traced, {})
+    dual = lambda name: Gradient(leaf(name), (leaf("d" + name),))
+    pairs = tuple((dual(f"q{i}"), dual(f"p{i}")) for i in range(record.pair_count))
+    gauges = {name: dual(f"g[{name!r}]") for name in record.gauge_names}
+    kappas = tuple(leaf(f"k{j}") for j in range(record.kappa_count))
+    rhos = tuple(leaf(f"r{j}") for j in range(record.rho_count))
+    res = _assemble_residual(parts, pairs, Gradient(leaf("t"), (1,)), gauges, kappas, rhos, dual("u"))
+    names = "".join(f"(q{i}, p{i}), " for i in range(record.pair_count))
+    unpack = [
+        f"{names}= pairs",
+        names.replace("q", "dq").replace("p", "dp") + "= rates",
+        "".join(f"k{j}, " for j in range(record.kappa_count)) + "= k",
+        "".join(f"r{j}, " for j in range(record.rho_count)) + "= r",
+    ]
+    kernel = compile_kernel(
+        f"zero curvature of {record.label}", "residual(pairs, rates, g, dg, t, u, du, k, r)", unpack,
+        "(" + "{}, " * (len(res.entries) + 1) + ")", [*res.entries.values(), res.c_k],
+    )
+    return tuple(res.entries), kernel
+
+
 def zero_curvature_residual(
     partition, pairs, t, gauges, kappas, rhos, root=None,
     pair_rates=None, gauge_rates=None,
 ) -> LoopElement:
     """R = dM/dt - theta(B_t) + [M, B_t]; identically zero on valid data.
 
-    One forward pass along the single direction d/dt computes dM/dt
-    exactly: the canonical pair tangents are seeded with the Hamiltonian
-    vector field, each gauge tangent with gauge times its multiplier
-    log-derivative, t with 1, and the root is ``time_root(partition, t)``
-    unless given as a one-direction Gradient.
+    dM/dt is the derivative along d/dt: the pair rates are the
+    Hamiltonian vector field, each gauge rate is gauge times its
+    multiplier log-derivative, t has rate 1, and the root is
+    ``time_root(partition, t)`` unless given as a one-direction Gradient.
+    R is computed by code generated once per partition from the generic
+    assembly; the value checks run on each call's own data.
 
-    pair_rates and gauge_rates override the flow-derived tangents, which
-    lets stored trajectory slopes stand in for the vector field; the
-    residual then measures how far the stored data is from satisfying
-    the flow-coupled identity.  The parameter map runs only when one of
-    them is missing.
+    pair_rates and gauge_rates override the flow-derived rates, so that
+    stored trajectory slopes can stand in for the vector field; R then
+    measures how far the stored data is from the flow-coupled identity.
+    The parameter map runs only when one of them is missing.
     """
     record = reduction(partition)
     parts = record.parts
@@ -186,19 +234,15 @@ def zero_curvature_residual(
         dlogs = gauge_log_derivatives(parts, pairs, t, params)
         gauge_rates = {name: g * dlogs[name] for name, g in gauges.items()}
 
-    seeded_pairs = tuple(
-        (Gradient(q, (dq,)), Gradient(p, (dp,))) for (q, p), (dq, dp) in zip(pairs, pair_rates)
-    )
-    seeded_gauges = {name: Gradient(g, (gauge_rates[name],)) for name, g in gauges.items()}
-    state = canonical_to_ds(
-        parts, seeded_pairs, Gradient(t, (1,)), seeded_gauges, kappas, rhos, root=root
-    )
-    m, b = lax_matrices(state)
-
-    m_value = m.map_scalars(value_of)
-    m_dot = m.map_scalars(tangent_of)
-    b_t = b.map_scalars(value_of).scale(tangent_of(state.tau))
-    return m_dot - apply_theta(record.gradation, b_t) + bracket(m_value, b_t)
+    _check_poles(record, t, gauges)
+    keys, kernel = _residual_kernel(parts, record.to_ds, record.matrices, record.tau)
+    try:
+        *values, c_k = kernel(
+            pairs, pair_rates, gauges, gauge_rates, t, value_of(root), tangent_of(root), kappas, rhos
+        )
+    except ZeroDivisionError:
+        raise PoleError("division by zero in the zero-curvature residual") from None
+    return LoopElement(sum(parts) - 1, dict(zip(keys, values)), c_k)
 
 
 def residual_magnitude(element: LoopElement) -> float:

@@ -23,7 +23,8 @@ from fractions import Fraction
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
 from .sampling import first_witness, random_rational
-from .scalars import QQ, PoleError, solve_rational_system
+from .scalars import QQ, PoleError, row_reduce
+from .tracing import Traced, compile_kernel
 
 def h4(q, p, t, a, b):
     """Fourth-Painleve building block."""
@@ -98,44 +99,6 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
     raise ValueError(f"unknown system {system!r}")
 
 
-class _Traced:
-    """A recording scalar: each operation on it is one line of a tape.
-
-    The tape maps (op, operand names) to the node that op made, so a
-    repeated subexpression is recorded once.  Ints enter as literals, -x
-    is 0 - x, and 0 + x and 1 * x record nothing.  ``varies`` marks the
-    values that depend on a phase coordinate, the only ones that get an
-    adjoint.
-    """
-
-    __slots__ = ("tape", "name", "varies", "op", "args")
-
-    def __init__(self, tape, name, varies=False, op=None, args=()):
-        self.tape, self.name, self.varies, self.op, self.args = tape, name, varies, op, args
-
-    def _record(self, op, *args):
-        if not all(isinstance(v, (_Traced, int)) for v in args):
-            return NotImplemented
-        x, y = (v if isinstance(v, _Traced) else _Traced(self.tape, repr(v)) for v in args)
-        if (op, x.name) in (("+", "0"), ("*", "1")):
-            return y
-        key = (op, x.name, y.name)
-        if key not in self.tape:
-            varies = x.varies or y.varies
-            self.tape[key] = _Traced(self.tape, f"v{len(self.tape)}", varies, op, (x, y))
-        return self.tape[key]
-
-    __add__ = lambda self, other: self._record("+", self, other)
-    __radd__ = lambda self, other: self._record("+", other, self)
-    __sub__ = lambda self, other: self._record("-", self, other)
-    __rsub__ = lambda self, other: self._record("-", other, self)
-    __mul__ = lambda self, other: self._record("*", self, other)
-    __rmul__ = lambda self, other: self._record("*", other, self)
-    __truediv__ = lambda self, other: self._record("/", self, other)
-    __rtruediv__ = lambda self, other: self._record("/", other, self)
-    __neg__ = lambda self: self._record("-", 0, self)
-
-
 @functools.cache
 def _traced_field(system: str, pair_count: int, weight_count: int):
     """Straight-line code for one system's canonical equations.
@@ -146,7 +109,7 @@ def _traced_field(system: str, pair_count: int, weight_count: int):
     one compile serves every parameter set and every scalar type.
     """
     tape = {}
-    leaf = functools.partial(_Traced, tape)
+    leaf = functools.partial(Traced, tape)
     coords = [(leaf(f"q{k}", True), leaf(f"p{k}", True)) for k in range(pair_count)]
     weights = tuple(leaf(f"a[{i}]") for i in range(weight_count))
     energy = hamiltonian(system, coords, leaf("t"), SystemParameters(weights, leaf("eta")))
@@ -173,20 +136,12 @@ def _traced_field(system: str, pair_count: int, weight_count: int):
             push(x, bar)
             push(y, bar, node.op == "-")
 
-    # written bottom-up: the return line first, then each line a later one reads
-    rates = [(adjoint[p], adjoint[q]) for q, p in coords]
-    lines = ["    return (" + "".join(f"({dp.name}, -{dq.name}), " for dp, dq in rates) + ")"]
-    needed = {node for pair in rates for node in pair}
-    for node in reversed(list(tape.values())):
-        if node in needed:
-            x, y = node.args
-            needed.update((x, y))
-            lines.append(f"    {node.name} = {x.name} {node.op} {y.name}")
     unpack = "".join(f"(q{k}, p{k}), " for k in range(pair_count))
-    lines += [f"    ({unpack}) = pairs", "def field(pairs, t, a, eta):"]
-    namespace = {}
-    exec(compile("\n".join(reversed(lines)), f"<vector field of {system}>", "exec"), namespace)
-    return namespace["field"]
+    return compile_kernel(
+        f"vector field of {system}", "field(pairs, t, a, eta)", [f"{unpack}= pairs"],
+        "(" + "({}, -{}), " * pair_count + ")",
+        [adjoint[node] for q, p in coords for node in (p, q)],
+    )
 
 
 def vector_field(system: str, pairs, t, params: SystemParameters):
@@ -242,43 +197,47 @@ def weight_sum_form(parts: tuple) -> LinearForm:
 IMAGE_TOLERANCE = 1e-12
 
 
+@functools.cache
+def _parameter_map(parts: tuple):
+    """(forms, inverse, checks): the weight forms, eta's last, and the map
+    with the kappa sum fixed at zero, row-reduced once next to the
+    identity.  Applied to a right-hand side, the inverse rows give the
+    constants exactly as solving would, and the check rows the residual
+    of each equation that is not a pivot.  Rows keep nonzero terms only."""
+    record = reduction(parts)
+    forms = (*record.alpha, *(() if record.eta is None else (record.eta,)))
+    rows = [[1] * record.kappa_count + [0] * record.rho_count, *([*f.kappa, *f.rho] for f in forms)]
+    n, size = len(rows[0]), range(len(rows))
+    reduced = row_reduce([[*row, *(int(i == j) for j in size)] for i, row in enumerate(rows)], n)
+    terms = lambda row: tuple((j, c) for j, c in enumerate(row[n:]) if c)
+    return forms, tuple(map(terms, reduced[:n])), tuple(map(terms, reduced[n:]))
+
+
 def reduction_constants(parts: tuple, params: SystemParameters):
     """Invert the parameter map, gauge-fixing the kappa sum to zero.
 
-    The inverse is solved exactly, so the constants come back as
-    rationals.  Rational weights must lie exactly in the image of the
-    parameter map.  Weights that hold a float are taken at their binary
-    value, and each equation of the map must hold to within
-    IMAGE_TOLERANCE times the largest weight magnitude.  Raises
-    ValueError when the map is degenerate or the weights are off its
-    image.
+    The inverse is exact, so the constants come back as rationals.
+    Rational weights must lie exactly in the image of the parameter map.
+    Weights that hold a float are taken at their binary value, and each
+    equation of the map must hold to within IMAGE_TOLERANCE times the
+    largest weight magnitude.  Raises ValueError when the map is
+    degenerate or the weights are off its image.
     """
     record = reduction(parts)
-    n_kappa = record.kappa_count
-    n_rho = record.rho_count
-    targets = list(record.alpha)
-    weights = list(params.alpha)
-    if record.eta is not None:
-        targets.append(record.eta)
-        weights.append(params.eta)
-
-    rows = [[QQ(1)] * n_kappa + [QQ(0)] * n_rho]
-    rhs = [QQ(0)]
-    for f, w in zip(targets, weights):
-        rows.append(list(f.kappa) + list(f.rho))
-        rhs.append(QQ(w) - f.const)
-
+    weights = [*params.alpha, *(() if record.eta is None else (params.eta,))]
     try:
-        sol = solve_rational_system(rows, rhs)
+        forms, inverse, checks = _parameter_map(record.parts)
     except PoleError:
         raise ValueError("parameter map is degenerate") from None
+    rhs = [QQ(0), *(QQ(w) - f.const for f, w in zip(forms, weights))]
+    dot = lambda terms: sum(c * rhs[j] for j, c in terms)
     tolerance = 0
     if any(isinstance(w, float) for w in weights):
         tolerance = IMAGE_TOLERANCE * max(abs(w) for w in weights)
-    for row, value in zip(rows, rhs):
-        if abs(sum(c * x for c, x in zip(row, sol)) - value) > tolerance:
-            raise ValueError("weights are not in the image of the parameter map")
-    return tuple(sol[:n_kappa]), tuple(sol[n_kappa:])
+    if any(abs(dot(terms)) > tolerance for terms in checks):
+        raise ValueError("weights are not in the image of the parameter map")
+    sol = [dot(terms) for terms in inverse]
+    return tuple(sol[: record.kappa_count]), tuple(sol[record.kappa_count :])
 
 
 def gauge_log_derivatives(parts: tuple, pairs, t, params: SystemParameters):

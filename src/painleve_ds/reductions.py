@@ -24,7 +24,7 @@ from typing import Callable, ClassVar
 
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
-from .scalars import QQ, Gradient, PoleError, is_zero_scalar, value_of
+from .scalars import QQ, Gradient
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,7 @@ class Reduction:
     root: ClassVar[RootRelation]
     alpha: ClassVar[tuple]  # one LinearForm per affine weight
     eta: ClassVar[LinearForm | None] = None
+    excluded_times: ClassVar[tuple] = ()  # refused by the coordinate map
 
     @property
     def kappa_count(self) -> int:
@@ -148,6 +149,7 @@ class _CoupledSixth33(Reduction):
     gauge_names = ("w3",)
     pair_count = 2
     singular_times = (0.0, 1.0)
+    excluded_times = (1,)  # u**3 = 1/t would make tau**3 - 1 vanish
     root = RootRelation("u", 3, lambda t: 1 / t, lambda t: -1 / (t * t), lambda u: 1 / (u * u * u))
     alpha = (
         _form(_th, (-2 * _th, _th, 0, 0, 0, _th), (0,)),
@@ -161,8 +163,6 @@ class _CoupledSixth33(Reduction):
     eta = _form(0, (_th, -_th, _th, -_th, _th, -_th), (QQ(1),))
 
     def to_ds(self, pairs, gauges, t, tau, root, kappas, rhos):
-        if is_zero_scalar(value_of(t) - 1):
-            raise PoleError("(3,3) coordinate map excludes t = 1 (cubed time root)")
         (q1, p1), (q2, p2) = pairs
         w3 = gauges["w3"]
         k0, k1, k2, k3, k4, k5 = kappas
@@ -234,7 +234,7 @@ class _CoupledSixth221(Reduction):
     gauge_names = ("phi3", "phi34")
     pair_count = 2
     singular_times = (0.0, 1.0)
-    root = RootRelation("s", 2, lambda t: t, lambda t: QQ(1), lambda s: s * s)
+    root = RootRelation("s", 2, lambda t: t, lambda t: 1, lambda s: s * s)
     alpha = (
         _form(_ha, (-2 * _qu, _qu, 0, 0, _qu), (0, 0)),
         _form(0, (_qu, 0, 0, _qu, -2 * _qu), (0, 0)),
@@ -326,7 +326,7 @@ class _Sixth22(Reduction):
     gauge_names = ("w1",)
     pair_count = 1
     singular_times = (0.0, 1.0)
-    root = RootRelation("s", 2, lambda t: t, lambda t: QQ(1), lambda s: s * s)
+    root = RootRelation("s", 2, lambda t: t, lambda t: 1, lambda s: s * s)
     alpha = (
         _form(_ha, (0, _ha, -2 * _ha, _ha), (0,)),
         _form(0, (0, -_ha, 0, _ha), (QQ(1),)),
@@ -395,7 +395,7 @@ class _CoupledFourth31(Reduction):
     gauge_names = ("phi12",)
     pair_count = 2
     singular_times = ()
-    root = RootRelation("r", 2, lambda t: QQ(6), lambda t: 0)
+    root = RootRelation("r", 2, lambda t: 6, lambda t: 0)
     alpha = (
         _form(_th, (_th, 0, 0, -_th), (QQ(1),)),
         _form(0, (0, 0, _th, -_th), (QQ(-1),)),
@@ -463,7 +463,7 @@ class _CoupledFifth41(Reduction):
     gauge_names = ("phi12",)
     pair_count = 2
     singular_times = (0.0,)
-    root = RootRelation("v", 2, lambda t: -2 * t, lambda t: QQ(-2), lambda v: -v * v / 2)
+    root = RootRelation("v", 2, lambda t: -2 * t, lambda t: -2, lambda v: -v * v / 2)
     alpha = (
         _form(2 * _ei, (_ei, 0, 0, _ei, -2 * _ei), (0,)),
         _form(2 * _ei, (-2 * _ei, _ei, 0, 0, _ei), (0,)),

@@ -248,33 +248,28 @@ def is_zero_scalar(x) -> bool:
     return x == 0
 
 
-def solve_rational_system(matrix: list[list[Fraction]], rhs: list) -> list:
-    """Solve ``matrix @ x = rhs`` exactly; the matrix must be rational.
+def row_reduce(rows: list, n: int) -> list:
+    """Gauss-Jordan elimination of the first n columns of ``rows``, exactly.
 
-    The right-hand side may hold any scalar type that supports arithmetic
-    with rationals, so parameter reconstructions stay generic.  A tall
-    system (more rows than unknowns) is eliminated as it stands, pivoting
-    over all rows; the solution then satisfies the pivot rows, and the
-    caller checks the others.  A matrix without full column rank raises
-    :class:`PoleError`.
+    Those columns must be rational; the columns after them may hold any
+    scalar type that supports arithmetic with rationals, and ride along:
+    with a right-hand side there, the first n rows end holding the
+    solution.  A tall matrix is eliminated as it stands, pivoting over all
+    rows: the first n rows of the result are the pivot rows, reduced to
+    the identity in the first n columns, and the others are zero there.
+    Zero entries of a pivot row are skipped.  A matrix without full
+    column rank raises :class:`PoleError`.
     """
-    rows = len(matrix)
-    n = len(matrix[0])
-    a = [[Fraction(v) for v in row] for row in matrix]
-    b = list(rhs)
+    a = [[*map(Fraction, row[:n]), *row[n:]] for row in rows]
     for col in range(n):
-        pivot_row = next((r for r in range(col, rows) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
         if pivot_row is None:
             raise PoleError("singular rational system")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
+        a[col], a[pivot_row] = a[pivot_row], a[col]
         inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] = b[col] * inv
-        for r in range(rows):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                b[r] = b[r] - factor * b[col]
-    return b[:n]
+        a[col] = [v * inv if v else v for v in a[col]]
+        for r, row in enumerate(a):
+            if r != col and row[col] != 0:
+                factor = row[col]
+                a[r] = [v - factor * w if w else v for v, w in zip(row, a[col])]
+    return a

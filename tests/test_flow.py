@@ -117,6 +117,26 @@ class TestIntegration:
         assert traj.termination == flow.REACHED_END
         assert calls == []
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_slope_is_a_pole(self, bad):
+        # past t = 2.5 every slope is non-finite: a fixed-step run ends
+        # with the pole flag, and an adaptive run halves its step there
+        # until the step underflows
+        def f(t, y):
+            return [1.0, bad if t > 2.5 else 1.0]
+
+        def run(fixed_step):
+            return flow._advance(
+                f, 2.0, [0.0, 0.0], 3.0, 1e-8, 1e-10, fixed_step, lambda t, y: None, 10_000
+            )
+
+        records, termination = run(0.125)
+        assert termination == flow.POLE_DETECTED
+        assert records[-1][0] == 2.5
+        records, termination = run(None)
+        assert termination == flow.STEP_UNDERFLOW
+        assert 2.5 - 1e-12 < records[-1][0] <= 2.5
+
     def test_interval_through_fixed_singularity_rejected(self):
         with pytest.raises(PoleError, match="fixed singular time"):
             _run((3, 3), t0=0.5, t1=2.0)
@@ -310,6 +330,32 @@ class TestCorrectnessMonitors:
         monkeypatch.undo()
         assert report["max_residual"] <= 1e-6
         assert calls == {"reduction_parameters": 0, "reduction_constants": 1}
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_monitor_samples_do_no_fraction_arithmetic(self, parts, monkeypatch):
+        # the constants are floats once found, so the only Fraction work
+        # of a monitor call is its one reduction_constants call
+        traj = _run(parts)
+        flow.residual_along(traj)  # the kernel and the factored map, built once
+        calls = []
+        for name in (
+            "__add__", "__radd__", "__sub__", "__rsub__",
+            "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+        ):
+            original = getattr(QQ, name)
+
+            def counted(self, other, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, other)
+
+            monkeypatch.setattr(QQ, name, counted)
+        report = flow.residual_along(traj)
+        monitor = list(calls)
+        calls.clear()
+        painleve.reduction_constants(parts, traj.params)
+        monkeypatch.undo()
+        assert report["samples"] == len(traj.samples)
+        assert monitor == calls != []
 
     @pytest.mark.parametrize("parts, kappas, rhos, pairs, gauges", [
         ((2, 2), (0.1, 0.2, 0.3, -0.6), (0.7,), ((0.4, 0.3),), {"w1": 1.0}),

@@ -6,7 +6,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from painleve_ds import lax
+from painleve_ds import flow, lax
 from painleve_ds.lax import (
     canonical_to_ds,
     constraint_residuals,
@@ -17,11 +17,16 @@ from painleve_ds.lax import (
     verify_partition,
     zero_curvature_residual,
 )
-from painleve_ds.painleve import gauge_log_derivatives, reduction_parameters, vector_field
+from painleve_ds.painleve import (
+    gauge_log_derivatives,
+    reduction_constants,
+    reduction_parameters,
+    vector_field,
+)
 from painleve_ds.loop import LoopElement
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import RETRY_CAP
-from painleve_ds.scalars import ExtScalar, PoleError, is_zero_scalar
+from painleve_ds.sampling import RETRY_CAP, random_rational
+from painleve_ds.scalars import ExtScalar, Gradient, PoleError, is_zero_scalar
 
 FIVE = list(REDUCTIONS)
 
@@ -261,6 +266,183 @@ class TestZeroCurvature:
             gauge_rates={"w1": QQ(0)},
         )
         assert not residual.is_zero()
+
+
+def _flow_rates(parts, point):
+    """The pair and gauge rates of the flow at an exact point."""
+    params = reduction_parameters(parts, point["kappas"], point["rhos"])
+    dlogs = gauge_log_derivatives(parts, point["pairs"], point["t"], params)
+    pair_rates = vector_field(reduction(parts).system, point["pairs"], point["t"], params)
+    return pair_rates, {name: g * dlogs[name] for name, g in point["gauges"].items()}
+
+
+def _random_rates(parts, rng):
+    """Rates off the flow: every pair and gauge rate drawn at random."""
+    record = reduction(parts)
+    pair_rates = tuple(
+        (random_rational(rng), random_rational(rng)) for _ in range(record.pair_count)
+    )
+    return pair_rates, {name: random_rational(rng) for name in record.gauge_names}
+
+
+def _both_ways(parts, point, root, pair_rates, gauge_rates):
+    """R from the generated kernel, and from the generic assembly it is traced from."""
+    kernel = zero_curvature_residual(
+        parts, point["pairs"], point["t"], point["gauges"], point["kappas"], point["rhos"],
+        root, pair_rates=pair_rates, gauge_rates=gauge_rates,
+    )
+    pairs = tuple(
+        (Gradient(q, (dq,)), Gradient(p, (dp,)))
+        for (q, p), (dq, dp) in zip(point["pairs"], pair_rates)
+    )
+    gauges = {name: Gradient(g, (gauge_rates[name],)) for name, g in point["gauges"].items()}
+    generic = lax._assemble_residual(
+        parts, pairs, Gradient(point["t"], (1,)), gauges, point["kappas"], point["rhos"], root
+    )
+    return kernel, generic
+
+
+class TestKernel:
+    """zero_curvature_residual runs code generated once per partition from
+    the generic assembly; both give the same element."""
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_equals_the_generic_assembly_off_the_flow(self, parts):
+        rng = random.Random(59)
+        for seed in range(3):
+            point = _clean_point(parts, seed=seed)
+            kernel, generic = _both_ways(parts, point, _root(parts, point), *_random_rates(parts, rng))
+            assert not generic.is_zero()
+            assert kernel.entries == generic.entries
+            assert kernel.c_k == generic.c_k
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_equals_the_generic_assembly_with_a_flipped_m_entry(self, monkeypatch, parts):
+        record_type = type(reduction(parts))
+        honest = record_type.matrices
+
+        def flipped(self, state):
+            m, b, b_diagonal = honest(self, state)
+            key = next(iter(m))
+            return {**m, key: -m[key]}, b, b_diagonal
+
+        monkeypatch.setattr(record_type, "matrices", flipped)
+        for seed in range(3):
+            point = _clean_point(parts, seed=seed)
+            kernel, generic = _both_ways(parts, point, _root(parts, point), *_flow_rates(parts, point))
+            assert not generic.is_zero()
+            assert kernel.entries == generic.entries
+            assert kernel.c_k == generic.c_k
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_matches_the_generic_assembly_along_a_trajectory(self, parts):
+        record = reduction(parts)
+        kappas = tuple(QQ(2 * k + 1, 7) for k in range(record.kappa_count))
+        rhos = tuple(QQ(3 + k, 5) for k in range(record.rho_count))
+        params = reduction_parameters(parts, kappas, rhos)
+        pairs = [(0.4, 0.3), (0.7, -0.2)][: record.pair_count]
+        gauges = {name: 1.0 + 0.25 * k for k, name in enumerate(record.gauge_names)}
+        trajectory = flow.integrate(parts, pairs, gauges, params, 2.0, 3.0)
+        kappas, rhos = (tuple(map(float, c)) for c in reduction_constants(parts, params))
+        n = record.pair_count
+        for sample, slope in zip(trajectory.samples, trajectory._slopes):
+            point = {"pairs": sample.pairs, "t": sample.t, "gauges": sample.gauges,
+                     "kappas": kappas, "rhos": rhos}
+            pair_rates = tuple((slope[2 * i], slope[2 * i + 1]) for i in range(n))
+            gauge_rates = {
+                name: sample.gauges[name] * slope[2 * n + k]
+                for k, name in enumerate(record.gauge_names)
+            }
+            kernel, generic = _both_ways(
+                parts, point, time_root(parts, sample.t), pair_rates, gauge_rates
+            )
+            for key in kernel.entries.keys() | generic.entries.keys():
+                assert kernel.entry(*key) == pytest.approx(generic.entry(*key), rel=1e-12, abs=1e-300)
+            assert kernel.c_k == pytest.approx(generic.c_k, rel=1e-12, abs=1e-300)
+            assert residual_magnitude(kernel) == residual_magnitude(generic)
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_wrong_constant_counts_are_refused(self, parts):
+        point = _clean_point(parts, seed=1)
+        rates = _flow_rates(parts, point)
+        for kappas, rhos in (
+            (point["kappas"][:-1], point["rhos"]), (point["kappas"], point["rhos"] + (QQ(1),)),
+        ):
+            with pytest.raises(ValueError):
+                _both_ways(parts, {**point, "kappas": kappas, "rhos": rhos}, _root(parts, point), *rates)
+
+    def test_a_second_call_does_not_trace_again(self, monkeypatch):
+        calls = []
+        original = lax._assemble_residual
+
+        def counted(parts, *args):
+            calls.append(parts)
+            return original(parts, *args)
+
+        monkeypatch.setattr(lax, "_assemble_residual", counted)
+        lax._residual_kernel.cache_clear()
+        point = _clean_point((2, 2), seed=3)
+        exact = zero_curvature_residual((2, 2), **{**point, "root": _root((2, 2), point)})
+        floats = zero_curvature_residual(
+            (2, 2), tuple((float(q), float(p)) for q, p in point["pairs"]), float(point["t"]),
+            {name: float(g) for name, g in point["gauges"].items()},
+            tuple(map(float, point["kappas"])), tuple(map(float, point["rhos"])),
+        )
+        assert exact.is_zero() and residual_magnitude(floats) < 1e-9
+        assert calls == [(2, 2)]
+
+
+def _lane_point(parts, lane, **changes):
+    """A clean sample point with changes, in the exact or the float lane,
+    and the root that lane passes."""
+    point = {**_clean_point(parts, seed=2), **changes}
+    root = reduction(parts).root.along_t(point.pop("root"), point["t"])
+    if lane == "exact":
+        return point, root
+    as_float = lambda x: float(x) if isinstance(x, QQ) else x
+    point = {
+        "pairs": tuple((as_float(q), as_float(p)) for q, p in point["pairs"]),
+        "t": as_float(point["t"]),
+        "gauges": {name: as_float(g) for name, g in point["gauges"].items()},
+        "kappas": tuple(map(as_float, point["kappas"])),
+        "rhos": tuple(map(as_float, point["rhos"])),
+    }
+    return point, time_root(parts, point["t"])
+
+
+def _still(parts):
+    """Zero pair and gauge rates: they reach the residual past the vector field."""
+    record = reduction(parts)
+    return {
+        "pair_rates": tuple((0, 0) for _ in range(record.pair_count)),
+        "gauge_rates": {name: 0 for name in record.gauge_names},
+    }
+
+
+class TestPoleContract:
+    """Value checks run on every call's own data, outside the kernel."""
+
+    @pytest.mark.parametrize("lane", ["exact", "float"])
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_a_zero_gauge_is_a_pole(self, parts, lane):
+        gauges = dict(_clean_point(parts, seed=2)["gauges"])
+        gauges[reduction(parts).gauge_names[0]] = QQ(0)
+        point, root = _lane_point(parts, lane, gauges=gauges)
+        with pytest.raises(PoleError, match="gauge variable"):
+            zero_curvature_residual(parts, root=root, **point)
+
+    @pytest.mark.parametrize("lane", ["exact", "float"])
+    def test_the_cubed_root_excludes_t_one(self, lane):
+        point, root = _lane_point((3, 3), lane, t=QQ(1), root=QQ(1))
+        with pytest.raises(PoleError, match="excludes t = 1"):
+            zero_curvature_residual((3, 3), root=root, **point, **_still((3, 3)))
+
+    @pytest.mark.parametrize("lane", ["exact", "float"])
+    def test_a_zero_divisor_is_a_pole(self, lane):
+        # s = 1 makes the (2,2) B denominator (s**2 - 1) w1 vanish
+        point, root = _lane_point((2, 2), lane, t=QQ(1), root=QQ(1))
+        with pytest.raises(PoleError, match="division by zero"):
+            zero_curvature_residual((2, 2), root=root, **point, **_still((2, 2)))
 
 
 class TestLaxMatrices:

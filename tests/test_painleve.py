@@ -22,7 +22,7 @@ from painleve_ds.painleve import (
 )
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import random_rational, rational_avoiding
-from painleve_ds.scalars import Gradient, PoleError, tangent_of, value_of
+from painleve_ds.scalars import Gradient, PoleError, row_reduce, tangent_of, value_of
 
 FIVE = list(REDUCTIONS)
 SYSTEMS = ["p6", "a4", "a5", "cp6"]
@@ -297,6 +297,35 @@ class TestParameterMaps:
         ):
             with pytest.raises(ValueError, match=expected):
                 reduction_parameters(parts, *bad)
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_the_factored_inverse_equals_a_direct_solve(self, parts):
+        # solving the map next to its right-hand side, weights at hand:
+        # rational weights lie on the image; float ones sit just off it,
+        # where a different left inverse would give different constants
+        rng = random.Random(19)
+        record = reduction(parts)
+        for convert in (QQ, float) * 5:
+            kappas = tuple(convert(random_rational(rng)) for _ in range(record.kappa_count))
+            rhos = tuple(convert(random_rational(rng)) for _ in range(record.rho_count))
+            params = reduction_parameters(parts, kappas, rhos)
+            forms = (*record.alpha, *(() if record.eta is None else (record.eta,)))
+            weights = (*params.alpha, *(() if record.eta is None else (params.eta,)))
+            rows = [[QQ(1)] * record.kappa_count + [QQ(0)] * record.rho_count + [QQ(0)]]
+            rows += [list(f.kappa) + list(f.rho) + [QQ(w) - f.const] for f, w in zip(forms, weights)]
+            n = record.kappa_count + record.rho_count
+            solved = [row[n] for row in row_reduce(rows, n)[:n]]
+            assert reduction_constants(parts, params) == (
+                tuple(solved[: record.kappa_count]), tuple(solved[record.kappa_count:])
+            )
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_random_weights_are_off_the_image(self, parts):
+        # random weights do not sum to one, so no constants reach them
+        rng = random.Random(29)
+        for _ in range(5):
+            with pytest.raises(ValueError, match="not in the image"):
+                reduction_constants(parts, _random_params(rng, reduction(parts).system))
 
     def test_rejects_weights_off_the_image(self):
         bad = SystemParameters((QQ(1), QQ(1), QQ(1), QQ(1), QQ(1)))

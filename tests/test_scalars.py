@@ -14,7 +14,7 @@ from painleve_ds.scalars import (
     PoleError,
     format_rational,
     is_zero_scalar,
-    solve_rational_system,
+    row_reduce,
 )
 
 rationals = st.fractions(
@@ -233,24 +233,31 @@ class TestGradient:
 
 class TestSolve:
     def test_exact_solution(self):
-        m = [[QQ(2), QQ(1)], [QQ(1), QQ(3)]]
-        rhs = [QQ(5), QQ(10)]
-        x = solve_rational_system(m, rhs)
+        rows = [[QQ(2), QQ(1), QQ(5)], [QQ(1), QQ(3), QQ(10)]]
+        x = [row[2] for row in row_reduce(rows, 2)]
         assert x == [QQ(1), QQ(3)]
 
     def test_singular_raises(self):
-        m = [[QQ(1), QQ(2)], [QQ(2), QQ(4)]]
+        rows = [[QQ(1), QQ(2), QQ(1)], [QQ(2), QQ(4), QQ(1)]]
         with pytest.raises(PoleError):
-            solve_rational_system(m, [QQ(1), QQ(1)])
+            row_reduce(rows, 2)
 
     def test_extension_rhs(self):
         ext = sqrt2_ext()
         s = ext.root()
-        m = [[QQ(1), QQ(1)], [QQ(1), QQ(-1)]]
-        x = solve_rational_system(m, [s, lift(ext, 0)])
+        rows = [[QQ(1), QQ(1), s], [QQ(1), QQ(-1), lift(ext, 0)]]
+        x = [row[2] for row in row_reduce(rows, 2)]
         # x0 = x1 = s/2
         assert x[0] == s * QQ(1, 2)
         assert x[1] == s * QQ(1, 2)
+
+    def test_a_tall_matrix_puts_the_pivot_rows_first(self):
+        # the last row repeats the first, so it reduces to zero: its
+        # right-hand column is its residual, 7 - 5
+        rows = [[QQ(2), QQ(1), QQ(5)], [QQ(1), QQ(3), QQ(10)], [QQ(2), QQ(1), QQ(7)]]
+        reduced = row_reduce(rows, 2)
+        assert [row[2] for row in reduced] == [QQ(1), QQ(3), QQ(2)]
+        assert reduced[2][:2] == [0, 0]
 
 
 class TestNumeric:
