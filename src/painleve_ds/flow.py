@@ -282,6 +282,8 @@ def integrate(
         if name not in gauges:
             raise ValueError(f"missing starting value for gauge {name}")
         value = float(gauges[name])
+        if not math.isfinite(value):
+            raise ValueError(f"gauge {name} must start finite, not {value}")
         if value == 0.0:
             raise PoleError(f"gauge {name} must start nonzero")
         gauge_start.append(value)
@@ -452,7 +454,8 @@ def residual_along(trajectory: Trajectory) -> dict:
     The float image of the exact identity, evaluated with the stored
     step slopes standing in for the vector field: small values certify
     that the stored states and stored rates satisfy the flow-coupled
-    identity together, so a corrupted sample shows up immediately.
+    identity together, so a corrupted sample shows up immediately; a NaN
+    sample makes max_residual NaN, at the first such sample's t.
     The stored slopes supply every rate, so no sample runs the parameter
     map.  A sample without a slope (a start that is already singular) is
     skipped, and "samples" counts only the samples evaluated.
@@ -482,7 +485,8 @@ def residual_along(trajectory: Trajectory) -> dict:
             pair_rates=pair_rates, gauge_rates=gauge_rates,
         )
         magnitude = residual_magnitude(element)
-        if magnitude > worst:
+        # a NaN compares false either way: it takes the worst place and keeps it
+        if not (magnitude <= worst or math.isnan(worst)):
             worst, worst_t = magnitude, s.t
     return {
         "partition": list(parts),

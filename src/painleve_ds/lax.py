@@ -246,9 +246,10 @@ def zero_curvature_residual(
 
 
 def residual_magnitude(element: LoopElement) -> float:
-    """Max absolute value over all coefficients: rational, float or complex."""
-    values = [*element.entries.values(), element.c_k]
-    return max(abs(complex(v)) for v in values)
+    """Max absolute value over all coefficients: rational, float or complex;
+    NaN when any coefficient is NaN, which ``max`` alone may pass over."""
+    magnitudes = [abs(complex(v)) for v in (*element.entries.values(), element.c_k)]
+    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
 
 
 def _worst_entry(element: LoopElement) -> dict:

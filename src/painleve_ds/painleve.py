@@ -23,7 +23,7 @@ from fractions import Fraction
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
 from .sampling import first_witness, random_rational
-from .scalars import QQ, PoleError, row_reduce
+from .scalars import QQ, Gradient, PoleError, row_reduce
 from .tracing import Traced, compile_kernel
 
 def h4(q, p, t, a, b):
@@ -103,44 +103,22 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
 def _traced_field(system: str, pair_count: int, weight_count: int):
     """Straight-line code for one system's canonical equations.
 
-    ``hamiltonian`` runs once on recording scalars, and one reverse sweep
-    over its tape records every partial on the same tape.  The lines the
-    partials need are compiled.  The weights and eta stay arguments, so
-    one compile serves every parameter set and every scalar type.
+    ``hamiltonian`` runs once on recording scalars, each phase coordinate
+    seeded as a ``Gradient`` along its own unit direction, so the tape
+    records every partial beside the value.  The lines the partials need
+    are compiled.  The weights and eta stay arguments, so one compile
+    serves every parameter set and every scalar type.
     """
-    tape = {}
-    leaf = functools.partial(Traced, tape)
-    coords = [(leaf(f"q{k}", True), leaf(f"p{k}", True)) for k in range(pair_count)]
+    leaf = functools.partial(Traced, {})
+    seed = lambda i, name: Gradient(leaf(name), tuple(int(i == j) for j in range(2 * pair_count)))
+    coords = [(seed(2 * k, f"q{k}"), seed(2 * k + 1, f"p{k}")) for k in range(pair_count)]
     weights = tuple(leaf(f"a[{i}]") for i in range(weight_count))
-    energy = hamiltonian(system, coords, leaf("t"), SystemParameters(weights, leaf("eta")))
-
-    adjoint = {energy: leaf("1")}
-
-    def push(node, term, negate=False):
-        if node.varies:
-            prior = adjoint.get(node, 0)
-            adjoint[node] = prior - term if negate else prior + term
-
-    for node in reversed(list(tape.values())):
-        bar = adjoint.get(node)
-        if bar is None:
-            continue
-        x, y = node.args
-        if node.op == "*":
-            push(x, bar * y)
-            push(y, bar * x)
-        elif node.op == "/":
-            push(x, bar / y)
-            push(y, bar * node / y, True)
-        else:
-            push(x, bar)
-            push(y, bar, node.op == "-")
-
+    grad = hamiltonian(system, coords, leaf("t"), SystemParameters(weights, leaf("eta"))).grad
     unpack = "".join(f"(q{k}, p{k}), " for k in range(pair_count))
     return compile_kernel(
         f"vector field of {system}", "field(pairs, t, a, eta)", [f"{unpack}= pairs"],
         "(" + "({}, -{}), " * pair_count + ")",
-        [adjoint[node] for q, p in coords for node in (p, q)],
+        [grad[2 * k + i] for k in range(pair_count) for i in (1, 0)],
     )
 
 

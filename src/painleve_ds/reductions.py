@@ -24,7 +24,7 @@ from typing import Callable, ClassVar
 
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
-from .scalars import QQ, Gradient
+from .scalars import QQ, Gradient, tangent_of, value_of
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,15 @@ class RootRelation:
     symbol: str
     power: int
     base: Callable
-    base_rate: Callable  # d base / dt
     time: Callable | None = None  # t from the root; None for a constant root
 
     def along_t(self, root, t) -> Gradient:
         """The root with d(root)/dt = root * base'(t) / (power * base(t)), from
-        implicit differentiation of the relation, as its one partial."""
-        return Gradient(root, (root * self.base_rate(t) / (self.power * self.base(t)),))
+        implicit differentiation of the relation, as its one partial; base'
+        comes from one pass of ``base`` along d/dt, so a constant base has
+        rate 0.  An int t is taken as a Fraction, so the rate stays exact."""
+        base = self.base(Gradient(Fraction(t) if type(t) is int else t, (1,)))
+        return Gradient(root, (root * tangent_of(base) / (self.power * value_of(base)),))
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ class _CoupledSixth33(Reduction):
     pair_count = 2
     singular_times = (0.0, 1.0)
     excluded_times = (1,)  # u**3 = 1/t would make tau**3 - 1 vanish
-    root = RootRelation("u", 3, lambda t: 1 / t, lambda t: -1 / (t * t), lambda u: 1 / (u * u * u))
+    root = RootRelation("u", 3, lambda t: 1 / t, lambda u: 1 / (u * u * u))
     alpha = (
         _form(_th, (-2 * _th, _th, 0, 0, 0, _th), (0,)),
         _form(0, (_th, -2 * _th, _th, 0, 0, 0), (0,)),
@@ -234,7 +236,7 @@ class _CoupledSixth221(Reduction):
     gauge_names = ("phi3", "phi34")
     pair_count = 2
     singular_times = (0.0, 1.0)
-    root = RootRelation("s", 2, lambda t: t, lambda t: 1, lambda s: s * s)
+    root = RootRelation("s", 2, lambda t: t, lambda s: s * s)
     alpha = (
         _form(_ha, (-2 * _qu, _qu, 0, 0, _qu), (0, 0)),
         _form(0, (_qu, 0, 0, _qu, -2 * _qu), (0, 0)),
@@ -326,7 +328,7 @@ class _Sixth22(Reduction):
     gauge_names = ("w1",)
     pair_count = 1
     singular_times = (0.0, 1.0)
-    root = RootRelation("s", 2, lambda t: t, lambda t: 1, lambda s: s * s)
+    root = RootRelation("s", 2, lambda t: t, lambda s: s * s)
     alpha = (
         _form(_ha, (0, _ha, -2 * _ha, _ha), (0,)),
         _form(0, (0, -_ha, 0, _ha), (QQ(1),)),
@@ -395,7 +397,7 @@ class _CoupledFourth31(Reduction):
     gauge_names = ("phi12",)
     pair_count = 2
     singular_times = ()
-    root = RootRelation("r", 2, lambda t: 6, lambda t: 0)
+    root = RootRelation("r", 2, lambda t: 6)
     alpha = (
         _form(_th, (_th, 0, 0, -_th), (QQ(1),)),
         _form(0, (0, 0, _th, -_th), (QQ(-1),)),
@@ -463,7 +465,7 @@ class _CoupledFifth41(Reduction):
     gauge_names = ("phi12",)
     pair_count = 2
     singular_times = (0.0,)
-    root = RootRelation("v", 2, lambda t: -2 * t, lambda t: -2, lambda v: -v * v / 2)
+    root = RootRelation("v", 2, lambda t: -2 * t, lambda v: -v * v / 2)
     alpha = (
         _form(2 * _ei, (_ei, 0, 0, _ei, -2 * _ei), (0,)),
         _form(2 * _ei, (-2 * _ei, _ei, 0, 0, _ei), (0,)),

@@ -166,10 +166,13 @@ class Gradient:
     """A value with its partial derivatives along a fixed set of directions.
 
     ``grad`` holds one partial per seeded direction.  One direction is a
-    dual number: the derivative along a curve, such as d/dt along a flow.
+    dual number: the derivative along a curve, such as d/dt along a flow
+    or a root's rate.  Seeded with unit vectors over recording scalars,
+    2n directions trace a Hamiltonian's whole gradient at once.
     Components may be any scalar; the gradient follows the scalar type of
-    the values it is combined with, so float inputs give float partials
-    and rational or root-extension inputs exact ones.
+    the values it is combined with, so float inputs give float partials,
+    rational or root-extension inputs exact ones, and recording scalars a
+    tape.
     """
 
     __slots__ = ("value", "grad")

@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import linecache
 from collections import Counter
 
 NESTING_CAP = 8  # the deepest parentheses one inlined expression may nest
@@ -13,13 +14,14 @@ class Traced:
     """A recording scalar: each operation on it is one node of a tape, keyed
     (op, operand names), so a repeated subexpression is recorded once, in
     either operand order for + and *.  Ints enter as literals and -x is 0 - x;
-    x + 0, x - 0 and x * 1 record nothing, and x * 0 and x - x are the int
-    0.  ``varies`` marks the values that depend on a varying leaf."""
+    x + 0, 0 + x, x - 0, x * 1 and 1 * x record nothing, and x * 0 and x - x
+    are the int 0.  As the value of a seeded ``Gradient`` it records each
+    partial beside the value, so the unit seeds' zeros and ones fold away."""
 
-    __slots__ = ("tape", "name", "varies", "op", "args")
+    __slots__ = ("tape", "name", "op", "args")
 
-    def __init__(self, tape, name, varies=False, op=None, args=()):
-        self.tape, self.name, self.varies, self.op, self.args = tape, name, varies, op, args
+    def __init__(self, tape, name, op=None, args=()):
+        self.tape, self.name, self.op, self.args = tape, name, op, args
 
     def _record(self, op, *args):
         if not all(isinstance(v, (Traced, int)) for v in args):
@@ -33,8 +35,7 @@ class Traced:
             return 0
         key = (op, *sorted((x.name, y.name))) if op in "+*" else (op, x.name, y.name)
         if key not in self.tape:
-            varies = x.varies or y.varies
-            self.tape[key] = Traced(self.tape, f"v{len(self.tape)}", varies, op, (x, y))
+            self.tape[key] = Traced(self.tape, f"v{len(self.tape)}", op, (x, y))
         return self.tape[key]
 
     __add__ = lambda self, other: self._record("+", self, other)
@@ -53,6 +54,8 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     (nodes or ints) need, then ``return`` the template filled with them.
     A node used once is written inline, in parentheses, where it is used,
     unless that nests deeper than NESTING_CAP; the others are assignments.
+    The source is cached as ``<title>``, so tracebacks through the kernel
+    and ``inspect.getsource`` show the generated lines.
     """
     uses = Counter(node for node in outputs if isinstance(node, Traced) and node.op)
     tape = list(next(iter(uses)).tape.values()) if uses else []
@@ -72,5 +75,8 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
         else:
             lines.append(f"    {node.name} = {expression}")
     lines.append("    return " + returns.format(*map(text, outputs)))
-    exec(compile("\n".join(lines), f"<{title}>", "exec"), namespace := {})
+    # no mtime: linecache.checkcache keeps the entry
+    source, filename = "\n".join(lines) + "\n", f"<{title}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace := {})
     return namespace[signature.partition("(")[0]]

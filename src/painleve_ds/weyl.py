@@ -282,8 +282,8 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
     """Gauge-conjugated M minus M at the reflected point; exactly zero.
 
     The conjugation is by exp(x) with x = (alpha_i/phi_i) f_i; x squares
-    to zero in the evaluation representation, so the adjoint series stops
-    at second order, and the grade-operator inhomogeneity is theta(x).
+    to zero in the evaluation representation, so the series exp(ad x) M
+    stops at second order, and the grade-operator inhomogeneity is theta(x).
     The central coefficient moves through the bracket cocycle, matching
     the kappa_i -> kappa_i + 3 alpha_i shift of the constants.  root is
     the value of u, u**3 = 1/t, and defaults to ``time_root``'s.

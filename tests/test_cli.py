@@ -185,6 +185,16 @@ class TestIntegrate:
         assert meta["residual"]["samples"] == 0
         assert meta["residual"]["pass"] is False
 
+    @pytest.mark.parametrize("gauge", ["nan", "inf"])
+    def test_non_finite_gauge_exits_one(self, capsys, gauge):
+        code = main([
+            "integrate", "--system", "cp6", "--point", "0.3,0.2,0.4,0.5", "--gauges", gauge,
+            "--kappas", "1/7,2/7,3/7,-1/7,-2/7,-3/7", "--rhos", "1/5",
+            "--t0", "2", "--t1", "2.5", "--residual", "--json",
+        ])
+        assert code == 1
+        assert "gauge w3" in _json_out(capsys)["error"]
+
     def test_interval_through_singularity_exits_one(self, capsys):
         code = main([
             "integrate", "--system", "p6", "--point", "0.4,0.3",

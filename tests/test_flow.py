@@ -216,6 +216,12 @@ class TestIntegration:
         with pytest.raises(PoleError):
             flow.integrate((2, 2), pairs, {"w1": 0.0}, _params((2, 2)), 2.0, 3.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gauge_rejected(self, bad):
+        pairs, _ = _start((2, 2))
+        with pytest.raises(ValueError, match="gauge w1"):
+            flow.integrate((2, 2), pairs, {"w1": bad}, _params((2, 2)), 2.0, 3.0)
+
     def test_wrong_pair_count_rejected(self):
         with pytest.raises(ValueError, match="pair"):
             flow.integrate(
@@ -377,18 +383,24 @@ class TestCorrectnessMonitors:
         assert stuck.termination == flow.POLE_DETECTED
         assert flow.residual_along(stuck)["samples"] == 0
 
-    def test_corrupted_sample_is_flagged(self):
+    @pytest.mark.parametrize(
+        "shift, gauge", [(1e-3, 1.0), (0.0, math.nan)], ids=["shifted-q", "nan-gauge"]
+    )
+    def test_corrupted_sample_is_flagged(self, shift, gauge):
         traj = _run((2, 2))
         bad = copy.deepcopy(traj)
         k = len(bad.samples) // 2
         s = bad.samples[k]
         bad.samples[k] = flow.TrajectorySample(
             t=s.t,
-            pairs=((s.pairs[0][0] + 1e-3, s.pairs[0][1]),),
-            gauges=s.gauges,
+            pairs=((s.pairs[0][0] + shift, s.pairs[0][1]),),
+            gauges={"w1": s.gauges["w1"] * gauge},
             error=s.error,
         )
-        assert flow.residual_along(bad)["max_residual"] > 1e-6
+        report = flow.residual_along(bad)
+        # the --residual gate: a NaN fails it as surely as a large value
+        assert not report["max_residual"] <= 1e-6
+        assert report["at_t"] == s.t
 
     def test_observed_order_is_five(self):
         report = flow.order_check()

@@ -206,7 +206,8 @@ class TestGeneratedGradient:
 
     def test_a_divisor_that_varies(self, monkeypatch):
         # no shipped Hamiltonian divides by a phase coordinate or negates
-        # one, so the sweep's quotient and negation rules run on a toy
+        # one, so Gradient's quotient rule and negation on Traced values
+        # run on a toy
         def toy(system, pairs, t, params):
             ((q, p),) = pairs
             return (q * p - params.alpha[0]) / (q - t * p) + 3 / p - -q * t
