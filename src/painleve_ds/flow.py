@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 from .heisenberg import Partition
 from .lax import residual_magnitude, zero_curvature_residual
-from .painleve import (
-    SystemParameters,
-    gauge_log_derivatives,
-    reduction_constants,
-    vector_field,
-)
+from .painleve import SystemParameters, _traced_rhs, reduction_constants
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
 
@@ -59,6 +54,20 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 # (stage, weight) for the nonzero weights of each row; _A[6] and _E hold a zero
 _A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in _A)
 _E_TERMS = tuple((j, e) for j, e in enumerate(_E) if e)
+
+
+def _fused(form, terms):
+    """``form`` of the sum w * k_j over the (j, w) terms, left to right, as
+    one comprehension over zip(y, the stages k_j), compiled once."""
+    total = " + ".join(f"{w!r} * k{j}" for j, w in terms)
+    names = "".join(f", k{j}" for j, _ in terms)
+    stages = "".join(f", k[{j}]" for j, _ in terms)
+    return eval(f"lambda h, y, k: [{form.format(total)} for yj{names} in zip(y{stages})]")
+
+
+# stage i's state y + h * sum(a_ij k_j) (none for stage 0), and the error h * sum(e_j k_j)
+_STAGE_STATES = (None, *(_fused("yj + h * ({})", terms) for terms in _A_TERMS[1:]))
+_ERROR = _fused("h * ({})", _E_TERMS)
 
 _SAFETY = 0.9
 _PI_ALPHA = 0.17  # proportional exponent for order 5
@@ -123,21 +132,13 @@ def _norm(error_vector, y_old, y_new, rel_tol, abs_tol):
     return math.sqrt(total / len(error_vector))
 
 
-def _combine(terms, stages):
-    """sum(w * stages[j]) componentwise, one pass per (j, w) term."""
-    (j, w), *rest = terms
-    acc = [w * k for k in stages[j]]
-    for j, w in rest:
-        acc = [s + w * k for s, k in zip(acc, stages[j])]
-    return acc
-
-
 def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
     """Drive y' = f(t, y) from t0 to t_end; returns (records, termination).
 
     records is a list of (t, y, slope, error_norm); guard(t, y) returns a
     termination string when the state has left the admissible region.
-    f may raise (pole inside a stage), and the error estimate may overflow;
+    f may raise (pole inside a stage; a zero divisor is a PoleError, at the
+    start too), and the error estimate may overflow;
     adaptive mode shrinks the step and retries, fixed mode gives up with
     the pole flag.  After max_steps attempted steps the run stops with the
     step-budget flag.
@@ -147,14 +148,17 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
     t, y = t0, list(y0)
 
     def evaluate(at, state):
-        slope = f(at, state)
+        try:
+            slope = f(at, state)
+        except ZeroDivisionError:
+            raise PoleError("division by zero in the right-hand side") from None
         if not all(map(math.isfinite, slope)):
             raise PoleError("non-finite derivative")
         return slope
 
     bad = guard(t, y)
     slope = None if bad else evaluate(t, y)
-    records.append((t, tuple(y), tuple(slope) if slope else None, 0.0))
+    records.append((t, y, slope, 0.0))
     if bad:
         return records, bad
     if t_end == t0:
@@ -179,13 +183,12 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
         failed = False
         try:
             for i in range(1, 7):
-                state = [yj + h * s for yj, s in zip(y, _combine(_A_TERMS[i], stages))]
+                state = _STAGE_STATES[i](h, y, stages)
                 if i == 6:
                     y_new = state
                 stages.append(evaluate(t + _C[i] * h, state))
-            error_vector = [h * s for s in _combine(_E_TERMS, stages)]
-            error = _norm(error_vector, y, y_new, rel_tol, abs_tol)
-        except (PoleError, ZeroDivisionError, OverflowError):
+            error = _norm(_ERROR(h, y, stages), y, y_new, rel_tol, abs_tol)
+        except (PoleError, OverflowError):
             failed = True
         if failed:
             if fixed_step is not None:
@@ -201,7 +204,7 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
         t = t_end if terminal else t + h
         y = y_new
         slope = stages[6]  # first-same-as-last
-        records.append((t, tuple(y), tuple(slope), error))
+        records.append((t, y, slope, error))
         bad = guard(t, y)
         if bad:
             return records, bad
@@ -298,24 +301,13 @@ def integrate(
     t_end = float(t_end)
     y0 = [float(c) for qp in pairs for c in qp] + [0.0] * len(names)
     # converted once, so the right-hand side does float work only
-    float_params = SystemParameters(
-        tuple(float(a) for a in params.alpha),
-        None if params.eta is None else float(params.eta),
-    )
-
-    def f(t, y):
-        points = tuple(
-            (y[2 * i], y[2 * i + 1]) for i in range(pair_count)
-        )
-        flows = vector_field(record.system, points, t, float_params)
-        out = [c for qp in flows for c in qp]
-        if names:
-            dlogs = gauge_log_derivatives(parts, points, t, float_params)
-            out.extend(dlogs[name] for name in names)
-        return out
+    rhs = _traced_rhs(parts)
+    alpha = tuple(float(a) for a in params.alpha)
+    eta = None if params.eta is None else float(params.eta)
 
     records, termination = _advance(
-        f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, _system_guard(record), max_steps
+        lambda t, y: rhs(t, y, alpha, eta),
+        t0, y0, t_end, rel_tol, abs_tol, fixed_step, _system_guard(record), max_steps,
     )
 
     trajectory = Trajectory(

@@ -67,9 +67,10 @@ def time_root(parts, t) -> Gradient:
     if exact:
         t = QQ(t)
     try:
-        base = relation.base(t)
-    except ZeroDivisionError:
-        base = 0
+        dual = relation.base(Gradient(t, (1,)))  # one pass gives the value and the rate
+    except PoleError:
+        dual = 0
+    base = value_of(dual)
     if not 0 < abs(base) < math.inf:
         raise PoleError(f"{record.parts} root needs a finite nonzero base at t = {t}")
     if exact:
@@ -81,7 +82,7 @@ def time_root(parts, t) -> Gradient:
         root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
     else:  # odd power: the real root
         root = math.copysign(abs(base) ** (1 / power), base)
-    return relation.along_t(root, t)
+    return relation.along_t(root, t, dual)
 
 
 # ---------------------------------------------------------------------------

@@ -100,32 +100,56 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
 
 
 @functools.cache
-def _traced_field(system: str, pair_count: int, weight_count: int):
-    """Straight-line code for one system's canonical equations.
+def _traced_system(system: str, pair_count: int, weight_count: int):
+    """Straight-line code for one system, as (field, rhs by partition).
 
     ``hamiltonian`` runs once on recording scalars, each phase coordinate
     seeded as a ``Gradient`` along its own unit direction, so the tape
-    records every partial beside the value.  The lines the partials need
-    are compiled.  The weights and eta stay arguments, so one compile
-    serves every parameter set and every scalar type.
+    records every partial beside the value.  From that tape come the
+    canonical equations, ``field(pairs, t, a, eta)``, and for each
+    partition that reduces to the system its flow ``rhs(t, y, a, eta)``:
+    y is flat, each pair (q, p) then the log-gauges, and the slope is the
+    canonical equations then the record's gauge log-derivatives, traced on
+    the same tape, so a term they share is computed once.  One trace and
+    one compile per system serve both lanes, whichever runs first.  The
+    weights and eta stay arguments, so one compile serves every parameter
+    set and every scalar type.
     """
     leaf = functools.partial(Traced, {})
     seed = lambda i, name: Gradient(leaf(name), tuple(int(i == j) for j in range(2 * pair_count)))
     coords = [(seed(2 * k, f"q{k}"), seed(2 * k + 1, f"p{k}")) for k in range(pair_count)]
     weights = tuple(leaf(f"a[{i}]") for i in range(weight_count))
-    grad = hamiltonian(system, coords, leaf("t"), SystemParameters(weights, leaf("eta"))).grad
+    t, params = leaf("t"), SystemParameters(weights, leaf("eta"))
+    grad = hamiltonian(system, coords, t, params).grad
+    partials = [grad[2 * k + i] for k in range(pair_count) for i in (1, 0)]
     unpack = "".join(f"(q{k}, p{k}), " for k in range(pair_count))
-    return compile_kernel(
+    field = compile_kernel(
         f"vector field of {system}", "field(pairs, t, a, eta)", [f"{unpack}= pairs"],
-        "(" + "({}, -{}), " * pair_count + ")",
-        [grad[2 * k + i] for k in range(pair_count) for i in (1, 0)],
+        "(" + "({}, -{}), " * pair_count + ")", partials,
     )
+    pairs, rhs = tuple((q.value, p.value) for q, p in coords), {}
+    for record in REDUCTIONS.values():
+        if (record.system, record.pair_count, record.weight_count) == (system, pair_count, weight_count):
+            rates = record.gauge_log_derivatives(pairs, t, params)
+            unpack = "".join(f"q{k}, p{k}, " for k in range(pair_count)) + "_, " * len(rates)
+            rhs[record.parts] = compile_kernel(
+                f"right-hand side of {record.label}", "rhs(t, y, a, eta)", [f"{unpack}= y"],
+                "(" + "{}, -{}, " * pair_count + "{}, " * len(rates) + ")",
+                [*partials, *(rates[name] for name in record.gauge_names)],
+            )
+    return field, rhs
+
+
+def _traced_rhs(parts: tuple):
+    """The generated flow of one partition (see ``_traced_system``)."""
+    record = reduction(parts)
+    return _traced_system(record.system, record.pair_count, record.weight_count)[1][record.parts]
 
 
 def vector_field(system: str, pairs, t, params: SystemParameters):
     """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i, by the code
     generated once per system; an exact zero divisor raises PoleError."""
-    field = _traced_field(system, len(pairs), len(params.alpha))
+    field, _ = _traced_system(system, len(pairs), len(params.alpha))
     try:
         return field(pairs, _exact(t), params.alpha, params.eta)
     except ZeroDivisionError:

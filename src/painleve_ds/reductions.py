@@ -64,12 +64,14 @@ class RootRelation:
     base: Callable
     time: Callable | None = None  # t from the root; None for a constant root
 
-    def along_t(self, root, t) -> Gradient:
+    def along_t(self, root, t, base=None) -> Gradient:
         """The root with d(root)/dt = root * base'(t) / (power * base(t)), from
         implicit differentiation of the relation, as its one partial; base'
         comes from one pass of ``base`` along d/dt, so a constant base has
-        rate 0.  An int t is taken as a Fraction, so the rate stays exact."""
-        base = self.base(Gradient(Fraction(t) if type(t) is int else t, (1,)))
+        rate 0.  A caller that made that pass already hands it in as base.
+        An int t is taken as a Fraction, so the rate stays exact."""
+        if base is None:
+            base = self.base(Gradient(Fraction(t) if type(t) is int else t, (1,)))
         return Gradient(root, (root * tangent_of(base) / (self.power * value_of(base)),))
 
 

@@ -1,7 +1,9 @@
 """Adaptive integration of the canonical flows with gauge transport."""
 
 import copy
+import inspect
 import math
+import random
 from fractions import Fraction as QQ
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from painleve_ds import flow, lax, painleve
 from painleve_ds.painleve import SystemParameters, reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
+from painleve_ds.sampling import random_rational, rational_avoiding
 from painleve_ds.scalars import PoleError
 
 FIVE = list(REDUCTIONS)
@@ -244,6 +247,119 @@ class TestIntegration:
         traj = _run((2, 2), fixed_step=0.125, rel_tol=1e-8, abs_tol=1e-10)
         times = [s.t for s in traj.samples]
         assert times == pytest.approx([2.0 + 0.125 * k for k in range(9)])
+
+
+def _stage_sum(weights, stages):
+    """A plain Dormand-Prince stage sum: sum(w * k) over the nonzero weights
+    of one tableau row, one component at a time, term by term from the left."""
+    out = []
+    for i in range(len(stages[0])):
+        total = None
+        for w, k in zip(weights, stages):
+            if w:
+                total = w * k[i] if total is None else total + w * k[i]
+        out.append(total)
+    return out
+
+
+class TestStepper:
+    @staticmethod
+    def _records(fixed_step):
+        # a damped pendulum with a time-dependent coupling: nonlinear in y and t
+        def f(t, y):
+            return [y[1], -math.sin(y[0]) - 0.3 * t * y[0] * y[1]]
+
+        records, termination = flow._advance(
+            f, 0.0, [1.0, 0.5], 4.0, 1e-9, 1e-11, fixed_step, lambda t, y: None, 10_000
+        )
+        assert termination == flow.REACHED_END
+        return [(t, list(map(float.hex, y)), list(map(float.hex, slope)), error) for t, y, slope, error in records]
+
+    @pytest.mark.parametrize("fixed_step", [None, 0.05])
+    def test_fused_stages_match_per_term_sums_bit_for_bit(self, fixed_step, monkeypatch):
+        fused = self._records(fixed_step)
+        stage_states = [
+            lambda h, y, k, row=row: [yj + h * s for yj, s in zip(y, _stage_sum(row, k))]
+            for row in flow._A[1:]
+        ]
+        monkeypatch.setattr(flow, "_STAGE_STATES", (None, *stage_states))
+        monkeypatch.setattr(flow, "_ERROR", lambda h, y, k: [h * s for s in _stage_sum(flow._E, k)])
+        reference = self._records(fixed_step)
+        assert len(fused) > 20
+        assert fused == reference
+
+    def test_a_zero_divisor_at_the_start_is_a_pole(self):
+        def f(t, y):
+            return [1.0 / (t - 2.0)]
+
+        with pytest.raises(PoleError):
+            flow._advance(f, 2.0, [0.0], 3.0, 1e-8, 1e-10, None, lambda t, y: None, 10)
+
+
+class TestGeneratedRightHandSide:
+    """One straight-line rhs(t, y, a, eta) per partition drives integrate."""
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_equals_the_generic_path_at_exact_points(self, parts):
+        record = reduction(parts)
+        rhs = painleve._traced_rhs(parts)
+        rng = random.Random(59)
+        for _ in range(5):
+            pairs = tuple((random_rational(rng), random_rational(rng)) for _ in range(record.pair_count))
+            t = rational_avoiding(rng, record.singular_times)
+            params = reduction_parameters(
+                parts,
+                tuple(random_rational(rng) for _ in range(record.kappa_count)),
+                tuple(random_rational(rng) for _ in range(record.rho_count)),
+            )
+            logs = [random_rational(rng) for _ in record.gauge_names]
+            rates = painleve.gauge_log_derivatives(parts, pairs, t, params)
+            want = (
+                *(c for flow_pair in painleve.vector_field(record.system, pairs, t, params) for c in flow_pair),
+                *(rates[name] for name in record.gauge_names),
+            )
+            y = [c for pair in pairs for c in pair] + logs
+            assert rhs(t, y, params.alpha, params.eta) == want
+
+    def test_one_trace_per_system_serves_its_partitions_and_its_field(self, monkeypatch):
+        calls = []
+        original = painleve.hamiltonian
+
+        def counted(system, *rest):
+            calls.append(system)
+            return original(system, *rest)
+
+        monkeypatch.setattr(painleve, "hamiltonian", counted)
+        painleve._traced_system.cache_clear()
+        try:
+            for parts in FIVE:
+                assert _run(parts, t1=2.1).termination == flow.REACHED_END
+                assert _run(parts, t1=2.1).termination == flow.REACHED_END
+                pairs, _ = _start(parts)
+                painleve.vector_field(reduction(parts).system, pairs, 2.5, _params(parts))
+            # (3,3) and (2,2,1) both reduce to cp6
+            assert calls == ["cp6", "p6", "a4", "a5"]
+        finally:
+            painleve._traced_system.cache_clear()
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_steps_call_no_generic_formula(self, parts, monkeypatch):
+        _run(parts, t1=2.1)  # the first call may trace
+        calls = []
+        count = lambda name: lambda *args: calls.append(name)
+        monkeypatch.setattr(painleve, "vector_field", count("vector_field"))
+        monkeypatch.setattr(painleve, "gauge_log_derivatives", count("gauge_log_derivatives"))
+        monkeypatch.setattr(type(reduction(parts)), "gauge_log_derivatives", count("record"))
+        assert _run(parts).termination == flow.REACHED_END
+        assert calls == []
+
+    def test_the_source_reads_back_with_shared_terms(self):
+        source = inspect.getsource(painleve._traced_rhs((2, 2, 1)))
+        assert source.startswith("def rhs(t, y, a, eta):\n    q0, p0, q1, p1, _, _, = y\n")
+        assert source.splitlines()[-1].startswith("    return (")
+        # the Hamiltonian's partials and both gauge rates divide by one t(t - 1)
+        assert source.count("t * (t - 1)") == 1
+        assert source.count("q0 - t") == 1
 
 
 class TestDenseOutput:

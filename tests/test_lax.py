@@ -1,5 +1,6 @@
 """Exact zero-curvature and constraint checks for the five reductions."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as QQ
@@ -140,6 +141,22 @@ class TestFrames:
         relation = reduction(parts).root
         root = time_root(parts, t).value
         assert abs(root**relation.power - float(relation.base(QQ(t)))) < 1e-12
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_a_float_time_runs_base_once(self, parts, monkeypatch):
+        # one pass of base on the dual number gives the root and its rate
+        record = reduction(parts)
+        relation, calls = record.root, []
+        want = time_root(parts, 2.5)
+
+        def counted(t):
+            calls.append(t)
+            return relation.base(t)
+
+        monkeypatch.setattr(type(record), "root", dataclasses.replace(relation, base=counted))
+        got = time_root(parts, 2.5)
+        assert len(calls) == 1
+        assert (got.value, got.grad) == (want.value, want.grad)
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_frames_match_relations_on_every_side(self, parts):

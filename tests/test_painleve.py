@@ -213,14 +213,14 @@ class TestGeneratedGradient:
             return (q * p - params.alpha[0]) / (q - t * p) + 3 / p - -q * t
 
         monkeypatch.setattr(painleve, "hamiltonian", toy)
-        painleve._traced_field.cache_clear()
+        painleve._traced_system.cache_clear()
         try:
             rng = random.Random(53)
             for _ in range(5):
                 point = _random_point(rng, "p6")
                 assert vector_field("p6", *point) == _gradient_pass("p6", *point, toy)
         finally:
-            painleve._traced_field.cache_clear()
+            painleve._traced_system.cache_clear()
 
     def test_a_second_call_does_not_trace_again(self, monkeypatch):
         calls = []
@@ -231,7 +231,7 @@ class TestGeneratedGradient:
             return original(*args)
 
         monkeypatch.setattr(painleve, "hamiltonian", counted)
-        painleve._traced_field.cache_clear()
+        painleve._traced_system.cache_clear()
         point = _random_point(random.Random(43), "cp6")
         first = vector_field("cp6", *point)
         assert calls == ["cp6"]

@@ -95,14 +95,27 @@ class TestEmitter:
             kernel(QQ(1), QQ(0))
 
 
+class TestSharedTape:
+    def test_a_node_two_traces_use_is_assigned_once(self):
+        # two formulas traced one after the other on fresh leaves of one
+        # tape, then emitted by one call: the sum both build is one line
+        tape = {}
+        first = lambda x, y: (x + y) * x
+        second = lambda x, y: (y + x) - y
+        outputs = [form(Traced(tape, "x"), Traced(tape, "y")) for form in (first, second)]
+        kernel, lines = _kernel(outputs)
+        assert lines[1:] == ["    v0 = x + y", "    return ((v0 * x), (v0 - y), )"]
+        assert kernel(2, 3) == (10, 2)
+
+
 class TestGeneratedSource:
     def test_the_cp6_field_reads_back(self):
-        source = inspect.getsource(painleve._traced_field("cp6", 2, 6))
+        source = inspect.getsource(painleve._traced_system("cp6", 2, 6)[0])
         assert source.startswith("def field(pairs, t, a, eta):\n    (q0, p0), (q1, p1), = pairs\n")
         assert source.splitlines()[-1].startswith("    return ((")
 
     def test_a_traceback_shows_the_generated_line(self):
-        field = painleve._traced_field("p6", 1, 5)
+        field = painleve._traced_system("p6", 1, 5)[0]
         with pytest.raises(ZeroDivisionError) as info:
             field(((QQ(1), QQ(1)),), QQ(1), (QQ(1),) * 5, None)
         (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == "<vector field of p6>"]
