@@ -181,58 +181,41 @@ def verify_heisenberg(partition: Partition) -> CheckReport:
     report = CheckReport(f"heisenberg {partition}")
     spec = data.gradation
 
-    generators = []
-    for i, lam in enumerate(data.lambdas):
-        generators.append((f"lambda_{i + 1}", lam))
+    generators = [(f"lambda_{i + 1}", lam) for i, lam in enumerate(data.lambdas)]
     for j, h in enumerate(data.h_elements):
-        generators.append((f"z*h_{j + 1}", h.z_shift(1)))
-        generators.append((f"h_{j + 1}/z", h.z_shift(-1)))
+        generators += [(f"z*h_{j + 1}", h.z_shift(1)), (f"h_{j + 1}/z", h.z_shift(-1))]
 
-    commute = True
-    witness = None
-    for a, (name_a, ga) in enumerate(generators):
-        for name_b, gb in generators[a:]:
-            br = bracket(ga, gb)
-            if br.entries:
-                commute = False
-                witness = f"[{name_a}, {name_b}] has nonzero matrix part"
-                break
-        if not commute:
-            break
-    report.add("pairwise brackets are central", commute, witness)
+    witness = next(
+        (
+            f"[{name_a}, {name_b}] has nonzero matrix part"
+            for a, (name_a, ga) in enumerate(generators)
+            for name_b, gb in generators[a:]
+            if bracket(ga, gb).entries
+        ),
+        None,
+    )
+    report.add("pairwise brackets are central", witness is None, witness)
 
-    homogeneous = True
     witness = None
     try:
         for name, g in generators:
             theta_eigenvalue(spec, g)
     except (ValueError, ArithmeticError) as exc:
-        homogeneous = False
         witness = f"{name}: {exc}"
-    report.add("generators are gradation-homogeneous", homogeneous, witness)
+    report.add("generators are gradation-homogeneous", witness is None, witness)
 
-    powers_ok = True
+    # parts are weakly decreasing, so the cycles belong to the leading blocks
     witness = None
-    lam_index = 0
-    for i, p in enumerate(partition.parts):
-        if p <= 1:
-            continue
-        lam = data.lambdas[lam_index]
-        lam_index += 1
+    starts = _block_starts(partition)
+    for i, (p, lam) in enumerate(zip(partition.parts, data.lambdas)):
+        block = _permute(_block_identity(partition.rank, starts[i], p), data.sigma)
         for k in range(1, 2 * p + 1):
             pw = lam.power(k)
-            if k % p == 0:
-                start = _block_starts(partition)[i]
-                expected = _permute(
-                    _block_identity(partition.rank, start, p), data.sigma
-                ).z_shift(k // p)
-                if pw != expected:
-                    powers_ok = False
-                    witness = f"lambda_{i + 1}^{k} is not the shifted block identity"
-            elif not pw.entries:
-                powers_ok = False
+            if k % p == 0 and pw != block.z_shift(k // p):
+                witness = f"lambda_{i + 1}^{k} is not the shifted block identity"
+            elif k % p and not pw.entries:
                 witness = f"lambda_{i + 1}^{k} vanished"
-    report.add("cycle powers behave like block roots of z", powers_ok, witness)
+    report.add("cycle powers behave like block roots of z", witness is None, witness)
 
     s = data.s_vector
     report.add(

@@ -32,7 +32,7 @@ from typing import Mapping
 
 from .loop import LoopElement, apply_theta, bracket
 from .painleve import gauge_log_derivatives, reduction_parameters, vector_field
-from .reductions import reduction
+from .reductions import REDUCTIONS, reduction
 from .reporting import SampleReport, jsonable
 from .sampling import nonzero_rational, random_rational, rational_avoiding, rational_satisfying
 from .scalars import (
@@ -281,14 +281,7 @@ def sample_point(partition, rng: random.Random) -> dict:
     gauges = {name: nonzero_rational(rng) for name in record.gauge_names}
     kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
     rhos = tuple(random_rational(rng) for _ in range(record.rho_count))
-    return {
-        "pairs": tuple(pairs),
-        "t": t,
-        "root": root,
-        "gauges": gauges,
-        "kappas": kappas,
-        "rhos": rhos,
-    }
+    return dict(pairs=tuple(pairs), t=t, root=root, gauges=gauges, kappas=kappas, rhos=rhos)
 
 
 def _examine_point(record, point):
@@ -303,14 +296,24 @@ def _examine_point(record, point):
     return None
 
 
+ZERO_CURVATURE = {
+    parts: ("zero-curvature " + record.label, functools.partial(sample_point, parts),
+            functools.partial(_examine_point, record))
+    for parts, record in REDUCTIONS.items()
+}
+
+
 def verify_partition(partition, samples: int = 100, seed: int = 0) -> SampleReport:
-    """Exact zero-curvature plus constraint check at random rational points."""
-    record = reduction(partition)
+    """Exact zero-curvature plus constraint check at random rational points:
+    every failing sample is listed, and a pole is an error."""
+    if samples < 1:
+        raise ValueError(f"a suite needs at least one sample, got {samples}")
+    label, draw, examine = ZERO_CURVATURE[reduction(partition).parts]
     rng = random.Random(seed)
-    report = SampleReport("zero-curvature " + record.label, samples)
+    report = SampleReport(label, samples)
     for index in range(samples):
-        point = sample_point(record.parts, rng)
-        bad = _examine_point(record, point)
+        point = draw(rng)
+        bad = examine(point)
         if bad is not None:
             report.failures.append({"sample_index": index, **jsonable({"point": point, **bad})})
     return report

@@ -16,13 +16,13 @@ points.
 from __future__ import annotations
 
 import functools
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
-from .sampling import first_witness, random_rational
+from .sampling import check_claims, random_rational
 from .scalars import QQ, Gradient, PoleError, row_reduce
 from .tracing import Traced, compile_kernel
 
@@ -181,18 +181,14 @@ def _weight_multiplicity(record) -> list:
 def weight_sum_form(parts: tuple) -> LinearForm:
     """The weight sum as a symbolic linear form."""
     record = reduction(parts)
-    forms = record.alpha
     mult = _weight_multiplicity(record)
-    const = sum(m * f.const for m, f in zip(mult, forms))
-    kappa = tuple(
-        sum(m * f.kappa[j] for m, f in zip(mult, forms))
-        for j in range(record.kappa_count)
+    total = lambda column: sum(m * c for m, c in zip(mult, column))
+    forms = record.alpha
+    return LinearForm(
+        total(f.const for f in forms),
+        tuple(map(total, zip(*(f.kappa for f in forms)))),
+        tuple(map(total, zip(*(f.rho for f in forms)))),
     )
-    rho = tuple(
-        sum(m * f.rho[j] for m, f in zip(mult, forms))
-        for j in range(record.rho_count)
-    )
-    return LinearForm(const, kappa, rho)
 
 
 # how far float weights may sit off the image, relative to the largest weight
@@ -222,11 +218,14 @@ def reduction_constants(parts: tuple, params: SystemParameters):
     Rational weights must lie exactly in the image of the parameter map.
     Weights that hold a float are taken at their binary value, and each
     equation of the map must hold to within IMAGE_TOLERANCE times the
-    largest weight magnitude.  Raises ValueError when the map is
-    degenerate or the weights are off its image.
+    largest weight magnitude.  Raises ValueError when a weight is not
+    finite, the map is degenerate or the weights are off its image.
     """
     record = reduction(parts)
     weights = [*params.alpha, *(() if record.eta is None else (params.eta,))]
+    for name, w in zip([*(f"alpha{i}" for i in range(len(params.alpha))), "eta"], weights):
+        if isinstance(w, float) and not math.isfinite(w):
+            raise ValueError(f"weight {name} = {w} is not finite")
     try:
         forms, inverse, checks = _parameter_map(record.parts)
     except PoleError:
@@ -252,6 +251,37 @@ def gauge_log_derivatives(parts: tuple, pairs, t, params: SystemParameters):
     return reduction(parts).gauge_log_derivatives(pairs, _exact(t), params)
 
 
+def _symbolic_weight_sum(parts: tuple, _):
+    form = weight_sum_form(parts)
+    if form.const == 1 and not any(form.kappa) and not any(form.rho):
+        return None
+    return {"const": form.const, "kappa": form.kappa, "rho": form.rho}
+
+
+def _draw_constants(record, rng):
+    kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
+    return kappas, tuple(random_rational(rng) for _ in range(record.rho_count))
+
+
+def _sampled_weight_sum(parts: tuple, multiplicity, point):
+    params = reduction_parameters(parts, *point)
+    total = sum(m * a for m, a in zip(multiplicity, params.alpha))
+    return None if total == 1 else {"kappas": point[0], "rhos": point[1], "sum": total}
+
+
+# per partition: the weight sum proved from the coefficient rows, then sampled
+WEIGHT_SUMS = tuple(
+    claim
+    for record in REDUCTIONS.values()
+    for claim in (
+        (f"({record.label}) symbolic weight sum", None,
+         functools.partial(_symbolic_weight_sum, record.parts)),
+        (f"({record.label}) sampled weight sum", functools.partial(_draw_constants, record),
+         functools.partial(_sampled_weight_sum, record.parts, _weight_multiplicity(record))),
+    )
+)
+
+
 def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:
     """The weight sum of every parameter map is identically one.
 
@@ -259,32 +289,4 @@ def check_normalization(samples: int = 1000, seed: int = 0) -> CheckReport:
     rows of the linear forms (constant one, every kappa and rho column
     zero), and by evaluating the full map at random rational constants.
     """
-    report = CheckReport("weight-normalization")
-    rng = random.Random(seed)
-    for record in REDUCTIONS.values():
-        label = record.label
-        form = weight_sum_form(record.parts)
-        symbolic = (
-            form.const == 1
-            and all(c == 0 for c in form.kappa)
-            and all(c == 0 for c in form.rho)
-        )
-        report.add(
-            f"({label}) symbolic weight sum",
-            symbolic,
-            None if symbolic else {"const": form.const, "kappa": form.kappa, "rho": form.rho},
-        )
-        multiplicity = _weight_multiplicity(record)
-
-        def draw(rng):
-            kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
-            return kappas, tuple(random_rational(rng) for _ in range(record.rho_count))
-
-        def examine(point):
-            params = reduction_parameters(record.parts, *point)
-            total = sum(m * a for m, a in zip(multiplicity, params.alpha))
-            return None if total == 1 else {"kappas": point[0], "rhos": point[1], "sum": total}
-
-        witness = first_witness(rng, samples, draw, examine, f"({label}) weight sum")
-        report.add(f"({label}) sampled weight sum", witness is None, witness)
-    return report
+    return check_claims("weight-normalization", WEIGHT_SUMS, samples, seed)

@@ -4,7 +4,8 @@ Every randomized identity check draws coordinates as exact fractions with
 numerators in [-20, 20] and denominators in [1, 10].  Singular loci are
 avoided by rejection with a hard retry cap, so an unsatisfiable predicate
 fails loudly instead of spinning.  ``first_witness`` applies the same cap
-to whole sample points whose evaluation hits a pole.
+to whole sample points whose evaluation hits a pole, and ``check_claims``
+runs a table of claims through it as one seeded suite.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 from typing import Callable
 
+from .reporting import CheckReport
 from .scalars import PoleError
 
 NUMERATOR_RANGE = (-20, 20)
@@ -66,3 +68,15 @@ def first_witness(rng: random.Random, samples: int, draw, examine, what: str):
         if witness is not None:
             return {"sample_index": index, **witness}
     return None
+
+
+def check_claims(label: str, claims, samples: int, seed: int) -> CheckReport:
+    """Each ``(name, draw, examine)`` claim in order on one seeded RNG; a claim
+    whose draw is None is proved, not sampled, and ``examine(None)`` runs once."""
+    if samples < 1:
+        raise ValueError(f"a suite needs at least one sample, got {samples}")
+    rng, report = random.Random(seed), CheckReport(label)
+    for name, draw, examine in claims:
+        witness = examine(None) if draw is None else first_witness(rng, samples, draw, examine, name)
+        report.add(name, witness is None, witness)
+    return report

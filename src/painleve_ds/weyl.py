@@ -19,6 +19,7 @@ conjugation residual that ties the two pictures together exactly.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .lax import canonical_to_ds, lax_matrices, time_root
 from .loop import LoopElement, apply_theta, bracket, chevalley
@@ -26,7 +27,7 @@ from .painleve import SystemParameters, reduction_parameters, vector_field
 from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import (
-    first_witness,
+    check_claims,
     nonzero_rational,
     random_rational,
     rational_avoiding,
@@ -171,21 +172,19 @@ def _witness(point, **failed):
     return {"point": {"pairs": pairs, "t": t}, "alpha": params.alpha, "eta": params.eta, **failed}
 
 
+def _examine_relation(word, point):
+    image = apply_word(word, *point)
+    return None if image == point[:2] else _witness(point, image_pairs=image[0])
+
+
+RELATIONS = tuple(
+    (name, sample_weyl_point, partial(_examine_relation, word)) for name, word in relation_words()
+)
+
+
 def check_relations(samples: int = 100, seed: int = 0) -> CheckReport:
     """Exact identity checks for every defining relation at random points."""
-    rng = random.Random(seed)
-    report = CheckReport("weyl-relations")
-    for name, word in relation_words():
-
-        def examine(point):
-            img_pairs, img_params = apply_word(word, *point)
-            if img_pairs == point[0] and img_params == point[1]:
-                return None
-            return _witness(point, image_pairs=img_pairs)
-
-        witness = first_witness(rng, samples, sample_weyl_point, examine, f"word {word}")
-        report.add(name, witness is None, witness)
-    return report
+    return check_claims("weyl-relations", RELATIONS, samples, seed)
 
 
 # -- equivariance ------------------------------------------------------
@@ -216,24 +215,23 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     return tuple(residual)
 
 
+def _examine_equivariance(index, point):
+    residual = equivariance_residual(index, *point)
+    return None if all(map(is_zero_scalar, residual)) else _witness(point, residual=residual)
+
+
+EQUIVARIANCE = tuple(
+    (f"flow equivariance of r{i}", sample_weyl_point, partial(_examine_equivariance, i))
+    for i in GENERATORS
+)
+
+
 def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
     """Exact vector-field equivariance for every reflection.
 
     Dr_i applied to the flow, compared with the flow at the image point
     and parameters: both sides must agree coefficient by coefficient."""
-    rng = random.Random(seed)
-    report = CheckReport("weyl-equivariance")
-    for index in GENERATORS:
-
-        def examine(point):
-            residual = equivariance_residual(index, *point)
-            if all(is_zero_scalar(r) for r in residual):
-                return None
-            return _witness(point, residual=residual)
-
-        witness = first_witness(rng, samples, sample_weyl_point, examine, f"reflection r{index}")
-        report.add(f"flow equivariance of r{index}", witness is None, witness)
-    return report
+    return check_claims("weyl-equivariance", EQUIVARIANCE, samples, seed)
 
 
 # -- gauge picture for the coupled sixth Lax pair ----------------------
@@ -314,31 +312,31 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
     return lax_matrices(new_state)[0] - bridge
 
 
+def _draw_bridge(rng):
+    pairs, _, _ = sample_weyl_point(rng)
+    u = rational_satisfying(rng, lambda x: x != 0 and CP6.root.time(x) not in (1, pairs[0][0]))
+    w3 = nonzero_rational(rng)
+    kappas = tuple(random_rational(rng) for _ in range(CP6.kappa_count))
+    rhos = tuple(random_rational(rng) for _ in range(CP6.rho_count))
+    return pairs, CP6.root.time(u), u, w3, kappas, rhos
+
+
+def _examine_bridge(index, point):
+    pairs, t, u, w3, kappas, rhos = point
+    if conjugation_residual(index, pairs, t, w3, kappas, rhos, root=u).is_zero():
+        return None
+    return {"point": {"pairs": pairs, "t": t, "w3": w3}, "kappas": kappas, "rhos": rhos}
+
+
+BRIDGES = tuple(
+    (f"conjugation bridge of r{i}", _draw_bridge, partial(_examine_bridge, i)) for i in GENERATORS
+)
+
+
 def check_conjugation(samples: int = 25, seed: int = 0) -> CheckReport:
     """Exact gauge-conjugation bridge for every reflection.
 
     The unipotent conjugate of M, with the grade-operator inhomogeneity,
     must equal M rebuilt at the reflected point and shifted constants;
     the comparison includes the central coefficients."""
-    rng = random.Random(seed)
-    report = CheckReport("gauge-conjugation")
-
-    def draw(rng):
-        pairs, _, _ = sample_weyl_point(rng)
-        u = rational_satisfying(rng, lambda x: x != 0 and CP6.root.time(x) not in (1, pairs[0][0]))
-        w3 = nonzero_rational(rng)
-        kappas = tuple(random_rational(rng) for _ in range(CP6.kappa_count))
-        rhos = tuple(random_rational(rng) for _ in range(CP6.rho_count))
-        return pairs, CP6.root.time(u), u, w3, kappas, rhos
-
-    for index in GENERATORS:
-
-        def examine(point):
-            pairs, t, u, w3, kappas, rhos = point
-            if conjugation_residual(index, pairs, t, w3, kappas, rhos, root=u).is_zero():
-                return None
-            return {"point": {"pairs": pairs, "t": t, "w3": w3}, "kappas": kappas, "rhos": rhos}
-
-        witness = first_witness(rng, samples, draw, examine, f"the r{index} bridge")
-        report.add(f"conjugation bridge of r{index}", witness is None, witness)
-    return report
+    return check_claims("gauge-conjugation", BRIDGES, samples, seed)

@@ -1,5 +1,6 @@
 """Hamiltonian systems and reduction parameter maps, checked exactly."""
 
+import math
 import random
 from fractions import Fraction as QQ
 
@@ -346,6 +347,19 @@ class TestParameterMaps:
         moved = SystemParameters((params.alpha[0] + 1e-6,) + params.alpha[1:], params.eta)
         with pytest.raises(ValueError, match="not in the image"):
             reduction_constants(parts, moved)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 3)])
+    def test_a_non_finite_weight_is_named(self, parts, bad):
+        record = reduction(parts)
+        kappas = [QQ(k + 1, 7) for k in range(record.kappa_count)]
+        params = reduction_parameters(parts, kappas, [QQ(k + 3, 5) for k in range(record.rho_count)])
+        alpha = tuple(float(a) for a in params.alpha)
+        with pytest.raises(ValueError, match=rf"weight alpha2 = {bad} is not finite"):
+            reduction_constants(parts, SystemParameters(alpha[:2] + (bad,) + alpha[3:], params.eta))
+        if params.eta is not None:
+            with pytest.raises(ValueError, match=rf"weight eta = {bad} is not finite"):
+                reduction_constants(parts, SystemParameters(alpha, bad))
 
     def test_a_wrong_weight_sum_is_witnessed(self, monkeypatch):
         # weights doubled sum to 2: each sampled claim fails at its first point
