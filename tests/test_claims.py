@@ -62,6 +62,27 @@ def test_failure_bodies_are_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == FAILURE_SHA256
 
 
+# sha256 of the five zero-curvature bodies at samples=3, seed=4 with 1/3
+# added to the first gauge log-derivative, so every sample fails
+ZERO_CURVATURE_FAILURE_SHA256 = "e89391cb8f41dd8d3090a68ed85f799d5165760cae0505b2749bbff2b187c948"
+
+
+def test_zero_curvature_failure_bodies_are_pinned(monkeypatch):
+    original = lax.gauge_log_derivatives
+
+    def shifted(parts, *args):
+        dlogs = dict(original(parts, *args))
+        first = next(iter(dlogs))
+        dlogs[first] += QQ(1, 3)
+        return dlogs
+
+    monkeypatch.setattr(lax, "gauge_log_derivatives", shifted)
+    bodies = [lax.verify_partition(parts, samples=3, seed=4).to_json_dict() for parts in REDUCTIONS]
+    assert sum(len(body["failures"]) for body in bodies) == 15
+    text = json.dumps(bodies, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ZERO_CURVATURE_FAILURE_SHA256
+
+
 SUITES = [
     weyl.check_relations,
     weyl.check_equivariance,
