@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -315,6 +316,8 @@ def _trajectory_params(args, record):
 def _cmd_integrate(args) -> int:
     if args.json and args.out:
         raise UsageError("integrate: --json and --out cannot be combined")
+    if not (math.isfinite(args.residual_tol) and args.residual_tol >= 0):
+        raise UsageError(f"--residual-tol = {args.residual_tol} must be finite and >= 0")
     if args.out:
         _check_writable(args.out, args.out + ".json")
     record = args.system

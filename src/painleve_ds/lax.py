@@ -28,6 +28,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .loop import LoopElement, apply_theta, bracket
@@ -45,7 +46,7 @@ from .scalars import (
     tangent_of,
     value_of,
 )
-from .tracing import Traced, compile_kernel
+from .tracing import RATIONAL, Traced, compile_kernel, rational
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +179,13 @@ def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> LoopEleme
 
 @functools.cache
 def _residual_kernel(parts, *blocks):
-    """(entry keys, kernel) from one trace of the generic assembly.  The
-    leaves are the pairs, gauges and root with their rates as the one
-    partial, t with partial 1, the kappas and the rhos; the kernel returns
-    R's entries in key order, then K.  The record's formula blocks are in
-    the cache key, so a replaced block is traced afresh."""
+    """(entry keys, kernel, exact) from one trace of the generic assembly:
+    exact() is the kernel over integer pairs, compiled on its first call
+    (see ``tracing.compile_kernel``).  The leaves are the pairs, gauges and
+    root with their rates as the one partial, t with partial 1, the kappas
+    and the rhos; a kernel returns R's entries in key order, then K.  The
+    record's formula blocks are in the cache key, so a replaced block is
+    traced afresh."""
     record = reduction(parts)
     leaf = functools.partial(Traced, {})
     dual = lambda name: Gradient(leaf(name), (leaf("d" + name),))
@@ -198,11 +201,11 @@ def _residual_kernel(parts, *blocks):
         "".join(f"k{j}, " for j in range(record.kappa_count)) + "= k",
         "".join(f"r{j}, " for j in range(record.rho_count)) + "= r",
     ]
-    kernel = compile_kernel(
+    kernels = compile_kernel(
         f"zero curvature of {record.label}", "residual(pairs, rates, g, dg, t, u, du, k, r)", unpack,
         "(" + "{}, " * (len(res.entries) + 1) + ")", [*res.entries.values(), res.c_k],
     )
-    return tuple(res.entries), kernel
+    return tuple(res.entries), *kernels
 
 
 def zero_curvature_residual(
@@ -216,7 +219,9 @@ def zero_curvature_residual(
     multiplier log-derivative, t has rate 1, and the root is
     ``time_root(partition, t)`` unless given as a one-direction Gradient.
     R is computed by code generated once per partition from the generic
-    assembly; the value checks run on each call's own data.
+    assembly; the value checks run on each call's own data.  When every
+    input is an int or a Fraction, t tested first, that code runs over
+    integer pairs.
 
     pair_rates and gauge_rates override the flow-derived rates, so that
     stored trajectory slopes can stand in for the vector field; R then
@@ -236,11 +241,14 @@ def zero_curvature_residual(
         gauge_rates = {name: g * dlogs[name] for name, g in gauges.items()}
 
     _check_poles(record, t, gauges)
-    keys, kernel = _residual_kernel(parts, record.to_ds, record.matrices, record.tau)
+    keys, kernel, exact = _residual_kernel(parts, record.to_ds, record.matrices, record.tau)
+    u, du = value_of(root), tangent_of(root)
+    if type(t) in RATIONAL and rational(
+        chain((u, du), kappas, rhos, gauges.values(), gauge_rates.values(), *pairs, *pair_rates)
+    ):
+        kernel = exact()
     try:
-        *values, c_k = kernel(
-            pairs, pair_rates, gauges, gauge_rates, t, value_of(root), tangent_of(root), kappas, rhos
-        )
+        *values, c_k = kernel(pairs, pair_rates, gauges, gauge_rates, t, u, du, kappas, rhos)
     except ZeroDivisionError:
         raise PoleError("division by zero in the zero-curvature residual") from None
     return LoopElement(sum(parts) - 1, dict(zip(keys, values)), c_k)

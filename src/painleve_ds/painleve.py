@@ -19,12 +19,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
 from .sampling import check_claims, random_rational
 from .scalars import QQ, Gradient, PoleError, row_reduce
-from .tracing import Traced, compile_kernel
+from .tracing import RATIONAL, Traced, compile_kernel, rational
 
 def h4(q, p, t, a, b):
     """Fourth-Painleve building block."""
@@ -101,7 +102,7 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
 
 @functools.cache
 def _traced_system(system: str, pair_count: int, weight_count: int):
-    """Straight-line code for one system, as (field, rhs by partition).
+    """Straight-line code for one system, as (field, exact, rhs by partition).
 
     ``hamiltonian`` runs once on recording scalars, each phase coordinate
     seeded as a ``Gradient`` along its own unit direction, so the tape
@@ -113,7 +114,8 @@ def _traced_system(system: str, pair_count: int, weight_count: int):
     the same tape, so a term they share is computed once.  One trace and
     one compile per system serve both lanes, whichever runs first.  The
     weights and eta stay arguments, so one compile serves every parameter
-    set and every scalar type.
+    set and every scalar type; exact() is the field over integer pairs,
+    compiled on its first call (see ``tracing.compile_kernel``).
     """
     leaf = functools.partial(Traced, {})
     seed = lambda i, name: Gradient(leaf(name), tuple(int(i == j) for j in range(2 * pair_count)))
@@ -123,7 +125,7 @@ def _traced_system(system: str, pair_count: int, weight_count: int):
     grad = hamiltonian(system, coords, t, params).grad
     partials = [grad[2 * k + i] for k in range(pair_count) for i in (1, 0)]
     unpack = "".join(f"(q{k}, p{k}), " for k in range(pair_count))
-    field = compile_kernel(
+    field, exact = compile_kernel(
         f"vector field of {system}", "field(pairs, t, a, eta)", [f"{unpack}= pairs"],
         "(" + "({}, -{}), " * pair_count + ")", partials,
     )
@@ -136,22 +138,26 @@ def _traced_system(system: str, pair_count: int, weight_count: int):
                 f"right-hand side of {record.label}", "rhs(t, y, a, eta)", [f"{unpack}= y"],
                 "(" + "{}, -{}, " * pair_count + "{}, " * len(rates) + ")",
                 [*partials, *(rates[name] for name in record.gauge_names)],
-            )
-    return field, rhs
+            )[0]
+    return field, exact, rhs
 
 
 def _traced_rhs(parts: tuple):
     """The generated flow of one partition (see ``_traced_system``)."""
     record = reduction(parts)
-    return _traced_system(record.system, record.pair_count, record.weight_count)[1][record.parts]
+    return _traced_system(record.system, record.pair_count, record.weight_count)[2][record.parts]
 
 
 def vector_field(system: str, pairs, t, params: SystemParameters):
     """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i, by the code
-    generated once per system; an exact zero divisor raises PoleError."""
-    field, _ = _traced_system(system, len(pairs), len(params.alpha))
+    generated once per system, over integer pairs when every input is an int
+    or a Fraction (t tested first); an exact zero divisor raises PoleError."""
+    field, exact, _ = _traced_system(system, len(pairs), len(params.alpha))
+    t, eta = _exact(t), params.eta
+    if type(t) in RATIONAL and rational(chain(params.alpha, () if eta is None else (eta,), *pairs)):
+        field = exact()
     try:
-        return field(pairs, _exact(t), params.alpha, params.eta)
+        return field(pairs, t, params.alpha, eta)
     except ZeroDivisionError:
         raise PoleError("division by zero in the vector field") from None
 

@@ -17,6 +17,7 @@ gradients and floats.  The registry lists the records in ``report`` order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,7 @@ from typing import Callable, ClassVar
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
 from .scalars import QQ, Gradient, tangent_of, value_of
+from .tracing import rational
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,17 @@ class LinearForm:
         object.__setattr__(self, "rho_terms", nonzero(self.rho))
 
     def __call__(self, kappas, rhos):
+        terms = [(c, kappas[j]) for j, c in self.kappa_terms] + [(c, rhos[j]) for j, c in self.rho_terms]
+        if rational(x for _, x in terms):
+            # over the lcm of the term denominators, reduced once at the end
+            const = self.const
+            terms = [(c.numerator * x.numerator, c.denominator * x.denominator) for c, x in terms]
+            common = math.lcm(const.denominator, *(d for _, d in terms))
+            total = sum(n * (common // d) for n, d in terms)
+            return Fraction(const.numerator * (common // const.denominator) + total, common)
         acc = self.const
-        for j, c in self.kappa_terms:
-            acc = acc + c * kappas[j]
-        for j, c in self.rho_terms:
-            acc = acc + c * rhos[j]
+        for c, x in terms:
+            acc = acc + c * x
         return acc
 
 

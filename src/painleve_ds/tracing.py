@@ -1,13 +1,17 @@
 """Straight-line kernels from one trace of generic formula code: run on
 ``Traced`` leaves, the code records each ``+ - * /`` on a tape, and
-``compile_kernel`` compiles what some outputs need as plain arithmetic."""
+``compile_kernel`` compiles what some outputs need as plain arithmetic,
+and, on demand, as arithmetic on integer numerator/denominator pairs."""
 
 from __future__ import annotations
 
+import functools
 import linecache
 from collections import Counter
+from fractions import Fraction
 
 NESTING_CAP = 8  # the deepest parentheses one inlined expression may nest
+RATIONAL = (int, Fraction)  # the leaf types of an integer-pair kernel
 
 
 class Traced:
@@ -49,34 +53,92 @@ class Traced:
     __neg__ = lambda self: self._record("-", 0, self)
 
 
+def rational(leaves) -> bool:
+    """Whether every leaf is an int or a Fraction: a call on such leaves runs
+    the integer-pair kernel.  Callers test t first, so that a float call
+    pays for one check and builds nothing."""
+    return all(type(v) in RATIONAL for v in leaves)
+
+
 def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list):
     """Compile ``def signature:``, the unpack lines, the nodes the outputs
     (nodes or ints) need, then ``return`` the template filled with them.
     A node used once is written inline, in parentheses, where it is used,
     unless that nests deeper than NESTING_CAP; the others are assignments.
-    The source is cached as ``<title>``, so tracebacks through the kernel
-    and ``inspect.getsource`` show the generated lines.
+
+    Returns (kernel, exact).  ``exact()`` emits the same nodes over integer
+    pairs (see ``_integer_lines``), compiles them on its first call and
+    returns that kernel; it runs on ints and Fractions only.  Each source is
+    cached as ``<title>`` or ``<title over integer pairs>`` when it is
+    compiled, so tracebacks and ``inspect.getsource`` show the generated lines.
     """
     uses = Counter(node for node in outputs if isinstance(node, Traced) and node.op)
     tape = list(next(iter(uses)).tape.values()) if uses else []
     for node in reversed(tape):
         if node in uses:
             uses.update(arg for arg in node.args if arg.op)
+    nodes = [node for node in tape if node in uses]
     inline, depth = {}, {}  # the text and nesting of each node written inline
 
     text = lambda node: f"({inline[node]})" if node in inline else getattr(node, "name", repr(node))
-    lines = [f"def {signature}:", *(f"    {line}" for line in unpack)]
-    for node in (node for node in tape if node in uses):
+    lines = list(unpack)
+    for node in nodes:
         x, y = node.args
         expression = f"{text(x)} {node.op} {text(y)}"
         nesting = 1 + max(depth.get(x, 0), depth.get(y, 0))
         if uses[node] == 1 and nesting <= NESTING_CAP:
             inline[node], depth[node] = expression, nesting
         else:
-            lines.append(f"    {node.name} = {expression}")
-    lines.append("    return " + returns.format(*map(text, outputs)))
+            lines.append(f"{node.name} = {expression}")
+    lines.append("return " + returns.format(*map(text, outputs)))
+    # names only, so the tape is freed as before
+    program = [(node.name, node.op, *(arg.name for arg in node.args)) for node in nodes]
+    names = [getattr(node, "name", repr(node)) for node in outputs]
+    integer = functools.partial(_integer_lines, unpack, returns, names, program)
+    exact = functools.cache(lambda: _compile(f"{title} over integer pairs", signature, integer()))
+    return _compile(title, signature, lines), exact
+
+
+def _integer_lines(unpack, returns, outputs, program):
+    """The program's nodes, (name, op, x, y) by name, as pairs of Python
+    ints (n, d), never reduced: + and - cross-multiply, * multiplies across,
+    and / first raises ZeroDivisionError on a zero divisor numerator; a
+    denominator of 1 and a factor 1 fold away.  Each leaf is unpacked once,
+    at its first use, and each output node is reduced once, as Fraction(n, d)."""
+    lines, pair, checked = list(unpack), {}, set()
+    times = lambda *texts: "0" if "0" in texts else " * ".join(s for s in texts if s not in (None, "1")) or "1"
+
+    def of(name):
+        if name not in pair and not name.lstrip("-").isdigit():  # a leaf
+            var = "".join(filter(str.isalnum, name))
+            lines.append(f"{var}_n, {var}_d = {name}.numerator, {name}.denominator")
+            pair[name] = f"{var}_n", f"{var}_d"
+        return pair.get(name, (name, None))
+
+    for name, op, x, y in program:
+        (xn, xd), (yn, yd) = of(x), of(y)
+        if op == "/":
+            if yd is not None and yn not in checked:
+                lines.append(f"if not {yn}: raise ZeroDivisionError")
+                checked.add(yn)
+            n, d = times(xn, yd), times(xd, yn)
+        elif op == "*":
+            n, d = times(xn, yn), times(xd, yd)
+        elif xd == yd:
+            n, d = f"{xn} {op} {yn}", xd
+        else:
+            n, d = f"{times(xn, yd)} {op} {times(yn, xd)}", times(xd, yd)
+        pair[name] = tuple(s if s.isidentifier() else f"{name}_{part}" for s, part in ((n, "n"), (d, "d")))
+        lines += [f"{var} = {s}" for var, s in zip(pair[name], (n, d)) if var != s]
+    nodes = {name for name, *_ in program}
+    out = lambda name: "Fraction({}, {})".format(*pair[name]) if name in nodes else name
+    return [*lines, "return " + returns.format(*map(out, outputs))]
+
+
+def _compile(title, signature, lines):
     # no mtime: linecache.checkcache keeps the entry
+    lines = [f"def {signature}:", *(f"    {line}" for line in lines)]
     source, filename = "\n".join(lines) + "\n", f"<{title}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace := {})
+    exec(compile(source, filename, "exec"), namespace := {"Fraction": Fraction})
     return namespace[signature.partition("(")[0]]

@@ -150,7 +150,120 @@ def test_each_claim_holds_at_its_first_point(claim):
     assert examine(None if draw is None else draw(random.Random(0))) is None
 
 
+# -- the two emissions of each exact kernel -----------------------------
+
+AGREEMENT_POINTS = 12
+# (3,1)'s root lies in Q(sqrt 6), so its zero-curvature kernel is generic only
+INTEGER_PARTITIONS = [(3, 3), (2, 2, 1), (2, 2), (4, 1)]
+SYSTEMS = ["p6", "a4", "a5", "cp6"]
+
+
+def _kernels(parts):
+    record = reduction(parts)
+    return lax._residual_kernel(parts, record.to_ds, record.matrices, record.tau)
+
+
+def _system_records(system):
+    return [r for r in REDUCTIONS.values() if r.system == system]
+
+
+def _outcome(kernel, args):
+    """The outputs and their repr, or the name of the error raised."""
+    try:
+        values = kernel(*args)
+    except (ZeroDivisionError, IndexError) as exc:
+        return type(exc).__name__
+    return values, repr(values)
+
+
+@functools.cache
+def _residual_points(parts):
+    """Seeded arguments of a zero-curvature kernel: the claim's points with
+    their flow rates, every second one with its pair rates moved by 1 so
+    the residual is nonzero, and every third one with a zero gauge."""
+    record = reduction(parts)
+    _, draw, _ = lax.ZERO_CURVATURE[parts]
+    rng = random.Random(7)
+    points = []
+    for index in range(AGREEMENT_POINTS):
+        point = draw(rng)
+        pairs, t, gauges = point["pairs"], point["t"], point["gauges"]
+        params = painleve.reduction_parameters(parts, point["kappas"], point["rhos"])
+        rates = painleve.vector_field(record.system, pairs, t, params)
+        dlogs = painleve.gauge_log_derivatives(parts, pairs, t, params)
+        gauge_rates = {name: g * dlogs[name] for name, g in gauges.items()}
+        if index % 2:
+            rates = tuple((dq + 1, dp) for dq, dp in rates)
+        if index % 3 == 2:
+            gauges = {name: QQ(0) for name in gauges}
+        root = record.root.along_t(point["root"], t)
+        points.append((pairs, rates, gauges, gauge_rates, t, root.value, root.grad[0], point["kappas"], point["rhos"]))
+    return points
+
+
+@functools.cache
+def _field_points(system):
+    """Seeded arguments of a vector field, every third one at t = 0 or 1."""
+    record = _system_records(system)[0]
+    rng = random.Random(11)
+    draw = lambda: QQ(rng.randint(-20, 20), rng.randint(1, 10))
+    points = []
+    for index in range(AGREEMENT_POINTS):
+        pairs = tuple((draw(), draw()) for _ in range(record.pair_count))
+        t = QQ(index % 2) if index % 3 == 2 else draw()
+        alpha = tuple(draw() for _ in range(record.weight_count))
+        points.append((pairs, t, alpha, None if record.eta is None else draw()))
+    return points
+
+
+def _agrees(kernel, exact, points):
+    return all(_outcome(kernel, args) == _outcome(exact, args) for args in points)
+
+
+@pytest.mark.parametrize("parts", INTEGER_PARTITIONS)
+def test_both_emissions_of_a_zero_curvature_kernel_agree(parts):
+    _, kernel, exact = _kernels(parts)
+    outcomes = [_outcome(kernel, args) for args in _residual_points(parts)]
+    assert [_outcome(exact(), args) for args in _residual_points(parts)] == outcomes
+    assert outcomes[2::3] == ["ZeroDivisionError"] * (AGREEMENT_POINTS // 3)
+    assert all(any(values) for values, _ in outcomes[1::6])
+    assert all(not any(values) for values, _ in outcomes[::6])
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_both_emissions_of_a_vector_field_agree(system):
+    records = _system_records(system)
+    kernel, exact, _ = painleve._traced_system(system, records[0].pair_count, records[0].weight_count)
+    outcomes = [_outcome(kernel, args) for args in _field_points(system)]
+    assert [_outcome(exact(), args) for args in _field_points(system)] == outcomes
+    # a4 divides by nothing, a5 by t, and p6 and cp6 by t(t - 1)
+    poles = {"a4": (), "a5": (0,), "p6": (0, 1), "cp6": (0, 1)}[system]
+    raised = [i for i, outcome in enumerate(outcomes) if outcome == "ZeroDivisionError"]
+    assert raised == [i for i, (_, t, _, _) in enumerate(_field_points(system)) if t in poles]
+    assert raised or not poles
+
+
+@pytest.mark.parametrize("parts", list(REDUCTIONS))
+def test_a_common_denominator_weight_form_equals_the_fraction_sum(parts):
+    record = reduction(parts)
+    forms = (*record.alpha, *(() if record.eta is None else (record.eta,)))
+    rng = random.Random(13)
+    draw = lambda: rng.randint(-20, 20) if rng.random() < 0.3 else QQ(rng.randint(-20, 20), rng.randint(1, 10))
+    for _ in range(200):
+        kappas = tuple(draw() for _ in range(record.kappa_count))
+        rhos = tuple(draw() for _ in range(record.rho_count))
+        for form in forms:
+            want = form.const + sum(c * k for c, k in zip(form.kappa, kappas)) + sum(c * r for c, r in zip(form.rho, rhos))
+            got = form(kappas, rhos)
+            assert (got, repr(got)) == (want, repr(want))
+
+
 # -- a mutation gate for the generated exact kernels ---------------------
+#
+# The zero-curvature claim runs the integer-pair kernels, so each of their
+# mutants must fail it; (3,1) runs the generic kernel and keeps that gate.
+# Each mutant of a generic kernel the claim no longer runs must fail the
+# agreement test above instead.
 
 MUTATION_POINTS = 4
 
@@ -165,7 +278,7 @@ def _mutants(kernel):
         (row, start), (_, end) = token.start, token.end
         line, raised = lines[row - 1], int(token.string) + 1
         mutated = [*lines[: row - 1], f"{line[:start]}{raised}{line[end:]}", *lines[row:]]
-        namespace = {}
+        namespace = {"Fraction": QQ}
         exec(compile("".join(mutated), f"<mutant of {kernel.__name__}>", "exec"), namespace)
         yield f"line {row}, column {start}: {token.string} -> {raised}", namespace[kernel.__name__]
 
@@ -184,12 +297,16 @@ def _caught(parts):
 
 @pytest.mark.parametrize("parts", list(REDUCTIONS))
 def test_every_literal_of_a_zero_curvature_kernel_is_load_bearing(monkeypatch, parts):
-    record = reduction(parts)
-    keys, kernel = lax._residual_kernel(parts, record.to_ds, record.matrices, record.tau)
-    mutants = list(_mutants(kernel))
+    keys, kernel, exact = _kernels(parts)
+    claimed = exact() if parts in INTEGER_PARTITIONS else kernel
+    mutants = list(_mutants(claimed))
     survivors = []
     for where, mutant in mutants:
-        monkeypatch.setattr(lax, "_residual_kernel", lambda *key, mutant=mutant: (keys, mutant))
+        if parts in INTEGER_PARTITIONS:
+            patched = (keys, kernel, lambda mutant=mutant: mutant)
+        else:
+            patched = (keys, mutant, exact)
+        monkeypatch.setattr(lax, "_residual_kernel", lambda *key, patched=patched: patched)
         if not _caught(parts):
             survivors.append(where)
     assert mutants and survivors == []
@@ -197,14 +314,32 @@ def test_every_literal_of_a_zero_curvature_kernel_is_load_bearing(monkeypatch, p
     assert not _caught(parts)
 
 
-@pytest.mark.parametrize("system", ["p6", "a4", "a5", "cp6"])
+@pytest.mark.parametrize("parts", INTEGER_PARTITIONS)
+def test_every_literal_of_a_generic_zero_curvature_kernel_is_load_bearing(parts):
+    _, kernel, exact = _kernels(parts)
+    mutants = list(_mutants(kernel))
+    survivors = [where for where, mutant in mutants if _agrees(mutant, exact(), _residual_points(parts))]
+    assert mutants and survivors == []
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_every_literal_of_a_vector_field_kernel_is_load_bearing(monkeypatch, system):
-    records = [r for r in REDUCTIONS.values() if r.system == system]
-    field, rhs = painleve._traced_system(system, records[0].pair_count, records[0].weight_count)
-    mutants = list(_mutants(field))
+    records = _system_records(system)
+    field, exact, rhs = painleve._traced_system(system, records[0].pair_count, records[0].weight_count)
+    mutants = list(_mutants(exact()))
     survivors = []
     for where, mutant in mutants:
-        monkeypatch.setattr(painleve, "_traced_system", lambda *key, mutant=mutant: (mutant, rhs))
+        patched = (field, lambda mutant=mutant: mutant, rhs)
+        monkeypatch.setattr(painleve, "_traced_system", lambda *key, patched=patched: patched)
         if not any(_caught(r.parts) for r in records):
             survivors.append(where)
+    assert mutants and survivors == []
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_every_literal_of_a_generic_vector_field_kernel_is_load_bearing(system):
+    records = _system_records(system)
+    field, exact, _ = painleve._traced_system(system, records[0].pair_count, records[0].weight_count)
+    mutants = list(_mutants(field))
+    survivors = [where for where, mutant in mutants if _agrees(mutant, exact(), _field_points(system))]
     assert mutants and survivors == []

@@ -280,6 +280,17 @@ class TestIntegrate:
         assert main(self.BASE + tols) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_residual_tolerance_is_a_usage_error(self, tmp_path, capsys, tol):
+        assert main(self.BASE + ["--residual", "--residual-tol", tol, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --residual-tol = {float(tol)} must be finite and >= 0\n"
+        assert captured.out == ""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"residual_tol = {tol}\n")
+        assert main(self.BASE + ["--residual", "--config", str(cfg)]) == 2
+        assert "--residual-tol" in capsys.readouterr().err
+
     def test_eta_is_refused_without_an_extra_weight(self, tmp_path, capsys):
         argv = [
             "integrate", "--system", "p6", "--point", "0.4,0.3",

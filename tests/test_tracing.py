@@ -1,6 +1,7 @@
 """The recording tape and the straight-line emitter behind both kernels."""
 
 import inspect
+import linecache
 import operator
 import traceback
 from fractions import Fraction as QQ
@@ -19,8 +20,15 @@ def _leaves(*names):
 def _kernel(outputs):
     """kernel(x, y) returning the outputs as a tuple, and its source lines."""
     returns = "(" + "{}, " * len(outputs) + ")"
-    kernel = compile_kernel("test kernel", "kernel(x, y)", [], returns, outputs)
+    kernel, _ = compile_kernel("test kernel", "kernel(x, y)", [], returns, outputs)
     return kernel, inspect.getsource(kernel).splitlines()
+
+
+def _exact(outputs):
+    """The integer-pair kernel(x, y) of the outputs, and its source lines."""
+    returns = "(" + "{}, " * len(outputs) + ")"
+    _, exact = compile_kernel("test kernel", "kernel(x, y)", [], returns, outputs)
+    return exact(), inspect.getsource(exact()).splitlines()
 
 
 class TestFolding:
@@ -93,6 +101,66 @@ class TestEmitter:
         assert kernel(QQ(1), QQ(2)) == (QQ(1, 2),)
         with pytest.raises(ZeroDivisionError):
             kernel(QQ(1), QQ(0))
+
+
+class TestIntegerEmission:
+    def test_each_node_is_a_numerator_and_a_denominator(self):
+        _, (x, y) = _leaves("x", "y")
+        kernel, lines = _exact([(x + y) * x])
+        assert lines[1:] == [
+            "    x_n, x_d = x.numerator, x.denominator",
+            "    y_n, y_d = y.numerator, y.denominator",
+            "    v0_n = x_n * y_d + y_n * x_d",
+            "    v0_d = x_d * y_d",
+            "    v1_n = v0_n * x_n",
+            "    v1_d = v0_d * x_d",
+            "    return (Fraction(v1_n, v1_d), )",
+        ]
+        assert kernel(QQ(1, 2), QQ(1, 3)) == (QQ(5, 12),)
+
+    def test_a_denominator_of_one_and_a_factor_one_fold_away(self):
+        _, (x,) = _leaves("x")
+        kernel, lines = _exact([2 * x - 1, 1 / x])
+        assert lines[2:] == [
+            "    v0_n = 2 * x_n",
+            "    v1_n = v0_n - x_d",
+            "    if not x_n: raise ZeroDivisionError",
+            "    return (Fraction(v1_n, x_d), Fraction(x_d, x_n), )",
+        ]
+        assert kernel(QQ(-3, 4), QQ(2)) == (QQ(-5, 2), QQ(-4, 3))
+
+    def test_equal_denominators_add_without_a_product(self):
+        _, (x, y) = _leaves("x", "y")
+        kernel, lines = _exact([(x - 1) + (x + 2)])
+        assert lines[2:] == [
+            "    v0_n = x_n - x_d",
+            "    v1_n = x_n + 2 * x_d",
+            "    v2_n = v0_n + v1_n",
+            "    return (Fraction(v2_n, x_d), )",
+        ]
+        assert kernel(QQ(2, 3), QQ(0)) == (QQ(7, 3),)
+
+    def test_a_zero_divisor_raises_and_is_tested_once(self):
+        _, (x, y) = _leaves("x", "y")
+        kernel, lines = _exact([x / y, (x + 1) / y])
+        assert lines.count("    if not y_n: raise ZeroDivisionError") == 1
+        assert kernel(QQ(1), 2) == (QQ(1, 2), QQ(1))
+        with pytest.raises(ZeroDivisionError):
+            kernel(QQ(1), QQ(0))
+
+    def test_a_leaf_or_an_int_output_is_returned_as_given(self):
+        _, (x, y) = _leaves("x", "y")
+        kernel, lines = _exact([x, x * 0, x * y])
+        assert lines[-1] == "    return (x, 0, Fraction(v0_n, v0_d), )"
+        assert kernel(3, QQ(1, 2)) == (3, 0, QQ(3, 2))
+
+    def test_it_is_compiled_on_its_first_call_only(self):
+        _, (x, y) = _leaves("x", "y")
+        _, exact = compile_kernel("lazy kernel", "kernel(x, y)", [], "({}, )", [x - y])
+        linecache.cache.pop("<lazy kernel over integer pairs>", None)
+        first = exact()
+        assert "<lazy kernel over integer pairs>" in linecache.cache
+        assert exact() is first
 
 
 class TestSharedTape:
