@@ -83,6 +83,26 @@ def test_zero_curvature_failure_bodies_are_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == ZERO_CURVATURE_FAILURE_SHA256
 
 
+# sha256 of the six conjugation bodies at samples=3, seed=4, the i-th with
+# phi_i doubled, so the real bridge runs on its failure path and its pole
+# redraws: each body fails at r_i alone
+BRIDGE_FAILURE_SHA256 = "0b5ff773218d29f7deb0810555dae9cc440ee7bff430facb23b743d9c2f4e732"
+
+
+def test_bridge_failure_bodies_are_pinned(monkeypatch):
+    honest = weyl.gauge_function
+    bodies = []
+    for i in weyl.GENERATORS:
+        monkeypatch.setattr(
+            weyl, "gauge_function", lambda index, *args, i=i: (1 + (index == i)) * honest(index, *args)
+        )
+        bodies.append(weyl.check_conjugation(samples=3, seed=4).to_json_dict())
+    failing = [[check["name"] for check in body["checks"] if not check["pass"]] for body in bodies]
+    assert failing == [[f"conjugation bridge of r{i}"] for i in weyl.GENERATORS]
+    text = json.dumps(bodies, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BRIDGE_FAILURE_SHA256
+
+
 SUITES = [
     weyl.check_relations,
     weyl.check_equivariance,
