@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .heisenberg import Partition
 from .lax import residual_magnitude, zero_curvature_residual
-from .painleve import SystemParameters, _traced_rhs, reduction_constants
+from .painleve import SystemParameters, _traced_rhs, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
 
@@ -266,7 +266,7 @@ def integrate(
 
     system is a partition tuple or a system id (cp6 means its (3,3)
     realization).  gauges maps each of the partition's gauge names to a
-    nonzero starting value.  The interval [t0, t_end] must be finite and
+    nonzero starting value; every start coordinate must be finite.  The interval [t0, t_end] must be finite and
     avoid the fixed singular times; movable poles and an exhausted step
     budget terminate the trajectory with a flag rather than an exception.
     """
@@ -293,13 +293,15 @@ def integrate(
     pair_count = record.pair_count
     if len(pairs) != pair_count:
         raise ValueError(f"{parts} carries {pair_count} canonical pair(s)")
-    if len(params.alpha) != record.weight_count or (params.eta is None) != (record.eta is None):
-        eta = "and eta" if record.eta is not None else "and no eta"
-        raise ValueError(f"the {record.system} system takes {record.weight_count} weights {eta}")
+    start = [float(c) for qp in pairs for c in qp]
+    for k, value in enumerate(start):
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {'qp'[k % 2]}{k // 2 + 1} must start finite, not {value}")
+    require_weights(record, params)
 
     t0 = float(t0)
     t_end = float(t_end)
-    y0 = [float(c) for qp in pairs for c in qp] + [0.0] * len(names)
+    y0 = start + [0.0] * len(names)
     # converted once, so the right-hand side does float work only
     rhs = _traced_rhs(parts)
     alpha = tuple(float(a) for a in params.alpha)

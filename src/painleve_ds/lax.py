@@ -35,7 +35,9 @@ from .loop import LoopElement, apply_theta, bracket
 from .painleve import gauge_log_derivatives, reduction_parameters, vector_field
 from .reductions import REDUCTIONS, reduction
 from .reporting import SampleReport, jsonable
-from .sampling import nonzero_rational, random_rational, rational_avoiding, rational_satisfying
+from .sampling import (
+    draw_constants, nonzero_rational, random_rational, rational_avoiding, rational_satisfying,
+)
 from .scalars import (
     Extension,
     Gradient,
@@ -178,14 +180,12 @@ def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> LoopEleme
 
 
 @functools.cache
-def _residual_kernel(parts, *blocks):
+def _residual_kernel(parts):
     """(entry keys, kernel, exact) from one trace of the generic assembly:
     exact() is the kernel over integer pairs, compiled on its first call
     (see ``tracing.compile_kernel``).  The leaves are the pairs, gauges and
     root with their rates as the one partial, t with partial 1, the kappas
-    and the rhos; a kernel returns R's entries in key order, then K.  The
-    record's formula blocks are in the cache key, so a replaced block is
-    traced afresh."""
+    and the rhos; a kernel returns R's entries in key order, then K."""
     record = reduction(parts)
     leaf = functools.partial(Traced, {})
     dual = lambda name: Gradient(leaf(name), (leaf("d" + name),))
@@ -241,7 +241,7 @@ def zero_curvature_residual(
         gauge_rates = {name: g * dlogs[name] for name, g in gauges.items()}
 
     _check_poles(record, t, gauges)
-    keys, kernel, exact = _residual_kernel(parts, record.to_ds, record.matrices, record.tau)
+    keys, kernel, exact = _residual_kernel(parts)
     u, du = value_of(root), tangent_of(root)
     if type(t) in RATIONAL and rational(
         chain((u, du), kappas, rhos, gauges.values(), gauge_rates.values(), *pairs, *pair_rates)
@@ -287,8 +287,7 @@ def sample_point(partition, rng: random.Random) -> dict:
     if record.pair_count == 2 and pairs[1][0] == pairs[0][0]:
         pairs[1] = (rational_avoiding(rng, (pairs[0][0],)), pairs[1][1])
     gauges = {name: nonzero_rational(rng) for name in record.gauge_names}
-    kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
-    rhos = tuple(random_rational(rng) for _ in range(record.rho_count))
+    kappas, rhos = draw_constants(record, rng)
     return dict(pairs=tuple(pairs), t=t, root=root, gauges=gauges, kappas=kappas, rhos=rhos)
 
 

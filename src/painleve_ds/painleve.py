@@ -23,7 +23,7 @@ from itertools import chain
 
 from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
-from .sampling import check_claims, random_rational
+from .sampling import check_claims, draw_constants
 from .scalars import QQ, Gradient, PoleError, row_reduce
 from .tracing import RATIONAL, Traced, compile_kernel, rational
 
@@ -175,20 +175,10 @@ def reduction_parameters(parts: tuple, kappas, rhos) -> SystemParameters:
     return SystemParameters(alpha, eta)
 
 
-def _weight_multiplicity(record) -> list:
-    """How often each weight enters the weight sum: the single sixth
-    Painleve system writes its doubled middle weight once."""
-    mult = [1] * record.weight_count
-    if record.system == "p6":
-        mult[2] = 2
-    return mult
-
-
 def weight_sum_form(parts: tuple) -> LinearForm:
-    """The weight sum as a symbolic linear form."""
+    """The weight sum, each weight times its mark, as a symbolic linear form."""
     record = reduction(parts)
-    mult = _weight_multiplicity(record)
-    total = lambda column: sum(m * c for m, c in zip(mult, column))
+    total = lambda column: sum(m * c for m, c in zip(record.marks, column))
     forms = record.alpha
     return LinearForm(
         total(f.const for f in forms),
@@ -217,6 +207,14 @@ def _parameter_map(parts: tuple):
     return forms, tuple(map(terms, reduced[:n])), tuple(map(terms, reduced[n:]))
 
 
+def require_weights(record, params: SystemParameters):
+    """Refuse weights that do not fit the record's system: its weight
+    count, and an eta exactly when the system takes one."""
+    if len(params.alpha) != record.weight_count or (params.eta is None) != (record.eta is None):
+        eta = "and eta" if record.eta is not None else "and no eta"
+        raise ValueError(f"the {record.system} system takes {record.weight_count} weights {eta}")
+
+
 def reduction_constants(parts: tuple, params: SystemParameters):
     """Invert the parameter map, gauge-fixing the kappa sum to zero.
 
@@ -225,9 +223,11 @@ def reduction_constants(parts: tuple, params: SystemParameters):
     Weights that hold a float are taken at their binary value, and each
     equation of the map must hold to within IMAGE_TOLERANCE times the
     largest weight magnitude.  Raises ValueError when a weight is not
-    finite, the map is degenerate or the weights are off its image.
+    finite, do not fit the system (``require_weights``), the map is
+    degenerate or the weights are off its image.
     """
     record = reduction(parts)
+    require_weights(record, params)
     weights = [*params.alpha, *(() if record.eta is None else (params.eta,))]
     for name, w in zip([*(f"alpha{i}" for i in range(len(params.alpha))), "eta"], weights):
         if isinstance(w, float) and not math.isfinite(w):
@@ -264,14 +264,9 @@ def _symbolic_weight_sum(parts: tuple, _):
     return {"const": form.const, "kappa": form.kappa, "rho": form.rho}
 
 
-def _draw_constants(record, rng):
-    kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
-    return kappas, tuple(random_rational(rng) for _ in range(record.rho_count))
-
-
-def _sampled_weight_sum(parts: tuple, multiplicity, point):
-    params = reduction_parameters(parts, *point)
-    total = sum(m * a for m, a in zip(multiplicity, params.alpha))
+def _sampled_weight_sum(record, point):
+    params = reduction_parameters(record.parts, *point)
+    total = sum(m * a for m, a in zip(record.marks, params.alpha))
     return None if total == 1 else {"kappas": point[0], "rhos": point[1], "sum": total}
 
 
@@ -282,8 +277,8 @@ WEIGHT_SUMS = tuple(
     for claim in (
         (f"({record.label}) symbolic weight sum", None,
          functools.partial(_symbolic_weight_sum, record.parts)),
-        (f"({record.label}) sampled weight sum", functools.partial(_draw_constants, record),
-         functools.partial(_sampled_weight_sum, record.parts, _weight_multiplicity(record))),
+        (f"({record.label}) sampled weight sum", functools.partial(draw_constants, record),
+         functools.partial(_sampled_weight_sum, record)),
     )
 )
 

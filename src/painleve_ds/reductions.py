@@ -6,7 +6,7 @@ hierarchy, and yields one Painleve system.  Its :class:`Reduction` holds
 the target system, the gauge variables, the pair count and the fixed
 singular times; the root relation that links the Painleve time t to the
 hierarchy time tau; the parameter map from integration constants to
-affine weights; and the four formula blocks the generic entry points in
+affine weights and the marks of their sum; and the four formula blocks the generic entry points in
 ``lax`` and ``painleve`` dispatch through: the map to reduced
 coordinates, the constraint identities, the entries of the Lax matrices
 (M, B) and the gauge log-derivatives.
@@ -120,6 +120,11 @@ class Reduction:
     @property
     def weight_count(self) -> int:
         return len(self.alpha)
+
+    @property
+    def marks(self) -> tuple:
+        """Each weight's coefficient in the weight sum, which is one."""
+        return (1,) * self.weight_count
 
     @property
     def label(self) -> str:
@@ -346,6 +351,7 @@ class _Sixth22(Reduction):
         _form(_ha, (-2 * _ha, _ha, 0, _ha), (0,)),
         _form(0, (0, -_ha, 0, _ha), (QQ(-1),)),
     )
+    marks = (1, 1, 2, 1, 1)  # the middle weight is written once and counts twice
 
     def to_ds(self, pairs, gauges, t, tau, root, kappas, rhos):
         ((q, p),) = pairs

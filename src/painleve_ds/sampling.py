@@ -46,6 +46,12 @@ def rational_avoiding(rng: random.Random, excluded) -> Fraction:
     return rational_satisfying(rng, lambda value: value not in banned)
 
 
+def draw_constants(record, rng: random.Random) -> tuple:
+    """A reduction record's integration constants: (kappas, rhos), kappas drawn first."""
+    kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))
+    return kappas, tuple(random_rational(rng) for _ in range(record.rho_count))
+
+
 def first_witness(rng: random.Random, samples: int, draw, examine, what: str):
     """The first of ``samples`` drawn points whose ``examine`` returns a witness.
 

@@ -12,8 +12,9 @@ the third reflection is not even an involution; RESOLUTIONS.md works the
 algebra out.
 
 The gauge side lives here too: the unipotent factors for the coupled
-sixth Lax pair, the induced motion of the gauge variable w3, and the
-conjugation residual that ties the two pictures together exactly.
+sixth Lax pair, read off its M together with the induced motion of the
+gauge variable w3, and the conjugation residual that ties the two
+pictures together exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import (
     check_claims,
+    draw_constants,
     nonzero_rational,
     random_rational,
     rational_avoiding,
@@ -237,43 +239,16 @@ def check_equivariance(samples: int = 100, seed: int = 0) -> CheckReport:
 # -- gauge picture for the coupled sixth Lax pair ----------------------
 
 
-def gauge_function(index, pairs, t, w3, params: SystemParameters, u):
-    """Denominator of the unipotent gauge coefficient for one reflection.
+def gauge_function(index, m: LoopElement):
+    """phi_i, the denominator of r_i's gauge coefficient, read off the
+    coupled sixth M as -M[e_i]/3.
 
-    u is the coupled sixth reduction's root, u**3 = 1/t.  The exact suite
-    draws u as a rational and sets t = u**-3, so the returned scalar is a
-    rational; r2 and r3 need no root at all.
+    With x = (alpha_i/phi_i) f_i and [f_i, e_i] = -h_i, the bracket [x, M]
+    moves the diagonal of M by -(alpha_i/phi_i) M[e_i] h_i = 3 alpha_i h_i:
+    the kappa_i -> kappa_i + 3 alpha_i shift of the constants.
     """
-    if index not in GENERATORS:
-        raise ValueError(f"generator index out of range: {index}")
-    third = u * u * t  # t^(1/3)
-    two_thirds = u * t  # t^(2/3)
-    (q1, p1), (q2, p2) = pairs
-    if index == 0:
-        return w3 * (q2 - q1) / (3 * two_thirds)
-    if index == 1:
-        return -two_thirds * p1 / w3
-    if index == 2:
-        return w3 * (q1 - t) / (3 * t)
-    if index == 3:
-        return (q1 * p1 + q2 * p2 + params.eta) / w3
-    if index == 4:
-        return w3 * (1 - q2) / (3 * third)
-    return -third * p2 / w3
-
-
-def reflected_gauge(index, pairs, params: SystemParameters, w3):
-    """Image of the gauge variable w3 under one reflection.
-
-    Solved from the conjugation identity: only the third reflection moves
-    it, by the same ratio that rescales q1 inversely (w3*q1 is invariant).
-    """
-    if index != 3:
-        return w3
-    (q1, p1), (q2, p2) = pairs
-    action = q1 * p1 + q2 * p2
-    d_p = _require_nonzero(action + params.eta, "q1*p1 + q2*p2 + eta")
-    return w3 * (d_p - params.alpha[3]) / d_p
+    (key,) = chevalley(5, index, "e").entries
+    return -m.entry(*key) / 3
 
 
 def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopElement:
@@ -290,7 +265,7 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
     params = reduction_parameters(CP6.parts, kappas, rhos)
     state = canonical_to_ds(CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, root=u)
     m, _ = lax_matrices(state)
-    phi = gauge_function(index, pairs, t, w3, params, u)
+    phi = gauge_function(index, m)
     if is_zero_scalar(value_of(phi)):
         raise PoleError(f"gauge function phi_{index} = 0")
     x = chevalley(5, index, "f").scale(params.alpha[index] / phi)
@@ -301,14 +276,11 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
         + apply_theta(CP6.gradation, x)
     )
     new_pairs, _ = apply_generator(index, pairs, params, t)
-    new_kappas = tuple(
-        k + 3 * params.alpha[index] if j == index else k
-        for j, k in enumerate(kappas)
-    )
-    new_w3 = reflected_gauge(index, pairs, params, w3)
-    new_state = canonical_to_ds(
-        CP6.parts, new_pairs, t, {"w3": new_w3}, new_kappas, rhos, root=u
-    )
+    new_kappas = list(kappas)
+    new_kappas[index] += 3 * params.alpha[index]
+    # r3 alone moves w3, by its gauge coefficient
+    new_w3 = w3 - params.alpha[3] / phi if index == 3 else w3
+    new_state = canonical_to_ds(CP6.parts, new_pairs, t, {"w3": new_w3}, new_kappas, rhos, root=u)
     return lax_matrices(new_state)[0] - bridge
 
 
@@ -316,9 +288,7 @@ def _draw_bridge(rng):
     pairs, _, _ = sample_weyl_point(rng)
     u = rational_satisfying(rng, lambda x: x != 0 and CP6.root.time(x) not in (1, pairs[0][0]))
     w3 = nonzero_rational(rng)
-    kappas = tuple(random_rational(rng) for _ in range(CP6.kappa_count))
-    rhos = tuple(random_rational(rng) for _ in range(CP6.rho_count))
-    return pairs, CP6.root.time(u), u, w3, kappas, rhos
+    return pairs, CP6.root.time(u), u, w3, *draw_constants(CP6, rng)
 
 
 def _examine_bridge(index, point):

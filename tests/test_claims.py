@@ -179,8 +179,7 @@ SYSTEMS = ["p6", "a4", "a5", "cp6"]
 
 
 def _kernels(parts):
-    record = reduction(parts)
-    return lax._residual_kernel(parts, record.to_ds, record.matrices, record.tau)
+    return lax._residual_kernel(parts)
 
 
 def _system_records(system):

@@ -195,6 +195,17 @@ class TestIntegrate:
         assert code == 1
         assert "gauge w3" in _json_out(capsys)["error"]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_start_exits_one_without_a_row(self, capsys, bad):
+        code = main([
+            "integrate", "--system", "p6", "--alphas", "1/2,0,0,1/2,0",
+            f"--point={bad},0.3", "--t0", "2", "--t1", "2.1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: coordinate q1 must start finite, not {bad}\n"
+
     def test_interval_through_singularity_exits_one(self, capsys):
         code = main([
             "integrate", "--system", "p6", "--point", "0.4,0.3",

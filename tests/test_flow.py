@@ -225,6 +225,18 @@ class TestIntegration:
         with pytest.raises(ValueError, match="gauge w1"):
             flow.integrate((2, 2), pairs, {"w1": bad}, _params((2, 2)), 2.0, 3.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot,name", [(0, "q1"), (3, "p2")])
+    def test_non_finite_start_rejected_before_any_step(self, bad, slot, name, monkeypatch):
+        # a NaN is not a pole: the start is refused by name, not flagged
+        monkeypatch.setattr(flow, "_advance", lambda *a: pytest.fail("stepped"))
+        pairs, gauges = _start((3, 3))
+        coords = [c for pair in pairs for c in pair]
+        coords[slot] = bad
+        pairs = [tuple(coords[:2]), tuple(coords[2:])]
+        with pytest.raises(ValueError, match=f"^coordinate {name} must start finite, not {bad}$"):
+            flow.integrate((3, 3), pairs, gauges, _params((3, 3)), 2.0, 3.0)
+
     def test_wrong_pair_count_rejected(self):
         with pytest.raises(ValueError, match="pair"):
             flow.integrate(

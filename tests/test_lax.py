@@ -49,6 +49,15 @@ BASE_RATE = {
 }
 
 
+@pytest.fixture
+def fresh_kernels():
+    """The residual kernel is cached per partition: a test that replaces a
+    formula block traces it afresh, and leaves no kernel of its own behind."""
+    lax._residual_kernel.cache_clear()
+    yield
+    lax._residual_kernel.cache_clear()
+
+
 def _clean_point(parts, seed=0):
     return sample_point(parts, random.Random(seed))
 
@@ -350,7 +359,7 @@ class TestKernel:
             assert kernel.c_k == generic.c_k
 
     @pytest.mark.parametrize("parts", FIVE)
-    def test_equals_the_generic_assembly_with_a_flipped_m_entry(self, monkeypatch, parts):
+    def test_equals_the_generic_assembly_with_a_flipped_m_entry(self, monkeypatch, fresh_kernels, parts):
         record_type = type(reduction(parts))
         honest = record_type.matrices
 
@@ -517,7 +526,7 @@ class TestVerification:
             assert failure["residual"] == repr(QQ(1))
 
     @pytest.mark.parametrize("parts", FIVE)
-    def test_a_flipped_m_entry_fails_every_sample(self, monkeypatch, parts):
+    def test_a_flipped_m_entry_fails_every_sample(self, monkeypatch, fresh_kernels, parts):
         # negative control: points drawn through the root still catch a
         # wrong sign in one entry of M at every sample
         record_type = type(reduction(parts))

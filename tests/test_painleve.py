@@ -361,6 +361,19 @@ class TestParameterMaps:
             with pytest.raises(ValueError, match=rf"weight eta = {bad} is not finite"):
                 reduction_constants(parts, SystemParameters(alpha, bad))
 
+    @pytest.mark.parametrize("parts,change", [
+        ((3, 3), lambda params: SystemParameters(params.alpha)),
+        ((3, 3), lambda params: SystemParameters(params.alpha + (QQ(0),), params.eta)),
+        ((2, 2), lambda params: SystemParameters(params.alpha, QQ(1))),
+    ], ids=["cp6 without eta", "cp6 with a seventh weight", "p6 with an eta"])
+    def test_weights_that_do_not_fit_are_named(self, parts, change):
+        record = reduction(parts)
+        kappas = [QQ(k + 1, 7) for k in range(record.kappa_count)]
+        params = reduction_parameters(parts, kappas, [QQ(k + 3, 5) for k in range(record.rho_count)])
+        eta = "and eta" if record.eta is not None else "and no eta"
+        with pytest.raises(ValueError, match=f"^the {record.system} system takes {record.weight_count} weights {eta}$"):
+            reduction_constants(parts, change(params))
+
     def test_a_wrong_weight_sum_is_witnessed(self, monkeypatch):
         # weights doubled sum to 2: each sampled claim fails at its first point
         original = painleve.reduction_parameters

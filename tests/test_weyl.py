@@ -141,21 +141,24 @@ class TestGaugeBridge:
     def test_conjugation_check_passes(self):
         assert check_conjugation(samples=2, seed=11).passed
 
-    def test_a_broken_bridge_fails_at_its_first_point(self, monkeypatch):
-        # negative control: with u drawn and t = u**-3, doubling the r0
-        # gauge coefficient breaks that bridge alone, at its first point
+    @pytest.mark.parametrize("factor", [2, -1])
+    @pytest.mark.parametrize("broken", GENERATORS)
+    def test_a_broken_bridge_fails_at_its_first_point(self, monkeypatch, broken, factor):
+        # negative control: with u drawn and t = u**-3, scaling one gauge
+        # coefficient breaks that bridge alone, at its first point; r3's
+        # image of w3 follows phi_3, and still the bridge fails
         honest = weyl.gauge_function
 
-        def doubled_r0(index, *args):
+        def scaled(index, *args):
             value = honest(index, *args)
-            return 2 * value if index == 0 else value
+            return factor * value if index == broken else value
 
-        monkeypatch.setattr(weyl, "gauge_function", doubled_r0)
+        monkeypatch.setattr(weyl, "gauge_function", scaled)
         report = check_conjugation(samples=3, seed=0)
-        broken = report.checks[0]
-        assert broken.name == "conjugation bridge of r0"
-        assert not broken.passed and broken.witness["sample_index"] == 0
-        assert all(claim.passed for claim in report.checks[1:])
+        assert [claim.name for claim in report.checks] == [f"conjugation bridge of r{i}" for i in GENERATORS]
+        for i, claim in enumerate(report.checks):
+            assert claim.passed == (i != broken)
+        assert report.checks[broken].witness["sample_index"] == 0
 
 
 class TestBoundedRetries:
