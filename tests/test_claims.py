@@ -103,6 +103,31 @@ def test_bridge_failure_bodies_are_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == BRIDGE_FAILURE_SHA256
 
 
+# sha256 of the six relation bodies at samples=3, seed=4, the i-th with r_i
+# giving its right neighbour 2 alpha_i, so the real words run on their
+# failure path: each body fails at braid(i, i+1) alone
+RELATION_FAILURE_SHA256 = "a6618c091b06871d42514a242567d92b9a41465372c53f1486eb23f048efb460"
+
+
+def test_relation_failure_bodies_are_pinned(monkeypatch):
+    honest = weyl._shifted_weights
+
+    def skewed(alpha, index, i):
+        out = list(honest(alpha, index))
+        if index == i:
+            out[(index + 1) % 6] += alpha[index]
+        return tuple(out)
+
+    bodies = []
+    for i in weyl.GENERATORS:
+        monkeypatch.setattr(weyl, "_shifted_weights", functools.partial(skewed, i=i))
+        bodies.append(weyl.check_relations(samples=3, seed=4).to_json_dict())
+    failing = [[check["name"] for check in body["checks"] if not check["pass"]] for body in bodies]
+    assert failing == [[f"braid({i},{(i + 1) % 6})"] for i in weyl.GENERATORS]
+    text = json.dumps(bodies, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RELATION_FAILURE_SHA256
+
+
 SUITES = [
     weyl.check_relations,
     weyl.check_equivariance,
