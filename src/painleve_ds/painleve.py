@@ -264,9 +264,31 @@ def _symbolic_weight_sum(parts: tuple, _):
     return {"const": form.const, "kappa": form.kappa, "rho": form.rho}
 
 
+def _marked_sum(record, kappas, rhos):
+    params = reduction_parameters(record.parts, kappas, rhos)
+    return sum(m * a for m, a in zip(record.marks, params.alpha))
+
+
+@functools.cache
+def _weight_sum_kernel(parts: tuple):
+    """The marked weight sum of one partition over integer pairs,
+    ``total(kappas, rhos)``, traced through ``reduction_parameters`` and
+    compiled on its first call (see ``tracing.compile_kernel``).  Its only
+    output is the total, so no weight is reduced on its own."""
+    record = reduction(parts)
+    leaf = functools.partial(Traced, {})
+    kappas = tuple(leaf(f"k{j}") for j in range(record.kappa_count))
+    rhos = tuple(leaf(f"r{j}") for j in range(record.rho_count))
+    names = lambda leaves: "".join(f"{x.name}, " for x in leaves)
+    unpack = [names(kappas) + "= kappas", names(rhos) + "= rhos"]
+    _, exact = compile_kernel(
+        f"weight sum of {record.label}", "total(kappas, rhos)", unpack, "{}", [_marked_sum(record, kappas, rhos)]
+    )
+    return exact()
+
+
 def _sampled_weight_sum(record, point):
-    params = reduction_parameters(record.parts, *point)
-    total = sum(m * a for m, a in zip(record.marks, params.alpha))
+    total = _weight_sum_kernel(record.parts)(*point)
     return None if total == 1 else {"kappas": point[0], "rhos": point[1], "sum": total}
 
 

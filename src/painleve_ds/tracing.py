@@ -12,15 +12,17 @@ from fractions import Fraction
 
 NESTING_CAP = 8  # the deepest parentheses one inlined expression may nest
 RATIONAL = (int, Fraction)  # the leaf types of an integer-pair kernel
+_RATIONAL_TYPES = frozenset(RATIONAL)
 
 
 class Traced:
     """A recording scalar: each operation on it is one node of a tape, keyed
     (op, operand names), so a repeated subexpression is recorded once, in
-    either operand order for + and *.  Ints enter as literals and -x is 0 - x;
-    x + 0, 0 + x, x - 0, x * 1 and 1 * x record nothing, and x * 0 and x - x
-    are the int 0.  As the value of a seeded ``Gradient`` it records each
-    partial beside the value, so the unit seeds' zeros and ones fold away."""
+    either operand order for + and *.  Ints and Fractions enter as literals,
+    an integral Fraction as an int, and -x is 0 - x; x + 0, 0 + x, x - 0,
+    x * 1 and 1 * x record nothing, and x * 0 and x - x are the int 0.  As
+    the value of a seeded ``Gradient`` it records each partial beside the
+    value, so the unit seeds' zeros and ones fold away."""
 
     __slots__ = ("tape", "name", "op", "args")
 
@@ -28,9 +30,9 @@ class Traced:
         self.tape, self.name, self.op, self.args = tape, name, op, args
 
     def _record(self, op, *args):
-        if not all(isinstance(v, (Traced, int)) for v in args):
+        if not all(isinstance(v, (Traced, *RATIONAL)) for v in args):
             return NotImplemented
-        x, y = (v if isinstance(v, Traced) else Traced(self.tape, repr(v)) for v in args)
+        x, y = (v if isinstance(v, Traced) else Traced(self.tape, _literal(v)) for v in args)
         if (op, x.name) in (("+", "0"), ("*", "1")):
             return y
         if (op, y.name) in (("+", "0"), ("-", "0"), ("*", "1")):
@@ -53,16 +55,23 @@ class Traced:
     __neg__ = lambda self: self._record("-", 0, self)
 
 
+def _literal(value) -> str:
+    """A rational literal's text: the int, or Fraction(n, d) when d > 1."""
+    if value.denominator == 1:
+        return repr(int(value))
+    return f"Fraction({value.numerator}, {value.denominator})"
+
+
 def rational(leaves) -> bool:
     """Whether every leaf is an int or a Fraction: a call on such leaves runs
     the integer-pair kernel.  Callers test t first, so that a float call
     pays for one check and builds nothing."""
-    return all(type(v) in RATIONAL for v in leaves)
+    return _RATIONAL_TYPES.issuperset(map(type, leaves))
 
 
 def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list):
     """Compile ``def signature:``, the unpack lines, the nodes the outputs
-    (nodes or ints) need, then ``return`` the template filled with them.
+    (nodes or rationals) need, then ``return`` the template filled with them.
     A node used once is written inline, in parentheses, where it is used,
     unless that nests deeper than NESTING_CAP; the others are assignments.
 
@@ -109,6 +118,8 @@ def _integer_lines(unpack, returns, outputs, program):
     times = lambda *texts: "0" if "0" in texts else " * ".join(s for s in texts if s not in (None, "1")) or "1"
 
     def of(name):
+        if name.startswith("Fraction("):  # a literal n/d
+            return tuple(name[len("Fraction(") : -1].split(", "))
         if name not in pair and not name.lstrip("-").isdigit():  # a leaf
             var = "".join(filter(str.isalnum, name))
             lines.append(f"{var}_n, {var}_d = {name}.numerator, {name}.denominator")
@@ -118,8 +129,8 @@ def _integer_lines(unpack, returns, outputs, program):
     for name, op, x, y in program:
         (xn, xd), (yn, yd) = of(x), of(y)
         if op == "/":
-            if yd is not None and yn not in checked:
-                lines.append(f"if not {yn}: raise ZeroDivisionError")
+            if yn.isidentifier() and yn not in checked:  # not a literal
+                lines.append(f"if not {yn}: raise ZeroDivisionError({y!r})")
                 checked.add(yn)
             n, d = times(xn, yd), times(xd, yn)
         elif op == "*":

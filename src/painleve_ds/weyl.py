@@ -20,11 +20,12 @@ pictures together exactly.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 
 from .lax import canonical_to_ds, lax_matrices, time_root
 from .loop import LoopElement, apply_theta, bracket, chevalley
-from .painleve import SystemParameters, reduction_parameters, vector_field
+from .painleve import SystemParameters, reduction_parameters, require_weights, vector_field
 from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import (
@@ -43,6 +44,7 @@ from .scalars import (
     tangent_of,
     value_of,
 )
+from .tracing import RATIONAL, Traced, compile_kernel, rational
 
 GENERATORS = (0, 1, 2, 3, 4, 5)
 
@@ -58,9 +60,13 @@ NON_ADJACENT = tuple(
 )
 
 
+def _pole(description):
+    return PoleError(f"reflection pole: {description} = 0")
+
+
 def _require_nonzero(denominator, description):
     if is_zero_scalar(value_of(denominator)):
-        raise PoleError(f"reflection pole: {description} = 0")
+        raise _pole(description)
     return denominator
 
 
@@ -73,51 +79,87 @@ def _shifted_weights(alpha, index):
     return tuple(out)
 
 
-def apply_generator(index, pairs, params: SystemParameters, t):
-    """One reflection on (pairs, params); t never moves.
-
-    Scalars pass through generically, so gradients can ride along for
-    Jacobian-vector products.  Vanishing reflection denominators raise
-    :class:`PoleError` naming the denominator.
-    """
-    if index not in GENERATORS:
-        raise ValueError(f"generator index out of range: {index}")
+def _reflection(index, pairs, alpha, eta, t, require=_require_nonzero):
+    """r_index's image (pairs, alpha, eta) at a nonzero gain alpha[index]:
+    the formulas that the generic path runs and the kernels are traced
+    from.  ``require(denominator, description)`` guards each denominator."""
     (q1, p1), (q2, p2) = pairs
-    alpha = params.alpha
     gain = alpha[index]
-    if is_zero_scalar(gain):
-        return pairs, params
-    eta = params.eta
-    sign = 1 if index % 2 == 0 else -1
-    out_params = SystemParameters(
-        alpha=_shifted_weights(alpha, index), eta=eta + sign * gain
-    )
     if index == 0:
-        gap = _require_nonzero(q1 - q2, "q1 - q2")
+        gap = require(q1 - q2, "q1 - q2")
         out = ((q1, p1 - gain / gap), (q2, p2 + gain / gap))
     elif index == 1:
-        _require_nonzero(p1, "p1")
+        require(p1, "p1")
         out = ((q1 + gain / p1, p1), (q2, p2))
     elif index == 2:
-        gap = _require_nonzero(q1 - t, "q1 - t")
+        gap = require(q1 - t, "q1 - t")
         out = ((q1, p1 - gain / gap), (q2, p2))
     elif index == 3:
         action = q1 * p1 + q2 * p2
-        d_p = _require_nonzero(action + eta, "q1*p1 + q2*p2 + eta")
-        d_q = _require_nonzero(
-            action - gain + eta, "q1*p1 + q2*p2 - alpha3 + eta"
-        )
+        d_p = require(action + eta, "q1*p1 + q2*p2 + eta")
+        d_q = require(action - gain + eta, "q1*p1 + q2*p2 - alpha3 + eta")
         out = (
             (q1 + gain * q1 / d_q, p1 - gain * p1 / d_p),
             (q2 + gain * q2 / d_q, p2 - gain * p2 / d_p),
         )
     elif index == 4:
-        gap = _require_nonzero(q2 - 1, "q2 - 1")
+        gap = require(q2 - 1, "q2 - 1")
         out = ((q1, p1), (q2, p2 - gain / gap))
     else:
-        _require_nonzero(p2, "p2")
+        require(p2, "p2")
         out = ((q1, p1), (q2 + gain / p2, p2))
-    return out, out_params
+    sign = 1 if index % 2 == 0 else -1
+    return out, _shifted_weights(alpha, index), eta + sign * gain
+
+
+@cache
+def _reflection_kernel(index):
+    """(reflect, poles): ``_reflection`` for one generator over integer
+    pairs, traced and compiled on its first call (see
+    ``tracing.compile_kernel``), and each denominator's description keyed
+    by the tape name that the kernel's ZeroDivisionError carries."""
+    leaf, poles = partial(Traced, {}), {}
+
+    def require(denominator, description):
+        poles[denominator.name] = description
+        return denominator
+
+    pairs = ((leaf("q1"), leaf("p1")), (leaf("q2"), leaf("p2")))
+    alpha = tuple(leaf(f"a{i}") for i in GENERATORS)
+    out, weights, eta = _reflection(index, pairs, alpha, leaf("eta"), leaf("t"), require)
+    _, exact = compile_kernel(
+        f"reflection r{index}", "reflect(pairs, a, eta, t)",
+        ["(q1, p1), (q2, p2) = pairs", "".join(f"a{i}, " for i in GENERATORS) + "= a"],
+        "((({}, {}), ({}, {})), (" + "{}, " * len(GENERATORS) + "), {})",
+        [*chain(*out), *weights, eta],
+    )
+    return exact(), poles
+
+
+def apply_generator(index, pairs, params: SystemParameters, t):
+    """One reflection on (pairs, params); t never moves.
+
+    Scalars pass through generically, so gradients can ride along for
+    Jacobian-vector products; when every input is an int or a Fraction
+    (t tested first), the generator's kernel runs over integer pairs.
+    The weights must fit the coupled sixth system.  Vanishing reflection
+    denominators raise :class:`PoleError` naming the denominator.
+    """
+    if index not in GENERATORS:
+        raise ValueError(f"generator index out of range: {index}")
+    require_weights(CP6, params)
+    alpha, eta = params.alpha, params.eta
+    if is_zero_scalar(alpha[index]):
+        return pairs, params
+    if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)):
+        reflect, poles = _reflection_kernel(index)
+        try:
+            out, weights, eta = reflect(pairs, alpha, eta, t)
+        except ZeroDivisionError as err:
+            raise _pole(poles[err.args[0]]) from None
+    else:
+        out, weights, eta = _reflection(index, pairs, alpha, eta, t)
+    return out, SystemParameters(alpha=weights, eta=eta)
 
 
 def apply_word(word, pairs, params: SystemParameters, t):

@@ -5,7 +5,7 @@ a table: ``lax.ZERO_CURVATURE``, ``weyl.RELATIONS``, ``weyl.EQUIVARIANCE``,
 ``weyl.BRIDGES`` and ``painleve.WEIGHT_SUMS``.  These tests walk the
 tables, pin the failure bodies of the first-witness suites, and check
 that every int literal of the generated exact kernels is seen by the
-zero-curvature claim.
+claim that runs it: zero curvature, the Weyl relations or the weight sum.
 """
 
 import functools
@@ -23,7 +23,7 @@ from painleve_ds import lax, painleve, weyl
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import check_claims
+from painleve_ds.sampling import check_claims, first_witness
 from painleve_ds.scalars import PoleError
 
 # sha256 of the four suites' bodies at samples=3, seed=4 with one claim
@@ -31,7 +31,7 @@ from painleve_ds.scalars import PoleError
 FAILURE_SHA256 = "61b3eee86d1f6ad9377c95aa01dc07a94399f021028887779288682430b34d22"
 
 
-def test_failure_bodies_are_pinned(monkeypatch):
+def test_failure_bodies_are_pinned(monkeypatch, fresh_claim_kernels):
     def moved_q1(word, pairs, params, t):
         (q1, p1), second = pairs
         return ((q1 + 1, p1), second), params
@@ -109,7 +109,7 @@ def test_bridge_failure_bodies_are_pinned(monkeypatch):
 RELATION_FAILURE_SHA256 = "a6618c091b06871d42514a242567d92b9a41465372c53f1486eb23f048efb460"
 
 
-def test_relation_failure_bodies_are_pinned(monkeypatch):
+def test_relation_failure_bodies_are_pinned(monkeypatch, fresh_claim_kernels):
     honest = weyl._shifted_weights
 
     def skewed(alpha, index, i):
@@ -387,3 +387,147 @@ def test_every_literal_of_a_generic_vector_field_kernel_is_load_bearing(system):
     mutants = list(_mutants(field))
     survivors = [where for where, mutant in mutants if _agrees(mutant, exact(), _field_points(system))]
     assert mutants and survivors == []
+
+
+# -- the reflection and weight-sum kernels -------------------------------
+#
+# Both run only over integer pairs: each is checked against the generic
+# code it is traced from, and each mutant of it must fail its own claim.
+
+
+def _on_pole(index, point, k):
+    """The Weyl point moved onto a pole of r_index; r3 alternates its two."""
+    ((q1, p1), (q2, p2)), params, t = point
+    if index == 0:
+        q2 = q1
+    elif index == 1:
+        p1 = QQ(0)
+    elif index == 2:
+        t = q1
+    elif index == 3:
+        action = q1 * p1 + q2 * p2
+        eta = params.alpha[3] - action if k % 2 else -action
+        params = SystemParameters(params.alpha, eta)
+    elif index == 4:
+        q2 = QQ(1)
+    else:
+        p2 = QQ(0)
+    return ((q1, p1), (q2, p2)), params, t
+
+
+def _reflection_points(index):
+    """Seeded Weyl points, every third one on a pole of r_index."""
+    rng = random.Random(17)
+    points = [weyl.sample_weyl_point(rng) for _ in range(AGREEMENT_POINTS)]
+    return [_on_pole(index, point, k) if k % 3 == 2 else point for k, point in enumerate(points)]
+
+
+def _reflection_outcome(reflect):
+    """The image (pairs, weights, eta) and its repr, or the PoleError's message."""
+    try:
+        pairs, weights, eta = reflect()
+    except PoleError as exc:
+        return str(exc)
+    return (pairs, tuple(weights), eta), repr((pairs, tuple(weights), eta))
+
+
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_a_reflection_kernel_agrees_with_its_generic_text(monkeypatch, index):
+    def kernel(pairs, params, t):
+        image, moved = weyl.apply_generator(index, pairs, params, t)
+        return image, moved.alpha, moved.eta
+
+    points = _reflection_points(index)
+    generic = [
+        _reflection_outcome(lambda: weyl._reflection(index, pairs, params.alpha, params.eta, t))
+        for pairs, params, t in points
+    ]
+    weyl._reflection_kernel(index)
+    # a rational call never reaches the generic text
+    monkeypatch.setattr(weyl, "_reflection", None)
+    assert [_reflection_outcome(lambda: kernel(*point)) for point in points] == generic
+    poles = [k for k, outcome in enumerate(generic) if isinstance(outcome, str)]
+    assert poles == list(range(2, AGREEMENT_POINTS, 3))
+    assert {generic[k] for k in poles} == {
+        0: {"reflection pole: q1 - q2 = 0"},
+        1: {"reflection pole: p1 = 0"},
+        2: {"reflection pole: q1 - t = 0"},
+        3: {"reflection pole: q1*p1 + q2*p2 + eta = 0", "reflection pole: q1*p1 + q2*p2 - alpha3 + eta = 0"},
+        4: {"reflection pole: q2 - 1 = 0"},
+        5: {"reflection pole: p2 = 0"},
+    }[index]
+
+
+def _constants(record, rng):
+    """A record's constants, about 30% of them ints."""
+    draw = lambda: rng.randint(-20, 20) if rng.random() < 0.3 else QQ(rng.randint(-20, 20), rng.randint(1, 10))
+    return tuple(draw() for _ in range(record.kappa_count)), tuple(draw() for _ in range(record.rho_count))
+
+
+def _marked_fraction_sum(record, parameter_map, kappas, rhos):
+    params = parameter_map(record.parts, kappas, rhos)
+    return sum(m * a for m, a in zip(record.marks, params.alpha))
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["honest", "skewed"])
+@pytest.mark.parametrize("parts", list(REDUCTIONS))
+def test_a_weight_sum_kernel_equals_the_fraction_sum(monkeypatch, fresh_claim_kernels, parts, skewed):
+    # skewed, weight i is taken i + 2 times, so the sum moves with the constants
+    record, original = reduction(parts), painleve.reduction_parameters
+
+    def parameter_map(parts, kappas, rhos):
+        params = original(parts, kappas, rhos)
+        return SystemParameters(tuple((i + 2) * a for i, a in enumerate(params.alpha)), params.eta)
+
+    if skewed:
+        monkeypatch.setattr(painleve, "reduction_parameters", parameter_map)
+    total, rng = painleve._weight_sum_kernel(parts), random.Random(19)
+    sums = set()
+    for _ in range(200):
+        kappas, rhos = _constants(record, rng)
+        want = _marked_fraction_sum(record, parameter_map if skewed else original, kappas, rhos)
+        got = total(kappas, rhos)
+        assert (got, repr(got)) == (want, repr(want))
+        sums.add(got)
+    assert (len(sums) > 100) if skewed else (sums == {1})
+
+
+def _relations_fail():
+    """Whether some relation fails within MUTATION_POINTS points, or its
+    suite gives up on RETRY_CAP poles in a row."""
+    try:
+        return not check_claims("mutant", weyl.RELATIONS, MUTATION_POINTS, 0).passed
+    except RuntimeError:
+        return True
+
+
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index):
+    honest = weyl._reflection_kernel
+    _, poles = honest(index)
+    mutants = list(_mutants(honest(index)[0]))
+    survivors = []
+    for where, mutant in mutants:
+        patched = lambda i, mutant=mutant: (mutant, poles) if i == index else honest(i)
+        monkeypatch.setattr(weyl, "_reflection_kernel", patched)
+        if not _relations_fail():
+            survivors.append(where)
+    assert mutants and survivors == []
+    monkeypatch.undo()
+    assert not _relations_fail()
+
+
+@pytest.mark.parametrize("parts", list(REDUCTIONS))
+def test_every_literal_of_a_weight_sum_kernel_is_load_bearing(monkeypatch, parts):
+    record, honest = reduction(parts), painleve._weight_sum_kernel
+    (_, draw, examine), = [c for c in painleve.WEIGHT_SUMS if c[0] == f"({record.label}) sampled weight sum"]
+    caught = lambda: first_witness(random.Random(0), MUTATION_POINTS, draw, examine, "mutant") is not None
+    mutants = list(_mutants(honest(parts)))
+    survivors = []
+    for where, mutant in mutants:
+        monkeypatch.setattr(painleve, "_weight_sum_kernel", lambda p, mutant=mutant: mutant if p == parts else honest(p))
+        if not caught():
+            survivors.append(where)
+    assert mutants and survivors == []
+    monkeypatch.undo()
+    assert not caught()

@@ -374,7 +374,7 @@ class TestParameterMaps:
         with pytest.raises(ValueError, match=f"^the {record.system} system takes {record.weight_count} weights {eta}$"):
             reduction_constants(parts, change(params))
 
-    def test_a_wrong_weight_sum_is_witnessed(self, monkeypatch):
+    def test_a_wrong_weight_sum_is_witnessed(self, monkeypatch, fresh_claim_kernels):
         # weights doubled sum to 2: each sampled claim fails at its first point
         original = painleve.reduction_parameters
         calls = []

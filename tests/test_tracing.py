@@ -124,7 +124,7 @@ class TestIntegerEmission:
         assert lines[2:] == [
             "    v0_n = 2 * x_n",
             "    v1_n = v0_n - x_d",
-            "    if not x_n: raise ZeroDivisionError",
+            "    if not x_n: raise ZeroDivisionError('x')",
             "    return (Fraction(v1_n, x_d), Fraction(x_d, x_n), )",
         ]
         assert kernel(QQ(-3, 4), QQ(2)) == (QQ(-5, 2), QQ(-4, 3))
@@ -143,7 +143,7 @@ class TestIntegerEmission:
     def test_a_zero_divisor_raises_and_is_tested_once(self):
         _, (x, y) = _leaves("x", "y")
         kernel, lines = _exact([x / y, (x + 1) / y])
-        assert lines.count("    if not y_n: raise ZeroDivisionError") == 1
+        assert lines.count("    if not y_n: raise ZeroDivisionError('y')") == 1
         assert kernel(QQ(1), 2) == (QQ(1, 2), QQ(1))
         with pytest.raises(ZeroDivisionError):
             kernel(QQ(1), QQ(0))
@@ -153,6 +153,33 @@ class TestIntegerEmission:
         kernel, lines = _exact([x, x * 0, x * y])
         assert lines[-1] == "    return (x, 0, Fraction(v0_n, v0_d), )"
         assert kernel(3, QQ(1, 2)) == (3, 0, QQ(3, 2))
+
+    def test_an_integral_fraction_literal_enters_as_an_int_and_folds(self):
+        tape, (x,) = _leaves("x")
+        assert x * QQ(1) is x and QQ(0) + x is x and x - QQ(0) is x
+        zero = QQ(0) * x
+        assert type(zero) is int and zero == 0
+        assert (QQ(4, 2) * x).args[0].name == "2"
+        assert len(tape) == 1
+
+    def test_a_fraction_literal_is_two_int_literals(self):
+        _, (x, y) = _leaves("x", "y")
+        outputs = [QQ(1, 3) * x - QQ(-2, 5), y / QQ(3, 4)]
+        kernel, lines = _exact(outputs)
+        assert lines[1:] == [
+            "    x_n, x_d = x.numerator, x.denominator",
+            "    v0_d = 3 * x_d",
+            "    v1_n = x_n * 5 - -2 * v0_d",
+            "    v1_d = v0_d * 5",
+            "    y_n, y_d = y.numerator, y.denominator",
+            "    v2_n = y_n * 4",
+            "    v2_d = y_d * 3",
+            "    return (Fraction(v1_n, v1_d), Fraction(v2_n, v2_d), )",
+        ]
+        generic, text = _kernel(outputs)
+        assert text[1:] == ["    return (((Fraction(1, 3) * x) - Fraction(-2, 5)), (y / Fraction(3, 4)), )"]
+        for args in [(QQ(1, 2), QQ(1, 3)), (1, -2), (QQ(0), QQ(7, 9))]:
+            assert kernel(*args) == generic(*args) == (QQ(args[0], 3) + QQ(2, 5), QQ(4, 3) * args[1])
 
     def test_it_is_compiled_on_its_first_call_only(self):
         _, (x, y) = _leaves("x", "y")

@@ -93,6 +93,26 @@ class TestSingleReflections:
         with pytest.raises(ValueError):
             apply_generator(6, pairs, params, t)
 
+    @pytest.mark.parametrize("gain", ["drawn", "zero"])
+    @pytest.mark.parametrize(
+        "unfit",
+        [
+            lambda alpha, eta: SystemParameters((*alpha, QQ(1, 2)), eta),
+            lambda alpha, eta: SystemParameters(alpha[:5], eta),
+            lambda alpha, eta: SystemParameters(alpha, None),
+        ],
+        ids=["seven weights", "five weights", "no eta"],
+    )
+    @pytest.mark.parametrize("index", GENERATORS)
+    def test_weights_that_do_not_fit_are_refused(self, index, unfit, gain):
+        # before the zero-gain shortcut, so a zero weight is no way round
+        pairs, params, t = _point(seed=60 + index)
+        alpha = tuple(QQ(0) if gain == "zero" and k == index else a for k, a in enumerate(params.alpha))
+        bad = unfit(alpha, params.eta)
+        for apply in (apply_generator, lambda i, *args: apply_word((i,), *args)):
+            with pytest.raises(ValueError, match=r"^the cp6 system takes 6 weights and eta$"):
+                apply(index, pairs, bad, t)
+
 
 class TestWords:
     def test_word_involution(self):
