@@ -287,15 +287,19 @@ def test_both_emissions_of_a_vector_field_agree(system):
     assert raised or not poles
 
 
+def _constants(record, rng):
+    """A record's constants, about 30% of them ints."""
+    draw = lambda: rng.randint(-20, 20) if rng.random() < 0.3 else QQ(rng.randint(-20, 20), rng.randint(1, 10))
+    return tuple(draw() for _ in range(record.kappa_count)), tuple(draw() for _ in range(record.rho_count))
+
+
 @pytest.mark.parametrize("parts", list(REDUCTIONS))
 def test_a_common_denominator_weight_form_equals_the_fraction_sum(parts):
     record = reduction(parts)
     forms = (*record.alpha, *(() if record.eta is None else (record.eta,)))
     rng = random.Random(13)
-    draw = lambda: rng.randint(-20, 20) if rng.random() < 0.3 else QQ(rng.randint(-20, 20), rng.randint(1, 10))
     for _ in range(200):
-        kappas = tuple(draw() for _ in range(record.kappa_count))
-        rhos = tuple(draw() for _ in range(record.rho_count))
+        kappas, rhos = _constants(record, rng)
         for form in forms:
             want = form.const + sum(c * k for c, k in zip(form.kappa, kappas)) + sum(c * r for c, r in zip(form.rho, rhos))
             got = form(kappas, rhos)
@@ -458,12 +462,6 @@ def test_a_reflection_kernel_agrees_with_its_generic_text(monkeypatch, index):
     }[index]
 
 
-def _constants(record, rng):
-    """A record's constants, about 30% of them ints."""
-    draw = lambda: rng.randint(-20, 20) if rng.random() < 0.3 else QQ(rng.randint(-20, 20), rng.randint(1, 10))
-    return tuple(draw() for _ in range(record.kappa_count)), tuple(draw() for _ in range(record.rho_count))
-
-
 def _marked_fraction_sum(record, parameter_map, kappas, rhos):
     params = parameter_map(record.parts, kappas, rhos)
     return sum(m * a for m, a in zip(record.marks, params.alpha))
@@ -504,8 +502,8 @@ def _relations_fail():
 @pytest.mark.parametrize("index", weyl.GENERATORS)
 def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index):
     honest = weyl._reflection_kernel
-    _, poles = honest(index)
-    mutants = list(_mutants(honest(index)[0]))
+    reflect, poles = honest(index)
+    mutants = list(_mutants(reflect))
     survivors = []
     for where, mutant in mutants:
         patched = lambda i, mutant=mutant: (mutant, poles) if i == index else honest(i)
