@@ -1,7 +1,9 @@
 """Adaptive integration of the canonical flows with gauge transport."""
 
 import copy
+import hashlib
 import inspect
+import json
 import math
 import random
 from fractions import Fraction as QQ
@@ -534,3 +536,38 @@ class TestCorrectnessMonitors:
         report = flow.order_check()
         assert abs(report["slope"] - 5.0) <= 0.3
         assert report["errors"] == sorted(report["errors"], reverse=True)
+
+
+# sha256 of the float lane's outputs from report's starts on [2, 3] at
+# both shipped tolerances: every field of every forward and backward
+# sample, the dense samples at the forward step midpoints, and both
+# monitor dicts.  Floats enter as their repr, so the pin holds only while
+# every float operation of the lane runs in the same order; a change that
+# moves a last digit needs a new pin and a line in CHANGES.md saying why.
+FLOAT_LANE_SHA256 = "a0255b80acc3a2308149c539bebec7d166b1115b820e0070e62cf16314d6dda1"
+
+
+def test_float_lane_outputs_are_pinned():
+    def fields(samples):
+        return [[s.t, s.pairs, sorted(s.gauges.items()), s.error] for s in samples]
+
+    runs = []
+    for parts in FIVE:
+        for rel_tol, abs_tol in ((1e-10, 1e-12), (1e-8, 1e-10)):
+            forward = _run(parts, rel_tol=rel_tol, abs_tol=abs_tol)
+            backward = flow.integrate(
+                parts, forward.final.pairs, forward.final.gauges, _params(parts), 3.0, 2.0,
+                rel_tol=rel_tol, abs_tol=abs_tol,
+            )
+            mids = [(a.t + b.t) / 2 for a, b in zip(forward.samples, forward.samples[1:])]
+            runs.append({
+                "parts": parts,
+                "rel_tol": rel_tol,
+                "termination": [forward.termination, backward.termination],
+                "forward": fields(forward.samples),
+                "backward": fields(backward.samples),
+                "dense": fields(flow.dense_samples(forward, mids)),
+                "monitor": [flow.residual_along(forward), flow.residual_along(backward)],
+            })
+    text = json.dumps(runs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FLOAT_LANE_SHA256
