@@ -19,11 +19,12 @@ underflow, and a run that uses up its step budget says so.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from .heisenberg import Partition
-from .lax import residual_magnitude, zero_curvature_residual
+from .lax import _check_poles, _residual_kernel, time_root
 from .painleve import SystemParameters, _traced_rhs, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
@@ -89,22 +90,43 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
+    """An integration run: the accepted steps as the stepper returns them,
+    time, flat state, slope and normalized error in four columns, with the
+    state's log-gauges relative to _gauge_start.  ``samples`` builds every
+    TrajectorySample on its first read, and ``final`` only the last."""
+
     partition: tuple
     system: str
     params: SystemParameters
     gauge_names: tuple
     rel_tol: float
     abs_tol: float
-    samples: list = field(default_factory=list)
     termination: str = REACHED_END
-    # flat states and slopes per accepted step, kept for dense output
-    _states: list = field(default_factory=list, repr=False)
-    _slopes: list = field(default_factory=list, repr=False)
+    _times: tuple = field(default=(), repr=False)
+    _states: tuple = field(default=(), repr=False)
+    _slopes: tuple = field(default=(), repr=False)
+    _errors: tuple = field(default=(), repr=False)
     _gauge_start: tuple = field(default=(), repr=False)
+
+    @functools.cached_property
+    def samples(self) -> list:
+        return list(map(self._sample, self._times, self._states, self._errors))
 
     @property
     def final(self) -> TrajectorySample:
-        return self.samples[-1]
+        return self._sample(self._times[-1], self._states[-1], self._errors[-1])
+
+    def _split(self, y) -> tuple:
+        """The pairs and the gauge values of a flat state."""
+        n = len(y) - len(self.gauge_names)
+        gauges = {
+            name: start * math.exp(log)
+            for name, start, log in zip(self.gauge_names, self._gauge_start, y[n:])
+        }
+        return tuple(zip(y[0:n:2], y[1:n:2])), gauges
+
+    def _sample(self, t, y, error) -> TrajectorySample:
+        return TrajectorySample(t, *self._split(y), error)
 
 
 def resolve_partition(system) -> tuple:
@@ -234,16 +256,15 @@ def _check_interval(record, t0, t_end):
 
 def _system_guard(record):
     singular = record.singular_times
-    gauge_count = len(record.gauge_names)
+    n = 2 * record.pair_count
 
     def guard(t, y):
         if any(abs(t - s) < DENOMINATOR_FLOOR for s in singular):
             return POLE_DETECTED
-        if not all(map(math.isfinite, y)):
+        # a NaN fails each <= test; the log-gauges meet the tighter bound only
+        if not all(map(STATE_CEILING.__ge__, map(abs, y[:n]))):
             return POLE_DETECTED
-        if max(abs(v) for v in y) > STATE_CEILING:
-            return POLE_DETECTED
-        if gauge_count and max(abs(v) for v in y[-gauge_count:]) > LOG_GAUGE_CEILING:
+        if not all(map(LOG_GAUGE_CEILING.__ge__, map(abs, y[n:]))):
             return POLE_DETECTED
         return None
 
@@ -312,33 +333,11 @@ def integrate(
         t0, y0, t_end, rel_tol, abs_tol, fixed_step, _system_guard(record), max_steps,
     )
 
-    trajectory = Trajectory(
-        partition=parts,
-        system=record.system,
-        params=params,
-        gauge_names=names,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        termination=termination,
-        _gauge_start=tuple(gauge_start),
+    # the fields in order: the stepper's records enter as four columns
+    return Trajectory(
+        parts, record.system, params, names, rel_tol, abs_tol, termination,
+        *zip(*records), tuple(gauge_start),
     )
-    for t, y, slope, error in records:
-        trajectory._states.append(y)
-        trajectory._slopes.append(slope)
-        trajectory.samples.append(_sample_from_state(trajectory, t, y, error))
-    return trajectory
-
-
-def _sample_from_state(trajectory, t, y, error) -> TrajectorySample:
-    pair_count = reduction(trajectory.partition).pair_count
-    points = tuple((y[2 * i], y[2 * i + 1]) for i in range(pair_count))
-    gauges = {
-        name: start * math.exp(y[2 * pair_count + k])
-        for k, (name, start) in enumerate(
-            zip(trajectory.gauge_names, trajectory._gauge_start)
-        )
-    }
-    return TrajectorySample(t=t, pairs=points, gauges=gauges, error=error)
 
 
 # -- dense output --------------------------------------------------------
@@ -363,13 +362,12 @@ def dense_samples(trajectory: Trajectory, times) -> list:
     Times must lie inside the span the trajectory actually covered (it
     may have stopped early at a pole).
     """
-    knots = [s.t for s in trajectory.samples]
+    knots = trajectory._times
     if len(knots) == 1:
-        lone = trajectory.samples[0]
         for t in times:
-            if t != lone.t:
+            if t != knots[0]:
                 raise ValueError(f"time {t} outside the integrated span")
-        return [lone for _ in times]
+        return [trajectory.final for _ in times]
     forward = knots[-1] >= knots[0]
     lo, hi = (knots[0], knots[-1]) if forward else (knots[-1], knots[0])
     out = []
@@ -390,7 +388,7 @@ def dense_samples(trajectory: Trajectory, times) -> list:
             trajectory._states[index + 1],
             trajectory._slopes[index + 1],
         )
-        out.append(_sample_from_state(trajectory, t, y, float("nan")))
+        out.append(trajectory._sample(t, y, float("nan")))
     if not forward:
         out.reverse()
     return out
@@ -435,7 +433,7 @@ def metadata(trajectory: Trajectory) -> dict:
         },
         "tolerances": {"rel": trajectory.rel_tol, "abs": trajectory.abs_tol},
         "termination": trajectory.termination,
-        "samples": len(trajectory.samples),
+        "samples": len(trajectory._times),
     }
 
 
@@ -443,45 +441,47 @@ def metadata(trajectory: Trajectory) -> dict:
 
 
 def residual_along(trajectory: Trajectory) -> dict:
-    """Max zero-curvature residual magnitude over the trajectory samples.
+    """Max zero-curvature residual magnitude over the trajectory's steps.
 
     The float image of the exact identity, evaluated with the stored
     step slopes standing in for the vector field: small values certify
     that the stored states and stored rates satisfy the flow-coupled
-    identity together, so a corrupted sample shows up immediately; a NaN
-    sample makes max_residual NaN, at the first such sample's t.
-    The stored slopes supply every rate, so no sample runs the parameter
-    map.  A sample without a slope (a start that is already singular) is
-    skipped, and "samples" counts only the samples evaluated.
+    identity together, so a corrupted state shows up immediately; a NaN
+    makes max_residual NaN, at the first such step's t.  The partition's
+    generated kernel runs on each stored state and slope, after the pole
+    checks of ``lax.zero_curvature_residual``; no sample is built and none
+    runs the parameter map.  A step without a slope (a start that is
+    already singular) is skipped, and "samples" counts the steps evaluated.
     """
     parts = trajectory.partition
+    record = reduction(parts)
     kappas, rhos = reduction_constants(parts, trajectory.params)
     # found exactly once, then floats, as integrate treats the weights
     kappas = tuple(float(k) for k in kappas)
     rhos = tuple(float(r) for r in rhos)
-    pair_count = reduction(parts).pair_count
+    kernel = _residual_kernel(parts)[1]
+    n = 2 * record.pair_count
     worst = 0.0
-    worst_t = trajectory.samples[0].t
+    worst_t = trajectory._times[0]
     evaluated = 0
-    for s, slope in zip(trajectory.samples, trajectory._slopes):
+    for t, y, slope in zip(trajectory._times, trajectory._states, trajectory._slopes):
         if slope is None:
             continue
         evaluated += 1
-        pair_rates = tuple(
-            (slope[2 * i], slope[2 * i + 1]) for i in range(pair_count)
-        )
-        gauge_rates = {
-            name: s.gauges[name] * slope[2 * pair_count + k]
-            for k, name in enumerate(trajectory.gauge_names)
-        }
-        element = zero_curvature_residual(
-            parts, s.pairs, s.t, s.gauges, kappas, rhos,
-            pair_rates=pair_rates, gauge_rates=gauge_rates,
-        )
-        magnitude = residual_magnitude(element)
+        pairs, gauges = trajectory._split(y)
+        root = time_root(parts, t)
+        _check_poles(record, t, gauges)
+        rates = tuple(zip(slope[0:n:2], slope[1:n:2]))
+        gauge_rates = {name: g * rate for (name, g), rate in zip(gauges.items(), slope[n:])}
+        try:
+            values = kernel(pairs, rates, gauges, gauge_rates, t, root.value, root.grad[0], kappas, rhos)
+        except ZeroDivisionError:
+            raise PoleError("division by zero in the zero-curvature residual") from None
+        magnitudes = list(map(abs, values))
+        magnitude = math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
         # a NaN compares false either way: it takes the worst place and keeps it
         if not (magnitude <= worst or math.isnan(worst)):
-            worst, worst_t = magnitude, s.t
+            worst, worst_t = magnitude, t
     return {
         "partition": list(parts),
         "samples": evaluated,

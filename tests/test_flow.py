@@ -11,6 +11,7 @@ from fractions import Fraction as QQ
 import pytest
 
 from painleve_ds import flow, lax, painleve
+from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters, reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import random_rational, rational_avoiding
@@ -493,6 +494,26 @@ class TestCorrectnessMonitors:
         assert report["samples"] == len(traj.samples)
         assert monitor == calls != []
 
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_steps_and_monitor_build_no_objects(self, parts, monkeypatch):
+        # integrate keeps the stepper's flat records and the monitor feeds
+        # them to the generated kernel: neither builds a sample or an element
+        flow.residual_along(_run(parts))  # the kernels, traced and compiled once
+        built = []
+        for cls in (flow.TrajectorySample, LoopElement):
+            original = cls.__init__
+
+            def counted(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        traj = _run(parts)
+        report = flow.residual_along(traj)
+        monkeypatch.undo()
+        assert report["samples"] == len(traj.samples) > 1
+        assert built == []
+
     @pytest.mark.parametrize("parts, kappas, rhos, pairs, gauges", [
         ((2, 2), (0.1, 0.2, 0.3, -0.6), (0.7,), ((0.4, 0.3),), {"w1": 1.0}),
         ((3, 3), (0.1, 0.2, 0.3, -0.6, 0.15, -0.15), (0.7,),
@@ -514,23 +535,20 @@ class TestCorrectnessMonitors:
         assert flow.residual_along(stuck)["samples"] == 0
 
     @pytest.mark.parametrize(
-        "shift, gauge", [(1e-3, 1.0), (0.0, math.nan)], ids=["shifted-q", "nan-gauge"]
+        "shift, log_shift", [(1e-3, 0.0), (0.0, math.nan)], ids=["shifted-q", "nan-gauge"]
     )
-    def test_corrupted_sample_is_flagged(self, shift, gauge):
+    def test_corrupted_sample_is_flagged(self, shift, log_shift):
+        # the monitor reads the stored flat states: corrupt state k there
         traj = _run((2, 2))
         bad = copy.deepcopy(traj)
-        k = len(bad.samples) // 2
-        s = bad.samples[k]
-        bad.samples[k] = flow.TrajectorySample(
-            t=s.t,
-            pairs=((s.pairs[0][0] + shift, s.pairs[0][1]),),
-            gauges={"w1": s.gauges["w1"] * gauge},
-            error=s.error,
-        )
+        k = len(bad._states) // 2
+        state = bad._states[k]
+        state[0] += shift
+        state[-1] += log_shift
         report = flow.residual_along(bad)
         # the --residual gate: a NaN fails it as surely as a large value
         assert not report["max_residual"] <= 1e-6
-        assert report["at_t"] == s.t
+        assert report["at_t"] == bad._times[k]
 
     def test_observed_order_is_five(self):
         report = flow.order_check()
