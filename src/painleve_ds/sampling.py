@@ -42,8 +42,7 @@ def nonzero_rational(rng: random.Random) -> Fraction:
 
 
 def rational_avoiding(rng: random.Random, excluded) -> Fraction:
-    banned = {Fraction(value) for value in excluded}
-    return rational_satisfying(rng, lambda value: value not in banned)
+    return rational_satisfying(rng, lambda value: value not in excluded)
 
 
 def draw_constants(record, rng: random.Random) -> tuple:
