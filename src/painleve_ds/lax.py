@@ -201,11 +201,11 @@ def _residual_kernel(parts):
         "".join(f"k{j}, " for j in range(record.kappa_count)) + "= k",
         "".join(f"r{j}, " for j in range(record.rho_count)) + "= r",
     ]
-    kernels = compile_kernel(
+    generic, exact = compile_kernel(
         f"zero curvature of {record.label}", "residual(pairs, rates, g, dg, t, u, du, k, r)", unpack,
         "(" + "{}, " * (len(res.entries) + 1) + ")", [*res.entries.values(), res.c_k],
     )
-    return tuple(res.entries), *kernels
+    return tuple(res.entries), generic(), exact
 
 
 def zero_curvature_residual(

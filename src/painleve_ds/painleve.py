@@ -138,8 +138,8 @@ def _traced_system(system: str, pair_count: int, weight_count: int):
                 f"right-hand side of {record.label}", "rhs(t, y, a, eta)", [f"{unpack}= y"],
                 "(" + "{}, -{}, " * pair_count + "{}, " * len(rates) + ")",
                 [*partials, *(rates[name] for name in record.gauge_names)],
-            )[0]
-    return field, exact, rhs
+            )[0]()
+    return field(), exact, rhs
 
 
 def _traced_rhs(parts: tuple):

@@ -1,7 +1,7 @@
 """Straight-line kernels from one trace of generic formula code: run on
 ``Traced`` leaves, the code records each ``+ - * /`` on a tape, and
-``compile_kernel`` compiles what some outputs need as plain arithmetic,
-and, on demand, as arithmetic on integer numerator/denominator pairs."""
+``compile_kernel`` compiles, on demand, what some outputs need as plain
+arithmetic or as arithmetic on integer numerator/denominator pairs."""
 
 from __future__ import annotations
 
@@ -75,11 +75,12 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     A node used once is written inline, in parentheses, where it is used,
     unless that nests deeper than NESTING_CAP; the others are assignments.
 
-    Returns (kernel, exact).  ``exact()`` emits the same nodes over integer
-    pairs (see ``_integer_lines``), compiles them on its first call and
-    returns that kernel; it runs on ints and Fractions only.  Each source is
-    cached as ``<title>`` or ``<title over integer pairs>`` when it is
-    compiled, so tracebacks and ``inspect.getsource`` show the generated lines.
+    Returns (generic, exact): each compiles its kernel on its first call
+    and returns it.  ``exact()`` emits the same nodes over integer pairs
+    (see ``_integer_lines``) and runs on ints and Fractions only.  Each
+    source is cached as ``<title>`` or ``<title over integer pairs>`` when
+    it is compiled, so tracebacks and ``inspect.getsource`` show the
+    generated lines.
     """
     uses = Counter(node for node in outputs if isinstance(node, Traced) and node.op)
     tape = list(next(iter(uses)).tape.values()) if uses else []
@@ -105,7 +106,7 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     names = [getattr(node, "name", repr(node)) for node in outputs]
     integer = functools.partial(_integer_lines, unpack, returns, names, program)
     exact = functools.cache(lambda: _compile(f"{title} over integer pairs", signature, integer()))
-    return _compile(title, signature, lines), exact
+    return functools.cache(lambda: _compile(title, signature, lines)), exact
 
 
 def _integer_lines(unpack, returns, outputs, program):

@@ -20,7 +20,7 @@ def _leaves(*names):
 def _kernel(outputs):
     """kernel(x, y) returning the outputs as a tuple, and its source lines."""
     returns = "(" + "{}, " * len(outputs) + ")"
-    kernel, _ = compile_kernel("test kernel", "kernel(x, y)", [], returns, outputs)
+    kernel = compile_kernel("test kernel", "kernel(x, y)", [], returns, outputs)[0]()
     return kernel, inspect.getsource(kernel).splitlines()
 
 
@@ -101,6 +101,17 @@ class TestEmitter:
         assert kernel(QQ(1), QQ(2)) == (QQ(1, 2),)
         with pytest.raises(ZeroDivisionError):
             kernel(QQ(1), QQ(0))
+
+    def test_it_is_compiled_on_its_first_call_only(self):
+        # a kernel that only runs over integer pairs never compiles this text
+        _, (x, y) = _leaves("x", "y")
+        generic, exact = compile_kernel("lazy generic kernel", "kernel(x, y)", [], "({}, )", [x - y])
+        linecache.cache.pop("<lazy generic kernel>", None)
+        exact()
+        assert "<lazy generic kernel>" not in linecache.cache
+        first = generic()
+        assert "<lazy generic kernel>" in linecache.cache
+        assert generic() is first
 
 
 class TestIntegerEmission:
