@@ -18,7 +18,6 @@ from .lax import (
     canonical_to_ds,
     constraint_residuals,
     lax_matrices,
-    residual_magnitude,
     sample_point,
     time_root,
     verify_partition,
@@ -55,7 +54,6 @@ __all__ = [
     "canonical_to_ds",
     "constraint_residuals",
     "lax_matrices",
-    "residual_magnitude",
     "sample_point",
     "time_root",
     "verify_partition",

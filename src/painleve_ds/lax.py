@@ -40,6 +40,7 @@ from .sampling import (
 )
 from .scalars import (
     Extension,
+    ExtScalar,
     Gradient,
     PoleError,
     QQ,
@@ -182,8 +183,9 @@ def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> LoopEleme
 @functools.cache
 def _residual_kernel(parts):
     """(entry keys, kernel, exact) from one trace of the generic assembly:
-    exact() is the kernel over integer pairs, compiled on its first call
-    (see ``tracing.compile_kernel``).  The leaves are the pairs, gauges and
+    exact() is the kernel over integer pairs, and exact("u", "du") that
+    kernel graded by the parity of a square root, each compiled on its
+    first call (see ``tracing.compile_kernel``).  The leaves are the pairs, gauges and
     root with their rates as the one partial, t with partial 1, the kappas
     and the rhos; a kernel returns R's entries in key order, then K."""
     record = reduction(parts)
@@ -221,7 +223,8 @@ def zero_curvature_residual(
     R is computed by code generated once per partition from the generic
     assembly; the value checks run on each call's own data.  When every
     input is an int or a Fraction, t tested first, that code runs over
-    integer pairs.
+    integer pairs; so it does when the root and its rate are ``ExtScalar``
+    multiples of one square root and every other input is rational.
 
     pair_rates and gauge_rates override the flow-derived rates, so that
     stored trajectory slopes can stand in for the vector field; R then
@@ -243,22 +246,18 @@ def zero_curvature_residual(
     _check_poles(record, t, gauges)
     keys, kernel, exact = _residual_kernel(parts)
     u, du = value_of(root), tangent_of(root)
+    odd, roots, ext = (), (u, du), ()
+    if type(u) is type(du) is ExtScalar and u.ext == du.ext and not (u.coeffs[0] or du.coeffs[0]):
+        odd, roots = ("u", "du"), (u.coeffs[1], du.coeffs[1])  # multiples of one sqrt(b)
     if type(t) in RATIONAL and rational(
-        chain((u, du), kappas, rhos, gauges.values(), gauge_rates.values(), *pairs, *pair_rates)
+        chain(roots, kappas, rhos, gauges.values(), gauge_rates.values(), *pairs, *pair_rates)
     ):
-        kernel = exact()
+        kernel, ext, (u, du) = exact(*odd), ((u.ext,) if odd else ()), roots
     try:
-        *values, c_k = kernel(pairs, pair_rates, gauges, gauge_rates, t, u, du, kappas, rhos)
+        *values, c_k = kernel(pairs, pair_rates, gauges, gauge_rates, t, u, du, kappas, rhos, *ext)
     except ZeroDivisionError:
         raise PoleError("division by zero in the zero-curvature residual") from None
     return LoopElement(sum(parts) - 1, dict(zip(keys, values)), c_k)
-
-
-def residual_magnitude(element: LoopElement) -> float:
-    """Max absolute value over all coefficients: rational, float or complex;
-    NaN when any coefficient is NaN, which ``max`` alone may pass over."""
-    magnitudes = [abs(complex(v)) for v in (*element.entries.values(), element.c_k)]
-    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
 
 
 def _worst_entry(element: LoopElement) -> dict:

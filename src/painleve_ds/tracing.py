@@ -1,7 +1,8 @@
 """Straight-line kernels from one trace of generic formula code: run on
 ``Traced`` leaves, the code records each ``+ - * /`` on a tape, and
 ``compile_kernel`` compiles, on demand, what some outputs need as plain
-arithmetic or as arithmetic on integer numerator/denominator pairs."""
+arithmetic or as arithmetic on integer numerator/denominator pairs, the
+latter also over Q(sqrt b) with a static parity per node."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import functools
 import linecache
 from collections import Counter
 from fractions import Fraction
+
+from .scalars import ExtScalar
 
 NESTING_CAP = 8  # the deepest parentheses one inlined expression may nest
 RATIONAL = (int, Fraction)  # the leaf types of an integer-pair kernel
@@ -77,10 +80,11 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
 
     Returns (generic, exact): each compiles its kernel on its first call
     and returns it.  ``exact()`` emits the same nodes over integer pairs
-    (see ``_integer_lines``) and runs on ints and Fractions only.  Each
-    source is cached as ``<title>`` or ``<title over integer pairs>`` when
-    it is compiled, so tracebacks and ``inspect.getsource`` show the
-    generated lines.
+    (see ``_integer_lines``) and runs on ints and Fractions only;
+    ``exact(*odd)`` emits them over Q(sqrt b) with the named leaves odd,
+    taking their sqrt(b) coefficients and, last, the ``Extension`` ext.
+    Each source is cached under its title when it is compiled, so
+    tracebacks and ``inspect.getsource`` show the generated lines.
     """
     uses = Counter(node for node in outputs if isinstance(node, Traced) and node.op)
     tape = list(next(iter(uses)).tape.values()) if uses else []
@@ -105,17 +109,35 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     program = [(node.name, node.op, *(arg.name for arg in node.args)) for node in nodes]
     names = [getattr(node, "name", repr(node)) for node in outputs]
     integer = functools.partial(_integer_lines, unpack, returns, names, program)
-    exact = functools.cache(lambda: _compile(f"{title} over integer pairs", signature, integer()))
+
+    @functools.cache
+    def exact(*odd):
+        if not odd:
+            return _compile(f"{title} over integer pairs", signature, integer())
+        graded = f"{title} over integer pairs with {' and '.join(odd)} odd"
+        return _compile(graded, signature[:-1] + ", ext)", integer(odd))
+
     return functools.cache(lambda: _compile(title, signature, lines)), exact
 
 
-def _integer_lines(unpack, returns, outputs, program):
+class GradingError(ValueError):
+    """A sum of an even and an odd node: the tape is not graded by its odd leaves."""
+
+
+def _integer_lines(unpack, returns, outputs, program, odd=()):
     """The program's nodes, (name, op, x, y) by name, as pairs of Python
     ints (n, d), never reduced: + and - cross-multiply, * multiplies across,
     and / first raises ZeroDivisionError on a zero divisor numerator; a
     denominator of 1 and a factor 1 fold away.  Each leaf is unpacked once,
-    at its first use, and each output node is reduced once, as Fraction(n, d)."""
-    lines, pair, checked = list(unpack), {}, set()
+    at its first use, and each output node is reduced once, as Fraction(n, d).
+
+    With odd leaves, each value is c or c*sqrt(b), b = ext.base, and the
+    pair holds c: a node's parity is static, odd * odd multiplies c by b,
+    and an even node over an odd one divides c by b, since 1/sqrt(b) =
+    sqrt(b)/b.  A sum of mixed parity raises GradingError; a literal 0
+    takes either parity.  Each output an odd leaf reaches is an ExtScalar
+    over ext, as the generic kernel gives it."""
+    lines, pair, checked, parity = list(unpack), {}, set(), dict.fromkeys(odd, 1)
     times = lambda *texts: "0" if "0" in texts else " * ".join(s for s in texts if s not in (None, "1")) or "1"
 
     def of(name):
@@ -129,13 +151,21 @@ def _integer_lines(unpack, returns, outputs, program):
 
     for name, op, x, y in program:
         (xn, xd), (yn, yd) = of(x), of(y)
+        bn = bd = None  # the base's factors, where sqrt(b) * sqrt(b) = b enters
+        px, py = parity.get(x), parity.get(y)  # None where no odd leaf reaches
+        if op in "+-" and "0" not in (x, y) and (px or 0) != (py or 0):
+            raise GradingError(f"{name} = {x} {op} {y} adds nodes of parity {px or 0} and {py or 0}")
+        if px is not None or py is not None:
+            parity[name] = (px or 0) ^ (py or 0) if op in "*/" else px or py or 0
+            if op in "*/" and py == 1 and (px == 1) == (op == "*"):
+                bn, bd = of("ext.base")
         if op == "/":
             if yn.isidentifier() and yn not in checked:  # not a literal
                 lines.append(f"if not {yn}: raise ZeroDivisionError({y!r})")
                 checked.add(yn)
-            n, d = times(xn, yd), times(xd, yn)
+            n, d = times(xn, yd, bd), times(xd, yn, bn)
         elif op == "*":
-            n, d = times(xn, yn), times(xd, yd)
+            n, d = times(xn, yn, bn), times(xd, yd, bd)
         elif xd == yd:
             n, d = f"{xn} {op} {yn}", xd
         else:
@@ -143,7 +173,9 @@ def _integer_lines(unpack, returns, outputs, program):
         pair[name] = tuple(s if s.isidentifier() else f"{name}_{part}" for s, part in ((n, "n"), (d, "d")))
         lines += [f"{var} = {s}" for var, s in zip(pair[name], (n, d)) if var != s]
     nodes = {name for name, *_ in program}
-    out = lambda name: "Fraction({}, {})".format(*pair[name]) if name in nodes else name
+    reduced = lambda name: "Fraction({}, {})".format(*pair[name]) if name in nodes else name
+    wrap = ("ExtScalar(ext, ({}, 0))", "ExtScalar(ext, (0, {}))")
+    out = lambda name: wrap[parity[name]].format(reduced(name)) if name in parity else reduced(name)
     return [*lines, "return " + returns.format(*map(out, outputs))]
 
 
@@ -152,5 +184,5 @@ def _compile(title, signature, lines):
     lines = [f"def {signature}:", *(f"    {line}" for line in lines)]
     source, filename = "\n".join(lines) + "\n", f"<{title}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace := {"Fraction": Fraction})
+    exec(compile(source, filename, "exec"), namespace := {"Fraction": Fraction, "ExtScalar": ExtScalar})
     return namespace[signature.partition("(")[0]]

@@ -24,7 +24,7 @@ from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import check_claims, first_witness
-from painleve_ds.scalars import PoleError
+from painleve_ds.scalars import Extension, ExtScalar, PoleError, is_zero_scalar
 
 # sha256 of the four suites' bodies at samples=3, seed=4 with one claim
 # of each broken on purpose, as in test_weyl.TestWitnesses
@@ -198,8 +198,12 @@ def test_each_claim_holds_at_its_first_point(claim):
 # -- the two emissions of each exact kernel -----------------------------
 
 AGREEMENT_POINTS = 12
-# (3,1)'s root lies in Q(sqrt 6), so its zero-curvature kernel is generic only
+# the claim draws a rational root for these, and runs their integer-pair text
 INTEGER_PARTITIONS = [(3, 3), (2, 2, 1), (2, 2), (4, 1)]
+# (3,1)'s root is r = sqrt 6 at every point: its claim runs the text graded
+# by the parity of r, as a public call does for these three at a surd t
+SURD_PARTITIONS = [(2, 2, 1), (2, 2), (4, 1)]
+ODD = ("u", "du")
 SYSTEMS = ["p6", "a4", "a5", "cp6"]
 
 
@@ -207,24 +211,45 @@ def _kernels(parts):
     return lax._residual_kernel(parts)
 
 
+def _claimed(parts):
+    """The exact text the zero-curvature claim runs, called as the generic
+    kernel is: for (3,1), the graded text, on the root and rate's r-coefficients."""
+    _, _, exact = _kernels(parts)
+    if parts in INTEGER_PARTITIONS:
+        return exact()
+    return _as_generic(exact(*ODD))
+
+
+def _as_generic(graded):
+    def call(pairs, rates, g, dg, t, u, du, k, r):
+        return graded(pairs, rates, g, dg, t, u.coeffs[1], du.coeffs[1], k, r, u.ext)
+    return call
+
+
 def _system_records(system):
     return [r for r in REDUCTIONS.values() if r.system == system]
 
 
 def _outcome(kernel, args):
-    """The outputs and their repr, or the name of the error raised."""
+    """The outputs and their repr, or what was raised: "pole" for a zero
+    divisor, a ZeroDivisionError over integer pairs and a PoleError over
+    ExtScalar, or else the error's name."""
     try:
         values = kernel(*args)
-    except (ZeroDivisionError, IndexError) as exc:
+    except (ZeroDivisionError, PoleError):
+        return "pole"
+    except IndexError as exc:
         return type(exc).__name__
     return values, repr(values)
 
 
 @functools.cache
-def _residual_points(parts):
+def _residual_points(parts, surd=False):
     """Seeded arguments of a zero-curvature kernel: the claim's points with
     their flow rates, every second one with its pair rates moved by 1 so
-    the residual is nonzero, and every third one with a zero gauge."""
+    the residual is nonzero, and every third one with a zero gauge.  With
+    surd, t is doubled and the root adjoined there: the base, t or -2t, is
+    then twice a square, so the root is a surd."""
     record = reduction(parts)
     _, draw, _ = lax.ZERO_CURVATURE[parts]
     rng = random.Random(7)
@@ -232,6 +257,9 @@ def _residual_points(parts):
     for index in range(AGREEMENT_POINTS):
         point = draw(rng)
         pairs, t, gauges = point["pairs"], point["t"], point["gauges"]
+        if surd:
+            t = 2 * t
+            point["root"] = lax.time_root(parts, t).value
         params = painleve.reduction_parameters(parts, point["kappas"], point["rhos"])
         rates = painleve.vector_field(record.system, pairs, t, params)
         dlogs = painleve.gauge_log_derivatives(parts, pairs, t, params)
@@ -264,14 +292,20 @@ def _agrees(kernel, exact, points):
     return all(_outcome(kernel, args) == _outcome(exact, args) for args in points)
 
 
-@pytest.mark.parametrize("parts", INTEGER_PARTITIONS)
+def _assert_agree(kernel, exact, points):
+    outcomes = [_outcome(kernel, args) for args in points]
+    assert [_outcome(exact, args) for args in points] == outcomes
+    assert outcomes[2::3] == ["pole"] * (AGREEMENT_POINTS // 3)
+    assert not any(all(map(is_zero_scalar, values)) for values, _ in outcomes[1::6])
+    assert all(all(map(is_zero_scalar, values)) for values, _ in outcomes[::6])
+
+
+@pytest.mark.parametrize("parts", [*INTEGER_PARTITIONS, (3, 1)])
 def test_both_emissions_of_a_zero_curvature_kernel_agree(parts):
     _, kernel, exact = _kernels(parts)
-    outcomes = [_outcome(kernel, args) for args in _residual_points(parts)]
-    assert [_outcome(exact(), args) for args in _residual_points(parts)] == outcomes
-    assert outcomes[2::3] == ["ZeroDivisionError"] * (AGREEMENT_POINTS // 3)
-    assert all(any(values) for values, _ in outcomes[1::6])
-    assert all(not any(values) for values, _ in outcomes[::6])
+    _assert_agree(kernel, _claimed(parts), _residual_points(parts))
+    if parts in SURD_PARTITIONS:
+        _assert_agree(kernel, _as_generic(exact(*ODD)), _residual_points(parts, surd=True))
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -282,7 +316,7 @@ def test_both_emissions_of_a_vector_field_agree(system):
     assert [_outcome(exact(), args) for args in _field_points(system)] == outcomes
     # a4 divides by nothing, a5 by t, and p6 and cp6 by t(t - 1)
     poles = {"a4": (), "a5": (0,), "p6": (0, 1), "cp6": (0, 1)}[system]
-    raised = [i for i, outcome in enumerate(outcomes) if outcome == "ZeroDivisionError"]
+    raised = [i for i, outcome in enumerate(outcomes) if outcome == "pole"]
     assert raised == [i for i, (_, t, _, _) in enumerate(_field_points(system)) if t in poles]
     assert raised or not poles
 
@@ -308,10 +342,11 @@ def test_a_common_denominator_weight_form_equals_the_fraction_sum(parts):
 
 # -- a mutation gate for the generated exact kernels ---------------------
 #
-# The zero-curvature claim runs the integer-pair kernels, so each of their
-# mutants must fail it; (3,1) runs the generic kernel and keeps that gate.
-# Each mutant of a generic kernel the claim no longer runs must fail the
-# agreement test above instead.
+# The zero-curvature claim runs the integer-pair kernels, (3,1)'s graded by
+# the parity of its root, so each of their mutants must fail it.  Each
+# mutant of a generic kernel, which the claim no longer runs, must fail the
+# agreement test above instead.  The base of the graded text is a runtime
+# argument, out of a mutant's reach: a control runs it with another base.
 
 MUTATION_POINTS = 4
 
@@ -326,7 +361,7 @@ def _mutants(kernel):
         (row, start), (_, end) = token.start, token.end
         line, raised = lines[row - 1], int(token.string) + 1
         mutated = [*lines[: row - 1], f"{line[:start]}{raised}{line[end:]}", *lines[row:]]
-        namespace = {"Fraction": QQ}
+        namespace = {"Fraction": QQ, "ExtScalar": ExtScalar}
         exec(compile("".join(mutated), f"<mutant of {kernel.__name__}>", "exec"), namespace)
         yield f"line {row}, column {start}: {token.string} -> {raised}", namespace[kernel.__name__]
 
@@ -346,14 +381,10 @@ def _caught(parts):
 @pytest.mark.parametrize("parts", list(REDUCTIONS))
 def test_every_literal_of_a_zero_curvature_kernel_is_load_bearing(monkeypatch, parts):
     keys, kernel, exact = _kernels(parts)
-    claimed = exact() if parts in INTEGER_PARTITIONS else kernel
-    mutants = list(_mutants(claimed))
+    mutants = list(_mutants(exact() if parts in INTEGER_PARTITIONS else exact(*ODD)))
     survivors = []
     for where, mutant in mutants:
-        if parts in INTEGER_PARTITIONS:
-            patched = (keys, kernel, lambda mutant=mutant: mutant)
-        else:
-            patched = (keys, mutant, exact)
+        patched = (keys, kernel, lambda *odd, mutant=mutant: mutant)
         monkeypatch.setattr(lax, "_residual_kernel", lambda *key, patched=patched: patched)
         if not _caught(parts):
             survivors.append(where)
@@ -362,12 +393,24 @@ def test_every_literal_of_a_zero_curvature_kernel_is_load_bearing(monkeypatch, p
     assert not _caught(parts)
 
 
-@pytest.mark.parametrize("parts", INTEGER_PARTITIONS)
+@pytest.mark.parametrize("parts", [*INTEGER_PARTITIONS, (3, 1)])
 def test_every_literal_of_a_generic_zero_curvature_kernel_is_load_bearing(parts):
-    _, kernel, exact = _kernels(parts)
+    _, kernel, _ = _kernels(parts)
     mutants = list(_mutants(kernel))
-    survivors = [where for where, mutant in mutants if _agrees(mutant, exact(), _residual_points(parts))]
+    survivors = [where for where, mutant in mutants if _agrees(mutant, _claimed(parts), _residual_points(parts))]
     assert mutants and survivors == []
+
+
+def test_the_graded_kernel_needs_r_squared_six(monkeypatch):
+    # r * r = 6 enters only through the base the kernel is given: with base 4
+    # in its place, the (3,1) claim fails at every point
+    keys, kernel, exact = _kernels((3, 1))
+    graded, four = exact(*ODD), Extension("r", 4)
+    on_four = lambda *args: graded(*args[:-1], four)
+    monkeypatch.setattr(lax, "_residual_kernel", lambda *key: (keys, kernel, lambda *odd: on_four))
+    _, draw, examine = lax.ZERO_CURVATURE[(3, 1)]
+    rng = random.Random(0)
+    assert all(examine(draw(rng)) is not None for _ in range(20))
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

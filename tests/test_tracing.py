@@ -9,7 +9,8 @@ from fractions import Fraction as QQ
 import pytest
 
 from painleve_ds import painleve
-from painleve_ds.tracing import NESTING_CAP, Traced, compile_kernel
+from painleve_ds.scalars import Extension, ExtScalar
+from painleve_ds.tracing import NESTING_CAP, GradingError, Traced, compile_kernel
 
 
 def _leaves(*names):
@@ -199,6 +200,46 @@ class TestIntegerEmission:
         first = exact()
         assert "<lazy kernel over integer pairs>" in linecache.cache
         assert exact() is first
+
+
+class TestGradedEmission:
+    """exact("u") with u odd: each node is c or c*sqrt(b), and the text keeps c."""
+
+    def _both(self, outputs):
+        returns = "(" + "{}, " * len(outputs) + ")"
+        generic, exact = compile_kernel("graded test kernel", "kernel(x, u)", [], returns, outputs)
+        return generic(), exact("u")
+
+    def test_each_parity_rule_matches_extscalar_arithmetic(self):
+        tape, (x, u) = _leaves("x", "u")
+        outputs = [u * u, x / u, u / x, u / (x * u), 0 - u, u * u + x, (u + u * x) * u, x * x]
+        generic, graded = self._both(outputs)
+        ext = Extension("s", QQ(6, 5))
+        for xv, c in [(QQ(3, 7), QQ(-2, 3)), (QQ(-5), QQ(9, 4))]:
+            want = generic(xv, ExtScalar(ext, (QQ(0), c)))
+            got = graded(xv, c, ext)
+            assert (got, repr(got)) == (want, repr(want))
+        assert type(got[-1]) is QQ  # no odd leaf reaches x * x
+
+    def test_the_base_enters_where_an_odd_square_does(self):
+        tape, (x, u) = _leaves("x", "u")
+        _, graded = self._both([u * u, x / u, x * u])
+        lines = inspect.getsource(graded).splitlines()
+        assert lines[0] == "def kernel(x, u, ext):"
+        assert sum("extbase" in line for line in lines) == 1 + 2 + 2
+
+    def test_an_odd_zero_divisor_raises(self):
+        tape, (x, u) = _leaves("x", "u")
+        _, graded = self._both([x / u])
+        with pytest.raises(ZeroDivisionError, match="^u$"):
+            graded(QQ(1), QQ(0), Extension("s", QQ(6)))
+
+    def test_a_sum_of_mixed_parity_is_refused(self):
+        tape, (u,) = _leaves("u")
+        _, exact = compile_kernel("mixed parity", "kernel(u)", [], "({}, )", [u + 1])
+        assert exact()(QQ(2)) == (QQ(3),)
+        with pytest.raises(GradingError, match=r"v0 = u \+ 1 adds nodes of parity 1 and 0"):
+            exact("u")
 
 
 class TestSharedTape:
