@@ -571,23 +571,9 @@ class TestVerification:
             verify_partition((2, 2), samples=1, seed=0)
 
 
-class StuckRandom(random.Random):
-    """Every randint gives its upper bound, so every draw is the same rational."""
-
-    def __init__(self):
-        super().__init__(0)
-        self.calls = 0
-
-    def randint(self, a, b):
-        self.calls += 1
-        if self.calls > 10 * RETRY_CAP:
-            raise AssertionError("sample_point kept drawing past the retry cap")
-        return b
-
-
 class TestSampling:
-    def test_colliding_q_values_are_redrawn_a_bounded_number_of_times(self):
+    def test_colliding_q_values_are_redrawn_a_bounded_number_of_times(self, stuck_rng):
         # t = 2 is admissible, but q2 always equals q1
         parts = next(p for p, record in REDUCTIONS.items() if record.pair_count == 2)
         with pytest.raises(RuntimeError, match=str(RETRY_CAP)):
-            sample_point(parts, StuckRandom())
+            sample_point(parts, stuck_rng)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from painleve_ds import weyl
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
+from painleve_ds.sampling import RETRY_CAP
 from painleve_ds.scalars import PoleError, is_zero_scalar
 from painleve_ds.weyl import (
     GENERATORS,
@@ -260,6 +261,13 @@ class TestSampler:
 
     def test_deterministic_by_seed(self):
         assert _point(seed=4) == _point(seed=4)
+
+    def test_colliding_q_values_fail_loudly(self, stuck_rng):
+        # q1 = 2 and every later draw is 2, so q2 never clears q1: one draw
+        # for q1, then RETRY_CAP for q2, each of two bit draws
+        with pytest.raises(RuntimeError, match=f"^rejection sampling exceeded {RETRY_CAP} retries$"):
+            sample_weyl_point(stuck_rng)
+        assert stuck_rng.calls == 2 * (1 + RETRY_CAP)
 
 
 words = st.lists(st.sampled_from(GENERATORS), min_size=1, max_size=4)
