@@ -28,14 +28,7 @@ from .loop import LoopElement, apply_theta, bracket, chevalley
 from .painleve import SystemParameters, reduction_parameters, require_weights, vector_field
 from .reductions import reduction
 from .reporting import CheckReport
-from .sampling import (
-    check_claims,
-    draw_constants,
-    nonzero_rational,
-    random_rational,
-    rational_avoiding,
-    rational_satisfying,
-)
+from .sampling import SCALE, check_claims, draw_constants, nonzero_rational, rational_satisfying, scaled_rational
 from .scalars import (
     QQ,
     Gradient,
@@ -198,15 +191,16 @@ def sample_weyl_point(rng: random.Random):
     avoids each generator's pole denominator so that any single
     reflection is defined at the returned point.
     """
-    q1 = random_rational(rng)
-    q2 = rational_avoiding(rng, (q1, QQ(1)))
-    p1 = nonzero_rational(rng)
-    p2 = nonzero_rational(rng)
-    t = rational_avoiding(rng, (QQ(0), QQ(1), q1))
-    tail = tuple(random_rational(rng) for _ in range(5))
-    alpha = (QQ(1) - sum(tail),) + tail
-    action = q1 * p1 + q2 * p2
-    eta = rational_avoiding(rng, (-action, alpha[3] - action))
+    q1, k_q1 = scaled_rational(rng)
+    q2, k_q2 = scaled_rational(rng, (k_q1, SCALE))
+    p1, k_p1 = scaled_rational(rng, (0,))
+    p2, k_p2 = scaled_rational(rng, (0,))
+    t, _ = scaled_rational(rng, (0, SCALE, k_q1))
+    tail, k_tail = zip(*(scaled_rational(rng) for _ in range(5)))
+    alpha = (QQ(SCALE - sum(k_tail), SCALE), *tail)
+    # action is (q1 p1 + q2 p2) SCALE**2; eta avoids -action and alpha3 - action
+    action = k_q1 * k_p1 + k_q2 * k_p2
+    eta, _ = scaled_rational(rng, (-action, k_tail[2] * SCALE - action), SCALE)
     return ((q1, p1), (q2, p2)), SystemParameters(alpha=alpha, eta=eta), t
 
 

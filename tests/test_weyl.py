@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from painleve_ds import weyl
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
-from painleve_ds.sampling import RETRY_CAP
+from painleve_ds.sampling import DENOMINATOR_RANGE, NUMERATOR_RANGE, RETRY_CAP
 from painleve_ds.scalars import PoleError, is_zero_scalar
 from painleve_ds.weyl import (
     GENERATORS,
@@ -241,6 +241,21 @@ class TestWitnesses:
             assert set(claim.to_json_dict()["witness"]) == keys
 
 
+class ScriptedRandom(random.Random):
+    """Draws the given fractions in order: each is the table cell its
+    numerator and denominator name, read as two bit draws."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.bits = [
+            bits for value in values
+            for bits in (value.numerator - NUMERATOR_RANGE[0], value.denominator - DENOMINATOR_RANGE[0])
+        ]
+
+    def getrandbits(self, k):
+        return self.bits.pop(0)
+
+
 class TestSampler:
     def test_weights_sum_to_one(self):
         for seed in range(25):
@@ -261,6 +276,19 @@ class TestSampler:
 
     def test_deterministic_by_seed(self):
         assert _point(seed=4) == _point(seed=4)
+
+    def test_each_excluded_value_is_drawn_again(self):
+        # q2 meets q1 and 1, p1 and p2 meet 0, t meets 0, 1 and q1; then
+        # q1 p1 + q2 p2 = 2/3 and alpha3 = 1/3, so eta meets -2/3 and -1/3
+        tail = (QQ(1, 5), QQ(0), QQ(1, 3), QQ(-1), QQ(2))
+        rng = ScriptedRandom(
+            [QQ(1, 2), QQ(1, 2), QQ(1), QQ(2), QQ(0), QQ(1, 3), QQ(0), QQ(1, 4)]
+            + [QQ(0), QQ(1), QQ(1, 2), QQ(5), *tail, QQ(-2, 3), QQ(-1, 3), QQ(7)]
+        )
+        pairs, params, t = sample_weyl_point(rng)
+        assert pairs == ((QQ(1, 2), QQ(1, 3)), (QQ(2), QQ(1, 4))) and t == 5
+        assert params == SystemParameters(alpha=(QQ(-8, 15), *tail), eta=QQ(7))
+        assert not rng.bits
 
     def test_colliding_q_values_fail_loudly(self, stuck_rng):
         # q1 = 2 and every later draw is 2, so q2 never clears q1: one draw
