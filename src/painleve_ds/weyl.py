@@ -198,7 +198,7 @@ def sample_weyl_point(rng: random.Random):
     t, _ = scaled_rational(rng, (0, SCALE, k_q1))
     tail, k_tail = zip(*(scaled_rational(rng) for _ in range(5)))
     alpha = (QQ(SCALE - sum(k_tail), SCALE), *tail)
-    # action is (q1 p1 + q2 p2) SCALE**2; eta avoids -action and alpha3 - action
+    # over SCALE**2: action = q1 p1 + q2 p2, and eta avoids -action and alpha3 - action
     action = k_q1 * k_p1 + k_q2 * k_p2
     eta, _ = scaled_rational(rng, (-action, k_tail[2] * SCALE - action), SCALE)
     return ((q1, p1), (q2, p2)), SystemParameters(alpha=alpha, eta=eta), t
