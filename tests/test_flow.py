@@ -14,7 +14,7 @@ from painleve_ds import flow, lax, painleve
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters, reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import random_rational, rational_avoiding
+from painleve_ds.sampling import draw_constants, random_rational, rational_avoiding
 from painleve_ds.scalars import PoleError
 
 FIVE = list(REDUCTIONS)
@@ -589,3 +589,45 @@ def test_float_lane_outputs_are_pinned():
             })
     text = json.dumps(runs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == FLOAT_LANE_SHA256
+
+
+def _outcome(call, *args):
+    """repr of a call's result, or its refusal's type and message."""
+    try:
+        return repr(call(*args))
+    except (PoleError, ValueError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def _frame(parts, t):
+    root = lax.time_root(parts, t)
+    return root.value, root.grad
+
+
+# sha256 of what the monitor reads besides the trajectory: the constants
+# at seeded rational weights and at float weights made from float
+# constants, with the refusals of weights moved off the image or not
+# finite; then the root and its rate at seeded float times on both sides
+# of zero, at rational times where a square root is adjoined, and the
+# refusals at t = 0 and t = inf.  A change that moves a last digit or a
+# message needs a new pin and a line in CHANGES.md saying why.
+MONITOR_INPUTS_SHA256 = "20abfc66d3cdcba07d45814619ec072d0f29727fb943d5a1bf5a319fb9144944"
+
+
+def test_monitor_inputs_are_pinned():
+    constants, roots = [], []
+    for parts, record in REDUCTIONS.items():
+        rng = random.Random(23)
+        for convert in (QQ, float) * 20:
+            kappas, rhos = (tuple(map(convert, c)) for c in draw_constants(record, rng))
+            params = reduction_parameters(parts, kappas, rhos)
+            moved = SystemParameters((params.alpha[0] + 1e-6, *params.alpha[1:]), params.eta)
+            unbounded = SystemParameters((*params.alpha[:-1], math.nan), params.eta)
+            constants.append([_outcome(painleve.reduction_constants, parts, p)
+                              for p in (params, moved, unbounded)])
+        times = [rng.uniform(-5.0, 5.0) for _ in range(200)] + [0.0, -0.0, math.inf, -math.inf]
+        if record.root.power == 2:
+            times += [random_rational(rng) for _ in range(20)] + [QQ(0)]
+        roots += [[parts, repr(t), _outcome(_frame, parts, t)] for t in times]
+    text = json.dumps([constants, roots])
+    assert hashlib.sha256(text.encode()).hexdigest() == MONITOR_INPUTS_SHA256
