@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .heisenberg import Partition
-from .lax import _check_poles, _residual_kernel, time_root
+from .lax import _check_poles, _residual_kernel, _root_and_rate
 from .painleve import SystemParameters, _traced_rhs, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
@@ -449,9 +449,10 @@ def residual_along(trajectory: Trajectory) -> dict:
     identity together, so a corrupted state shows up immediately; a NaN
     makes max_residual NaN, at the first such step's t.  The partition's
     generated kernel runs on each stored state and slope, after the pole
-    checks of ``lax.zero_curvature_residual``; no sample is built and none
-    runs the parameter map.  A step without a slope (a start that is
-    already singular) is skipped, and "samples" counts the steps evaluated.
+    checks of ``lax.zero_curvature_residual`` and with the root and rate of
+    ``lax._root_and_rate``: no sample, Gradient or Fraction is built per
+    step, and none runs the parameter map.  A step without a slope (a
+    singular start) is skipped; "samples" counts the steps evaluated.
     """
     parts = trajectory.partition
     record = reduction(parts)
@@ -469,12 +470,12 @@ def residual_along(trajectory: Trajectory) -> dict:
             continue
         evaluated += 1
         pairs, gauges = trajectory._split(y)
-        root = time_root(parts, t)
+        root, rate = _root_and_rate(record, t)
         _check_poles(record, t, gauges)
         rates = tuple(zip(slope[0:n:2], slope[1:n:2]))
         gauge_rates = {name: g * rate for (name, g), rate in zip(gauges.items(), slope[n:])}
         try:
-            values = kernel(pairs, rates, gauges, gauge_rates, t, root.value, root.grad[0], kappas, rhos)
+            values = kernel(pairs, rates, gauges, gauge_rates, t, root, rate, kappas, rhos)
         except ZeroDivisionError:
             raise PoleError("division by zero in the zero-curvature residual") from None
         magnitudes = list(map(abs, values))

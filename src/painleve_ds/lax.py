@@ -63,21 +63,25 @@ def time_root(parts, t) -> Gradient:
     root**power = base(t).  At rational t a square root is adjoined over QQ
     and a cube root refused: exact samples draw it and pass ``root=``.  At
     float t it is the real root, or the principal root of a negative base.
+    Both come from one call of the relation's traced (base, base') kernel.
     """
-    record = reduction(parts)
+    root, rate = _root_and_rate(reduction(parts), QQ(t) if is_rational(t) else t)
+    return Gradient(root, (rate,))
+
+
+def _root_and_rate(record, t) -> tuple:
+    """(root, d(root)/dt) at a float or Fraction t, the rate as
+    ``RootRelation.along_t`` gives it, from one call of the relation's
+    (base, base') kernel: the monitor's per-step root, with no Gradient."""
     relation = record.root
     power = relation.power
-    exact = is_rational(t)
-    if exact:
-        t = QQ(t)
     try:
-        dual = relation.base(Gradient(t, (1,)))  # one pass gives the value and the rate
-    except PoleError:
-        dual = 0
-    base = value_of(dual)
+        base, slope = relation.kernel(t)
+    except ZeroDivisionError:
+        base = 0
     if not 0 < abs(base) < math.inf:
         raise PoleError(f"{record.parts} root needs a finite nonzero base at t = {t}")
-    if exact:
+    if type(t) is QQ:
         if power != 2:
             raise ValueError(f"{record.label} adjoins no exact root of power {power} at rational"
                              f" t = {t}: draw {relation.symbol}, compute t from it and pass root=")
@@ -86,7 +90,7 @@ def time_root(parts, t) -> Gradient:
         root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
     else:  # odd power: the real root
         root = math.copysign(abs(base) ** (1 / power), base)
-    return relation.along_t(root, t, dual)
+    return root, root * slope / (power * base)
 
 
 # ---------------------------------------------------------------------------

@@ -193,18 +193,24 @@ IMAGE_TOLERANCE = 1e-12
 
 @functools.cache
 def _parameter_map(parts: tuple):
-    """(forms, inverse, checks): the weight forms, eta's last, and the map
-    with the kappa sum fixed at zero, row-reduced once next to the
-    identity.  Applied to a right-hand side, the inverse rows give the
-    constants exactly as solving would, and the check rows the residual
-    of each equation that is not a pivot.  Rows keep nonzero terms only."""
+    """(inverse, checks): the map with the kappa sum fixed at zero,
+    row-reduced once next to the identity.  Applied to (1, *weights),
+    eta's last, the inverse rows give the constants exactly as solving
+    would, and the check rows the residual of each equation that is not a
+    pivot.  Each row is (d, terms): integer coefficients, the forms'
+    constants folded into the 1's, over one denominator d, nonzero only."""
     record = reduction(parts)
     forms = (*record.alpha, *(() if record.eta is None else (record.eta,)))
     rows = [[1] * record.kappa_count + [0] * record.rho_count, *([*f.kappa, *f.rho] for f in forms)]
     n, size = len(rows[0]), range(len(rows))
     reduced = row_reduce([[*row, *(int(i == j) for j in size)] for i, row in enumerate(rows)], n)
-    terms = lambda row: tuple((j, c) for j, c in enumerate(row[n:]) if c)
-    return forms, tuple(map(terms, reduced[:n])), tuple(map(terms, reduced[n:]))
+
+    def integer(row):
+        coeffs = [-sum(c * f.const for c, f in zip(row[n + 1 :], forms)), *row[n + 1 :]]
+        d = math.lcm(*(QQ(c).denominator for c in coeffs))
+        return d, tuple((j, int(c * d)) for j, c in enumerate(coeffs) if c)
+
+    return tuple(map(integer, reduced[:n])), tuple(map(integer, reduced[n:]))
 
 
 def require_weights(record, params: SystemParameters):
@@ -218,7 +224,8 @@ def require_weights(record, params: SystemParameters):
 def reduction_constants(parts: tuple, params: SystemParameters):
     """Invert the parameter map, gauge-fixing the kappa sum to zero.
 
-    The inverse is exact, so the constants come back as rationals.
+    The inverse is exact: each constant is one Fraction, from an integer
+    row of ``_parameter_map`` and the weights over one denominator.
     Rational weights must lie exactly in the image of the parameter map.
     Weights that hold a float are taken at their binary value, and each
     equation of the map must hold to within IMAGE_TOLERANCE times the
@@ -233,17 +240,19 @@ def reduction_constants(parts: tuple, params: SystemParameters):
         if isinstance(w, float) and not math.isfinite(w):
             raise ValueError(f"weight {name} = {w} is not finite")
     try:
-        forms, inverse, checks = _parameter_map(record.parts)
+        inverse, checks = _parameter_map(record.parts)
     except PoleError:
         raise ValueError("parameter map is degenerate") from None
-    rhs = [QQ(0), *(QQ(w) - f.const for f, w in zip(forms, weights))]
-    dot = lambda terms: sum(c * rhs[j] for j, c in terms)
+    ratios = [QQ(w) for w in weights]
+    common = math.lcm(*(r.denominator for r in ratios))
+    rhs = [common, *(r.numerator * (common // r.denominator) for r in ratios)]
+    dot = lambda row: Fraction(sum(c * rhs[j] for j, c in row[1]), row[0] * common)
     tolerance = 0
     if any(isinstance(w, float) for w in weights):
         tolerance = IMAGE_TOLERANCE * max(abs(w) for w in weights)
-    if any(abs(dot(terms)) > tolerance for terms in checks):
+    if any(abs(dot(row)) > tolerance for row in checks):
         raise ValueError("weights are not in the image of the parameter map")
-    sol = [dot(terms) for terms in inverse]
+    sol = [dot(row) for row in inverse]
     return tuple(sol[: record.kappa_count]), tuple(sol[record.kappa_count :])
 
 

@@ -25,8 +25,8 @@ from typing import Callable, ClassVar
 
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
-from .scalars import QQ, Gradient, tangent_of, value_of
-from .tracing import rational
+from .scalars import QQ, Gradient, PoleError, tangent_of, value_of
+from .tracing import Traced, compile_kernel, rational
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,25 @@ class RootRelation:
     base: Callable
     time: Callable | None = None  # t from the root; None for a constant root
 
-    def along_t(self, root, t, base=None) -> Gradient:
+    @cached_property
+    def kernel(self) -> Callable:
+        """``kernel(t)``: (base(t), base'(t)) as straight-line code, traced
+        from one pass of ``base`` along d/dt on this relation's first use;
+        it runs on any scalar t, and a zero divisor raises ZeroDivisionError."""
+        dual = self.base(Gradient(Traced({}, "t"), (1,)))
+        outputs = [value_of(dual), tangent_of(dual)]
+        return compile_kernel(f"base of {self.symbol}**{self.power}", "base(t)", [], "({}, {})", outputs)[0]()
+
+    def along_t(self, root, t) -> Gradient:
         """The root with d(root)/dt = root * base'(t) / (power * base(t)), from
-        implicit differentiation of the relation, as its one partial; base'
-        comes from one pass of ``base`` along d/dt, so a constant base has
-        rate 0.  A caller that made that pass already hands it in as base.
-        An int t is taken as a Fraction, so the rate stays exact."""
-        if base is None:
-            base = self.base(Gradient(Fraction(t) if type(t) is int else t, (1,)))
-        return Gradient(root, (root * tangent_of(base) / (self.power * value_of(base)),))
+        implicit differentiation of the relation, as its one partial; base
+        and base' come from one call of ``kernel``, so a constant base has
+        rate 0.  An int t is taken as a Fraction, so the rate stays exact."""
+        try:
+            base, slope = self.kernel(Fraction(t) if type(t) is int else t)
+        except ZeroDivisionError:
+            raise PoleError("division by zero") from None
+        return Gradient(root, (root * slope / (self.power * base),))
 
 
 @dataclass(frozen=True)

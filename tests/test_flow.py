@@ -470,10 +470,12 @@ class TestCorrectnessMonitors:
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_monitor_samples_do_no_fraction_arithmetic(self, parts, monkeypatch):
-        # the constants are floats once found, so the only Fraction work
-        # of a monitor call is its one reduction_constants call
-        traj = _run(parts)
-        flow.residual_along(traj)  # the kernel and the factored map, built once
+        # the constants are floats once found, so a monitor call does the
+        # Fraction work of its one reduction_constants call, the same on
+        # trajectories of different lengths
+        runs = [_run(parts), _run(parts, rel_tol=1e-6, abs_tol=1e-8)]
+        assert len(runs[0].samples) > len(runs[1].samples)
+        flow.residual_along(runs[0])  # the kernels and the factored map, built once
         calls = []
         for name in (
             "__add__", "__radd__", "__sub__", "__rsub__",
@@ -486,13 +488,15 @@ class TestCorrectnessMonitors:
                 return _original(self, other)
 
             monkeypatch.setattr(QQ, name, counted)
-        report = flow.residual_along(traj)
-        monitor = list(calls)
-        calls.clear()
-        painleve.reduction_constants(parts, traj.params)
+        counts = []
+        for traj in runs:
+            report = flow.residual_along(traj)
+            assert report["samples"] == len(traj.samples)
+            counts.append(list(calls))
+            calls.clear()
+        painleve.reduction_constants(parts, runs[0].params)
         monkeypatch.undo()
-        assert report["samples"] == len(traj.samples)
-        assert monitor == calls != []
+        assert counts == [calls, calls]
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_steps_and_monitor_build_no_objects(self, parts, monkeypatch):

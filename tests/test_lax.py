@@ -156,20 +156,22 @@ class TestFrames:
         assert abs(root**relation.power - float(relation.base(QQ(t)))) < 1e-12
 
     @pytest.mark.parametrize("parts", FIVE)
-    def test_a_float_time_runs_base_once(self, parts, monkeypatch):
-        # one pass of base on the dual number gives the root and its rate
+    def test_base_runs_once_per_relation(self, parts, monkeypatch):
+        # one pass of base on the dual number, traced once per relation,
+        # gives the root and its rate at every later time
         record = reduction(parts)
         relation, calls = record.root, []
-        want = time_root(parts, 2.5)
+        times = [2.5 + k / 8 for k in range(20)]
+        want = [time_root(parts, t) for t in times]
 
         def counted(t):
             calls.append(t)
             return relation.base(t)
 
         monkeypatch.setattr(type(record), "root", dataclasses.replace(relation, base=counted))
-        got = time_root(parts, 2.5)
+        got = [time_root(parts, t) for t in times]
         assert len(calls) == 1
-        assert (got.value, got.grad) == (want.value, want.grad)
+        assert [(g.value, g.grad) for g in got] == [(w.value, w.grad) for w in want]
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_frames_match_relations_on_every_side(self, parts):

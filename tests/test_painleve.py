@@ -22,7 +22,7 @@ from painleve_ds.painleve import (
     weight_sum_form,
 )
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import random_rational, rational_avoiding
+from painleve_ds.sampling import draw_constants, random_rational, rational_avoiding
 from painleve_ds.scalars import Gradient, PoleError, row_reduce, tangent_of, value_of
 
 FIVE = list(REDUCTIONS)
@@ -347,6 +347,25 @@ class TestParameterMaps:
         moved = SystemParameters((params.alpha[0] + 1e-6,) + params.alpha[1:], params.eta)
         with pytest.raises(ValueError, match="not in the image"):
             reduction_constants(parts, moved)
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_the_image_tolerance_clears_rounding_and_catches_a_shift(self, parts):
+        # float weights from float constants sit at most about 9e-16 times
+        # the largest weight off the image (RESOLUTIONS.md): a weight moved
+        # 1e-14 times that is accepted, and one moved 1e-10 times is refused
+        rng = random.Random(41)
+        record = reduction(parts)
+        for _ in range(20):
+            kappas, rhos = (tuple(map(float, c)) for c in draw_constants(record, rng))
+            params = reduction_parameters(parts, kappas, rhos)
+            largest = max(abs(w) for w in (*params.alpha, *(() if params.eta is None else (params.eta,))))
+            for index in range(record.weight_count):
+                moved = lambda share: SystemParameters(
+                    tuple(w + share * largest * (i == index) for i, w in enumerate(params.alpha)), params.eta
+                )
+                reduction_constants(parts, moved(1e-14))
+                with pytest.raises(ValueError, match="not in the image"):
+                    reduction_constants(parts, moved(1e-10))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("parts", [(2, 2), (3, 3)])
