@@ -194,22 +194,23 @@ IMAGE_TOLERANCE = 1e-12
 @functools.cache
 def _parameter_map(parts: tuple):
     """(inverse, checks): the map with the kappa sum fixed at zero,
-    row-reduced once next to the identity.  Applied to (1, *weights),
-    eta's last, the inverse rows give the constants exactly as solving
-    would, and the check rows the residual of each equation that is not a
-    pivot.  Each row is (d, terms): integer coefficients, the forms'
-    constants folded into the 1's, over one denominator d, nonzero only."""
+    row-reduced once next to its right-hand side, written as a row over
+    (1, *weights), eta's last: zero for the kappa sum, and each weight
+    minus its form's constant.  Applied to (1, *weights), the inverse
+    rows give the constants exactly as solving would, and the check rows
+    the residual of each equation that is not a pivot.  Each row is (d,
+    terms): integer coefficients over one denominator d, nonzero only."""
     record = reduction(parts)
     forms = (*record.alpha, *(() if record.eta is None else (record.eta,)))
-    rows = [[1] * record.kappa_count + [0] * record.rho_count, *([*f.kappa, *f.rho] for f in forms)]
-    n, size = len(rows[0]), range(len(rows))
-    reduced = row_reduce([[*row, *(int(i == j) for j in size)] for i, row in enumerate(rows)], n)
+    n, size = record.kappa_count + record.rho_count, range(len(forms))
+    rows = [[1] * record.kappa_count + [0] * (record.rho_count + 1 + len(forms))]
+    rows += [[*f.kappa, *f.rho, -f.const, *(int(i == j) for j in size)] for i, f in enumerate(forms)]
 
     def integer(row):
-        coeffs = [-sum(c * f.const for c, f in zip(row[n + 1 :], forms)), *row[n + 1 :]]
-        d = math.lcm(*(QQ(c).denominator for c in coeffs))
-        return d, tuple((j, int(c * d)) for j, c in enumerate(coeffs) if c)
+        d = math.lcm(*(c.denominator for c in row[n:]))
+        return d, tuple((j, c.numerator * (d // c.denominator)) for j, c in enumerate(row[n:]) if c)
 
+    reduced = row_reduce(rows, n)
     return tuple(map(integer, reduced[:n])), tuple(map(integer, reduced[n:]))
 
 

@@ -156,7 +156,7 @@ class TestFrames:
         assert abs(root**relation.power - float(relation.base(QQ(t)))) < 1e-12
 
     @pytest.mark.parametrize("parts", FIVE)
-    def test_base_runs_once_per_relation(self, parts, monkeypatch):
+    def test_a_float_time_runs_base_once(self, parts, monkeypatch):
         # one pass of base on the dual number, traced once per relation,
         # gives the root and its rate at every later time
         record = reduction(parts)
