@@ -1,8 +1,9 @@
 """Floating-point trajectories for the five reduced Hamiltonian systems.
 
 An embedded Runge-Kutta 5(4) pair (Dormand-Prince coefficients) with
-proportional-integral step control drives the canonical flow; the gauge
-variables of the partition ride along through their log-derivative
+proportional-integral step control drives the canonical flow, one
+straight-line step per state size, each record's compiled on import.  The
+gauge variables of the partition ride along through their log-derivative
 equations, integrated as logs relative to the starting value so any
 nonzero start is allowed and no sign is lost.  Time is the independent
 variable throughout: the explicit time dependence of the Hamiltonian is
@@ -28,6 +29,7 @@ from .lax import _check_poles, _residual_kernel, _root_and_rate
 from .painleve import SystemParameters, _traced_rhs, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
+from .tracing import _compile
 
 DENOMINATOR_FLOOR = 1e-12
 STATE_CEILING = 1e12
@@ -52,23 +54,43 @@ _A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# (stage, weight) for the nonzero weights of each row; _A[6] and _E hold a zero
-_A_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in _A)
-_E_TERMS = tuple((j, e) for j, e in enumerate(_E) if e)
 
 
-def _fused(form, terms):
-    """``form`` of the sum w * k_j over the (j, w) terms, left to right, as
-    one comprehension over zip(y, the stages k_j), compiled once."""
-    total = " + ".join(f"{w!r} * k{j}" for j, w in terms)
-    names = "".join(f", k{j}" for j, _ in terms)
-    stages = "".join(f", k[{j}]" for j, _ in terms)
-    return eval(f"lambda h, y, k: [{form.format(total)} for yj{names} in zip(y{stages})]")
+@functools.cache
+def _step_kernel(size):
+    """One Dormand-Prince step on ``size`` components in straight lines:
+    step(f, args, t, h, y, k0, rel_tol, abs_tol) -> (y_new, k6, error).
+    Stage i's state is y_j + h * (a_i0 * k0_j + ...) per component, and its
+    slope f(t + c_i * h, state, *args) must be finite (else PoleError).
+    The error is the root mean square of h * (e_0 * k0_j + ...) over
+    abs_tol + rel_tol * max(|y_j|, |y_new_j|), summed from the left; a
+    square past the float range raises OverflowError, a failed step."""
+    components = range(size)
+    names = lambda prefix: "".join(f"{prefix}{j}, " for j in components)
+    # the nonzero weights of a row, from the left: _A[6] and _E hold a zero
+    weighted = lambda row, j: " + ".join(f"{w!r} * k{i}_{j}" for i, w in enumerate(row) if w)
+
+    lines = [f"{names('y')}= y", f"{names('k0_')}= k0"]
+    for i in range(1, 7):
+        when = "t + h" if _C[i] == 1.0 else f"t + {_C[i]!r} * h"
+        states = [f"y{j} + h * ({weighted(_A[i], j)})" for j in components]
+        if i < 6:
+            lines.append(f"{names(f'k{i}_')}= f({when}, [{', '.join(states)}], *args)")
+        else:  # the fifth-order solution is y_new, and its slope the next k0
+            lines += [f"n{j} = {state}" for j, state in zip(components, states)]
+            lines += [f"k6 = f({when}, n := [{names('n')}], *args)", f"{names('k6_')}= k6"]
+        finite = " and ".join(f"isfinite(k{i}_{j})" for j in components)
+        lines.append(f"if not ({finite}): raise PoleError('non-finite derivative')")
+    lines += [f"e{j} = h * ({weighted(_E, j)})" for j in components]
+    squares = " + ".join(f"(e{j} / (abs_tol + rel_tol * max(abs(y{j}), abs(n{j})))) ** 2" for j in components)
+    lines.append(f"return n, k6, sqrt(({squares}) / {size})")
+    title, signature = f"Dormand-Prince step of {size}", "step(f, args, t, h, y, k0, rel_tol, abs_tol)"
+    return _compile(title, signature, lines, isfinite=math.isfinite, sqrt=math.sqrt, PoleError=PoleError)
 
 
-# stage i's state y + h * sum(a_ij k_j) (none for stage 0), and the error h * sum(e_j k_j)
-_STAGE_STATES = (None, *(_fused("yj + h * ({})", terms) for terms in _A_TERMS[1:]))
-_ERROR = _fused("h * ({})", _E_TERMS)
+# every record's state size compiles here, once, so that no integrate call does
+for _size in {2 * record.pair_count + len(record.gauge_names) for record in REDUCTIONS.values()}:
+    _step_kernel(_size)
 
 _SAFETY = 0.9
 _PI_ALPHA = 0.17  # proportional exponent for order 5
@@ -146,43 +168,32 @@ def resolve_partition(system) -> tuple:
 # -- generic embedded stepper ------------------------------------------
 
 
-def _norm(error_vector, y_old, y_new, rel_tol, abs_tol):
-    total = 0.0
-    for e, a, b in zip(error_vector, y_old, y_new):
-        scale = abs_tol + rel_tol * max(abs(a), abs(b))
-        total += (e / scale) ** 2
-    return math.sqrt(total / len(error_vector))
-
-
-def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
-    """Drive y' = f(t, y) from t0 to t_end; returns (records, termination).
+def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps, args=()):
+    """Drive y' = f(t, y, *args) from t0 to t_end; returns (records, termination).
 
     records is a list of (t, y, slope, error_norm); guard(t, y) returns a
     termination string when the state has left the admissible region.
-    f may raise (pole inside a stage; a zero divisor is a PoleError, at the
-    start too), and the error estimate may overflow;
-    adaptive mode shrinks the step and retries, fixed mode gives up with
-    the pole flag.  After max_steps attempted steps the run stops with the
-    step-budget flag.
+    Each step is one call of the state size's ``_step_kernel``.  f may
+    raise (pole inside a stage; a zero divisor is a PoleError at the
+    start), a slope may be non-finite, and the error estimate may
+    overflow; adaptive mode shrinks the step and retries, fixed mode gives
+    up with the pole flag.  After max_steps attempted steps the run stops
+    with the step-budget flag.
     """
-    records = []
     direction = 1.0 if t_end >= t0 else -1.0
     t, y = t0, list(y0)
-
-    def evaluate(at, state):
-        try:
-            slope = f(at, state)
-        except ZeroDivisionError:
-            raise PoleError("division by zero in the right-hand side") from None
-        if not all(map(math.isfinite, slope)):
-            raise PoleError("non-finite derivative")
-        return slope
+    step = _step_kernel(len(y))
 
     bad = guard(t, y)
-    slope = None if bad else evaluate(t, y)
-    records.append((t, y, slope, 0.0))
     if bad:
-        return records, bad
+        return [(t, y, None, 0.0)], bad
+    try:
+        slope = f(t, y, *args)
+    except ZeroDivisionError:
+        raise PoleError("division by zero in the right-hand side") from None
+    if not all(map(math.isfinite, slope)):
+        raise PoleError("non-finite derivative")
+    records = [(t, y, slope, 0.0)]
     if t_end == t0:
         return records, REACHED_END
 
@@ -201,18 +212,9 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
         if not terminal and abs(h) < 1e-14 * max(1.0, abs(t)):
             return records, STEP_UNDERFLOW
 
-        stages = [slope]
-        failed = False
         try:
-            for i in range(1, 7):
-                state = _STAGE_STATES[i](h, y, stages)
-                if i == 6:
-                    y_new = state
-                stages.append(evaluate(t + _C[i] * h, state))
-            error = _norm(_ERROR(h, y, stages), y, y_new, rel_tol, abs_tol)
-        except (PoleError, OverflowError):
-            failed = True
-        if failed:
+            y_new, slope_new, error = step(f, args, t, h, y, slope, rel_tol, abs_tol)
+        except (ZeroDivisionError, PoleError, OverflowError):
             if fixed_step is not None:
                 return records, POLE_DETECTED
             h *= 0.5
@@ -225,7 +227,7 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps):
 
         t = t_end if terminal else t + h
         y = y_new
-        slope = stages[6]  # first-same-as-last
+        slope = slope_new  # first-same-as-last
         records.append((t, y, slope, error))
         bad = guard(t, y)
         if bad:
@@ -324,13 +326,12 @@ def integrate(
     t_end = float(t_end)
     y0 = start + [0.0] * len(names)
     # converted once, so the right-hand side does float work only
-    rhs = _traced_rhs(parts)
     alpha = tuple(float(a) for a in params.alpha)
     eta = None if params.eta is None else float(params.eta)
 
     records, termination = _advance(
-        lambda t, y: rhs(t, y, alpha, eta),
-        t0, y0, t_end, rel_tol, abs_tol, fixed_step, _system_guard(record), max_steps,
+        _traced_rhs(parts), t0, y0, t_end, rel_tol, abs_tol, fixed_step,
+        _system_guard(record), max_steps, (alpha, eta),
     )
 
     # the fields in order: the stepper's records enter as four columns

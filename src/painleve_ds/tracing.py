@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .scalars import ExtScalar
 
-NESTING_CAP = 8  # the deepest parentheses one inlined expression may nest
 RATIONAL = (int, Fraction)  # the leaf types of an integer-pair kernel
 _RATIONAL_TYPES = frozenset(RATIONAL)
 
@@ -75,8 +74,8 @@ def rational(leaves) -> bool:
 def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list):
     """Compile ``def signature:``, the unpack lines, the nodes the outputs
     (nodes or rationals) need, then ``return`` the template filled with them.
-    A node used once is written inline, in parentheses, where it is used,
-    unless that nests deeper than NESTING_CAP; the others are assignments.
+    A node used once is written inline, in parentheses, where it is used;
+    the others are assignments.
 
     Returns (generic, exact): each compiles its kernel on its first call
     and returns it.  ``exact()`` emits the same nodes over integer pairs
@@ -92,16 +91,15 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
         if node in uses:
             uses.update(arg for arg in node.args if arg.op)
     nodes = [node for node in tape if node in uses]
-    inline, depth = {}, {}  # the text and nesting of each node written inline
+    inline = {}  # the text of each node written inline
 
     text = lambda node: f"({inline[node]})" if node in inline else getattr(node, "name", repr(node))
     lines = list(unpack)
     for node in nodes:
         x, y = node.args
         expression = f"{text(x)} {node.op} {text(y)}"
-        nesting = 1 + max(depth.get(x, 0), depth.get(y, 0))
-        if uses[node] == 1 and nesting <= NESTING_CAP:
-            inline[node], depth[node] = expression, nesting
+        if uses[node] == 1:
+            inline[node] = expression
         else:
             lines.append(f"{node.name} = {expression}")
     lines.append("return " + returns.format(*map(text, outputs)))
@@ -179,10 +177,10 @@ def _integer_lines(unpack, returns, outputs, program, odd=()):
     return [*lines, "return " + returns.format(*map(out, outputs))]
 
 
-def _compile(title, signature, lines):
-    # no mtime: linecache.checkcache keeps the entry
+def _compile(title, signature, lines, **names):
+    # no mtime: linecache.checkcache keeps the entry; names join the globals
     lines = [f"def {signature}:", *(f"    {line}" for line in lines)]
     source, filename = "\n".join(lines) + "\n", f"<{title}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace := {"Fraction": Fraction, "ExtScalar": ExtScalar})
+    exec(compile(source, filename, "exec"), namespace := {"Fraction": Fraction, "ExtScalar": ExtScalar, **names})
     return namespace[signature.partition("(")[0]]

@@ -5,8 +5,13 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import pytest
 
@@ -277,31 +282,167 @@ def _stage_sum(weights, stages):
     return out
 
 
-class TestStepper:
-    @staticmethod
-    def _records(fixed_step):
-        # a damped pendulum with a time-dependent coupling: nonlinear in y and t
-        def f(t, y):
-            return [y[1], -math.sin(y[0]) - 0.3 * t * y[0] * y[1]]
+def _reference_advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, max_steps, args):
+    """flow._advance without a guard, written plainly: one stage at a time
+    from _stage_sum, and the error norm as a loop over the components.
+    Returns (records, termination, failures), each failure a (why, stage)."""
+    failures = []
+    direction = 1.0 if t_end >= t0 else -1.0
+    t, y = t0, list(y0)
+    slope = f(t, y, *args)
+    records = [(t, y, slope, 0.0)]
+    h = direction * (abs(fixed_step) if fixed_step is not None else min(0.05, abs(t_end - t0) / 100.0))
+    error_prev = 1.0
+    for _ in range(max_steps):
+        if direction * (t_end - t) <= 0:
+            return records, flow.REACHED_END, failures
+        terminal = direction * (t + h - t_end) >= 0
+        if terminal:
+            h = t_end - t
+        if not terminal and abs(h) < 1e-14 * max(1.0, abs(t)):
+            return records, flow.STEP_UNDERFLOW, failures
+        stages = [slope]
+        try:
+            for stage in range(1, 7):
+                state = [yj + h * s for yj, s in zip(y, _stage_sum(flow._A[stage], stages))]
+                try:
+                    k = f(t + flow._C[stage] * h, state, *args)
+                except ZeroDivisionError:
+                    raise PoleError("zero divisor") from None
+                if not all(map(math.isfinite, k)):
+                    raise PoleError("non-finite derivative")
+                stages.append(k)
+            stage = "norm"
+            total = 0.0
+            for e, a, b in zip([h * s for s in _stage_sum(flow._E, stages)], y, state):
+                total += (e / (abs_tol + rel_tol * max(abs(a), abs(b)))) ** 2
+            error = math.sqrt(total / len(y))
+        except (PoleError, OverflowError) as failure:
+            failures.append((type(failure).__name__, stage))
+            if fixed_step is not None:
+                return records, flow.POLE_DETECTED, failures
+            h *= 0.5
+            continue
+        if fixed_step is None and error > 1.0:
+            h *= min(max(flow._SHRINK_CAP, flow._SAFETY * error ** (-flow._PI_ALPHA)), 1.0)
+            continue
+        t = t_end if terminal else t + h
+        y, slope = state, stages[6]
+        records.append((t, y, slope, error))
+        if fixed_step is None:
+            floor = max(error, 1e-10)
+            factor = flow._SAFETY * floor ** (-flow._PI_ALPHA) * error_prev ** flow._PI_BETA
+            h *= min(flow._GROW_CAP, max(flow._SHRINK_CAP, factor))
+            error_prev = floor
+    return records, flow.STEP_BUDGET, failures
 
-        records, termination = flow._advance(
-            f, 0.0, [1.0, 0.5], 4.0, 1e-9, 1e-11, fixed_step, lambda t, y: None, 10_000
-        )
-        assert termination == flow.REACHED_END
-        return [(t, list(map(float.hex, y)), list(map(float.hex, slope)), error) for t, y, slope, error in records]
 
-    @pytest.mark.parametrize("fixed_step", [None, 0.05])
-    def test_fused_stages_match_per_term_sums_bit_for_bit(self, fixed_step, monkeypatch):
-        fused = self._records(fixed_step)
-        stage_states = [
-            lambda h, y, k, row=row: [yj + h * s for yj, s in zip(y, _stage_sum(row, k))]
-            for row in flow._A[1:]
+def _rider_system(size, spikes):
+    """A nonlinear, time-dependent system y' = f(t, y, c): a coupled ring on
+    the first size - 1 components and a last component that f never reads,
+    as the gauges ride along.  spikes maps an f call's number (0 at the
+    start) to the last component's slope at that call, or to "zero" for a
+    zero divisor there."""
+    calls = iter(range(10**9))
+
+    def f(t, y, c):
+        ring = len(y) - 1
+        slope = [
+            y[(j + 1) % ring] - math.sin(y[j]) - c * t * y[j] * y[(j + 1) % ring]
+            for j in range(ring)
         ]
-        monkeypatch.setattr(flow, "_STAGE_STATES", (None, *stage_states))
-        monkeypatch.setattr(flow, "_ERROR", lambda h, y, k: [h * s for s in _stage_sum(flow._E, k)])
-        reference = self._records(fixed_step)
-        assert len(fused) > 20
-        assert fused == reference
+        rider = spikes.get(next(calls), math.cos(t) + c * sum(y[:ring]))
+        return slope + [1.0 / 0.0 if rider == "zero" else rider]
+
+    return f
+
+
+# (spikes, the failures they must cause in the adaptive reference run)
+_SPIKES = {
+    "smooth": ({}, []),
+    # stage 6's slope reaches only the error, h * -1/40 * 1e170 over a
+    # scale near 1e-9: finite, but its square is past the float range
+    "overflow": ({6: 1e170, 30: -1e170}, [("OverflowError", "norm")] * 2),
+    # no stage reads a stage-1 slope of the last component: only the
+    # finiteness test of the slope itself sees it
+    "non-finite": (
+        {1: math.nan, 9: math.inf, 21: -math.inf, 43: "zero"},
+        [("PoleError", 1), ("PoleError", 2), ("PoleError", 6), ("PoleError", 4)],
+    ),
+}
+
+
+class TestStepper:
+    @pytest.mark.parametrize("fixed_step", [None, 0.05])
+    def test_fused_stages_match_per_term_sums_bit_for_bit(self, fixed_step):
+        """Each size's generated step against _reference_advance, every
+        record's time, state, slope and error compared as float.hex."""
+        hexed = lambda records: [
+            (t.hex(), [v.hex() for v in y], [v.hex() for v in slope], error.hex())
+            for t, y, slope, error in records
+        ]
+        for size in (1, 2, 3, 5, 6):
+            y0 = [0.5 + 0.25 * j for j in range(size)]
+            for name, (spikes, failures) in _SPIKES.items():
+                records, termination = flow._advance(
+                    _rider_system(size, spikes), 0.0, y0, 4.0, 1e-9, 1e-11, fixed_step,
+                    lambda t, y: None, 10_000, (0.3,),
+                )
+                reference = _reference_advance(
+                    _rider_system(size, spikes), 0.0, y0, 4.0, 1e-9, 1e-11, fixed_step, 10_000, (0.3,)
+                )
+                assert (hexed(records), termination) == (hexed(reference[0]), reference[1]), (size, name)
+                if fixed_step is None:
+                    assert termination == flow.REACHED_END
+                    assert reference[2] == failures, (size, name)
+                    assert len(records) > 20
+                else:
+                    assert reference[2] == failures[:1]
+                    assert termination == (flow.POLE_DETECTED if spikes else flow.REACHED_END)
+
+    def test_the_step_kernels_compile_at_import(self):
+        """In a fresh process, once a partition's right-hand side is traced,
+        its first integrate call compiles nothing: every record's state size
+        has its step kernel from the import of flow."""
+        script = textwrap.dedent("""
+            import builtins
+            from fractions import Fraction as QQ
+            from painleve_ds import flow, painleve
+            from painleve_ds.reductions import REDUCTIONS
+
+            runs = []
+            for parts, record in REDUCTIONS.items():
+                kappas = tuple(QQ(2 * k + 1, 7) for k in range(record.kappa_count))
+                rhos = tuple(QQ(3 + k, 5) for k in range(record.rho_count))
+                params = painleve.reduction_parameters(parts, kappas, rhos)
+                pairs = [(0.4, 0.3), (0.7, -0.2)][: record.pair_count]
+                gauges = {name: 1.0 + 0.25 * k for k, name in enumerate(record.gauge_names)}
+                painleve._traced_rhs(parts)
+                runs.append((parts, pairs, gauges, params))
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("integrate compiled")
+
+            builtins.compile = refuse
+            for parts, pairs, gauges, params in runs:
+                assert flow.integrate(parts, pairs, gauges, params, 2.0, 3.0).termination == flow.REACHED_END
+        """)
+        src = str(Path(flow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_the_step_source_reads_back(self):
+        lines = inspect.getsource(flow._step_kernel(3)).splitlines()
+        assert lines[:3] == [
+            "def step(f, args, t, h, y, k0, rel_tol, abs_tol):", "    y0, y1, y2, = y", "    k0_0, k0_1, k0_2, = k0",
+        ]
+        assert lines[3].startswith("    k1_0, k1_1, k1_2, = f(t + 0.2 * h, [y0 + h * (0.2 * k0_0), ")
+        assert sum(line.count("isfinite(") for line in lines) == 18
+        assert "    k6 = f(t + h, n := [n0, n1, n2, ], *args)" in lines
+        # squares, not products: an overflow fails the step, where inf would read as a large error
+        assert lines[-1].startswith("    return n, k6, sqrt(((e0 / (abs_tol + rel_tol * max(abs(y0), abs(n0)))) ** 2 + ")
+        assert lines[-1].endswith(") ** 2) / 3)")
 
     def test_a_zero_divisor_at_the_start_is_a_pole(self):
         def f(t, y):

@@ -10,7 +10,7 @@ import pytest
 
 from painleve_ds import painleve
 from painleve_ds.scalars import Extension, ExtScalar
-from painleve_ds.tracing import NESTING_CAP, GradingError, Traced, compile_kernel
+from painleve_ds.tracing import GradingError, Traced, compile_kernel
 
 
 def _leaves(*names):
@@ -84,17 +84,6 @@ class TestEmitter:
         kernel, lines = _kernel([total * total, total * x])
         assert lines[1:] == ["    v0 = x + y", "    return ((v0 * v0), (v0 * x), )"]
         assert kernel(2, 3) == (25, 10)
-
-    @pytest.mark.parametrize("depth", [NESTING_CAP, NESTING_CAP + 1])
-    def test_a_chain_deeper_than_the_cap_is_assigned(self, depth):
-        _, (x, y) = _leaves("x", "y")
-        value = x
-        for _ in range(depth):
-            value = value * y
-        kernel, lines = _kernel([value])
-        assigned = [line for line in lines if " = " in line]
-        assert len(assigned) == (depth > NESTING_CAP)
-        assert kernel(2, 3) == (2 * 3**depth,)
 
     def test_an_exact_zero_divisor_raises(self):
         _, (x, y) = _leaves("x", "y")
