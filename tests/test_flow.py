@@ -695,6 +695,17 @@ class TestCorrectnessMonitors:
         assert not report["max_residual"] <= 1e-6
         assert report["at_t"] == bad._times[k]
 
+    @pytest.mark.parametrize(
+        "parts, name", [(parts, name) for parts in FIVE for name in reduction(parts).gauge_names]
+    )
+    def test_a_vanished_gauge_is_named_as_a_pole(self, parts, name):
+        # exp(-1000.0) is 0.0: the monitor's pole check names the gauge
+        record = reduction(parts)
+        traj = copy.deepcopy(_run(parts))
+        traj._states[len(traj._states) // 2][2 * record.pair_count + record.gauge_names.index(name)] = -1000.0
+        with pytest.raises(PoleError, match=rf"^gauge variable {name} = 0$"):
+            flow.residual_along(traj)
+
     def test_observed_order_is_five(self):
         report = flow.order_check()
         assert abs(report["slope"] - 5.0) <= 0.3
