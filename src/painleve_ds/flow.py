@@ -11,27 +11,30 @@ differenced only by the stepper, never frozen, and the along-trajectory
 zero-curvature residual is the correctness monitor (the Hamiltonian is
 not conserved, so there is nothing energy-based to check).
 
-Near a singularity the trajectory stops and says why: fixed singular
-times and non-finite times are rejected up front, movable poles are
-flagged when a denominator falls below 1e-12 or the state leaves the
-1e12 ball, a step size collapsing without either is reported as
-underflow, and a run that uses up its step budget says so.
+Near a singularity the trajectory stops and says why: non-finite times
+and an interval through a fixed singular time are rejected up front, a
+state within DENOMINATOR_FLOOR (1e-12) of a fixed singular time, the
+start included, stops the run with the pole flag, movable poles are
+flagged when the state leaves the 1e12 ball, a step size collapsing
+without either is reported as underflow, and a run that uses up its step
+budget says so.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .heisenberg import Partition
-from .lax import _check_poles, _residual_kernel, _root_and_rate
+from .lax import _residual_values, _root_and_rate
 from .painleve import SystemParameters, _traced_rhs, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
 from .tracing import _compile
 
-DENOMINATOR_FLOOR = 1e-12
+DENOMINATOR_FLOOR = 1e-12  # the least distance |t - s| from a fixed singular time s
 STATE_CEILING = 1e12
 LOG_GAUGE_CEILING = 690.0  # exp overflows just above this; a gauge there is gone
 
@@ -448,12 +451,13 @@ def residual_along(trajectory: Trajectory) -> dict:
     step slopes standing in for the vector field: small values certify
     that the stored states and stored rates satisfy the flow-coupled
     identity together, so a corrupted state shows up immediately; a NaN
-    makes max_residual NaN, at the first such step's t.  The partition's
-    generated kernel runs on each stored state and slope, after the pole
-    checks of ``lax.zero_curvature_residual`` and with the root and rate of
-    ``lax._root_and_rate``: no sample, Gradient or Fraction is built per
-    step, and none runs the parameter map.  A step without a slope (a
-    singular start) is skipped; "samples" counts the steps evaluated.
+    makes max_residual NaN, at the first such step's t.  Each step is one
+    call of ``lax._residual_values``, as ``lax.zero_curvature_residual``
+    makes it, on the stored state and slope with each gauge restored and
+    its log-rate times the gauge, and the root of ``lax._root_and_rate``:
+    no sample, Gradient, Fraction or dict is built per step, and none runs
+    the parameter map.  A step without a slope (a singular start) is
+    skipped; "samples" counts the steps evaluated.
     """
     parts = trajectory.partition
     record = reduction(parts)
@@ -461,8 +465,8 @@ def residual_along(trajectory: Trajectory) -> dict:
     # found exactly once, then floats, as integrate treats the weights
     kappas = tuple(float(k) for k in kappas)
     rhos = tuple(float(r) for r in rhos)
-    kernel = _residual_kernel(parts)[1]
     n = 2 * record.pair_count
+    starts = trajectory._gauge_start
     worst = 0.0
     worst_t = trajectory._times[0]
     evaluated = 0
@@ -470,15 +474,12 @@ def residual_along(trajectory: Trajectory) -> dict:
         if slope is None:
             continue
         evaluated += 1
-        pairs, gauges = trajectory._split(y)
+        gauges = [start * math.exp(log) for start, log in zip(starts, y[n:])]
         root, rate = _root_and_rate(record, t)
-        _check_poles(record, t, gauges)
-        rates = tuple(zip(slope[0:n:2], slope[1:n:2]))
-        gauge_rates = {name: g * rate for (name, g), rate in zip(gauges.items(), slope[n:])}
-        try:
-            values = kernel(pairs, rates, gauges, gauge_rates, t, root, rate, kappas, rhos)
-        except ZeroDivisionError:
-            raise PoleError("division by zero in the zero-curvature residual") from None
+        values = _residual_values(
+            record, [*y[:n], *gauges], [*slope[:n], *map(operator.mul, gauges, slope[n:])],
+            t, root, rate, kappas, rhos,
+        )
         magnitudes = list(map(abs, values))
         magnitude = math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
         # a NaN compares false either way: it takes the worst place and keeps it

@@ -69,27 +69,31 @@ def time_root(parts, t) -> Gradient:
     return Gradient(root, (rate,))
 
 
-def _root_and_rate(record, t) -> tuple:
-    """(root, d(root)/dt) at a float or Fraction t, the rate as
-    ``RootRelation.along_t`` gives it, from one call of the relation's
-    (base, base') kernel: the monitor's per-step root, with no Gradient."""
+def _root_and_rate(record, t, root=None) -> tuple:
+    """(root, d(root)/dt) at a float or rational t, an int t taken as a
+    Fraction: the rate is root * base'(t) / (power * base(t)), from one
+    call of the relation's (base, base') kernel, so a constant base has
+    rate 0.  A drawn root is taken as given, else adjoined at rational t."""
     relation = record.root
     power = relation.power
+    if type(t) is int:
+        t = QQ(t)
     try:
         base, slope = relation.kernel(t)
     except ZeroDivisionError:
         base = 0
     if not 0 < abs(base) < math.inf:
         raise PoleError(f"{record.parts} root needs a finite nonzero base at t = {t}")
-    if type(t) is QQ:
-        if power != 2:
-            raise ValueError(f"{record.label} adjoins no exact root of power {power} at rational"
-                             f" t = {t}: draw {relation.symbol}, compute t from it and pass root=")
-        root = Extension(relation.symbol, base).root()
-    elif power == 2:
-        root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
-    else:  # odd power: the real root
-        root = math.copysign(abs(base) ** (1 / power), base)
+    if root is None:
+        if type(t) is QQ:
+            if power != 2:
+                raise ValueError(f"{record.label} adjoins no exact root of power {power} at rational"
+                                 f" t = {t}: draw {relation.symbol}, compute t from it and pass root=")
+            root = Extension(relation.symbol, base).root()
+        elif power == 2:
+            root = math.sqrt(base) if base > 0 else cmath.sqrt(complex(base))
+        else:  # odd power: the real root
+            root = math.copysign(abs(base) ** (1 / power), base)
     return root, root * slope / (power * base)
 
 
@@ -115,9 +119,9 @@ class DSState:
 
 
 def _check_poles(record, t, gauges):
-    """Refuse a zero gauge, and a time the record's coordinate map excludes."""
-    for name in record.gauge_names:
-        if is_zero_scalar(value_of(gauges[name])):
+    """Refuse a zero gauge, given in record order, and a time the record's map excludes."""
+    for name, gauge in zip(record.gauge_names, gauges):
+        if is_zero_scalar(value_of(gauge)):
             raise PoleError(f"gauge variable {name} = 0")
     for excluded in record.excluded_times:
         if is_zero_scalar(value_of(t) - excluded):
@@ -132,7 +136,7 @@ def canonical_to_ds(partition, pairs, t, gauges, kappas, rhos, root=None) -> DSS
     defaults to the value of ``time_root(partition, t)``.
     """
     record = reduction(partition)
-    _check_poles(record, t, gauges)
+    _check_poles(record, t, [gauges[name] for name in record.gauge_names])
     if root is None:
         root = time_root(record.parts, t).value
     tau = record.tau(t, root)
@@ -187,81 +191,77 @@ def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> LoopEleme
 @functools.cache
 def _residual_kernel(parts):
     """(entry keys, kernel, exact) from one trace of the generic assembly:
-    exact() is the kernel over integer pairs, and exact("u", "du") that
-    kernel graded by the parity of a square root, each compiled on its
-    first call (see ``tracing.compile_kernel``).  The leaves are the pairs, gauges and
-    root with their rates as the one partial, t with partial 1, the kappas
-    and the rhos; a kernel returns R's entries in key order, then K."""
+    ``residual(y, dy, t, u, du, k, r)`` returns R's entries in key order,
+    then K, from y = (q0, p0, q1, ..., the gauges in record order), their
+    rates dy, t, the root u and its rate du, the kappas and the rhos.
+    exact() and exact("u", "du") are its texts over integer pairs, plain and
+    graded by a square root's parity, each compiled on its first call."""
     record = reduction(parts)
     leaf = functools.partial(Traced, {})
     dual = lambda name: Gradient(leaf(name), (leaf("d" + name),))
     pairs = tuple((dual(f"q{i}"), dual(f"p{i}")) for i in range(record.pair_count))
-    gauges = {name: dual(f"g[{name!r}]") for name in record.gauge_names}
+    gauges = {name: dual(f"g{j}") for j, name in enumerate(record.gauge_names)}
     kappas = tuple(leaf(f"k{j}") for j in range(record.kappa_count))
     rhos = tuple(leaf(f"r{j}") for j in range(record.rho_count))
     res = _assemble_residual(parts, pairs, Gradient(leaf("t"), (1,)), gauges, kappas, rhos, dual("u"))
-    names = "".join(f"(q{i}, p{i}), " for i in range(record.pair_count))
+    column = [f"{c}{i}" for i in range(record.pair_count) for c in "qp"]
+    column += [f"g{j}" for j in range(len(record.gauge_names))]
     unpack = [
-        f"{names}= pairs",
-        names.replace("q", "dq").replace("p", "dp") + "= rates",
+        "".join(f"{name}, " for name in column) + "= y",
+        "".join(f"d{name}, " for name in column) + "= dy",
         "".join(f"k{j}, " for j in range(record.kappa_count)) + "= k",
         "".join(f"r{j}, " for j in range(record.rho_count)) + "= r",
     ]
     generic, exact = compile_kernel(
-        f"zero curvature of {record.label}", "residual(pairs, rates, g, dg, t, u, du, k, r)", unpack,
+        f"zero curvature of {record.label}", "residual(y, dy, t, u, du, k, r)", unpack,
         "(" + "{}, " * (len(res.entries) + 1) + ")", [*res.entries.values(), res.c_k],
     )
     return tuple(res.entries), generic(), exact
 
 
-def zero_curvature_residual(
-    partition, pairs, t, gauges, kappas, rhos, root=None,
-    pair_rates=None, gauge_rates=None,
-) -> LoopElement:
+def _residual_values(record, y, dy, t, u, du, kappas, rhos) -> tuple:
+    """R's entries in key order, then K, in ``_residual_kernel``'s columns,
+    after the pole checks.  The kernel runs over integer pairs when t, tested
+    first, and every input is an int or a Fraction, graded when u and du are
+    ``ExtScalar`` multiples of one square root.  A zero divisor is a PoleError."""
+    _check_poles(record, t, y[2 * record.pair_count :])
+    _, kernel, exact = _residual_kernel(record.parts)
+    ext = ()
+    if type(t) in RATIONAL:
+        odd, roots = (), (u, du)
+        if type(u) is type(du) is ExtScalar and u.ext == du.ext and not (u.coeffs[0] or du.coeffs[0]):
+            odd, roots = ("u", "du"), (u.coeffs[1], du.coeffs[1])  # multiples of one sqrt(b)
+        if rational(chain(roots, kappas, rhos, y, dy)):
+            kernel, ext, (u, du) = exact(*odd), ((u.ext,) if odd else ()), roots
+    try:
+        return kernel(y, dy, t, u, du, kappas, rhos, *ext)
+    except ZeroDivisionError:
+        raise PoleError("division by zero in the zero-curvature residual") from None
+
+
+def zero_curvature_residual(partition, pairs, t, gauges, kappas, rhos, root=None) -> LoopElement:
     """R = dM/dt - theta(B_t) + [M, B_t]; identically zero on valid data.
 
     dM/dt is the derivative along d/dt: the pair rates are the
     Hamiltonian vector field, each gauge rate is gauge times its
     multiplier log-derivative, t has rate 1, and the root is
     ``time_root(partition, t)`` unless given as a one-direction Gradient.
-    R is computed by code generated once per partition from the generic
-    assembly; the value checks run on each call's own data.  When every
-    input is an int or a Fraction, t tested first, that code runs over
-    integer pairs; so it does when the root and its rate are ``ExtScalar``
-    multiples of one square root and every other input is rational.
-
-    pair_rates and gauge_rates override the flow-derived rates, so that
-    stored trajectory slopes can stand in for the vector field; R then
-    measures how far the stored data is from the flow-coupled identity.
-    The parameter map runs only when one of them is missing.
+    R comes from code generated once per partition from the generic
+    assembly, through ``_residual_values``, the checked call the trajectory
+    monitor makes too; the value checks run on each call's own data.
     """
     record = reduction(partition)
     parts = record.parts
     if root is None:
         root = time_root(parts, t)
-    if pair_rates is None or gauge_rates is None:
-        params = reduction_parameters(parts, kappas, rhos)
-    if pair_rates is None:
-        pair_rates = vector_field(record.system, pairs, t, params)
-    if gauge_rates is None:
-        dlogs = gauge_log_derivatives(parts, pairs, t, params)
-        gauge_rates = {name: g * dlogs[name] for name, g in gauges.items()}
-
-    _check_poles(record, t, gauges)
-    keys, kernel, exact = _residual_kernel(parts)
-    u, du = value_of(root), tangent_of(root)
-    odd, roots, ext = (), (u, du), ()
-    if type(u) is type(du) is ExtScalar and u.ext == du.ext and not (u.coeffs[0] or du.coeffs[0]):
-        odd, roots = ("u", "du"), (u.coeffs[1], du.coeffs[1])  # multiples of one sqrt(b)
-    if type(t) in RATIONAL and rational(
-        chain(roots, kappas, rhos, gauges.values(), gauge_rates.values(), *pairs, *pair_rates)
-    ):
-        kernel, ext, (u, du) = exact(*odd), ((u.ext,) if odd else ()), roots
-    try:
-        *values, c_k = kernel(pairs, pair_rates, gauges, gauge_rates, t, u, du, kappas, rhos, *ext)
-    except ZeroDivisionError:
-        raise PoleError("division by zero in the zero-curvature residual") from None
-    return LoopElement(sum(parts) - 1, dict(zip(keys, values)), c_k)
+    params = reduction_parameters(parts, kappas, rhos)
+    dlogs = gauge_log_derivatives(parts, pairs, t, params)
+    values = [gauges[name] for name in record.gauge_names]
+    y = [*chain(*pairs), *values]
+    dy = [*chain(*vector_field(record.system, pairs, t, params)),
+          *(g * dlogs[name] for name, g in zip(record.gauge_names, values))]
+    *values, c_k = _residual_values(record, y, dy, t, value_of(root), tangent_of(root), kappas, rhos)
+    return LoopElement(sum(parts) - 1, dict(zip(_residual_kernel(parts)[0], values)), c_k)
 
 
 def _worst_entry(element: LoopElement) -> dict:
@@ -299,8 +299,8 @@ def _examine_point(record, point):
     for name, residual in constraint_residuals(canonical_to_ds(record.parts, **point)).items():
         if not is_zero_scalar(residual):
             return {"entry": ["constraint", name], "residual": repr(residual)}
-    root = record.root.along_t(point["root"], point["t"])
-    residual = zero_curvature_residual(record.parts, **{**point, "root": root})
+    root, rate = _root_and_rate(record, point["t"], point["root"])
+    residual = zero_curvature_residual(record.parts, **{**point, "root": Gradient(root, (rate,))})
     if not residual.is_zero():
         return _worst_entry(residual)
     return None

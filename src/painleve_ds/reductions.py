@@ -25,7 +25,7 @@ from typing import Callable, ClassVar
 
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
-from .scalars import QQ, Gradient, PoleError, tangent_of, value_of
+from .scalars import QQ, Gradient, tangent_of, value_of
 from .tracing import Traced, compile_kernel, rational
 
 
@@ -80,17 +80,6 @@ class RootRelation:
         dual = self.base(Gradient(Traced({}, "t"), (1,)))
         outputs = [value_of(dual), tangent_of(dual)]
         return compile_kernel(f"base of {self.symbol}**{self.power}", "base(t)", [], "({}, {})", outputs)[0]()
-
-    def along_t(self, root, t) -> Gradient:
-        """The root with d(root)/dt = root * base'(t) / (power * base(t)), from
-        implicit differentiation of the relation, as its one partial; base
-        and base' come from one call of ``kernel``, so a constant base has
-        rate 0.  An int t is taken as a Fraction, so the rate stays exact."""
-        try:
-            base, slope = self.kernel(Fraction(t) if type(t) is int else t)
-        except ZeroDivisionError:
-            raise PoleError("division by zero") from None
-        return Gradient(root, (root * slope / (self.power * base),))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import json
 import random
 import tokenize
 from fractions import Fraction as QQ
+from itertools import chain
 
 import pytest
 
@@ -221,8 +222,8 @@ def _claimed(parts):
 
 
 def _as_generic(graded):
-    def call(pairs, rates, g, dg, t, u, du, k, r):
-        return graded(pairs, rates, g, dg, t, u.coeffs[1], du.coeffs[1], k, r, u.ext)
+    def call(y, dy, t, u, du, k, r):
+        return graded(y, dy, t, u.coeffs[1], du.coeffs[1], k, r, u.ext)
     return call
 
 
@@ -268,8 +269,10 @@ def _residual_points(parts, surd=False):
             rates = tuple((dq + 1, dp) for dq, dp in rates)
         if index % 3 == 2:
             gauges = {name: QQ(0) for name in gauges}
-        root = record.root.along_t(point["root"], t)
-        points.append((pairs, rates, gauges, gauge_rates, t, root.value, root.grad[0], point["kappas"], point["rhos"]))
+        root, rate = lax._root_and_rate(record, t, point["root"])
+        y = [*chain(*pairs), *(gauges[name] for name in record.gauge_names)]
+        dy = [*chain(*rates), *(gauge_rates[name] for name in record.gauge_names)]
+        points.append((y, dy, t, root, rate, point["kappas"], point["rhos"]))
     return points
 
 

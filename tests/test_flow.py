@@ -198,6 +198,19 @@ class TestIntegration:
         assert traj.termination == flow.POLE_DETECTED
         assert traj.final.t < 3.0
 
+    @pytest.mark.parametrize("parts, s", [
+        (parts, s) for parts, record in REDUCTIONS.items() for s in record.singular_times
+    ])
+    def test_a_start_within_the_floor_of_a_singular_time_is_a_pole(self, parts, s):
+        # 5e-13 from s is inside DENOMINATOR_FLOOR: the run stops at its
+        # start with the pole flag, on either side, where with no floor it
+        # shrinks its steps until they underflow
+        for side in (1.0, -1.0):
+            start = s + side * 5e-13
+            traj = _run(parts, t0=start, t1=s + side * 0.5)
+            assert traj.termination == flow.POLE_DETECTED
+            assert traj._times == (start,)
+
     def test_crossing_the_coupling_locus_continues(self):
         # starting exactly on q1 = t is not an invariant condition: the
         # flow leaves the locus and the run completes

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction as QQ
+from itertools import chain
 
 import pytest
 
@@ -37,8 +38,8 @@ SIDES = {
 }
 
 
-# d base / dt written out by hand: the reference for the rate along_t
-# takes from one forward pass of each record's base
+# d base / dt written out by hand: the reference for the rate
+# lax._root_and_rate takes from one forward pass of each record's base
 BASE_RATE = {
     (3, 3): lambda t: -1 / (t * t),
     (2, 2, 1): lambda t: 1,
@@ -84,7 +85,8 @@ def _evaluate(x, root):
 
 def _root(parts, point):
     """The sampled root as the one-direction Gradient the residual takes."""
-    return reduction(parts).root.along_t(point["root"], point["t"])
+    root, rate = lax._root_and_rate(reduction(parts), point["t"], point["root"])
+    return Gradient(root, (rate,))
 
 
 def _exact_frames(parts):
@@ -97,7 +99,7 @@ def _exact_frames(parts):
     if relation.power == 2:
         return [(t, time_root(parts, t)) for t in SIDES[parts]]
     roots = (QQ(-2, 3), QQ(3, 2), QQ(2, 3))  # t = -27/8, 8/27, 27/8
-    return [(relation.time(u), relation.along_t(u, relation.time(u))) for u in roots]
+    return [(relation.time(u), _root(parts, {"root": u, "t": relation.time(u)})) for u in roots]
 
 
 class TestFrames:
@@ -260,7 +262,7 @@ class TestZeroCurvature:
         # t = 8 has the rational (3,3) root u = 1/2, which that record is given
         point = _clean_point(parts)
         relation = reduction(parts).root
-        root = relation.along_t(QQ(1, 2), 8) if relation.power == 3 else None
+        root = _root(parts, {"root": QQ(1, 2), "t": 8}) if relation.power == 3 else None
         residual = zero_curvature_residual(
             parts, point["pairs"], 8, point["gauges"], point["kappas"], point["rhos"], root=root,
         )
@@ -278,36 +280,11 @@ class TestZeroCurvature:
         residual = zero_curvature_residual(parts, pairs, t, gauges, kappas, rhos)
         assert _largest(residual) < 1e-9
 
-    @pytest.mark.parametrize("parts", FIVE)
-    def test_supplied_flow_rates_match_derived_ones(self, parts):
-        # passing the flow's own rates skips the parameter map and must
-        # give the same element as deriving them: zero
-        record = reduction(parts)
-        for seed in range(3):
-            point = _clean_point(parts, seed=seed)
-            args = (parts, point["pairs"], point["t"], point["gauges"],
-                    point["kappas"], point["rhos"], _root(parts, point))
-            params = reduction_parameters(parts, point["kappas"], point["rhos"])
-            dlogs = gauge_log_derivatives(parts, point["pairs"], point["t"], params)
-            supplied = zero_curvature_residual(
-                *args,
-                pair_rates=vector_field(record.system, point["pairs"], point["t"], params),
-                gauge_rates={name: g * dlogs[name] for name, g in point["gauges"].items()},
-            )
-            assert supplied == zero_curvature_residual(*args)
-            assert supplied.is_zero()
-
     def test_rates_off_the_flow_are_detected(self):
         # the identity couples states to the canonical flow: feeding any
         # other rates must leave a nonzero residual
         point = _clean_point((2, 2), seed=6)
-        ((q, p),) = point["pairs"]
-        residual = zero_curvature_residual(
-            (2, 2), point["pairs"], point["t"], point["gauges"],
-            point["kappas"], point["rhos"], _root((2, 2), point),
-            pair_rates=((QQ(1), QQ(0)),),
-            gauge_rates={"w1": QQ(0)},
-        )
+        residual = _supplied((2, 2), point, _root((2, 2), point), ((QQ(1), QQ(0)),), {"w1": QQ(0)})
         assert not residual.is_zero()
 
 
@@ -328,12 +305,21 @@ def _random_rates(parts, rng):
     return pair_rates, {name: random_rational(rng) for name in record.gauge_names}
 
 
+def _supplied(parts, point, root, pair_rates, gauge_rates):
+    """R from the checked call ``lax._residual_values`` with the given rates
+    in place of the flow's, wrapped as zero_curvature_residual wraps it."""
+    record = reduction(parts)
+    y = [*chain(*point["pairs"]), *(point["gauges"][name] for name in record.gauge_names)]
+    dy = [*chain(*pair_rates), *(gauge_rates[name] for name in record.gauge_names)]
+    *values, c_k = lax._residual_values(
+        record, y, dy, point["t"], root.value, root.grad[0], point["kappas"], point["rhos"]
+    )
+    return LoopElement(sum(parts) - 1, dict(zip(lax._residual_kernel(parts)[0], values)), c_k)
+
+
 def _both_ways(parts, point, root, pair_rates, gauge_rates):
     """R from the generated kernel, and from the generic assembly it is traced from."""
-    kernel = zero_curvature_residual(
-        parts, point["pairs"], point["t"], point["gauges"], point["kappas"], point["rhos"],
-        root, pair_rates=pair_rates, gauge_rates=gauge_rates,
-    )
+    kernel = _supplied(parts, point, root, pair_rates, gauge_rates)
     pairs = tuple(
         (Gradient(q, (dq,)), Gradient(p, (dp,)))
         for (q, p), (dq, dp) in zip(point["pairs"], pair_rates)
@@ -460,7 +446,8 @@ def _lane_point(parts, lane, **changes):
     """A clean sample point with changes, in the exact or the float lane,
     and the root that lane passes."""
     point = {**_clean_point(parts, seed=2), **changes}
-    root = reduction(parts).root.along_t(point.pop("root"), point["t"])
+    root = _root(parts, point)
+    del point["root"]
     if lane == "exact":
         return point, root
     as_float = lambda x: float(x) if isinstance(x, QQ) else x
@@ -477,10 +464,7 @@ def _lane_point(parts, lane, **changes):
 def _still(parts):
     """Zero pair and gauge rates: they reach the residual past the vector field."""
     record = reduction(parts)
-    return {
-        "pair_rates": tuple((0, 0) for _ in range(record.pair_count)),
-        "gauge_rates": {name: 0 for name in record.gauge_names},
-    }
+    return tuple((0, 0) for _ in range(record.pair_count)), {name: 0 for name in record.gauge_names}
 
 
 class TestPoleContract:
@@ -499,14 +483,14 @@ class TestPoleContract:
     def test_the_cubed_root_excludes_t_one(self, lane):
         point, root = _lane_point((3, 3), lane, t=QQ(1), root=QQ(1))
         with pytest.raises(PoleError, match="excludes t = 1"):
-            zero_curvature_residual((3, 3), root=root, **point, **_still((3, 3)))
+            _supplied((3, 3), point, root, *_still((3, 3)))
 
     @pytest.mark.parametrize("lane", ["exact", "float"])
     def test_a_zero_divisor_is_a_pole(self, lane):
         # s = 1 makes the (2,2) B denominator (s**2 - 1) w1 vanish
         point, root = _lane_point((2, 2), lane, t=QQ(1), root=QQ(1))
         with pytest.raises(PoleError, match="division by zero"):
-            zero_curvature_residual((2, 2), root=root, **point, **_still((2, 2)))
+            _supplied((2, 2), point, root, *_still((2, 2)))
 
 
 class TestLaxMatrices:

@@ -8,11 +8,14 @@ residual then reduce to 0, so the identity holds for all data, not only
 at the sampled points.
 """
 
+from itertools import chain
+
 import pytest
 
 sp = pytest.importorskip("sympy")
 
-from painleve_ds.lax import zero_curvature_residual  # noqa: E402
+from painleve_ds.lax import _residual_values, zero_curvature_residual  # noqa: E402
+from painleve_ds.painleve import gauge_log_derivatives, reduction_parameters  # noqa: E402
 from painleve_ds.reductions import REDUCTIONS  # noqa: E402
 from painleve_ds.scalars import Gradient  # noqa: E402
 
@@ -27,7 +30,8 @@ ROOTS = {
 }
 
 
-def _residual(record, pair_rates=None):
+def _symbols(record):
+    """Symbolic pairs, gauges (in record order), kappas and rhos, and the root."""
     root = ROOTS[record.parts]
     pairs = tuple(
         (sp.Symbol(f"q{i}"), sp.Symbol(f"p{i}")) for i in range(1, record.pair_count + 1)
@@ -35,11 +39,7 @@ def _residual(record, pair_rates=None):
     gauges = {name: sp.Symbol(name) for name in record.gauge_names}
     kappas = sp.symbols(f"kappa0:{record.kappa_count}")
     rhos = sp.symbols(f"rho1:{record.rho_count + 1}")
-    residual = zero_curvature_residual(
-        record.parts, pairs, t, gauges, kappas, rhos,
-        root=Gradient(root, (sp.diff(root, t),)), pair_rates=pair_rates,
-    )
-    return [*residual.entries.values(), residual.c_k]
+    return pairs, gauges, kappas, rhos, Gradient(root, (sp.diff(root, t),))
 
 
 def _vanishes(value) -> bool:
@@ -55,12 +55,18 @@ def test_root_satisfies_the_record_relation(parts):
 
 @pytest.mark.parametrize("parts", list(REDUCTIONS))
 def test_zero_curvature_is_an_identity(parts):
-    values = _residual(REDUCTIONS[parts])
-    assert all(_vanishes(v) for v in values)
+    record = REDUCTIONS[parts]
+    pairs, gauges, kappas, rhos, root = _symbols(record)
+    residual = zero_curvature_residual(parts, pairs, t, gauges, kappas, rhos, root=root)
+    assert all(_vanishes(v) for v in (*residual.entries.values(), residual.c_k))
 
 
 def test_off_flow_rates_leave_a_nonzero_entry():
+    # the pairs stand still while the gauges keep the flow's rates
     record = REDUCTIONS[(2, 2)]
-    still = tuple((0, 0) for _ in range(record.pair_count))
-    values = _residual(record, pair_rates=still)
+    pairs, gauges, kappas, rhos, root = _symbols(record)
+    dlogs = gauge_log_derivatives(record.parts, pairs, t, reduction_parameters(record.parts, kappas, rhos))
+    y = [*chain(*pairs), *gauges.values()]
+    still = [0] * (2 * record.pair_count) + [g * dlogs[name] for name, g in gauges.items()]
+    values = _residual_values(record, y, still, t, root.value, root.grad[0], kappas, rhos)
     assert not all(_vanishes(v) for v in values)
