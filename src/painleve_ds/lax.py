@@ -256,10 +256,10 @@ def zero_curvature_residual(partition, pairs, t, gauges, kappas, rhos, root=None
         root = time_root(parts, t)
     params = reduction_parameters(parts, kappas, rhos)
     dlogs = gauge_log_derivatives(parts, pairs, t, params)
-    values = [gauges[name] for name in record.gauge_names]
-    y = [*chain(*pairs), *values]
+    ordered = [gauges[name] for name in record.gauge_names]
+    y = [*chain(*pairs), *ordered]
     dy = [*chain(*vector_field(record.system, pairs, t, params)),
-          *(g * dlogs[name] for name, g in zip(record.gauge_names, values))]
+          *(g * dlogs[name] for name, g in zip(record.gauge_names, ordered))]
     *values, c_k = _residual_values(record, y, dy, t, value_of(root), tangent_of(root), kappas, rhos)
     return LoopElement(sum(parts) - 1, dict(zip(_residual_kernel(parts)[0], values)), c_k)
 
