@@ -1,6 +1,7 @@
 """Exact zero-curvature and constraint checks for the five reductions."""
 
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction as QQ
@@ -502,6 +503,33 @@ class TestLaxMatrices:
         n = sum(parts)
         assert m.size == n
         assert b.size == n
+
+
+# sha256 of the public exact outputs at rational t where the root is a surd:
+# for each record with a square root and each t, a seeded point's reduced
+# variables, constraint residuals, M and B, and zero-curvature residual,
+# as their reprs.  A value c*s^1 prints as such, and a sum of an even and an
+# odd value would raise, so the pin also shows that no public call forms one.
+SURD_TIMES = (QQ(2), QQ(3, 7), QQ(-5, 3))
+SURD_PUBLIC_SHA256 = "4490660d2b040934d3453814e566b6aa378529ef6811f5f99c5bc58c2414ce7a"
+
+
+def test_public_calls_at_a_surd_time_are_pinned():
+    lines = []
+    for parts in [(2, 2), (2, 2, 1), (4, 1), (3, 1)]:
+        for t in SURD_TIMES:
+            point = {**sample_point(parts, random.Random(41)), "t": t}
+            del point["root"]
+            state = canonical_to_ds(parts, **point)
+            constraints = constraint_residuals(state)
+            m, b = lax_matrices(state)
+            residual = zero_curvature_residual(parts, **point)
+            assert all(value == 0 for value in constraints.values()) and residual.is_zero()
+            lines.append(repr((parts, t, state.variables, constraints, m.entries, m.c_k,
+                               b.entries, b.c_k, residual.entries, residual.c_k)))
+    text = "\n".join(lines)
+    assert "*s^1" in text and "*r^1" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == SURD_PUBLIC_SHA256
 
 
 class TestVerification:
