@@ -229,8 +229,8 @@ def _residual_values(record, y, dy, t, u, du, kappas, rhos) -> tuple:
     ext = ()
     if type(t) in RATIONAL:
         odd, roots = (), (u, du)
-        if type(u) is type(du) is ExtScalar and u.ext == du.ext and not (u.coeffs[0] or du.coeffs[0]):
-            odd, roots = ("u", "du"), (u.coeffs[1], du.coeffs[1])  # multiples of one sqrt(b)
+        if type(u) is type(du) is ExtScalar and u.ext == du.ext and (u.odd or not u.c) and (du.odd or not du.c):
+            odd, roots = ("u", "du"), (u.c, du.c)  # multiples of one sqrt(b)
         if rational(chain(roots, kappas, rhos, y, dy)):
             kernel, ext, (u, du) = exact(*odd), ((u.ext,) if odd else ()), roots
     try:

@@ -2,9 +2,14 @@
 
 All higher layers are generic over the scalar type.  Formula code written
 with ordinary ``+ - * /`` runs unchanged over ``Fraction``, ``ExtScalar``
-(rationals with one root symbol adjoined, such as ``s**2 = t``),
+(a rational times a power of one root symbol, such as ``s**2 = t``),
 ``Gradient`` values carrying their partials along seeded directions, and
 plain ``float``/``complex`` for the numeric backend.
+
+An ``ExtScalar`` is homogeneous: c or c*s, never a + b*s.  The package's
+formulas are graded by the root's parity, as the kernels ``tracing`` emits
+are, so each value they form has one parity; a sum that would mix the two
+raises :class:`GradingError` rather than widen to the whole field.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ from operator import add, sub
 
 QQ = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class PoleError(ArithmeticError):
-    """Division by a value that is zero (or a zero divisor) in its ring."""
+    """Division by a value that is zero in its ring."""
+
+
+class GradingError(ValueError):
+    """A sum of a nonzero even and a nonzero odd value of Q(sqrt b)."""
 
 
 def format_rational(x: Fraction) -> str:
@@ -35,11 +41,11 @@ def is_rational(x) -> bool:
 
 @dataclass(frozen=True)
 class Extension:
-    """The ring Q[s]/(s**2 - base): one square root adjoined to Q.
+    """One square root s, s**2 = base, adjoined to Q for homogeneous values.
 
-    The base is a nonzero rational fixed at construction time.  The ring
-    is a field only when the base is not a square: ``s**2 = 4`` has zero
-    divisors, and inverting one raises :class:`PoleError`.
+    The base is a nonzero rational fixed at construction time.  Its values
+    are c and c*s, so every nonzero one is invertible, even where the base
+    is a square.
     """
 
     symbol: str
@@ -52,114 +58,87 @@ class Extension:
 
     def root(self) -> "ExtScalar":
         """The adjoined symbol s."""
-        return ExtScalar(self, (_ZERO, _ONE))
+        return ExtScalar(self, Fraction(1), odd=True)
 
 
 class ExtScalar:
-    """Element a + b*s of an :class:`Extension`, stored as the pair (a, b)."""
+    """Value c * s**odd of an :class:`Extension`: a Fraction c and a parity.
+    Zero takes either parity."""
 
-    __slots__ = ("ext", "coeffs")
+    __slots__ = ("ext", "c", "odd")
 
-    def __init__(self, ext: Extension, coeffs: tuple):
-        self.ext = ext
-        self.coeffs = coeffs
+    def __init__(self, ext: Extension, c, odd=False):
+        self.ext, self.c, self.odd = ext, c, odd
 
-    def _check_ring(self, other: "ExtScalar"):
-        if other.ext is not self.ext and other.ext != self.ext:
-            raise ValueError("mixed extensions")
+    def _lift(self, other):
+        """other's (c, odd) in this ring; None for a foreign type."""
+        if isinstance(other, ExtScalar):
+            if other.ext is not self.ext and other.ext != self.ext:
+                raise ValueError("mixed extensions")
+            return other.c, other.odd
+        return (other, False) if is_rational(other) else None
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_rational_value(self) -> bool:
-        return not self.coeffs[1]
+    def _sum(self, other, op):
+        if (lifted := self._lift(other)) is None:
+            return NotImplemented
+        c, odd = lifted
+        if odd != self.odd and c and self.c:
+            raise GradingError(f"{self!r} and {other!r} differ in parity")
+        return ExtScalar(self.ext, op(self.c, c), self.odd if self.c else odd)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs
-        if isinstance(other, ExtScalar):
-            self._check_ring(other)
-            c, d = other.coeffs
-            return ExtScalar(self.ext, (a + c, b + d))
-        if is_rational(other):
-            return ExtScalar(self.ext, (a + other, b))
-        return NotImplemented
+        return self._sum(other, add)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a, b = self.coeffs
-        return ExtScalar(self.ext, (-a, -b))
-
     def __sub__(self, other):
-        a, b = self.coeffs
-        if isinstance(other, ExtScalar):
-            self._check_ring(other)
-            c, d = other.coeffs
-            return ExtScalar(self.ext, (a - c, b - d))
-        if is_rational(other):
-            return ExtScalar(self.ext, (a - other, b))
-        return NotImplemented
+        return self._sum(other, sub)
 
     def __rsub__(self, other):
         return -self + other
 
+    def __neg__(self):
+        return ExtScalar(self.ext, -self.c, self.odd)
+
     def __mul__(self, other):
-        a, b = self.coeffs
-        if isinstance(other, ExtScalar):
-            self._check_ring(other)
-            # (a + b s)(c + d s) = (a c + b d base) + (a d + b c) s; most
-            # factors are rational or a multiple of s, so zero slots are skipped
-            c, d = other.coeffs
-            if not d:
-                return self * c
-            if not b:
-                return other * a
-            if not a and not c:
-                return ExtScalar(self.ext, (b * d * self.ext.base, _ZERO))
-            return ExtScalar(self.ext, (a * c + b * d * self.ext.base, a * d + b * c))
-        if is_rational(other):
-            return ExtScalar(self.ext, (a * other if a else a, b * other if b else b))
-        return NotImplemented
+        if (lifted := self._lift(other)) is None:
+            return NotImplemented
+        c, odd = lifted
+        if odd and self.odd:  # s * s = base
+            return ExtScalar(self.ext, self.c * c * self.ext.base)
+        return ExtScalar(self.ext, self.c * c, self.odd or odd)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "ExtScalar":
-        """(a + b s)**-1 = (a - b s) / (a**2 - b**2 base); a zero norm is a pole."""
-        a, b = self.coeffs
-        norm = a * a - b * b * self.ext.base
-        if not norm:
-            raise PoleError(f"{self!r} is zero or a zero divisor in {self.ext!r}")
-        return ExtScalar(self.ext, (a / norm, -b / norm))
-
     def __truediv__(self, other):
-        if isinstance(other, ExtScalar):
-            return self * other.inverse()
-        if is_rational(other):
-            if not other:
-                raise PoleError("division by zero in extension")
-            return self * (_ONE / other)
-        return NotImplemented
+        if (lifted := self._lift(other)) is None:
+            return NotImplemented
+        c, odd = lifted
+        if not c:
+            raise PoleError(f"division of {self!r} by zero in {self.ext!r}")
+        if odd and not self.odd:  # x / (c s) = x s / (c base)
+            c *= self.ext.base
+        return ExtScalar(self.ext, self.c / c, self.odd != odd)
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return ExtScalar(self.ext, Fraction(other)) / self if is_rational(other) else NotImplemented
 
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, ExtScalar):
-            self._check_ring(other)
-            return self.coeffs == other.coeffs
-        if is_rational(other):
-            return self.is_rational_value() and self.coeffs[0] == other
-        return NotImplemented
+        if (lifted := self._lift(other)) is None:
+            return NotImplemented
+        c, odd = lifted
+        return self.c == c and (odd == self.odd or not c)
 
     __hash__ = None
 
     def __repr__(self):
-        terms = [f"{c}*{self.ext.symbol}^{e}" if e else f"{c}" for e, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) or "0"
+        if not self.c:
+            return "0"
+        return f"{self.c}*{self.ext.symbol}^1" if self.odd else f"{self.c}"
 
 
 class Gradient:
@@ -246,8 +225,6 @@ def tangent_of(x):
 def is_zero_scalar(x) -> bool:
     if isinstance(x, Gradient):
         return is_zero_scalar(x.value) and all(is_zero_scalar(g) for g in x.grad)
-    if isinstance(x, ExtScalar):
-        return x.is_zero()
     return x == 0
 
 

@@ -11,7 +11,7 @@ import linecache
 from collections import Counter
 from fractions import Fraction
 
-from .scalars import ExtScalar
+from .scalars import ExtScalar, GradingError
 
 RATIONAL = (int, Fraction)  # the leaf types of an integer-pair kernel
 _RATIONAL_TYPES = frozenset(RATIONAL)
@@ -81,7 +81,8 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     and returns it.  ``exact()`` emits the same nodes over integer pairs
     (see ``_integer_lines``) and runs on ints and Fractions only;
     ``exact(*odd)`` emits them over Q(sqrt b) with the named leaves odd,
-    taking their sqrt(b) coefficients and, last, the ``Extension`` ext.
+    taking the c of each odd ``ExtScalar`` c*sqrt(b) and, last, the
+    ``Extension`` ext: the rule ``ExtScalar`` follows, decided per node.
     Each source is cached under its title when it is compiled, so
     tracebacks and ``inspect.getsource`` show the generated lines.
     """
@@ -118,10 +119,6 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     return functools.cache(lambda: _compile(title, signature, lines)), exact
 
 
-class GradingError(ValueError):
-    """A sum of an even and an odd node: the tape is not graded by its odd leaves."""
-
-
 def _integer_lines(unpack, returns, outputs, program, odd=()):
     """The program's nodes, (name, op, x, y) by name, as pairs of Python
     ints (n, d), never reduced: + and - cross-multiply, * multiplies across,
@@ -132,9 +129,9 @@ def _integer_lines(unpack, returns, outputs, program, odd=()):
     With odd leaves, each value is c or c*sqrt(b), b = ext.base, and the
     pair holds c: a node's parity is static, odd * odd multiplies c by b,
     and an even node over an odd one divides c by b, since 1/sqrt(b) =
-    sqrt(b)/b.  A sum of mixed parity raises GradingError; a literal 0
-    takes either parity.  Each output an odd leaf reaches is an ExtScalar
-    over ext, as the generic kernel gives it."""
+    sqrt(b)/b.  A sum of mixed parity raises the GradingError an
+    ExtScalar raises; a literal 0 takes either parity.  Each output an odd
+    leaf reaches is an ExtScalar of its parity, as the generic kernel gives it."""
     lines, pair, checked, parity = list(unpack), {}, set(), dict.fromkeys(odd, 1)
     times = lambda *texts: "0" if "0" in texts else " * ".join(s for s in texts if s not in (None, "1")) or "1"
 
@@ -172,7 +169,7 @@ def _integer_lines(unpack, returns, outputs, program, odd=()):
         lines += [f"{var} = {s}" for var, s in zip(pair[name], (n, d)) if var != s]
     nodes = {name for name, *_ in program}
     reduced = lambda name: "Fraction({}, {})".format(*pair[name]) if name in nodes else name
-    wrap = ("ExtScalar(ext, ({}, 0))", "ExtScalar(ext, (0, {}))")
+    wrap = ("ExtScalar(ext, {})", "ExtScalar(ext, {}, odd=True)")
     out = lambda name: wrap[parity[name]].format(reduced(name)) if name in parity else reduced(name)
     return [*lines, "return " + returns.format(*map(out, outputs))]
 

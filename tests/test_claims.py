@@ -25,7 +25,7 @@ from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import check_claims, first_witness
-from painleve_ds.scalars import Extension, ExtScalar, PoleError, is_zero_scalar
+from painleve_ds.scalars import Extension, ExtScalar, GradingError, PoleError, is_zero_scalar
 
 # sha256 of the four suites' bodies at samples=3, seed=4 with one claim
 # of each broken on purpose, as in test_weyl.TestWitnesses
@@ -223,7 +223,7 @@ def _claimed(parts):
 
 def _as_generic(graded):
     def call(y, dy, t, u, du, k, r):
-        return graded(y, dy, t, u.coeffs[1], du.coeffs[1], k, r, u.ext)
+        return graded(y, dy, t, u.c, du.c, k, r, u.ext)
     return call
 
 
@@ -234,12 +234,13 @@ def _system_records(system):
 def _outcome(kernel, args):
     """The outputs and their repr, or what was raised: "pole" for a zero
     divisor, a ZeroDivisionError over integer pairs and a PoleError over
-    ExtScalar, or else the error's name."""
+    ExtScalar, or else the error's name: an IndexError, or the GradingError
+    of a sum of mixed parity over ExtScalar."""
     try:
         values = kernel(*args)
     except (ZeroDivisionError, PoleError):
         return "pole"
-    except IndexError as exc:
+    except (IndexError, GradingError) as exc:
         return type(exc).__name__
     return values, repr(values)
 

@@ -1,16 +1,19 @@
 """Exact scalar tower: rationals, single-root extensions, gradients."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from painleve_ds import tracing
 from painleve_ds.scalars import (
     QQ,
     Extension,
     ExtScalar,
     Gradient,
+    GradingError,
     PoleError,
     format_rational,
     is_zero_scalar,
@@ -51,23 +54,30 @@ class TestRationals:
 
 def lift(ext, value):
     """The rational value as an element of ext."""
-    return ExtScalar(ext, (QQ(value), QQ(0)))
+    return ExtScalar(ext, QQ(value))
 
 
 def sqrt2_ext():
     return Extension("s", QQ(2))
 
 
-def non_square_ext():
-    # 5/7 is not the square of a rational, so the ring is a field
-    return Extension("s", QQ(5, 7))
+# a non-square base, a square one, and a negative one: a homogeneous value
+# is invertible over each, since (c s)(s / (c base)) = 1
+BASES = [QQ(2), QQ(5, 7), QQ(4), QQ(-6)]
+
+
+def _image(x):
+    """The complex number x stands for, with s the principal square root."""
+    return float(x.c) * (cmath.sqrt(float(x.ext.base)) if x.odd else 1)
 
 
 class TestExtension:
     def test_symbol_squares_to_base(self):
         s = sqrt2_ext().root()
-        assert (s * s).is_rational_value()
+        assert not (s * s).odd
         assert s * s == 2
+        # equal coefficients of two parities differ; a zero of either is 0
+        assert s != 1 and s * s != s * 2 and s * 0 == 0 == lift(s.ext, 0)
 
     def test_relation_must_have_nonzero_base(self):
         with pytest.raises(ValueError):
@@ -75,72 +85,67 @@ class TestExtension:
 
     def test_inverse_of_symbol(self):
         s = sqrt2_ext().root()
-        inv = s.inverse()
+        inv = 1 / s
         assert s * inv == 1
         # 1/sqrt(2) = sqrt(2)/2
         assert inv == s * QQ(1, 2)
 
-    def test_inverse_of_mixed_element(self):
-        # both slots are nonzero: (a + b s)^-1 = (a - b s) / (a^2 - b^2 base),
-        # here (3 - 2 s) / (9 - 4 * 5/7) = (21 - 14 s) / 43
-        s = non_square_ext().root()
-        x = s * 2 + 3
-        inv = x.inverse()
-        assert x * inv == 1
-        assert inv.coeffs == (QQ(21, 43), QQ(-14, 43))
-
     def test_zero_has_no_inverse(self):
+        # zero, of either parity, is the only value without one
         ext = sqrt2_ext()
-        with pytest.raises(PoleError):
-            lift(ext, 0).inverse()
-
-    def test_zero_divisor_is_a_pole(self):
-        # s^2 = 4 is a quotient ring with zero divisors: (s - 2)(s + 2) = 0
-        s = Extension("s", QQ(4)).root()
-        assert ((s - 2) * (s + 2)).is_zero()
-        with pytest.raises(PoleError):
-            (s - 2).inverse()
-        with pytest.raises(PoleError):
-            1 / (s + 2)
+        for zero in (lift(ext, 0), ext.root() * 0):
+            with pytest.raises(PoleError):
+                1 / zero
+            with pytest.raises(PoleError):
+                ext.root() / zero
 
     def test_power_negative_exponent(self):
         s = sqrt2_ext().root()
-        assert (s * s).inverse() == QQ(1, 2)
+        assert 1 / (s * s) == QQ(1, 2)
 
     def test_ext_reduce_collapses_rational_values(self):
-        # products come back reduced, so s*s is the rational 2 and s is not
+        # products come back graded: s*s is the even value 2, s*s*s the odd
+        # value 2s, and the printed forms are c and c*s^1
         s = sqrt2_ext().root()
-        assert s * s == QQ(2)
-        assert not s.is_rational_value()
-        assert (s * s).coeffs == (QQ(2), QQ(0))
-        assert (s * s * s).coeffs == (QQ(0), QQ(2))
+        assert ((s * s).c, (s * s).odd) == (QQ(2), False)
+        assert ((s * s * s).c, (s * s * s).odd) == (QQ(2), True)
+        assert [repr(s * s), repr(s * s * s * QQ(-1, 3)), repr(s - s)] == ["2", "-2/3*s^1", "0"]
 
     def test_mixed_rings_are_refused(self):
         with pytest.raises(ValueError):
             sqrt2_ext().root() + Extension("s", QQ(3)).root()
 
-    @given(rationals, rationals, rationals)
-    def test_field_axioms_on_sqrt2(self, a, b, c):
-        ext = sqrt2_ext()
-        s = ext.root()
-        x = s * a + b
-        y = s * c + QQ(1)
-        assert (x + y) - y == lift(ext, 0) + x
-        assert x * y == y * x
-        if not x.is_zero():
-            assert x * x.inverse() == 1
+    def test_a_sum_of_mixed_parity_is_refused(self):
+        s = Extension("s", QQ(4)).root()
+        for mixed in (lambda: s + 1, lambda: 1 - s, lambda: s * s - s, lambda: -s + lift(s.ext, 2)):
+            with pytest.raises(GradingError, match="differ in parity"):
+                mixed()
+        # zero takes either parity
+        assert s + 0 == s and 0 - s == -s and (s * 0 + 1) == 1
+        assert GradingError is tracing.GradingError
 
-    @given(*[rationals] * 5)
-    def test_field_axioms_on_non_square_root(self, a0, a1, b0, b1, c0):
-        s = non_square_ext().root()
-        x = s * a1 + a0
-        y = s * b1 + b0
-        z = s * s * s + c0
+    @given(st.sampled_from(BASES), rationals, st.booleans(), rationals, rationals, st.booleans())
+    def test_graded_ring_axioms(self, base, a, x_odd, b, c, odd):
+        # sums are taken within one parity
+        ext = Extension("s", base)
+        x, y, z = ExtScalar(ext, a, x_odd), ExtScalar(ext, b, odd), ExtScalar(ext, c, odd)
         assert x * y == y * x
+        assert (x * y) * z == x * (y * z)
+        assert y + z == z + y and (y + z) - z == y
         assert x * (y + z) == x * y + x * z
-        if not x.is_zero():
-            assert x * x.inverse() == 1
+        if a:
+            assert x * (1 / x) == 1
             assert y * x / x == y
+
+    @given(st.sampled_from(BASES), rationals, st.booleans(), rationals, st.booleans())
+    def test_each_operation_matches_the_number_it_stands_for(self, base, a, x_odd, b, y_odd):
+        ext = Extension("s", base)
+        x, y = ExtScalar(ext, a, x_odd), ExtScalar(ext, b, y_odd)
+        assert _image(x * y) == pytest.approx(_image(x) * _image(y))
+        if b:
+            assert _image(x / y) == pytest.approx(_image(x) / _image(y))
+        if x_odd == y_odd:
+            assert _image(x - y) == pytest.approx(_image(x) - _image(y), abs=1e-12)
 
 
 class TestDual:
@@ -265,6 +270,8 @@ class TestNumeric:
         assert is_zero_scalar(QQ(0))
         assert not is_zero_scalar(QQ(1, 7))
         assert is_zero_scalar(lift(sqrt2_ext(), 0))
+        assert is_zero_scalar(sqrt2_ext().root() * 0)
+        assert not is_zero_scalar(sqrt2_ext().root())
         # a gradient is zero only when its value and every partial are
         assert is_zero_scalar(Gradient(QQ(0), (QQ(0), 0.0)))
         assert not is_zero_scalar(Gradient(QQ(0), (QQ(0), QQ(1))))

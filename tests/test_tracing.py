@@ -8,7 +8,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from painleve_ds import painleve
+from painleve_ds import painleve, scalars
 from painleve_ds.scalars import Extension, ExtScalar
 from painleve_ds.tracing import GradingError, Traced, compile_kernel
 
@@ -205,7 +205,7 @@ class TestGradedEmission:
         generic, graded = self._both(outputs)
         ext = Extension("s", QQ(6, 5))
         for xv, c in [(QQ(3, 7), QQ(-2, 3)), (QQ(-5), QQ(9, 4))]:
-            want = generic(xv, ExtScalar(ext, (QQ(0), c)))
+            want = generic(xv, ExtScalar(ext, c, odd=True))
             got = graded(xv, c, ext)
             assert (got, repr(got)) == (want, repr(want))
         assert type(got[-1]) is QQ  # no odd leaf reaches x * x
@@ -229,6 +229,14 @@ class TestGradedEmission:
         assert exact()(QQ(2)) == (QQ(3),)
         with pytest.raises(GradingError, match=r"v0 = u \+ 1 adds nodes of parity 1 and 0"):
             exact("u")
+
+    def test_the_emitter_and_the_scalar_raise_one_error(self):
+        # the generic kernel on an odd ExtScalar refuses the same sum
+        tape, (u,) = _leaves("u")
+        generic, _ = compile_kernel("mixed parity", "kernel(u)", [], "({}, )", [u + 1])
+        with pytest.raises(scalars.GradingError, match="differ in parity"):
+            generic()(Extension("s", QQ(6)).root())
+        assert GradingError is scalars.GradingError
 
 
 class TestSharedTape:
