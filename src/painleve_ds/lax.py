@@ -223,7 +223,7 @@ def _residual_values(record, y, dy, t, u, du, kappas, rhos) -> tuple:
     """R's entries in key order, then K, in ``_residual_kernel``'s columns,
     after the pole checks.  The kernel runs over integer pairs when t, tested
     first, and every input is an int or a Fraction, graded when u and du are
-    ``ExtScalar`` multiples of one square root.  A zero divisor is a PoleError."""
+    odd ``ExtScalar``s, or zero, of one extension.  A zero divisor is a PoleError."""
     _check_poles(record, t, y[2 * record.pair_count :])
     _, kernel, exact = _residual_kernel(record.parts)
     ext = ()
