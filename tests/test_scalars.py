@@ -135,6 +135,29 @@ class TestExtension:
             assert x * (1 / x) == 1
             assert y * x / x == y
 
+    @given(rationals, st.booleans(), rationals, st.booleans(), rationals)
+    def test_field_axioms_on_sqrt2(self, a, x_odd, b, y_odd, c):
+        # the field axioms that hold on homogeneous values over s^2 = 2:
+        # products of either parity, sums within one, inverses of nonzero values
+        ext = sqrt2_ext()
+        x, y, z = ExtScalar(ext, a, x_odd), ExtScalar(ext, b, y_odd), ExtScalar(ext, c, y_odd)
+        assert (y + z) - z == lift(ext, 0) + y
+        assert x * y == y * x
+        if a:
+            assert x * (1 / x) == 1
+
+    @given(rationals, st.booleans(), rationals, rationals, st.booleans())
+    def test_field_axioms_on_non_square_root(self, a, x_odd, b, c, odd):
+        # the same over s^2 = 5/7, whose root is not rational
+        ext = Extension("s", QQ(5, 7))
+        x, y = ExtScalar(ext, a, x_odd), ExtScalar(ext, b, odd)
+        z = ext.root() * ext.root() * ExtScalar(ext, c, odd)
+        assert x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        if a:
+            assert x * (1 / x) == 1
+            assert y * x / x == y
+
     @given(st.sampled_from(BASES), rationals, st.booleans(), rationals, st.booleans())
     def test_each_operation_matches_the_number_it_stands_for(self, base, a, x_odd, b, y_odd):
         ext = Extension("s", base)
