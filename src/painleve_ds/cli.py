@@ -501,7 +501,7 @@ def build_parser():
     p = command("integrate", _cmd_integrate, "float trajectory of one system",
                 required=("--system", "--point", "--t0", "--t1"))
     p.add_argument("--system", "--partition",
-                   type=_checked(lambda text: reduction(flow.resolve_partition(text))),
+                   type=_checked(reduction),
                    help="p6, a4, a5, cp6, or a partition like 2,2,1")
     p.add_argument("--point", type=_numbers(_real), help="initial q,p per pair, comma-separated floats")
     p.add_argument("--gauges", type=_numbers(_real),

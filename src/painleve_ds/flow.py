@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
-from .heisenberg import Partition
 from .lax import _residual_values, _root_and_rate
-from .painleve import SystemParameters, _traced_rhs, reduction_constants, require_weights
+from .painleve import SystemParameters, _flow, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
 from .tracing import _compile
@@ -154,20 +152,6 @@ class Trajectory:
         return TrajectorySample(t, *self._split(y), error)
 
 
-def resolve_partition(system) -> tuple:
-    """Partition tuple from a partition or a system id.
-
-    A system id names the first partition in report order that reduces
-    to it, so cp6 means (3,3).
-    """
-    if isinstance(system, str):
-        for record in REDUCTIONS.values():
-            if record.system == system:
-                return record.parts
-        system = Partition.parse(system)
-    return reduction(system).parts
-
-
 # -- generic embedded stepper ------------------------------------------
 
 
@@ -290,13 +274,14 @@ def integrate(
 ) -> Trajectory:
     """Float trajectory of one partition's canonical flow plus gauges.
 
-    system is a partition tuple or a system id (cp6 means its (3,3)
-    realization).  gauges maps each of the partition's gauge names to a
-    nonzero starting value; every start coordinate must be finite.  The interval [t0, t_end] must be finite and
+    system is a partition or a system id, as ``reductions.reduction``
+    takes it (cp6 means its (3,3) realization).  gauges maps each of the
+    partition's gauge names to a nonzero starting value; every start
+    coordinate must be finite.  The interval [t0, t_end] must be finite and
     avoid the fixed singular times; movable poles and an exhausted step
     budget terminate the trajectory with a flag rather than an exception.
     """
-    record = reduction(resolve_partition(system))
+    record = reduction(system)
     parts = record.parts
     _check_interval(record, t0, t_end)
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
@@ -333,7 +318,7 @@ def integrate(
     eta = None if params.eta is None else float(params.eta)
 
     records, termination = _advance(
-        _traced_rhs(parts), t0, y0, t_end, rel_tol, abs_tol, fixed_step,
+        _flow(parts)[0], t0, y0, t_end, rel_tol, abs_tol, fixed_step,
         _system_guard(record), max_steps, (alpha, eta),
     )
 
@@ -453,11 +438,11 @@ def residual_along(trajectory: Trajectory) -> dict:
     identity together, so a corrupted state shows up immediately; a NaN
     makes max_residual NaN, at the first such step's t.  Each step is one
     call of ``lax._residual_values``, as ``lax.zero_curvature_residual``
-    makes it, on the stored state and slope with each gauge restored and
-    its log-rate times the gauge, and the root of ``lax._root_and_rate``:
-    no sample, Gradient, Fraction or dict is built per step, and none runs
-    the parameter map.  A step without a slope (a singular start) is
-    skipped; "samples" counts the steps evaluated.
+    makes it, on the stored state with each gauge restored, the stored
+    slope, and the root of ``lax._root_and_rate``: no sample, Gradient,
+    Fraction or dict is built per step, and none runs the parameter map.
+    A step without a slope (a singular start) is skipped; "samples"
+    counts the steps evaluated.
     """
     parts = trajectory.partition
     record = reduction(parts)
@@ -476,10 +461,7 @@ def residual_along(trajectory: Trajectory) -> dict:
         evaluated += 1
         gauges = [start * math.exp(log) for start, log in zip(starts, y[n:])]
         root, rate = _root_and_rate(record, t)
-        values = _residual_values(
-            record, [*y[:n], *gauges], [*slope[:n], *map(operator.mul, gauges, slope[n:])],
-            t, root, rate, kappas, rhos,
-        )
+        values = _residual_values(record, [*y[:n], *gauges], slope, t, root, rate, kappas, rhos)
         magnitudes = list(map(abs, values))
         magnitude = math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
         # a NaN compares false either way: it takes the worst place and keeps it

@@ -26,13 +26,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
 from .loop import LoopElement, apply_theta, bracket
-from .painleve import gauge_log_derivatives, reduction_parameters, vector_field
+from .painleve import flow_slope, reduction_parameters
 from .reductions import REDUCTIONS, reduction
 from .reporting import SampleReport, jsonable
 from .sampling import (
@@ -219,12 +220,16 @@ def _residual_kernel(parts):
     return tuple(res.entries), generic(), exact
 
 
-def _residual_values(record, y, dy, t, u, du, kappas, rhos) -> tuple:
+def _residual_values(record, y, slope, t, u, du, kappas, rhos) -> tuple:
     """R's entries in key order, then K, in ``_residual_kernel``'s columns,
-    after the pole checks.  The kernel runs over integer pairs when t, tested
-    first, and every input is an int or a Fraction, graded when u and du are
-    odd ``ExtScalar``s, or zero, of one extension.  A zero divisor is a PoleError."""
-    _check_poles(record, t, y[2 * record.pair_count :])
+    after the pole checks, from y and the flow's slope there: each pair
+    rate as it is and each gauge's rate its log-rate times the gauge.  The
+    kernel runs over integer pairs when t, tested first, and every input is
+    an int or a Fraction, graded when u and du are odd ``ExtScalar``s, or
+    zero, of one extension.  A zero divisor is a PoleError."""
+    n = 2 * record.pair_count
+    _check_poles(record, t, y[n:])
+    dy = [*slope[:n], *map(operator.mul, y[n:], slope[n:])]
     _, kernel, exact = _residual_kernel(record.parts)
     ext = ()
     if type(t) in RATIONAL:
@@ -246,21 +251,19 @@ def zero_curvature_residual(partition, pairs, t, gauges, kappas, rhos, root=None
     Hamiltonian vector field, each gauge rate is gauge times its
     multiplier log-derivative, t has rate 1, and the root is
     ``time_root(partition, t)`` unless given as a one-direction Gradient.
-    R comes from code generated once per partition from the generic
-    assembly, through ``_residual_values``, the checked call the trajectory
-    monitor makes too; the value checks run on each call's own data.
+    The rates come from the partition's flow through
+    ``painleve.flow_slope``, and R from code generated once per partition
+    from the generic assembly, through ``_residual_values``, the checked
+    call the trajectory monitor makes too on its stored slopes; the value
+    checks run on each call's own data.
     """
     record = reduction(partition)
     parts = record.parts
     if root is None:
         root = time_root(parts, t)
-    params = reduction_parameters(parts, kappas, rhos)
-    dlogs = gauge_log_derivatives(parts, pairs, t, params)
-    ordered = [gauges[name] for name in record.gauge_names]
-    y = [*chain(*pairs), *ordered]
-    dy = [*chain(*vector_field(record.system, pairs, t, params)),
-          *(g * dlogs[name] for name, g in zip(record.gauge_names, ordered))]
-    *values, c_k = _residual_values(record, y, dy, t, value_of(root), tangent_of(root), kappas, rhos)
+    y = [*chain(*pairs), *(gauges[name] for name in record.gauge_names)]
+    slope = flow_slope(parts, t, y, reduction_parameters(parts, kappas, rhos))
+    *values, c_k = _residual_values(record, y, slope, t, value_of(root), tangent_of(root), kappas, rhos)
     return LoopElement(sum(parts) - 1, dict(zip(_residual_kernel(parts)[0], values)), c_k)
 
 

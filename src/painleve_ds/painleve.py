@@ -11,6 +11,12 @@ Parameters enter twice: the reduction produces integration constants
 per partition, kept in its record as exact coefficient rows so identities
 between the weights can be checked symbolically and not merely at sampled
 points.
+
+Each partition's flow, its system's canonical equations with the
+record's gauge log-derivatives attached, is compiled once (``_flow``),
+and every lane reads that one text: through the checked call
+``flow_slope``, or, in the stepper, directly.  The hand-written formulas
+run only to be traced.
 """
 
 from __future__ import annotations
@@ -101,65 +107,66 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
 
 
 @functools.cache
-def _traced_system(system: str, pair_count: int, weight_count: int):
-    """Straight-line code for one system, as (field, exact, rhs by partition).
+def _flow(parts: tuple):
+    """(rhs, exact): the flow of one partition as straight-line code.
 
     ``hamiltonian`` runs once on recording scalars, each phase coordinate
     seeded as a ``Gradient`` along its own unit direction, so the tape
-    records every partial beside the value.  From that tape come the
-    canonical equations, ``field(pairs, t, a, eta)``, and for each
-    partition that reduces to the system its flow ``rhs(t, y, a, eta)``:
-    y is flat, each pair (q, p) then the log-gauges, and the slope is the
-    canonical equations then the record's gauge log-derivatives, traced on
-    the same tape, so a term they share is computed once.  One trace and
-    one compile per system serve both lanes, whichever runs first.  The
-    weights and eta stay arguments, so one compile serves every parameter
-    set and every scalar type; exact() is the field over integer pairs,
-    compiled on its first call (see ``tracing.compile_kernel``).
+    records every partial beside the value; the record's gauge
+    log-derivatives are traced on the same tape, so a term they share is
+    computed once.  ``rhs(t, y, a, eta)`` takes y flat, each pair (q, p)
+    then the gauges or their logs, which no rate reads, and returns the
+    canonical equations dq/dt = dH/dp, dp/dt = -dH/dq, then each gauge's
+    d log/dt in record order.  It compiles here, as it is traced, so that
+    no integrate call after an exact one compiles; exact() is its text
+    over integer pairs, compiled on its first call (see
+    ``tracing.compile_kernel``).  The weights and eta stay arguments, so
+    one compile serves every parameter set and every scalar type.
     """
-    leaf = functools.partial(Traced, {})
-    seed = lambda i, name: Gradient(leaf(name), tuple(int(i == j) for j in range(2 * pair_count)))
-    coords = [(seed(2 * k, f"q{k}"), seed(2 * k + 1, f"p{k}")) for k in range(pair_count)]
-    weights = tuple(leaf(f"a[{i}]") for i in range(weight_count))
-    t, params = leaf("t"), SystemParameters(weights, leaf("eta"))
-    grad = hamiltonian(system, coords, t, params).grad
-    partials = [grad[2 * k + i] for k in range(pair_count) for i in (1, 0)]
-    unpack = "".join(f"(q{k}, p{k}), " for k in range(pair_count))
-    field, exact = compile_kernel(
-        f"vector field of {system}", "field(pairs, t, a, eta)", [f"{unpack}= pairs"],
-        "(" + "({}, -{}), " * pair_count + ")", partials,
-    )
-    pairs, rhs = tuple((q.value, p.value) for q, p in coords), {}
-    for record in REDUCTIONS.values():
-        if (record.system, record.pair_count, record.weight_count) == (system, pair_count, weight_count):
-            rates = record.gauge_log_derivatives(pairs, t, params)
-            unpack = "".join(f"q{k}, p{k}, " for k in range(pair_count)) + "_, " * len(rates)
-            rhs[record.parts] = compile_kernel(
-                f"right-hand side of {record.label}", "rhs(t, y, a, eta)", [f"{unpack}= y"],
-                "(" + "{}, -{}, " * pair_count + "{}, " * len(rates) + ")",
-                [*partials, *(rates[name] for name in record.gauge_names)],
-            )[0]()
-    return field(), exact, rhs
-
-
-def _traced_rhs(parts: tuple):
-    """The generated flow of one partition (see ``_traced_system``)."""
     record = reduction(parts)
-    return _traced_system(record.system, record.pair_count, record.weight_count)[2][record.parts]
+    n = record.pair_count
+    leaf = functools.partial(Traced, {})
+    seed = lambda i, name: Gradient(leaf(name), tuple(int(i == j) for j in range(2 * n)))
+    coords = [(seed(2 * k, f"q{k}"), seed(2 * k + 1, f"p{k}")) for k in range(n)]
+    t = leaf("t")
+    params = SystemParameters(tuple(leaf(f"a[{i}]") for i in range(record.weight_count)), leaf("eta"))
+    grad = hamiltonian(record.system, coords, t, params).grad
+    rates = record.gauge_log_derivatives(tuple((q.value, p.value) for q, p in coords), t, params)
+    unpack = "".join(f"q{k}, p{k}, " for k in range(n)) + "_, " * len(rates)
+    rhs, exact = compile_kernel(
+        f"right-hand side of {record.label}", "rhs(t, y, a, eta)", [f"{unpack}= y"],
+        "(" + "{}, -{}, " * n + "{}, " * len(rates) + ")",
+        [*(grad[2 * k + i] for k in range(n) for i in (1, 0)), *(rates[name] for name in record.gauge_names)],
+    )
+    return rhs(), exact
+
+
+def flow_slope(parts: tuple, t, y, params: SystemParameters) -> tuple:
+    """The slope of ``_flow(parts)`` at (t, y), by the one checked call
+    through which every lane but the stepper reads the flow.  It runs over
+    integer pairs when t, tested first, and every other input is an int or
+    a Fraction; an exact zero divisor raises PoleError."""
+    rhs, exact = _flow(parts)
+    t, eta = _exact(t), params.eta
+    if type(t) in RATIONAL and rational(chain(params.alpha, () if eta is None else (eta,), y)):
+        rhs = exact()
+    try:
+        return rhs(t, y, params.alpha, eta)
+    except ZeroDivisionError:
+        raise PoleError(f"division by zero in the flow of {reduction(parts).label}") from None
+
+
+def _pair_slope(record, pairs, t, params):
+    """The slope of the record's flow at pairs, a 0 in each gauge's place."""
+    return flow_slope(record.parts, t, [*chain(*pairs), *(0 for _ in record.gauge_names)], params)
 
 
 def vector_field(system: str, pairs, t, params: SystemParameters):
-    """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i, by the code
-    generated once per system, over integer pairs when every input is an int
-    or a Fraction (t tested first); an exact zero divisor raises PoleError."""
-    field, exact, _ = _traced_system(system, len(pairs), len(params.alpha))
-    t, eta = _exact(t), params.eta
-    if type(t) in RATIONAL and rational(chain(params.alpha, () if eta is None else (eta,), *pairs)):
-        field = exact()
-    try:
-        return field(pairs, t, params.alpha, eta)
-    except ZeroDivisionError:
-        raise PoleError("division by zero in the vector field") from None
+    """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i, as (dq, dp)
+    per pair: the pair rates of the flow of the system's record (see
+    ``reductions.reduction``), read through ``flow_slope``."""
+    slope, n = _pair_slope(reduction(system), pairs, t, params), 2 * len(pairs)
+    return tuple(zip(slope[0:n:2], slope[1:n:2]))
 
 
 def reduction_parameters(parts: tuple, kappas, rhos) -> SystemParameters:
@@ -258,13 +265,15 @@ def reduction_constants(parts: tuple, params: SystemParameters):
 
 
 def gauge_log_derivatives(parts: tuple, pairs, t, params: SystemParameters):
-    """d/dt of the logarithm of each gauge function, keyed by name.
+    """d/dt of the logarithm of each gauge function, keyed by name: the
+    gauge rates of the partition's flow, read through ``flow_slope``.
 
     These close the Lax representation: the zero-curvature equations
     determine the gauge functions only up to these compatible first order
     equations, which are part of the package's verified claims.
     """
-    return reduction(parts).gauge_log_derivatives(pairs, _exact(t), params)
+    record = reduction(parts)
+    return dict(zip(record.gauge_names, _pair_slope(record, pairs, t, params)[2 * record.pair_count :]))
 
 
 def _symbolic_weight_sum(parts: tuple, _):

@@ -6,10 +6,11 @@ hierarchy, and yields one Painleve system.  Its :class:`Reduction` holds
 the target system, the gauge variables, the pair count and the fixed
 singular times; the root relation that links the Painleve time t to the
 hierarchy time tau; the parameter map from integration constants to
-affine weights and the marks of their sum; and the four formula blocks the generic entry points in
-``lax`` and ``painleve`` dispatch through: the map to reduced
-coordinates, the constraint identities, the entries of the Lax matrices
-(M, B) and the gauge log-derivatives.
+affine weights and the marks of their sum; and the four formula blocks
+the generic entry points in ``lax`` and ``painleve`` dispatch through:
+the map to reduced coordinates, the constraint identities, the entries of
+the Lax matrices (M, B) and the gauge log-derivatives, which ``painleve``
+traces into the partition's flow.
 
 Formula blocks run over any scalar type: rationals, root extensions,
 gradients and floats.  The registry lists the records in ``report`` order.
@@ -566,7 +567,14 @@ REDUCTIONS = {
 
 
 def reduction(partition) -> Reduction:
-    """The record of a partition, given as a tuple or a ``Partition``."""
+    """The record of a partition, given as a tuple, a ``Partition`` or its
+    text, or of a system id: the first record in report order that reduces
+    to it, so cp6 means (3,3)."""
+    if isinstance(partition, str):
+        for record in REDUCTIONS.values():
+            if record.system == partition:
+                return record
+        partition = Partition.parse(partition)
     parts = tuple(partition.parts) if isinstance(partition, Partition) else tuple(partition)
     if parts not in REDUCTIONS:
         supported = "; ".join(r.label for r in REDUCTIONS.values())

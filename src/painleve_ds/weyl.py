@@ -25,7 +25,7 @@ from itertools import chain
 
 from .lax import canonical_to_ds, lax_matrices, time_root
 from .loop import LoopElement, apply_theta, bracket, chevalley
-from .painleve import SystemParameters, reduction_parameters, require_weights, vector_field
+from .painleve import SystemParameters, flow_slope, reduction_parameters, require_weights
 from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import SCALE, check_claims, draw_constants, nonzero_rational, rational_satisfying, scaled_rational
@@ -236,21 +236,17 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     One forward pass along d/dt: phase coordinates are seeded with the
     Hamiltonian vector field and the time coordinate with 1, so
     reflections whose formulas mention t explicitly contribute their time
-    derivative.
+    derivative.  Both fields are the pair rates of the (3,3) flow's slope,
+    with w3's place and rate unused.
     """
-    flows = vector_field("cp6", pairs, t, params)
-    lifted = tuple(
-        (Gradient(q, (fq,)), Gradient(p, (fp,))) for (q, p), (fq, fp) in zip(pairs, flows)
-    )
+    (q1, p1), (q2, p2) = pairs
+    dq1, dp1, dq2, dp2, _ = flow_slope(CP6.parts, t, (q1, p1, q2, p2, 0), params)
+    lifted = ((Gradient(q1, (dq1,)), Gradient(p1, (dp1,))), (Gradient(q2, (dq2,)), Gradient(p2, (dp2,))))
     out_pairs, out_params = apply_generator(index, lifted, params, Gradient(t, (QQ(1),)))
     # the weights never carry a partial, so out_params is already plain
-    image = tuple((value_of(q), value_of(p)) for q, p in out_pairs)
-    target = vector_field("cp6", image, t, out_params)
-    residual = []
-    for (q, p), (fq, fp) in zip(out_pairs, target):
-        residual.append(tangent_of(q) - fq)
-        residual.append(tangent_of(p) - fp)
-    return tuple(residual)
+    out = [*chain(*out_pairs)]
+    target = flow_slope(CP6.parts, t, (*map(value_of, out), 0), out_params)
+    return tuple(tangent_of(x) - rate for x, rate in zip(out, target))
 
 
 def _examine_equivariance(index, point):

@@ -64,20 +64,19 @@ def test_failure_bodies_are_pinned(monkeypatch, fresh_claim_kernels):
 
 
 # sha256 of the five zero-curvature bodies at samples=3, seed=4 with 1/3
-# added to the first gauge log-derivative, so every sample fails
+# added to the flow's first gauge log-rate, so every sample fails
 ZERO_CURVATURE_FAILURE_SHA256 = "e89391cb8f41dd8d3090a68ed85f799d5165760cae0505b2749bbff2b187c948"
 
 
 def test_zero_curvature_failure_bodies_are_pinned(monkeypatch):
-    original = lax.gauge_log_derivatives
+    original = lax.flow_slope
 
-    def shifted(parts, *args):
-        dlogs = dict(original(parts, *args))
-        first = next(iter(dlogs))
-        dlogs[first] += QQ(1, 3)
-        return dlogs
+    def shifted(parts, t, y, params):
+        slope = list(original(parts, t, y, params))
+        slope[2 * reduction(parts).pair_count] += QQ(1, 3)
+        return slope
 
-    monkeypatch.setattr(lax, "gauge_log_derivatives", shifted)
+    monkeypatch.setattr(lax, "flow_slope", shifted)
     bodies = [lax.verify_partition(parts, samples=3, seed=4).to_json_dict() for parts in REDUCTIONS]
     assert sum(len(body["failures"]) for body in bodies) == 15
     text = json.dumps(bodies, sort_keys=True)
@@ -278,17 +277,17 @@ def _residual_points(parts, surd=False):
 
 
 @functools.cache
-def _field_points(system):
-    """Seeded arguments of a vector field, every third one at t = 0 or 1."""
-    record = _system_records(system)[0]
+def _flow_points(parts):
+    """Seeded arguments of a partition's flow, every third one at t = 0 or 1."""
+    record = reduction(parts)
     rng = random.Random(11)
     draw = lambda: QQ(rng.randint(-20, 20), rng.randint(1, 10))
     points = []
     for index in range(AGREEMENT_POINTS):
-        pairs = tuple((draw(), draw()) for _ in range(record.pair_count))
+        y = tuple(draw() for _ in range(2 * record.pair_count + len(record.gauge_names)))
         t = QQ(index % 2) if index % 3 == 2 else draw()
         alpha = tuple(draw() for _ in range(record.weight_count))
-        points.append((pairs, t, alpha, None if record.eta is None else draw()))
+        points.append((t, y, alpha, None if record.eta is None else draw()))
     return points
 
 
@@ -314,15 +313,17 @@ def test_both_emissions_of_a_zero_curvature_kernel_agree(parts):
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_both_emissions_of_a_vector_field_agree(system):
-    records = _system_records(system)
-    kernel, exact, _ = painleve._traced_system(system, records[0].pair_count, records[0].weight_count)
-    outcomes = [_outcome(kernel, args) for args in _field_points(system)]
-    assert [_outcome(exact(), args) for args in _field_points(system)] == outcomes
-    # a4 divides by nothing, a5 by t, and p6 and cp6 by t(t - 1)
-    poles = {"a4": (), "a5": (0,), "p6": (0, 1), "cp6": (0, 1)}[system]
-    raised = [i for i, outcome in enumerate(outcomes) if outcome == "pole"]
-    assert raised == [i for i, (_, t, _, _) in enumerate(_field_points(system)) if t in poles]
-    assert raised or not poles
+    # the field of a system is the pair part of each of its partitions' flows
+    for record in _system_records(system):
+        kernel, exact = painleve._flow(record.parts)
+        points = _flow_points(record.parts)
+        outcomes = [_outcome(kernel, args) for args in points]
+        assert [_outcome(exact(), args) for args in points] == outcomes
+        # a4 divides by nothing, a5 by t, and p6 and cp6 by t(t - 1)
+        poles = {"a4": (), "a5": (0,), "p6": (0, 1), "cp6": (0, 1)}[system]
+        raised = [i for i, outcome in enumerate(outcomes) if outcome == "pole"]
+        assert raised == [i for i, (t, _, _, _) in enumerate(points) if t in poles]
+        assert raised or not poles
 
 
 def _constants(record, rng):
@@ -419,25 +420,29 @@ def test_the_graded_kernel_needs_r_squared_six(monkeypatch):
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_every_literal_of_a_vector_field_kernel_is_load_bearing(monkeypatch, system):
-    records = _system_records(system)
-    field, exact, rhs = painleve._traced_system(system, records[0].pair_count, records[0].weight_count)
-    mutants = list(_mutants(exact()))
-    survivors = []
-    for where, mutant in mutants:
-        patched = (field, lambda mutant=mutant: mutant, rhs)
-        monkeypatch.setattr(painleve, "_traced_system", lambda *key, patched=patched: patched)
-        if not any(_caught(r.parts) for r in records):
-            survivors.append(where)
-    assert mutants and survivors == []
+    # over each of the system's partitions' whole flow, gauge log-rates too:
+    # the partition's own zero-curvature claim must catch every mutant
+    for record in _system_records(system):
+        kernel, exact = painleve._flow(record.parts)
+        mutants = list(_mutants(exact()))
+        survivors = []
+        for where, mutant in mutants:
+            patched = (kernel, lambda mutant=mutant: mutant)
+            monkeypatch.setattr(painleve, "_flow", lambda parts, patched=patched: patched)
+            if not _caught(record.parts):
+                survivors.append(where)
+        assert mutants and survivors == [], record.label
+        monkeypatch.undo()
+        assert not _caught(record.parts)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_every_literal_of_a_generic_vector_field_kernel_is_load_bearing(system):
-    records = _system_records(system)
-    field, exact, _ = painleve._traced_system(system, records[0].pair_count, records[0].weight_count)
-    mutants = list(_mutants(field))
-    survivors = [where for where, mutant in mutants if _agrees(mutant, exact(), _field_points(system))]
-    assert mutants and survivors == []
+    for record in _system_records(system):
+        kernel, exact = painleve._flow(record.parts)
+        mutants = list(_mutants(kernel))
+        survivors = [where for where, mutant in mutants if _agrees(mutant, exact(), _flow_points(record.parts))]
+        assert mutants and survivors == [], record.label
 
 
 # -- the reflection and weight-sum kernels -------------------------------

@@ -20,7 +20,7 @@ from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters, reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import draw_constants, random_rational, rational_avoiding
-from painleve_ds.scalars import PoleError
+from painleve_ds.scalars import Gradient, PoleError
 
 FIVE = list(REDUCTIONS)
 
@@ -63,22 +63,22 @@ def _round_trip_error(parts, t0, t1):
 
 class TestResolution:
     def test_system_ids_map_to_default_partitions(self):
-        assert flow.resolve_partition("cp6") == (3, 3)
-        assert flow.resolve_partition("p6") == (2, 2)
-        assert flow.resolve_partition("a4") == (3, 1)
-        assert flow.resolve_partition("a5") == (4, 1)
+        assert reduction("cp6").parts == (3, 3)
+        assert reduction("p6").parts == (2, 2)
+        assert reduction("a4").parts == (3, 1)
+        assert reduction("a5").parts == (4, 1)
 
     def test_partition_strings_and_tuples(self):
-        assert flow.resolve_partition("2,2,1") == (2, 2, 1)
-        assert flow.resolve_partition((4, 1)) == (4, 1)
+        assert reduction("2,2,1").parts == (2, 2, 1)
+        assert reduction((4, 1)).parts == (4, 1)
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
-            flow.resolve_partition("q6")
+            reduction("q6")
 
     def test_unsupported_partition_rejected(self):
         with pytest.raises(ValueError, match="no Lax pair"):
-            flow.resolve_partition("5,2")
+            reduction("5,2")
 
 
 class TestIntegration:
@@ -414,13 +414,14 @@ class TestStepper:
                     assert termination == (flow.POLE_DETECTED if spikes else flow.REACHED_END)
 
     def test_the_step_kernels_compile_at_import(self):
-        """In a fresh process, once a partition's right-hand side is traced,
-        its first integrate call compiles nothing: every record's state size
-        has its step kernel from the import of flow."""
+        """In a fresh process, once the exact lane has run one sample of a
+        partition, its first integrate call compiles nothing: the flow's
+        generic text compiled as the exact lane traced it, and every
+        record's state size has its step kernel from the import of flow."""
         script = textwrap.dedent("""
             import builtins
             from fractions import Fraction as QQ
-            from painleve_ds import flow, painleve
+            from painleve_ds import flow, lax, painleve
             from painleve_ds.reductions import REDUCTIONS
 
             runs = []
@@ -430,7 +431,7 @@ class TestStepper:
                 params = painleve.reduction_parameters(parts, kappas, rhos)
                 pairs = [(0.4, 0.3), (0.7, -0.2)][: record.pair_count]
                 gauges = {name: 1.0 + 0.25 * k for k, name in enumerate(record.gauge_names)}
-                painleve._traced_rhs(parts)
+                assert lax.verify_partition(parts, samples=1).passed
                 runs.append((parts, pairs, gauges, params))
 
             def refuse(*args, **kwargs):
@@ -465,13 +466,27 @@ class TestStepper:
             flow._advance(f, 2.0, [0.0], 3.0, 1e-8, 1e-10, None, lambda t, y: None, 10)
 
 
+def _hand_written_slope(parts, pairs, t, params):
+    """The flow's slope from the formulas it is traced from: one gradient
+    pass of the Hamiltonian, then the record's gauge log-derivatives."""
+    record = reduction(parts)
+    size = 2 * record.pair_count
+    unit = lambda i: tuple(int(i == j) for j in range(size))
+    seeded = tuple((Gradient(q, unit(2 * k)), Gradient(p, unit(2 * k + 1))) for k, (q, p) in enumerate(pairs))
+    grad = painleve.hamiltonian(record.system, seeded, t, params).grad
+    rates = record.gauge_log_derivatives(pairs, t, params)
+    return (*(c for k in range(record.pair_count) for c in (grad[2 * k + 1], -grad[2 * k])),
+            *(rates[name] for name in record.gauge_names))
+
+
 class TestGeneratedRightHandSide:
-    """One straight-line rhs(t, y, a, eta) per partition drives integrate."""
+    """One straight-line rhs(t, y, a, eta) per partition drives integrate
+    and every exact lane."""
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_equals_the_generic_path_at_exact_points(self, parts):
         record = reduction(parts)
-        rhs = painleve._traced_rhs(parts)
+        rhs, exact = painleve._flow(parts)
         rng = random.Random(59)
         for _ in range(5):
             pairs = tuple((random_rational(rng), random_rational(rng)) for _ in range(record.pair_count))
@@ -482,15 +497,12 @@ class TestGeneratedRightHandSide:
                 tuple(random_rational(rng) for _ in range(record.rho_count)),
             )
             logs = [random_rational(rng) for _ in record.gauge_names]
-            rates = painleve.gauge_log_derivatives(parts, pairs, t, params)
-            want = (
-                *(c for flow_pair in painleve.vector_field(record.system, pairs, t, params) for c in flow_pair),
-                *(rates[name] for name in record.gauge_names),
-            )
+            want = _hand_written_slope(parts, pairs, t, params)
             y = [c for pair in pairs for c in pair] + logs
             assert rhs(t, y, params.alpha, params.eta) == want
+            assert exact()(t, y, params.alpha, params.eta) == want
 
-    def test_one_trace_per_system_serves_its_partitions_and_its_field(self, monkeypatch):
+    def test_one_trace_per_partition_serves_every_lane(self, monkeypatch):
         calls = []
         original = painleve.hamiltonian
 
@@ -499,17 +511,19 @@ class TestGeneratedRightHandSide:
             return original(system, *rest)
 
         monkeypatch.setattr(painleve, "hamiltonian", counted)
-        painleve._traced_system.cache_clear()
+        painleve._flow.cache_clear()
         try:
             for parts in FIVE:
                 assert _run(parts, t1=2.1).termination == flow.REACHED_END
                 assert _run(parts, t1=2.1).termination == flow.REACHED_END
+                assert lax.verify_partition(parts, samples=2).passed
                 pairs, _ = _start(parts)
+                painleve.gauge_log_derivatives(parts, pairs, 2.5, _params(parts))
                 painleve.vector_field(reduction(parts).system, pairs, 2.5, _params(parts))
-            # (3,3) and (2,2,1) both reduce to cp6
-            assert calls == ["cp6", "p6", "a4", "a5"]
+            # (3,3) and (2,2,1) both reduce to cp6, whose field reads (3,3)'s flow
+            assert calls == ["cp6", "cp6", "p6", "a4", "a5"]
         finally:
-            painleve._traced_system.cache_clear()
+            painleve._flow.cache_clear()
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_steps_call_no_generic_formula(self, parts, monkeypatch):
@@ -523,7 +537,7 @@ class TestGeneratedRightHandSide:
         assert calls == []
 
     def test_the_source_reads_back_with_shared_terms(self):
-        source = inspect.getsource(painleve._traced_rhs((2, 2, 1)))
+        source = inspect.getsource(painleve._flow((2, 2, 1))[0])
         assert source.startswith("def rhs(t, y, a, eta):\n    q0, p0, q1, p1, _, _, = y\n")
         assert source.splitlines()[-1].startswith("    return (")
         # the Hamiltonian's partials and both gauge rates divide by one t(t - 1)

@@ -9,7 +9,7 @@ from itertools import chain
 
 import pytest
 
-from painleve_ds import flow, lax
+from painleve_ds import flow, lax, painleve
 from painleve_ds.lax import (
     canonical_to_ds,
     constraint_residuals,
@@ -290,15 +290,15 @@ class TestZeroCurvature:
 
 
 def _flow_rates(parts, point):
-    """The pair and gauge rates of the flow at an exact point."""
+    """The pair rates and gauge log-rates of the flow at an exact point."""
     params = reduction_parameters(parts, point["kappas"], point["rhos"])
     dlogs = gauge_log_derivatives(parts, point["pairs"], point["t"], params)
     pair_rates = vector_field(reduction(parts).system, point["pairs"], point["t"], params)
-    return pair_rates, {name: g * dlogs[name] for name, g in point["gauges"].items()}
+    return pair_rates, dlogs
 
 
 def _random_rates(parts, rng):
-    """Rates off the flow: every pair and gauge rate drawn at random."""
+    """Rates off the flow: every pair rate and gauge log-rate drawn at random."""
     record = reduction(parts)
     pair_rates = tuple(
         (random_rational(rng), random_rational(rng)) for _ in range(record.pair_count)
@@ -306,26 +306,28 @@ def _random_rates(parts, rng):
     return pair_rates, {name: random_rational(rng) for name in record.gauge_names}
 
 
-def _supplied(parts, point, root, pair_rates, gauge_rates):
-    """R from the checked call ``lax._residual_values`` with the given rates
-    in place of the flow's, wrapped as zero_curvature_residual wraps it."""
+def _supplied(parts, point, root, pair_rates, log_rates):
+    """R from the checked call ``lax._residual_values`` with the slope of
+    the given pair rates and gauge log-rates in place of the flow's,
+    wrapped as zero_curvature_residual wraps it."""
     record = reduction(parts)
     y = [*chain(*point["pairs"]), *(point["gauges"][name] for name in record.gauge_names)]
-    dy = [*chain(*pair_rates), *(gauge_rates[name] for name in record.gauge_names)]
+    slope = [*chain(*pair_rates), *(log_rates[name] for name in record.gauge_names)]
     *values, c_k = lax._residual_values(
-        record, y, dy, point["t"], root.value, root.grad[0], point["kappas"], point["rhos"]
+        record, y, slope, point["t"], root.value, root.grad[0], point["kappas"], point["rhos"]
     )
     return LoopElement(sum(parts) - 1, dict(zip(lax._residual_kernel(parts)[0], values)), c_k)
 
 
-def _both_ways(parts, point, root, pair_rates, gauge_rates):
-    """R from the generated kernel, and from the generic assembly it is traced from."""
-    kernel = _supplied(parts, point, root, pair_rates, gauge_rates)
+def _both_ways(parts, point, root, pair_rates, log_rates):
+    """R from the generated kernel, and from the generic assembly it is
+    traced from, each gauge's rate its log-rate times the gauge."""
+    kernel = _supplied(parts, point, root, pair_rates, log_rates)
     pairs = tuple(
         (Gradient(q, (dq,)), Gradient(p, (dp,)))
         for (q, p), (dq, dp) in zip(point["pairs"], pair_rates)
     )
-    gauges = {name: Gradient(g, (gauge_rates[name],)) for name, g in point["gauges"].items()}
+    gauges = {name: Gradient(g, (g * log_rates[name],)) for name, g in point["gauges"].items()}
     generic = lax._assemble_residual(
         parts, pairs, Gradient(point["t"], (1,)), gauges, point["kappas"], point["rhos"], root
     )
@@ -379,13 +381,8 @@ class TestKernel:
             point = {"pairs": sample.pairs, "t": sample.t, "gauges": sample.gauges,
                      "kappas": kappas, "rhos": rhos}
             pair_rates = tuple((slope[2 * i], slope[2 * i + 1]) for i in range(n))
-            gauge_rates = {
-                name: sample.gauges[name] * slope[2 * n + k]
-                for k, name in enumerate(record.gauge_names)
-            }
-            kernel, generic = _both_ways(
-                parts, point, time_root(parts, sample.t), pair_rates, gauge_rates
-            )
+            log_rates = {name: slope[2 * n + k] for k, name in enumerate(record.gauge_names)}
+            kernel, generic = _both_ways(parts, point, time_root(parts, sample.t), pair_rates, log_rates)
             for key in kernel.entries.keys() | generic.entries.keys():
                 assert kernel.entry(*key) == pytest.approx(generic.entry(*key), rel=1e-12, abs=1e-300)
             assert kernel.c_k == pytest.approx(generic.c_k, rel=1e-12, abs=1e-300)
@@ -420,6 +417,25 @@ class TestKernel:
         ):
             with pytest.raises(ValueError):
                 _both_ways(parts, {**point, "kappas": kappas, "rhos": rhos}, _root(parts, point), *rates)
+
+    def test_the_exact_lane_runs_no_hand_written_flow_formula(self, monkeypatch):
+        # once each flow is traced, the exact lane and vector_field read
+        # only its compiled text, as integrate's steps do
+        for parts in FIVE:
+            assert verify_partition(parts, samples=1).passed
+
+        def refuse(*args):
+            raise AssertionError("a hand-written flow formula ran")
+
+        monkeypatch.setattr(painleve, "hamiltonian", refuse)
+        for record in REDUCTIONS.values():
+            monkeypatch.setattr(type(record), "gauge_log_derivatives", refuse)
+        for parts, record in REDUCTIONS.items():
+            assert verify_partition(parts, samples=5).passed
+            point = _clean_point(parts, seed=8)
+            params = reduction_parameters(parts, point["kappas"], point["rhos"])
+            assert len(vector_field(record.system, point["pairs"], point["t"], params)) == record.pair_count
+            assert set(gauge_log_derivatives(parts, point["pairs"], point["t"], params)) == set(record.gauge_names)
 
     def test_a_second_call_does_not_trace_again(self, monkeypatch):
         calls = []
@@ -462,7 +478,7 @@ def _lane_point(parts, lane, **changes):
 
 
 def _still(parts):
-    """Zero pair and gauge rates: they reach the residual past the vector field."""
+    """Zero pair rates and gauge log-rates: they reach the residual past the flow."""
     record = reduction(parts)
     return tuple((0, 0) for _ in range(record.pair_count)), {name: 0 for name in record.gauge_names}
 
@@ -484,6 +500,25 @@ class TestPoleContract:
         point, root = _lane_point((3, 3), lane, t=QQ(1), root=QQ(1))
         with pytest.raises(PoleError, match="excludes t = 1"):
             _supplied((3, 3), point, root, *_still((3, 3)))
+
+    # where the flow itself divides by zero: t(t - 1) for (3,3), (2,2,1)
+    # and (2,2), and t for (4,1); zero curvature reaches it for the records
+    # whose root is finite and nonzero at t = 1
+    @pytest.mark.parametrize("call, parts, t", [
+        *(("gauge_log_derivatives", parts, t) for parts in [(3, 3), (2, 2, 1), (2, 2)] for t in (0, 1)),
+        ("gauge_log_derivatives", (4, 1), 0),
+        ("zero_curvature_residual", (2, 2), 1),
+        ("zero_curvature_residual", (2, 2, 1), 1),
+    ])
+    def test_a_pole_of_the_flow_is_named(self, call, parts, t):
+        point = {**_clean_point(parts, seed=2), "t": QQ(t)}
+        del point["root"]
+        params = reduction_parameters(parts, point["kappas"], point["rhos"])
+        with pytest.raises(PoleError, match="division by zero in the flow"):
+            if call == "gauge_log_derivatives":
+                gauge_log_derivatives(parts, point["pairs"], point["t"], params)
+            else:
+                zero_curvature_residual(parts, **point)
 
     @pytest.mark.parametrize("lane", ["exact", "float"])
     def test_a_zero_divisor_is_a_pole(self, lane):

@@ -7,7 +7,6 @@ from fractions import Fraction as QQ
 import pytest
 
 from painleve_ds import painleve
-from painleve_ds.flow import resolve_partition
 from painleve_ds.painleve import (
     SystemParameters,
     check_normalization,
@@ -40,7 +39,7 @@ STENCIL = (
 
 
 def _random_params(rng, system):
-    record = reduction(resolve_partition(system))
+    record = reduction(system)
     alpha = tuple(random_rational(rng) for _ in range(record.weight_count))
     eta = random_rational(rng) if record.eta is not None else None
     return SystemParameters(alpha, eta)
@@ -93,7 +92,7 @@ class TestCanonicalEquations:
         for _ in range(5):
             pairs = tuple(
                 (random_rational(rng), random_rational(rng))
-                for _ in range(reduction(resolve_partition(system)).pair_count)
+                for _ in range(reduction(system).pair_count)
             )
             t = rational_avoiding(rng, (0, 1))
             params = _random_params(rng, system)
@@ -112,7 +111,7 @@ class TestCanonicalEquations:
         for _ in range(5):
             pairs = tuple(
                 (random_rational(rng), random_rational(rng))
-                for _ in range(reduction(resolve_partition(system)).pair_count)
+                for _ in range(reduction(system).pair_count)
             )
             t = rational_avoiding(rng, (0, 1))
             params = _random_params(rng, system)
@@ -130,7 +129,7 @@ class TestCanonicalEquations:
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_integer_inputs_stay_exact(self, system):
-        point = _integer_point(reduction(resolve_partition(system)))
+        point = _integer_point(reduction(system))
         energy = hamiltonian(system, *point)
         assert type(energy) is QQ
         assert energy == hamiltonian(system, *_as_fractions(*point))
@@ -159,7 +158,7 @@ def _gradient_pass(system, pairs, t, params, energy=hamiltonian):
 def _random_point(rng, system):
     pairs = tuple(
         (random_rational(rng), random_rational(rng))
-        for _ in range(reduction(resolve_partition(system)).pair_count)
+        for _ in range(reduction(system).pair_count)
     )
     return pairs, rational_avoiding(rng, (0, 1)), _random_params(rng, system)
 
@@ -214,14 +213,14 @@ class TestGeneratedGradient:
             return (q * p - params.alpha[0]) / (q - t * p) + 3 / p - -q * t
 
         monkeypatch.setattr(painleve, "hamiltonian", toy)
-        painleve._traced_system.cache_clear()
+        painleve._flow.cache_clear()
         try:
             rng = random.Random(53)
             for _ in range(5):
                 point = _random_point(rng, "p6")
                 assert vector_field("p6", *point) == _gradient_pass("p6", *point, toy)
         finally:
-            painleve._traced_system.cache_clear()
+            painleve._flow.cache_clear()
 
     def test_a_second_call_does_not_trace_again(self, monkeypatch):
         calls = []
@@ -232,7 +231,7 @@ class TestGeneratedGradient:
             return original(*args)
 
         monkeypatch.setattr(painleve, "hamiltonian", counted)
-        painleve._traced_system.cache_clear()
+        painleve._flow.cache_clear()
         point = _random_point(random.Random(43), "cp6")
         first = vector_field("cp6", *point)
         assert calls == ["cp6"]

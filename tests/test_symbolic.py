@@ -67,6 +67,6 @@ def test_off_flow_rates_leave_a_nonzero_entry():
     pairs, gauges, kappas, rhos, root = _symbols(record)
     dlogs = gauge_log_derivatives(record.parts, pairs, t, reduction_parameters(record.parts, kappas, rhos))
     y = [*chain(*pairs), *gauges.values()]
-    still = [0] * (2 * record.pair_count) + [g * dlogs[name] for name, g in gauges.items()]
+    still = [0] * (2 * record.pair_count) + [dlogs[name] for name in gauges]
     values = _residual_values(record, y, still, t, root.value, root.grad[0], kappas, rhos)
     assert not all(_vanishes(v) for v in values)

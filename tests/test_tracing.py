@@ -254,13 +254,14 @@ class TestSharedTape:
 
 class TestGeneratedSource:
     def test_the_cp6_field_reads_back(self):
-        source = inspect.getsource(painleve._traced_system("cp6", 2, 6)[0])
-        assert source.startswith("def field(pairs, t, a, eta):\n    (q0, p0), (q1, p1), = pairs\n")
-        assert source.splitlines()[-1].startswith("    return ((")
+        # the cp6 field is the pair part of the (3,3) flow
+        source = inspect.getsource(painleve._flow((3, 3))[0])
+        assert source.startswith("def rhs(t, y, a, eta):\n    q0, p0, q1, p1, _, = y\n")
+        assert source.splitlines()[-1].startswith("    return (")
 
     def test_a_traceback_shows_the_generated_line(self):
-        field = painleve._traced_system("p6", 1, 5)[0]
+        rhs = painleve._flow((2, 2))[0]
         with pytest.raises(ZeroDivisionError) as info:
-            field(((QQ(1), QQ(1)),), QQ(1), (QQ(1),) * 5, None)
-        (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == "<vector field of p6>"]
-        assert frame.line.startswith("return ((")
+            rhs(QQ(1), (QQ(1), QQ(1), 0), (QQ(1),) * 5, None)
+        (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == "<right-hand side of 2,2>"]
+        assert frame.line.startswith("return (")
