@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from painleve_ds import painleve, weyl
+from painleve_ds import lax, painleve, weyl
 from painleve_ds.sampling import RETRY_CAP
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -30,6 +30,15 @@ def fresh_claim_kernels(monkeypatch):
     painleve._weight_sum_kernel.cache_clear()
     yield
     painleve._weight_sum_kernel.cache_clear()
+
+
+@pytest.fixture
+def fresh_kernels():
+    """The residual kernel is cached per partition: a test that replaces a
+    formula block traces it afresh, and leaves no kernel of its own behind."""
+    lax._residual_kernel.cache_clear()
+    yield
+    lax._residual_kernel.cache_clear()
 
 
 class StuckRandom(random.Random):

@@ -25,7 +25,7 @@ from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import check_claims, first_witness
-from painleve_ds.scalars import Extension, ExtScalar, GradingError, PoleError, is_zero_scalar
+from painleve_ds.scalars import Extension, ExtScalar, Gradient, GradingError, PoleError, is_zero_scalar
 
 # sha256 of the four suites' bodies at samples=3, seed=4 with one claim
 # of each broken on purpose, as in test_weyl.TestWitnesses
@@ -81,6 +81,28 @@ def test_zero_curvature_failure_bodies_are_pinned(monkeypatch):
     assert sum(len(body["failures"]) for body in bodies) == 15
     text = json.dumps(bodies, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ZERO_CURVATURE_FAILURE_SHA256
+
+
+# sha256 of the five zero-curvature bodies at samples=3, seed=4 with 1
+# added to each record's first constraint, so every sample fails there
+CONSTRAINT_FAILURE_SHA256 = "be4905f5963115f4f5e6c605dd193c01082b331d0ba1a3a5ebc15c81f79e8907"
+
+
+def test_constraint_failure_bodies_are_pinned(monkeypatch, fresh_kernels):
+    def moved(honest):
+        def constraints(self, state):
+            out = honest(self, state)
+            first = next(iter(out))
+            return {**out, first: out[first] + 1}
+        return constraints
+
+    for record in REDUCTIONS.values():
+        monkeypatch.setattr(type(record), "constraints", moved(type(record).constraints))
+    bodies = [lax.verify_partition(parts, samples=3, seed=4).to_json_dict() for parts in REDUCTIONS]
+    failures = [failure for body in bodies for failure in body["failures"]]
+    assert len(failures) == 15 and all(failure["entry"][0] == "constraint" for failure in failures)
+    text = json.dumps(bodies, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRAINT_FAILURE_SHA256
 
 
 # sha256 of the six conjugation bodies at samples=3, seed=4, the i-th with
@@ -504,14 +526,48 @@ def test_a_reflection_kernel_agrees_with_its_generic_text(monkeypatch, index):
     assert [_reflection_outcome(lambda: kernel(*point)) for point in points] == generic
     poles = [k for k, outcome in enumerate(generic) if isinstance(outcome, str)]
     assert poles == list(range(2, AGREEMENT_POINTS, 3))
-    assert {generic[k] for k in poles} == {
-        0: {"reflection pole: q1 - q2 = 0"},
-        1: {"reflection pole: p1 = 0"},
-        2: {"reflection pole: q1 - t = 0"},
-        3: {"reflection pole: q1*p1 + q2*p2 + eta = 0", "reflection pole: q1*p1 + q2*p2 - alpha3 + eta = 0"},
-        4: {"reflection pole: q2 - 1 = 0"},
-        5: {"reflection pole: p2 = 0"},
-    }[index]
+    assert {generic[k] for k in poles} == POLE_MESSAGES[index]
+
+
+# what each generator's PoleError says at its poles; r3 has two denominators
+POLE_MESSAGES = {
+    0: {"reflection pole: q1 - q2 = 0"},
+    1: {"reflection pole: p1 = 0"},
+    2: {"reflection pole: q1 - t = 0"},
+    3: {"reflection pole: q1*p1 + q2*p2 + eta = 0", "reflection pole: q1*p1 + q2*p2 - alpha3 + eta = 0"},
+    4: {"reflection pole: q2 - 1 = 0"},
+    5: {"reflection pole: p2 = 0"},
+}
+
+# a unit-sum Weyl point of dyadic rationals, no weight zero: every pole
+# _on_pole puts it on is exactly zero in float arithmetic too
+DYADIC_POINT = (
+    ((QQ(1, 2), QQ(3, 2)), (QQ(2), QQ(-1, 4))),
+    SystemParameters((QQ(1, 4), QQ(1, 2), QQ(1, 8), QQ(3, 4), QQ(-1, 2), QQ(-1, 8)), QQ(3, 8)),
+    QQ(3),
+)
+
+
+def _in_lane(point, lane):
+    """The point as floats, or as one-direction Gradients over its rationals
+    with plain weights, as the equivariance check passes them."""
+    pairs, params, t = point
+    if lane == "float":
+        params = SystemParameters(tuple(map(float, params.alpha)), float(params.eta))
+        return tuple(tuple(map(float, pair)) for pair in pairs), params, float(t)
+    lift = lambda x: Gradient(x, (QQ(1),))
+    return tuple(tuple(map(lift, pair)) for pair in pairs), params, lift(t)
+
+
+@pytest.mark.parametrize("lane", ["float", "gradient"])
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_a_non_rational_reflection_names_its_pole(index, lane):
+    messages = set()
+    for k in (0, 1):  # r3 alternates its two denominators
+        with pytest.raises(PoleError) as caught:
+            weyl.apply_generator(index, *_in_lane(_on_pole(index, DYADIC_POINT, k), lane))
+        messages.add(str(caught.value))
+    assert messages == POLE_MESSAGES[index]
 
 
 def _marked_fraction_sum(record, parameter_map, kappas, rhos):

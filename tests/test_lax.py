@@ -50,15 +50,6 @@ BASE_RATE = {
 }
 
 
-@pytest.fixture
-def fresh_kernels():
-    """The residual kernel is cached per partition: a test that replaces a
-    formula block traces it afresh, and leaves no kernel of its own behind."""
-    lax._residual_kernel.cache_clear()
-    yield
-    lax._residual_kernel.cache_clear()
-
-
 def _largest(element):
     """The largest absolute coefficient of a float residual."""
     return max(abs(v) for v in (*element.entries.values(), element.c_k))
