@@ -26,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .lax import _residual_values, _root_and_rate
+from .lax import _residual_kernel, _residual_values, _root_and_rate
 from .painleve import SystemParameters, _flow, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
@@ -439,10 +439,10 @@ def residual_along(trajectory: Trajectory) -> dict:
     makes max_residual NaN, at the first such step's t.  Each step is one
     call of ``lax._residual_values``, as ``lax.zero_curvature_residual``
     makes it, on the stored state with each gauge restored, the stored
-    slope, and the root of ``lax._root_and_rate``: no sample, Gradient,
-    Fraction or dict is built per step, and none runs the parameter map.
-    A step without a slope (a singular start) is skipped; "samples"
-    counts the steps evaluated.
+    slope, and the root of ``lax._root_and_rate``, its constraint outputs
+    left out: no sample, Gradient, Fraction or dict is built per step, and
+    none runs the parameter map.  A step without a slope (a singular
+    start) is skipped; "samples" counts the steps evaluated.
     """
     parts = trajectory.partition
     record = reduction(parts)
@@ -451,6 +451,7 @@ def residual_along(trajectory: Trajectory) -> dict:
     kappas = tuple(float(k) for k in kappas)
     rhos = tuple(float(r) for r in rhos)
     n = 2 * record.pair_count
+    constraints = len(_residual_kernel(parts)[0])
     starts = trajectory._gauge_start
     worst = 0.0
     worst_t = trajectory._times[0]
@@ -462,7 +463,7 @@ def residual_along(trajectory: Trajectory) -> dict:
         gauges = [start * math.exp(log) for start, log in zip(starts, y[n:])]
         root, rate = _root_and_rate(record, t)
         values = _residual_values(record, [*y[:n], *gauges], slope, t, root, rate, kappas, rhos)
-        magnitudes = list(map(abs, values))
+        magnitudes = list(map(abs, values[constraints:]))
         magnitude = math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
         # a NaN compares false either way: it takes the worst place and keeps it
         if not (magnitude <= worst or math.isnan(worst)):

@@ -18,7 +18,9 @@ maps canonical to reduced coordinates, and evaluates the compatibility
 residual either exactly (rational points and roots, sqrt(6) adjoined
 for (3,1)) or in floating point (along numeric trajectories).  The
 partition-specific formulas live in each partition's record in
-``reductions``; the functions here dispatch through it once.
+``reductions``; the functions here dispatch through it once.  The exact
+claim runs them only to be traced: one kernel per partition gives a
+sample its constraints, R's entries and K.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from .loop import LoopElement, apply_theta, bracket
 from .painleve import flow_slope, reduction_parameters
 from .reductions import REDUCTIONS, reduction
 from .reporting import SampleReport, jsonable
-from .sampling import (
-    draw_constants, nonzero_rational, random_rational, rational_avoiding, rational_satisfying,
-)
+from .sampling import SCALE, draw_constants, random_rational, rational_satisfying, scaled_rational
 from .scalars import (
     Extension,
     ExtScalar,
@@ -180,19 +180,20 @@ def lax_matrices(state: DSState) -> tuple:
 # Zero-curvature residual.
 
 
-def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> LoopElement:
-    """R from one-direction Gradient inputs: the code the kernel is traced from."""
+def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> tuple:
+    """(constraints, R) from one-direction Gradient inputs: the code the kernel is traced from."""
     state = canonical_to_ds(parts, pairs, t, gauges, kappas, rhos, root=root)
     m, b = lax_matrices(state)
     b_t = b.map_scalars(value_of).scale(tangent_of(state.tau))
     theta = apply_theta(reduction(parts).gradation, b_t)
-    return m.map_scalars(tangent_of) - theta + bracket(m.map_scalars(value_of), b_t)
+    return constraint_residuals(state), m.map_scalars(tangent_of) - theta + bracket(m.map_scalars(value_of), b_t)
 
 
 @functools.cache
 def _residual_kernel(parts):
-    """(entry keys, kernel, exact) from one trace of the generic assembly:
-    ``residual(y, dy, t, u, du, k, r)`` returns R's entries in key order,
+    """(constraint names, entry keys, kernel, exact) from one trace of the
+    generic assembly: ``residual(y, dy, t, u, du, k, r)`` returns each
+    constraint's left minus right in name order, R's entries in key order,
     then K, from y = (q0, p0, q1, ..., the gauges in record order), their
     rates dy, t, the root u and its rate du, the kappas and the rhos.
     exact() and exact("u", "du") are its texts over integer pairs, plain and
@@ -204,7 +205,7 @@ def _residual_kernel(parts):
     gauges = {name: dual(f"g{j}") for j, name in enumerate(record.gauge_names)}
     kappas = tuple(leaf(f"k{j}") for j in range(record.kappa_count))
     rhos = tuple(leaf(f"r{j}") for j in range(record.rho_count))
-    res = _assemble_residual(parts, pairs, Gradient(leaf("t"), (1,)), gauges, kappas, rhos, dual("u"))
+    constraints, res = _assemble_residual(parts, pairs, Gradient(leaf("t"), (1,)), gauges, kappas, rhos, dual("u"))
     column = [f"{c}{i}" for i in range(record.pair_count) for c in "qp"]
     column += [f"g{j}" for j in range(len(record.gauge_names))]
     unpack = [
@@ -213,15 +214,16 @@ def _residual_kernel(parts):
         "".join(f"k{j}, " for j in range(record.kappa_count)) + "= k",
         "".join(f"r{j}, " for j in range(record.rho_count)) + "= r",
     ]
+    outputs = [*map(value_of, constraints.values()), *res.entries.values(), res.c_k]
     generic, exact = compile_kernel(
         f"zero curvature of {record.label}", "residual(y, dy, t, u, du, k, r)", unpack,
-        "(" + "{}, " * (len(res.entries) + 1) + ")", [*res.entries.values(), res.c_k],
+        "(" + "{}, " * len(outputs) + ")", outputs,
     )
-    return tuple(res.entries), generic(), exact
+    return tuple(constraints), tuple(res.entries), generic(), exact
 
 
 def _residual_values(record, y, slope, t, u, du, kappas, rhos) -> tuple:
-    """R's entries in key order, then K, in ``_residual_kernel``'s columns,
+    """``_residual_kernel``'s outputs, the constraints, R's entries, then K,
     after the pole checks, from y and the flow's slope there: each pair
     rate as it is and each gauge's rate its log-rate times the gauge.  The
     kernel runs over integer pairs when t, tested first, and every input is
@@ -230,7 +232,7 @@ def _residual_values(record, y, slope, t, u, du, kappas, rhos) -> tuple:
     n = 2 * record.pair_count
     _check_poles(record, t, y[n:])
     dy = [*slope[:n], *map(operator.mul, y[n:], slope[n:])]
-    _, kernel, exact = _residual_kernel(record.parts)
+    _, _, kernel, exact = _residual_kernel(record.parts)
     ext = ()
     if type(t) in RATIONAL:
         odd, roots = (), (u, du)
@@ -244,6 +246,14 @@ def _residual_values(record, y, slope, t, u, du, kappas, rhos) -> tuple:
         raise PoleError("division by zero in the zero-curvature residual") from None
 
 
+def _on_flow(record, pairs, t, gauges, kappas, rhos, root) -> tuple:
+    """``_residual_values`` at the root and its rate, root = (u, du), with
+    the rates of the partition's flow, read through ``painleve.flow_slope``."""
+    y = [*chain(*pairs), *(gauges[name] for name in record.gauge_names)]
+    slope = flow_slope(record.parts, t, y, reduction_parameters(record.parts, kappas, rhos))
+    return _residual_values(record, y, slope, t, *root, kappas, rhos)
+
+
 def zero_curvature_residual(partition, pairs, t, gauges, kappas, rhos, root=None) -> LoopElement:
     """R = dM/dt - theta(B_t) + [M, B_t]; identically zero on valid data.
 
@@ -255,23 +265,14 @@ def zero_curvature_residual(partition, pairs, t, gauges, kappas, rhos, root=None
     ``painleve.flow_slope``, and R from code generated once per partition
     from the generic assembly, through ``_residual_values``, the checked
     call the trajectory monitor makes too on its stored slopes; the value
-    checks run on each call's own data.
+    checks run on each call's own data.  The constraint outputs are left out.
     """
     record = reduction(partition)
-    parts = record.parts
     if root is None:
-        root = time_root(parts, t)
-    y = [*chain(*pairs), *(gauges[name] for name in record.gauge_names)]
-    slope = flow_slope(parts, t, y, reduction_parameters(parts, kappas, rhos))
-    *values, c_k = _residual_values(record, y, slope, t, value_of(root), tangent_of(root), kappas, rhos)
-    return LoopElement(sum(parts) - 1, dict(zip(_residual_kernel(parts)[0], values)), c_k)
-
-
-def _worst_entry(element: LoopElement) -> dict:
-    if element.entries:
-        (deg, i, j), value = next(iter(element.entries.items()))
-        return {"entry": [i, j, deg], "residual": repr(value)}
-    return {"entry": ["K"], "residual": repr(element.c_k)}
+        root = time_root(record.parts, t)
+    names, keys, _, _ = _residual_kernel(record.parts)
+    values = _on_flow(record, pairs, t, gauges, kappas, rhos, (value_of(root), tangent_of(root)))
+    return LoopElement(sum(record.parts) - 1, dict(zip(keys, values[len(names):])), values[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +285,29 @@ def sample_point(partition, rng: random.Random) -> dict:
     record = reduction(partition)
     time = record.root.time
     if time is None:
-        t = rational_satisfying(rng, lambda x: x not in (0, 1))
+        t, _ = scaled_rational(rng, (0, SCALE))
         root = time_root(record.parts, t).value
     else:
         root = rational_satisfying(rng, lambda x: x != 0 and time(x) not in (0, 1))
         t = time(root)
-    pairs = [(random_rational(rng), nonzero_rational(rng)) for _ in range(record.pair_count)]
+    pairs = [(random_rational(rng), scaled_rational(rng, (0,))[0]) for _ in range(record.pair_count)]
     if record.pair_count == 2 and pairs[1][0] == pairs[0][0]:
-        pairs[1] = (rational_avoiding(rng, (pairs[0][0],)), pairs[1][1])
-    gauges = {name: nonzero_rational(rng) for name in record.gauge_names}
+        pairs[1] = (scaled_rational(rng, (pairs[0][0] * SCALE,))[0], pairs[1][1])
+    gauges = {name: scaled_rational(rng, (0,))[0] for name in record.gauge_names}
     kappas, rhos = draw_constants(record, rng)
     return dict(pairs=tuple(pairs), t=t, root=root, gauges=gauges, kappas=kappas, rhos=rhos)
 
 
 def _examine_point(record, point):
-    """The failing constraint or zero-curvature entry and its residual; None when clean."""
-    for name, residual in constraint_residuals(canonical_to_ds(record.parts, **point)).items():
-        if not is_zero_scalar(residual):
-            return {"entry": ["constraint", name], "residual": repr(residual)}
-    root, rate = _root_and_rate(record, point["t"], point["root"])
-    residual = zero_curvature_residual(record.parts, **{**point, "root": Gradient(root, (rate,))})
-    if not residual.is_zero():
-        return _worst_entry(residual)
-    return None
+    """The first failing constraint or zero-curvature entry, (row, col,
+    degree) or K, and its residual, from one kernel call; None when clean."""
+    names, keys, _, _ = _residual_kernel(record.parts)
+    values = _on_flow(record, **{**point, "root": _root_and_rate(record, point["t"], point["root"])})
+    bad = next((k for k, value in enumerate(values) if not is_zero_scalar(value)), None)
+    if bad is None:
+        return None
+    entries = [*(["constraint", name] for name in names), *([i, j, deg] for deg, i, j in keys), ["K"]]
+    return {"entry": entries[bad], "residual": repr(values[bad])}
 
 
 ZERO_CURVATURE = {

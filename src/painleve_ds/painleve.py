@@ -157,14 +157,19 @@ def flow_slope(parts: tuple, t, y, params: SystemParameters) -> tuple:
 
 
 def _pair_slope(record, pairs, t, params):
-    """The slope of the record's flow at pairs, a 0 in each gauge's place."""
+    """The slope of the record's flow at pairs, a 0 in each gauge's place,
+    once the weights (``require_weights``) and the pair count fit the system."""
+    require_weights(record, params)
+    if len(pairs) != record.pair_count:
+        raise ValueError(f"the {record.system} system takes {record.pair_count} pair(s), got {len(pairs)}")
     return flow_slope(record.parts, t, [*chain(*pairs), *(0 for _ in record.gauge_names)], params)
 
 
 def vector_field(system: str, pairs, t, params: SystemParameters):
     """Canonical equations dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i, as (dq, dp)
     per pair: the pair rates of the flow of the system's record (see
-    ``reductions.reduction``), read through ``flow_slope``."""
+    ``reductions.reduction``), read through ``flow_slope``.  Weights or
+    a pair count that do not fit the system raise ValueError."""
     slope, n = _pair_slope(reduction(system), pairs, t, params), 2 * len(pairs)
     return tuple(zip(slope[0:n:2], slope[1:n:2]))
 
@@ -266,7 +271,8 @@ def reduction_constants(parts: tuple, params: SystemParameters):
 
 def gauge_log_derivatives(parts: tuple, pairs, t, params: SystemParameters):
     """d/dt of the logarithm of each gauge function, keyed by name: the
-    gauge rates of the partition's flow, read through ``flow_slope``.
+    gauge rates of the partition's flow, read through ``flow_slope``,
+    after the checks ``vector_field`` makes.
 
     These close the Lax representation: the zero-curvature equations
     determine the gauge functions only up to these compatible first order

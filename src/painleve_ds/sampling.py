@@ -73,14 +73,6 @@ def rational_satisfying(rng: random.Random, admissible: Callable[[Fraction], boo
     raise RuntimeError(_EXCEEDED)
 
 
-def nonzero_rational(rng: random.Random) -> Fraction:
-    return rational_satisfying(rng, lambda value: value != 0)
-
-
-def rational_avoiding(rng: random.Random, excluded) -> Fraction:
-    return rational_satisfying(rng, lambda value: value not in excluded)
-
-
 def draw_constants(record, rng: random.Random) -> tuple:
     """A reduction record's integration constants: (kappas, rhos), kappas drawn first."""
     kappas = tuple(random_rational(rng) for _ in range(record.kappa_count))

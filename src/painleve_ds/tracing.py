@@ -11,10 +11,11 @@ import linecache
 from collections import Counter
 from fractions import Fraction
 
-from .scalars import ExtScalar, GradingError
+from .scalars import ExtScalar, GradingError, is_zero_scalar, value_of
 
 RATIONAL = (int, Fraction)  # the leaf types of an integer-pair kernel
 _RATIONAL_TYPES = frozenset(RATIONAL)
+_GLOBALS = dict(Fraction=Fraction, ExtScalar=ExtScalar, is_zero_scalar=is_zero_scalar, value_of=value_of)
 
 
 class Traced:
@@ -71,11 +72,12 @@ def rational(leaves) -> bool:
     return _RATIONAL_TYPES.issuperset(map(type, leaves))
 
 
-def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list):
+def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list, guards=()):
     """Compile ``def signature:``, the unpack lines, the nodes the outputs
     (nodes or rationals) need, then ``return`` the template filled with them.
     A node used once is written inline, in parentheses, where it is used;
-    the others are assignments.
+    the others are assignments.  Each of ``guards``, denominators a trace
+    recorded, is tested by value, a zero raising ZeroDivisionError(name).
 
     Returns (generic, exact): each compiles its kernel on its first call
     and returns it.  ``exact()`` emits the same nodes over integer pairs
@@ -87,6 +89,7 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     tracebacks and ``inspect.getsource`` show the generated lines.
     """
     uses = Counter(node for node in outputs if isinstance(node, Traced) and node.op)
+    uses.update(node for node in guards if node.op)  # a guard names its node
     tape = list(next(iter(uses)).tape.values()) if uses else []
     for node in reversed(tape):
         if node in uses:
@@ -95,7 +98,8 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     inline = {}  # the text of each node written inline
 
     text = lambda node: f"({inline[node]})" if node in inline else getattr(node, "name", repr(node))
-    lines = list(unpack)
+    guard = lambda node: f"if is_zero_scalar(value_of({node.name})): raise ZeroDivisionError({node.name!r})"
+    lines = [*unpack, *(guard(node) for node in guards if not node.op)]
     for node in nodes:
         x, y = node.args
         expression = f"{text(x)} {node.op} {text(y)}"
@@ -103,6 +107,7 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
             inline[node] = expression
         else:
             lines.append(f"{node.name} = {expression}")
+            lines += [guard(node)] if node in guards else []
     lines.append("return " + returns.format(*map(text, outputs)))
     # names only, so the tape is freed as before
     program = [(node.name, node.op, *(arg.name for arg in node.args)) for node in nodes]
@@ -179,5 +184,5 @@ def _compile(title, signature, lines, **names):
     lines = [f"def {signature}:", *(f"    {line}" for line in lines)]
     source, filename = "\n".join(lines) + "\n", f"<{title}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace := {"Fraction": Fraction, "ExtScalar": ExtScalar, **names})
+    exec(compile(source, filename, "exec"), namespace := {**_GLOBALS, **names})
     return namespace[signature.partition("(")[0]]

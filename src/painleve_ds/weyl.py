@@ -9,7 +9,8 @@ which moves the integration constants by kappa_i -> kappa_i + 3 alpha_i
 while fixing the rho constant, and the parameter map of the reduction
 carries that move precisely to the stated eta shift.  With eta held fixed
 the third reflection is not even an involution; RESOLUTIONS.md works the
-algebra out.
+algebra out.  The reflections run only to be traced: rational input
+runs a trace's integer text, other input its generic text.
 
 The gauge side lives here too: the unipotent factors for the coupled
 sixth Lax pair, read off its M together with the induced motion of the
@@ -28,7 +29,7 @@ from .loop import LoopElement, apply_theta, bracket, chevalley
 from .painleve import SystemParameters, flow_slope, reduction_parameters, require_weights
 from .reductions import reduction
 from .reporting import CheckReport
-from .sampling import SCALE, check_claims, draw_constants, nonzero_rational, rational_satisfying, scaled_rational
+from .sampling import SCALE, check_claims, draw_constants, rational_satisfying, scaled_rational
 from .scalars import (
     QQ,
     Gradient,
@@ -57,12 +58,6 @@ def _pole(description):
     return PoleError(f"reflection pole: {description} = 0")
 
 
-def _require_nonzero(denominator, description):
-    if is_zero_scalar(value_of(denominator)):
-        raise _pole(description)
-    return denominator
-
-
 def _shifted_weights(alpha, index):
     out = list(alpha)
     gain = alpha[index]
@@ -72,10 +67,10 @@ def _shifted_weights(alpha, index):
     return tuple(out)
 
 
-def _reflection(index, pairs, alpha, eta, t, require=_require_nonzero):
+def _reflection(index, pairs, alpha, eta, t, require):
     """r_index's image (pairs, alpha, eta) at a nonzero gain alpha[index]:
-    the formulas that the generic path runs and the kernels are traced
-    from.  ``require(denominator, description)`` guards each denominator."""
+    the formulas the kernels are traced from.  ``require(denominator,
+    description)`` is given each denominator before it divides."""
     (q1, p1), (q2, p2) = pairs
     gain = alpha[index]
     if index == 0:
@@ -107,35 +102,35 @@ def _reflection(index, pairs, alpha, eta, t, require=_require_nonzero):
 
 @cache
 def _reflection_kernel(index):
-    """(reflect, poles): ``_reflection`` for one generator over integer
-    pairs, traced and compiled on its first call (see
-    ``tracing.compile_kernel``), and each denominator's description keyed
-    by the tape name that the kernel's ZeroDivisionError carries."""
+    """(generic, exact, poles): the factories of the two texts of one trace
+    of ``_reflection`` (see ``tracing.compile_kernel``), which test the
+    denominators ``require`` records, and each one's description keyed by
+    the tape name that either text's ZeroDivisionError carries."""
     leaf, poles = partial(Traced, {}), {}
 
     def require(denominator, description):
-        poles[denominator.name] = description
+        poles[denominator] = description
         return denominator
 
     pairs = ((leaf("q1"), leaf("p1")), (leaf("q2"), leaf("p2")))
     alpha = tuple(leaf(f"a{i}") for i in GENERATORS)
     out, weights, eta = _reflection(index, pairs, alpha, leaf("eta"), leaf("t"), require)
-    _, exact = compile_kernel(
+    generic, exact = compile_kernel(
         f"reflection r{index}", "reflect(pairs, a, eta, t)",
         ["(q1, p1), (q2, p2) = pairs", "".join(f"a{i}, " for i in GENERATORS) + "= a"],
         "((({}, {}), ({}, {})), (" + "{}, " * len(GENERATORS) + "), {})",
-        [*chain(*out), *weights, eta],
+        [*chain(*out), *weights, eta], guards=poles,
     )
-    return exact(), poles
+    return generic, exact, {node.name: description for node, description in poles.items()}
 
 
 def apply_generator(index, pairs, params: SystemParameters, t):
     """One reflection on (pairs, params); t never moves.
 
-    Scalars pass through generically, so gradients can ride along for
-    Jacobian-vector products; when every input is an int or a Fraction
-    (t tested first), the generator's kernel runs over integer pairs.
-    The weights must fit the coupled sixth system.  Vanishing reflection
+    The generator's kernel runs over integer pairs when every input is an
+    int or a Fraction (t tested first), and its generic text otherwise,
+    so gradients can ride along for Jacobian-vector products.  The
+    weights must fit the coupled sixth system.  Vanishing reflection
     denominators raise :class:`PoleError` naming the denominator.
     """
     if index not in GENERATORS:
@@ -144,14 +139,12 @@ def apply_generator(index, pairs, params: SystemParameters, t):
     alpha, eta = params.alpha, params.eta
     if is_zero_scalar(alpha[index]):
         return pairs, params
-    if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)):
-        reflect, poles = _reflection_kernel(index)
-        try:
-            out, weights, eta = reflect(pairs, alpha, eta, t)
-        except ZeroDivisionError as err:
-            raise _pole(poles[err.args[0]]) from None
-    else:
-        out, weights, eta = _reflection(index, pairs, alpha, eta, t)
+    generic, exact, poles = _reflection_kernel(index)
+    reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
+    try:
+        out, weights, eta = reflect(pairs, alpha, eta, t)
+    except ZeroDivisionError as err:
+        raise _pole(poles[err.args[0]]) from None
     return out, SystemParameters(alpha=weights, eta=eta)
 
 
@@ -319,7 +312,7 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
 def _draw_bridge(rng):
     pairs, _, _ = sample_weyl_point(rng)
     u = rational_satisfying(rng, lambda x: x != 0 and CP6.root.time(x) not in (1, pairs[0][0]))
-    w3 = nonzero_rational(rng)
+    w3, _ = scaled_rational(rng, (0,))
     return pairs, CP6.root.time(u), u, w3, *draw_constants(CP6, rng)
 
 

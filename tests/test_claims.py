@@ -25,7 +25,9 @@ from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import check_claims, first_witness
-from painleve_ds.scalars import Extension, ExtScalar, Gradient, GradingError, PoleError, is_zero_scalar
+from painleve_ds.scalars import (
+    Extension, ExtScalar, Gradient, GradingError, PoleError, is_zero_scalar, tangent_of, value_of,
+)
 
 # sha256 of the four suites' bodies at samples=3, seed=4 with one claim
 # of each broken on purpose, as in test_weyl.TestWitnesses
@@ -236,7 +238,7 @@ def _kernels(parts):
 def _claimed(parts):
     """The exact text the zero-curvature claim runs, called as the generic
     kernel is: for (3,1), the graded text, on the root and rate's r-coefficients."""
-    _, _, exact = _kernels(parts)
+    _, _, _, exact = _kernels(parts)
     if parts in INTEGER_PARTITIONS:
         return exact()
     return _as_generic(exact(*ODD))
@@ -327,7 +329,7 @@ def _assert_agree(kernel, exact, points):
 
 @pytest.mark.parametrize("parts", [*INTEGER_PARTITIONS, (3, 1)])
 def test_both_emissions_of_a_zero_curvature_kernel_agree(parts):
-    _, kernel, exact = _kernels(parts)
+    _, _, kernel, exact = _kernels(parts)
     _assert_agree(kernel, _claimed(parts), _residual_points(parts))
     if parts in SURD_PARTITIONS:
         _assert_agree(kernel, _as_generic(exact(*ODD)), _residual_points(parts, surd=True))
@@ -388,7 +390,7 @@ def _mutants(kernel):
         (row, start), (_, end) = token.start, token.end
         line, raised = lines[row - 1], int(token.string) + 1
         mutated = [*lines[: row - 1], f"{line[:start]}{raised}{line[end:]}", *lines[row:]]
-        namespace = {"Fraction": QQ, "ExtScalar": ExtScalar}
+        namespace = {"Fraction": QQ, "ExtScalar": ExtScalar, "is_zero_scalar": is_zero_scalar, "value_of": value_of}
         exec(compile("".join(mutated), f"<mutant of {kernel.__name__}>", "exec"), namespace)
         yield f"line {row}, column {start}: {token.string} -> {raised}", namespace[kernel.__name__]
 
@@ -407,11 +409,12 @@ def _caught(parts):
 
 @pytest.mark.parametrize("parts", list(REDUCTIONS))
 def test_every_literal_of_a_zero_curvature_kernel_is_load_bearing(monkeypatch, parts):
-    keys, kernel, exact = _kernels(parts)
+    # the constraint literals too: the claim reads the constraint outputs
+    names, keys, kernel, exact = _kernels(parts)
     mutants = list(_mutants(exact() if parts in INTEGER_PARTITIONS else exact(*ODD)))
     survivors = []
     for where, mutant in mutants:
-        patched = (keys, kernel, lambda *odd, mutant=mutant: mutant)
+        patched = (names, keys, kernel, lambda *odd, mutant=mutant: mutant)
         monkeypatch.setattr(lax, "_residual_kernel", lambda *key, patched=patched: patched)
         if not _caught(parts):
             survivors.append(where)
@@ -422,7 +425,7 @@ def test_every_literal_of_a_zero_curvature_kernel_is_load_bearing(monkeypatch, p
 
 @pytest.mark.parametrize("parts", [*INTEGER_PARTITIONS, (3, 1)])
 def test_every_literal_of_a_generic_zero_curvature_kernel_is_load_bearing(parts):
-    _, kernel, _ = _kernels(parts)
+    _, _, kernel, _ = _kernels(parts)
     mutants = list(_mutants(kernel))
     survivors = [where for where, mutant in mutants if _agrees(mutant, _claimed(parts), _residual_points(parts))]
     assert mutants and survivors == []
@@ -431,10 +434,10 @@ def test_every_literal_of_a_generic_zero_curvature_kernel_is_load_bearing(parts)
 def test_the_graded_kernel_needs_r_squared_six(monkeypatch):
     # r * r = 6 enters only through the base the kernel is given: with base 4
     # in its place, the (3,1) claim fails at every point
-    keys, kernel, exact = _kernels((3, 1))
+    names, keys, kernel, exact = _kernels((3, 1))
     graded, four = exact(*ODD), Extension("r", 4)
     on_four = lambda *args: graded(*args[:-1], four)
-    monkeypatch.setattr(lax, "_residual_kernel", lambda *key: (keys, kernel, lambda *odd: on_four))
+    monkeypatch.setattr(lax, "_residual_kernel", lambda *key: (names, keys, kernel, lambda *odd: on_four))
     _, draw, examine = lax.ZERO_CURVATURE[(3, 1)]
     rng = random.Random(0)
     assert all(examine(draw(rng)) is not None for _ in range(20))
@@ -469,8 +472,11 @@ def test_every_literal_of_a_generic_vector_field_kernel_is_load_bearing(system):
 
 # -- the reflection and weight-sum kernels -------------------------------
 #
-# Both run only over integer pairs: each is checked against the generic
-# code it is traced from, and each mutant of it must fail its own claim.
+# Each is checked against the formulas it is traced from, and each mutant
+# of a text a claim runs over integer pairs must fail that claim.  The
+# generic reflection texts, which the equivariance claim runs on
+# Gradients, are gated as the generic flow texts are: each mutant must
+# disagree with the integer text.
 
 
 def _on_pole(index, point, k):
@@ -501,32 +507,57 @@ def _reflection_points(index):
 
 
 def _reflection_outcome(reflect):
-    """The image (pairs, weights, eta) and its repr, or the PoleError's message."""
+    """The image (pairs, weights, eta), each coordinate as its value and
+    partial, and its repr, or the PoleError's message."""
     try:
         pairs, weights, eta = reflect()
     except PoleError as exc:
         return str(exc)
-    return (pairs, tuple(weights), eta), repr((pairs, tuple(weights), eta))
+    values = tuple(tuple((value_of(x), tangent_of(x)) for x in pair) for pair in pairs), tuple(weights), eta
+    return values, repr(values)
 
 
-@pytest.mark.parametrize("index", weyl.GENERATORS)
-def test_a_reflection_kernel_agrees_with_its_generic_text(monkeypatch, index):
+def _checked(denominator, description):
+    """A require that refuses a zero denominator by value, as each text does."""
+    if is_zero_scalar(value_of(denominator)):
+        raise PoleError(f"reflection pole: {description} = 0")
+    return denominator
+
+
+def _assert_reflection_agrees(monkeypatch, index, lane):
     def kernel(pairs, params, t):
         image, moved = weyl.apply_generator(index, pairs, params, t)
         return image, moved.alpha, moved.eta
 
+    def formulas(pairs, params, t):
+        if is_zero_scalar(params.alpha[index]):  # r_index is the identity
+            return pairs, params.alpha, params.eta
+        return weyl._reflection(index, pairs, params.alpha, params.eta, t, _checked)
+
     points = _reflection_points(index)
-    generic = [
-        _reflection_outcome(lambda: weyl._reflection(index, pairs, params.alpha, params.eta, t))
-        for pairs, params, t in points
-    ]
+    if lane != "rational":
+        points = [_in_lane(point, lane) for point in points]
+    want = [_reflection_outcome(lambda: formulas(*point)) for point in points]
     weyl._reflection_kernel(index)
-    # a rational call never reaches the generic text
+    # a call runs the integer text on rationals and the generic text otherwise
     monkeypatch.setattr(weyl, "_reflection", None)
-    assert [_reflection_outcome(lambda: kernel(*point)) for point in points] == generic
-    poles = [k for k, outcome in enumerate(generic) if isinstance(outcome, str)]
-    assert poles == list(range(2, AGREEMENT_POINTS, 3))
-    assert {generic[k] for k in poles} == POLE_MESSAGES[index]
+    assert [_reflection_outcome(lambda: kernel(*point)) for point in points] == want
+    poles = [k for k, outcome in enumerate(want) if isinstance(outcome, str)]
+    if lane != "float":  # a float image of a pole need not be one
+        assert poles == list(range(2, AGREEMENT_POINTS, 3))
+        assert {want[k] for k in poles} == POLE_MESSAGES[index]
+
+
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_a_reflection_kernel_agrees_with_its_generic_text(monkeypatch, index):
+    # the integer text, against the formulas both texts are traced from
+    _assert_reflection_agrees(monkeypatch, index, "rational")
+
+
+@pytest.mark.parametrize("lane", ["float", "gradient"])
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_a_generic_reflection_text_agrees_with_the_formulas(monkeypatch, index, lane):
+    _assert_reflection_agrees(monkeypatch, index, lane)
 
 
 # what each generator's PoleError says at its poles; r3 has two denominators
@@ -570,6 +601,31 @@ def test_a_non_rational_reflection_names_its_pole(index, lane):
     assert messages == POLE_MESSAGES[index]
 
 
+def test_the_exact_suites_run_only_traced_code(monkeypatch):
+    # once every kernel is traced, no exact suite and no non-rational
+    # reflection runs the reflection formulas or a record's to_ds or constraints
+    for parts in REDUCTIONS:
+        assert lax.verify_partition(parts, samples=1).passed
+    assert weyl.check_relations(samples=1).passed and weyl.check_equivariance(samples=1).passed
+
+    def refuse(*args):
+        raise AssertionError("a hand-written formula ran")
+
+    monkeypatch.setattr(weyl, "_reflection", refuse)
+    for record in REDUCTIONS.values():
+        monkeypatch.setattr(type(record), "to_ds", refuse)
+        monkeypatch.setattr(type(record), "constraints", refuse)
+    for parts in REDUCTIONS:
+        assert lax.verify_partition(parts, samples=5).passed
+    assert weyl.check_relations(samples=5).passed
+    assert weyl.check_equivariance(samples=5).passed
+    for index in weyl.GENERATORS:
+        for lane in ("float", "gradient"):
+            weyl.apply_generator(index, *_in_lane(DYADIC_POINT, lane))
+            with pytest.raises(PoleError, match="reflection pole"):
+                weyl.apply_generator(index, *_in_lane(_on_pole(index, DYADIC_POINT, 0), lane))
+
+
 def _marked_fraction_sum(record, parameter_map, kappas, rhos):
     params = parameter_map(record.parts, kappas, rhos)
     return sum(m * a for m, a in zip(record.marks, params.alpha))
@@ -610,17 +666,40 @@ def _relations_fail():
 @pytest.mark.parametrize("index", weyl.GENERATORS)
 def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index):
     honest = weyl._reflection_kernel
-    reflect, poles = honest(index)
-    mutants = list(_mutants(reflect))
+    generic, exact, poles = honest(index)
+    mutants = list(_mutants(exact()))
     survivors = []
     for where, mutant in mutants:
-        patched = lambda i, mutant=mutant: (mutant, poles) if i == index else honest(i)
+        patched = lambda i, mutant=mutant: (generic, lambda: mutant, poles) if i == index else honest(i)
         monkeypatch.setattr(weyl, "_reflection_kernel", patched)
         if not _relations_fail():
             survivors.append(where)
     assert mutants and survivors == []
     monkeypatch.undo()
     assert not _relations_fail()
+
+
+def _text_outcome(reflect, point):
+    """A reflection text's image and its repr at a Weyl point, or the name
+    of the denominator it refuses."""
+    pairs, params, t = point
+    try:
+        image = reflect(pairs, params.alpha, params.eta, t)
+    except ZeroDivisionError as exc:
+        return exc.args
+    return image, repr(image)
+
+
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_every_literal_of_a_generic_reflection_kernel_is_load_bearing(index):
+    generic, exact, _ = weyl._reflection_kernel(index)
+    points = _reflection_points(index)
+    outcomes = lambda reflect: [_text_outcome(reflect, point) for point in points]
+    want = outcomes(exact())
+    assert outcomes(generic()) == want
+    mutants = list(_mutants(generic()))
+    survivors = [where for where, mutant in mutants if outcomes(mutant) == want]
+    assert mutants and survivors == []
 
 
 @pytest.mark.parametrize("parts", list(REDUCTIONS))

@@ -12,7 +12,6 @@ import pytest
 import painleve_ds
 from painleve_ds import cli, flow, lax
 from painleve_ds.cli import load_config, main
-from painleve_ds.loop import LoopElement
 from painleve_ds.reductions import REDUCTIONS
 
 
@@ -54,9 +53,9 @@ class TestVerifyLax:
         assert doc["failures"] == []
 
     def test_failing_samples_are_counted(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            lax, "zero_curvature_residual", lambda parts, *a, **k: LoopElement(3, {(0, 0, 1): 1})
-        )
+        # a first pair rate moved by 1 breaks zero curvature at every sample
+        honest = lax.flow_slope
+        monkeypatch.setattr(lax, "flow_slope", lambda *args: [honest(*args)[0] + 1, *honest(*args)[1:]])
         assert main(["verify-lax", "--partition", "2,2", "--samples", "3"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "partition 2,2: 0/3 samples exact"

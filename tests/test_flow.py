@@ -19,7 +19,7 @@ from painleve_ds import flow, lax, painleve
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters, reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import draw_constants, random_rational, rational_avoiding
+from painleve_ds.sampling import draw_constants, random_rational, rational_satisfying
 from painleve_ds.scalars import Gradient, PoleError
 
 FIVE = list(REDUCTIONS)
@@ -490,7 +490,7 @@ class TestGeneratedRightHandSide:
         rng = random.Random(59)
         for _ in range(5):
             pairs = tuple((random_rational(rng), random_rational(rng)) for _ in range(record.pair_count))
-            t = rational_avoiding(rng, record.singular_times)
+            t = rational_satisfying(rng, lambda x: x not in record.singular_times)
             params = reduction_parameters(
                 parts,
                 tuple(random_rational(rng) for _ in range(record.kappa_count)),

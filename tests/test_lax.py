@@ -297,32 +297,41 @@ def _random_rates(parts, rng):
     return pair_rates, {name: random_rational(rng) for name in record.gauge_names}
 
 
-def _supplied(parts, point, root, pair_rates, log_rates):
-    """R from the checked call ``lax._residual_values`` with the slope of
-    the given pair rates and gauge log-rates in place of the flow's,
-    wrapped as zero_curvature_residual wraps it."""
+def _outputs(parts, point, root, pair_rates, log_rates):
+    """The checked call ``lax._residual_values`` with the slope of the
+    given pair rates and gauge log-rates in place of the flow's:
+    the constraints, R's entries and K."""
     record = reduction(parts)
     y = [*chain(*point["pairs"]), *(point["gauges"][name] for name in record.gauge_names)]
     slope = [*chain(*pair_rates), *(log_rates[name] for name in record.gauge_names)]
-    *values, c_k = lax._residual_values(
+    return lax._residual_values(
         record, y, slope, point["t"], root.value, root.grad[0], point["kappas"], point["rhos"]
     )
-    return LoopElement(sum(parts) - 1, dict(zip(lax._residual_kernel(parts)[0], values)), c_k)
+
+
+def _supplied(parts, point, root, pair_rates, log_rates):
+    """R from ``_outputs``, wrapped as zero_curvature_residual wraps it."""
+    names, keys, _, _ = lax._residual_kernel(parts)
+    values = _outputs(parts, point, root, pair_rates, log_rates)
+    return LoopElement(sum(parts) - 1, dict(zip(keys, values[len(names):])), values[-1])
 
 
 def _both_ways(parts, point, root, pair_rates, log_rates):
-    """R from the generated kernel, and from the generic assembly it is
-    traced from, each gauge's rate its log-rate times the gauge."""
-    kernel = _supplied(parts, point, root, pair_rates, log_rates)
+    """(kernel, generic): the constraints, by name, and R, from the
+    generated kernel and from the generic assembly it is traced from, each
+    gauge's rate its log-rate times the gauge."""
+    names = lax._residual_kernel(parts)[0]
+    constraints = dict(zip(names, _outputs(parts, point, root, pair_rates, log_rates)))
+    kernel = constraints, _supplied(parts, point, root, pair_rates, log_rates)
     pairs = tuple(
         (Gradient(q, (dq,)), Gradient(p, (dp,)))
         for (q, p), (dq, dp) in zip(point["pairs"], pair_rates)
     )
     gauges = {name: Gradient(g, (g * log_rates[name],)) for name, g in point["gauges"].items()}
-    generic = lax._assemble_residual(
+    constraints, residual = lax._assemble_residual(
         parts, pairs, Gradient(point["t"], (1,)), gauges, point["kappas"], point["rhos"], root
     )
-    return kernel, generic
+    return kernel, ({name: value.value for name, value in constraints.items()}, residual)
 
 
 class TestKernel:
@@ -335,9 +344,10 @@ class TestKernel:
         for seed in range(3):
             point = _clean_point(parts, seed=seed)
             kernel, generic = _both_ways(parts, point, _root(parts, point), *_random_rates(parts, rng))
-            assert not generic.is_zero()
-            assert kernel.entries == generic.entries
-            assert kernel.c_k == generic.c_k
+            assert not generic[1].is_zero()
+            assert kernel[0] == generic[0] and all(value == 0 for value in kernel[0].values())
+            assert kernel[1].entries == generic[1].entries
+            assert kernel[1].c_k == generic[1].c_k
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_equals_the_generic_assembly_with_a_flipped_m_entry(self, monkeypatch, fresh_kernels, parts):
@@ -353,9 +363,27 @@ class TestKernel:
         for seed in range(3):
             point = _clean_point(parts, seed=seed)
             kernel, generic = _both_ways(parts, point, _root(parts, point), *_flow_rates(parts, point))
-            assert not generic.is_zero()
-            assert kernel.entries == generic.entries
-            assert kernel.c_k == generic.c_k
+            assert not generic[1].is_zero()
+            assert kernel[0] == generic[0]
+            assert kernel[1].entries == generic[1].entries
+            assert kernel[1].c_k == generic[1].c_k
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_equals_the_generic_assembly_with_a_moved_constraint(self, monkeypatch, fresh_kernels, parts):
+        record_type = type(reduction(parts))
+        honest = record_type.constraints
+
+        def moved(self, state):
+            # the first constraint is rational at every point, (3,1)'s included
+            out = honest(self, state)
+            first = next(iter(out))
+            return {**out, first: out[first] + 1}
+
+        monkeypatch.setattr(record_type, "constraints", moved)
+        point = _clean_point(parts)
+        kernel, generic = _both_ways(parts, point, _root(parts, point), *_flow_rates(parts, point))
+        assert kernel[0] == generic[0] and list(kernel[0].values()) == [1, *[0] * (len(kernel[0]) - 1)]
+        assert kernel[1].is_zero() and generic[1].is_zero()
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_matches_the_generic_assembly_along_a_trajectory(self, parts):
@@ -373,7 +401,10 @@ class TestKernel:
                      "kappas": kappas, "rhos": rhos}
             pair_rates = tuple((slope[2 * i], slope[2 * i + 1]) for i in range(n))
             log_rates = {name: slope[2 * n + k] for k, name in enumerate(record.gauge_names)}
-            kernel, generic = _both_ways(parts, point, time_root(parts, sample.t), pair_rates, log_rates)
+            (constraints, kernel), (assembled, generic) = _both_ways(
+                parts, point, time_root(parts, sample.t), pair_rates, log_rates
+            )
+            assert constraints == pytest.approx(assembled, rel=1e-12, abs=1e-12)
             for key in kernel.entries.keys() | generic.entries.keys():
                 assert kernel.entry(*key) == pytest.approx(generic.entry(*key), rel=1e-12, abs=1e-300)
             assert kernel.c_k == pytest.approx(generic.c_k, rel=1e-12, abs=1e-300)
@@ -384,10 +415,11 @@ class TestKernel:
         # call runs the text with u and du odd; a root with a rational part
         # cannot be formed, and a float call is not exact and keeps the
         # generic kernel
-        keys, kernel, exact = lax._residual_kernel((3, 1))
+        names, keys, kernel, exact = lax._residual_kernel((3, 1))
         asked = []
         monkeypatch.setattr(
-            lax, "_residual_kernel", lambda parts: (keys, kernel, lambda *odd: asked.append(odd) or exact(*odd))
+            lax, "_residual_kernel",
+            lambda parts: (names, keys, kernel, lambda *odd: asked.append(odd) or exact(*odd)),
         )
         point = _clean_point((3, 1))
         root = _root((3, 1), point)
@@ -568,14 +600,17 @@ class TestVerification:
     def test_every_failing_sample_is_listed(self, monkeypatch):
         calls = []
 
-        def broken(parts, *args, **kwargs):
-            calls.append(parts)
-            return LoopElement(sum(parts) - 1, {(0, 0, 1): QQ(1)})
+        def broken(record, *args):
+            # clean constraints, 1 at R's first entry, (0, 0, 1) for (2,2)
+            calls.append(record.parts)
+            names, keys, _, _ = lax._residual_kernel(record.parts)
+            assert keys[0] == (0, 0, 1)
+            return (*(QQ(0) for _ in names), QQ(1), *(QQ(0) for _ in keys))
 
-        monkeypatch.setattr(lax, "zero_curvature_residual", broken)
+        monkeypatch.setattr(lax, "_residual_values", broken)
         report = verify_partition((2, 2), samples=3, seed=0)
         assert not report.passed
-        assert report.attempted == 3 == len(calls)
+        assert report.attempted == 3 == len(calls) and calls == [(2, 2)] * 3
         body = report.to_json_dict()
         assert body["samples"] == 3 and body["passed"] is False
         assert [f["sample_index"] for f in body["failures"]] == [0, 1, 2]
@@ -605,7 +640,7 @@ class TestVerification:
         def singular(*args, **kwargs):
             raise PoleError("forced pole")
 
-        monkeypatch.setattr(lax, "zero_curvature_residual", singular)
+        monkeypatch.setattr(lax, "_residual_values", singular)
         with pytest.raises(PoleError, match="forced pole"):
             verify_partition((2, 2), samples=1, seed=0)
 

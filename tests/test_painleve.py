@@ -21,7 +21,7 @@ from painleve_ds.painleve import (
     weight_sum_form,
 )
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import draw_constants, random_rational, rational_avoiding
+from painleve_ds.sampling import draw_constants, random_rational, rational_satisfying
 from painleve_ds.scalars import Gradient, PoleError, row_reduce, tangent_of, value_of
 
 FIVE = list(REDUCTIONS)
@@ -94,7 +94,7 @@ class TestCanonicalEquations:
                 (random_rational(rng), random_rational(rng))
                 for _ in range(reduction(system).pair_count)
             )
-            t = rational_avoiding(rng, (0, 1))
+            t = rational_satisfying(rng, lambda x: x not in (0, 1))
             params = _random_params(rng, system)
             flow = vector_field(system, pairs, t, params)
             for k in range(len(pairs)):
@@ -113,7 +113,7 @@ class TestCanonicalEquations:
                 (random_rational(rng), random_rational(rng))
                 for _ in range(reduction(system).pair_count)
             )
-            t = rational_avoiding(rng, (0, 1))
+            t = rational_satisfying(rng, lambda x: x not in (0, 1))
             params = _random_params(rng, system)
             exact = vector_field(system, pairs, t, params)
             float_params = SystemParameters(
@@ -160,7 +160,7 @@ def _random_point(rng, system):
         (random_rational(rng), random_rational(rng))
         for _ in range(reduction(system).pair_count)
     )
-    return pairs, rational_avoiding(rng, (0, 1)), _random_params(rng, system)
+    return pairs, rational_satisfying(rng, lambda x: x not in (0, 1)), _random_params(rng, system)
 
 
 class TestGeneratedGradient:
@@ -249,6 +249,25 @@ class TestPoleContract:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             vector_field("p7", ((QQ(1), QQ(1)),), QQ(2), SystemParameters((QQ(1),) * 5))
+
+    @pytest.mark.parametrize("call", ["vector_field", "gauge_log_derivatives"])
+    @pytest.mark.parametrize("system, weights, eta, pairs, match", [
+        ("p6", 7, None, 1, "takes 5 weights and no eta"),
+        ("p6", 5, QQ(1), 1, "takes 5 weights and no eta"),
+        ("p6", 3, None, 1, "takes 5 weights and no eta"),
+        ("cp6", 6, None, 2, "takes 6 weights and eta"),
+        ("p6", 5, None, 2, r"takes 1 pair\(s\), got 2"),
+        ("cp6", 6, QQ(1), 1, r"takes 2 pair\(s\), got 1"),
+    ], ids=["p6 with 7 weights", "p6 with an eta", "p6 with 3 weights", "cp6 without eta",
+            "p6 with 2 pairs", "cp6 with 1 pair"])
+    def test_arguments_that_do_not_fit_are_refused(self, call, system, weights, eta, pairs, match):
+        params = SystemParameters(tuple(QQ(k + 1, 7) for k in range(weights)), eta)
+        point = tuple((QQ(1, 3), QQ(2, 5)) for _ in range(pairs))
+        with pytest.raises(ValueError, match=match):
+            if call == "vector_field":
+                vector_field(system, point, QQ(5, 2), params)
+            else:
+                gauge_log_derivatives(reduction(system).parts, point, QQ(5, 2), params)
 
 
 class TestParameterMaps:
@@ -433,7 +452,7 @@ class TestGaugeLogDerivatives:
             (random_rational(rng), random_rational(rng))
             for _ in range(reduction(parts).pair_count)
         )
-        t = rational_avoiding(rng, (0, 1))
+        t = rational_satisfying(rng, lambda x: x not in (0, 1))
         logs = gauge_log_derivatives(parts, pairs, t, params)
         assert set(logs) == set(reduction(parts).gauge_names)
 

@@ -14,12 +14,12 @@ from painleve_ds.sampling import (
     DENOMINATOR_RANGE,
     NUMERATOR_RANGE,
     RETRY_CAP,
+    SCALE,
     draw_constants,
     first_witness,
-    nonzero_rational,
     random_rational,
-    rational_avoiding,
     rational_satisfying,
+    scaled_rational,
 )
 from painleve_ds.scalars import PoleError
 
@@ -41,13 +41,25 @@ class TestDraws:
 
     def test_nonzero_never_zero(self):
         rng = random.Random(1)
-        assert all(nonzero_rational(rng) != 0 for _ in range(300))
+        for _ in range(300):
+            value, scaled = scaled_rational(rng, (0,))
+            assert value != 0 and scaled == value * SCALE
 
     def test_avoiding_respects_exclusions(self):
+        # the exclusions are in units of 1/SCALE, and a weight scales the draw first
         rng = random.Random(2)
         banned = (0, 1, QQ(1, 2))
         for _ in range(300):
-            assert rational_avoiding(rng, banned) not in banned
+            assert scaled_rational(rng, tuple(b * SCALE for b in banned))[0] not in banned
+            value, scaled = scaled_rational(rng, (0, 3 * SCALE), weight=3)
+            assert value not in (0, 1) and scaled == value * SCALE
+
+    def test_a_draw_that_never_clears_fails_loudly(self, stuck_rng):
+        # every draw is 2, so 2 excluded, or 1 at weight 2, never clears
+        assert scaled_rational(stuck_rng) == (2, 2 * SCALE)
+        for excluded, weight in (((2 * SCALE,), 1), ((4 * SCALE,), 2)):
+            with pytest.raises(RuntimeError, match=str(RETRY_CAP)):
+                scaled_rational(stuck_rng, excluded, weight)
 
     def test_unsatisfiable_predicate_fails_loudly(self):
         rng = random.Random(3)
