@@ -301,11 +301,11 @@ def sample_point(partition, rng: random.Random) -> dict:
 def _examine_point(record, point):
     """The first failing constraint or zero-curvature entry, (row, col,
     degree) or K, and its residual, from one kernel call; None when clean."""
-    names, keys, _, _ = _residual_kernel(record.parts)
     values = _on_flow(record, **{**point, "root": _root_and_rate(record, point["t"], point["root"])})
     bad = next((k for k, value in enumerate(values) if not is_zero_scalar(value)), None)
     if bad is None:
         return None
+    names, keys, _, _ = _residual_kernel(record.parts)
     entries = [*(["constraint", name] for name in names), *([i, j, deg] for deg, i, j in keys), ["K"]]
     return {"entry": entries[bad], "residual": repr(values[bad])}
 
