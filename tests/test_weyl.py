@@ -182,6 +182,92 @@ class TestGaugeBridge:
         assert report.checks[broken].witness["sample_index"] == 0
 
 
+def _bridge_point():
+    """A drawn bridge point: (pairs, t, u, w3, kappas, rhos)."""
+    return weyl._draw_bridge(random.Random(3))
+
+
+def _on_gauge_pole(index, pairs, t, kappas, rhos):
+    """(pairs, rhos) moved so that phi_index vanishes: phi_i vanishes where
+    r_i's denominator does, phi_3 where q1 p1 + q2 p2 + eta does."""
+    (q1, p1), (q2, p2) = pairs
+    k = kappas
+    if index == 3:
+        return pairs, (-(q1 * p1 + q2 * p2) - (k[0] - k[1] + k[2] - k[3] + k[4] - k[5]) / 3,)
+    moved = {0: ((q1, p1), (q1, p2)), 1: ((q1, QQ(0)), (q2, p2)), 2: ((t, p1), (q2, p2)),
+             4: ((q1, p1), (QQ(1), p2)), 5: ((q1, p1), (q2, QQ(0)))}
+    return moved[index], rhos
+
+
+def _without_gain(index, kappas):
+    """kappas with k_index moved so that alpha_index = 0."""
+    k, c = list(kappas), QQ(1, 3) if index % 2 == 0 else 0
+    k[index] = (k[index - 1] + k[(index + 1) % 6] + 3 * c) / 2
+    return tuple(k)
+
+
+class TestBridgePoles:
+    """What ``conjugation_residual`` raises, word for word, and where it passes."""
+
+    @pytest.mark.parametrize("index", GENERATORS)
+    def test_a_zero_gauge_function_is_named(self, index):
+        pairs, t, u, w3, kappas, rhos = _bridge_point()
+        pairs, rhos = _on_gauge_pole(index, pairs, t, kappas, rhos)
+        with pytest.raises(PoleError, match=rf"^gauge function phi_{index} = 0$"):
+            weyl.conjugation_residual(index, pairs, t, w3, kappas, rhos, root=u)
+
+    @pytest.mark.parametrize("index", GENERATORS)
+    def test_a_zero_gauge_variable_and_t_one_are_named(self, index):
+        pairs, t, u, _, kappas, rhos = _bridge_point()
+        with pytest.raises(PoleError, match=r"^gauge variable w3 = 0$"):
+            weyl.conjugation_residual(index, pairs, t, QQ(0), kappas, rhos, root=u)
+        with pytest.raises(PoleError, match=r"^3,3 coordinate map excludes t = 1$"):
+            weyl.conjugation_residual(index, pairs, QQ(1), QQ(2), kappas, rhos, root=QQ(1))
+
+    def test_r3_moving_w3_to_zero_is_its_reflection_pole(self):
+        # w3 - alpha3/phi_3 = w3 (q1 p1 + q2 p2 - alpha3 + eta) / (q1 p1 + q2 p2 + eta),
+        # so the reflected gauge vanishes exactly where r3's second denominator does
+        pairs, t, u, w3, kappas, rhos = _bridge_point()
+        alpha3 = weyl.reduction_parameters(weyl.CP6.parts, kappas, rhos).alpha[3]
+        _, (rho,) = _on_gauge_pole(3, pairs, t, kappas, rhos)
+        rhos = (rho + alpha3,)
+        state = weyl.canonical_to_ds(weyl.CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, root=u)
+        assert w3 - alpha3 / weyl.gauge_function(3, weyl.lax_matrices(state)[0]) == 0
+        with pytest.raises(PoleError, match=r"^reflection pole: q1\*p1 \+ q2\*p2 - alpha3 \+ eta = 0$"):
+            weyl.conjugation_residual(3, pairs, t, w3, kappas, rhos, root=u)
+        for index in (0, 1, 2, 4, 5):
+            assert weyl.conjugation_residual(index, pairs, t, w3, kappas, rhos, root=u).is_zero()
+
+    @pytest.mark.parametrize("index", GENERATORS)
+    def test_a_zero_gain_skips_the_reflection(self, index):
+        # r_i's own denominators vanish only with phi_i, which is refused
+        # first; at a zero gain, the opposite generator's pole passes
+        pairs, t, u, w3, kappas, rhos = _bridge_point()
+        kappas = _without_gain(index, kappas)
+        assert weyl.reduction_parameters(weyl.CP6.parts, kappas, rhos).alpha[index] == 0
+        own = _on_gauge_pole(index, pairs, t, kappas, rhos)
+        with pytest.raises(PoleError, match=rf"^gauge function phi_{index} = 0$"):
+            weyl.conjugation_residual(index, own[0], t, w3, kappas, own[1], root=u)
+        opposite = _on_gauge_pole((index + 3) % 6, pairs, t, kappas, rhos)
+        assert weyl.conjugation_residual(index, opposite[0], t, w3, kappas, opposite[1], root=u).is_zero()
+
+    def test_a_float_residual_is_pinned(self):
+        # M reads the root and r2 reads t, so at a root that does not fit t,
+        # r2's bridge is off by the pinned entries; at the drawn root it vanishes
+        pairs, t, u, w3, kappas, rhos = _bridge_point()
+        floats = lambda xs: tuple(map(float, xs))
+        pairs, kappas, rhos = tuple(map(floats, pairs)), floats(kappas), floats(rhos)
+        t, u, w3 = floats((t, u, w3))
+        for index in GENERATORS:
+            residual = weyl.conjugation_residual(index, pairs, t, w3, kappas, rhos, root=u)
+            assert max(map(abs, (*residual.entries.values(), residual.c_k))) < 1e-12
+        residual = weyl.conjugation_residual(2, pairs, t, w3, kappas, rhos, root=1.5)
+        want = {(0, 0, 1): 1.1479758828596036, (0, 2, 3): 1.2914728682170535}
+        for key in {*residual.entries, *want}:
+            assert residual.entry(*key) == pytest.approx(want.get(key, 0.0), rel=1e-12, abs=1e-12)
+        assert residual.c_k == pytest.approx(0.0, abs=1e-12)
+
+
 class TestBoundedRetries:
     @pytest.mark.parametrize(
         "target,check",
