@@ -10,7 +10,7 @@ Parameters enter twice: the reduction produces integration constants
 (alphas, plus eta where applicable).  The bridge is an explicit linear map
 per partition, kept in its record as exact coefficient rows so identities
 between the weights can be checked symbolically and not merely at sampled
-points.
+points; rational constants go through those rows written over integers.
 
 Each partition's flow, its system's canonical equations with the
 record's gauge log-derivatives attached, is compiled once (``_flow``),
@@ -175,16 +175,19 @@ def vector_field(system: str, pairs, t, params: SystemParameters):
 
 
 def reduction_parameters(parts: tuple, kappas, rhos) -> SystemParameters:
-    """Affine weights of the target system from the integration constants."""
+    """Affine weights of the target system from the integration constants,
+    by ``_weight_rows`` on ints and Fractions, else by each form's loop."""
     record = reduction(parts)
     if len(kappas) != record.kappa_count or len(rhos) != record.rho_count:
         raise ValueError(
             f"{record.label} takes {record.kappa_count} kappas and {record.rho_count} rhos,"
             f" got {len(kappas)} and {len(rhos)}"
         )
-    alpha = tuple(f(kappas, rhos) for f in record.alpha)
-    eta = record.eta(kappas, rhos) if record.eta is not None else None
-    return SystemParameters(alpha, eta)
+    if rational(chain(kappas, rhos)):
+        weights = _dots(_weight_rows(record.parts), (1, *kappas, *rhos))
+    else:
+        weights = [f(kappas, rhos) for f in (*record.alpha, record.eta) if f is not None]
+    return SystemParameters(tuple(weights[: record.weight_count]), weights[-1] if record.eta is not None else None)
 
 
 def weight_sum_form(parts: tuple) -> LinearForm:
@@ -203,6 +206,26 @@ def weight_sum_form(parts: tuple) -> LinearForm:
 IMAGE_TOLERANCE = 1e-12
 
 
+def _integer_row(row) -> tuple:
+    """(d, terms): the coefficients over one denominator d, (index, integer) where nonzero."""
+    d = math.lcm(*(c.denominator for c in row))
+    return d, tuple((j, c.numerator * (d // c.denominator)) for j, c in enumerate(row) if c)
+
+
+def _dots(rows, values) -> list:
+    """Each integer row applied to rational values put over one lcm: one Fraction per row."""
+    common = math.lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (common // x.denominator) for x in values]
+    return [Fraction(sum(c * scaled[j] for j, c in terms), d * common) for d, terms in rows]
+
+
+@functools.cache
+def _weight_rows(parts: tuple) -> tuple:
+    """Each weight's form, eta's last, as an integer row over (1, *kappas, *rhos)."""
+    record = reduction(parts)
+    return tuple(_integer_row((f.const, *f.kappa, *f.rho)) for f in (*record.alpha, record.eta) if f is not None)
+
+
 @functools.cache
 def _parameter_map(parts: tuple):
     """(inverse, checks): the map with the kappa sum fixed at zero,
@@ -217,13 +240,8 @@ def _parameter_map(parts: tuple):
     n, size = record.kappa_count + record.rho_count, range(len(forms))
     rows = [[1] * record.kappa_count + [0] * (record.rho_count + 1 + len(forms))]
     rows += [[*f.kappa, *f.rho, -f.const, *(int(i == j) for j in size)] for i, f in enumerate(forms)]
-
-    def integer(row):
-        d = math.lcm(*(c.denominator for c in row[n:]))
-        return d, tuple((j, c.numerator * (d // c.denominator)) for j, c in enumerate(row[n:]) if c)
-
-    reduced = row_reduce(rows, n)
-    return tuple(map(integer, reduced[:n])), tuple(map(integer, reduced[n:]))
+    reduced = [_integer_row(row[n:]) for row in row_reduce(rows, n)]
+    return tuple(reduced[:n]), tuple(reduced[n:])
 
 
 def require_weights(record, params: SystemParameters):
@@ -256,16 +274,13 @@ def reduction_constants(parts: tuple, params: SystemParameters):
         inverse, checks = _parameter_map(record.parts)
     except PoleError:
         raise ValueError("parameter map is degenerate") from None
-    ratios = [QQ(w) for w in weights]
-    common = math.lcm(*(r.denominator for r in ratios))
-    rhs = [common, *(r.numerator * (common // r.denominator) for r in ratios)]
-    dot = lambda row: Fraction(sum(c * rhs[j] for j, c in row[1]), row[0] * common)
+    dots = _dots((*checks, *inverse), (1, *map(QQ, weights)))
     tolerance = 0
     if any(isinstance(w, float) for w in weights):
         tolerance = IMAGE_TOLERANCE * max(abs(w) for w in weights)
-    if any(abs(dot(row)) > tolerance for row in checks):
+    if any(abs(residual) > tolerance for residual in dots[: len(checks)]):
         raise ValueError("weights are not in the image of the parameter map")
-    sol = [dot(row) for row in inverse]
+    sol = dots[len(checks) :]
     return tuple(sol[: record.kappa_count]), tuple(sol[record.kappa_count :])
 
 

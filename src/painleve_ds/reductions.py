@@ -18,16 +18,16 @@ gradients and floats.  The registry lists the records in ``report`` order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, ClassVar
 
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
 from .scalars import QQ, Gradient, tangent_of, value_of
-from .tracing import Traced, compile_kernel, rational
+from .tracing import Traced, compile_kernel
 
 
 @dataclass(frozen=True)
@@ -38,25 +38,13 @@ class LinearForm:
     kappa: tuple[Fraction, ...]
     rho: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        # (index, coefficient) of the nonzero coefficients only, kept as
-        # kappa_terms and rho_terms: 86 of the 184 in the records are zero
-        nonzero = lambda coeffs: tuple((j, c) for j, c in enumerate(coeffs) if c)
-        object.__setattr__(self, "kappa_terms", nonzero(self.kappa))
-        object.__setattr__(self, "rho_terms", nonzero(self.rho))
-
     def __call__(self, kappas, rhos):
-        terms = [(c, kappas[j]) for j, c in self.kappa_terms] + [(c, rhos[j]) for j, c in self.rho_terms]
-        if rational(x for _, x in terms):
-            # over the lcm of the term denominators, reduced once at the end
-            const = self.const
-            terms = [(c.numerator * x.numerator, c.denominator * x.denominator) for c, x in terms]
-            common = math.lcm(const.denominator, *(d for _, d in terms))
-            total = sum(n * (common // d) for n, d in terms)
-            return Fraction(const.numerator * (common // const.denominator) + total, common)
+        """The form at any scalars, zero coefficients skipped; rational
+        constants take ``painleve``'s integer rows instead."""
         acc = self.const
-        for c, x in terms:
-            acc = acc + c * x
+        for c, x in chain(zip(self.kappa, kappas), zip(self.rho, rhos)):
+            if c:
+                acc = acc + c * x
         return acc
 
 

@@ -15,7 +15,7 @@ runs a trace's integer text, other input its generic text.
 The gauge side lives here too: the unipotent factors for the coupled
 sixth Lax pair, read off its M together with the induced motion of the
 gauge variable w3, and the conjugation residual that ties the two
-pictures together exactly.
+pictures together exactly, with M read from one trace of its assembly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from functools import cache, partial
 from itertools import chain
 
-from .lax import canonical_to_ds, lax_matrices, time_root
+from .lax import _check_poles, canonical_to_ds, lax_matrices, time_root
 from .loop import LoopElement, apply_theta, bracket, chevalley
 from .painleve import SystemParameters, flow_slope, reduction_parameters, require_weights
 from .reductions import reduction
@@ -276,6 +276,35 @@ def gauge_function(index, m: LoopElement):
     return -m.entry(*key) / 3
 
 
+@cache
+def _m_kernel():
+    """(keys, generic, exact): the texts of one trace of (3,3)'s M (see
+    ``tracing.compile_kernel``), its entries in key order, then K."""
+    leaf = partial(Traced, {})
+    pairs = ((leaf("q1"), leaf("p1")), (leaf("q2"), leaf("p2")))
+    gauges, kappas, rhos = {"w3": leaf("w3")}, tuple(leaf(f"k{j}") for j in range(6)), (leaf("r0"),)
+    m, _ = lax_matrices(canonical_to_ds(CP6.parts, pairs, leaf("t"), gauges, kappas, rhos, root=leaf("u")))
+    generic, exact = compile_kernel(
+        f"M of {CP6.label}", "lax_m(pairs, t, u, w3, k, r)",
+        ["(q1, p1), (q2, p2) = pairs", "".join(f"{k.name}, " for k in kappas) + "= k", "r0, = r"],
+        "(" + "{}, " * (len(m.entries) + 1) + ")", [*m.entries.values(), m.c_k],
+    )
+    return tuple(m.entries), generic, exact
+
+
+def _lax_m(pairs, t, u, w3, kappas, rhos) -> LoopElement:
+    """(3,3)'s M after ``canonical_to_ds``'s pole checks: the integer text
+    on ints and Fractions, t tested first, else the generic text."""
+    _check_poles(CP6, t, (w3,))
+    keys, generic, exact = _m_kernel()
+    kernel = exact() if type(t) in RATIONAL and rational(chain((u, w3), kappas, rhos, *pairs)) else generic()
+    try:
+        *entries, c_k = kernel(pairs, t, u, w3, kappas, rhos)
+    except ZeroDivisionError:
+        raise PoleError(f"division by zero in the M of {CP6.label}") from None
+    return LoopElement(5, dict(zip(keys, entries)), c_k)
+
+
 def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopElement:
     """Gauge-conjugated M minus M at the reflected point; exactly zero.
 
@@ -288,8 +317,7 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
     """
     u = time_root(CP6.parts, t).value if root is None else root
     params = reduction_parameters(CP6.parts, kappas, rhos)
-    state = canonical_to_ds(CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, root=u)
-    m, _ = lax_matrices(state)
+    m = _lax_m(pairs, t, u, w3, kappas, rhos)
     phi = gauge_function(index, m)
     if is_zero_scalar(value_of(phi)):
         raise PoleError(f"gauge function phi_{index} = 0")
@@ -305,8 +333,7 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
     new_kappas[index] += 3 * params.alpha[index]
     # r3 alone moves w3, by its gauge coefficient
     new_w3 = w3 - params.alpha[3] / phi if index == 3 else w3
-    new_state = canonical_to_ds(CP6.parts, new_pairs, t, {"w3": new_w3}, new_kappas, rhos, root=u)
-    return lax_matrices(new_state)[0] - bridge
+    return _lax_m(new_pairs, t, u, new_w3, new_kappas, rhos) - bridge
 
 
 def _draw_bridge(rng):

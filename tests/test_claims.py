@@ -358,15 +358,24 @@ def _constants(record, rng):
 
 @pytest.mark.parametrize("parts", list(REDUCTIONS))
 def test_a_common_denominator_weight_form_equals_the_fraction_sum(parts):
+    # reduction_parameters takes rational constants through integer rows;
+    # each weight must equal its form's generic loop and the plain Fraction
+    # sum, at drawn constants, about 30% ints, at all-int and at zero ones
     record = reduction(parts)
     forms = (*record.alpha, *(() if record.eta is None else (record.eta,)))
     rng = random.Random(13)
-    for _ in range(200):
-        kappas, rhos = _constants(record, rng)
-        for form in forms:
-            want = form.const + sum(c * k for c, k in zip(form.kappa, kappas)) + sum(c * r for c, r in zip(form.rho, rhos))
-            got = form(kappas, rhos)
-            assert (got, repr(got)) == (want, repr(want))
+    points = [_constants(record, rng) for _ in range(200)]
+    points += [tuple(tuple(rng.randint(-20, 20) for _ in c) for c in point) for point in points[:20]]
+    points.append(((0,) * record.kappa_count, (0,) * record.rho_count))
+    for kappas, rhos in points:
+        params = painleve.reduction_parameters(parts, kappas, rhos)
+        got = [*params.alpha, *(() if params.eta is None else (params.eta,))]
+        loop = [form(kappas, rhos) for form in forms]
+        want = [
+            form.const + sum(c * k for c, k in zip(form.kappa, kappas)) + sum(c * r for c, r in zip(form.rho, rhos))
+            for form in forms
+        ]
+        assert (got, repr(got)) == (loop, repr(loop)) == (want, repr(want))
 
 
 # -- a mutation gate for the generated exact kernels ---------------------
@@ -603,10 +612,12 @@ def test_a_non_rational_reflection_names_its_pole(index, lane):
 
 def test_the_exact_suites_run_only_traced_code(monkeypatch):
     # once every kernel is traced, no exact suite and no non-rational
-    # reflection runs the reflection formulas or a record's to_ds or constraints
+    # reflection runs the reflection formulas or a record's to_ds,
+    # constraints or matrices
     for parts in REDUCTIONS:
         assert lax.verify_partition(parts, samples=1).passed
     assert weyl.check_relations(samples=1).passed and weyl.check_equivariance(samples=1).passed
+    assert weyl.check_conjugation(samples=1).passed
 
     def refuse(*args):
         raise AssertionError("a hand-written formula ran")
@@ -615,10 +626,12 @@ def test_the_exact_suites_run_only_traced_code(monkeypatch):
     for record in REDUCTIONS.values():
         monkeypatch.setattr(type(record), "to_ds", refuse)
         monkeypatch.setattr(type(record), "constraints", refuse)
+        monkeypatch.setattr(type(record), "matrices", refuse)
     for parts in REDUCTIONS:
         assert lax.verify_partition(parts, samples=5).passed
     assert weyl.check_relations(samples=5).passed
     assert weyl.check_equivariance(samples=5).passed
+    assert weyl.check_conjugation(samples=5).passed
     for index in weyl.GENERATORS:
         for lane in ("float", "gradient"):
             weyl.apply_generator(index, *_in_lane(DYADIC_POINT, lane))
@@ -654,11 +667,11 @@ def test_a_weight_sum_kernel_equals_the_fraction_sum(monkeypatch, fresh_claim_ke
     assert (len(sums) > 100) if skewed else (sums == {1})
 
 
-def _relations_fail():
-    """Whether some relation fails within MUTATION_POINTS points, or its
-    suite gives up on RETRY_CAP poles in a row."""
+def _table_fails(table):
+    """Whether some claim of the table fails within MUTATION_POINTS points,
+    or its suite gives up on RETRY_CAP poles in a row."""
     try:
-        return not check_claims("mutant", weyl.RELATIONS, MUTATION_POINTS, 0).passed
+        return not check_claims("mutant", table, MUTATION_POINTS, 0).passed
     except RuntimeError:
         return True
 
@@ -672,11 +685,11 @@ def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index
     for where, mutant in mutants:
         patched = lambda i, mutant=mutant: (generic, lambda: mutant, poles) if i == index else honest(i)
         monkeypatch.setattr(weyl, "_reflection_kernel", patched)
-        if not _relations_fail():
+        if not _table_fails(weyl.RELATIONS):
             survivors.append(where)
     assert mutants and survivors == []
     monkeypatch.undo()
-    assert not _relations_fail()
+    assert not _table_fails(weyl.RELATIONS)
 
 
 def _text_outcome(reflect, point):
@@ -697,6 +710,79 @@ def test_every_literal_of_a_generic_reflection_kernel_is_load_bearing(index):
     outcomes = lambda reflect: [_text_outcome(reflect, point) for point in points]
     want = outcomes(exact())
     assert outcomes(generic()) == want
+    mutants = list(_mutants(generic()))
+    survivors = [where for where, mutant in mutants if outcomes(mutant) == want]
+    assert mutants and survivors == []
+
+
+# -- the (3,3) M kernel of the gauge bridges ------------------------------
+
+
+@functools.cache
+def _bridge_points(lane):
+    """Seeded bridge points, every third one with p1 = 0, so that an entry
+    of M vanishes; in the float lane every coordinate is a float."""
+    rng = random.Random(23)
+    points = []
+    for k in range(AGREEMENT_POINTS):
+        (pairs, t, u, w3, kappas, rhos) = weyl._draw_bridge(rng)
+        if k % 3 == 2:
+            pairs = ((pairs[0][0], QQ(0)), pairs[1])
+        if lane == "float":
+            floats = lambda xs: tuple(map(float, xs))
+            pairs, (t, u, w3), kappas, rhos = tuple(map(floats, pairs)), floats((t, u, w3)), floats(kappas), floats(rhos)
+        points.append((pairs, t, u, w3, kappas, rhos))
+    return points
+
+
+def _m_from(text, point):
+    keys, _, _ = weyl._m_kernel()
+    *entries, c_k = text(*point)
+    return LoopElement(5, dict(zip(keys, entries)), c_k)
+
+
+def _m_by_hand(point):
+    pairs, t, u, w3, kappas, rhos = point
+    state = lax.canonical_to_ds(weyl.CP6.parts, pairs, t, {"w3": w3}, kappas, rhos, root=u)
+    return lax.lax_matrices(state)[0]
+
+
+@pytest.mark.parametrize("lane", ["rational", "float"])
+def test_both_texts_of_the_bridge_m_kernel_equal_the_assembly(lane):
+    _, generic, exact = weyl._m_kernel()
+    texts = [generic(), exact()] if lane == "rational" else [generic()]
+    for point in _bridge_points(lane):
+        want = _m_by_hand(point)
+        assert len(want.entries) in (17, 18)
+        for text in texts:
+            got = _m_from(text, point)
+            if lane == "rational":
+                assert (got.entries, got.c_k) == (want.entries, want.c_k)
+            else:
+                assert set(got.entries) == set(want.entries) and got.c_k == want.c_k
+                for key, value in want.entries.items():
+                    assert got.entries[key] == pytest.approx(value, rel=1e-14, abs=1e-14)
+
+
+def test_every_literal_of_the_bridge_m_kernel_is_load_bearing(monkeypatch):
+    # the bridges run the integer text at every drawn point, for M and M'
+    keys, generic, exact = weyl._m_kernel()
+    mutants = list(_mutants(exact()))
+    survivors = []
+    for where, mutant in mutants:
+        monkeypatch.setattr(weyl, "_m_kernel", lambda mutant=mutant: (keys, generic, lambda: mutant))
+        if not _table_fails(weyl.BRIDGES):
+            survivors.append(where)
+    assert len(mutants) == 7 and survivors == []
+    monkeypatch.undo()
+    assert not _table_fails(weyl.BRIDGES)
+
+
+def test_every_literal_of_the_generic_bridge_m_kernel_is_load_bearing():
+    _, generic, exact = weyl._m_kernel()
+    points = _bridge_points("rational")
+    outcomes = lambda text: [_outcome(text, point) for point in points]
+    want = outcomes(exact())
     mutants = list(_mutants(generic()))
     survivors = [where for where, mutant in mutants if outcomes(mutant) == want]
     assert mutants and survivors == []
