@@ -40,6 +40,7 @@ REACHED_END = "reached_end"
 POLE_DETECTED = "pole_detected"
 STEP_UNDERFLOW = "step_underflow"
 STEP_BUDGET = "step_budget_exhausted"
+MAX_STEPS = 200_000  # attempted steps before integrate stops with STEP_BUDGET
 
 ORDER_STEP_SIZES = (1e-2, 5e-3, 2.5e-3)  # the fixed steps of order_check
 
@@ -270,7 +271,6 @@ def integrate(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     fixed_step: float | None = None,
-    max_steps: int = 200_000,
 ) -> Trajectory:
     """Float trajectory of one partition's canonical flow plus gauges.
 
@@ -279,7 +279,8 @@ def integrate(
     partition's gauge names to a nonzero starting value; every start
     coordinate must be finite.  The interval [t0, t_end] must be finite and
     avoid the fixed singular times; movable poles and an exhausted step
-    budget terminate the trajectory with a flag rather than an exception.
+    budget (MAX_STEPS) terminate the trajectory with a flag rather than an
+    exception.
     """
     record = reduction(system)
     parts = record.parts
@@ -319,7 +320,7 @@ def integrate(
 
     records, termination = _advance(
         _flow(parts)[0], t0, y0, t_end, rel_tol, abs_tol, fixed_step,
-        _system_guard(record), max_steps, (alpha, eta),
+        _system_guard(record), MAX_STEPS, (alpha, eta),
     )
 
     # the fields in order: the stepper's records enter as four columns

@@ -59,7 +59,7 @@ from .tracing import RATIONAL, Traced, compile_kernel, rational
 
 
 def time_root(parts, t) -> Gradient:
-    """The partition's root symbol at time t, with d(root)/dt as its one partial.
+    """The partition's root symbol at time t, with d(root)/dt as its tangent.
 
     root**power = base(t).  At rational t a square root is adjoined over QQ
     and a cube root refused: exact samples draw it and pass ``root=``.  At
@@ -67,7 +67,7 @@ def time_root(parts, t) -> Gradient:
     Both come from one call of the relation's traced (base, base') kernel.
     """
     root, rate = _root_and_rate(reduction(parts), QQ(t) if is_rational(t) else t)
-    return Gradient(root, (rate,))
+    return Gradient(root, rate)
 
 
 def _root_and_rate(record, t, root=None) -> tuple:
@@ -181,7 +181,7 @@ def lax_matrices(state: DSState) -> tuple:
 
 
 def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> tuple:
-    """(constraints, R) from one-direction Gradient inputs: the code the kernel is traced from."""
+    """(constraints, R) from Gradient inputs: the code the kernel is traced from."""
     state = canonical_to_ds(parts, pairs, t, gauges, kappas, rhos, root=root)
     m, b = lax_matrices(state)
     b_t = b.map_scalars(value_of).scale(tangent_of(state.tau))
@@ -200,12 +200,12 @@ def _residual_kernel(parts):
     graded by a square root's parity, each compiled on its first call."""
     record = reduction(parts)
     leaf = functools.partial(Traced, {})
-    dual = lambda name: Gradient(leaf(name), (leaf("d" + name),))
+    dual = lambda name: Gradient(leaf(name), leaf("d" + name))
     pairs = tuple((dual(f"q{i}"), dual(f"p{i}")) for i in range(record.pair_count))
     gauges = {name: dual(f"g{j}") for j, name in enumerate(record.gauge_names)}
     kappas = tuple(leaf(f"k{j}") for j in range(record.kappa_count))
     rhos = tuple(leaf(f"r{j}") for j in range(record.rho_count))
-    constraints, res = _assemble_residual(parts, pairs, Gradient(leaf("t"), (1,)), gauges, kappas, rhos, dual("u"))
+    constraints, res = _assemble_residual(parts, pairs, Gradient(leaf("t"), 1), gauges, kappas, rhos, dual("u"))
     column = [f"{c}{i}" for i in range(record.pair_count) for c in "qp"]
     column += [f"g{j}" for j in range(len(record.gauge_names))]
     unpack = [
@@ -260,7 +260,7 @@ def zero_curvature_residual(partition, pairs, t, gauges, kappas, rhos, root=None
     dM/dt is the derivative along d/dt: the pair rates are the
     Hamiltonian vector field, each gauge rate is gauge times its
     multiplier log-derivative, t has rate 1, and the root is
-    ``time_root(partition, t)`` unless given as a one-direction Gradient.
+    ``time_root(partition, t)`` unless given as a Gradient.
     The rates come from the partition's flow through
     ``painleve.flow_slope``, and R from code generated once per partition
     from the generic assembly, through ``_residual_values``, the checked

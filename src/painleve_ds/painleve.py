@@ -110,14 +110,15 @@ def hamiltonian(system: str, pairs, t, params: SystemParameters):
 def _flow(parts: tuple):
     """(rhs, exact): the flow of one partition as straight-line code.
 
-    ``hamiltonian`` runs once on recording scalars, each phase coordinate
-    seeded as a ``Gradient`` along its own unit direction, so the tape
-    records every partial beside the value; the record's gauge
-    log-derivatives are traced on the same tape, so a term they share is
-    computed once.  ``rhs(t, y, a, eta)`` takes y flat, each pair (q, p)
-    then the gauges or their logs, which no rate reads, and returns the
-    canonical equations dq/dt = dH/dp, dp/dt = -dH/dq, then each gauge's
-    d log/dt in record order.  It compiles here, as it is traced, so that
+    ``hamiltonian`` runs once per phase coordinate on recording scalars,
+    that coordinate's ``Gradient`` seeded with tangent 1 and the others
+    with 0, so each pass records one partial beside the value; all 2n
+    passes and the record's gauge log-derivatives share one tape, so a
+    value or a term they share is one node, computed once.
+    ``rhs(t, y, a, eta)`` takes y flat, each pair (q, p) then the gauges
+    or their logs, which no rate reads, and returns the canonical
+    equations dq/dt = dH/dp, dp/dt = -dH/dq, then each gauge's d log/dt
+    in record order.  It compiles here, as it is traced, so that
     no integrate call after an exact one compiles; exact() is its text
     over integer pairs, compiled on its first call (see
     ``tracing.compile_kernel``).  The weights and eta stay arguments, so
@@ -126,12 +127,13 @@ def _flow(parts: tuple):
     record = reduction(parts)
     n = record.pair_count
     leaf = functools.partial(Traced, {})
-    seed = lambda i, name: Gradient(leaf(name), tuple(int(i == j) for j in range(2 * n)))
-    coords = [(seed(2 * k, f"q{k}"), seed(2 * k + 1, f"p{k}")) for k in range(n)]
+    y = [leaf(f"{c}{k}") for k in range(n) for c in "qp"]
     t = leaf("t")
     params = SystemParameters(tuple(leaf(f"a[{i}]") for i in range(record.weight_count)), leaf("eta"))
-    grad = hamiltonian(record.system, coords, t, params).grad
-    rates = record.gauge_log_derivatives(tuple((q.value, p.value) for q, p in coords), t, params)
+    pairs = lambda flat: tuple(zip(flat[::2], flat[1::2]))
+    seeded = lambda i: pairs([Gradient(x, int(i == j)) for j, x in enumerate(y)])
+    grad = [hamiltonian(record.system, seeded(i), t, params).tangent for i in range(2 * n)]
+    rates = record.gauge_log_derivatives(pairs(y), t, params)
     unpack = "".join(f"q{k}, p{k}, " for k in range(n)) + "_, " * len(rates)
     rhs, exact = compile_kernel(
         f"right-hand side of {record.label}", "rhs(t, y, a, eta)", [f"{unpack}= y"],

@@ -66,7 +66,7 @@ class RootRelation:
         """``kernel(t)``: (base(t), base'(t)) as straight-line code, traced
         from one pass of ``base`` along d/dt on this relation's first use;
         it runs on any scalar t, and a zero divisor raises ZeroDivisionError."""
-        dual = self.base(Gradient(Traced({}, "t"), (1,)))
+        dual = self.base(Gradient(Traced({}, "t"), 1))
         outputs = [value_of(dual), tangent_of(dual)]
         return compile_kernel(f"base of {self.symbol}**{self.power}", "base(t)", [], "({}, {})", outputs)[0]()
 

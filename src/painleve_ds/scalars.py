@@ -1,9 +1,9 @@
-"""Exact scalar tower: rationals, one adjoined square root, forward-mode gradients.
+"""Exact scalar tower: rationals, one adjoined square root, dual numbers.
 
 All higher layers are generic over the scalar type.  Formula code written
 with ordinary ``+ - * /`` runs unchanged over ``Fraction``, ``ExtScalar``
 (a rational times a power of one root symbol, such as ``s**2 = t``),
-``Gradient`` values carrying their partials along seeded directions, and
+``Gradient`` values carrying their derivative along one direction, and
 plain ``float``/``complex`` for the numeric backend.
 
 An ``ExtScalar`` is homogeneous: c or c*s, never a + b*s.  The package's
@@ -142,67 +142,62 @@ class ExtScalar:
 
 
 class Gradient:
-    """A value with its partial derivatives along a fixed set of directions.
+    """A dual number: a value and its tangent, the derivative along one
+    direction, such as d/dt along a flow or a root's rate.
 
-    ``grad`` holds one partial per seeded direction.  One direction is a
-    dual number: the derivative along a curve, such as d/dt along a flow
-    or a root's rate.  Seeded with unit vectors over recording scalars,
-    2n directions trace a Hamiltonian's whole gradient at once.
-    Components may be any scalar; the gradient follows the scalar type of
-    the values it is combined with, so float inputs give float partials,
-    rational or root-extension inputs exact ones, and recording scalars a
-    tape.
+    The tangent may be any scalar; it follows the scalar type of the
+    values it is combined with, so float inputs give a float tangent,
+    rational or root-extension inputs an exact one, and recording scalars
+    a tape.  A gradient of several variables takes one pass per direction.
     """
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "tangent")
 
-    def __init__(self, value, grad: tuple):
+    def __init__(self, value, tangent):
         self.value = value
-        self.grad = grad
+        self.tangent = tangent
 
     def __add__(self, other):
         if isinstance(other, Gradient):
-            return Gradient(self.value + other.value, tuple(map(add, self.grad, other.grad)))
-        return Gradient(self.value + other, self.grad)
+            return Gradient(self.value + other.value, self.tangent + other.tangent)
+        return Gradient(self.value + other, self.tangent)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Gradient(-self.value, tuple([-g for g in self.grad]))
+        return Gradient(-self.value, -self.tangent)
 
     def __sub__(self, other):
         if isinstance(other, Gradient):
-            return Gradient(self.value - other.value, tuple(map(sub, self.grad, other.grad)))
-        return Gradient(self.value - other, self.grad)
+            return Gradient(self.value - other.value, self.tangent - other.tangent)
+        return Gradient(self.value - other, self.tangent)
 
     def __rsub__(self, other):
-        return Gradient(other - self.value, tuple([-g for g in self.grad]))
+        return Gradient(other - self.value, -self.tangent)
 
     def __mul__(self, other):
         if isinstance(other, Gradient):
             u, v = self.value, other.value
-            return Gradient(u * v, tuple([u * b + a * v for a, b in zip(self.grad, other.grad)]))
-        return Gradient(self.value * other, tuple([g * other for g in self.grad]))
+            return Gradient(u * v, u * other.tangent + self.tangent * v)
+        return Gradient(self.value * other, self.tangent * other)
 
     __rmul__ = __mul__
 
-    # a zero divisor fails on the value, before any partial is computed
+    # a zero divisor fails on the value, before the tangent is computed
 
     def __truediv__(self, other):
         if isinstance(other, Gradient):
             # quotient rule (a/v)' = (a' - (a/v) v') / v, one reciprocal
             inv = _checked_div(1, other.value)
             value = self.value * inv
-            return Gradient(
-                value, tuple([(a - value * b) * inv for a, b in zip(self.grad, other.grad)])
-            )
+            return Gradient(value, (self.tangent - value * other.tangent) * inv)
         value = _checked_div(self.value, other)
-        return Gradient(value, tuple([g / other for g in self.grad]))
+        return Gradient(value, self.tangent / other)
 
     def __rtruediv__(self, other):
         inv = _checked_div(1, self.value)
         value = other * inv
-        return Gradient(value, tuple([-(value * b) * inv for b in self.grad]))
+        return Gradient(value, -(value * self.tangent) * inv)
 
 
 def _checked_div(a, b):
@@ -218,13 +213,13 @@ def value_of(x):
 
 
 def tangent_of(x):
-    """The partial along the first seeded direction; 0 for a constant."""
-    return x.grad[0] if isinstance(x, Gradient) else 0
+    """The tangent of a Gradient; 0 for a constant."""
+    return x.tangent if isinstance(x, Gradient) else 0
 
 
 def is_zero_scalar(x) -> bool:
     if isinstance(x, Gradient):
-        return is_zero_scalar(x.value) and all(is_zero_scalar(g) for g in x.grad)
+        return is_zero_scalar(x.value) and is_zero_scalar(x.tangent)
     return x == 0
 
 

@@ -24,8 +24,8 @@ class Traced:
     either operand order for + and *.  Ints and Fractions enter as literals,
     an integral Fraction as an int, and -x is 0 - x; x + 0, 0 + x, x - 0,
     x * 1 and 1 * x record nothing, and x * 0 and x - x are the int 0.  As
-    the value of a seeded ``Gradient`` it records each partial beside the
-    value, so the unit seeds' zeros and ones fold away."""
+    the value of a seeded ``Gradient`` it records the tangent beside the
+    value, so a seed's 0 or 1 folds away."""
 
     __slots__ = ("tape", "name", "op", "args")
 

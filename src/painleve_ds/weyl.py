@@ -234,9 +234,9 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     """
     (q1, p1), (q2, p2) = pairs
     dq1, dp1, dq2, dp2, _ = flow_slope(CP6.parts, t, (q1, p1, q2, p2, 0), params)
-    lifted = ((Gradient(q1, (dq1,)), Gradient(p1, (dp1,))), (Gradient(q2, (dq2,)), Gradient(p2, (dp2,))))
-    out_pairs, out_params = apply_generator(index, lifted, params, Gradient(t, (QQ(1),)))
-    # the weights never carry a partial, so out_params is already plain
+    lifted = ((Gradient(q1, dq1), Gradient(p1, dp1)), (Gradient(q2, dq2), Gradient(p2, dp2)))
+    out_pairs, out_params = apply_generator(index, lifted, params, Gradient(t, QQ(1)))
+    # the weights never carry a tangent, so out_params is already plain
     out = [*chain(*out_pairs)]
     target = flow_slope(CP6.parts, t, (*map(value_of, out), 0), out_params)
     return tuple(tangent_of(x) - rate for x, rate in zip(out, target))
@@ -322,12 +322,8 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
     if is_zero_scalar(value_of(phi)):
         raise PoleError(f"gauge function phi_{index} = 0")
     x = chevalley(5, index, "f").scale(params.alpha[index] / phi)
-    bridge = (
-        m
-        + bracket(x, m)
-        + bracket(x, bracket(x, m)).scale(QQ(1, 2))
-        + apply_theta(CP6.gradation, x)
-    )
+    xm = bracket(x, m)
+    bridge = m + xm + bracket(x, xm).scale(QQ(1, 2)) + apply_theta(CP6.gradation, x)
     new_pairs, _ = apply_generator(index, pairs, params, t)
     new_kappas = list(kappas)
     new_kappas[index] += 3 * params.alpha[index]

@@ -595,7 +595,7 @@ def _in_lane(point, lane):
     if lane == "float":
         params = SystemParameters(tuple(map(float, params.alpha)), float(params.eta))
         return tuple(tuple(map(float, pair)) for pair in pairs), params, float(t)
-    lift = lambda x: Gradient(x, (QQ(1),))
+    lift = lambda x: Gradient(x, QQ(1))
     return tuple(tuple(map(lift, pair)) for pair in pairs), params, lift(t)
 
 

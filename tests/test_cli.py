@@ -1,6 +1,5 @@
 """Command-line driver: exit codes, JSON shapes, config handling."""
 
-import functools
 import json
 import os
 import subprocess
@@ -217,7 +216,7 @@ class TestIntegrate:
     def test_exhausted_step_budget_exits_one_with_the_flag(self, capsys, monkeypatch):
         # a run that needs more steps than its budget allows, as
         # --fixed-step 1e-6 on [2, 3] does against the default budget
-        monkeypatch.setattr(flow, "integrate", functools.partial(flow.integrate, max_steps=3))
+        monkeypatch.setattr(flow, "MAX_STEPS", 3)
         code = main(self.BASE + ["--json", "--fixed-step", "1e-6"])
         captured = capsys.readouterr()
         assert code == 1

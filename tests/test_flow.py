@@ -185,8 +185,9 @@ class TestIntegration:
     def test_zero_relative_tolerance_is_pure_absolute_control(self):
         assert _run((2, 2), rel_tol=0.0, abs_tol=1e-10).termination == flow.REACHED_END
 
-    def test_step_budget_ends_with_a_flag(self):
-        traj = _run((2, 2), max_steps=3)
+    def test_step_budget_ends_with_a_flag(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_STEPS", 3)
+        traj = _run((2, 2))
         assert traj.termination == flow.STEP_BUDGET
         assert len(traj.samples) <= 4
         assert traj.final.t < 3.0
@@ -467,13 +468,17 @@ class TestStepper:
 
 
 def _hand_written_slope(parts, pairs, t, params):
-    """The flow's slope from the formulas it is traced from: one gradient
-    pass of the Hamiltonian, then the record's gauge log-derivatives."""
+    """The flow's slope from the formulas it is traced from: one dual
+    pass of the Hamiltonian per phase coordinate, then the record's gauge
+    log-derivatives."""
     record = reduction(parts)
-    size = 2 * record.pair_count
-    unit = lambda i: tuple(int(i == j) for j in range(size))
-    seeded = tuple((Gradient(q, unit(2 * k)), Gradient(p, unit(2 * k + 1))) for k, (q, p) in enumerate(pairs))
-    grad = painleve.hamiltonian(record.system, seeded, t, params).grad
+    flat = [x for pair in pairs for x in pair]
+
+    def partial(i):
+        seeded = [Gradient(x, int(i == j)) for j, x in enumerate(flat)]
+        return painleve.hamiltonian(record.system, tuple(zip(seeded[::2], seeded[1::2])), t, params).tangent
+
+    grad = [partial(i) for i in range(len(flat))]
     rates = record.gauge_log_derivatives(pairs, t, params)
     return (*(c for k in range(record.pair_count) for c in (grad[2 * k + 1], -grad[2 * k])),
             *(rates[name] for name in record.gauge_names))
@@ -520,8 +525,9 @@ class TestGeneratedRightHandSide:
                 pairs, _ = _start(parts)
                 painleve.gauge_log_derivatives(parts, pairs, 2.5, _params(parts))
                 painleve.vector_field(reduction(parts).system, pairs, 2.5, _params(parts))
-            # (3,3) and (2,2,1) both reduce to cp6, whose field reads (3,3)'s flow
-            assert calls == ["cp6", "cp6", "p6", "a4", "a5"]
+            # (3,3) and (2,2,1) both reduce to cp6, whose field reads (3,3)'s
+            # flow; a trace makes one pass per phase coordinate
+            assert calls == ["cp6"] * 4 + ["cp6"] * 4 + ["p6"] * 2 + ["a4"] * 4 + ["a5"] * 4
         finally:
             painleve._flow.cache_clear()
 
@@ -783,8 +789,9 @@ def _outcome(call, *args):
 
 
 def _frame(parts, t):
+    # (value, (tangent,)): the shape the pinned digest was taken over
     root = lax.time_root(parts, t)
-    return root.value, root.grad
+    return root.value, (root.tangent,)
 
 
 # sha256 of what the monitor reads besides the trajectory: the constants

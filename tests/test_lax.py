@@ -75,9 +75,9 @@ def _evaluate(x, root):
 
 
 def _root(parts, point):
-    """The sampled root as the one-direction Gradient the residual takes."""
+    """The sampled root as the Gradient the residual takes."""
     root, rate = lax._root_and_rate(reduction(parts), point["t"], point["root"])
-    return Gradient(root, (rate,))
+    return Gradient(root, rate)
 
 
 def _exact_frames(parts):
@@ -109,7 +109,7 @@ class TestFrames:
     def test_constant_root_frame(self):
         root = time_root((3, 1), QQ(5))
         assert root.value * root.value == 6
-        assert root.grad == (0,)
+        assert root.tangent == 0
         # tau scales linearly with t for this partition
         assert reduction((3, 1)).tau(QQ(5), root.value) == QQ(-5, 3) * root.value
 
@@ -120,7 +120,7 @@ class TestFrames:
     def test_lane_follows_the_time(self):
         # rational t (int included) adjoins the root; float t takes a number
         assert isinstance(time_root((2, 2), 3).value, ExtScalar)
-        assert isinstance(time_root((2, 2), QQ(3)).grad[0], ExtScalar)
+        assert isinstance(time_root((2, 2), QQ(3)).tangent, ExtScalar)
         assert time_root((2, 2), 9.0).value == 3.0
         assert isinstance(time_root((4, 1), 2.0).value, complex)
 
@@ -164,7 +164,7 @@ class TestFrames:
         monkeypatch.setattr(type(record), "root", dataclasses.replace(relation, base=counted))
         got = [time_root(parts, t) for t in times]
         assert len(calls) == 1
-        assert [(g.value, g.grad) for g in got] == [(w.value, w.grad) for w in want]
+        assert [(g.value, g.tangent) for g in got] == [(w.value, w.tangent) for w in want]
 
     @pytest.mark.parametrize("parts", FIVE)
     def test_frames_match_relations_on_every_side(self, parts):
@@ -174,11 +174,11 @@ class TestFrames:
         relation = reduction(parts).root
         k = relation.power
         for t, exact in _exact_frames(parts):
-            (exact_tangent,) = exact.grad
+            exact_tangent = exact.tangent
             assert _power(exact.value, k) == relation.base(t)
             assert k * _power(exact.value, k - 1) * exact_tangent == BASE_RATE[parts](t)
             numeric = time_root(parts, float(t))
-            (tangent,) = numeric.grad
+            tangent = numeric.tangent
             assert abs(numeric.value**k - float(relation.base(t))) < 1e-12
             assert abs(k * numeric.value ** (k - 1) * tangent - float(BASE_RATE[parts](t))) < 1e-12
             # the exact tangent, evaluated at the float root, is the float tangent
@@ -305,7 +305,7 @@ def _outputs(parts, point, root, pair_rates, log_rates):
     y = [*chain(*point["pairs"]), *(point["gauges"][name] for name in record.gauge_names)]
     slope = [*chain(*pair_rates), *(log_rates[name] for name in record.gauge_names)]
     return lax._residual_values(
-        record, y, slope, point["t"], root.value, root.grad[0], point["kappas"], point["rhos"]
+        record, y, slope, point["t"], root.value, root.tangent, point["kappas"], point["rhos"]
     )
 
 
@@ -324,12 +324,12 @@ def _both_ways(parts, point, root, pair_rates, log_rates):
     constraints = dict(zip(names, _outputs(parts, point, root, pair_rates, log_rates)))
     kernel = constraints, _supplied(parts, point, root, pair_rates, log_rates)
     pairs = tuple(
-        (Gradient(q, (dq,)), Gradient(p, (dp,)))
+        (Gradient(q, dq), Gradient(p, dp))
         for (q, p), (dq, dp) in zip(point["pairs"], pair_rates)
     )
-    gauges = {name: Gradient(g, (g * log_rates[name],)) for name, g in point["gauges"].items()}
+    gauges = {name: Gradient(g, g * log_rates[name]) for name, g in point["gauges"].items()}
     constraints, residual = lax._assemble_residual(
-        parts, pairs, Gradient(point["t"], (1,)), gauges, point["kappas"], point["rhos"], root
+        parts, pairs, Gradient(point["t"], 1), gauges, point["kappas"], point["rhos"], root
     )
     return kernel, ({name: value.value for name, value in constraints.items()}, residual)
 

@@ -39,3 +39,43 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _unread_definitions(sources: dict, exported) -> dict:
+    """Per module, the names its top level defines by def, class or
+    assignment that no module reads, bare or as an attribute, and that
+    ``exported`` does not list; dunder names are left out."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = exported | {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+    unread = {}
+    for name, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        if dead := sorted(n for n in defined - read if not (n.startswith("__") and n.endswith("__"))):
+            unread[name] = dead
+    return unread
+
+
+def test_the_definition_scan_sees_a_dead_name():
+    sources = {
+        "a": "__all__ = ['f']\nLIMIT = 3\ndef f(): return LIMIT\ndef _helper(): pass\nclass Box: pass\n",
+        "b": "from a import Box\nx = Box, len\ny: int = 0\n",
+    }
+    assert _unread_definitions(sources, {"f"}) == {"a": ["_helper"], "b": ["x", "y"]}
+
+
+def test_every_definition_is_read_or_exported():
+    # no helper exists only for tests to call
+    package = Path(painleve_ds.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unread_definitions(sources, set(painleve_ds.__all__)) == {}

@@ -39,7 +39,7 @@ def _symbols(record):
     gauges = {name: sp.Symbol(name) for name in record.gauge_names}
     kappas = sp.symbols(f"kappa0:{record.kappa_count}")
     rhos = sp.symbols(f"rho1:{record.rho_count + 1}")
-    return pairs, gauges, kappas, rhos, Gradient(root, (sp.diff(root, t),))
+    return pairs, gauges, kappas, rhos, Gradient(root, sp.diff(root, t))
 
 
 def _vanishes(value) -> bool:
@@ -68,5 +68,5 @@ def test_off_flow_rates_leave_a_nonzero_entry():
     dlogs = gauge_log_derivatives(record.parts, pairs, t, reduction_parameters(record.parts, kappas, rhos))
     y = [*chain(*pairs), *gauges.values()]
     still = [0] * (2 * record.pair_count) + [dlogs[name] for name in gauges]
-    values = _residual_values(record, y, still, t, root.value, root.grad[0], kappas, rhos)
+    values = _residual_values(record, y, still, t, root.value, root.tangent, kappas, rhos)
     assert not all(_vanishes(v) for v in values)
