@@ -1,5 +1,6 @@
 """Birational reflections of the coupled sixth system and their algebra."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction as QQ
@@ -156,6 +157,71 @@ class TestEquivariance:
 
     def test_equivariance_check_passes(self):
         assert check_equivariance(samples=5, seed=2).passed
+
+    def test_residuals_and_pole_messages_are_pinned(self):
+        # every generator at seeded points and on its poles, as rationals and
+        # as floats: each residual's repr, or the PoleError's message
+        outcomes = _equivariance_outcomes()
+        text = repr(sorted(outcomes.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == EQUIVARIANCE_SHA256
+        for (index, lane), row in outcomes.items():
+            on_pole = {o for o in row[EQUIVARIANCE_POINTS:] if not o.startswith("(")}
+            assert on_pole == EQUIVARIANCE_POLE_MESSAGES[index], (index, lane)
+
+
+EQUIVARIANCE_POINTS = 20
+
+# sha256 of _equivariance_outcomes(), sorted, as text
+EQUIVARIANCE_SHA256 = "3bb63eaf07738028f6bf96308aa2fd6d3b2e0262249b9f568fe1e0a1c44824f5"
+
+# the messages among the outcomes on each generator's poles, in both lanes;
+# r3 names each of its two denominators.  The rest of those outcomes are
+# residuals: at a zero gain, and where a float point misses r3's pole by rounding
+EQUIVARIANCE_POLE_MESSAGES = {
+    0: {"reflection pole: q1 - q2 = 0"},
+    1: {"reflection pole: p1 = 0"},
+    2: {"reflection pole: q1 - t = 0"},
+    3: {"reflection pole: q1*p1 + q2*p2 + eta = 0", "reflection pole: q1*p1 + q2*p2 - alpha3 + eta = 0"},
+    4: {"reflection pole: q2 - 1 = 0"},
+    5: {"reflection pole: p2 = 0"},
+}
+
+
+def _on_reflection_pole(index, point, k):
+    """The Weyl point moved onto r_index's denominator, r3's second at odd k."""
+    ((q1, p1), (q2, p2)), params, t = point
+    if index == 3:
+        action = q1 * p1 + q2 * p2
+        params = SystemParameters(params.alpha, params.alpha[3] - action if k % 2 else -action)
+    moved = {0: ((q1, p1), (q1, p2)), 1: ((q1, QQ(0)), (q2, p2)), 2: ((t, p1), (q2, p2)),
+             3: ((q1, p1), (q2, p2)), 4: ((q1, p1), (QQ(1), p2)), 5: ((q1, p1), (q2, QQ(0)))}
+    return moved[index], params, t
+
+
+def _as_floats(point):
+    pairs, params, t = point
+    floats = lambda xs: tuple(map(float, xs))
+    return tuple(map(floats, pairs)), SystemParameters(floats(params.alpha), float(params.eta)), float(t)
+
+
+def _equivariance_outcomes():
+    """{(index, lane): outcomes}: equivariance_residual's repr, or its
+    PoleError's message, at EQUIVARIANCE_POINTS seeded Weyl points, then at
+    six of them moved onto r_index's poles."""
+    outcomes = {}
+    for index in GENERATORS:
+        rng = random.Random(3100 + index)
+        points = [sample_weyl_point(rng) for _ in range(EQUIVARIANCE_POINTS)]
+        points += [_on_reflection_pole(index, point, k) for k, point in enumerate(points[:6])]
+        for lane, form in (("rational", lambda point: point), ("float", _as_floats)):
+            row = []
+            for point in map(form, points):
+                try:
+                    row.append(repr(equivariance_residual(index, *point)))
+                except PoleError as exc:
+                    row.append(str(exc))
+            outcomes[index, lane] = row
+    return outcomes
 
 
 class TestGaugeBridge:
