@@ -10,7 +10,9 @@ while fixing the rho constant, and the parameter map of the reduction
 carries that move precisely to the stated eta shift.  With eta held fixed
 the third reflection is not even an involution; RESOLUTIONS.md works the
 algebra out.  The reflections run only to be traced: rational input
-runs a trace's integer text, other input its generic text.
+runs a trace's integer text, other input its generic text.  A second
+trace, on dual numbers, gives the equivariance claim each image with its
+tangent.
 
 The gauge side lives here too: the unipotent factors for the coupled
 sixth Lax pair, read off its M together with the induced motion of the
@@ -101,50 +103,71 @@ def _reflection(index, pairs, alpha, eta, t, require):
 
 
 @cache
-def _reflection_kernel(index):
+def _reflection_kernel(index, dual=False):
     """(generic, exact, poles): the factories of the two texts of one trace
     of ``_reflection`` (see ``tracing.compile_kernel``), which test the
     denominators ``require`` records, and each one's description keyed by
-    the tape name that either text's ZeroDivisionError carries."""
+    the tape name that either text's ZeroDivisionError carries.
+
+    Dual, each coordinate is a ``Gradient`` with a tangent leaf and t one
+    with tangent 1: ``reflect(pairs, d, a, eta, t)``, d the pairs' rates
+    flat, returns the image's values flat, their tangents, the weights
+    and eta, and each guard is the value of its denominator."""
     leaf, poles = partial(Traced, {}), {}
 
     def require(denominator, description):
-        poles[denominator] = description
+        poles[value_of(denominator)] = description
         return denominator
 
-    pairs = ((leaf("q1"), leaf("p1")), (leaf("q2"), leaf("p2")))
+    names = ("q1", "p1", "q2", "p2")
+    y = [Gradient(leaf(name), leaf("d" + name)) if dual else leaf(name) for name in names]
     alpha = tuple(leaf(f"a{i}") for i in GENERATORS)
-    out, weights, eta = _reflection(index, pairs, alpha, leaf("eta"), leaf("t"), require)
+    t = Gradient(leaf("t"), 1) if dual else leaf("t")
+    out, weights, eta = _reflection(index, (y[:2], y[2:]), alpha, leaf("eta"), t, require)
+    unpack = ["(q1, p1), (q2, p2) = pairs", "".join(f"a{i}, " for i in GENERATORS) + "= a"]
+    out = [*chain(*out)]
+    if dual:
+        out = [*map(value_of, out), *map(tangent_of, out)]
+        unpack.append("".join(f"d{name}, " for name in names) + "_ = d")
+        signature, returns = "reflect(pairs, d, a, eta, t)", "(" + "{}, " * (len(out) + len(weights) + 1) + ")"
+    else:
+        signature, returns = "reflect(pairs, a, eta, t)", "((({}, {}), ({}, {})), (" + "{}, " * 6 + "), {})"
     generic, exact = compile_kernel(
-        f"reflection r{index}", "reflect(pairs, a, eta, t)",
-        ["(q1, p1), (q2, p2) = pairs", "".join(f"a{i}, " for i in GENERATORS) + "= a"],
-        "((({}, {}), ({}, {})), (" + "{}, " * len(GENERATORS) + "), {})",
-        [*chain(*out), *weights, eta], guards=poles,
+        f"reflection r{index}" + " with tangents" * dual, signature, unpack, returns,
+        [*out, *weights, eta], guards=poles,
     )
     return generic, exact, {node.name: description for node, description in poles.items()}
 
 
-def apply_generator(index, pairs, params: SystemParameters, t):
-    """One reflection on (pairs, params); t never moves.
-
-    The generator's kernel runs over integer pairs when every input is an
-    int or a Fraction (t tested first), and its generic text otherwise,
-    so gradients can ride along for Jacobian-vector products.  The
-    weights must fit the coupled sixth system.  Vanishing reflection
-    denominators raise :class:`PoleError` naming the denominator.
-    """
+def _reflect(index, pairs, params: SystemParameters, t, *rates):
+    """r_index's text, with tangents when given the pairs' rates, on the
+    point, or None at a zero gain, where r_index is the identity and none
+    of its denominators is tested.  The text runs over integer pairs when
+    every input is an int or a Fraction (t tested first), and as its
+    generic text otherwise.  The weights must fit the coupled sixth
+    system.  Vanishing reflection denominators raise :class:`PoleError`
+    naming the denominator."""
     if index not in GENERATORS:
         raise ValueError(f"generator index out of range: {index}")
     require_weights(CP6, params)
     alpha, eta = params.alpha, params.eta
     if is_zero_scalar(alpha[index]):
-        return pairs, params
-    generic, exact, poles = _reflection_kernel(index)
+        return None
+    generic, exact, poles = _reflection_kernel(index, True) if rates else _reflection_kernel(index)
     reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
     try:
-        out, weights, eta = reflect(pairs, alpha, eta, t)
+        return reflect(pairs, *rates, alpha, eta, t)
     except ZeroDivisionError as err:
         raise _pole(poles[err.args[0]]) from None
+
+
+def apply_generator(index, pairs, params: SystemParameters, t):
+    """One reflection on (pairs, params); t never moves.  Its generic text,
+    run on any other scalar, takes Gradients too (see ``_reflect``)."""
+    image = _reflect(index, pairs, params, t)
+    if image is None:
+        return pairs, params
+    out, weights, eta = image
     return out, SystemParameters(alpha=weights, eta=eta)
 
 
@@ -226,20 +249,20 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     flow at the image: identically zero exactly when the reflection maps
     solutions to solutions.
 
-    One forward pass along d/dt: phase coordinates are seeded with the
+    One forward pass along d/dt, run as the generator's text with tangents
+    (``_reflection_kernel``): phase coordinates are seeded with the
     Hamiltonian vector field and the time coordinate with 1, so
     reflections whose formulas mention t explicitly contribute their time
     derivative.  Both fields are the pair rates of the (3,3) flow's slope,
-    with w3's place and rate unused.
+    with w3's place and rate unused.  At a zero gain the image is the point
+    and its tangent the slope.
     """
-    (q1, p1), (q2, p2) = pairs
-    dq1, dp1, dq2, dp2, _ = flow_slope(CP6.parts, t, (q1, p1, q2, p2, 0), params)
-    lifted = ((Gradient(q1, dq1), Gradient(p1, dp1)), (Gradient(q2, dq2), Gradient(p2, dp2)))
-    out_pairs, out_params = apply_generator(index, lifted, params, Gradient(t, QQ(1)))
-    # the weights never carry a tangent, so out_params is already plain
-    out = [*chain(*out_pairs)]
-    target = flow_slope(CP6.parts, t, (*map(value_of, out), 0), out_params)
-    return tuple(tangent_of(x) - rate for x, rate in zip(out, target))
+    slope = flow_slope(CP6.parts, t, (*chain(*pairs), 0), params)
+    out = _reflect(index, pairs, params, t, slope)
+    if out is None:
+        out = (*chain(*pairs), *slope[:4], *params.alpha, params.eta)
+    target = flow_slope(CP6.parts, t, (*out[:4], 0), SystemParameters(alpha=out[8:14], eta=out[14]))
+    return tuple(x - rate for x, rate in zip(out[4:8], target))
 
 
 def _examine_equivariance(index, point):

@@ -24,7 +24,7 @@ from painleve_ds import lax, painleve, weyl
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import check_claims, first_witness
+from painleve_ds.sampling import check_claims, first_witness, random_rational
 from painleve_ds.scalars import (
     Extension, ExtScalar, Gradient, GradingError, PoleError, is_zero_scalar, tangent_of, value_of,
 )
@@ -613,7 +613,7 @@ def test_a_non_rational_reflection_names_its_pole(index, lane):
 def test_the_exact_suites_run_only_traced_code(monkeypatch):
     # once every kernel is traced, no exact suite and no non-rational
     # reflection runs the reflection formulas or a record's to_ds,
-    # constraints or matrices
+    # constraints or matrices, and no exact suite does Gradient arithmetic
     for parts in REDUCTIONS:
         assert lax.verify_partition(parts, samples=1).passed
     assert weyl.check_relations(samples=1).passed and weyl.check_equivariance(samples=1).passed
@@ -637,6 +637,30 @@ def test_the_exact_suites_run_only_traced_code(monkeypatch):
             weyl.apply_generator(index, *_in_lane(DYADIC_POINT, lane))
             with pytest.raises(PoleError, match="reflection pole"):
                 weyl.apply_generator(index, *_in_lane(_on_pole(index, DYADIC_POINT, 0), lane))
+    # nor any dual number: equivariance reads each reflection's tangent from its text
+    def no_gradient(*args):
+        raise AssertionError("Gradient arithmetic ran")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Gradient, name, no_gradient)
+    for parts in REDUCTIONS:
+        assert lax.verify_partition(parts, samples=5).passed
+    assert weyl.check_relations(samples=5).passed
+    assert weyl.check_equivariance(samples=5).passed
+    assert weyl.check_conjugation(samples=5).passed
+
+
+def test_the_relations_trace_no_tangent_text(monkeypatch):
+    # from cold caches the relations trace each generator's value text and
+    # build no dual leaf, so they never pay for the equivariance claim's texts
+    def refuse(*args):
+        raise AssertionError("a tangent text was traced")
+
+    weyl._reflection_kernel.cache_clear()
+    monkeypatch.setattr(weyl, "Gradient", refuse)
+    assert weyl.check_relations(samples=5).passed
+    assert weyl._reflection_kernel.cache_info().currsize == len(weyl.GENERATORS)
 
 
 def _marked_fraction_sum(record, parameter_map, kappas, rhos):
@@ -676,28 +700,37 @@ def _table_fails(table):
         return True
 
 
-@pytest.mark.parametrize("index", weyl.GENERATORS)
-def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index):
+def _assert_reflection_literals_load_bearing(monkeypatch, index, dual, table):
+    """Each mutant of r_index's integer text, with tangents when dual, in
+    place of that text, must fail the table."""
     honest = weyl._reflection_kernel
-    generic, exact, poles = honest(index)
+    generic, exact, poles = honest(index, dual)
     mutants = list(_mutants(exact()))
     survivors = []
     for where, mutant in mutants:
-        patched = lambda i, mutant=mutant: (generic, lambda: mutant, poles) if i == index else honest(i)
+        def patched(i, tangents=False, mutant=mutant):
+            return (generic, lambda: mutant, poles) if (i, tangents) == (index, dual) else honest(i, tangents)
+
         monkeypatch.setattr(weyl, "_reflection_kernel", patched)
-        if not _table_fails(weyl.RELATIONS):
+        if not _table_fails(table):
             survivors.append(where)
     assert mutants and survivors == []
     monkeypatch.undo()
-    assert not _table_fails(weyl.RELATIONS)
+    assert not _table_fails(table)
 
 
-def _text_outcome(reflect, point):
-    """A reflection text's image and its repr at a Weyl point, or the name
-    of the denominator it refuses."""
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index):
+    _assert_reflection_literals_load_bearing(monkeypatch, index, False, weyl.RELATIONS)
+
+
+def _text_outcome(reflect, point, *rates):
+    """A reflection text's image and its repr at a Weyl point, given the
+    rates when it is a text with tangents, or the name of the denominator
+    it refuses."""
     pairs, params, t = point
     try:
-        image = reflect(pairs, params.alpha, params.eta, t)
+        image = reflect(pairs, *rates, params.alpha, params.eta, t)
     except ZeroDivisionError as exc:
         return exc.args
     return image, repr(image)
@@ -708,6 +741,26 @@ def test_every_literal_of_a_generic_reflection_kernel_is_load_bearing(index):
     generic, exact, _ = weyl._reflection_kernel(index)
     points = _reflection_points(index)
     outcomes = lambda reflect: [_text_outcome(reflect, point) for point in points]
+    want = outcomes(exact())
+    assert outcomes(generic()) == want
+    mutants = list(_mutants(generic()))
+    survivors = [where for where, mutant in mutants if outcomes(mutant) == want]
+    assert mutants and survivors == []
+
+
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_every_literal_of_a_tangent_text_is_load_bearing(monkeypatch, index):
+    # the equivariance claim runs the integer text with tangents at every drawn point
+    _assert_reflection_literals_load_bearing(monkeypatch, index, True, weyl.EQUIVARIANCE)
+
+
+@pytest.mark.parametrize("index", weyl.GENERATORS)
+def test_every_literal_of_a_generic_tangent_text_is_load_bearing(index):
+    # a float call runs it: each mutant must disagree with the integer text
+    generic, exact, _ = weyl._reflection_kernel(index, True)
+    rng = random.Random(29)
+    points = [(point, (*(random_rational(rng) for _ in range(4)), 0)) for point in _reflection_points(index)]
+    outcomes = lambda reflect: [_text_outcome(reflect, point, rates) for point, rates in points]
     want = outcomes(exact())
     assert outcomes(generic()) == want
     mutants = list(_mutants(generic()))

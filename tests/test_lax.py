@@ -28,7 +28,7 @@ from painleve_ds.painleve import (
 from painleve_ds.loop import LoopElement
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import RETRY_CAP, random_rational
-from painleve_ds.scalars import ExtScalar, Gradient, GradingError, PoleError, is_zero_scalar
+from painleve_ds.scalars import ExtScalar, Gradient, GradingError, PoleError, is_zero_scalar, row_reduce
 
 FIVE = list(REDUCTIONS)
 
@@ -587,6 +587,61 @@ def test_public_calls_at_a_surd_time_are_pinned():
     text = "\n".join(lines)
     assert "*s^1" in text and "*r^1" in text
     assert hashlib.sha256(text.encode()).hexdigest() == SURD_PUBLIC_SHA256
+
+
+# R is affine in the rates dy, so A = dR/d(dy) comes from m + 1 calls of
+# the generic residual text, at dy = 0 and at each unit vector.  With A of
+# full column rank the rates that zero R are unique, and they must be the
+# flow's: zero curvature then rules out any other Hamiltonian.
+DETERMINING_POINTS = 20
+
+
+def _rational_row(values):
+    """A row over Q: (3,1)'s entries are c or c*r, one parity per row, so
+    the row is taken by its coefficients c."""
+    parities = {isinstance(x, ExtScalar) and x.odd for x in values if x != 0}
+    assert len(parities) <= 1, values
+    return [x.c if isinstance(x, ExtScalar) else x for x in values]
+
+
+def _rate_system(parts, point):
+    """(rows, rates): [A | -R(0)] by rows, R's entries and K, and the flow's
+    rates at the point, each gauge's its log-rate times the gauge."""
+    record = reduction(parts)
+    names, _, kernel, _ = lax._residual_kernel(parts)
+    u, du = lax._root_and_rate(record, point["t"], point["root"])
+    y = [*chain(*point["pairs"]), *(point["gauges"][name] for name in record.gauge_names)]
+    params = reduction_parameters(parts, point["kappas"], point["rhos"])
+    slope, n = painleve.flow_slope(parts, point["t"], y, params), 2 * record.pair_count
+    rates = [*slope[:n], *(g * rate for g, rate in zip(y[n:], slope[n:]))]
+    residual = lambda dy: kernel(y, dy, point["t"], u, du, point["kappas"], point["rhos"])[len(names):]
+    zero = residual([QQ(0)] * len(y))
+    unit = lambda j: [QQ(int(k == j)) for k in range(len(y))]
+    columns = [[a - b for a, b in zip(residual(unit(j)), zero)] for j in range(len(y))]
+    return [_rational_row([*row, -z]) for *row, z in zip(*columns, zero)], rates
+
+
+class TestTheLaxPairFixesTheFlow:
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_the_only_rates_that_zero_r_are_the_flow_s(self, parts):
+        rng = random.Random(22)
+        for _ in range(DETERMINING_POINTS):
+            rows, rates = _rate_system(parts, sample_point(parts, rng))
+            m = len(rates)
+            assert len(rows) > m
+            solved = row_reduce(rows, m)  # full column rank, or PoleError
+            assert [row[m] for row in solved[:m]] == rates
+            assert all(row[m] == 0 for row in solved[m:])
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_a_lax_pair_blind_to_one_rate_fixes_no_flow(self, parts):
+        # negative control: R that does not see one rate, as a Lax pair
+        # whose M does not depend on that coordinate would give
+        rows, rates = _rate_system(parts, sample_point(parts, random.Random(22)))
+        for j in range(len(rates)):
+            blind = [[0 if k == j else x for k, x in enumerate(row)] for row in rows]
+            with pytest.raises(PoleError, match="^singular rational system$"):
+                row_reduce(blind, len(rates))
 
 
 class TestVerification:
