@@ -28,7 +28,7 @@ from itertools import chain
 
 from .lax import _check_poles, canonical_to_ds, lax_matrices, time_root
 from .loop import LoopElement, apply_theta, bracket, chevalley
-from .painleve import SystemParameters, flow_slope, reduction_parameters, require_weights
+from .painleve import SystemParameters, _pair_slope, flow_slope, reduction_parameters, require_weights
 from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import SCALE, check_claims, draw_constants, rational_satisfying, scaled_rational
@@ -254,10 +254,11 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     Hamiltonian vector field and the time coordinate with 1, so
     reflections whose formulas mention t explicitly contribute their time
     derivative.  Both fields are the pair rates of the (3,3) flow's slope,
-    with w3's place and rate unused.  At a zero gain the image is the point
-    and its tangent the slope.
+    with w3's place and rate unused; weights that do not fit the system
+    are refused first.  At a zero gain the image is the point and its
+    tangent the slope.
     """
-    slope = flow_slope(CP6.parts, t, (*chain(*pairs), 0), params)
+    slope = _pair_slope(CP6, pairs, t, params)
     out = _reflect(index, pairs, params, t, slope)
     if out is None:
         out = (*chain(*pairs), *slope[:4], *params.alpha, params.eta)

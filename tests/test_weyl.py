@@ -111,7 +111,7 @@ class TestSingleReflections:
         pairs, params, t = _point(seed=60 + index)
         alpha = tuple(QQ(0) if gain == "zero" and k == index else a for k, a in enumerate(params.alpha))
         bad = unfit(alpha, params.eta)
-        for apply in (apply_generator, lambda i, *args: apply_word((i,), *args)):
+        for apply in (apply_generator, lambda i, *args: apply_word((i,), *args), equivariance_residual):
             with pytest.raises(ValueError, match=r"^the cp6 system takes 6 weights and eta$"):
                 apply(index, pairs, bad, t)
 
