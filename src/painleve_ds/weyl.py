@@ -110,9 +110,10 @@ def _reflection_kernel(index, dual=False):
     the tape name that either text's ZeroDivisionError carries.
 
     Dual, each coordinate is a ``Gradient`` with a tangent leaf and t one
-    with tangent 1: ``reflect(pairs, d, a, eta, t)``, d the pairs' rates
-    flat, returns the image's values flat, their tangents, the weights
-    and eta, and each guard is the value of its denominator."""
+    with tangent 1: ``reflect(pairs, d, a, eta, t)``, d the (3,3) flow's
+    slope (the pairs' rates flat, then w3's, unused), returns the image's
+    values flat, their tangents, the weights and eta, and each guard is
+    the value of its denominator."""
     leaf, poles = partial(Traced, {}), {}
 
     def require(denominator, description):
@@ -139,35 +140,27 @@ def _reflection_kernel(index, dual=False):
     return generic, exact, {node.name: description for node, description in poles.items()}
 
 
-def _reflect(index, pairs, params: SystemParameters, t, *rates):
-    """r_index's text, with tangents when given the pairs' rates, on the
-    point, or None at a zero gain, where r_index is the identity and none
-    of its denominators is tested.  The text runs over integer pairs when
-    every input is an int or a Fraction (t tested first), and as its
-    generic text otherwise.  The weights must fit the coupled sixth
-    system.  Vanishing reflection denominators raise :class:`PoleError`
-    naming the denominator."""
+def apply_generator(index, pairs, params: SystemParameters, t):
+    """One reflection on (pairs, params); t never moves.
+
+    The generator's kernel runs over integer pairs when every input is an
+    int or a Fraction (t tested first), and its generic text otherwise,
+    which any scalar, a ``Gradient`` too, can run.  The weights must fit
+    the coupled sixth system.  Vanishing reflection denominators raise
+    :class:`PoleError` naming the denominator.
+    """
     if index not in GENERATORS:
         raise ValueError(f"generator index out of range: {index}")
     require_weights(CP6, params)
     alpha, eta = params.alpha, params.eta
     if is_zero_scalar(alpha[index]):
-        return None
-    generic, exact, poles = _reflection_kernel(index, True) if rates else _reflection_kernel(index)
+        return pairs, params
+    generic, exact, poles = _reflection_kernel(index)
     reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
     try:
-        return reflect(pairs, *rates, alpha, eta, t)
+        out, weights, eta = reflect(pairs, alpha, eta, t)
     except ZeroDivisionError as err:
         raise _pole(poles[err.args[0]]) from None
-
-
-def apply_generator(index, pairs, params: SystemParameters, t):
-    """One reflection on (pairs, params); t never moves.  Its generic text,
-    run on any other scalar, takes Gradients too (see ``_reflect``)."""
-    image = _reflect(index, pairs, params, t)
-    if image is None:
-        return pairs, params
-    out, weights, eta = image
     return out, SystemParameters(alpha=weights, eta=eta)
 
 
@@ -254,14 +247,24 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     Hamiltonian vector field and the time coordinate with 1, so
     reflections whose formulas mention t explicitly contribute their time
     derivative.  Both fields are the pair rates of the (3,3) flow's slope,
-    with w3's place and rate unused; weights that do not fit the system
-    are refused first.  At a zero gain the image is the point and its
+    with w3's place and rate unused.  The weights are checked first; the
+    text, its pole messages and the zero-gain shortcut are chosen as in
+    ``apply_generator``: at a zero gain the image is the point and its
     tangent the slope.
     """
     slope = _pair_slope(CP6, pairs, t, params)
-    out = _reflect(index, pairs, params, t, slope)
-    if out is None:
-        out = (*chain(*pairs), *slope[:4], *params.alpha, params.eta)
+    if index not in GENERATORS:
+        raise ValueError(f"generator index out of range: {index}")
+    alpha, eta = params.alpha, params.eta
+    if is_zero_scalar(alpha[index]):
+        out = (*chain(*pairs), *slope[:4], *alpha, eta)
+    else:
+        generic, exact, poles = _reflection_kernel(index, True)
+        reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
+        try:
+            out = reflect(pairs, slope, alpha, eta, t)
+        except ZeroDivisionError as err:
+            raise _pole(poles[err.args[0]]) from None
     target = flow_slope(CP6.parts, t, (*out[:4], 0), SystemParameters(alpha=out[8:14], eta=out[14]))
     return tuple(x - rate for x, rate in zip(out[4:8], target))
 
