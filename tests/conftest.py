@@ -20,10 +20,11 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def fresh_claim_kernels(monkeypatch):
     """The reflection and weight-sum kernels are traced on first use and
-    cached.  Here a reflection kernel, with tangents or without, is cached per version of
-    ``weyl._shifted_weights``, so each replacement of it is traced afresh,
-    and the weight-sum cache starts and ends empty, so a replaced
-    ``painleve.reduction_parameters`` is traced and leaves no kernel behind."""
+    cached.  Here a reflection kernel, with tangents or without, is cached
+    per version of ``weyl._shifted_weights``, so each replacement of it is
+    traced afresh, and the weight-sum cache starts and ends empty, so a
+    replaced ``painleve.reduction_parameters`` is traced and leaves no
+    kernel behind."""
     uncached = weyl._reflection_kernel.__wrapped__
     trace = functools.cache(lambda index, dual, shifted: uncached(index, dual))
     monkeypatch.setattr(weyl, "_reflection_kernel", lambda index, dual=False: trace(index, dual, weyl._shifted_weights))

@@ -5,7 +5,8 @@ a table: ``lax.ZERO_CURVATURE``, ``weyl.RELATIONS``, ``weyl.EQUIVARIANCE``,
 ``weyl.BRIDGES`` and ``painleve.WEIGHT_SUMS``.  These tests walk the
 tables, pin the failure bodies of the first-witness suites, and check
 that every int literal of the generated exact kernels is seen by the
-claim that runs it: zero curvature, the Weyl relations or the weight sum.
+claim that runs it: zero curvature, the Weyl relations, flow
+equivariance, the gauge bridges or the weight sum.
 """
 
 import functools
@@ -482,10 +483,11 @@ def test_every_literal_of_a_generic_vector_field_kernel_is_load_bearing(system):
 # -- the reflection and weight-sum kernels -------------------------------
 #
 # Each is checked against the formulas it is traced from, and each mutant
-# of a text a claim runs over integer pairs must fail that claim.  The
-# generic reflection texts, which the equivariance claim runs on
-# Gradients, are gated as the generic flow texts are: each mutant must
-# disagree with the integer text.
+# of a text a claim runs over integer pairs must fail that claim: the
+# relations for a reflection's text, flow equivariance for its text with
+# tangents.  The generic texts of both, which float calls run, are gated
+# as the generic flow texts are: each mutant must disagree with the
+# integer text.
 
 
 def _on_pole(index, point, k):
@@ -704,12 +706,14 @@ def _assert_reflection_literals_load_bearing(monkeypatch, index, dual, table):
     """Each mutant of r_index's integer text, with tangents when dual, in
     place of that text, must fail the table."""
     honest = weyl._reflection_kernel
-    generic, exact, poles = honest(index, dual)
+    generic, exact, poles = honest(index, True) if dual else honest(index)  # the callers' cache keys
     mutants = list(_mutants(exact()))
     survivors = []
     for where, mutant in mutants:
         def patched(i, tangents=False, mutant=mutant):
-            return (generic, lambda: mutant, poles) if (i, tangents) == (index, dual) else honest(i, tangents)
+            if (i, tangents) == (index, dual):
+                return generic, lambda: mutant, poles
+            return honest(i, True) if tangents else honest(i)
 
         monkeypatch.setattr(weyl, "_reflection_kernel", patched)
         if not _table_fails(table):
