@@ -137,6 +137,93 @@ class TestWords:
     def test_relations_check_passes(self):
         assert check_relations(samples=10, seed=5).passed
 
+    def test_word_images_and_pole_messages_are_pinned(self):
+        # every relation word and 30 seeded words at WORD_POINTS points each,
+        # as rationals and as floats: the image's repr, or the PoleError's message
+        outcomes = _word_outcomes()
+        text = repr(sorted(outcomes.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == WORD_SHA256
+        # a later letter's pole is among them, at a rational point
+        later = re.compile(r"^word singular after prefix \(\d(,\d)+\): reflection pole")
+        assert any(later.match(o) for (_, _, lane), row in outcomes.items() if lane == "rational" for o in row)
+
+
+WORD_POINTS = 20
+
+# sha256 of _word_outcomes(), sorted, as text
+WORD_SHA256 = "2c0000c7a5d81db766b6fc5222bd475972eec47755aea274695c18d64cb87900"
+
+
+def _seeded_words():
+    """The relation words, then 30 seeded words of 1 to 8 letters."""
+    rng = random.Random(3200)
+    drawn = [tuple(rng.choice(GENERATORS) for _ in range(rng.randint(1, 8))) for _ in range(30)]
+    return [word for _, word in relation_words()] + drawn
+
+
+def _moved_onto(word, cut, point, move):
+    """The point whose image under word[:cut] is that image moved by move,
+    or None where the way there or back meets a pole."""
+    prefix = word[:cut]
+    try:
+        pairs, params = apply_word(prefix, *point)
+        moved = move(pairs, params, point[2])
+        return (*apply_word(prefix[::-1], *moved[:2], point[2]), point[2])
+    except PoleError:
+        return None
+
+
+def _zero_gain(index):
+    """A move that zeroes alpha_index and hands its value to the opposite
+    weight, so the weights still sum to one."""
+    def move(pairs, params, t):
+        alpha = list(params.alpha)
+        alpha[(index + 3) % 6] += alpha[index]
+        alpha[index] = QQ(0)
+        return pairs, SystemParameters(tuple(alpha), params.eta), t
+    return move
+
+
+def _word_points(word, seed):
+    """WORD_POINTS seeded Weyl points for the word: every second one drawn
+    plain; the rest moved so that a later letter (the first, for a word of
+    one letter) meets its pole, or finds its gain zero."""
+    rng, points = random.Random(seed), []
+    while len(points) < WORD_POINTS:
+        point = sample_weyl_point(rng)
+        if len(points) % 2 == 0:
+            points.append(point)
+            continue
+        cut = rng.randrange(1, len(word)) if len(word) > 1 else 0
+        index = word[cut]
+        if len(points) % 4 == 1:
+            k = rng.randrange(2)
+            move = lambda pairs, params, t: _on_reflection_pole(index, (pairs, params, t), k)
+        else:
+            move = _zero_gain(index)
+        moved = _moved_onto(word, cut, point, move)
+        if moved is not None:
+            points.append(moved)
+    return points
+
+
+def _word_outcomes():
+    """{(k, word, lane): outcomes}: apply_word's repr, or its PoleError's
+    message, at _word_points(word), as rationals and as floats, for the
+    k-th of _seeded_words()."""
+    outcomes = {}
+    for k, word in enumerate(_seeded_words()):
+        points = _word_points(word, 3300 + k)
+        for lane, form in (("rational", lambda point: point), ("float", _as_floats)):
+            row = []
+            for point in map(form, points):
+                try:
+                    row.append(repr(apply_word(word, *point)))
+                except PoleError as exc:
+                    row.append(str(exc))
+            outcomes[k, word, lane] = row
+    return outcomes
+
 
 class TestEquivariance:
     @pytest.mark.parametrize("index", GENERATORS)
