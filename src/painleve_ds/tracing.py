@@ -72,7 +72,7 @@ def rational(leaves) -> bool:
     return _RATIONAL_TYPES.issuperset(map(type, leaves))
 
 
-def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list, guards=()):
+def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list, guards=(), pairs=False):
     """Compile ``def signature:``, the unpack lines, the nodes the outputs
     (nodes or rationals) need, then ``return`` the template filled with them.
     A node used once is written inline, in parentheses, where it is used;
@@ -81,7 +81,7 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
 
     Returns (generic, exact): each compiles its kernel on its first call
     and returns it.  ``exact()`` emits the same nodes over integer pairs
-    (see ``_integer_lines``) and runs on ints and Fractions only;
+    (see ``_integer_lines``), on ints and Fractions, or with ``pairs`` on pairs;
     ``exact(*odd)`` emits them over Q(sqrt b) with the named leaves odd,
     taking the c of each odd ``ExtScalar`` c*sqrt(b) and, last, the
     ``Extension`` ext: the rule ``ExtScalar`` follows, decided per node.
@@ -112,7 +112,7 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     # names only, so the tape is freed as before
     program = [(node.name, node.op, *(arg.name for arg in node.args)) for node in nodes]
     names = [getattr(node, "name", repr(node)) for node in outputs]
-    integer = functools.partial(_integer_lines, unpack, returns, names, program)
+    integer = functools.partial(_integer_lines, unpack, returns, names, program, pairs=pairs)
 
     @functools.cache
     def exact(*odd):
@@ -124,12 +124,13 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     return functools.cache(lambda: _compile(title, signature, lines)), exact
 
 
-def _integer_lines(unpack, returns, outputs, program, odd=()):
+def _integer_lines(unpack, returns, outputs, program, odd=(), pairs=False):
     """The program's nodes, (name, op, x, y) by name, as pairs of Python
     ints (n, d), never reduced: + and - cross-multiply, * multiplies across,
     and / first raises ZeroDivisionError on a zero divisor numerator; a
     denominator of 1 and a factor 1 fold away.  Each leaf is unpacked once,
-    at its first use, and each output node is reduced once, as Fraction(n, d).
+    at its first use, and each output node is reduced once, as Fraction(n, d),
+    except in the pair form, where each leaf and output is an (n, d) pair.
 
     With odd leaves, each value is c or c*sqrt(b), b = ext.base, and the
     pair holds c: a node's parity is static, odd * odd multiplies c by b,
@@ -145,7 +146,7 @@ def _integer_lines(unpack, returns, outputs, program, odd=()):
             return tuple(name[len("Fraction(") : -1].split(", "))
         if name not in pair and not name.lstrip("-").isdigit():  # a leaf
             var = "".join(filter(str.isalnum, name))
-            lines.append(f"{var}_n, {var}_d = {name}.numerator, {name}.denominator")
+            lines.append(f"{var}_n, {var}_d = " + (name if pairs else f"{name}.numerator, {name}.denominator"))
             pair[name] = f"{var}_n", f"{var}_d"
         return pair.get(name, (name, None))
 
@@ -173,6 +174,9 @@ def _integer_lines(unpack, returns, outputs, program, odd=()):
         pair[name] = tuple(s if s.isidentifier() else f"{name}_{part}" for s, part in ((n, "n"), (d, "d")))
         lines += [f"{var} = {s}" for var, s in zip(pair[name], (n, d)) if var != s]
     nodes = {name for name, *_ in program}
+    if pairs:  # a leaf leaves as it came, a node or a literal as its (n, d)
+        as_pair = lambda n: n if n.isidentifier() and n not in nodes else "({}, {})".format(*(s or "1" for s in of(n)))
+        return [*lines, "return " + returns.format(*map(as_pair, outputs))]
     reduced = lambda name: "Fraction({}, {})".format(*pair[name]) if name in nodes else name
     wrap = ("ExtScalar(ext, {})", "ExtScalar(ext, {}, odd=True)")
     out = lambda name: wrap[parity[name]].format(reduced(name)) if name in parity else reduced(name)

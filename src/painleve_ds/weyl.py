@@ -23,6 +23,7 @@ pictures together exactly, with M read from one trace of its assembly.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
 
@@ -103,17 +104,19 @@ def _reflection(index, pairs, alpha, eta, t, require):
 
 
 @cache
-def _reflection_kernel(index, dual=False):
+def _reflection_kernel(index, dual):
     """(generic, exact, poles): the factories of the two texts of one trace
     of ``_reflection`` (see ``tracing.compile_kernel``), which test the
     denominators ``require`` records, and each one's description keyed by
     the tape name that either text's ZeroDivisionError carries.
 
-    Dual, each coordinate is a ``Gradient`` with a tangent leaf and t one
-    with tangent 1: ``reflect(pairs, d, a, eta, t)``, d the (3,3) flow's
-    slope (the pairs' rates flat, then w3's, unused), returns the image's
-    values flat, their tangents, the weights and eta, and each guard is
-    the value of its denominator."""
+    Without tangents, ``reflect(q1, p1, q2, p2, a0, ..., a5, eta, t)``
+    returns the image of all but t; its integer text takes and returns
+    unreduced (n, d) pairs.  Dual, each coordinate is a ``Gradient`` with a
+    tangent leaf and t one with tangent 1: ``reflect(pairs, d, a, eta, t)``,
+    d the (3,3) flow's slope (the pairs' rates flat, then w3's, unused),
+    returns the image's values flat, their tangents, the weights and eta,
+    and each guard is the value of its denominator."""
     leaf, poles = partial(Traced, {}), {}
 
     def require(denominator, description):
@@ -125,17 +128,14 @@ def _reflection_kernel(index, dual=False):
     alpha = tuple(leaf(f"a{i}") for i in GENERATORS)
     t = Gradient(leaf("t"), 1) if dual else leaf("t")
     out, weights, eta = _reflection(index, (y[:2], y[2:]), alpha, leaf("eta"), t, require)
-    unpack = ["(q1, p1), (q2, p2) = pairs", "".join(f"a{i}, " for i in GENERATORS) + "= a"]
-    out = [*chain(*out)]
+    out, unpack, signature = [*chain(*out)], [], "reflect(q1, p1, q2, p2, a0, a1, a2, a3, a4, a5, eta, t)"
     if dual:
         out = [*map(value_of, out), *map(tangent_of, out)]
-        unpack.append("".join(f"d{name}, " for name in names) + "_ = d")
-        signature, returns = "reflect(pairs, d, a, eta, t)", "(" + "{}, " * (len(out) + len(weights) + 1) + ")"
-    else:
-        signature, returns = "reflect(pairs, a, eta, t)", "((({}, {}), ({}, {})), (" + "{}, " * 6 + "), {})"
+        unpack = ["(q1, p1), (q2, p2) = pairs", "a0, a1, a2, a3, a4, a5, = a", "dq1, dp1, dq2, dp2, _ = d"]
+        signature = "reflect(pairs, d, a, eta, t)"
     generic, exact = compile_kernel(
-        f"reflection r{index}" + " with tangents" * dual, signature, unpack, returns,
-        [*out, *weights, eta], guards=poles,
+        f"reflection r{index}" + " with tangents" * dual, signature, unpack,
+        "(" + "{}, " * (len(out) + len(weights) + 1) + ")", [*out, *weights, eta], guards=poles, pairs=not dual,
     )
     return generic, exact, {node.name: description for node, description in poles.items()}
 
@@ -143,29 +143,39 @@ def _reflection_kernel(index, dual=False):
 def apply_generator(index, pairs, params: SystemParameters, t):
     """One reflection on (pairs, params); t never moves.
 
-    The generator's kernel runs over integer pairs when every input is an
-    int or a Fraction (t tested first), and its generic text otherwise,
-    which any scalar, a ``Gradient`` too, can run.  The weights must fit
-    the coupled sixth system.  Vanishing reflection denominators raise
-    :class:`PoleError` naming the denominator.
+    The generator's integer text runs on the inputs' (n, d) pairs when
+    each is an int or a Fraction (t tested first), and each value it moved
+    is reduced; other input runs the generic text, which any scalar, a
+    ``Gradient`` too, can run.  The weights must fit the coupled sixth
+    system; a vanishing denominator raises :class:`PoleError` naming it.
     """
     if index not in GENERATORS:
         raise ValueError(f"generator index out of range: {index}")
     require_weights(CP6, params)
-    alpha, eta = params.alpha, params.eta
-    if is_zero_scalar(alpha[index]):
+    if is_zero_scalar(params.alpha[index]):
         return pairs, params
-    generic, exact, poles = _reflection_kernel(index)
-    reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
+    generic, exact, poles = _reflection_kernel(index, False)
+    leaves = (*pairs[0], *pairs[1], *params.alpha, params.eta)
     try:
-        out, weights, eta = reflect(pairs, alpha, eta, t)
+        if type(t) in RATIONAL and rational(leaves):
+            start = [x.as_integer_ratio() for x in leaves]
+            out = _reduced(leaves, start, exact()(*start, t.as_integer_ratio()))
+        else:
+            out = generic()(*leaves, t)
     except ZeroDivisionError as err:
         raise _pole(poles[err.args[0]]) from None
-    return out, SystemParameters(alpha=weights, eta=eta)
+    q1, p1, q2, p2, *weights, eta = out
+    return ((q1, p1), (q2, p2)), SystemParameters(alpha=tuple(weights), eta=eta)
+
+
+def _reduced(values, start, image):
+    """The image of values, from their (n, d) pairs start: a moved pair reduced, a kept one's value."""
+    return [x if y is s else Fraction(*y) for x, s, y in zip(values, start, image)]
 
 
 def apply_word(word, pairs, params: SystemParameters, t):
-    """Left-to-right composition; a singular step reports its prefix."""
+    """Left-to-right composition; a singular step reports its prefix.
+    Each letter reduces its image, since unreduced growth is exponential."""
     letters = tuple(word)
     for cut, index in enumerate(letters, start=1):
         try:
@@ -174,6 +184,23 @@ def apply_word(word, pairs, params: SystemParameters, t):
             prefix = ",".join(str(i) for i in letters[:cut])
             raise PoleError(f"word singular after prefix ({prefix}): {err}") from err
     return pairs, params
+
+
+def _unreduced_word(word, image, t):
+    """``apply_word`` on a rational point's (n, d) pairs, flat, with no
+    Fraction built and no gcd taken: a numerator is 0 where its value is."""
+    for cut, index in enumerate(word, start=1):
+        if index not in GENERATORS:
+            raise ValueError(f"generator index out of range: {index}")
+        if not image[4 + index][0]:
+            continue
+        _, exact, poles = _reflection_kernel(index, False)
+        try:
+            image = exact()(*image, t)
+        except ZeroDivisionError as err:
+            prefix = ",".join(str(i) for i in word[:cut])
+            raise PoleError(f"word singular after prefix ({prefix}): {_pole(poles[err.args[0]])}") from None
+    return image
 
 
 # -- group relations ---------------------------------------------------
@@ -220,8 +247,17 @@ def _witness(point, **failed):
 
 
 def _examine_relation(word, point):
-    image = apply_word(word, *point)
-    return None if image == point[:2] else _witness(point, image_pairs=image[0])
+    """The word's image of a rational point, unreduced, against the point:
+    n/d = m/e exactly when n e = m d.  Only a failing image is reduced."""
+    pairs, params, t = point
+    require_weights(CP6, params)
+    leaves = (*pairs[0], *pairs[1], *params.alpha, params.eta)
+    start = [x.as_integer_ratio() for x in leaves]
+    image = _unreduced_word(word, start, t.as_integer_ratio())
+    if all(n * e == m * d for (n, d), (m, e) in zip(image, start)):
+        return None
+    q1, p1, q2, p2 = _reduced(leaves, start, image)[:4]
+    return _witness(point, image_pairs=((q1, p1), (q2, p2)))
 
 
 RELATIONS = tuple(

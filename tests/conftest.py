@@ -27,7 +27,7 @@ def fresh_claim_kernels(monkeypatch):
     kernel behind."""
     uncached = weyl._reflection_kernel.__wrapped__
     trace = functools.cache(lambda index, dual, shifted: uncached(index, dual))
-    monkeypatch.setattr(weyl, "_reflection_kernel", lambda index, dual=False: trace(index, dual, weyl._shifted_weights))
+    monkeypatch.setattr(weyl, "_reflection_kernel", lambda index, dual: trace(index, dual, weyl._shifted_weights))
     painleve._weight_sum_kernel.cache_clear()
     yield
     painleve._weight_sum_kernel.cache_clear()

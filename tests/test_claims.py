@@ -36,9 +36,9 @@ FAILURE_SHA256 = "61b3eee86d1f6ad9377c95aa01dc07a94399f021028887779288682430b34d
 
 
 def test_failure_bodies_are_pinned(monkeypatch, fresh_claim_kernels):
-    def moved_q1(word, pairs, params, t):
-        (q1, p1), second = pairs
-        return ((q1 + 1, p1), second), params
+    def moved_q1(word, start, t):  # the point, q1 + 1 in place of q1
+        (n, d), *rest = start
+        return [(n + d, d), *rest]
 
     original = painleve.reduction_parameters
 
@@ -46,7 +46,7 @@ def test_failure_bodies_are_pinned(monkeypatch, fresh_claim_kernels):
         params = original(parts, kappas, rhos)
         return SystemParameters(tuple(2 * a for a in params.alpha), params.eta)
 
-    monkeypatch.setattr(weyl, "apply_word", moved_q1)
+    monkeypatch.setattr(weyl, "_unreduced_word", moved_q1)
     monkeypatch.setattr(weyl, "equivariance_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)))
     monkeypatch.setattr(
         weyl, "conjugation_residual", lambda *args, root: LoopElement(5, {(0, 0, 1): QQ(1)})
@@ -549,7 +549,7 @@ def _assert_reflection_agrees(monkeypatch, index, lane):
     if lane != "rational":
         points = [_in_lane(point, lane) for point in points]
     want = [_reflection_outcome(lambda: formulas(*point)) for point in points]
-    weyl._reflection_kernel(index)
+    weyl._reflection_kernel(index, False)
     # a call runs the integer text on rationals and the generic text otherwise
     monkeypatch.setattr(weyl, "_reflection", None)
     assert [_reflection_outcome(lambda: kernel(*point)) for point in points] == want
@@ -639,6 +639,15 @@ def test_the_exact_suites_run_only_traced_code(monkeypatch):
             weyl.apply_generator(index, *_in_lane(DYADIC_POINT, lane))
             with pytest.raises(PoleError, match="reflection pole"):
                 weyl.apply_generator(index, *_in_lane(_on_pole(index, DYADIC_POINT, 0), lane))
+    # nor a reflection's integer text in the Fraction form: each is the pair form, and builds none
+    def no_fraction(*args):
+        raise AssertionError("a reflection text built a Fraction")
+
+    for index in weyl.GENERATORS:
+        _, exact, _ = weyl._reflection_kernel(index, False)
+        monkeypatch.setitem(exact().__globals__, "Fraction", no_fraction)
+    assert weyl.check_relations(samples=5).passed
+    assert weyl.check_conjugation(samples=5).passed
     # nor any dual number: equivariance reads each reflection's tangent from its text
     def no_gradient(*args):
         raise AssertionError("Gradient arithmetic ran")
@@ -663,6 +672,15 @@ def test_the_relations_trace_no_tangent_text(monkeypatch):
     monkeypatch.setattr(weyl, "Gradient", refuse)
     assert weyl.check_relations(samples=5).passed
     assert weyl._reflection_kernel.cache_info().currsize == len(weyl.GENERATORS)
+
+
+def test_the_weyl_suites_trace_two_texts_per_reflection():
+    # one cache key per text: every caller names dual, so no text is traced twice
+    weyl._reflection_kernel.cache_clear()
+    assert weyl.check_relations(samples=2).passed
+    assert weyl.check_equivariance(samples=2).passed
+    assert weyl.check_conjugation(samples=2).passed
+    assert weyl._reflection_kernel.cache_info().currsize == 2 * len(weyl.GENERATORS)
 
 
 def _marked_fraction_sum(record, parameter_map, kappas, rhos):
@@ -706,14 +724,14 @@ def _assert_reflection_literals_load_bearing(monkeypatch, index, dual, table):
     """Each mutant of r_index's integer text, with tangents when dual, in
     place of that text, must fail the table."""
     honest = weyl._reflection_kernel
-    generic, exact, poles = honest(index, True) if dual else honest(index)  # the callers' cache keys
+    generic, exact, poles = honest(index, dual)
     mutants = list(_mutants(exact()))
     survivors = []
     for where, mutant in mutants:
-        def patched(i, tangents=False, mutant=mutant):
+        def patched(i, tangents, mutant=mutant):
             if (i, tangents) == (index, dual):
                 return generic, lambda: mutant, poles
-            return honest(i, True) if tangents else honest(i)
+            return honest(i, tangents)
 
         monkeypatch.setattr(weyl, "_reflection_kernel", patched)
         if not _table_fails(table):
@@ -730,22 +748,32 @@ def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index
 
 def _text_outcome(reflect, point, *rates):
     """A reflection text's image and its repr at a Weyl point, given the
-    rates when it is a text with tangents, or the name of the denominator
-    it refuses."""
+    rates when it is a text with tangents, else the point's leaves flat,
+    or the name of the denominator it refuses."""
     pairs, params, t = point
     try:
-        image = reflect(pairs, *rates, params.alpha, params.eta, t)
+        if rates:
+            image = reflect(pairs, *rates, params.alpha, params.eta, t)
+        else:
+            image = reflect(*chain(*pairs), *params.alpha, params.eta, t)
     except ZeroDivisionError as exc:
         return exc.args
     return image, repr(image)
 
 
+def _on_values(pair_text):
+    """A reflection's pair text run on values: each in as its (n, d) pair,
+    each image out as one Fraction."""
+    split = lambda x: (x.numerator, x.denominator)
+    return lambda *leaves: tuple(QQ(*image) for image in pair_text(*map(split, leaves)))
+
+
 @pytest.mark.parametrize("index", weyl.GENERATORS)
 def test_every_literal_of_a_generic_reflection_kernel_is_load_bearing(index):
-    generic, exact, _ = weyl._reflection_kernel(index)
+    generic, exact, _ = weyl._reflection_kernel(index, False)
     points = _reflection_points(index)
     outcomes = lambda reflect: [_text_outcome(reflect, point) for point in points]
-    want = outcomes(exact())
+    want = outcomes(_on_values(exact()))
     assert outcomes(generic()) == want
     mutants = list(_mutants(generic()))
     survivors = [where for where, mutant in mutants if outcomes(mutant) == want]

@@ -137,6 +137,64 @@ class TestWords:
     def test_relations_check_passes(self):
         assert check_relations(samples=10, seed=5).passed
 
+    def test_the_examination_agrees_with_apply_word(self):
+        # every relation word at RELATION_POINTS mixed points: the unreduced
+        # examination passes exactly where apply_word's image is the point,
+        # and raises apply_word's PoleError exactly where apply_word does
+        later = 0
+        for k, (_, word) in enumerate(relation_words()):
+            for point in _mixed_points(word, 3400 + k, RELATION_POINTS):
+                outcome = _examined(word, point)
+                assert outcome == _by_apply_word(word, point)
+                later += str(outcome).startswith("word singular after prefix (") and "," in str(outcome)[:30]
+        assert later > 100
+
+    @pytest.mark.parametrize("skewed", GENERATORS)
+    def test_a_failing_examination_witnesses_apply_word_s_image(self, fresh_claim_kernels, monkeypatch, skewed):
+        # r_skewed gives its right neighbour 2 alpha: the braids it begins fail,
+        # and each witness holds the image apply_word gives, reduced alike
+        honest = weyl._shifted_weights
+
+        def shifted(alpha, index):
+            out = list(honest(alpha, index))
+            if index == skewed:
+                out[(index + 1) % 6] += alpha[index]
+            return tuple(out)
+
+        monkeypatch.setattr(weyl, "_shifted_weights", shifted)
+        failed = 0
+        for k, (_, word) in enumerate(relation_words()):
+            if skewed in word:
+                for point in _mixed_points(word, 3500 + k, 40):
+                    outcome = _examined(word, point)
+                    assert outcome == _by_apply_word(word, point)
+                    failed += isinstance(outcome, tuple)
+        assert failed > 20
+
+    def test_a_long_word_is_reduced_after_every_letter(self, monkeypatch):
+        # (2,3) six times over is the identity; each letter's text sees
+        # integers under 4,096 bits, where the unreduced fold passes 600,000
+        widths = []
+        honest = weyl._reflection_kernel
+
+        def watched(index, dual):
+            generic, exact, poles = honest(index, dual)
+
+            def text(*leaves):
+                out = exact()(*leaves)
+                widths.append(max(max(abs(n).bit_length(), d.bit_length()) for n, d in (*leaves, *out)))
+                return out
+            return generic, lambda: text, poles
+
+        monkeypatch.setattr(weyl, "_reflection_kernel", watched)
+        word, (pairs, params, t) = (2, 3) * 6, _point(seed=0)
+        assert apply_word(word, pairs, params, t) == (pairs, params)
+        assert len(widths) == len(word) and max(widths) < 4096
+        widths.clear()
+        start = [(x.numerator, x.denominator) for x in (*pairs[0], *pairs[1], *params.alpha, params.eta)]
+        weyl._unreduced_word(word, start, (t.numerator, t.denominator))
+        assert max(widths) > 600_000
+
     def test_word_images_and_pole_messages_are_pinned(self):
         # every relation word and 30 seeded words at WORD_POINTS points each,
         # as rationals and as floats: the image's repr, or the PoleError's message
@@ -149,6 +207,7 @@ class TestWords:
 
 
 WORD_POINTS = 20
+RELATION_POINTS = 200
 
 # sha256 of _word_outcomes(), sorted, as text
 WORD_SHA256 = "2c0000c7a5d81db766b6fc5222bd475972eec47755aea274695c18d64cb87900"
@@ -205,6 +264,40 @@ def _word_points(word, seed):
         if moved is not None:
             points.append(moved)
     return points
+
+
+def _mixed_points(word, seed, count):
+    """count seeded Weyl points for the word: a third as drawn, a third
+    moved so that a letter meets its pole, a third so that a letter finds
+    its gain zero, or as drawn where the move's way there or back meets a pole."""
+    rng, points = random.Random(seed), []
+    for k in range(count):
+        point, cut, side = sample_weyl_point(rng), rng.randrange(len(word)), rng.randrange(2)
+        index = word[cut]
+        on_pole = lambda pairs, params, t: _on_reflection_pole(index, (pairs, params, t), side)
+        move = (None, on_pole, _zero_gain(index))[k % 3]
+        points.append(move and _moved_onto(word, cut, point, move) or point)
+    return points
+
+
+def _examined(word, point):
+    """The relation examination's witness as its repr and its image, or
+    its PoleError's message."""
+    try:
+        witness = weyl._examine_relation(word, point)
+    except PoleError as exc:
+        return str(exc)
+    return witness and (repr(witness), witness["image_pairs"])
+
+
+def _by_apply_word(word, point):
+    """What the examination must give, from apply_word's image."""
+    try:
+        image = apply_word(word, *point)
+    except PoleError as exc:
+        return str(exc)
+    witness = None if image == point[:2] else weyl._witness(point, image_pairs=image[0])
+    return witness and (repr(witness), witness["image_pairs"])
 
 
 def _word_outcomes():
@@ -425,7 +518,7 @@ class TestBoundedRetries:
     @pytest.mark.parametrize(
         "target,check",
         [
-            ("apply_word", check_relations),
+            ("_unreduced_word", check_relations),
             ("equivariance_residual", check_equivariance),
             ("conjugation_residual", check_conjugation),
         ],
@@ -445,14 +538,14 @@ class TestBoundedRetries:
 class TestWitnesses:
     """A claim broken on purpose fails at its first point, with the report's witness keys."""
 
-    def _moved_q1(word, pairs, params, t):
-        (q1, p1), second = pairs
-        return ((q1 + 1, p1), second), params
+    def _moved_q1(word, start, t):  # the point, q1 + 1 in place of q1
+        (n, d), *rest = start
+        return [(n + d, d), *rest]
 
     @pytest.mark.parametrize(
         "target,broken,check,keys",
         [
-            ("apply_word", _moved_q1, check_relations,
+            ("_unreduced_word", _moved_q1, check_relations,
              {"sample_index", "point", "alpha", "eta", "image_pairs"}),
             ("equivariance_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)),
              check_equivariance, {"sample_index", "point", "alpha", "eta", "residual"}),
