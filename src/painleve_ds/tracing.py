@@ -81,7 +81,7 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
 
     Returns (generic, exact): each compiles its kernel on its first call
     and returns it.  ``exact()`` emits the same nodes over integer pairs
-    (see ``_integer_lines``), on ints and Fractions, or with ``pairs`` on pairs;
+    (see ``_integer_lines``), on ints and Fractions, or with ``pairs`` on (n, d) pairs;
     ``exact(*odd)`` emits them over Q(sqrt b) with the named leaves odd,
     taking the c of each odd ``ExtScalar`` c*sqrt(b) and, last, the
     ``Extension`` ext: the rule ``ExtScalar`` follows, decided per node.

@@ -155,6 +155,24 @@ class TestIntegerEmission:
         assert lines[-1] == "    return (x, 0, Fraction(v0_n, v0_d), )"
         assert kernel(3, QQ(1, 2)) == (3, 0, QQ(3, 2))
 
+    def test_the_pair_form_takes_and_returns_unreduced_pairs(self):
+        # a leaf leaves as the very pair that came in; an int, a Fraction
+        # literal and a node leave as (n, d), the node unreduced
+        _, (x, y) = _leaves("x", "y")
+        _, exact = compile_kernel("pair kernel", "kernel(x, y)", [], "({}, {}, {}, {}, )", [x, x * 0, QQ(1, 3), x * y],
+                                  pairs=True)
+        kernel = exact()
+        assert inspect.getsource(kernel).splitlines()[1:] == [
+            "    x_n, x_d = x",
+            "    y_n, y_d = y",
+            "    v0_n = x_n * y_n",
+            "    v0_d = x_d * y_d",
+            "    return (x, (0, 1), (1, 3), (v0_n, v0_d), )",
+        ]
+        x_pair = (2, 4)
+        out = kernel(x_pair, (3, 6))
+        assert out[0] is x_pair and out[1:] == ((0, 1), (1, 3), (6, 24))
+
     def test_an_integral_fraction_literal_enters_as_an_int_and_folds(self):
         tape, (x,) = _leaves("x")
         assert x * QQ(1) is x and QQ(0) + x is x and x - QQ(0) is x
