@@ -1,5 +1,6 @@
 """The recording tape and the straight-line emitter behind both kernels."""
 
+import hashlib
 import inspect
 import linecache
 import operator
@@ -8,7 +9,8 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from painleve_ds import painleve, scalars
+from painleve_ds import lax, painleve, scalars, weyl
+from painleve_ds.reductions import REDUCTIONS
 from painleve_ds.scalars import Extension, ExtScalar
 from painleve_ds.tracing import GradingError, Traced, compile_kernel
 
@@ -283,3 +285,111 @@ class TestGeneratedSource:
             rhs(QQ(1), (QQ(1), QQ(1), 0), (QQ(1),) * 5, None)
         (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == "<right-hand side of 2,2>"]
         assert frame.line.startswith("return (")
+
+
+def _texts():
+    """{name: text} for the 57 texts the suites and the float lane compile:
+    per partition its flow's two, its zero-curvature kernel's two, its
+    weight sum and its root kernel; (3,1)'s graded text; per generator the
+    value text and the text with tangents, two texts each; the bridge M's two."""
+    texts = {}
+    for parts, record in REDUCTIONS.items():
+        rhs, exact = painleve._flow(parts)
+        _, _, residual, integer = lax._residual_kernel(parts)
+        texts |= {f"flow {record.label}": rhs, f"flow {record.label} over pairs": exact(),
+                  f"zero curvature {record.label}": residual, f"zero curvature {record.label} over pairs": integer(),
+                  f"weight sum {record.label}": painleve._weight_sum_kernel(parts), f"root {record.label}": record.root.kernel}
+    texts["zero curvature 3,1 graded"] = lax._residual_kernel((3, 1))[3]("u", "du")
+    for index in weyl.GENERATORS:
+        for dual in (False, True):
+            generic, exact, _ = weyl._reflection_kernel(index, dual)
+            name = f"r{index}" + " with tangents" * dual
+            texts |= {name: generic(), f"{name} over pairs": exact()}
+    _, generic, exact = weyl._m_kernel()
+    return texts | {"M": generic(), "M over pairs": exact()}
+
+
+def _body(text) -> str:
+    """A text's lines after its def line and its unpack lines, each an
+    assignment of a tuple from an argument; a pair leaf's own split,
+    ``x_n, x_d = x``, is body."""
+    lines = inspect.getsource(text).splitlines()
+    args = set(inspect.signature(text).parameters)
+    start = 1
+    for line in lines[1:]:
+        targets, _, value = line.strip().rpartition(" = ")
+        names = [name.strip("(), ") for name in targets.split(",") if name.strip("(), ")]
+        if value not in args or names == [f"{value}_n", f"{value}_d"]:
+            break
+        start += 1
+    return "\n".join(lines[start:])
+
+
+class TestBodyPins:
+    def test_every_generated_body_is_pinned(self):
+        # a change to the emitter or a trace that moves one line of a body shows here
+        digests = {name: hashlib.sha256(_body(text).encode()).hexdigest() for name, text in _texts().items()}
+        assert len(digests) == 57
+        assert digests == BODY_SHA256
+
+
+# sha256 of each text's body, _body(text), by _texts()'s names
+BODY_SHA256 = {
+    'flow 3,3': '87269166b64cb1c2277c92f7a742001cd8b5c89e448214bc10573858450ebea1',
+    'flow 3,3 over pairs': '0273035fa442c8e131a9a7b87b91e1e70d6ed279759e8fa58d47ea3cd45e405e',
+    'zero curvature 3,3': 'feefc057c78ca8be6e0d132c19f9b40f6fd4065638c4bc3d415b912a64b0c5b1',
+    'zero curvature 3,3 over pairs': '3c53965ca73cf06139d2f3d5a24162c26cff2592e64929570fbcf6465ee30bf5',
+    'weight sum 3,3': 'a8078557b8f57cc7a69ca1e250613e306c571186a9d6ba8ad8f712e8063e7e5c',
+    'root 3,3': '0a749b2ea50604b5417326844ca7a3d6bbe6b28ce3fe92a4b6a7336785c3b2d3',
+    'flow 2,2,1': '6834f2b9f849b9d88e57f6a80c52fb44541dafcb39f7841bb0ea6a9354127666',
+    'flow 2,2,1 over pairs': '4005cb9d5f0f252eb4354e134450e8397d19a3991942e82673dc70e2fe80fa62',
+    'zero curvature 2,2,1': 'c4bb8bab857874396242069e77b97a56b10dd173825ce24c4dcd5b1d92f7ec4e',
+    'zero curvature 2,2,1 over pairs': 'ba14baf8362baca3afac2d66cb12a1b29328b71d3daa6d51e6e11cbdfb90535a',
+    'weight sum 2,2,1': '257892e15dd8ae48d8726fe3621c48ee811f36f7abea8ec0496e408f51d10245',
+    'root 2,2,1': '1a3988e6b5353e8a3a18abd696fbc8303695a626ed3aa4b7d57bda0ab1ba7d0d',
+    'flow 2,2': 'd8233cb4f577e54c7d2f06e52731cf9cde889d38c6cb223fad4116d824f5bea4',
+    'flow 2,2 over pairs': '4dc86eb9cd6201651462fe5c693a5a9d82ee75753977ff14dac2c2367c8e6b24',
+    'zero curvature 2,2': '8c746a88fec601507b48d81ff266cd1df747151da4634aa272a7c5a053b576eb',
+    'zero curvature 2,2 over pairs': '159310e1b4d8aad95d4d0d9fa20c61f4b9c5cb196319e3e3ec91896dd4dbf77d',
+    'weight sum 2,2': '43da5c6b9decc22c37d12a035b43c8c1ef2408a7a8744644ae9d8f1f48d92d53',
+    'root 2,2': '1a3988e6b5353e8a3a18abd696fbc8303695a626ed3aa4b7d57bda0ab1ba7d0d',
+    'flow 3,1': '58ef0d131832704ab83c4c152e8f48d51b1433ce87eef5d62776b795b2a97fd9',
+    'flow 3,1 over pairs': '7e718bf88c13a652b306922f14bd8f4d3ba0c2c505a4240009f44ac6852ad2f1',
+    'zero curvature 3,1': '371fec95104d427b34da29c15f0cdffb8eb707848419512d26f95f102e1afa39',
+    'zero curvature 3,1 over pairs': '326eaf926c0804a9670bfa54f553def5039b9ea966cd54cf8de442f3d6d71135',
+    'weight sum 3,1': '2622cc6445a9c976310539b0fdb40706892021ef4583b146b67bc61db8650613',
+    'root 3,1': '27c67ea1c0d8c5ec6d419bb089f170cfd7dec26787ec24110c03abc4064cded2',
+    'flow 4,1': '4b443812f7119282cb1f98de8583247601e0e378809f6d3dc247cdc89bed3167',
+    'flow 4,1 over pairs': '4579e1fd430bb7607e79bdfa7e0460ebbae62ae4622671f1b204c7e806e7a46e',
+    'zero curvature 4,1': '2e8cfa9a7eb687c7d6d5a88361bffd3fdc5b1a129133433152b307b50ddd9e15',
+    'zero curvature 4,1 over pairs': 'ef5ecd7a2cea8760cf42fca8e36692ea6af3bbc864cf35dfde7c2b997e910321',
+    'weight sum 4,1': '1b80c895d9d986a16aa84c439780f65bff73c9cf4be5f389411aede0218fff88',
+    'root 4,1': '60dd75f01f5f9a79ebbad6cdfd7069a3d22c164181ec46f3909c5f93fd87af40',
+    'zero curvature 3,1 graded': '429cc7e919ddb546fb60ba7c50391d493cd6e873aa796dede50357538cfbcb3a',
+    'r0': '0541d33fa192eb55ce8604272b595d11caaab232620437bf252fc099860a54f5',
+    'r0 over pairs': 'ae9fc9abe4589ddca4620ec823dc5cb5f3cb77a7bf008ac700a5064f4b7fa1e5',
+    'r0 with tangents': '84ded2ea715d4e6c10ffc98c02a994ecd2e237fd6410b59c5d7c32a5e9229428',
+    'r0 with tangents over pairs': 'a06df03f022dcc3ae9e107159ff7948beae02e4e3882419ddab97e4e9bd778a1',
+    'r1': '86e2f68035572711b02a9e2f85a11468bb9a2ea97b1489ba6011ec36f94649f7',
+    'r1 over pairs': '717a2d69dcc53d554d6c942e82240bafea506ce857dce5b8eff8c3883dca885b',
+    'r1 with tangents': 'be43f7a9016eb26d75aaed36c3e5ad11fe1e86f3bc48953b66a6cb5882faf14a',
+    'r1 with tangents over pairs': '8368502939c71e5af26179bb0ced838e97a7c0cfa85e72a76c97a31a267fd995',
+    'r2': '6a138af07e345f1a3fee021c27d22d9a9d1a5f070b707f428e4c15cf6ebfe49f',
+    'r2 over pairs': 'e0f29c31830a82eae9bae43d5bd4be56f4f918f1c0249777926aa1be9385af80',
+    'r2 with tangents': '79b86550e1859a0ba1103212b3e917e17203504851b9f46fc91508d2c391f640',
+    'r2 with tangents over pairs': '734f2125406898b1454beb21813f193a14b9b258a373f5e3441d848d5cd79982',
+    'r3': '3b0e503bddee8542fcd5af0a4bf310556a29f34ef989aedfa44f4ee430955185',
+    'r3 over pairs': 'c0f77b392e64459c2722f4c6c3635158722ac7675ff8c45dc5e8f9d849895eb8',
+    'r3 with tangents': '1eaa6f3976c50201243cf69ec6b74dcf1a7da477bf7be59cce37745209e4da2a',
+    'r3 with tangents over pairs': '5ea7802800b48f4e8d9099e8b4f7344e3a16d9809aff96e60bcbee69aeb44c55',
+    'r4': '4e479346efeb90de3ca58655c3185b9656ae4e678911f34a4a04ef3813649204',
+    'r4 over pairs': '6d458445d27da2407fb45e65093d87216911d3568e6db65b684346d10c58fb58',
+    'r4 with tangents': 'ec90a44e75c13eda2f7a26d0cefb1861eeb316d441d2efc6851483ab5805106a',
+    'r4 with tangents over pairs': '5fb1a516d2865a78fc4746bba1a59cd6396247e3d42b04b81885e5e8db4c611e',
+    'r5': '831e649802135598d5510415f1dc64dcb7ea97f70052291a3338de0847f3f496',
+    'r5 over pairs': 'bfa987728f9b5d181a01270a58f51b8b7f64e45a7496bd2337cee7703a94b4fa',
+    'r5 with tangents': '7064b38d68868c505cc5cfcdde4ae677426b932c0665981e632ef0e0e770cf52',
+    'r5 with tangents over pairs': '87d62aca7b279dc329a1e73fb2f2081f1f89986bdd906e55588586fa545379c8',
+    'M': 'ed2a4a7e20ef071bd550bd8d2aff224c4c46d7a2e0af1bad8c2f091730b314ce',
+    'M over pairs': 'f48ee33daf142e2e4fa6a35234f14f2b56058b3f051d5822fa5ece8fd6b83fb7',
+}
