@@ -30,7 +30,7 @@ from .lax import _residual_kernel, _residual_values, _root_and_rate
 from .painleve import SystemParameters, _flow, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
-from .tracing import _compile
+from .tracing import _compile, checked
 
 DENOMINATOR_FLOOR = 1e-12  # the least distance |t - s| from a fixed singular time s
 STATE_CEILING = 1e12
@@ -175,10 +175,7 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps, a
     bad = guard(t, y)
     if bad:
         return [(t, y, None, 0.0)], bad
-    try:
-        slope = f(t, y, *args)
-    except ZeroDivisionError:
-        raise PoleError("division by zero in the right-hand side") from None
+    slope = checked(f, "division by zero in the right-hand side", t, y, *args)
     if not all(map(math.isfinite, slope)):
         raise PoleError("non-finite derivative")
     records = [(t, y, slope, 0.0)]

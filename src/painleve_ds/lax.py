@@ -50,7 +50,7 @@ from .scalars import (
     tangent_of,
     value_of,
 )
-from .tracing import RATIONAL, Traced, compile_kernel, rational
+from .tracing import RATIONAL, checked, rational, trace
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +192,25 @@ def _assemble_residual(parts, pairs, t, gauges, kappas, rhos, root) -> tuple:
 @functools.cache
 def _residual_kernel(parts):
     """(constraint names, entry keys, kernel, exact) from one trace of the
-    generic assembly: ``residual(y, dy, t, u, du, k, r)`` returns each
-    constraint's left minus right in name order, R's entries in key order,
-    then K, from y = (q0, p0, q1, ..., the gauges in record order), their
-    rates dy, t, the root u and its rate du, the kappas and the rhos.
-    exact() and exact("u", "du") are its texts over integer pairs, plain and
-    graded by a square root's parity, each compiled on its first call."""
+    generic assembly, ``residual``: each constraint's left minus right,
+    R's entries, then K.  exact() and exact("u", "du") are its texts over
+    integer pairs, plain and graded by a square root's parity."""
     record = reduction(parts)
-    leaf = functools.partial(Traced, {})
-    dual = lambda name: Gradient(leaf(name), leaf("d" + name))
-    pairs = tuple((dual(f"q{i}"), dual(f"p{i}")) for i in range(record.pair_count))
-    gauges = {name: dual(f"g{j}") for j, name in enumerate(record.gauge_names)}
-    kappas = tuple(leaf(f"k{j}") for j in range(record.kappa_count))
-    rhos = tuple(leaf(f"r{j}") for j in range(record.rho_count))
-    constraints, res = _assemble_residual(parts, pairs, Gradient(leaf("t"), 1), gauges, kappas, rhos, dual("u"))
-    column = [f"{c}{i}" for i in range(record.pair_count) for c in "qp"]
-    column += [f"g{j}" for j in range(len(record.gauge_names))]
-    unpack = [
-        "".join(f"{name}, " for name in column) + "= y",
-        "".join(f"d{name}, " for name in column) + "= dy",
-        "".join(f"k{j}, " for j in range(record.kappa_count)) + "= k",
-        "".join(f"r{j}, " for j in range(record.rho_count)) + "= r",
-    ]
-    outputs = [*map(value_of, constraints.values()), *res.entries.values(), res.c_k]
-    generic, exact = compile_kernel(
-        f"zero curvature of {record.label}", "residual(y, dy, t, u, du, k, r)", unpack,
-        "(" + "{}, " * len(outputs) + ")", outputs,
-    )
-    return tuple(constraints), tuple(res.entries), generic(), exact
+    n, found = 2 * record.pair_count, []
+
+    def residual(y, dy, t, u, du, k, r):
+        y = [Gradient(x, dx) for x, dx in zip(y, dy)]
+        gauges = dict(zip(record.gauge_names, y[n:]))
+        constraints, res = _assemble_residual(parts, tuple(zip(y[:n:2], y[1:n:2])), Gradient(t, 1), gauges, k, r,
+                                              Gradient(u, du))
+        found.extend((tuple(constraints), tuple(res.entries)))
+        return [*map(value_of, constraints.values()), *res.entries.values(), res.c_k]
+
+    y = (*(f"{c}{i}" for i in range(n // 2) for c in "qp"), *(f"g{j}" for j, _ in enumerate(record.gauge_names)))
+    shape = (y, tuple("d" + name for name in y), "t", "u", "du", tuple(f"k{j}" for j in range(record.kappa_count)),
+             tuple(f"r{j}" for j in range(record.rho_count)))
+    generic, exact, _ = trace(f"zero curvature of {record.label}", residual, shape)
+    return (*found, generic(), exact)
 
 
 def _residual_values(record, y, slope, t, u, du, kappas, rhos) -> tuple:
@@ -240,10 +231,7 @@ def _residual_values(record, y, slope, t, u, du, kappas, rhos) -> tuple:
             odd, roots = ("u", "du"), (u.c, du.c)  # multiples of one sqrt(b)
         if rational(chain(roots, kappas, rhos, y, dy)):
             kernel, ext, (u, du) = exact(*odd), ((u.ext,) if odd else ()), roots
-    try:
-        return kernel(y, dy, t, u, du, kappas, rhos, *ext)
-    except ZeroDivisionError:
-        raise PoleError("division by zero in the zero-curvature residual") from None
+    return checked(kernel, "division by zero in the zero-curvature residual", y, dy, t, u, du, kappas, rhos, *ext)
 
 
 def _on_flow(record, pairs, t, gauges, kappas, rhos, root) -> tuple:

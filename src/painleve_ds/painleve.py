@@ -31,7 +31,7 @@ from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
 from .sampling import check_claims, draw_constants
 from .scalars import QQ, Gradient, PoleError, row_reduce
-from .tracing import RATIONAL, Traced, compile_kernel, rational
+from .tracing import RATIONAL, checked, rational, trace
 
 def h4(q, p, t, a, b):
     """Fourth-Painleve building block."""
@@ -114,32 +114,27 @@ def _flow(parts: tuple):
     that coordinate's ``Gradient`` seeded with tangent 1 and the others
     with 0, so each pass records one partial beside the value; all 2n
     passes and the record's gauge log-derivatives share one tape, so a
-    value or a term they share is one node, computed once.
-    ``rhs(t, y, a, eta)`` takes y flat, each pair (q, p) then the gauges
-    or their logs, which no rate reads, and returns the canonical
-    equations dq/dt = dH/dp, dp/dt = -dH/dq, then each gauge's d log/dt
-    in record order.  It compiles here, as it is traced, so that
-    no integrate call after an exact one compiles; exact() is its text
-    over integer pairs, compiled on its first call (see
-    ``tracing.compile_kernel``).  The weights and eta stay arguments, so
-    one compile serves every parameter set and every scalar type.
+    value or a term they share is one node, computed once.  ``rhs``
+    returns dq/dt = dH/dp, dp/dt = -dH/dq per pair, then each gauge's
+    d log/dt.  It compiles here, as it is traced, so that no integrate
+    call after an exact one compiles; exact() is its text over integer
+    pairs (see ``tracing.trace``).  The weights and eta stay arguments,
+    so one compile serves every parameter set and every scalar type.
     """
     record = reduction(parts)
     n = record.pair_count
-    leaf = functools.partial(Traced, {})
-    y = [leaf(f"{c}{k}") for k in range(n) for c in "qp"]
-    t = leaf("t")
-    params = SystemParameters(tuple(leaf(f"a[{i}]") for i in range(record.weight_count)), leaf("eta"))
-    pairs = lambda flat: tuple(zip(flat[::2], flat[1::2]))
-    seeded = lambda i: pairs([Gradient(x, int(i == j)) for j, x in enumerate(y)])
-    grad = [hamiltonian(record.system, seeded(i), t, params).tangent for i in range(2 * n)]
-    rates = record.gauge_log_derivatives(pairs(y), t, params)
-    unpack = "".join(f"q{k}, p{k}, " for k in range(n)) + "_, " * len(rates)
-    rhs, exact = compile_kernel(
-        f"right-hand side of {record.label}", "rhs(t, y, a, eta)", [f"{unpack}= y"],
-        "(" + "{}, -{}, " * n + "{}, " * len(rates) + ")",
-        [*(grad[2 * k + i] for k in range(n) for i in (1, 0)), *(rates[name] for name in record.gauge_names)],
-    )
+
+    def rhs(t, y, a, eta):
+        params, y = SystemParameters(a, eta), y[: 2 * n]
+        pairs = lambda flat: tuple(zip(flat[::2], flat[1::2]))
+        seeded = lambda i: pairs([Gradient(x, int(i == j)) for j, x in enumerate(y)])
+        grad = [hamiltonian(record.system, seeded(i), t, params).tangent for i in range(2 * n)]
+        rates = record.gauge_log_derivatives(pairs(y), t, params)
+        return [*chain(*((grad[2 * k + 1], ("-", grad[2 * k])) for k in range(n))), *map(rates.get, record.gauge_names)]
+
+    y = (*(f"{c}{k}" for k in range(n) for c in "qp"), *(None for _ in record.gauge_names))
+    shape = ("t", y, tuple(f"a{i}" for i in range(record.weight_count)), "eta")
+    rhs, exact, _ = trace(f"right-hand side of {record.label}", rhs, shape)
     return rhs(), exact
 
 
@@ -152,18 +147,16 @@ def flow_slope(parts: tuple, t, y, params: SystemParameters) -> tuple:
     t, eta = _exact(t), params.eta
     if type(t) in RATIONAL and rational(chain(params.alpha, () if eta is None else (eta,), y)):
         rhs = exact()
-    try:
-        return rhs(t, y, params.alpha, eta)
-    except ZeroDivisionError:
-        raise PoleError(f"division by zero in the flow of {reduction(parts).label}") from None
+    return checked(rhs, _FLOW_POLES[parts], t, y, params.alpha, eta)
+
+
+_FLOW_POLES = {parts: f"division by zero in the flow of {record.label}" for parts, record in REDUCTIONS.items()}
 
 
 def _pair_slope(record, pairs, t, params):
     """The slope of the record's flow at pairs, a 0 in each gauge's place,
-    once the weights (``require_weights``) and the pair count fit the system."""
-    require_weights(record, params)
-    if len(pairs) != record.pair_count:
-        raise ValueError(f"the {record.system} system takes {record.pair_count} pair(s), got {len(pairs)}")
+    once the weights and the pair count fit the system (``require_weights``)."""
+    require_weights(record, params, pairs)
     return flow_slope(record.parts, t, [*chain(*pairs), *(0 for _ in record.gauge_names)], params)
 
 
@@ -246,12 +239,14 @@ def _parameter_map(parts: tuple):
     return tuple(reduced[:n]), tuple(reduced[n:])
 
 
-def require_weights(record, params: SystemParameters):
-    """Refuse weights that do not fit the record's system: its weight
-    count, and an eta exactly when the system takes one."""
+def require_weights(record, params: SystemParameters, pairs=None):
+    """Refuse weights that do not fit the record's system, its weight count
+    and an eta exactly when it takes one, and any other count of pairs."""
     if len(params.alpha) != record.weight_count or (params.eta is None) != (record.eta is None):
         eta = "and eta" if record.eta is not None else "and no eta"
         raise ValueError(f"the {record.system} system takes {record.weight_count} weights {eta}")
+    if pairs is not None and len(pairs) != record.pair_count:
+        raise ValueError(f"the {record.system} system takes {record.pair_count} pair(s), got {len(pairs)}")
 
 
 def reduction_constants(parts: tuple, params: SystemParameters):
@@ -306,27 +301,19 @@ def _symbolic_weight_sum(parts: tuple, _):
     return {"const": form.const, "kappa": form.kappa, "rho": form.rho}
 
 
-def _marked_sum(record, kappas, rhos):
-    params = reduction_parameters(record.parts, kappas, rhos)
-    return sum(m * a for m, a in zip(record.marks, params.alpha))
-
-
 @functools.cache
 def _weight_sum_kernel(parts: tuple):
     """The marked weight sum of one partition over integer pairs,
     ``total(kappas, rhos)``, traced through ``reduction_parameters`` and
-    compiled on its first call (see ``tracing.compile_kernel``).  Its only
-    output is the total, so no weight is reduced on its own."""
+    compiled on its first call (see ``tracing.trace``).  Its only output
+    is the total, so no weight is reduced on its own."""
     record = reduction(parts)
-    leaf = functools.partial(Traced, {})
-    kappas = tuple(leaf(f"k{j}") for j in range(record.kappa_count))
-    rhos = tuple(leaf(f"r{j}") for j in range(record.rho_count))
-    names = lambda leaves: "".join(f"{x.name}, " for x in leaves)
-    unpack = [names(kappas) + "= kappas", names(rhos) + "= rhos"]
-    _, exact = compile_kernel(
-        f"weight sum of {record.label}", "total(kappas, rhos)", unpack, "{}", [_marked_sum(record, kappas, rhos)]
-    )
-    return exact()
+
+    def total(kappas, rhos):
+        return sum(m * a for m, a in zip(record.marks, reduction_parameters(parts, kappas, rhos).alpha))
+
+    shape = (tuple(f"k{j}" for j in range(record.kappa_count)), tuple(f"r{j}" for j in range(record.rho_count)))
+    return trace(f"weight sum of {record.label}", total, shape)[1]()
 
 
 def _sampled_weight_sum(record, point):

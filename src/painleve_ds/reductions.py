@@ -27,7 +27,7 @@ from typing import Callable, ClassVar
 from .heisenberg import Partition, build_heisenberg
 from .loop import GradationSpec
 from .scalars import QQ, Gradient, tangent_of, value_of
-from .tracing import Traced, compile_kernel
+from .tracing import trace
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,11 @@ class RootRelation:
         """``kernel(t)``: (base(t), base'(t)) as straight-line code, traced
         from one pass of ``base`` along d/dt on this relation's first use;
         it runs on any scalar t, and a zero divisor raises ZeroDivisionError."""
-        dual = self.base(Gradient(Traced({}, "t"), 1))
-        outputs = [value_of(dual), tangent_of(dual)]
-        return compile_kernel(f"base of {self.symbol}**{self.power}", "base(t)", [], "({}, {})", outputs)[0]()
+        def base(t):
+            dual = self.base(Gradient(t, 1))
+            return value_of(dual), tangent_of(dual)
+
+        return trace(f"base of {self.symbol}**{self.power}", base, ("t",))[0]()
 
 
 @dataclass(frozen=True)

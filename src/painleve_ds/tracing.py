@@ -2,7 +2,8 @@
 ``Traced`` leaves, the code records each ``+ - * /`` on a tape, and
 ``compile_kernel`` compiles, on demand, what some outputs need as plain
 arithmetic or as arithmetic on integer numerator/denominator pairs, the
-latter also over Q(sqrt b) with a static parity per node."""
+latter also over Q(sqrt b) with a static parity per node.  ``trace``
+declares each kernel by its argument shape; ``checked`` names its poles."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import linecache
 from collections import Counter
 from fractions import Fraction
 
-from .scalars import ExtScalar, GradingError, is_zero_scalar, value_of
+from .scalars import ExtScalar, GradingError, PoleError, is_zero_scalar, value_of
 
 RATIONAL = (int, Fraction)  # the leaf types of an integer-pair kernel
 _RATIONAL_TYPES = frozenset(RATIONAL)
@@ -70,6 +71,38 @@ def rational(leaves) -> bool:
     the integer-pair kernel.  Callers test t first, so that a float call
     pays for one check and builds nothing."""
     return _RATIONAL_TYPES.issuperset(map(type, leaves))
+
+
+def trace(title: str, formula, shape: tuple, guards=None, pairs=False):
+    """``formula`` traced once on leaves laid out by ``shape``, one name (the
+    argument's own) or a nested tuple of names (None where no output reads)
+    per argument, and compiled under its name and arguments.  Its outputs, a
+    list, return as ``(x, y, )``, a tuple as ``(x, y)``, one output bare;
+    ("-", x) returns -x.  It fills ``guards``, {denominator: pole message}.
+    Returns (generic, exact, pole), pole(name) the message of a guard."""
+    tape = {}
+    leaf = lambda spec: spec and (Traced(tape, spec) if isinstance(spec, str) else tuple(map(leaf, spec)))
+    target = lambda spec: "".join((f"({target(s)})" if type(s) is tuple else s or "_") + ", " for s in spec)
+    result = formula(*map(leaf, shape))
+    outputs = list(result) if isinstance(result, (list, tuple)) else [result]
+    items = ", ".join("-{}" if type(x) is tuple else "{}" for x in outputs)
+    names = formula.__code__.co_varnames[: formula.__code__.co_argcount]
+    generic, exact = compile_kernel(
+        title, f"{formula.__name__}({', '.join(names)})",
+        [f"{target(spec)}= {name}" for name, spec in zip(names, shape) if not isinstance(spec, str)],
+        {list: "({}, )", tuple: "({})"}.get(type(result), "{}").format(items),
+        [x[1] if type(x) is tuple else x for x in outputs], guards or (), pairs,
+    )
+    return generic, exact, {node.name: message for node, message in (guards or {}).items()}.__getitem__
+
+
+def checked(text, pole, *args):
+    """``text(*args)``, a zero divisor raised as a PoleError: ``pole`` is the
+    kernel's one message, or ``trace``'s pole, given the guard's name."""
+    try:
+        return text(*args)
+    except ZeroDivisionError as err:
+        raise PoleError(pole if isinstance(pole, str) else pole(str(err))) from None
 
 
 def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list, guards=(), pairs=False):

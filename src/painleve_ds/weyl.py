@@ -41,7 +41,7 @@ from .scalars import (
     tangent_of,
     value_of,
 )
-from .tracing import RATIONAL, Traced, compile_kernel, rational
+from .tracing import RATIONAL, checked, rational, trace
 
 GENERATORS = (0, 1, 2, 3, 4, 5)
 
@@ -55,10 +55,6 @@ NON_ADJACENT = tuple(
     for j in GENERATORS
     if i < j and (j - i) not in (1, 5)
 )
-
-
-def _pole(description):
-    return PoleError(f"reflection pole: {description} = 0")
 
 
 def _shifted_weights(alpha, index):
@@ -105,39 +101,31 @@ def _reflection(index, pairs, alpha, eta, t, require):
 
 @cache
 def _reflection_kernel(index, dual):
-    """(generic, exact, poles): the factories of the two texts of one trace
-    of ``_reflection`` (see ``tracing.compile_kernel``), which test the
-    denominators ``require`` records, and each one's description keyed by
-    the tape name that either text's ZeroDivisionError carries.
-
-    Without tangents, ``reflect(q1, p1, q2, p2, a0, ..., a5, eta, t)``
-    returns the image of all but t; its integer text takes and returns
-    unreduced (n, d) pairs.  Dual, each coordinate is a ``Gradient`` with a
-    tangent leaf and t one with tangent 1: ``reflect(pairs, d, a, eta, t)``,
-    d the (3,3) flow's slope (the pairs' rates flat, then w3's, unused),
-    returns the image's values flat, their tangents, the weights and eta,
-    and each guard is the value of its denominator."""
-    leaf, poles = partial(Traced, {}), {}
+    """(generic, exact, pole): one trace of ``_reflection`` (see
+    ``tracing.trace``), whose texts test each denominator ``require``
+    records and name its pole.  Without tangents, ``reflect`` returns the
+    image of all but t; its integer text takes and returns unreduced (n, d)
+    pairs.  Dual, each coordinate is a ``Gradient`` and t one with tangent
+    1, d is the (3,3) flow's slope (w3's rate unused), the image's values
+    and tangents come flat, and each guard is the value of a denominator."""
+    poles, names, weights = {}, ("q1", "p1", "q2", "p2"), tuple(f"a{i}" for i in GENERATORS)
 
     def require(denominator, description):
-        poles[value_of(denominator)] = description
+        poles[value_of(denominator)] = f"reflection pole: {description} = 0"
         return denominator
 
-    names = ("q1", "p1", "q2", "p2")
-    y = [Gradient(leaf(name), leaf("d" + name)) if dual else leaf(name) for name in names]
-    alpha = tuple(leaf(f"a{i}") for i in GENERATORS)
-    t = Gradient(leaf("t"), 1) if dual else leaf("t")
-    out, weights, eta = _reflection(index, (y[:2], y[2:]), alpha, leaf("eta"), t, require)
-    out, unpack, signature = [*chain(*out)], [], "reflect(q1, p1, q2, p2, a0, a1, a2, a3, a4, a5, eta, t)"
     if dual:
-        out = [*map(value_of, out), *map(tangent_of, out)]
-        unpack = ["(q1, p1), (q2, p2) = pairs", "a0, a1, a2, a3, a4, a5, = a", "dq1, dp1, dq2, dp2, _ = d"]
-        signature = "reflect(pairs, d, a, eta, t)"
-    generic, exact = compile_kernel(
-        f"reflection r{index}" + " with tangents" * dual, signature, unpack,
-        "(" + "{}, " * (len(out) + len(weights) + 1) + ")", [*out, *weights, eta], guards=poles, pairs=not dual,
-    )
-    return generic, exact, {node.name: description for node, description in poles.items()}
+        def reflect(pairs, d, a, eta, t):
+            y = [Gradient(x, dx) for x, dx in zip(chain(*pairs), d)]
+            out, a, eta = _reflection(index, (y[:2], y[2:]), a, eta, Gradient(t, 1), require)
+            return [*map(value_of, chain(*out)), *map(tangent_of, chain(*out)), *a, eta]
+        shape = ((names[:2], names[2:]), (*("d" + x for x in names), None), weights, "eta", "t")
+    else:
+        def reflect(q1, p1, q2, p2, a0, a1, a2, a3, a4, a5, eta, t):
+            out, a, eta = _reflection(index, ((q1, p1), (q2, p2)), (a0, a1, a2, a3, a4, a5), eta, t, require)
+            return [*chain(*out), *a, eta]
+        shape = (*names, *weights, "eta", "t")
+    return trace(f"reflection r{index}" + " with tangents" * dual, reflect, shape, poles, pairs=not dual)
 
 
 def apply_generator(index, pairs, params: SystemParameters, t):
@@ -146,24 +134,21 @@ def apply_generator(index, pairs, params: SystemParameters, t):
     The generator's integer text runs on the inputs' (n, d) pairs when
     each is an int or a Fraction (t tested first), and each value it moved
     is reduced; other input runs the generic text, which any scalar, a
-    ``Gradient`` too, can run.  The weights must fit the coupled sixth
-    system; a vanishing denominator raises :class:`PoleError` naming it.
+    ``Gradient`` too, can run.  The index is checked first; the weights
+    and the pair count must fit the coupled sixth system; a vanishing
+    denominator raises :class:`PoleError` naming it.
     """
-    if index not in GENERATORS:
-        raise ValueError(f"generator index out of range: {index}")
-    require_weights(CP6, params)
+    _require_generators((index,))
+    require_weights(CP6, params, pairs)
     if is_zero_scalar(params.alpha[index]):
         return pairs, params
-    generic, exact, poles = _reflection_kernel(index, False)
+    generic, exact, pole = _reflection_kernel(index, False)
     leaves = (*pairs[0], *pairs[1], *params.alpha, params.eta)
-    try:
-        if type(t) in RATIONAL and rational(leaves):
-            start = [x.as_integer_ratio() for x in leaves]
-            out = _reduced(leaves, start, exact()(*start, t.as_integer_ratio()))
-        else:
-            out = generic()(*leaves, t)
-    except ZeroDivisionError as err:
-        raise _pole(poles[err.args[0]]) from None
+    if type(t) in RATIONAL and rational(leaves):
+        start = [x.as_integer_ratio() for x in leaves]
+        out = _reduced(leaves, start, checked(exact(), pole, *start, t.as_integer_ratio()))
+    else:
+        out = checked(generic(), pole, *leaves, t)
     q1, p1, q2, p2, *weights, eta = out
     return ((q1, p1), (q2, p2)), SystemParameters(alpha=tuple(weights), eta=eta)
 
@@ -173,34 +158,47 @@ def _reduced(values, start, image):
     return [x if y is s else Fraction(*y) for x, s, y in zip(values, start, image)]
 
 
+def _require_generators(word):
+    for index in word:
+        if index not in GENERATORS:
+            raise ValueError(f"generator index out of range: {index}")
+
+
+def _singular(word, cut, message):
+    return f"word singular after prefix ({','.join(map(str, word[:cut]))}): {message}"
+
+
 def apply_word(word, pairs, params: SystemParameters, t):
     """Left-to-right composition; a singular step reports its prefix.
-    Each letter reduces its image, since unreduced growth is exponential."""
+    Each letter reduces its image, since unreduced growth is exponential.
+    Every index, the weights and the pair count are checked first."""
     letters = tuple(word)
+    _require_generators(letters)
+    require_weights(CP6, params, pairs)
     for cut, index in enumerate(letters, start=1):
         try:
             pairs, params = apply_generator(index, pairs, params, t)
         except PoleError as err:
-            prefix = ",".join(str(i) for i in letters[:cut])
-            raise PoleError(f"word singular after prefix ({prefix}): {err}") from err
+            raise PoleError(_singular(letters, cut, err)) from err
     return pairs, params
 
 
 def _unreduced_word(word, image, t):
     """``apply_word`` on a rational point's (n, d) pairs, flat, with no
-    Fraction built and no gcd taken: a numerator is 0 where its value is."""
-    for cut, index in enumerate(word, start=1):
-        if index not in GENERATORS:
-            raise ValueError(f"generator index out of range: {index}")
-        if not image[4 + index][0]:
-            continue
-        _, exact, poles = _reflection_kernel(index, False)
-        try:
-            image = exact()(*image, t)
-        except ZeroDivisionError as err:
-            prefix = ",".join(str(i) for i in word[:cut])
-            raise PoleError(f"word singular after prefix ({prefix}): {_pole(poles[err.args[0]])}") from None
-    return image
+    Fraction built and no gcd taken: a numerator is 0 where its value is.
+    Each letter calls its pair text; one checked call names a pole as
+    ``apply_word`` does, by the letter reached."""
+    _require_generators(word)
+    cut = 0
+
+    def letters(image):
+        nonlocal cut
+        for cut, index in enumerate(word, start=1):
+            if image[4 + index][0]:
+                image = _reflection_kernel(index, False)[1]()(*image, t)
+        return image
+
+    return checked(letters, lambda name: _singular(word, cut, _reflection_kernel(word[cut - 1], False)[2](name)), image)
 
 
 # -- group relations ---------------------------------------------------
@@ -288,19 +286,15 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     ``apply_generator``: at a zero gain the image is the point and its
     tangent the slope.
     """
+    _require_generators((index,))
     slope = _pair_slope(CP6, pairs, t, params)
-    if index not in GENERATORS:
-        raise ValueError(f"generator index out of range: {index}")
     alpha, eta = params.alpha, params.eta
     if is_zero_scalar(alpha[index]):
         out = (*chain(*pairs), *slope[:4], *alpha, eta)
     else:
-        generic, exact, poles = _reflection_kernel(index, True)
+        generic, exact, pole = _reflection_kernel(index, True)
         reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
-        try:
-            out = reflect(pairs, slope, alpha, eta, t)
-        except ZeroDivisionError as err:
-            raise _pole(poles[err.args[0]]) from None
+        out = checked(reflect, pole, pairs, slope, alpha, eta, t)
     target = flow_slope(CP6.parts, t, (*out[:4], 0), SystemParameters(alpha=out[8:14], eta=out[14]))
     return tuple(x - rate for x, rate in zip(out[4:8], target))
 
@@ -342,17 +336,17 @@ def gauge_function(index, m: LoopElement):
 @cache
 def _m_kernel():
     """(keys, generic, exact): the texts of one trace of (3,3)'s M (see
-    ``tracing.compile_kernel``), its entries in key order, then K."""
-    leaf = partial(Traced, {})
-    pairs = ((leaf("q1"), leaf("p1")), (leaf("q2"), leaf("p2")))
-    gauges, kappas, rhos = {"w3": leaf("w3")}, tuple(leaf(f"k{j}") for j in range(6)), (leaf("r0"),)
-    m, _ = lax_matrices(canonical_to_ds(CP6.parts, pairs, leaf("t"), gauges, kappas, rhos, root=leaf("u")))
-    generic, exact = compile_kernel(
-        f"M of {CP6.label}", "lax_m(pairs, t, u, w3, k, r)",
-        ["(q1, p1), (q2, p2) = pairs", "".join(f"{k.name}, " for k in kappas) + "= k", "r0, = r"],
-        "(" + "{}, " * (len(m.entries) + 1) + ")", [*m.entries.values(), m.c_k],
-    )
-    return tuple(m.entries), generic, exact
+    ``tracing.trace``), its entries in key order, then K."""
+    keys = []
+
+    def lax_m(pairs, t, u, w3, k, r):
+        m, _ = lax_matrices(canonical_to_ds(CP6.parts, pairs, t, {"w3": w3}, k, r, root=u))
+        keys.extend(m.entries)
+        return [*m.entries.values(), m.c_k]
+
+    shape = ((("q1", "p1"), ("q2", "p2")), "t", "u", "w3", tuple(f"k{j}" for j in range(6)), ("r0",))
+    generic, exact, _ = trace(f"M of {CP6.label}", lax_m, shape)
+    return tuple(keys), generic, exact
 
 
 def _lax_m(pairs, t, u, w3, kappas, rhos) -> LoopElement:
@@ -361,10 +355,7 @@ def _lax_m(pairs, t, u, w3, kappas, rhos) -> LoopElement:
     _check_poles(CP6, t, (w3,))
     keys, generic, exact = _m_kernel()
     kernel = exact() if type(t) in RATIONAL and rational(chain((u, w3), kappas, rhos, *pairs)) else generic()
-    try:
-        *entries, c_k = kernel(pairs, t, u, w3, kappas, rhos)
-    except ZeroDivisionError:
-        raise PoleError(f"division by zero in the M of {CP6.label}") from None
+    *entries, c_k = checked(kernel, "division by zero in the M of 3,3", pairs, t, u, w3, kappas, rhos)
     return LoopElement(5, dict(zip(keys, entries)), c_k)
 
 
@@ -378,6 +369,7 @@ def conjugation_residual(index, pairs, t, w3, kappas, rhos, root=None) -> LoopEl
     the kappa_i -> kappa_i + 3 alpha_i shift of the constants.  root is
     the value of u, u**3 = 1/t, and defaults to ``time_root``'s.
     """
+    _require_generators((index,))
     u = time_root(CP6.parts, t).value if root is None else root
     params = reduction_parameters(CP6.parts, kappas, rhos)
     m = _lax_m(pairs, t, u, w3, kappas, rhos)

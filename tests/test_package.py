@@ -79,3 +79,35 @@ def test_every_definition_is_read_or_exported():
     package = Path(painleve_ds.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert _unread_definitions(sources, set(painleve_ds.__all__)) == {}
+
+
+def _tracer_users(sources: dict) -> dict:
+    """Per module other than ``tracing``, the names of ``Traced`` and
+    ``compile_kernel`` it imports or reads: only ``tracing.trace`` records
+    a tape and compiles a kernel."""
+    users = {}
+    for name, source in sources.items():
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                found.add(node.id if isinstance(node, ast.Name) else node.attr)
+        if name != "tracing.py" and (hits := sorted(found & {"Traced", "compile_kernel"})):
+            users[name] = hits
+    return users
+
+
+def test_the_tracer_scan_sees_a_second_tracer():
+    sources = {
+        "tracing.py": "class Traced: pass\ndef compile_kernel(): pass\n",
+        "a.py": "from .tracing import Traced\nleaf = Traced({}, 'x')\n",
+        "b.py": "from . import tracing\ntracing.compile_kernel()\n",
+        "c.py": "from .tracing import trace\n",
+    }
+    assert _tracer_users(sources) == {"a.py": ["Traced"], "b.py": ["compile_kernel"]}
+
+
+def test_only_tracing_records_a_tape_or_compiles_a_kernel():
+    package = Path(painleve_ds.__file__).parent
+    assert _tracer_users({path.name: path.read_text() for path in sorted(package.glob("*.py"))}) == {}

@@ -335,32 +335,32 @@ class TestBodyPins:
 
 # sha256 of each text's body, _body(text), by _texts()'s names
 BODY_SHA256 = {
-    'flow 3,3': '87269166b64cb1c2277c92f7a742001cd8b5c89e448214bc10573858450ebea1',
-    'flow 3,3 over pairs': '0273035fa442c8e131a9a7b87b91e1e70d6ed279759e8fa58d47ea3cd45e405e',
+    'flow 3,3': '3a7f42f137c692987cec7fa5cec9a12cf3f411f50252909f48b911f2971d63d9',
+    'flow 3,3 over pairs': 'cc123160307b3dd7cb20460bfd6cd850d05a4a183437e0d5c6228faed539f6a0',
     'zero curvature 3,3': 'feefc057c78ca8be6e0d132c19f9b40f6fd4065638c4bc3d415b912a64b0c5b1',
     'zero curvature 3,3 over pairs': '3c53965ca73cf06139d2f3d5a24162c26cff2592e64929570fbcf6465ee30bf5',
     'weight sum 3,3': 'a8078557b8f57cc7a69ca1e250613e306c571186a9d6ba8ad8f712e8063e7e5c',
     'root 3,3': '0a749b2ea50604b5417326844ca7a3d6bbe6b28ce3fe92a4b6a7336785c3b2d3',
-    'flow 2,2,1': '6834f2b9f849b9d88e57f6a80c52fb44541dafcb39f7841bb0ea6a9354127666',
-    'flow 2,2,1 over pairs': '4005cb9d5f0f252eb4354e134450e8397d19a3991942e82673dc70e2fe80fa62',
+    'flow 2,2,1': 'd93d3d20450b57e23e12531a7d303258f36679a98ad8a7f2288319772d416cdd',
+    'flow 2,2,1 over pairs': 'fa1f80c0542e5d033d2fae5255a274d142f26d205bb21a47903e4f8b6c7074eb',
     'zero curvature 2,2,1': 'c4bb8bab857874396242069e77b97a56b10dd173825ce24c4dcd5b1d92f7ec4e',
     'zero curvature 2,2,1 over pairs': 'ba14baf8362baca3afac2d66cb12a1b29328b71d3daa6d51e6e11cbdfb90535a',
     'weight sum 2,2,1': '257892e15dd8ae48d8726fe3621c48ee811f36f7abea8ec0496e408f51d10245',
     'root 2,2,1': '1a3988e6b5353e8a3a18abd696fbc8303695a626ed3aa4b7d57bda0ab1ba7d0d',
-    'flow 2,2': 'd8233cb4f577e54c7d2f06e52731cf9cde889d38c6cb223fad4116d824f5bea4',
-    'flow 2,2 over pairs': '4dc86eb9cd6201651462fe5c693a5a9d82ee75753977ff14dac2c2367c8e6b24',
+    'flow 2,2': 'c6ad6fa05aef53f7c387d7d67b6ed9b437b0e2fe899a28c7a393d708a712bb8d',
+    'flow 2,2 over pairs': 'eaf179bc3c11fa03e51d9390824a2e868b352bd56b3af2958cb2bf5fa708cdb6',
     'zero curvature 2,2': '8c746a88fec601507b48d81ff266cd1df747151da4634aa272a7c5a053b576eb',
     'zero curvature 2,2 over pairs': '159310e1b4d8aad95d4d0d9fa20c61f4b9c5cb196319e3e3ec91896dd4dbf77d',
     'weight sum 2,2': '43da5c6b9decc22c37d12a035b43c8c1ef2408a7a8744644ae9d8f1f48d92d53',
     'root 2,2': '1a3988e6b5353e8a3a18abd696fbc8303695a626ed3aa4b7d57bda0ab1ba7d0d',
-    'flow 3,1': '58ef0d131832704ab83c4c152e8f48d51b1433ce87eef5d62776b795b2a97fd9',
-    'flow 3,1 over pairs': '7e718bf88c13a652b306922f14bd8f4d3ba0c2c505a4240009f44ac6852ad2f1',
+    'flow 3,1': 'c4d5830de53d938d23f1b5635c16c9ce630cbbfd3f137334d63971493b70e046',
+    'flow 3,1 over pairs': '093d7c60c63691603196f1138fd891fb58198dc2f479afaea559c438e99151dc',
     'zero curvature 3,1': '371fec95104d427b34da29c15f0cdffb8eb707848419512d26f95f102e1afa39',
     'zero curvature 3,1 over pairs': '326eaf926c0804a9670bfa54f553def5039b9ea966cd54cf8de442f3d6d71135',
     'weight sum 3,1': '2622cc6445a9c976310539b0fdb40706892021ef4583b146b67bc61db8650613',
     'root 3,1': '27c67ea1c0d8c5ec6d419bb089f170cfd7dec26787ec24110c03abc4064cded2',
-    'flow 4,1': '4b443812f7119282cb1f98de8583247601e0e378809f6d3dc247cdc89bed3167',
-    'flow 4,1 over pairs': '4579e1fd430bb7607e79bdfa7e0460ebbae62ae4622671f1b204c7e806e7a46e',
+    'flow 4,1': 'b5d5059334c073966cc8bf63e57bfa8fcac5b1b6bc05f228569b06db68682131',
+    'flow 4,1 over pairs': 'fc8f6b3cefe3dad4297fd09fc16fe76f454a3578154e84682ef63ae3b3d9d9ad',
     'zero curvature 4,1': '2e8cfa9a7eb687c7d6d5a88361bffd3fdc5b1a129133433152b307b50ddd9e15',
     'zero curvature 4,1 over pairs': 'ef5ecd7a2cea8760cf42fca8e36692ea6af3bbc864cf35dfde7c2b997e910321',
     'weight sum 4,1': '1b80c895d9d986a16aa84c439780f65bff73c9cf4be5f389411aede0218fff88',

@@ -90,30 +90,46 @@ class TestSingleReflections:
         with pytest.raises(PoleError, match="p1"):
             apply_generator(1, broken, params, t)
 
-    def test_out_of_range_index(self):
-        pairs, params, t = _point(seed=1)
-        with pytest.raises(ValueError):
-            apply_generator(6, pairs, params, t)
+    @pytest.mark.parametrize("t", ["drawn", "zero"])
+    @pytest.mark.parametrize("index", [-1, 6, 9])
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            apply_generator,
+            lambda i, pairs, params, t: apply_word((0, i), pairs, params, t),
+            equivariance_residual,
+            lambda i, pairs, params, t: weyl.conjugation_residual(i, pairs, t, QQ(2), (QQ(1, 3),) * 6, (QQ(1),)),
+        ],
+        ids=["apply_generator", "apply_word", "equivariance_residual", "conjugation_residual"],
+    )
+    def test_out_of_range_index(self, apply, index, t):
+        # the index is checked first: at t = 0 no flow or time root is reached
+        pairs, params, drawn = _point(seed=1)
+        with pytest.raises(ValueError, match=rf"^generator index out of range: {index}$"):
+            apply(index, pairs, params, drawn if t == "drawn" else QQ(0))
 
     @pytest.mark.parametrize("gain", ["drawn", "zero"])
     @pytest.mark.parametrize(
-        "unfit",
+        "unfit,refusal",
         [
-            lambda alpha, eta: SystemParameters((*alpha, QQ(1, 2)), eta),
-            lambda alpha, eta: SystemParameters(alpha[:5], eta),
-            lambda alpha, eta: SystemParameters(alpha, None),
+            (lambda pairs, alpha, eta: (pairs, SystemParameters((*alpha, QQ(1, 2)), eta)), "6 weights and eta"),
+            (lambda pairs, alpha, eta: (pairs, SystemParameters(alpha[:5], eta)), "6 weights and eta"),
+            (lambda pairs, alpha, eta: (pairs, SystemParameters(alpha, None)), "6 weights and eta"),
+            (lambda pairs, alpha, eta: ((*pairs, (QQ(1), QQ(2))), SystemParameters(alpha, eta)), r"2 pair\(s\), got 3"),
+            (lambda pairs, alpha, eta: (pairs[:1], SystemParameters(alpha, eta)), r"2 pair\(s\), got 1"),
         ],
-        ids=["seven weights", "five weights", "no eta"],
+        ids=["seven weights", "five weights", "no eta", "three pairs", "one pair"],
     )
     @pytest.mark.parametrize("index", GENERATORS)
-    def test_weights_that_do_not_fit_are_refused(self, index, unfit, gain):
-        # before the zero-gain shortcut, so a zero weight is no way round
+    def test_weights_that_do_not_fit_are_refused(self, index, unfit, refusal, gain):
+        # before the zero-gain shortcut, so a zero weight is no way round; a
+        # third pair is not dropped, and one pair is no IndexError
         pairs, params, t = _point(seed=60 + index)
         alpha = tuple(QQ(0) if gain == "zero" and k == index else a for k, a in enumerate(params.alpha))
-        bad = unfit(alpha, params.eta)
+        bad_pairs, bad = unfit(pairs, alpha, params.eta)
         for apply in (apply_generator, lambda i, *args: apply_word((i,), *args), equivariance_residual):
-            with pytest.raises(ValueError, match=r"^the cp6 system takes 6 weights and eta$"):
-                apply(index, pairs, bad, t)
+            with pytest.raises(ValueError, match=rf"^the cp6 system takes {refusal}$"):
+                apply(index, bad_pairs, bad, t)
 
 
 class TestWords:
