@@ -134,8 +134,8 @@ def _flow(parts: tuple):
 
     y = (*(f"{c}{k}" for k in range(n) for c in "qp"), *(None for _ in record.gauge_names))
     shape = ("t", y, tuple(f"a{i}" for i in range(record.weight_count)), "eta")
-    rhs, exact, _ = trace(f"right-hand side of {record.label}", rhs, shape)
-    return rhs(), exact
+    generic, exact, _ = trace(f"right-hand side of {record.label}", rhs, shape)
+    return generic(), exact
 
 
 def flow_slope(parts: tuple, t, y, params: SystemParameters) -> tuple:

@@ -1,9 +1,8 @@
-"""Straight-line kernels from one trace of generic formula code: run on
-``Traced`` leaves, the code records each ``+ - * /`` on a tape, and
-``compile_kernel`` compiles, on demand, what some outputs need as plain
-arithmetic or as arithmetic on integer numerator/denominator pairs, the
-latter also over Q(sqrt b) with a static parity per node.  ``trace``
-declares each kernel by its argument shape; ``checked`` names its poles."""
+"""Straight-line kernels from one trace of generic formula code: ``trace``
+runs it on ``Traced`` leaves laid out by each argument's declared shape,
+each ``+ - * /`` recorded on a tape, and ``compile_kernel`` compiles on
+demand what the outputs need, as plain arithmetic or over integer pairs,
+also over Q(sqrt b) with a static parity per node; ``checked`` names poles."""
 
 from __future__ import annotations
 
@@ -74,31 +73,36 @@ def rational(leaves) -> bool:
 
 
 def trace(title: str, formula, shape: tuple, guards=None, pairs=False):
-    """``formula`` traced once on leaves laid out by ``shape``, one name (the
-    argument's own) or a nested tuple of names (None where no output reads)
-    per argument, and compiled under its name and arguments.  Its outputs, a
-    list, return as ``(x, y, )``, a tuple as ``(x, y)``, one output bare;
-    ("-", x) returns -x.  It fills ``guards``, {denominator: pole message}.
-    Returns (generic, exact, pole), pole(name) the message of a guard."""
+    """``formula`` traced once on leaves laid out by ``shape``, per argument its
+    name or a nested tuple of names (None where no output reads), and compiled
+    under its name and arguments.  A list of outputs returns as ``(x, y, )``,
+    a tuple as ``(x, y)``, one output bare, ("-", x) as -x.  Returns (generic,
+    exact, pole): pole(name) is the message the formula put in ``guards``."""
     tape = {}
-    leaf = lambda spec: spec and (Traced(tape, spec) if isinstance(spec, str) else tuple(map(leaf, spec)))
-    target = lambda spec: "".join((f"({target(s)})" if type(s) is tuple else s or "_") + ", " for s in spec)
-    result = formula(*map(leaf, shape))
+    result = formula(*(_leaves(tape, spec) for spec in shape))
     outputs = list(result) if isinstance(result, (list, tuple)) else [result]
     items = ", ".join("-{}" if type(x) is tuple else "{}" for x in outputs)
     names = formula.__code__.co_varnames[: formula.__code__.co_argcount]
     generic, exact = compile_kernel(
         title, f"{formula.__name__}({', '.join(names)})",
-        [f"{target(spec)}= {name}" for name, spec in zip(names, shape) if not isinstance(spec, str)],
+        [f"{_target(spec)}= {name}" for name, spec in zip(names, shape) if not isinstance(spec, str)],
         {list: "({}, )", tuple: "({})"}.get(type(result), "{}").format(items),
         [x[1] if type(x) is tuple else x for x in outputs], guards or (), pairs,
     )
     return generic, exact, {node.name: message for node, message in (guards or {}).items()}.__getitem__
 
 
+def _leaves(tape, spec):
+    return spec and (Traced(tape, spec) if isinstance(spec, str) else tuple(_leaves(tape, s) for s in spec))
+
+
+def _target(spec) -> str:
+    """A tuple shape as an unpack target: ``q0, p0, _, `` or ``(q1, p1, ), (q2, p2, ), ``."""
+    return "".join((f"({_target(s)})" if type(s) is tuple else s or "_") + ", " for s in spec)
+
+
 def checked(text, pole, *args):
-    """``text(*args)``, a zero divisor raised as a PoleError: ``pole`` is the
-    kernel's one message, or ``trace``'s pole, given the guard's name."""
+    """``text(*args)``; a zero divisor raises PoleError(pole), or PoleError(pole(name)) for a guard's."""
     try:
         return text(*args)
     except ZeroDivisionError as err:

@@ -101,13 +101,12 @@ def _reflection(index, pairs, alpha, eta, t, require):
 
 @cache
 def _reflection_kernel(index, dual):
-    """(generic, exact, pole): one trace of ``_reflection`` (see
-    ``tracing.trace``), whose texts test each denominator ``require``
-    records and name its pole.  Without tangents, ``reflect`` returns the
-    image of all but t; its integer text takes and returns unreduced (n, d)
-    pairs.  Dual, each coordinate is a ``Gradient`` and t one with tangent
-    1, d is the (3,3) flow's slope (w3's rate unused), the image's values
-    and tangents come flat, and each guard is the value of a denominator."""
+    """(generic, exact, pole): one trace of ``_reflection`` (``tracing.trace``)
+    whose texts test each denominator ``require`` records.  Without tangents
+    it returns the image of all but t, its integer text on unreduced (n, d)
+    pairs.  Dual, each coordinate is a ``Gradient``, t one with tangent 1,
+    d the (3,3) flow's slope (w3's rate unused); the image's values and
+    tangents come flat, and each guard is the value of a denominator."""
     poles, names, weights = {}, ("q1", "p1", "q2", "p2"), tuple(f"a{i}" for i in GENERATORS)
 
     def require(denominator, description):
@@ -134,9 +133,8 @@ def apply_generator(index, pairs, params: SystemParameters, t):
     The generator's integer text runs on the inputs' (n, d) pairs when
     each is an int or a Fraction (t tested first), and each value it moved
     is reduced; other input runs the generic text, which any scalar, a
-    ``Gradient`` too, can run.  The index is checked first; the weights
-    and the pair count must fit the coupled sixth system; a vanishing
-    denominator raises :class:`PoleError` naming it.
+    ``Gradient`` too, can run.  The index, then the weights and pairs, are
+    checked; a vanishing denominator raises :class:`PoleError` naming it.
     """
     _require_generators((index,))
     require_weights(CP6, params, pairs)
@@ -171,10 +169,9 @@ def _singular(word, cut, message):
 def apply_word(word, pairs, params: SystemParameters, t):
     """Left-to-right composition; a singular step reports its prefix.
     Each letter reduces its image, since unreduced growth is exponential.
-    Every index, the weights and the pair count are checked first."""
+    Every index is checked before the first letter runs."""
     letters = tuple(word)
     _require_generators(letters)
-    require_weights(CP6, params, pairs)
     for cut, index in enumerate(letters, start=1):
         try:
             pairs, params = apply_generator(index, pairs, params, t)
@@ -186,8 +183,7 @@ def apply_word(word, pairs, params: SystemParameters, t):
 def _unreduced_word(word, image, t):
     """``apply_word`` on a rational point's (n, d) pairs, flat, with no
     Fraction built and no gcd taken: a numerator is 0 where its value is.
-    Each letter calls its pair text; one checked call names a pole as
-    ``apply_word`` does, by the letter reached."""
+    One checked call names a pole by its letter, as ``apply_word`` does."""
     _require_generators(word)
     cut = 0
 
