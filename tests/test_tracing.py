@@ -1,4 +1,4 @@
-"""The recording tape and the straight-line emitter behind both kernels."""
+"""The recording tape, the declared kernels and the straight-line emitter behind them."""
 
 import hashlib
 import inspect
@@ -11,8 +11,8 @@ import pytest
 
 from painleve_ds import lax, painleve, scalars, weyl
 from painleve_ds.reductions import REDUCTIONS
-from painleve_ds.scalars import Extension, ExtScalar
-from painleve_ds.tracing import GradingError, Traced, compile_kernel
+from painleve_ds.scalars import Extension, ExtScalar, PoleError
+from painleve_ds.tracing import GradingError, Traced, checked, compile_kernel, trace
 
 
 def _leaves(*names):
@@ -285,6 +285,45 @@ class TestGeneratedSource:
             rhs(QQ(1), (QQ(1), QQ(1), 0), (QQ(1),) * 5, None)
         (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == "<right-hand side of 2,2>"]
         assert frame.line.startswith("return (")
+
+
+class TestDeclaredKernels:
+    def test_a_shape_gives_the_signature_the_unpack_lines_and_the_template(self):
+        def kernel(x, ys, w):
+            (y0, _), y2 = ys
+            return [x * y0, ("-", y2 / w)]
+
+        generic, exact, _ = trace("declared kernel", kernel, ("x", (("y0", None), "y2"), "w"))
+        lines = inspect.getsource(generic()).splitlines()
+        assert lines[:2] == ["def kernel(x, ys, w):", "    (y0, _, ), y2, = ys"]
+        assert lines[-1] == "    return ((x * y0), -(y2 / w), )"
+        assert generic()(2, ((3, None), 4), 8) == (6, -0.5)
+        assert exact()(QQ(2), ((QQ(3), None), QQ(4)), QQ(8)) == (6, QQ(-1, 2))
+
+    def test_a_tuple_returns_as_written_and_one_output_bare(self):
+        def pair(t):
+            return t * t, t
+
+        def bare(t):
+            return t + 1
+
+        assert inspect.getsource(trace("pair kernel", pair, ("t",))[0]()).splitlines()[-1] == "    return ((t * t), t)"
+        assert inspect.getsource(trace("bare kernel", bare, ("t",))[0]()).splitlines()[-1] == "    return (t + 1)"
+
+    def test_checked_names_a_guard_or_gives_the_kernel_s_message(self):
+        guards = {}
+
+        def inverse(x):
+            guards[x - 1] = "pole at x = 1"
+            return [1 / (x - 1)]
+
+        generic, exact, pole = trace("guarded kernel", inverse, ("x",), guards)
+        for text, x in ((generic(), 1.0), (exact(), QQ(1))):
+            with pytest.raises(PoleError, match="^pole at x = 1$"):
+                checked(text, pole, x)
+        assert checked(exact(), pole, QQ(3)) == (QQ(1, 2),)
+        with pytest.raises(PoleError, match="^the kernel's message$"):
+            checked(lambda: 1 / 0, "the kernel's message")
 
 
 def _texts():
