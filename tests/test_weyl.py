@@ -13,7 +13,7 @@ from painleve_ds import weyl
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
 from painleve_ds.sampling import DENOMINATOR_RANGE, NUMERATOR_RANGE, RETRY_CAP
-from painleve_ds.scalars import PoleError, is_zero_scalar
+from painleve_ds.scalars import Gradient, PoleError, is_zero_scalar
 from painleve_ds.weyl import (
     GENERATORS,
     NON_ADJACENT,
@@ -661,3 +661,103 @@ def test_reversed_word_inverts(word, seed):
     assert back_pairs == pairs
     assert back_params.alpha == params.alpha
     assert back_params.eta == params.eta
+
+
+def _raised(call, *args, **kwargs):
+    """The PoleError's message, or the outcome's repr where none is raised."""
+    try:
+        return repr(call(*args, **kwargs))
+    except PoleError as exc:
+        return str(exc)
+
+
+def _pole_outcomes():
+    """[(entry point, input, outcome)]: each public call that reaches a
+    kernel's named pole, exact and float, and the PoleError's message it
+    gives: the flows at their fixed singular times, zero curvature at the
+    zero divisors the pole contract uses, the roots at t = 0, and the
+    reflections, words, equivariance and bridges at the points their own
+    pins move onto a pole."""
+    from painleve_ds import lax, painleve
+    from painleve_ds.reductions import REDUCTIONS, reduction
+
+    floats = lambda xs: tuple(map(float, xs))
+    rows = []
+    for system, times in (("p6", (0, 1)), ("cp6", (0, 1)), ("a5", (0,))):
+        parts = reduction(system).parts
+        point = lax.sample_point(parts, random.Random(2))
+        params = painleve.reduction_parameters(parts, point["kappas"], point["rhos"])
+        for t in times:
+            for lane, pairs, at, weights in (
+                ("exact", point["pairs"], QQ(t), params),
+                ("float", tuple(map(floats, point["pairs"])), float(t),
+                 SystemParameters(floats(params.alpha), None if params.eta is None else float(params.eta))),
+            ):
+                rows.append(("vector_field", f"{system} t={at!r}",
+                             _raised(painleve.vector_field, system, pairs, at, weights)))
+                rows.append(("gauge_log_derivatives", f"{parts} t={at!r}",
+                             _raised(painleve.gauge_log_derivatives, parts, pairs, at, weights)))
+    for parts, record in REDUCTIONS.items():
+        point = lax.sample_point(parts, random.Random(2))
+        root = Gradient(*lax._root_and_rate(record, point["t"], point.pop("root")))
+        gauges = {**point["gauges"], record.gauge_names[0]: QQ(0)}
+        rows.append(("zero_curvature_residual", f"{parts} zero gauge",
+                     _raised(lax.zero_curvature_residual, parts, **{**point, "gauges": gauges}, root=root)))
+        for t in (0, 0.0):
+            root = lambda: (lambda r: (r.value, r.tangent))(lax.time_root(parts, t))
+            rows.append(("time_root", f"{parts} t={t!r}", _raised(root)))
+    for parts in ((2, 2), (2, 2, 1)):
+        point = lax.sample_point(parts, random.Random(2))
+        del point["root"]
+        rows.append(("zero_curvature_residual", f"{parts} t=1",
+                     _raised(lax.zero_curvature_residual, parts, **{**point, "t": QQ(1)})))
+    # s = 1 makes the (2,2) B denominator vanish; the pair and log rates are held at zero
+    record = reduction((2, 2))
+    point = lax.sample_point(record.parts, random.Random(2))
+    y = [*(x for pair in point["pairs"] for x in pair), *(point["gauges"][name] for name in record.gauge_names)]
+    for lane, form, t in (("exact", lambda x: x, QQ(1)), ("float", float, 1.0)):
+        root = lax.time_root(record.parts, t)
+        rows.append(("_residual_values", f"(2, 2) t={t!r}", _raised(
+            lax._residual_values, record, list(map(form, y)), [0] * len(y), t, root.value, root.tangent,
+            tuple(map(form, point["kappas"])), tuple(map(form, point["rhos"])))))
+    for index in GENERATORS:
+        rng = random.Random(3100 + index)
+        points = [sample_weyl_point(rng) for _ in range(6)]
+        for k, point in enumerate(points):
+            moved = _on_reflection_pole(index, point, k)
+            for lane, form in (("rational", lambda p: p), ("float", _as_floats)):
+                rows.append(("apply_generator", f"r{index} point {k} {lane}",
+                             _raised(apply_generator, index, *form(moved))))
+                rows.append(("equivariance_residual", f"r{index} point {k} {lane}",
+                             _raised(equivariance_residual, index, *form(moved))))
+    for k, (_, word) in enumerate(relation_words()):
+        for j, point in enumerate(_word_points(word, 3300 + k)[1::2]):
+            rows.append(("apply_word", f"{word} point {j}", _raised(apply_word, word, *point)))
+            rows.append(("check_relations", f"{word} point {j}", _raised(weyl._examine_relation, word, point)))
+    pairs, t, u, w3, kappas, rhos = _bridge_point()
+    for index in GENERATORS:
+        moved, moved_rhos = _on_gauge_pole(index, pairs, t, kappas, rhos)
+        rows.append(("conjugation_residual", f"r{index} phi pole",
+                     _raised(weyl.conjugation_residual, index, moved, t, w3, kappas, moved_rhos, root=u)))
+        rows.append(("conjugation_residual", f"r{index} w3 = 0",
+                     _raised(weyl.conjugation_residual, index, pairs, t, QQ(0), kappas, rhos, root=u)))
+        rows.append(("conjugation_residual", f"r{index} t = 1",
+                     _raised(weyl.conjugation_residual, index, pairs, QQ(1), QQ(2), kappas, rhos, root=QQ(1))))
+    return rows
+
+
+class TestNamedPoles:
+    def test_every_kernel_message_a_public_call_reaches_is_pinned(self):
+        rows = _pole_outcomes()
+        text = repr(rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == POLE_SHA256
+        messages = {outcome for _, _, outcome in rows}
+        for label in ("2,2", "3,3", "4,1"):
+            assert f"division by zero in the flow of {label}" in messages
+        assert {"division by zero in the zero-curvature residual", "(3, 3) root needs a finite nonzero base at t = 0",
+                "(3, 3) root needs a finite nonzero base at t = 0.0"} <= messages
+        assert {message for message in messages if message.startswith("word singular after prefix (")}
+
+
+# sha256 of repr(_pole_outcomes())
+POLE_SHA256 = "08e564dbf460f0df014b8a9ec7acc17c0d858a60979181d40edd24daf9535f20"
