@@ -30,7 +30,7 @@ from .lax import _residual_kernel, _residual_values, _root_and_rate
 from .painleve import SystemParameters, _flow, reduction_constants, require_weights
 from .reductions import REDUCTIONS, reduction
 from .scalars import PoleError
-from .tracing import _compile, checked
+from .tracing import _compile
 
 DENOMINATOR_FLOOR = 1e-12  # the least distance |t - s| from a fixed singular time s
 STATE_CEILING = 1e12
@@ -40,7 +40,7 @@ REACHED_END = "reached_end"
 POLE_DETECTED = "pole_detected"
 STEP_UNDERFLOW = "step_underflow"
 STEP_BUDGET = "step_budget_exhausted"
-MAX_STEPS = 200_000  # attempted steps before integrate stops with STEP_BUDGET
+MAX_STEPS = 200_000  # attempted steps before a run stops with STEP_BUDGET
 
 ORDER_STEP_SIZES = (1e-2, 5e-3, 2.5e-3)  # the fixed steps of order_check
 
@@ -156,17 +156,17 @@ class Trajectory:
 # -- generic embedded stepper ------------------------------------------
 
 
-def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps, args=()):
+def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, args=()):
     """Drive y' = f(t, y, *args) from t0 to t_end; returns (records, termination).
 
     records is a list of (t, y, slope, error_norm); guard(t, y) returns a
     termination string when the state has left the admissible region.
     Each step is one call of the state size's ``_step_kernel``.  f may
-    raise (pole inside a stage; a zero divisor is a PoleError at the
-    start), a slope may be non-finite, and the error estimate may
-    overflow; adaptive mode shrinks the step and retries, fixed mode gives
-    up with the pole flag.  After max_steps attempted steps the run stops
-    with the step-budget flag.
+    raise (a pole inside a stage; at the start its PoleError propagates),
+    a slope may be non-finite, and the error estimate may overflow;
+    adaptive mode shrinks the step and retries, fixed mode gives up with
+    the pole flag.  After MAX_STEPS attempted steps the run stops with the
+    step-budget flag.
     """
     direction = 1.0 if t_end >= t0 else -1.0
     t, y = t0, list(y0)
@@ -175,7 +175,7 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps, a
     bad = guard(t, y)
     if bad:
         return [(t, y, None, 0.0)], bad
-    slope = checked(f, "division by zero in the right-hand side", t, y, *args)
+    slope = f(t, y, *args)
     if not all(map(math.isfinite, slope)):
         raise PoleError("non-finite derivative")
     records = [(t, y, slope, 0.0)]
@@ -188,7 +188,7 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, max_steps, a
         h = direction * min(0.05, abs(t_end - t0) / 100.0)
     error_prev = 1.0
 
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if direction * (t_end - t) <= 0:
             return records, REACHED_END
         terminal = direction * (t + h - t_end) >= 0
@@ -317,7 +317,7 @@ def integrate(
 
     records, termination = _advance(
         _flow(parts)[0], t0, y0, t_end, rel_tol, abs_tol, fixed_step,
-        _system_guard(record), MAX_STEPS, (alpha, eta),
+        _system_guard(record), (alpha, eta),
     )
 
     # the fields in order: the stepper's records enter as four columns
@@ -344,12 +344,12 @@ def _hermite(t, t0, y0, f0, t1, y1, f1):
 
 
 def dense_samples(trajectory: Trajectory, times) -> list:
-    """Cubic Hermite interpolation of the trajectory at requested times.
+    """Cubic Hermite interpolation of the trajectory at each requested time, in order.
 
     Times must lie inside the span the trajectory actually covered (it
     may have stopped early at a pole).
     """
-    knots = trajectory._times
+    knots, times = trajectory._times, list(times)
     if len(knots) == 1:
         for t in times:
             if t != knots[0]:
@@ -357,9 +357,10 @@ def dense_samples(trajectory: Trajectory, times) -> list:
         return [trajectory.final for _ in times]
     forward = knots[-1] >= knots[0]
     lo, hi = (knots[0], knots[-1]) if forward else (knots[-1], knots[0])
-    out = []
+    out = [None] * len(times)
     index = 0
-    for t in sorted(times, reverse=not forward):
+    for k in sorted(range(len(times)), key=times.__getitem__, reverse=not forward):
+        t = times[k]
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside the integrated span [{lo}, {hi}]")
         while index + 2 < len(knots) and (
@@ -375,9 +376,7 @@ def dense_samples(trajectory: Trajectory, times) -> list:
             trajectory._states[index + 1],
             trajectory._slopes[index + 1],
         )
-        out.append(trajectory._sample(t, y, float("nan")))
-    if not forward:
-        out.reverse()
+        out[k] = trajectory._sample(t, y, float("nan"))
     return out
 
 
@@ -491,9 +490,7 @@ def order_check() -> dict:
     exact = [math.cos(24.0), -math.sin(24.0)]
     errors = []
     for h in ORDER_STEP_SIZES:
-        records, termination = _advance(
-            f, 2.0, start, 3.0, 1e-12, 1e-12, h, lambda t, y: None, 10_000_000
-        )
+        records, termination = _advance(f, 2.0, start, 3.0, 1e-12, 1e-12, h, lambda t, y: None)
         assert termination == REACHED_END
         errors.append(max(abs(a - b) for a, b in zip(records[-1][1], exact)))
     logs_h = [math.log(h) for h in ORDER_STEP_SIZES]

@@ -50,7 +50,7 @@ from .scalars import (
     tangent_of,
     value_of,
 )
-from .tracing import RATIONAL, checked, rational, trace
+from .tracing import RATIONAL, rational, trace
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def _root_and_rate(record, t, root=None) -> tuple:
         t = QQ(t)
     try:
         base, slope = relation.kernel(t)
-    except ZeroDivisionError:
+    except PoleError:
         base = 0
     if not 0 < abs(base) < math.inf:
         raise PoleError(f"{record.parts} root needs a finite nonzero base at t = {t}")
@@ -209,7 +209,8 @@ def _residual_kernel(parts):
     y = (*(f"{c}{i}" for i in range(n // 2) for c in "qp"), *(f"g{j}" for j, _ in enumerate(record.gauge_names)))
     shape = (y, tuple("d" + name for name in y), "t", "u", "du", tuple(f"k{j}" for j in range(record.kappa_count)),
              tuple(f"r{j}" for j in range(record.rho_count)))
-    generic, exact, _ = trace(f"zero curvature of {record.label}", residual, shape)
+    generic, exact = trace(f"zero curvature of {record.label}", residual, shape,
+                           pole="division by zero in the zero-curvature residual")
     return (*found, generic(), exact)
 
 
@@ -231,7 +232,7 @@ def _residual_values(record, y, slope, t, u, du, kappas, rhos) -> tuple:
             odd, roots = ("u", "du"), (u.c, du.c)  # multiples of one sqrt(b)
         if rational(chain(roots, kappas, rhos, y, dy)):
             kernel, ext, (u, du) = exact(*odd), ((u.ext,) if odd else ()), roots
-    return checked(kernel, "division by zero in the zero-curvature residual", y, dy, t, u, du, kappas, rhos, *ext)
+    return kernel(y, dy, t, u, du, kappas, rhos, *ext)
 
 
 def _on_flow(record, pairs, t, gauges, kappas, rhos, root) -> tuple:

@@ -14,9 +14,9 @@ points; rational constants go through those rows written over integers.
 
 Each partition's flow, its system's canonical equations with the
 record's gauge log-derivatives attached, is compiled once (``_flow``),
-and every lane reads that one text: through the checked call
-``flow_slope``, or, in the stepper, directly.  The hand-written formulas
-run only to be traced.
+and every lane calls that one text: through ``flow_slope``, or, in the
+stepper, directly; either way a zero divisor raises the PoleError that
+names the flow.  The hand-written formulas run only to be traced.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .reductions import REDUCTIONS, LinearForm, reduction
 from .reporting import CheckReport
 from .sampling import check_claims, draw_constants
 from .scalars import QQ, Gradient, PoleError, row_reduce
-from .tracing import RATIONAL, checked, rational, trace
+from .tracing import RATIONAL, rational, trace
 
 def h4(q, p, t, a, b):
     """Fourth-Painleve building block."""
@@ -134,23 +134,21 @@ def _flow(parts: tuple):
 
     y = (*(f"{c}{k}" for k in range(n) for c in "qp"), *(None for _ in record.gauge_names))
     shape = ("t", y, tuple(f"a{i}" for i in range(record.weight_count)), "eta")
-    generic, exact, _ = trace(f"right-hand side of {record.label}", rhs, shape)
+    pole = f"division by zero in the flow of {record.label}"
+    generic, exact = trace(f"right-hand side of {record.label}", rhs, shape, pole=pole)
     return generic(), exact
 
 
 def flow_slope(parts: tuple, t, y, params: SystemParameters) -> tuple:
-    """The slope of ``_flow(parts)`` at (t, y), by the one checked call
-    through which every lane but the stepper reads the flow.  It runs over
-    integer pairs when t, tested first, and every other input is an int or
-    a Fraction; an exact zero divisor raises PoleError."""
+    """The slope of ``_flow(parts)`` at (t, y): the call through which every
+    lane but the stepper reads the flow.  It runs over integer pairs when
+    t, tested first, and every other input is an int or a Fraction; a zero
+    divisor raises the flow's PoleError."""
     rhs, exact = _flow(parts)
     t, eta = _exact(t), params.eta
     if type(t) in RATIONAL and rational(chain(params.alpha, () if eta is None else (eta,), y)):
         rhs = exact()
-    return checked(rhs, _FLOW_POLES[parts], t, y, params.alpha, eta)
-
-
-_FLOW_POLES = {parts: f"division by zero in the flow of {record.label}" for parts, record in REDUCTIONS.items()}
+    return rhs(t, y, params.alpha, eta)
 
 
 def _pair_slope(record, pairs, t, params):

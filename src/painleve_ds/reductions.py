@@ -65,7 +65,7 @@ class RootRelation:
     def kernel(self) -> Callable:
         """``kernel(t)``: (base(t), base'(t)) as straight-line code, traced
         from one pass of ``base`` along d/dt on this relation's first use;
-        it runs on any scalar t, and a zero divisor raises ZeroDivisionError."""
+        it runs on any scalar t, and a zero divisor raises PoleError."""
         def base(t):
             dual = self.base(Gradient(t, 1))
             return value_of(dual), tangent_of(dual)

@@ -2,7 +2,7 @@
 runs it on ``Traced`` leaves laid out by each argument's declared shape,
 each ``+ - * /`` recorded on a tape, and ``compile_kernel`` compiles on
 demand what the outputs need, as plain arithmetic or over integer pairs,
-also over Q(sqrt b) with a static parity per node; ``checked`` names poles."""
+also over Q(sqrt b) with a static parity per node, each naming its poles."""
 
 from __future__ import annotations
 
@@ -72,12 +72,13 @@ def rational(leaves) -> bool:
     return _RATIONAL_TYPES.issuperset(map(type, leaves))
 
 
-def trace(title: str, formula, shape: tuple, guards=None, pairs=False):
+def trace(title: str, formula, shape: tuple, guards=None, pairs=False, pole=None):
     """``formula`` traced once on leaves laid out by ``shape``, per argument its
     name or a nested tuple of names (None where no output reads), and compiled
     under its name and arguments.  A list of outputs returns as ``(x, y, )``,
     a tuple as ``(x, y)``, one output bare, ("-", x) as -x.  Returns (generic,
-    exact, pole): pole(name) is the message the formula put in ``guards``."""
+    exact), whose poles are named by the messages the formula put in ``guards``
+    and by ``pole`` (see ``compile_kernel``)."""
     tape = {}
     result = formula(*(_leaves(tape, spec) for spec in shape))
     outputs = list(result) if isinstance(result, (list, tuple)) else [result]
@@ -87,9 +88,9 @@ def trace(title: str, formula, shape: tuple, guards=None, pairs=False):
         title, f"{formula.__name__}({', '.join(names)})",
         [f"{_target(spec)}= {name}" for name, spec in zip(names, shape) if not isinstance(spec, str)],
         {list: "({}, )", tuple: "({})"}.get(type(result), "{}").format(items),
-        [x[1] if type(x) is tuple else x for x in outputs], guards or (), pairs,
+        [x[1] if type(x) is tuple else x for x in outputs], guards or {}, pairs, pole,
     )
-    return generic, exact, {node.name: message for node, message in (guards or {}).items()}.__getitem__
+    return generic, exact
 
 
 def _leaves(tape, spec):
@@ -101,20 +102,16 @@ def _target(spec) -> str:
     return "".join((f"({_target(s)})" if type(s) is tuple else s or "_") + ", " for s in spec)
 
 
-def checked(text, pole, *args):
-    """``text(*args)``; a zero divisor raises PoleError(pole), or PoleError(pole(name)) for a guard's."""
-    try:
-        return text(*args)
-    except ZeroDivisionError as err:
-        raise PoleError(pole if isinstance(pole, str) else pole(str(err))) from None
-
-
-def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list, guards=(), pairs=False):
+def compile_kernel(title: str, signature: str, unpack: list, returns: str, outputs: list, guards=(), pairs=False,
+                   pole=None):
     """Compile ``def signature:``, the unpack lines, the nodes the outputs
     (nodes or rationals) need, then ``return`` the template filled with them.
     A node used once is written inline, in parentheses, where it is used;
     the others are assignments.  Each of ``guards``, denominators a trace
-    recorded, is tested by value, a zero raising ZeroDivisionError(name).
+    recorded with their messages, is tested by value, a zero raising
+    ZeroDivisionError(name).  The body after the unpack lines runs in one
+    ``try`` that turns it into PoleError(_pole(name)): the message of the
+    guard named, else ``pole``, by default "division by zero in the" title.
 
     Returns (generic, exact): each compiles its kernel on its first call
     and returns it.  ``exact()`` emits the same nodes over integer pairs
@@ -136,7 +133,7 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
 
     text = lambda node: f"({inline[node]})" if node in inline else getattr(node, "name", repr(node))
     guard = lambda node: f"if is_zero_scalar(value_of({node.name})): raise ZeroDivisionError({node.name!r})"
-    lines = [*unpack, *(guard(node) for node in guards if not node.op)]
+    lines = [guard(node) for node in guards if not node.op]
     for node in nodes:
         x, y = node.args
         expression = f"{text(x)} {node.op} {text(y)}"
@@ -149,19 +146,25 @@ def compile_kernel(title: str, signature: str, unpack: list, returns: str, outpu
     # names only, so the tape is freed as before
     program = [(node.name, node.op, *(arg.name for arg in node.args)) for node in nodes]
     names = [getattr(node, "name", repr(node)) for node in outputs]
-    integer = functools.partial(_integer_lines, unpack, returns, names, program, pairs=pairs)
+    integer = functools.partial(_integer_lines, returns, names, program, pairs=pairs)
+    messages = {node.name: message for node, message in dict(guards).items()}
+    _pole = lambda name: messages.get(name, pole or f"division by zero in the {title}")
+    named = lambda heading, signature, body: _compile(heading, signature, [
+        *unpack, "try:", *(f"    {line}" for line in body),
+        "except ZeroDivisionError as err:", "    raise PoleError(_pole(str(err))) from None",
+    ], PoleError=PoleError, _pole=_pole)
 
     @functools.cache
     def exact(*odd):
         if not odd:
-            return _compile(f"{title} over integer pairs", signature, integer())
+            return named(f"{title} over integer pairs", signature, integer())
         graded = f"{title} over integer pairs with {' and '.join(odd)} odd"
-        return _compile(graded, signature[:-1] + ", ext)", integer(odd))
+        return named(graded, signature[:-1] + ", ext)", integer(odd))
 
-    return functools.cache(lambda: _compile(title, signature, lines)), exact
+    return functools.cache(lambda: named(title, signature, lines)), exact
 
 
-def _integer_lines(unpack, returns, outputs, program, odd=(), pairs=False):
+def _integer_lines(returns, outputs, program, odd=(), pairs=False):
     """The program's nodes, (name, op, x, y) by name, as pairs of Python
     ints (n, d), never reduced: + and - cross-multiply, * multiplies across,
     and / first raises ZeroDivisionError on a zero divisor numerator; a
@@ -175,7 +178,7 @@ def _integer_lines(unpack, returns, outputs, program, odd=(), pairs=False):
     sqrt(b)/b.  A sum of mixed parity raises the GradingError an
     ExtScalar raises; a literal 0 takes either parity.  Each output an odd
     leaf reaches is an ExtScalar of its parity, as the generic kernel gives it."""
-    lines, pair, checked, parity = list(unpack), {}, set(), dict.fromkeys(odd, 1)
+    lines, pair, checked, parity = [], {}, set(), dict.fromkeys(odd, 1)
     times = lambda *texts: "0" if "0" in texts else " * ".join(s for s in texts if s not in (None, "1")) or "1"
 
     def of(name):

@@ -41,7 +41,7 @@ from .scalars import (
     tangent_of,
     value_of,
 )
-from .tracing import RATIONAL, checked, rational, trace
+from .tracing import RATIONAL, rational, trace
 
 GENERATORS = (0, 1, 2, 3, 4, 5)
 
@@ -101,8 +101,9 @@ def _reflection(index, pairs, alpha, eta, t, require):
 
 @cache
 def _reflection_kernel(index, dual):
-    """(generic, exact, pole): one trace of ``_reflection`` (``tracing.trace``)
-    whose texts test each denominator ``require`` records.  Without tangents
+    """(generic, exact): one trace of ``_reflection`` (``tracing.trace``) whose
+    texts test each denominator ``require`` records, a zero raising the
+    PoleError ``require`` names.  Without tangents
     it returns the image of all but t, its integer text on unreduced (n, d)
     pairs.  Dual, each coordinate is a ``Gradient``, t one with tangent 1,
     d the (3,3) flow's slope (w3's rate unused); the image's values and
@@ -140,13 +141,13 @@ def apply_generator(index, pairs, params: SystemParameters, t):
     require_weights(CP6, params, pairs)
     if is_zero_scalar(params.alpha[index]):
         return pairs, params
-    generic, exact, pole = _reflection_kernel(index, False)
+    generic, exact = _reflection_kernel(index, False)
     leaves = (*pairs[0], *pairs[1], *params.alpha, params.eta)
     if type(t) in RATIONAL and rational(leaves):
         start = [x.as_integer_ratio() for x in leaves]
-        out = _reduced(leaves, start, checked(exact(), pole, *start, t.as_integer_ratio()))
+        out = _reduced(leaves, start, exact()(*start, t.as_integer_ratio()))
     else:
-        out = checked(generic(), pole, *leaves, t)
+        out = generic()(*leaves, t)
     q1, p1, q2, p2, *weights, eta = out
     return ((q1, p1), (q2, p2)), SystemParameters(alpha=tuple(weights), eta=eta)
 
@@ -183,18 +184,14 @@ def apply_word(word, pairs, params: SystemParameters, t):
 def _unreduced_word(word, image, t):
     """``apply_word`` on a rational point's (n, d) pairs, flat, with no
     Fraction built and no gcd taken: a numerator is 0 where its value is.
-    One checked call names a pole by its letter, as ``apply_word`` does."""
-    _require_generators(word)
-    cut = 0
-
-    def letters(image):
-        nonlocal cut
-        for cut, index in enumerate(word, start=1):
-            if image[4 + index][0]:
+    A letter's pole names its prefix, as in ``apply_word``; the word is a relation word."""
+    for cut, index in enumerate(word, start=1):
+        if image[4 + index][0]:
+            try:
                 image = _reflection_kernel(index, False)[1]()(*image, t)
-        return image
-
-    return checked(letters, lambda name: _singular(word, cut, _reflection_kernel(word[cut - 1], False)[2](name)), image)
+            except PoleError as err:
+                raise PoleError(_singular(word, cut, err)) from err
+    return image
 
 
 # -- group relations ---------------------------------------------------
@@ -288,9 +285,9 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     if is_zero_scalar(alpha[index]):
         out = (*chain(*pairs), *slope[:4], *alpha, eta)
     else:
-        generic, exact, pole = _reflection_kernel(index, True)
+        generic, exact = _reflection_kernel(index, True)
         reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
-        out = checked(reflect, pole, pairs, slope, alpha, eta, t)
+        out = reflect(pairs, slope, alpha, eta, t)
     target = flow_slope(CP6.parts, t, (*out[:4], 0), SystemParameters(alpha=out[8:14], eta=out[14]))
     return tuple(x - rate for x, rate in zip(out[4:8], target))
 
@@ -332,7 +329,8 @@ def gauge_function(index, m: LoopElement):
 @cache
 def _m_kernel():
     """(keys, generic, exact): the texts of one trace of (3,3)'s M (see
-    ``tracing.trace``), its entries in key order, then K."""
+    ``tracing.trace``), its entries in key order, then K; a zero divisor
+    raises "division by zero in the M of 3,3"."""
     keys = []
 
     def lax_m(pairs, t, u, w3, k, r):
@@ -341,7 +339,7 @@ def _m_kernel():
         return [*m.entries.values(), m.c_k]
 
     shape = ((("q1", "p1"), ("q2", "p2")), "t", "u", "w3", tuple(f"k{j}" for j in range(6)), ("r0",))
-    generic, exact, _ = trace(f"M of {CP6.label}", lax_m, shape)
+    generic, exact = trace(f"M of {CP6.label}", lax_m, shape)
     return tuple(keys), generic, exact
 
 
@@ -351,7 +349,7 @@ def _lax_m(pairs, t, u, w3, kappas, rhos) -> LoopElement:
     _check_poles(CP6, t, (w3,))
     keys, generic, exact = _m_kernel()
     kernel = exact() if type(t) in RATIONAL and rational(chain((u, w3), kappas, rhos, *pairs)) else generic()
-    *entries, c_k = checked(kernel, "division by zero in the M of 3,3", pairs, t, u, w3, kappas, rhos)
+    *entries, c_k = kernel(pairs, t, u, w3, kappas, rhos)
     return LoopElement(5, dict(zip(keys, entries)), c_k)
 
 

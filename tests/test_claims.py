@@ -256,13 +256,12 @@ def _system_records(system):
 
 
 def _outcome(kernel, args):
-    """The outputs and their repr, or what was raised: "pole" for a zero
-    divisor, a ZeroDivisionError over integer pairs and a PoleError over
-    ExtScalar, or else the error's name: an IndexError, or the GradingError
-    of a sum of mixed parity over ExtScalar."""
+    """The outputs and their repr, or what was raised: "pole" for the
+    PoleError of a zero divisor, or else the error's name: an IndexError,
+    or the GradingError of a sum of mixed parity over ExtScalar."""
     try:
         values = kernel(*args)
-    except (ZeroDivisionError, PoleError):
+    except PoleError:
         return "pole"
     except (IndexError, GradingError) as exc:
         return type(exc).__name__
@@ -392,7 +391,7 @@ MUTATION_POINTS = 4
 
 def _mutants(kernel):
     """(where, mutant): the kernel recompiled once per int literal of its
-    source, that literal raised by 1."""
+    source, that literal raised by 1, its zero divisors named as the kernel's."""
     lines = inspect.getsource(kernel).splitlines(keepends=True)
     for token in tokenize.generate_tokens(io.StringIO("".join(lines)).readline):
         if token.type != tokenize.NUMBER or not token.string.isdigit():
@@ -400,7 +399,8 @@ def _mutants(kernel):
         (row, start), (_, end) = token.start, token.end
         line, raised = lines[row - 1], int(token.string) + 1
         mutated = [*lines[: row - 1], f"{line[:start]}{raised}{line[end:]}", *lines[row:]]
-        namespace = {"Fraction": QQ, "ExtScalar": ExtScalar, "is_zero_scalar": is_zero_scalar, "value_of": value_of}
+        namespace = {"Fraction": QQ, "ExtScalar": ExtScalar, "is_zero_scalar": is_zero_scalar, "value_of": value_of,
+                     "PoleError": PoleError, "_pole": kernel.__globals__["_pole"]}
         exec(compile("".join(mutated), f"<mutant of {kernel.__name__}>", "exec"), namespace)
         yield f"line {row}, column {start}: {token.string} -> {raised}", namespace[kernel.__name__]
 
@@ -644,7 +644,7 @@ def test_the_exact_suites_run_only_traced_code(monkeypatch):
         raise AssertionError("a reflection text built a Fraction")
 
     for index in weyl.GENERATORS:
-        _, exact, _ = weyl._reflection_kernel(index, False)
+        _, exact = weyl._reflection_kernel(index, False)
         monkeypatch.setitem(exact().__globals__, "Fraction", no_fraction)
     assert weyl.check_relations(samples=5).passed
     assert weyl.check_conjugation(samples=5).passed
@@ -724,13 +724,13 @@ def _assert_reflection_literals_load_bearing(monkeypatch, index, dual, table):
     """Each mutant of r_index's integer text, with tangents when dual, in
     place of that text, must fail the table."""
     honest = weyl._reflection_kernel
-    generic, exact, poles = honest(index, dual)
+    generic, exact = honest(index, dual)
     mutants = list(_mutants(exact()))
     survivors = []
     for where, mutant in mutants:
         def patched(i, tangents, mutant=mutant):
             if (i, tangents) == (index, dual):
-                return generic, lambda: mutant, poles
+                return generic, lambda: mutant
             return honest(i, tangents)
 
         monkeypatch.setattr(weyl, "_reflection_kernel", patched)
@@ -749,15 +749,15 @@ def test_every_literal_of_a_reflection_kernel_is_load_bearing(monkeypatch, index
 def _text_outcome(reflect, point, *rates):
     """A reflection text's image and its repr at a Weyl point, given the
     rates when it is a text with tangents, else the point's leaves flat,
-    or the name of the denominator it refuses."""
+    or the message of the PoleError that names the denominator it refuses."""
     pairs, params, t = point
     try:
         if rates:
             image = reflect(pairs, *rates, params.alpha, params.eta, t)
         else:
             image = reflect(*chain(*pairs), *params.alpha, params.eta, t)
-    except ZeroDivisionError as exc:
-        return exc.args
+    except PoleError as exc:
+        return str(exc)
     return image, repr(image)
 
 
@@ -770,7 +770,7 @@ def _on_values(pair_text):
 
 @pytest.mark.parametrize("index", weyl.GENERATORS)
 def test_every_literal_of_a_generic_reflection_kernel_is_load_bearing(index):
-    generic, exact, _ = weyl._reflection_kernel(index, False)
+    generic, exact = weyl._reflection_kernel(index, False)
     points = _reflection_points(index)
     outcomes = lambda reflect: [_text_outcome(reflect, point) for point in points]
     want = outcomes(_on_values(exact()))
@@ -789,7 +789,7 @@ def test_every_literal_of_a_tangent_text_is_load_bearing(monkeypatch, index):
 @pytest.mark.parametrize("index", weyl.GENERATORS)
 def test_every_literal_of_a_generic_tangent_text_is_load_bearing(index):
     # a float call runs it: each mutant must disagree with the integer text
-    generic, exact, _ = weyl._reflection_kernel(index, True)
+    generic, exact = weyl._reflection_kernel(index, True)
     rng = random.Random(29)
     points = [(point, (*(random_rational(rng) for _ in range(4)), 0)) for point in _reflection_points(index)]
     outcomes = lambda reflect: [_text_outcome(reflect, point, rates) for point, rates in points]

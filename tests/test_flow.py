@@ -21,6 +21,7 @@ from painleve_ds.painleve import SystemParameters, reduction_parameters
 from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import draw_constants, random_rational, rational_satisfying
 from painleve_ds.scalars import Gradient, PoleError
+from painleve_ds.tracing import trace
 
 FIVE = list(REDUCTIONS)
 
@@ -137,9 +138,7 @@ class TestIntegration:
             return [1.0, bad if t > 2.5 else 1.0]
 
         def run(fixed_step):
-            return flow._advance(
-                f, 2.0, [0.0, 0.0], 3.0, 1e-8, 1e-10, fixed_step, lambda t, y: None, 10_000
-            )
+            return flow._advance(f, 2.0, [0.0, 0.0], 3.0, 1e-8, 1e-10, fixed_step, lambda t, y: None)
 
         records, termination = run(0.125)
         assert termination == flow.POLE_DETECTED
@@ -147,6 +146,18 @@ class TestIntegration:
         records, termination = run(None)
         assert termination == flow.STEP_UNDERFLOW
         assert 2.5 - 1e-12 < records[-1][0] <= 2.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_first_slope_is_named(self, bad):
+        with pytest.raises(PoleError, match="^non-finite derivative$"):
+            flow._advance(lambda t, y: [1.0, bad], 2.0, [0.0, 0.0], 3.0, 1e-8, 1e-10, None, lambda t, y: None)
+
+    def test_a_log_gauge_past_its_ceiling_is_a_pole(self):
+        # exp overflows just past the ceiling: a gauge there is gone, though the pairs are finite
+        guard, ceiling = flow._system_guard(reduction((2, 2))), flow.LOG_GAUGE_CEILING
+        assert guard(2.5, [0.5, 3.0, ceiling]) is None and guard(2.5, [0.5, 3.0, -ceiling]) is None
+        for log in (ceiling + 1.0, -ceiling - 1.0, math.nan):
+            assert guard(2.5, [0.5, 3.0, log]) == flow.POLE_DETECTED
 
     def test_interval_through_fixed_singularity_rejected(self):
         with pytest.raises(PoleError, match="fixed singular time"):
@@ -388,9 +399,11 @@ _SPIKES = {
 
 class TestStepper:
     @pytest.mark.parametrize("fixed_step", [None, 0.05])
-    def test_fused_stages_match_per_term_sums_bit_for_bit(self, fixed_step):
+    def test_fused_stages_match_per_term_sums_bit_for_bit(self, monkeypatch, fixed_step):
         """Each size's generated step against _reference_advance, every
-        record's time, state, slope and error compared as float.hex."""
+        record's time, state, slope and error compared as float.hex, both
+        with a budget of 10,000 steps."""
+        monkeypatch.setattr(flow, "MAX_STEPS", 10_000)
         hexed = lambda records: [
             (t.hex(), [v.hex() for v in y], [v.hex() for v in slope], error.hex())
             for t, y, slope, error in records
@@ -399,8 +412,7 @@ class TestStepper:
             y0 = [0.5 + 0.25 * j for j in range(size)]
             for name, (spikes, failures) in _SPIKES.items():
                 records, termination = flow._advance(
-                    _rider_system(size, spikes), 0.0, y0, 4.0, 1e-9, 1e-11, fixed_step,
-                    lambda t, y: None, 10_000, (0.3,),
+                    _rider_system(size, spikes), 0.0, y0, 4.0, 1e-9, 1e-11, fixed_step, lambda t, y: None, (0.3,),
                 )
                 reference = _reference_advance(
                     _rider_system(size, spikes), 0.0, y0, 4.0, 1e-9, 1e-11, fixed_step, 10_000, (0.3,)
@@ -460,11 +472,13 @@ class TestStepper:
         assert lines[-1].endswith(") ** 2) / 3)")
 
     def test_a_zero_divisor_at_the_start_is_a_pole(self):
-        def f(t, y):
-            return [1.0 / (t - 2.0)]
+        # every f the package steps is a traced text, which names its zero divisor
+        def reciprocal(t, y):
+            return [1 / (t - 2)]
 
-        with pytest.raises(PoleError):
-            flow._advance(f, 2.0, [0.0], 3.0, 1e-8, 1e-10, None, lambda t, y: None, 10)
+        f = trace("reciprocal", reciprocal, ("t", "y"))[0]()
+        with pytest.raises(PoleError, match="^division by zero in the reciprocal$"):
+            flow._advance(f, 2.0, [0.0], 3.0, 1e-8, 1e-10, None, lambda t, y: None)
 
 
 def _hand_written_slope(parts, pairs, t, params):
@@ -545,7 +559,8 @@ class TestGeneratedRightHandSide:
     def test_the_source_reads_back_with_shared_terms(self):
         source = inspect.getsource(painleve._flow((2, 2, 1))[0])
         assert source.startswith("def rhs(t, y, a, eta):\n    q0, p0, q1, p1, _, _, = y\n")
-        assert source.splitlines()[-1].startswith("    return (")
+        assert source.splitlines()[-3].startswith("        return (")
+        assert source.splitlines()[-1] == "        raise PoleError(_pole(str(err))) from None"
         # the Hamiltonian's partials and both gauge rates divide by one t(t - 1)
         assert source.count("t * (t - 1)") == 1
         assert source.count("q0 - t") == 1
@@ -581,10 +596,22 @@ class TestDenseOutput:
         with pytest.raises(ValueError, match="span"):
             flow.dense_samples(traj, [1.5])
 
-    def test_reversed_trajectory_interpolates(self):
-        traj = _run((2, 2), t0=3.0, t1=2.0)
-        dense = flow.dense_samples(traj, [2.25, 2.75])
-        assert [s.t for s in dense] == [2.25, 2.75]
+    @pytest.mark.parametrize("t0,t1", [(3.0, 2.0), (2.0, 3.0)], ids=["backward", "forward"])
+    def test_reversed_trajectory_interpolates(self, t0, t1):
+        # one sample per requested time, in the order asked, each as it is alone
+        traj = _run((2, 2), t0=t0, t1=t1)
+        for grid in ([2.25, 2.75], [2.5, 2.2, 2.9], [2.9, 2.5, 2.9, 2.2]):
+            dense = flow.dense_samples(traj, iter(grid))
+            assert [s.t for s in dense] == grid
+            assert [s.pairs for s in dense] == [flow.dense_samples(traj, [t])[0].pairs for t in grid]
+
+    def test_a_one_knot_trajectory_gives_its_one_state(self):
+        traj = _run((2, 2), t0=2.0, t1=2.0)
+        assert traj._times == (2.0,)
+        assert flow.dense_samples(traj, (t for t in [2.0, 2.0])) == [traj.final, traj.final]
+        assert flow.dense_samples(traj, []) == []
+        with pytest.raises(ValueError, match="^time 2.5 outside the integrated span$"):
+            flow.dense_samples(traj, [2.0, 2.5])
 
 
 class TestPersistence:
@@ -595,11 +622,12 @@ class TestPersistence:
 
     def test_rows_follow_requested_grid(self):
         traj = _run((2, 2))
-        grid = [2.0, 2.5, 3.0]
-        rows = list(flow.csv_rows(traj, times=grid))
-        assert len(rows) == 1 + len(grid)
-        assert rows[0] == "t,q1,p1,w1"
-        assert all(len(r.split(",")) == 4 for r in rows[1:])
+        for grid in ([2.0, 2.5, 3.0], [2.5, 2.2, 2.9]):
+            rows = list(flow.csv_rows(traj, times=grid))
+            assert len(rows) == 1 + len(grid)
+            assert rows[0] == "t,q1,p1,w1"
+            assert all(len(r.split(",")) == 4 for r in rows[1:])
+            assert [float(r.split(",")[0]) for r in rows[1:]] == grid
 
     def test_metadata_shape(self):
         meta = flow.metadata(_run((4, 1)))

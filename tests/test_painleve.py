@@ -20,8 +20,8 @@ from painleve_ds.painleve import (
     vector_field,
     weight_sum_form,
 )
-from painleve_ds.reductions import REDUCTIONS, reduction
-from painleve_ds.sampling import draw_constants, random_rational, rational_satisfying
+from painleve_ds.reductions import REDUCTIONS, LinearForm, reduction
+from painleve_ds.sampling import check_claims, draw_constants, random_rational, rational_satisfying
 from painleve_ds.scalars import Gradient, PoleError, row_reduce, tangent_of, value_of
 
 FIVE = list(REDUCTIONS)
@@ -431,6 +431,37 @@ class TestParameterMaps:
             assert set(claim.witness) == {"sample_index", "kappas", "rhos", "sum"}
             assert claim.witness["sample_index"] == 0
             assert claim.witness["sum"] == 2
+
+    def test_a_degenerate_parameter_map_is_named(self, monkeypatch):
+        # with no weight reading a constant, only the kappa sum is left: the map loses rank
+        record = reduction((2, 2))
+        params = reduction_parameters(record.parts, (QQ(1, 3), QQ(1, 2), QQ(2), QQ(3)), (QQ(5, 2),))
+        flat = tuple(LinearForm(f.const, (0,) * len(f.kappa), (0,) * len(f.rho)) for f in record.alpha)
+        monkeypatch.setattr(type(record), "alpha", flat)
+        painleve._parameter_map.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="^parameter map is degenerate$"):
+                reduction_constants(record.parts, params)
+        finally:
+            monkeypatch.undo()
+            painleve._parameter_map.cache_clear()
+        assert reduction_constants(record.parts, params)
+
+    @pytest.mark.parametrize("parts", FIVE)
+    def test_a_symbolic_weight_sum_off_one_is_witnessed(self, monkeypatch, parts):
+        # the first weight moved by 1 + kappa0: the proved claim fails, and
+        # its witness is the marked sum's constant and columns
+        record = reduction(parts)
+        first, mark = record.alpha[0], record.marks[0]
+        moved = LinearForm(first.const + 1, (first.kappa[0] + 1, *first.kappa[1:]), first.rho)
+        monkeypatch.setattr(type(record), "alpha", (moved, *record.alpha[1:]))
+        claim = [c for c in painleve.WEIGHT_SUMS if c[0] == f"({record.label}) symbolic weight sum"]
+        report = check_claims("weight-normalization", claim, 1, 0)
+        assert not report.passed
+        zeros = lambda n: (QQ(0),) * n
+        assert report.checks[0].witness == {
+            "const": 1 + mark, "kappa": (QQ(mark), *zeros(record.kappa_count - 1)), "rho": zeros(record.rho_count),
+        }
 
     def test_normalization_report(self):
         report = check_normalization(samples=50, seed=1)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import linecache
 import operator
+import random
 import traceback
 from fractions import Fraction as QQ
 
@@ -12,7 +13,7 @@ import pytest
 from painleve_ds import lax, painleve, scalars, weyl
 from painleve_ds.reductions import REDUCTIONS
 from painleve_ds.scalars import Extension, ExtScalar, PoleError
-from painleve_ds.tracing import GradingError, Traced, checked, compile_kernel, trace
+from painleve_ds.tracing import GradingError, Traced, compile_kernel, trace
 
 
 def _leaves(*names):
@@ -20,18 +21,32 @@ def _leaves(*names):
     return tape, [Traced(tape, name) for name in names]
 
 
+# the last two lines of every text: its zero divisor is the PoleError _pole names
+RAISES = ["    except ZeroDivisionError as err:", "        raise PoleError(_pole(str(err))) from None"]
+
+
+def _lines(text):
+    """A text's source lines without the try line and the two except lines
+    around its body, and the body dedented by four spaces."""
+    lines = inspect.getsource(text).splitlines()
+    start = lines.index("    try:")
+    assert lines[-2:] == RAISES
+    return [*lines[:start], *(line[4:] for line in lines[start + 1 : -2])]
+
+
 def _kernel(outputs):
-    """kernel(x, y) returning the outputs as a tuple, and its source lines."""
+    """kernel(x, y) returning the outputs as a tuple, and its source lines
+    without the try and except lines (``_lines``)."""
     returns = "(" + "{}, " * len(outputs) + ")"
     kernel = compile_kernel("test kernel", "kernel(x, y)", [], returns, outputs)[0]()
-    return kernel, inspect.getsource(kernel).splitlines()
+    return kernel, _lines(kernel)
 
 
 def _exact(outputs):
-    """The integer-pair kernel(x, y) of the outputs, and its source lines."""
+    """The integer-pair kernel(x, y) of the outputs, and its ``_lines``."""
     returns = "(" + "{}, " * len(outputs) + ")"
     _, exact = compile_kernel("test kernel", "kernel(x, y)", [], returns, outputs)
-    return exact(), inspect.getsource(exact()).splitlines()
+    return exact(), _lines(exact())
 
 
 class TestFolding:
@@ -91,8 +106,21 @@ class TestEmitter:
         _, (x, y) = _leaves("x", "y")
         kernel, _ = _kernel([x / y])
         assert kernel(QQ(1), QQ(2)) == (QQ(1, 2),)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(PoleError, match="^division by zero in the test kernel$"):
             kernel(QQ(1), QQ(0))
+
+    def test_the_body_runs_in_one_try_after_the_unpack_lines(self):
+        # the wrapper every text carries, around the body and not the unpack lines
+        _, (x, y) = _leaves("x", "y")
+        generic, exact = compile_kernel("wrapped kernel", "kernel(xy)", ["x, y, = xy"], "({}, )", [x / y])
+        assert inspect.getsource(generic()).splitlines() == [
+            "def kernel(xy):", "    x, y, = xy", "    try:", "        return ((x / y), )", *RAISES,
+        ]
+        assert inspect.getsource(exact()).splitlines()[:3] == ["def kernel(xy):", "    x, y, = xy", "    try:"]
+        for text in (generic(), exact()):
+            with pytest.raises(PoleError, match="^division by zero in the wrapped kernel$") as info:
+                text((QQ(1), QQ(0)))
+            assert info.value.__cause__ is None and type(info.value.__context__) is ZeroDivisionError
 
     def test_it_is_compiled_on_its_first_call_only(self):
         # a kernel that only runs over integer pairs never compiles this text
@@ -148,7 +176,7 @@ class TestIntegerEmission:
         kernel, lines = _exact([x / y, (x + 1) / y])
         assert lines.count("    if not y_n: raise ZeroDivisionError('y')") == 1
         assert kernel(QQ(1), 2) == (QQ(1, 2), QQ(1))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(PoleError, match="^division by zero in the test kernel$"):
             kernel(QQ(1), QQ(0))
 
     def test_a_leaf_or_an_int_output_is_returned_as_given(self):
@@ -164,7 +192,7 @@ class TestIntegerEmission:
         _, exact = compile_kernel("pair kernel", "kernel(x, y)", [], "({}, {}, {}, {}, )", [x, x * 0, QQ(1, 3), x * y],
                                   pairs=True)
         kernel = exact()
-        assert inspect.getsource(kernel).splitlines()[1:] == [
+        assert _lines(kernel)[1:] == [
             "    x_n, x_d = x",
             "    y_n, y_d = y",
             "    v0_n = x_n * y_n",
@@ -233,14 +261,14 @@ class TestGradedEmission:
     def test_the_base_enters_where_an_odd_square_does(self):
         tape, (x, u) = _leaves("x", "u")
         _, graded = self._both([u * u, x / u, x * u])
-        lines = inspect.getsource(graded).splitlines()
+        lines = _lines(graded)
         assert lines[0] == "def kernel(x, u, ext):"
         assert sum("extbase" in line for line in lines) == 1 + 2 + 2
 
     def test_an_odd_zero_divisor_raises(self):
         tape, (x, u) = _leaves("x", "u")
         _, graded = self._both([x / u])
-        with pytest.raises(ZeroDivisionError, match="^u$"):
+        with pytest.raises(PoleError, match="^division by zero in the graded test kernel$"):
             graded(QQ(1), QQ(0), Extension("s", QQ(6)))
 
     def test_a_sum_of_mixed_parity_is_refused(self):
@@ -275,15 +303,17 @@ class TestSharedTape:
 class TestGeneratedSource:
     def test_the_cp6_field_reads_back(self):
         # the cp6 field is the pair part of the (3,3) flow
-        source = inspect.getsource(painleve._flow((3, 3))[0])
-        assert source.startswith("def rhs(t, y, a, eta):\n    q0, p0, q1, p1, _, = y\n")
-        assert source.splitlines()[-1].startswith("    return (")
+        lines = inspect.getsource(painleve._flow((3, 3))[0]).splitlines()
+        assert lines[:4] == ["def rhs(t, y, a, eta):", "    q0, p0, q1, p1, _, = y", "    a0, a1, a2, a3, a4, a5, = a", "    try:"]
+        assert lines[-3].startswith("        return (") and lines[-2:] == RAISES
 
     def test_a_traceback_shows_the_generated_line(self):
+        # the arithmetic line is in the traceback of the ZeroDivisionError the PoleError replaced
         rhs = painleve._flow((2, 2))[0]
-        with pytest.raises(ZeroDivisionError) as info:
+        with pytest.raises(PoleError, match="^division by zero in the flow of 2,2$") as info:
             rhs(QQ(1), (QQ(1), QQ(1), 0), (QQ(1),) * 5, None)
-        (frame,) = [f for f in traceback.extract_tb(info.tb) if f.filename == "<right-hand side of 2,2>"]
+        context = info.value.__context__
+        (frame,) = [f for f in traceback.extract_tb(context.__traceback__) if f.filename == "<right-hand side of 2,2>"]
         assert frame.line.startswith("return (")
 
 
@@ -293,8 +323,8 @@ class TestDeclaredKernels:
             (y0, _), y2 = ys
             return [x * y0, ("-", y2 / w)]
 
-        generic, exact, _ = trace("declared kernel", kernel, ("x", (("y0", None), "y2"), "w"))
-        lines = inspect.getsource(generic()).splitlines()
+        generic, exact = trace("declared kernel", kernel, ("x", (("y0", None), "y2"), "w"))
+        lines = _lines(generic())
         assert lines[:2] == ["def kernel(x, ys, w):", "    (y0, _, ), y2, = ys"]
         assert lines[-1] == "    return ((x * y0), -(y2 / w), )"
         assert generic()(2, ((3, None), 4), 8) == (6, -0.5)
@@ -307,24 +337,107 @@ class TestDeclaredKernels:
         def bare(t):
             return t + 1
 
-        assert inspect.getsource(trace("pair kernel", pair, ("t",))[0]()).splitlines()[-1] == "    return ((t * t), t)"
-        assert inspect.getsource(trace("bare kernel", bare, ("t",))[0]()).splitlines()[-1] == "    return (t + 1)"
+        assert _lines(trace("pair kernel", pair, ("t",))[0]())[-1] == "    return ((t * t), t)"
+        assert _lines(trace("bare kernel", bare, ("t",))[0]())[-1] == "    return (t + 1)"
 
-    def test_checked_names_a_guard_or_gives_the_kernel_s_message(self):
+    def test_a_text_names_a_guard_or_gives_the_kernel_s_message(self):
         guards = {}
 
-        def inverse(x):
+        def inverse(x, y):
             guards[x - 1] = "pole at x = 1"
-            return [1 / (x - 1)]
+            return [1 / (x - 1), x / y]
 
-        generic, exact, pole = trace("guarded kernel", inverse, ("x",), guards)
-        for text, x in ((generic(), 1.0), (exact(), QQ(1))):
+        generic, exact = trace("guarded kernel", inverse, ("x", "y"), guards, pole="the kernel's message")
+        for text, one, zero in ((generic(), 1.0, 0.0), (exact(), QQ(1), QQ(0))):
             with pytest.raises(PoleError, match="^pole at x = 1$"):
-                checked(text, pole, x)
-        assert checked(exact(), pole, QQ(3)) == (QQ(1, 2),)
-        with pytest.raises(PoleError, match="^the kernel's message$"):
-            checked(lambda: 1 / 0, "the kernel's message")
+                text(one, one)
+            with pytest.raises(PoleError, match="^the kernel's message$"):
+                text(one + one, zero)
+        assert exact()(QQ(3), QQ(2)) == (QQ(1, 2), QQ(3, 2))
 
+        def reciprocal(t):
+            return 1 / t
+
+        with pytest.raises(PoleError, match="^division by zero in the reciprocal kernel$"):
+            trace("reciprocal kernel", reciprocal, ("t",))[1]()(0)
+
+
+
+def _on_guard(index, point, k):
+    """A Weyl point moved onto r_index's denominator, r3's second at odd k."""
+    ((q1, p1), (q2, p2)), params, t = point
+    alpha, eta = params.alpha, params.eta
+    if index == 3:
+        eta = alpha[3] - q1 * p1 - q2 * p2 if k % 2 else -q1 * p1 - q2 * p2
+    pairs = {0: ((q1, p1), (q1, p2)), 1: ((q1, QQ(0)), (q2, p2)), 2: ((t, p1), (q2, p2)),
+             3: ((q1, p1), (q2, p2)), 4: ((q1, p1), (QQ(1), p2)), 5: ((q1, p1), (q2, QQ(0)))}[index]
+    return pairs, alpha, eta, t
+
+
+class TestTextsNameTheirPoles:
+    """Each text, called directly at a zero divisor, generic and over
+    integer pairs, raises the PoleError its trace names: the guard's
+    message, else the kernel's, and never a ZeroDivisionError."""
+
+    @pytest.mark.parametrize("parts", [parts for parts, record in REDUCTIONS.items() if record.system != "a4"])
+    def test_a_flow_at_t_zero(self, parts):
+        record = REDUCTIONS[parts]
+        rhs, exact = painleve._flow(parts)
+        y = [QQ(k + 2, 3) for k in range(2 * record.pair_count + len(record.gauge_names))]
+        alpha, eta = tuple(QQ(1, 6) for _ in range(record.weight_count)), None if record.eta is None else QQ(1, 2)
+        for text, t in ((rhs, 0.0), (rhs, QQ(0)), (exact(), QQ(0))):
+            with pytest.raises(PoleError, match=f"^division by zero in the flow of {record.label}$"):
+                text(t, y, alpha, eta)
+
+    @pytest.mark.parametrize("parts", list(REDUCTIONS))
+    def test_a_zero_curvature_text_at_a_zero_gauge(self, parts):
+        record = REDUCTIONS[parts]
+        point = lax.sample_point(parts, random.Random(5))
+        u, du = lax._root_and_rate(record, point["t"], point["root"])
+        y = [*(x for pair in point["pairs"] for x in pair), *(QQ(0) for _ in record.gauge_names)]
+        args = (y, [QQ(1)] * len(y), point["t"], u, du, point["kappas"], point["rhos"])
+        _, _, generic, exact = lax._residual_kernel(parts)
+        floats = lambda xs: [float(x) for x in xs]
+        calls = [(generic, (floats(y), floats(args[1]), float(point["t"]), 2.0, 1.0, *map(floats, args[5:])))]
+        if type(u) is ExtScalar:
+            calls.append((exact("u", "du"), (*args[:3], u.c, du.c, *args[5:], u.ext)))
+        else:
+            calls += [(generic, args), (exact(), args)]
+        for text, values in calls:
+            with pytest.raises(PoleError, match="^division by zero in the zero-curvature residual$"):
+                text(*values)
+
+    def test_the_m_at_w3_zero(self):
+        pairs, t, u, _, kappas, rhos = weyl._draw_bridge(random.Random(3))
+        _, generic, exact = weyl._m_kernel()
+        for text in (generic(), exact()):
+            with pytest.raises(PoleError, match="^division by zero in the M of 3,3$"):
+                text(pairs, t, u, QQ(0), kappas, rhos)
+
+    @pytest.mark.parametrize("index", weyl.GENERATORS)
+    def test_a_reflection_at_each_guard(self, index):
+        messages = set()
+        for k in (0, 1):
+            pairs, alpha, eta, t = _on_guard(index, weyl.sample_weyl_point(random.Random(40 + index)), k)
+            leaves = (*pairs[0], *pairs[1], *alpha, eta)
+            value, values = weyl._reflection_kernel(index, False)
+            tangent, tangents = weyl._reflection_kernel(index, True)
+            slope = (QQ(1), QQ(2), QQ(3), QQ(4), 0)
+            calls = [
+                (value(), (*leaves, t)), (values(), (*(x.as_integer_ratio() for x in (*leaves, t)),)),
+                (tangent(), (pairs, slope, alpha, eta, t)), (tangents(), (pairs, slope, alpha, eta, t)),
+            ]
+            for text, args in calls:
+                with pytest.raises(PoleError, match="^reflection pole: ") as info:
+                    text(*args)
+                messages.add(str(info.value))
+        assert len(messages) == (2 if index == 3 else 1)
+
+    def test_the_cp6_root_at_t_zero(self):
+        kernel = REDUCTIONS[(3, 3)].root.kernel
+        for t in (0, QQ(0), 0.0):
+            with pytest.raises(PoleError, match=r"^division by zero in the base of u\*\*3$"):
+                kernel(t)
 
 def _texts():
     """{name: text} for the 57 texts the suites and the float lane compile:
@@ -341,7 +454,7 @@ def _texts():
     texts["zero curvature 3,1 graded"] = lax._residual_kernel((3, 1))[3]("u", "du")
     for index in weyl.GENERATORS:
         for dual in (False, True):
-            generic, exact, _ = weyl._reflection_kernel(index, dual)
+            generic, exact = weyl._reflection_kernel(index, dual)
             name = f"r{index}" + " with tangents" * dual
             texts |= {name: generic(), f"{name} over pairs": exact()}
     _, generic, exact = weyl._m_kernel()
@@ -349,10 +462,10 @@ def _texts():
 
 
 def _body(text) -> str:
-    """A text's lines after its def line and its unpack lines, each an
+    """A text's ``_lines`` after its def line and its unpack lines, each an
     assignment of a tuple from an argument; a pair leaf's own split,
     ``x_n, x_d = x``, is body."""
-    lines = inspect.getsource(text).splitlines()
+    lines = _lines(text)
     args = set(inspect.signature(text).parameters)
     start = 1
     for line in lines[1:]:
