@@ -252,8 +252,8 @@ def zero_curvature_residual(partition, pairs, t, gauges, kappas, rhos, root=None
     ``time_root(partition, t)`` unless given as a Gradient.
     The rates come from the partition's flow through
     ``painleve.flow_slope``, and R from code generated once per partition
-    from the generic assembly, through ``_residual_values``, the checked
-    call the trajectory monitor makes too on its stored slopes; the value
+    from the generic assembly, through ``_residual_values``, the call the
+    trajectory monitor makes too on its stored slopes; the value
     checks run on each call's own data.  The constraint outputs are left out.
     """
     record = reduction(partition)

@@ -304,7 +304,9 @@ class TestGeneratedSource:
     def test_the_cp6_field_reads_back(self):
         # the cp6 field is the pair part of the (3,3) flow
         lines = inspect.getsource(painleve._flow((3, 3))[0]).splitlines()
-        assert lines[:4] == ["def rhs(t, y, a, eta):", "    q0, p0, q1, p1, _, = y", "    a0, a1, a2, a3, a4, a5, = a", "    try:"]
+        assert lines[:4] == [
+            "def rhs(t, y, a, eta):", "    q0, p0, q1, p1, _, = y", "    a0, a1, a2, a3, a4, a5, = a", "    try:",
+        ]
         assert lines[-3].startswith("        return (") and lines[-2:] == RAISES
 
     def test_a_traceback_shows_the_generated_line(self):
@@ -362,22 +364,11 @@ class TestDeclaredKernels:
             trace("reciprocal kernel", reciprocal, ("t",))[1]()(0)
 
 
-
-def _on_guard(index, point, k):
-    """A Weyl point moved onto r_index's denominator, r3's second at odd k."""
-    ((q1, p1), (q2, p2)), params, t = point
-    alpha, eta = params.alpha, params.eta
-    if index == 3:
-        eta = alpha[3] - q1 * p1 - q2 * p2 if k % 2 else -q1 * p1 - q2 * p2
-    pairs = {0: ((q1, p1), (q1, p2)), 1: ((q1, QQ(0)), (q2, p2)), 2: ((t, p1), (q2, p2)),
-             3: ((q1, p1), (q2, p2)), 4: ((q1, p1), (QQ(1), p2)), 5: ((q1, p1), (q2, QQ(0)))}[index]
-    return pairs, alpha, eta, t
-
-
 class TestTextsNameTheirPoles:
     """Each text, called directly at a zero divisor, generic and over
     integer pairs, raises the PoleError its trace names: the guard's
-    message, else the kernel's, and never a ZeroDivisionError."""
+    message, else the kernel's, and never a ZeroDivisionError.  The
+    reflections' are in ``tests/test_weyl.py::TestNamedPoles``."""
 
     @pytest.mark.parametrize("parts", [parts for parts, record in REDUCTIONS.items() if record.system != "a4"])
     def test_a_flow_at_t_zero(self, parts):
@@ -414,30 +405,12 @@ class TestTextsNameTheirPoles:
             with pytest.raises(PoleError, match="^division by zero in the M of 3,3$"):
                 text(pairs, t, u, QQ(0), kappas, rhos)
 
-    @pytest.mark.parametrize("index", weyl.GENERATORS)
-    def test_a_reflection_at_each_guard(self, index):
-        messages = set()
-        for k in (0, 1):
-            pairs, alpha, eta, t = _on_guard(index, weyl.sample_weyl_point(random.Random(40 + index)), k)
-            leaves = (*pairs[0], *pairs[1], *alpha, eta)
-            value, values = weyl._reflection_kernel(index, False)
-            tangent, tangents = weyl._reflection_kernel(index, True)
-            slope = (QQ(1), QQ(2), QQ(3), QQ(4), 0)
-            calls = [
-                (value(), (*leaves, t)), (values(), (*(x.as_integer_ratio() for x in (*leaves, t)),)),
-                (tangent(), (pairs, slope, alpha, eta, t)), (tangents(), (pairs, slope, alpha, eta, t)),
-            ]
-            for text, args in calls:
-                with pytest.raises(PoleError, match="^reflection pole: ") as info:
-                    text(*args)
-                messages.add(str(info.value))
-        assert len(messages) == (2 if index == 3 else 1)
-
     def test_the_cp6_root_at_t_zero(self):
         kernel = REDUCTIONS[(3, 3)].root.kernel
         for t in (0, QQ(0), 0.0):
             with pytest.raises(PoleError, match=r"^division by zero in the base of u\*\*3$"):
                 kernel(t)
+
 
 def _texts():
     """{name: text} for the 57 texts the suites and the float lane compile:

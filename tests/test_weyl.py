@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from painleve_ds import weyl
+from painleve_ds import lax, painleve, weyl
 from painleve_ds.loop import LoopElement
 from painleve_ds.painleve import SystemParameters
+from painleve_ds.reductions import REDUCTIONS, reduction
 from painleve_ds.sampling import DENOMINATOR_RANGE, NUMERATOR_RANGE, RETRY_CAP
 from painleve_ds.scalars import Gradient, PoleError, is_zero_scalar
 from painleve_ds.weyl import (
@@ -671,6 +672,12 @@ def _raised(call, *args, **kwargs):
         return str(exc)
 
 
+def _root_at(parts, t):
+    """time_root's value and rate at t."""
+    root = lax.time_root(parts, t)
+    return root.value, root.tangent
+
+
 def _pole_outcomes():
     """[(entry point, input, outcome)]: each public call that reaches a
     kernel's named pole, exact and float, and the PoleError's message it
@@ -678,9 +685,6 @@ def _pole_outcomes():
     zero divisors the pole contract uses, the roots at t = 0, and the
     reflections, words, equivariance and bridges at the points their own
     pins move onto a pole."""
-    from painleve_ds import lax, painleve
-    from painleve_ds.reductions import REDUCTIONS, reduction
-
     floats = lambda xs: tuple(map(float, xs))
     rows = []
     for system, times in (("p6", (0, 1)), ("cp6", (0, 1)), ("a5", (0,))):
@@ -704,8 +708,7 @@ def _pole_outcomes():
         rows.append(("zero_curvature_residual", f"{parts} zero gauge",
                      _raised(lax.zero_curvature_residual, parts, **{**point, "gauges": gauges}, root=root)))
         for t in (0, 0.0):
-            root = lambda: (lambda r: (r.value, r.tangent))(lax.time_root(parts, t))
-            rows.append(("time_root", f"{parts} t={t!r}", _raised(root)))
+            rows.append(("time_root", f"{parts} t={t!r}", _raised(_root_at, parts, t)))
     for parts in ((2, 2), (2, 2, 1)):
         point = lax.sample_point(parts, random.Random(2))
         del point["root"]
@@ -757,6 +760,25 @@ class TestNamedPoles:
         assert {"division by zero in the zero-curvature residual", "(3, 3) root needs a finite nonzero base at t = 0",
                 "(3, 3) root needs a finite nonzero base at t = 0.0"} <= messages
         assert {message for message in messages if message.startswith("word singular after prefix (")}
+
+    @pytest.mark.parametrize("index", GENERATORS)
+    def test_a_reflection_text_names_each_guard(self, index):
+        # each of r_index's four texts, called directly on its denominator,
+        # raises the guard's PoleError, never a ZeroDivisionError
+        messages = set()
+        for k in (0, 1):
+            pairs, params, t = _on_reflection_pole(index, _point(40 + index), k)
+            alpha, eta = params.alpha, params.eta
+            leaves, slope = (*pairs[0], *pairs[1], *alpha, eta, t), (QQ(1), QQ(2), QQ(3), QQ(4), 0)
+            value, values = weyl._reflection_kernel(index, False)
+            tangent, tangents = weyl._reflection_kernel(index, True)
+            calls = [(value(), leaves), (values(), [x.as_integer_ratio() for x in leaves]),
+                     (tangent(), (pairs, slope, alpha, eta, t)), (tangents(), (pairs, slope, alpha, eta, t))]
+            for text, args in calls:
+                with pytest.raises(PoleError, match="^reflection pole: ") as info:
+                    text(*args)
+                messages.add(str(info.value))
+        assert len(messages) == (2 if index == 3 else 1)
 
 
 # sha256 of repr(_pole_outcomes())
