@@ -1,5 +1,7 @@
 """Hamiltonian systems and reduction parameter maps, checked exactly."""
 
+import functools
+import hashlib
 import math
 import random
 from fractions import Fraction as QQ
@@ -268,6 +270,47 @@ class TestPoleContract:
                 vector_field(system, point, QQ(5, 2), params)
             else:
                 gauge_log_derivatives(reduction(system).parts, point, QQ(5, 2), params)
+
+
+class TestRationalValues:
+    def test_rational_rates_and_their_reprs_are_pinned(self):
+        # vector_field per system and gauge_log_derivatives per partition
+        # at seeded ints and Fractions: each repr, so a type is pinned too
+        rows = _rational_outcomes()
+        assert {outcome for _, _, outcome in rows} >= {
+            "division by zero in the flow of 3,3", "division by zero in the flow of 2,2"}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == RATIONAL_RATES_SHA256
+
+
+RATIONAL_POINTS = 30
+
+# sha256 of repr(_rational_outcomes())
+RATIONAL_RATES_SHA256 = "269cd1716d8addf0c649157ec55c9c6065846fd09f4f649357d1f34f1340f9af"
+
+
+def _rational_outcomes():
+    """[(call, input, outcome)]: the repr of each call's rates, or its
+    PoleError's message, at RATIONAL_POINTS seeded points per system and
+    per partition.  About a third of the coordinates and of the times are
+    ints, a zero among them now and then, and every fifth t is 0 or 1."""
+    rng, rows = random.Random(71), []
+    draw = lambda: rng.randint(-3, 3) if rng.random() < 0.3 else QQ(rng.randint(-20, 20), rng.randint(1, 10))
+    calls = [("vector_field", system, lambda pairs, t, params, system=system: vector_field(system, pairs, t, params))
+             for system in SYSTEMS]
+    calls += [("gauge_log_derivatives", parts, functools.partial(gauge_log_derivatives, parts)) for parts in FIVE]
+    for name, key, call in calls:
+        record = reduction(key)
+        for k in range(RATIONAL_POINTS):
+            pairs = tuple((draw(), draw()) for _ in range(record.pair_count))
+            t = k % 2 if k % 5 == 4 else draw()
+            params = SystemParameters(tuple(draw() for _ in range(record.weight_count)),
+                                      None if record.eta is None else draw())
+            try:
+                outcome = repr(call(pairs, t, params))
+            except PoleError as exc:
+                outcome = str(exc)
+            rows.append((name, repr((key, pairs, t, params)), outcome))
+    return rows
 
 
 class TestParameterMaps:

@@ -365,8 +365,65 @@ class TestEquivariance:
             on_pole = {o for o in row[EQUIVARIANCE_POINTS:] if not o.startswith("(")}
             assert on_pole == EQUIVARIANCE_POLE_MESSAGES[index], (index, lane)
 
+    @pytest.mark.parametrize("index", GENERATORS)
+    def test_the_examination_agrees_with_equivariance_residual(self, index):
+        # at EXAMINATION_POINTS mixed points the examination passes, gives
+        # the witness or raises the PoleError that equivariance_residual does
+        kinds = []
+        for point in _equivariance_points(index, 3600 + index, EXAMINATION_POINTS):
+            outcome = _examined_equivariance(index, point)
+            assert outcome == _by_equivariance_residual(index, point)
+            kinds.append(outcome if isinstance(outcome, str) else type(outcome).__name__)
+        assert {"NoneType", "tuple", "division by zero in the flow of 3,3"} <= set(kinds)
+        assert EQUIVARIANCE_POLE_MESSAGES[index] <= set(kinds)
+
 
 EQUIVARIANCE_POINTS = 20
+EXAMINATION_POINTS = 200
+
+
+def _equivariance_points(index, seed, count):
+    """count seeded Weyl points for r_index, six kinds in turn: as drawn;
+    on a reflection guard, r3's two in turn; with a zero gain; on a guard
+    with a zero gain; off the unit-sum locus; at t = 0 or 1, the zeros of
+    the (3,3) flow's one divisor t(t - 1), which no reflection moves, so
+    the flow has them at the point and at its image."""
+    rng, points = random.Random(seed), []
+    for k in range(count):
+        pairs, params, t = point = sample_weyl_point(rng)
+        kind, turn = k % 6, k // 6
+        if kind in (1, 3):
+            point = _on_reflection_pole(index, point, turn)
+        if kind in (2, 3) or kind == 5 and turn % 4 > 1:
+            point = _zero_gain(index)(*point)
+        if kind == 4:
+            alpha = list(params.alpha)
+            alpha[(index + 3) % 6] += 1
+            point = pairs, SystemParameters(tuple(alpha), params.eta), t
+        if kind == 5:
+            point = (*point[:2], QQ(turn % 2))
+        points.append(point)
+    return points
+
+
+def _examined_equivariance(index, point):
+    """The equivariance examination's witness as its repr and its residual,
+    or its PoleError's message."""
+    try:
+        witness = weyl._examine_equivariance(index, point)
+    except PoleError as exc:
+        return str(exc)
+    return witness and (repr(witness), witness["residual"])
+
+
+def _by_equivariance_residual(index, point):
+    """What the examination must give, from equivariance_residual."""
+    try:
+        residual = equivariance_residual(index, *point)
+    except PoleError as exc:
+        return str(exc)
+    witness = None if all(map(is_zero_scalar, residual)) else weyl._witness(point, residual=residual)
+    return witness and (repr(witness), witness["residual"])
 
 # sha256 of _equivariance_outcomes(), sorted, as text
 EQUIVARIANCE_SHA256 = "3bb63eaf07738028f6bf96308aa2fd6d3b2e0262249b9f568fe1e0a1c44824f5"
