@@ -117,9 +117,9 @@ def _flow(parts: tuple):
     value or a term they share is one node, computed once.  ``rhs``
     returns dq/dt = dH/dp, dp/dt = -dH/dq per pair, then each gauge's
     d log/dt.  It compiles here, as it is traced, so that no integrate
-    call after an exact one compiles; exact() is its text over integer
-    pairs (see ``tracing.trace``).  The weights and eta stay arguments,
-    so one compile serves every parameter set and every scalar type.
+    call after an exact one compiles; exact() is its pair form, on (n, d)
+    pairs (see ``tracing.trace``), each rate a node.  The weights and eta stay
+    arguments, so one compile serves every parameter set and every scalar type.
     """
     record = reduction(parts)
     n = record.pair_count
@@ -135,19 +135,21 @@ def _flow(parts: tuple):
     y = (*(f"{c}{k}" for k in range(n) for c in "qp"), *(None for _ in record.gauge_names))
     shape = ("t", y, tuple(f"a{i}" for i in range(record.weight_count)), "eta")
     pole = f"division by zero in the flow of {record.label}"
-    generic, exact = trace(f"right-hand side of {record.label}", rhs, shape, pole=pole)
+    generic, exact = trace(f"right-hand side of {record.label}", rhs, shape, pairs=True, pole=pole)
     return generic(), exact
 
 
 def flow_slope(parts: tuple, t, y, params: SystemParameters) -> tuple:
     """The slope of ``_flow(parts)`` at (t, y): the call through which every
-    lane but the stepper reads the flow.  It runs over integer pairs when
-    t, tested first, and every other input is an int or a Fraction; a zero
-    divisor raises the flow's PoleError."""
+    lane but the stepper reads the flow.  It runs the pair form, each rate
+    reduced, when t, tested first, and every other input is an int or a
+    Fraction; a zero divisor raises the flow's PoleError."""
     rhs, exact = _flow(parts)
     t, eta = _exact(t), params.eta
     if type(t) in RATIONAL and rational(chain(params.alpha, () if eta is None else (eta,), y)):
-        rhs = exact()
+        split = lambda xs: [x.as_integer_ratio() for x in xs]
+        eta = None if eta is None else eta.as_integer_ratio()
+        return tuple([Fraction(n, d) for n, d in exact()(t.as_integer_ratio(), split(y), split(params.alpha), eta)])
     return rhs(t, y, params.alpha, eta)
 
 

@@ -76,9 +76,9 @@ def trace(title: str, formula, shape: tuple, guards=None, pairs=False, pole=None
     """``formula`` traced once on leaves laid out by ``shape``, per argument its
     name or a nested tuple of names (None where no output reads), and compiled
     under its name and arguments.  A list of outputs returns as ``(x, y, )``,
-    a tuple as ``(x, y)``, one output bare, ("-", x) as -x.  Returns (generic,
-    exact), whose poles are named by the messages the formula put in ``guards``
-    and by ``pole`` (see ``compile_kernel``)."""
+    a tuple as ``(x, y)``, one output bare, ("-", x) as -x, or as (-n, d) in
+    the pair form.  Returns (generic, exact), whose poles are named by the
+    messages the formula put in ``guards`` and by ``pole`` (see ``compile_kernel``)."""
     tape = {}
     result = formula(*(_leaves(tape, spec) for spec in shape))
     outputs = list(result) if isinstance(result, (list, tuple)) else [result]
@@ -170,7 +170,7 @@ def _integer_lines(returns, outputs, program, odd=(), pairs=False):
     and / first raises ZeroDivisionError on a zero divisor numerator; a
     denominator of 1 and a factor 1 fold away.  Each leaf is unpacked once,
     at its first use, and each output node is reduced once, as Fraction(n, d),
-    except in the pair form, where each leaf and output is an (n, d) pair.
+    except in the pair form, where each leaf and output is an (n, d) pair, -x (-n, d).
 
     With odd leaves, each value is c or c*sqrt(b), b = ext.base, and the
     pair holds c: a node's parity is static, odd * odd multiplies c by b,
@@ -214,9 +214,14 @@ def _integer_lines(returns, outputs, program, odd=(), pairs=False):
         pair[name] = tuple(s if s.isidentifier() else f"{name}_{part}" for s, part in ((n, "n"), (d, "d")))
         lines += [f"{var} = {s}" for var, s in zip(pair[name], (n, d)) if var != s]
     nodes = {name for name, *_ in program}
-    if pairs:  # a leaf leaves as it came, a node or a literal as its (n, d)
-        as_pair = lambda n: n if n.isidentifier() and n not in nodes else "({}, {})".format(*(s or "1" for s in of(n)))
-        return [*lines, "return " + returns.format(*map(as_pair, outputs))]
+    if pairs:  # a leaf leaves as it came, a node or a literal as its (n, d), and -x as (-n, d)
+        def as_pair(name, sign):
+            if sign or not name.isidentifier() or name in nodes:
+                return "({}{}, {})".format(sign, *(s or "1" for s in of(name)))
+            return name
+        pieces = returns.split("{}")
+        items = [as_pair(name, "-" * piece.endswith("-")) for piece, name in zip(pieces, outputs)]
+        return [*lines, "return " + "{}".join(piece.removesuffix("-") for piece in pieces).format(*items)]
     reduced = lambda name: "Fraction({}, {})".format(*pair[name]) if name in nodes else name
     wrap = ("ExtScalar(ext, {})", "ExtScalar(ext, {}, odd=True)")
     out = lambda name: wrap[parity[name]].format(reduced(name)) if name in parity else reduced(name)

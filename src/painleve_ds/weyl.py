@@ -29,7 +29,7 @@ from itertools import chain
 
 from .lax import _check_poles, canonical_to_ds, lax_matrices, time_root
 from .loop import LoopElement, apply_theta, bracket, chevalley
-from .painleve import SystemParameters, _pair_slope, flow_slope, reduction_parameters, require_weights
+from .painleve import SystemParameters, _flow, flow_slope, reduction_parameters, require_weights
 from .reductions import reduction
 from .reporting import CheckReport
 from .sampling import SCALE, check_claims, draw_constants, rational_satisfying, scaled_rational
@@ -103,9 +103,9 @@ def _reflection(index, pairs, alpha, eta, t, require):
 def _reflection_kernel(index, dual):
     """(generic, exact): one trace of ``_reflection`` (``tracing.trace``) whose
     texts test each denominator ``require`` records, a zero raising the
-    PoleError ``require`` names.  Without tangents
-    it returns the image of all but t, its integer text on unreduced (n, d)
-    pairs.  Dual, each coordinate is a ``Gradient``, t one with tangent 1,
+    PoleError ``require`` names; the integer text is the pair form, on
+    unreduced (n, d) pairs.  Without tangents it returns the image of all
+    but t.  Dual, each coordinate is a ``Gradient``, t one with tangent 1,
     d the (3,3) flow's slope (w3's rate unused); the image's values and
     tangents come flat, and each guard is the value of a denominator."""
     poles, names, weights = {}, ("q1", "p1", "q2", "p2"), tuple(f"a{i}" for i in GENERATORS)
@@ -125,7 +125,7 @@ def _reflection_kernel(index, dual):
             out, a, eta = _reflection(index, ((q1, p1), (q2, p2)), (a0, a1, a2, a3, a4, a5), eta, t, require)
             return [*chain(*out), *a, eta]
         shape = (*names, *weights, "eta", "t")
-    return trace(f"reflection r{index}" + " with tangents" * dual, reflect, shape, poles, pairs=not dual)
+    return trace(f"reflection r{index}" + " with tangents" * dual, reflect, shape, poles, pairs=True)
 
 
 def apply_generator(index, pairs, params: SystemParameters, t):
@@ -274,27 +274,50 @@ def equivariance_residual(index, pairs, params: SystemParameters, t):
     Hamiltonian vector field and the time coordinate with 1, so
     reflections whose formulas mention t explicitly contribute their time
     derivative.  Both fields are the pair rates of the (3,3) flow's slope,
-    with w3's place and rate unused.  The weights are checked first; the
-    text, its pole messages and the zero-gain shortcut are chosen as in
-    ``apply_generator``: at a zero gain the image is the point and its
-    tangent the slope.
+    with w3's place and rate unused.  The index and the weights are checked
+    first.  Rational input, t tested first, runs ``_unreduced_residual``,
+    other input the generic texts; at a zero gain the image is the point
+    and its tangent the slope.
     """
     _require_generators((index,))
-    slope = _pair_slope(CP6, pairs, t, params)
+    require_weights(CP6, params, pairs)
     alpha, eta = params.alpha, params.eta
+    leaves = (*pairs[0], *pairs[1], *alpha, eta)
+    if type(t) in RATIONAL and rational(leaves):
+        start = [x.as_integer_ratio() for x in leaves]
+        return _unreduced_residual(index, start, t.as_integer_ratio()) or (Fraction(0),) * 4
+    slope = flow_slope(CP6.parts, t, (*leaves[:4], 0), params)
     if is_zero_scalar(alpha[index]):
-        out = (*chain(*pairs), *slope[:4], *alpha, eta)
+        out = (*leaves[:4], *slope[:4], *alpha, eta)
     else:
-        generic, exact = _reflection_kernel(index, True)
-        reflect = exact() if type(t) in RATIONAL and rational(chain(alpha, (eta,), *pairs)) else generic()
-        out = reflect(pairs, slope, alpha, eta, t)
+        out = _reflection_kernel(index, True)[0]()(pairs, slope, alpha, eta, t)
     target = flow_slope(CP6.parts, t, (*out[:4], 0), SystemParameters(alpha=out[8:14], eta=out[14]))
     return tuple(x - rate for x, rate in zip(out[4:8], target))
 
 
+def _unreduced_residual(index, start, t):
+    """``equivariance_residual`` on a rational point's (n, d) pairs, flat as
+    ``_unreduced_word`` takes them: None where each tangent n/d equals its rate
+    m/e, n e = m d, with no Fraction built, else the four differences, reduced."""
+    flow = _flow(CP6.parts)[1]()
+    slope = flow(t, (*start[:4], None), start[4:10], start[10])
+    if start[4 + index][0]:
+        image = _reflection_kernel(index, True)[1]()((start[:2], start[2:4]), slope, start[4:10], start[10], t)
+    else:
+        image = (*start[:4], *slope[:4], *start[4:])
+    sides = tuple(zip(image[4:8], flow(t, (*image[:4], None), image[8:14], image[14])))
+    if all(n * e == m * d for (n, d), (m, e) in sides):
+        return None
+    return tuple(Fraction(n * e - m * d, d * e) for (n, d), (m, e) in sides)
+
+
 def _examine_equivariance(index, point):
-    residual = equivariance_residual(index, *point)
-    return None if all(map(is_zero_scalar, residual)) else _witness(point, residual=residual)
+    """``_unreduced_residual`` at a drawn point, split and its weights checked once."""
+    pairs, params, t = point
+    require_weights(CP6, params)
+    leaves = (*pairs[0], *pairs[1], *params.alpha, params.eta)
+    residual = _unreduced_residual(index, [x.as_integer_ratio() for x in leaves], t.as_integer_ratio())
+    return residual and _witness(point, residual=residual)
 
 
 EQUIVARIANCE = tuple(

@@ -47,7 +47,7 @@ def test_failure_bodies_are_pinned(monkeypatch, fresh_claim_kernels):
         return SystemParameters(tuple(2 * a for a in params.alpha), params.eta)
 
     monkeypatch.setattr(weyl, "_unreduced_word", moved_q1)
-    monkeypatch.setattr(weyl, "equivariance_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)))
+    monkeypatch.setattr(weyl, "_unreduced_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)))
     monkeypatch.setattr(
         weyl, "conjugation_residual", lambda *args, root: LoopElement(5, {(0, 0, 1): QQ(1)})
     )
@@ -342,7 +342,7 @@ def test_both_emissions_of_a_vector_field_agree(system):
         kernel, exact = painleve._flow(record.parts)
         points = _flow_points(record.parts)
         outcomes = [_outcome(kernel, args) for args in points]
-        assert [_outcome(exact(), args) for args in points] == outcomes
+        assert [_outcome(_on_values(exact()), args) for args in points] == outcomes
         # a4 divides by nothing, a5 by t, and p6 and cp6 by t(t - 1)
         poles = {"a4": (), "a5": (0,), "p6": (0, 1), "cp6": (0, 1)}[system]
         raised = [i for i, outcome in enumerate(outcomes) if outcome == "pole"]
@@ -476,7 +476,8 @@ def test_every_literal_of_a_generic_vector_field_kernel_is_load_bearing(system):
     for record in _system_records(system):
         kernel, exact = painleve._flow(record.parts)
         mutants = list(_mutants(kernel))
-        survivors = [where for where, mutant in mutants if _agrees(mutant, exact(), _flow_points(record.parts))]
+        survivors = [where for where, mutant in mutants
+                     if _agrees(mutant, _on_values(exact()), _flow_points(record.parts))]
         assert mutants and survivors == [], record.label
 
 
@@ -639,14 +640,17 @@ def test_the_exact_suites_run_only_traced_code(monkeypatch):
             weyl.apply_generator(index, *_in_lane(DYADIC_POINT, lane))
             with pytest.raises(PoleError, match="reflection pole"):
                 weyl.apply_generator(index, *_in_lane(_on_pole(index, DYADIC_POINT, 0), lane))
-    # nor a reflection's integer text in the Fraction form: each is the pair form, and builds none
+    # nor a reflection's or a flow's integer text in the Fraction form: each is the pair form, and builds none
     def no_fraction(*args):
-        raise AssertionError("a reflection text built a Fraction")
+        raise AssertionError("a pair text built a Fraction")
 
-    for index in weyl.GENERATORS:
-        _, exact = weyl._reflection_kernel(index, False)
-        monkeypatch.setitem(exact().__globals__, "Fraction", no_fraction)
+    texts = [weyl._reflection_kernel(index, dual)[1]() for index in weyl.GENERATORS for dual in (False, True)]
+    for text in texts + [painleve._flow(parts)[1]() for parts in REDUCTIONS]:
+        monkeypatch.setitem(text.__globals__, "Fraction", no_fraction)
+    for parts in REDUCTIONS:
+        assert lax.verify_partition(parts, samples=5).passed
     assert weyl.check_relations(samples=5).passed
+    assert weyl.check_equivariance(samples=5).passed
     assert weyl.check_conjugation(samples=5).passed
     # nor any dual number: equivariance reads each reflection's tangent from its text
     def no_gradient(*args):
@@ -761,11 +765,17 @@ def _text_outcome(reflect, point, *rates):
     return image, repr(image)
 
 
+def _split(x):
+    """A rational as its (n, d) pair, and a tuple or list of them as a list of pairs; None stays."""
+    if x is None:
+        return None
+    return x.as_integer_ratio() if isinstance(x, (int, QQ)) else [_split(v) for v in x]
+
+
 def _on_values(pair_text):
-    """A reflection's pair text run on values: each in as its (n, d) pair,
-    each image out as one Fraction."""
-    split = lambda x: (x.numerator, x.denominator)
-    return lambda *leaves: tuple(QQ(*image) for image in pair_text(*map(split, leaves)))
+    """A pair text, a flow's or a reflection's, run on values: each rational
+    argument in as its (n, d) pair, nested ones too, each output out as one Fraction."""
+    return lambda *args: tuple(QQ(*out) for out in pair_text(*map(_split, args)))
 
 
 @pytest.mark.parametrize("index", weyl.GENERATORS)
@@ -793,7 +803,7 @@ def test_every_literal_of_a_generic_tangent_text_is_load_bearing(index):
     rng = random.Random(29)
     points = [(point, (*(random_rational(rng) for _ in range(4)), 0)) for point in _reflection_points(index)]
     outcomes = lambda reflect: [_text_outcome(reflect, point, rates) for point, rates in points]
-    want = outcomes(exact())
+    want = outcomes(_on_values(exact()))
     assert outcomes(generic()) == want
     mutants = list(_mutants(generic()))
     survivors = [where for where, mutant in mutants if outcomes(mutant) == want]

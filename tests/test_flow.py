@@ -519,7 +519,10 @@ class TestGeneratedRightHandSide:
             want = _hand_written_slope(parts, pairs, t, params)
             y = [c for pair in pairs for c in pair] + logs
             assert rhs(t, y, params.alpha, params.eta) == want
-            assert exact()(t, y, params.alpha, params.eta) == want
+            split = lambda xs: [x.as_integer_ratio() for x in xs]
+            eta = None if params.eta is None else params.eta.as_integer_ratio()
+            rates = exact()(t.as_integer_ratio(), split(y), split(params.alpha), eta)
+            assert tuple(QQ(n, d) for n, d in rates) == want
 
     def test_one_trace_per_partition_serves_every_lane(self, monkeypatch):
         calls = []

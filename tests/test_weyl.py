@@ -593,7 +593,7 @@ class TestBoundedRetries:
         "target,check",
         [
             ("_unreduced_word", check_relations),
-            ("equivariance_residual", check_equivariance),
+            ("_unreduced_residual", check_equivariance),
             ("conjugation_residual", check_conjugation),
         ],
     )
@@ -621,7 +621,7 @@ class TestWitnesses:
         [
             ("_unreduced_word", _moved_q1, check_relations,
              {"sample_index", "point", "alpha", "eta", "image_pairs"}),
-            ("equivariance_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)),
+            ("_unreduced_residual", lambda *args: (QQ(1), QQ(0), QQ(0), QQ(0)),
              check_equivariance, {"sample_index", "point", "alpha", "eta", "residual"}),
             ("conjugation_residual", lambda *args, root: LoopElement(5, {(0, 0, 1): QQ(1)}),
              check_conjugation, {"sample_index", "point", "kappas", "rhos"}),
@@ -829,8 +829,9 @@ class TestNamedPoles:
             leaves, slope = (*pairs[0], *pairs[1], *alpha, eta, t), (QQ(1), QQ(2), QQ(3), QQ(4), 0)
             value, values = weyl._reflection_kernel(index, False)
             tangent, tangents = weyl._reflection_kernel(index, True)
-            calls = [(value(), leaves), (values(), [x.as_integer_ratio() for x in leaves]),
-                     (tangent(), (pairs, slope, alpha, eta, t)), (tangents(), (pairs, slope, alpha, eta, t))]
+            split = lambda xs: [x.as_integer_ratio() for x in xs]
+            calls = [(value(), leaves), (values(), split(leaves)), (tangent(), (pairs, slope, alpha, eta, t)),
+                     (tangents(), (list(map(split, pairs)), split(slope), split(alpha), *split((eta, t))))]
             for text, args in calls:
                 with pytest.raises(PoleError, match="^reflection pole: ") as info:
                     text(*args)
