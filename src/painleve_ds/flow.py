@@ -199,7 +199,7 @@ def _advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, guard, args=()):
 
         try:
             y_new, slope_new, error = step(f, args, t, h, y, slope, rel_tol, abs_tol)
-        except (ZeroDivisionError, PoleError, OverflowError):
+        except (PoleError, OverflowError):
             if fixed_step is not None:
                 return records, POLE_DETECTED
             h *= 0.5

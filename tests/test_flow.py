@@ -330,10 +330,7 @@ def _reference_advance(f, t0, y0, t_end, rel_tol, abs_tol, fixed_step, max_steps
         try:
             for stage in range(1, 7):
                 state = [yj + h * s for yj, s in zip(y, _stage_sum(flow._A[stage], stages))]
-                try:
-                    k = f(t + flow._C[stage] * h, state, *args)
-                except ZeroDivisionError:
-                    raise PoleError("zero divisor") from None
+                k = f(t + flow._C[stage] * h, state, *args)
                 if not all(map(math.isfinite, k)):
                     raise PoleError("non-finite derivative")
                 stages.append(k)
@@ -367,7 +364,7 @@ def _rider_system(size, spikes):
     the first size - 1 components and a last component that f never reads,
     as the gauges ride along.  spikes maps an f call's number (0 at the
     start) to the last component's slope at that call, or to "zero" for a
-    zero divisor there."""
+    zero divisor there, which raises the PoleError a traced text raises."""
     calls = iter(range(10**9))
 
     def f(t, y, c):
@@ -377,7 +374,9 @@ def _rider_system(size, spikes):
             for j in range(ring)
         ]
         rider = spikes.get(next(calls), math.cos(t) + c * sum(y[:ring]))
-        return slope + [1.0 / 0.0 if rider == "zero" else rider]
+        if rider == "zero":
+            raise PoleError("zero divisor")
+        return slope + [rider]
 
     return f
 

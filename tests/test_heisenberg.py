@@ -53,6 +53,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("parts, refusal", [((), "empty partition"), ((1,), "partition must sum to at least 2")])
+    def test_rejects_an_empty_or_too_small_partition(self, parts, refusal):
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            Partition(parts)
+
     def test_rank(self):
         assert Partition((3, 3)).rank == 5
 

@@ -210,6 +210,26 @@ class TestGradation:
         with pytest.raises(ValueError):
             theta_eigenvalue(spec, mixed)
 
+    def test_the_zero_element_has_no_degree(self):
+        with pytest.raises(ValueError, match="^zero element has no degree$"):
+            theta_eigenvalue(self.spec(), LoopElement(1, {}))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("i, kind, refusal", [
+        (3, "e", "index 3 out of range for rank 2"),
+        (-1, "f", "index -1 out of range for rank 2"),
+        (1, "h", "unknown generator kind 'h'"),
+    ])
+    def test_chevalley_refuses_an_index_or_a_kind(self, i, kind, refusal):
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            chevalley(2, i, kind)
+
+    @pytest.mark.parametrize("combine", [lambda a, b: a + b, bracket], ids=["add", "bracket"])
+    def test_elements_of_mixed_ranks_are_refused(self, combine):
+        with pytest.raises(ValueError, match="^mixed ranks$"):
+            combine(chevalley(1, 1, "e"), chevalley(2, 1, "e"))
+
 
 class TestRendering:
     def test_render_mentions_each_degree(self):

@@ -203,6 +203,16 @@ class TestIntegerEmission:
         out = kernel(x_pair, (3, 6))
         assert out[0] is x_pair and out[1:] == ((0, 1), (1, 3), (6, 24))
 
+    def test_the_pair_form_negates_a_node_a_leaf_and_a_literal(self):
+        # ("-", x) leaves as (-n, d): a leaf is unpacked for it, a literal's d is 1
+        def negated(x, y):
+            return [("-", x * y), ("-", x), ("-", 3), ("-", QQ(-2, 5))]
+
+        generic, exact = trace("negated kernel", negated, ("x", "y"), pairs=True)
+        assert _lines(exact())[-1] == "    return ((-v0_n, v0_d), (-x_n, x_d), (-3, 1), (--2, 5), )"
+        assert exact()((2, 4), (3, -6)) == ((-6, -24), (-2, 4), (-3, 1), (2, 5))
+        assert generic()(QQ(1, 2), QQ(-1, 2)) == (QQ(1, 4), QQ(-1, 2), -3, QQ(2, 5))
+
     def test_an_integral_fraction_literal_enters_as_an_int_and_folds(self):
         tape, (x,) = _leaves("x")
         assert x * QQ(1) is x and QQ(0) + x is x and x - QQ(0) is x
