@@ -170,7 +170,7 @@ def _integer_lines(returns, outputs, program, odd=(), pairs=False):
     and / first raises ZeroDivisionError on a zero divisor numerator; a
     denominator of 1 and a factor 1 fold away.  Each leaf is unpacked once,
     at its first use, and each output node is reduced once, as Fraction(n, d),
-    except in the pair form, where each leaf and output is an (n, d) pair, -x (-n, d).
+    except in the pair form, where each leaf and output is an (n, d) pair and -x is (-n, d).
 
     With odd leaves, each value is c or c*sqrt(b), b = ext.base, and the
     pair holds c: a node's parity is static, odd * odd multiplies c by b,
